@@ -114,13 +114,15 @@ inline void printPreamble(const BenchContext& ctx, const std::string& title,
 }
 
 /// Standard epilogue of a bench main: writes the optional CSV / JSON exports
-/// (DAGPM_CSV / DAGPM_JSON_OUT) and converts the harness outcomes into the
-/// process exit status so CI smoke runs fail loudly. Returns nonzero when the
-/// harness produced no outcomes, when an export failed, or — unless
+/// (DAGPM_CSV / DAGPM_JSON_OUT, via experiments::exportBench) and converts
+/// the harness outcomes into the process exit status so CI smoke runs fail
+/// loudly. Returns nonzero when the harness produced no outcomes, when an
+/// export failed, or — unless
 /// `requireFeasible` is false (benches that intentionally probe infeasible
 /// regimes) — when not a single instance was schedulable by both schedulers.
 /// Benches that sweep a parameter pass one named group per configuration so
-/// the exported JSON keeps per-configuration rows.
+/// the exported JSON keeps per-configuration rows; single-configuration
+/// benches pass one group named "".
 inline int finish(const BenchContext& ctx, const std::string& name,
                   const experiments::OutcomeGroups& groups,
                   bool requireFeasible = true) {
@@ -129,22 +131,9 @@ inline int finish(const BenchContext& ctx, const std::string& name,
       {"sweep", ctx.sweepName()},
       {"seeds", std::to_string(ctx.env().seeds)},
   };
-  // Attempt both exports before failing: a bad DAGPM_CSV directory must not
-  // also drop the JSON trajectory record (or vice versa).
-  bool csvError = false;
-  const std::string csv = experiments::maybeExportCsv(name, groups, &csvError);
-  if (!csv.empty()) std::cout << "raw results: " << csv << "\n";
-  if (csvError) {
-    std::cerr << "error: could not write to the DAGPM_CSV directory\n";
-  }
-  bool jsonError = false;
-  const std::string json =
-      experiments::maybeExportJson(name, groups, meta, &jsonError);
-  if (!json.empty()) std::cout << "aggregate rows: " << json << "\n";
-  if (jsonError) {
-    std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-  }
-  if (csvError || jsonError) return 1;
+  const experiments::BenchExport exported =
+      experiments::outcomesExport(name, groups, meta);
+  if (!experiments::exportBench(exported)) return 1;
   bool anyOutcome = false, anyFeasible = false;
   for (const auto& [config, outcomes] : groups) {
     for (const RunOutcome& out : outcomes) {
@@ -161,13 +150,6 @@ inline int finish(const BenchContext& ctx, const std::string& name,
     return 1;
   }
   return 0;
-}
-
-inline int finish(const BenchContext& ctx, const std::string& name,
-                  const std::vector<RunOutcome>& outcomes,
-                  bool requireFeasible = true) {
-  return finish(ctx, name, experiments::OutcomeGroups{{"", outcomes}},
-                requireFeasible);
 }
 
 /// Renders the per-band aggregate table used by several figures.

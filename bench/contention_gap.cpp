@@ -61,7 +61,6 @@ int main() {
                "/ contention-aware simulated makespan; recovered = share of "
                "the gap\nthe aware search closes\n";
 
-  // Same epilogue contract as bench::finish, over contention outcomes.
   const std::map<std::string, std::string> meta = {
       {"scale", ctx.scaleName()},
       {"sweep", ctx.sweepName()},
@@ -69,19 +68,9 @@ int main() {
       {"comm", "block-synchronous"},
       {"contention", "1"},
   };
-  bool csvError = false;
-  const std::string csv = experiments::maybeExportContentionCsv(
-      "contention_gap", outcomes, &csvError);
-  if (!csv.empty()) std::cout << "raw results: " << csv << "\n";
-  if (csvError) {
-    std::cerr << "error: could not write to the DAGPM_CSV directory\n";
-  }
-  bool jsonError = false;
-  const std::string json = experiments::maybeExportContentionJson(
-      "contention_gap", outcomes, meta, &jsonError);
-  if (!json.empty()) std::cout << "aggregate rows: " << json << "\n";
-  if (jsonError) std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-  if (csvError || jsonError) return 1;
+  const experiments::BenchExport exported =
+      experiments::contentionExport("contention_gap", outcomes, meta);
+  if (!experiments::exportBench(exported)) return 1;
   if (outcomes.empty()) {
     std::cerr << "error: the harness produced no outcomes\n";
     return 1;

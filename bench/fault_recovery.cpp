@@ -77,7 +77,6 @@ int main() {
                "slowdown (> 1 = recovery-aware rescheduling strictly beats "
                "greedy re-execution)\n";
 
-  // Same epilogue contract as bench::finish, over fault-recovery outcomes.
   const std::map<std::string, std::string> meta = {
       {"scale", ctx.scaleName()},
       {"sweep", ctx.sweepName()},
@@ -86,19 +85,9 @@ int main() {
       {"spares", std::to_string(options.spareProcessors)},
       {"comm", "block-synchronous"},
   };
-  bool csvError = false;
-  const std::string csv = experiments::maybeExportFaultRecoveryCsv(
-      "fault_recovery", outcomes, &csvError);
-  if (!csv.empty()) std::cout << "raw results: " << csv << "\n";
-  if (csvError) {
-    std::cerr << "error: could not write to the DAGPM_CSV directory\n";
-  }
-  bool jsonError = false;
-  const std::string json = experiments::maybeExportFaultRecoveryJson(
-      "fault_recovery", outcomes, meta, &jsonError);
-  if (!json.empty()) std::cout << "aggregate rows: " << json << "\n";
-  if (jsonError) std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-  if (csvError || jsonError) return 1;
+  const experiments::BenchExport exported =
+      experiments::faultRecoveryExport("fault_recovery", outcomes, meta);
+  if (!experiments::exportBench(exported)) return 1;
   if (outcomes.empty()) {
     std::cerr << "error: no schedule could be executed\n";
     return 1;

@@ -39,5 +39,5 @@ int main() {
   std::cout << "\noverall geomean relative makespan: "
             << support::Table::percent(support::geometricMean(allRatios))
             << "  (paper: 41% => 2.44x)\n";
-  return bench::finish(ctx, "fig03_left_default_cluster", outcomes);
+  return bench::finish(ctx, "fig03_left_default_cluster", {{"", outcomes}});
 }

@@ -52,5 +52,5 @@ int main() {
   table.print(std::cout);
   std::cout << "\n('-' = size not generated for this family or not "
                "schedulable by both algorithms)\n";
-  return bench::finish(ctx, "fig05_relative_by_family", outcomes);
+  return bench::finish(ctx, "fig05_relative_by_family", {{"", outcomes}});
 }

@@ -48,5 +48,5 @@ int main() {
     table.addRow(row);
   }
   table.print(std::cout);
-  return bench::finish(ctx, "fig06_absolute_by_family", outcomes);
+  return bench::finish(ctx, "fig06_absolute_by_family", {{"", outcomes}});
 }

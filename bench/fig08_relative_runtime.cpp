@@ -63,5 +63,5 @@ int main() {
   std::cout << "\nreal-world workflows: "
             << support::Table::num(support::geometricMean(realRatios), 1)
             << "x (paper: ~406x -- both are fractions of a second)\n";
-  return bench::finish(ctx, "fig08_relative_runtime", outcomes);
+  return bench::finish(ctx, "fig08_relative_runtime", {{"", outcomes}});
 }

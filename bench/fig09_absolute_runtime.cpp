@@ -38,5 +38,5 @@ int main() {
   table.print(std::cout);
   std::cout << "\n(paper full-scale means: real 0.5s, small 2.83s, mid "
                "166s, big 647s; DAGPM_FULL=1 approaches those sizes)\n";
-  return bench::finish(ctx, "fig09_absolute_runtime", outcomes);
+  return bench::finish(ctx, "fig09_absolute_runtime", {{"", outcomes}});
 }

@@ -341,7 +341,11 @@ int main() {
   }
 
   // JSON export: everything except *_seconds gates.
-  support::JsonArray rows;
+  experiments::BenchExport exported;
+  exported.bench = "optimality_gap";
+  exported.meta = experiments::metaJson(
+      {{"scale", scaleName}, {"seeds", std::to_string(env.seeds)}});
+  support::JsonArray& rows = exported.rows;
   for (const GridRow& r : grid) {
     support::JsonObject row;
     row.emplace("config",
@@ -383,24 +387,7 @@ int main() {
     row.emplace("portfolio_seconds", support::JsonValue(r.portfolioSeconds));
     rows.emplace_back(std::move(row));
   }
-  support::JsonObject doc;
-  doc.emplace("bench", support::JsonValue(std::string("optimality_gap")));
-  support::JsonObject meta;
-  meta.emplace("scale", support::JsonValue(std::string(scaleName)));
-  meta.emplace("seeds", support::JsonValue(std::to_string(env.seeds)));
-  doc.emplace("meta", support::JsonValue(std::move(meta)));
-  doc.emplace("rows", support::JsonValue(std::move(rows)));
-  doc.emplace("stats", experiments::statsJson());
-
-  const std::string jsonPath = experiments::jsonExportPath();
-  if (!jsonPath.empty()) {
-    if (!experiments::writeJsonDocument(jsonPath,
-                                        support::JsonValue(std::move(doc)))) {
-      std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-      return 1;
-    }
-    std::cout << "\naggregate rows: " << jsonPath << "\n";
-  }
+  if (!experiments::exportBench(exported)) return 1;
 
   bool anyClosed = false;
   for (const GridRow& r : grid) anyClosed |= r.feasible;

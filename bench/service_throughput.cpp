@@ -274,7 +274,13 @@ int main() {
   // JSON export: per-workflow quality rows + service accounting +
   // multi-tenant aggregates. Gated columns are deterministic; *_seconds
   // are ignored by the checker.
-  support::JsonArray rows;
+  experiments::BenchExport exported;
+  exported.bench = "service_throughput";
+  exported.meta = {
+      {"scale", support::JsonValue(std::string(scaleName))},
+      {"threads", support::JsonValue(static_cast<double>(sp.threads))},
+      {"requests", support::JsonValue(static_cast<double>(sp.requests))}};
+  support::JsonArray& rows = exported.rows;
   for (const Workload& w : workloads) {
     support::JsonObject row;
     row.emplace("config",
@@ -325,27 +331,7 @@ int main() {
     row.emplace("stretch_max", support::JsonValue(maxStretch));
     rows.emplace_back(std::move(row));
   }
-  support::JsonObject doc;
-  doc.emplace("bench", support::JsonValue(std::string("service_throughput")));
-  support::JsonObject meta;
-  meta.emplace("scale", support::JsonValue(std::string(scaleName)));
-  meta.emplace("threads", support::JsonValue(
-                              static_cast<double>(sp.threads)));
-  meta.emplace("requests", support::JsonValue(
-                               static_cast<double>(sp.requests)));
-  doc.emplace("meta", support::JsonValue(std::move(meta)));
-  doc.emplace("rows", support::JsonValue(std::move(rows)));
-  doc.emplace("stats", experiments::statsJson());
-
-  const std::string jsonPath = experiments::jsonExportPath();
-  if (!jsonPath.empty()) {
-    if (!experiments::writeJsonDocument(jsonPath,
-                                        support::JsonValue(std::move(doc)))) {
-      std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-      return 1;
-    }
-    std::cout << "aggregate rows: " << jsonPath << "\n";
-  }
+  if (!experiments::exportBench(exported)) return 1;
 
   bool anyFeasible = false;
   for (const Workload& w : workloads) anyFeasible |= w.reference.feasible;

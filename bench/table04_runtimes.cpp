@@ -32,5 +32,5 @@ int main() {
   table.print(std::cout);
   std::cout << "\n(paper: real 406/0.5s, small 1.63/2.83s, mid 1.02/166s, "
                "big 0.85/647s at full scale)\n";
-  return bench::finish(ctx, "table04_runtimes", outcomes);
+  return bench::finish(ctx, "table04_runtimes", {{"", outcomes}});
 }

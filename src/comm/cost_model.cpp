@@ -43,10 +43,10 @@ FluidResult UncontendedCommModel::evaluate(const FluidProblem& p,
   if (p.order.size() != n) return result;  // cyclic problem: no evaluation
 
   const Incidence inc = buildIncidence(p);
-  // The exact max/add sequence of quotient::computeTimeline: ready starts at
-  // the release, then folds every inbound delivery (finish + volume/beta) in
+  // The forward recurrence of the paper's model: ready starts at the
+  // release, then folds every inbound delivery (finish + volume/beta) in
   // stored order. max is exact in floating point, so only the additive terms
-  // matter for bit-identity — and they are the same expressions.
+  // matter for bit-identity.
   for (const std::uint32_t v : p.order) {
     double ready = p.nodes[v].earliestStart;
     for (const std::uint32_t j : inc.injections[v]) {

@@ -12,9 +12,9 @@
 // rescheduler's residual projection — can evaluate candidates under either
 // physics:
 //
-//   UncontendedCommModel  every transfer moves at the full beta; the forward
-//                         pass reproduces quotient::computeTimeline
-//                         bit-exactly (same maxes, same additive terms).
+//   UncontendedCommModel  every transfer moves at the full beta: the
+//                         paper's forward pass, and the default model of
+//                         quotient::computeTimeline.
 //   FairShareCommModel    all concurrent transfers fair-share the backbone
 //                         (each of n in-flight transfers progresses at
 //                         beta/n) — the same fluid model sim::Engine
@@ -74,8 +74,7 @@ struct FluidProblem {
   std::vector<FluidEdge> edges;
   std::vector<FluidInjection> injections;
   /// Topological order of `nodes`; the uncontended pass evaluates in this
-  /// order (and its per-node max sequence is what makes it bit-identical to
-  /// quotient::computeTimeline).
+  /// order (its per-node max sequence is what makes it reproducible).
   std::vector<std::uint32_t> order;
 };
 

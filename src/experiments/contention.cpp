@@ -11,7 +11,6 @@
 #include "memory/oracle.hpp"
 #include "scheduler/solution.hpp"
 #include "sim/engine.hpp"
-#include "support/csv.hpp"
 #include "support/stats.hpp"
 
 namespace dagpm::experiments {
@@ -158,12 +157,20 @@ aggregateContention(const std::vector<ContentionOutcome>& outcomes) {
   return result;
 }
 
-bool exportContentionCsv(const std::string& path,
-                         const std::vector<ContentionOutcome>& outcomes) {
-  std::vector<std::vector<std::string>> rows;
+BenchExport contentionExport(
+    const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
+    const std::map<std::string, std::string>& meta) {
+  BenchExport result;
+  result.bench = bench;
+  result.meta = metaJson(meta);
+  result.csvHeader = {"config", "instance", "band", "family", "tasks", "ccr",
+                      "oblivious_feasible", "aware_feasible",
+                      "oblivious_static", "oblivious_predicted",
+                      "oblivious_simulated", "aware_static", "aware_predicted",
+                      "aware_simulated"};
   const auto& fmt = formatG6;
   for (const ContentionOutcome& out : outcomes) {
-    rows.push_back({
+    result.csvRows.push_back({
         out.config,
         out.instance,
         workflows::sizeBandName(out.band),
@@ -180,19 +187,6 @@ bool exportContentionCsv(const std::string& path,
         fmt(out.awareSimulated),
     });
   }
-  return support::writeCsv(
-      path,
-      {"config", "instance", "band", "family", "tasks", "ccr",
-       "oblivious_feasible", "aware_feasible", "oblivious_static",
-       "oblivious_predicted", "oblivious_simulated", "aware_static",
-       "aware_predicted", "aware_simulated"},
-      rows);
-}
-
-support::JsonValue contentionToJson(
-    const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
-  support::JsonArray rows;
   for (const auto& [key, agg] : aggregateContention(outcomes)) {
     support::JsonObject row;
     row["config"] = support::JsonValue(key.first);
@@ -213,52 +207,9 @@ support::JsonValue contentionToJson(
     row["geomean_aware_gain"] = support::JsonValue(agg.geomeanAwareGain);
     row["recovered_fraction"] =
         support::JsonValue(agg.meanRecoveredFraction);
-    rows.push_back(support::JsonValue(std::move(row)));
+    result.rows.push_back(support::JsonValue(std::move(row)));
   }
-
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  return support::JsonValue(std::move(doc));
-}
-
-bool exportContentionJson(const std::string& path, const std::string& bench,
-                          const std::vector<ContentionOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, contentionToJson(bench, outcomes, meta));
-}
-
-std::string maybeExportContentionCsv(
-    const std::string& name, const std::vector<ContentionOutcome>& outcomes,
-    bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportContentionCsv(path, outcomes)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportContentionJson(
-    const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportContentionJson(path, bench, outcomes, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
+  return result;
 }
 
 }  // namespace dagpm::experiments

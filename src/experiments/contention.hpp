@@ -29,8 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "experiments/export.hpp"
 #include "experiments/harness.hpp"
-#include "support/json.hpp"
 
 namespace dagpm::experiments {
 
@@ -86,27 +86,10 @@ struct ContentionAggregate {
 std::map<std::pair<std::string, std::string>, ContentionAggregate>
 aggregateContention(const std::vector<ContentionOutcome>& outcomes);
 
-/// One CSV row per outcome. Returns false on I/O failure.
-bool exportContentionCsv(const std::string& path,
-                         const std::vector<ContentionOutcome>& outcomes);
-
-/// JSON document {"schema_version", "bench", "meta", "rows"} with one row
-/// per (config, band) aggregate — the DAGPM_JSON_OUT record.
-support::JsonValue contentionToJson(
+/// The contention_gap export: one CSV row per outcome and one JSON row per
+/// (config, band) aggregate.
+BenchExport contentionExport(
     const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
     const std::map<std::string, std::string>& meta = {});
-
-bool exportContentionJson(const std::string& path, const std::string& bench,
-                          const std::vector<ContentionOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta = {});
-
-/// DAGPM_CSV / DAGPM_JSON_OUT variants, mirroring experiments/export.hpp.
-std::string maybeExportContentionCsv(
-    const std::string& name, const std::vector<ContentionOutcome>& outcomes,
-    bool* error = nullptr);
-std::string maybeExportContentionJson(
-    const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {},
-    bool* error = nullptr);
 
 }  // namespace dagpm::experiments

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 
 #include "obs/obs.hpp"
 #include "support/csv.hpp"
@@ -16,6 +17,25 @@ std::string formatG6(double v) {
   return buf;
 }
 
+namespace {
+
+support::JsonValue statsJson() {
+  support::JsonObject stats;
+  if (obs::countersEnabled()) {
+    for (const obs::CounterValue& c : obs::counterSnapshot()) {
+      stats[c.name] = support::JsonValue(static_cast<double>(c.value));
+    }
+  }
+  for (const obs::SpanAggregate& s : obs::spanAggregates()) {
+    stats["span." + s.name + "_calls"] =
+        support::JsonValue(static_cast<double>(s.calls));
+    stats["span." + s.name + "_seconds"] = support::JsonValue(s.seconds);
+  }
+  return support::JsonValue(std::move(stats));
+}
+
+/// Serializes `doc` to `path` with a trailing newline; returns false on I/O
+/// failure, including buffered writes failing at flush time.
 bool writeJsonDocument(const std::string& path,
                        const support::JsonValue& doc) {
   std::ofstream out(path);
@@ -27,68 +47,46 @@ bool writeJsonDocument(const std::string& path,
   return !out.fail();
 }
 
-std::string csvExportPath(const std::string& name) {
-  const std::string dir = support::getEnvOr("DAGPM_CSV", "");
-  return dir.empty() ? "" : dir + "/" + name + ".csv";
+}  // namespace
+
+support::JsonObject metaJson(const std::map<std::string, std::string>& meta) {
+  support::JsonObject obj;
+  for (const auto& [key, value] : meta) obj[key] = support::JsonValue(value);
+  return obj;
 }
 
-std::string jsonExportPath() {
-  return support::getEnvOr("DAGPM_JSON_OUT", "");
+support::JsonValue benchDocument(const BenchExport& out) {
+  support::JsonObject doc = out.extra;
+  doc["schema_version"] = support::JsonValue(1.0);
+  doc["bench"] = support::JsonValue(out.bench);
+  doc["meta"] = support::JsonValue(out.meta);
+  doc["rows"] = support::JsonValue(out.rows);
+  doc["stats"] = statsJson();
+  return support::JsonValue(std::move(doc));
 }
 
-bool exportOutcomesCsv(const std::string& path, const OutcomeGroups& groups) {
-  std::vector<std::vector<std::string>> rows;
-  const auto& fmt = formatG6;
-  for (const auto& [config, outcomes] : groups) {
-    for (const RunOutcome& out : outcomes) {
-      const bool both = out.partFeasible && out.memFeasible;
-      rows.push_back({
-          config,
-          out.instance,
-          workflows::sizeBandName(out.band),
-          out.family,
-          std::to_string(out.numTasks),
-          out.partFeasible ? "1" : "0",
-          out.memFeasible ? "1" : "0",
-          fmt(out.partMakespan),
-          fmt(out.memMakespan),
-          both && out.memMakespan > 0.0
-              ? fmt(out.partMakespan / out.memMakespan)
-              : "",
-          fmt(out.partSeconds),
-          fmt(out.memSeconds),
-      });
+bool exportBench(const BenchExport& out) {
+  bool ok = true;
+  const std::string csvDir = support::getEnvOr("DAGPM_CSV", "");
+  if (!csvDir.empty() && !out.csvHeader.empty()) {
+    const std::string path = csvDir + "/" + out.bench + ".csv";
+    if (support::writeCsv(path, out.csvHeader, out.csvRows)) {
+      std::cout << "raw results: " << path << "\n";
+    } else {
+      ok = false;
+      std::cerr << "error: could not write to the DAGPM_CSV directory\n";
     }
   }
-  return support::writeCsv(
-      path,
-      {"config", "instance", "band", "family", "tasks", "part_feasible",
-       "mem_feasible", "part_makespan", "mem_makespan", "ratio",
-       "part_seconds", "mem_seconds"},
-      rows);
-}
-
-bool exportOutcomesCsv(const std::string& path,
-                       const std::vector<RunOutcome>& outcomes) {
-  return exportOutcomesCsv(path, OutcomeGroups{{"", outcomes}});
-}
-
-std::string maybeExportCsv(const std::string& name,
-                           const OutcomeGroups& groups, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportOutcomesCsv(path, groups)) {
-    if (error != nullptr) *error = true;
-    return "";
+  const std::string jsonPath = support::getEnvOr("DAGPM_JSON_OUT", "");
+  if (!jsonPath.empty()) {
+    if (writeJsonDocument(jsonPath, benchDocument(out))) {
+      std::cout << "aggregate rows: " << jsonPath << "\n";
+    } else {
+      ok = false;
+      std::cerr << "error: could not write DAGPM_JSON_OUT\n";
+    }
   }
-  return path;
-}
-
-std::string maybeExportCsv(const std::string& name,
-                           const std::vector<RunOutcome>& outcomes,
-                           bool* error) {
-  return maybeExportCsv(name, OutcomeGroups{{"", outcomes}}, error);
+  return ok;
 }
 
 support::JsonValue aggregateToJson(const Aggregate& agg) {
@@ -118,8 +116,7 @@ constexpr char kGroupSep = '|';
 
 support::JsonValue rowJson(const std::string& config, const std::string& band,
                            const std::string& family, const Aggregate& agg) {
-  support::JsonValue row = aggregateToJson(agg);
-  support::JsonObject obj = row.asObject();
+  support::JsonObject obj = aggregateToJson(agg).asObject();
   obj["config"] = support::JsonValue(config);
   obj["band"] = support::JsonValue(band);
   obj["family"] = support::JsonValue(family);
@@ -128,100 +125,58 @@ support::JsonValue rowJson(const std::string& config, const std::string& band,
 
 }  // namespace
 
-support::JsonValue statsJson() {
-  support::JsonObject stats;
-  if (obs::countersEnabled()) {
-    for (const obs::CounterValue& c : obs::counterSnapshot()) {
-      stats[c.name] = support::JsonValue(static_cast<double>(c.value));
-    }
-  }
-  for (const obs::SpanAggregate& s : obs::spanAggregates()) {
-    stats["span." + s.name + "_calls"] =
-        support::JsonValue(static_cast<double>(s.calls));
-    stats["span." + s.name + "_seconds"] = support::JsonValue(s.seconds);
-  }
-  return support::JsonValue(std::move(stats));
-}
-
-support::JsonValue outcomesToJson(
-    const std::string& bench, const OutcomeGroups& groups,
-    const std::map<std::string, std::string>& meta) {
-  support::JsonArray rows;
+BenchExport outcomesExport(const std::string& bench,
+                           const OutcomeGroups& groups,
+                           const std::map<std::string, std::string>& meta) {
+  BenchExport out;
+  out.bench = bench;
+  out.meta = metaJson(meta);
+  out.csvHeader = {"config", "instance", "band", "family", "tasks",
+                   "part_feasible", "mem_feasible", "part_makespan",
+                   "mem_makespan", "ratio", "part_seconds", "mem_seconds"};
+  const auto& fmt = formatG6;
   std::vector<RunOutcome> all;
   for (const auto& [config, outcomes] : groups) {
+    for (const RunOutcome& o : outcomes) {
+      const bool both = o.partFeasible && o.memFeasible;
+      out.csvRows.push_back({
+          config,
+          o.instance,
+          workflows::sizeBandName(o.band),
+          o.family,
+          std::to_string(o.numTasks),
+          o.partFeasible ? "1" : "0",
+          o.memFeasible ? "1" : "0",
+          fmt(o.partMakespan),
+          fmt(o.memMakespan),
+          both && o.memMakespan > 0.0 ? fmt(o.partMakespan / o.memMakespan)
+                                      : "",
+          fmt(o.partSeconds),
+          fmt(o.memSeconds),
+      });
+    }
     all.insert(all.end(), outcomes.begin(), outcomes.end());
     // Per-(band, family) rows: the finest aggregate the paper reports.
-    const auto byGroup = aggregateBy(outcomes, [](const RunOutcome& out) {
-      return workflows::sizeBandName(out.band) + std::string(1, kGroupSep) +
-             out.family;
+    const auto byGroup = aggregateBy(outcomes, [](const RunOutcome& o) {
+      return workflows::sizeBandName(o.band) + std::string(1, kGroupSep) +
+             o.family;
     });
     for (const auto& [key, agg] : byGroup) {
       const std::size_t sep = key.find(kGroupSep);
-      rows.push_back(
+      out.rows.push_back(
           rowJson(config, key.substr(0, sep), key.substr(sep + 1), agg));
     }
     // Per-band rollups ("family": "*"), matching the printed band tables.
     for (const auto& [band, agg] : aggregateByBand(outcomes)) {
-      rows.push_back(rowJson(config, workflows::sizeBandName(band), "*", agg));
+      out.rows.push_back(
+          rowJson(config, workflows::sizeBandName(band), "*", agg));
     }
   }
-
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  doc["stats"] = statsJson();
-  doc["overall"] = aggregateToJson(
+  out.extra["overall"] = aggregateToJson(
       aggregateBy(all, [](const RunOutcome&) {
         return std::string("all");
       })["all"]);
-  return support::JsonValue(std::move(doc));
-}
-
-support::JsonValue outcomesToJson(
-    const std::string& bench, const std::vector<RunOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
-  return outcomesToJson(bench, OutcomeGroups{{"", outcomes}}, meta);
-}
-
-bool exportAggregatesJson(const std::string& path, const std::string& bench,
-                          const OutcomeGroups& groups,
-                          const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, outcomesToJson(bench, groups, meta));
-}
-
-bool exportAggregatesJson(const std::string& path, const std::string& bench,
-                          const std::vector<RunOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta) {
-  return exportAggregatesJson(path, bench, OutcomeGroups{{"", outcomes}},
-                              meta);
-}
-
-std::string maybeExportJson(const std::string& bench,
-                            const OutcomeGroups& groups,
-                            const std::map<std::string, std::string>& meta,
-                            bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportAggregatesJson(path, bench, groups, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportJson(const std::string& bench,
-                            const std::vector<RunOutcome>& outcomes,
-                            const std::map<std::string, std::string>& meta,
-                            bool* error) {
-  return maybeExportJson(bench, OutcomeGroups{{"", outcomes}}, meta, error);
+  return out;
 }
 
 }  // namespace dagpm::experiments

@@ -1,14 +1,19 @@
 #pragma once
-// CSV / JSON export of experiment outcomes.
+// The one bench export path.
 //
 // Benches honor two environment variables:
 //   DAGPM_CSV=<dir>       each bench also writes its raw per-instance results
-//                         to <dir>/<name>.csv so figures can be re-plotted
+//                         to <dir>/<bench>.csv so figures can be re-plotted
 //                         externally.
-//   DAGPM_JSON_OUT=<path> the bench writes its aggregate rows (per band and
-//                         per family) as a JSON document, the machine-readable
-//                         record the perf trajectory (BENCH_*.json) regresses
-//                         against.
+//   DAGPM_JSON_OUT=<path> the bench writes its aggregate rows as a JSON
+//                         document, the machine-readable record the perf
+//                         trajectory (BENCH_*.json) regresses against.
+//
+// Every bench fills one BenchExport (its row builders live next to its
+// outcomes: outcomesExport below, robustnessExport, contentionExport, ...)
+// and hands it to exportBench, which writes both files. Every document has
+// the same top-level shape: {schema_version, bench, meta, rows, stats} plus
+// the bench's extra keys.
 
 #include <map>
 #include <string>
@@ -19,21 +24,42 @@
 
 namespace dagpm::experiments {
 
-// Low-level plumbing shared by all exporters (including the robustness
-// exports in experiments/robustness.hpp).
-
 /// "%.6g" — the numeric cell format of every exported CSV.
 std::string formatG6(double v);
 
-/// Serializes `doc` to `path` with a trailing newline; returns false on I/O
-/// failure, including buffered writes failing at flush time.
-bool writeJsonDocument(const std::string& path, const support::JsonValue& doc);
+/// Everything one bench run exports.
+struct BenchExport {
+  std::string bench;
+  /// Raw per-instance rows for $DAGPM_CSV/<bench>.csv; an empty header
+  /// means the bench has no CSV table.
+  std::vector<std::string> csvHeader;
+  std::vector<std::vector<std::string>> csvRows;
+  /// The aggregate rows of the JSON document.
+  support::JsonArray rows;
+  support::JsonObject meta;
+  /// Further top-level keys of the JSON document (e.g. "overall").
+  support::JsonObject extra;
+};
 
-/// $DAGPM_CSV/<name>.csv when DAGPM_CSV is set, else "".
-std::string csvExportPath(const std::string& name);
+/// String-valued run parameters (scale, sweep, seeds, ...) as the "meta"
+/// object of a bench document.
+support::JsonObject metaJson(const std::map<std::string, std::string>& meta);
 
-/// $DAGPM_JSON_OUT, else "".
-std::string jsonExportPath();
+/// The JSON document {schema_version, bench, meta, rows, stats, ...extra}.
+/// "stats" is the run's observability summary: deterministic obs counters
+/// (when enabled) plus per-span wall-time totals (`span.<name>_calls` /
+/// `span.<name>_seconds`; the `_seconds` fields are machine-varying and
+/// ignored by the checker).
+support::JsonValue benchDocument(const BenchExport& out);
+
+/// The bench epilogue: writes <bench>.csv into $DAGPM_CSV when that is set
+/// (and the bench has a CSV table) and the JSON document to
+/// $DAGPM_JSON_OUT when that is set, printing each written path. Both
+/// writes are attempted before a failure is reported, so a bad DAGPM_CSV
+/// directory does not also drop the JSON trajectory record (or vice versa).
+/// Returns false when a requested write failed; an unset variable is no
+/// failure.
+bool exportBench(const BenchExport& out);
 
 /// Benches that sweep a parameter (cluster size, heterogeneity, bandwidth,
 /// ablation variant, ...) export one named group per configuration so the
@@ -42,60 +68,16 @@ std::string jsonExportPath();
 using OutcomeGroups =
     std::vector<std::pair<std::string, std::vector<RunOutcome>>>;
 
-/// Writes one row per outcome (config, instance, band, family, tasks,
-/// feasibility, makespans, runtimes, ratio). Returns false on I/O failure.
-/// The config column distinguishes the rows of parameter-sweeping benches;
-/// single-configuration benches leave it empty.
-bool exportOutcomesCsv(const std::string& path, const OutcomeGroups& groups);
-bool exportOutcomesCsv(const std::string& path,
-                       const std::vector<RunOutcome>& outcomes);
-
-/// If DAGPM_CSV is set, writes the groups to $DAGPM_CSV/<name>.csv and
-/// returns the path; otherwise returns an empty string. Sets *error on I/O
-/// failure (distinguishes a failed write from DAGPM_CSV being unset).
-std::string maybeExportCsv(const std::string& name,
-                           const OutcomeGroups& groups,
-                           bool* error = nullptr);
-std::string maybeExportCsv(const std::string& name,
-                           const std::vector<RunOutcome>& outcomes,
-                           bool* error = nullptr);
-
 /// One Aggregate as a JSON object (all fields, snake_case keys).
 support::JsonValue aggregateToJson(const Aggregate& agg);
 
-/// The per-run observability summary exported under the "stats" key of every
-/// bench JSON document: deterministic obs counters (when enabled) plus
-/// per-span wall-time totals (`span.<name>_calls` / `span.<name>_seconds`;
-/// the `_seconds` fields are machine-varying and ignored by the checker).
-support::JsonValue statsJson();
-
-/// The full JSON document for one bench run: {"bench", "meta", "rows",
-/// "overall"} where rows holds one aggregate per (config, band, family)
-/// group and per (config, band), and overall aggregates every outcome.
-support::JsonValue outcomesToJson(
-    const std::string& bench, const OutcomeGroups& groups,
-    const std::map<std::string, std::string>& meta = {});
-support::JsonValue outcomesToJson(
-    const std::string& bench, const std::vector<RunOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {});
-
-/// Serializes outcomesToJson(...) to `path`. Returns false on I/O failure.
-bool exportAggregatesJson(const std::string& path, const std::string& bench,
-                          const OutcomeGroups& groups,
-                          const std::map<std::string, std::string>& meta = {});
-bool exportAggregatesJson(const std::string& path, const std::string& bench,
-                          const std::vector<RunOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta = {});
-
-/// If DAGPM_JSON_OUT is set, writes the aggregate JSON there and returns the
-/// path; otherwise returns an empty string. Sets *error on I/O failure.
-std::string maybeExportJson(const std::string& bench,
-                            const OutcomeGroups& groups,
-                            const std::map<std::string, std::string>& meta = {},
-                            bool* error = nullptr);
-std::string maybeExportJson(const std::string& bench,
-                            const std::vector<RunOutcome>& outcomes,
-                            const std::map<std::string, std::string>& meta = {},
-                            bool* error = nullptr);
+/// The harness benches' export: one CSV row per outcome (config, instance,
+/// band, family, tasks, feasibility, makespans, ratio, runtimes; the config
+/// column is empty for single-configuration benches), one JSON row per
+/// (config, band, family) group and per (config, band), and an "overall"
+/// key aggregating every outcome.
+BenchExport outcomesExport(const std::string& bench,
+                           const OutcomeGroups& groups,
+                           const std::map<std::string, std::string>& meta = {});
 
 }  // namespace dagpm::experiments

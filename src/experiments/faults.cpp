@@ -7,7 +7,6 @@
 
 #include "experiments/export.hpp"
 #include "sim/perturbation.hpp"
-#include "support/csv.hpp"
 #include "support/stats.hpp"
 
 namespace dagpm::experiments {
@@ -226,12 +225,22 @@ std::map<FaultKey, FaultAggregate> aggregateFaultRecovery(
   return result;
 }
 
-bool exportFaultRecoveryCsv(const std::string& path,
-                            const std::vector<FaultOutcome>& outcomes) {
-  std::vector<std::vector<std::string>> rows;
+BenchExport faultRecoveryExport(
+    const std::string& bench, const std::vector<FaultOutcome>& outcomes,
+    const std::map<std::string, std::string>& meta) {
+  BenchExport result;
+  result.bench = bench;
+  result.meta = metaJson(meta);
+  result.csvHeader = {"level", "scheduler", "instance", "band", "family",
+                      "tasks", "ok", "static_makespan", "mean_aware_makespan",
+                      "mean_greedy_makespan", "mean_aware_slowdown",
+                      "mean_greedy_slowdown", "recovered_fraction",
+                      "faulty_runs", "fail_stops", "crashes", "tasks_killed",
+                      "evacuations", "retries", "greedy_wins", "search_wins",
+                      "unrecovered", "replications"};
   const auto& fmt = formatG6;
   for (const FaultOutcome& out : outcomes) {
-    rows.push_back({
+    result.csvRows.push_back({
         out.level,
         out.scheduler,
         out.instance,
@@ -257,21 +266,6 @@ bool exportFaultRecoveryCsv(const std::string& path,
         std::to_string(out.replications),
     });
   }
-  return support::writeCsv(
-      path,
-      {"level", "scheduler", "instance", "band", "family", "tasks", "ok",
-       "static_makespan", "mean_aware_makespan", "mean_greedy_makespan",
-       "mean_aware_slowdown", "mean_greedy_slowdown", "recovered_fraction",
-       "faulty_runs", "fail_stops", "crashes", "tasks_killed", "evacuations",
-       "retries", "greedy_wins", "search_wins", "unrecovered",
-       "replications"},
-      rows);
-}
-
-support::JsonValue faultRecoveryToJson(
-    const std::string& bench, const std::vector<FaultOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
-  support::JsonArray rows;
   for (const auto& [key, agg] : aggregateFaultRecovery(outcomes)) {
     support::JsonObject row;
     row["level"] = support::JsonValue(key.first);
@@ -306,52 +300,9 @@ support::JsonValue faultRecoveryToJson(
     row["improvement"] = support::JsonValue(agg.improvement);
     row["recovered_fraction"] =
         support::JsonValue(agg.meanRecoveredFraction);
-    rows.push_back(support::JsonValue(std::move(row)));
+    result.rows.push_back(support::JsonValue(std::move(row)));
   }
-
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  return support::JsonValue(std::move(doc));
-}
-
-bool exportFaultRecoveryJson(const std::string& path, const std::string& bench,
-                             const std::vector<FaultOutcome>& outcomes,
-                             const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, faultRecoveryToJson(bench, outcomes, meta));
-}
-
-std::string maybeExportFaultRecoveryCsv(
-    const std::string& name, const std::vector<FaultOutcome>& outcomes,
-    bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportFaultRecoveryCsv(path, outcomes)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportFaultRecoveryJson(
-    const std::string& bench, const std::vector<FaultOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportFaultRecoveryJson(path, bench, outcomes, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
+  return result;
 }
 
 }  // namespace dagpm::experiments

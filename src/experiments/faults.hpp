@@ -18,10 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "experiments/export.hpp"
 #include "experiments/harness.hpp"
 #include "resched/resched.hpp"
 #include "sim/fault.hpp"
-#include "support/json.hpp"
 
 namespace dagpm::experiments {
 
@@ -135,28 +135,10 @@ using FaultKey = std::pair<std::string, std::string>;  // (level, scheduler)
 std::map<FaultKey, FaultAggregate> aggregateFaultRecovery(
     const std::vector<FaultOutcome>& outcomes);
 
-/// One CSV row per outcome. Returns false on I/O failure.
-bool exportFaultRecoveryCsv(const std::string& path,
-                            const std::vector<FaultOutcome>& outcomes);
-
-/// JSON document {"schema_version", "bench", "meta", "rows"} with one row
-/// per (level, scheduler) aggregate — the DAGPM_JSON_OUT record.
-support::JsonValue faultRecoveryToJson(
+/// The fault_recovery export: one CSV row per outcome and one JSON row per
+/// (level, scheduler) aggregate.
+BenchExport faultRecoveryExport(
     const std::string& bench, const std::vector<FaultOutcome>& outcomes,
     const std::map<std::string, std::string>& meta = {});
-
-bool exportFaultRecoveryJson(
-    const std::string& path, const std::string& bench,
-    const std::vector<FaultOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {});
-
-/// DAGPM_CSV / DAGPM_JSON_OUT variants, mirroring experiments/export.hpp.
-std::string maybeExportFaultRecoveryCsv(
-    const std::string& name, const std::vector<FaultOutcome>& outcomes,
-    bool* error = nullptr);
-std::string maybeExportFaultRecoveryJson(
-    const std::string& bench, const std::vector<FaultOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {},
-    bool* error = nullptr);
 
 }  // namespace dagpm::experiments

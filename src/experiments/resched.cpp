@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "experiments/export.hpp"
-#include "support/csv.hpp"
 #include "support/stats.hpp"
 
 namespace dagpm::experiments {
@@ -213,12 +212,22 @@ std::map<ReschedKey, ReschedAggregate> aggregateRescheduling(
   return result;
 }
 
-bool exportReschedulingCsv(const std::string& path,
-                           const std::vector<ReschedOutcome>& outcomes) {
-  std::vector<std::vector<std::string>> rows;
+BenchExport reschedulingExport(
+    const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
+    const std::map<std::string, std::string>& meta) {
+  BenchExport result;
+  result.bench = bench;
+  result.meta = metaJson(meta);
+  result.csvHeader = {"config", "policy", "scheduler", "instance", "band",
+                      "family", "tasks", "ok", "static_makespan",
+                      "mean_final_makespan", "p95_final_makespan",
+                      "mean_unrepaired_makespan", "mean_slowdown",
+                      "p95_slowdown", "mean_unrepaired_slowdown",
+                      "mean_reschedules", "mean_triggers", "guard_trips",
+                      "replications"};
   const auto& fmt = formatG6;
   for (const ReschedOutcome& out : outcomes) {
-    rows.push_back({
+    result.csvRows.push_back({
         out.config,
         out.policy,
         out.scheduler,
@@ -240,20 +249,6 @@ bool exportReschedulingCsv(const std::string& path,
         std::to_string(out.replications),
     });
   }
-  return support::writeCsv(
-      path,
-      {"config", "policy", "scheduler", "instance", "band", "family", "tasks",
-       "ok", "static_makespan", "mean_final_makespan", "p95_final_makespan",
-       "mean_unrepaired_makespan", "mean_slowdown", "p95_slowdown",
-       "mean_unrepaired_slowdown", "mean_reschedules", "mean_triggers",
-       "guard_trips", "replications"},
-      rows);
-}
-
-support::JsonValue reschedulingToJson(
-    const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
-  support::JsonArray rows;
   for (const auto& [key, agg] : aggregateRescheduling(outcomes)) {
     support::JsonObject row;
     row["config"] = support::JsonValue(std::get<0>(key));
@@ -276,52 +271,9 @@ support::JsonValue reschedulingToJson(
     row["mean_triggers"] = support::JsonValue(agg.meanTriggers);
     row["recovered_fraction"] = support::JsonValue(agg.recoveredFraction);
     row["guard_trip_fraction"] = support::JsonValue(agg.guardTripFraction);
-    rows.push_back(support::JsonValue(std::move(row)));
+    result.rows.push_back(support::JsonValue(std::move(row)));
   }
-
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  return support::JsonValue(std::move(doc));
-}
-
-bool exportReschedulingJson(const std::string& path, const std::string& bench,
-                            const std::vector<ReschedOutcome>& outcomes,
-                            const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, reschedulingToJson(bench, outcomes, meta));
-}
-
-std::string maybeExportReschedulingCsv(
-    const std::string& name, const std::vector<ReschedOutcome>& outcomes,
-    bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportReschedulingCsv(path, outcomes)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportReschedulingJson(
-    const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportReschedulingJson(path, bench, outcomes, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
+  return result;
 }
 
 }  // namespace dagpm::experiments

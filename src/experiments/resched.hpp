@@ -13,10 +13,10 @@
 #include <tuple>
 #include <vector>
 
+#include "experiments/export.hpp"
 #include "experiments/harness.hpp"
 #include "experiments/robustness.hpp"
 #include "resched/resched.hpp"
-#include "support/json.hpp"
 
 namespace dagpm::experiments {
 
@@ -109,27 +109,10 @@ using ReschedKey = std::tuple<std::string, std::string, std::string>;
 std::map<ReschedKey, ReschedAggregate> aggregateRescheduling(
     const std::vector<ReschedOutcome>& outcomes);
 
-/// One CSV row per outcome. Returns false on I/O failure.
-bool exportReschedulingCsv(const std::string& path,
-                           const std::vector<ReschedOutcome>& outcomes);
-
-/// JSON document {"schema_version", "bench", "meta", "rows"} with one row
-/// per (config, policy, scheduler) aggregate — the DAGPM_JSON_OUT record.
-support::JsonValue reschedulingToJson(
+/// The resched_recovery export: one CSV row per outcome and one JSON row
+/// per (config, policy, scheduler) aggregate.
+BenchExport reschedulingExport(
     const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
     const std::map<std::string, std::string>& meta = {});
-
-bool exportReschedulingJson(const std::string& path, const std::string& bench,
-                            const std::vector<ReschedOutcome>& outcomes,
-                            const std::map<std::string, std::string>& meta = {});
-
-/// DAGPM_CSV / DAGPM_JSON_OUT variants, mirroring experiments/export.hpp.
-std::string maybeExportReschedulingCsv(
-    const std::string& name, const std::vector<ReschedOutcome>& outcomes,
-    bool* error = nullptr);
-std::string maybeExportReschedulingJson(
-    const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {},
-    bool* error = nullptr);
 
 }  // namespace dagpm::experiments

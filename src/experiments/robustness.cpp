@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "experiments/export.hpp"
-#include "support/csv.hpp"
 #include "support/stats.hpp"
 
 namespace dagpm::experiments {
@@ -130,13 +129,21 @@ aggregateRobustness(const std::vector<RobustnessOutcome>& outcomes) {
   return result;
 }
 
-bool exportRobustnessCsv(const std::string& path,
-                         const std::vector<RobustnessOutcome>& outcomes) {
-  std::vector<std::vector<std::string>> rows;
+BenchExport robustnessExport(
+    const std::string& bench, const std::vector<RobustnessOutcome>& outcomes,
+    const std::map<std::string, std::string>& meta) {
+  BenchExport result;
+  result.bench = bench;
+  result.meta = metaJson(meta);
+  result.csvHeader = {"config", "scheduler", "instance", "band", "family",
+                      "tasks", "ok", "static_makespan", "mean_makespan",
+                      "p50_makespan", "p95_makespan", "min_makespan",
+                      "max_makespan", "mean_slowdown", "p95_slowdown",
+                      "overflow_runs", "replications"};
   const auto& fmt = formatG6;
   for (const RobustnessOutcome& out : outcomes) {
     const sim::RobustnessSummary& s = out.summary;
-    rows.push_back({
+    result.csvRows.push_back({
         out.config,
         out.scheduler,
         out.instance,
@@ -156,19 +163,6 @@ bool exportRobustnessCsv(const std::string& path,
         std::to_string(s.replications),
     });
   }
-  return support::writeCsv(
-      path,
-      {"config", "scheduler", "instance", "band", "family", "tasks", "ok",
-       "static_makespan", "mean_makespan", "p50_makespan", "p95_makespan",
-       "min_makespan", "max_makespan", "mean_slowdown", "p95_slowdown",
-       "overflow_runs", "replications"},
-      rows);
-}
-
-support::JsonValue robustnessToJson(
-    const std::string& bench, const std::vector<RobustnessOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
-  support::JsonArray rows;
   for (const auto& [key, agg] : aggregateRobustness(outcomes)) {
     support::JsonObject row;
     row["config"] = support::JsonValue(key.first);
@@ -188,52 +182,9 @@ support::JsonValue robustnessToJson(
     row["overflow_runs"] =
         support::JsonValue(static_cast<double>(agg.overflowRuns));
     row["overflow_fraction"] = support::JsonValue(agg.overflowFraction);
-    rows.push_back(support::JsonValue(std::move(row)));
+    result.rows.push_back(support::JsonValue(std::move(row)));
   }
-
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  return support::JsonValue(std::move(doc));
-}
-
-bool exportRobustnessJson(const std::string& path, const std::string& bench,
-                          const std::vector<RobustnessOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, robustnessToJson(bench, outcomes, meta));
-}
-
-std::string maybeExportRobustnessCsv(
-    const std::string& name, const std::vector<RobustnessOutcome>& outcomes,
-    bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportRobustnessCsv(path, outcomes)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportRobustnessJson(
-    const std::string& bench, const std::vector<RobustnessOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportRobustnessJson(path, bench, outcomes, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
+  return result;
 }
 
 }  // namespace dagpm::experiments

@@ -1,6 +1,7 @@
 #include "graph/dag.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dagpm::graph {
 
@@ -14,7 +15,11 @@ void Dag::reserve(std::size_t vertices, std::size_t edges) {
 }
 
 VertexId Dag::addVertex(double work, double memory, std::string label) {
-  assert(work >= 0.0 && memory >= 0.0);
+  // !(x >= 0) also rejects NaN, which fails every comparison.
+  if (!(work >= 0.0) || !(memory >= 0.0)) {
+    throw std::invalid_argument(
+        "Dag::addVertex: work and memory must be non-negative numbers");
+  }
   const auto id = static_cast<VertexId>(work_.size());
   work_.push_back(work);
   memory_.push_back(memory);
@@ -25,9 +30,17 @@ VertexId Dag::addVertex(double work, double memory, std::string label) {
 }
 
 EdgeId Dag::addEdge(VertexId u, VertexId v, double cost) {
-  assert(u < numVertices() && v < numVertices());
-  assert(u != v && "self-loops are not allowed in a workflow DAG");
-  assert(cost >= 0.0);
+  if (u >= numVertices() || v >= numVertices()) {
+    throw std::invalid_argument("Dag::addEdge: endpoint out of range");
+  }
+  if (u == v) {
+    throw std::invalid_argument(
+        "Dag::addEdge: self-loops are not allowed in a workflow DAG");
+  }
+  if (!(cost >= 0.0)) {
+    throw std::invalid_argument(
+        "Dag::addEdge: cost must be a non-negative number");
+  }
   const auto id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{u, v, cost});
   out_[u].push_back(id);

@@ -38,10 +38,12 @@ class Dag {
   void reserve(std::size_t vertices, std::size_t edges);
 
   /// Adds a task with the given work and memory weights; returns its id.
+  /// Throws std::invalid_argument on a NaN or negative weight.
   VertexId addVertex(double work, double memory, std::string label = {});
 
   /// Adds a dependency edge u -> v with communication volume `cost`.
-  /// Self-loops are forbidden; acyclicity is *not* checked here (use
+  /// Throws std::invalid_argument on an out-of-range endpoint, a self-loop,
+  /// or a NaN or negative cost. Acyclicity is *not* checked here (use
   /// isAcyclic() after construction, generators guarantee it by design).
   EdgeId addEdge(VertexId u, VertexId v, double cost);
 

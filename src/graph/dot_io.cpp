@@ -1,9 +1,12 @@
 #include "graph/dot_io.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <map>
 #include <ostream>
 #include <sstream>
+
+#include "graph/topology.hpp"
 
 namespace dagpm::graph {
 namespace {
@@ -103,14 +106,19 @@ class Lexer {
   std::size_t pos_ = 0;
 };
 
-double parseDoubleOr(const std::string& s, double fallback) {
+/// The weight an attribute value denotes: `fallback` when the text is not a
+/// number, std::nullopt when it is NaN, infinite or negative (std::stod
+/// accepts "nan" and "inf"), which the reader rejects like the JSON reader.
+std::optional<double> parseWeight(const std::string& s, double fallback) {
+  double v = fallback;
   try {
     std::size_t consumed = 0;
-    const double v = std::stod(s, &consumed);
-    return consumed > 0 ? v : fallback;
+    const double parsed = std::stod(s, &consumed);
+    if (consumed > 0) v = parsed;
   } catch (...) {
-    return fallback;
   }
+  if (!std::isfinite(v) || v < 0.0) return std::nullopt;
+  return v;
 }
 
 }  // namespace
@@ -191,6 +199,7 @@ std::optional<Dag> dagFromDot(const std::string& text) {
         tok = lexer.next();
         if (tok.kind != Token::Kind::kId) return std::nullopt;
         const VertexId cur = internNode(tok.text);
+        if (cur == prev) return std::nullopt;  // self-loop
         chain.emplace_back(prev, cur);
         prev = cur;
         tok = lexer.next();
@@ -200,7 +209,11 @@ std::optional<Dag> dagFromDot(const std::string& text) {
         if (!attrs) return std::nullopt;
         const auto it = attrs->count("cost") ? attrs->find("cost")
                                              : attrs->find("label");
-        if (it != attrs->end()) cost = parseDoubleOr(it->second, 1.0);
+        if (it != attrs->end()) {
+          const auto parsed = parseWeight(it->second, 1.0);
+          if (!parsed) return std::nullopt;
+          cost = *parsed;
+        }
         tok = lexer.next();
       }
       for (const auto& [u, v] : chain) g.addEdge(u, v, cost);
@@ -211,15 +224,20 @@ std::optional<Dag> dagFromDot(const std::string& text) {
         const auto attrs = parseAttrs();
         if (!attrs) return std::nullopt;
         if (const auto it = attrs->find("work"); it != attrs->end()) {
-          g.setWork(v, parseDoubleOr(it->second, 1.0));
+          const auto work = parseWeight(it->second, 1.0);
+          if (!work) return std::nullopt;
+          g.setWork(v, *work);
         }
         if (const auto it = attrs->find("memory"); it != attrs->end()) {
-          g.setMemory(v, parseDoubleOr(it->second, 1.0));
+          const auto memory = parseWeight(it->second, 1.0);
+          if (!memory) return std::nullopt;
+          g.setMemory(v, *memory);
         }
         tok = lexer.next();
       }
     }
   }
+  if (!isAcyclic(g)) return std::nullopt;
   return g;
 }
 

@@ -20,8 +20,9 @@ std::string toDot(const Dag& g, const std::string& name = "G");
 
 /// Parses a DOT digraph in the dialect produced by writeDot (a practical
 /// subset of DOT: statements `id [attrs];` and `id -> id [attrs];`).
-/// Returns std::nullopt on syntax errors. Unknown attributes are ignored;
-/// missing work/memory/cost default to 1.
+/// Returns std::nullopt on syntax errors, a dependency cycle, a self-loop,
+/// or a NaN, infinite or negative work/memory/cost. Unknown attributes are
+/// ignored; missing (or non-numeric) work/memory/cost default to 1.
 std::optional<Dag> readDot(std::istream& is);
 std::optional<Dag> dagFromDot(const std::string& text);
 

@@ -338,37 +338,52 @@ std::optional<BlockId> QuotientGraph::twoCyclePartner(BlockId b) const {
   return std::nullopt;
 }
 
-MakespanResult computeMakespan(const QuotientGraph& q,
-                               const platform::Cluster& cluster) {
+namespace {
+
+double speedOf(const QuotientGraph& q, const platform::Cluster& cluster,
+               BlockId b) {
+  const platform::ProcessorId p = q.node(b).proc;
+  return p == platform::kNoProcessor ? 1.0 : cluster.speed(p);
+}
+
+/// Eq. (1): bottom weights in reverse topological order; returns their
+/// maximum, the makespan of Eq. (2).
+double fillBottomWeights(const QuotientGraph& q,
+                         const platform::Cluster& cluster,
+                         const std::vector<BlockId>& order,
+                         std::vector<double>& bottom) {
+  const double beta = cluster.bandwidth();
+  bottom.assign(q.numSlots(), 0.0);
+  double makespan = 0.0;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const BlockId b = *it;
+    double best = 0.0;
+    for (const auto& [child, cost] : q.out(b)) {
+      best = std::max(best, cost / beta + bottom[child]);
+    }
+    bottom[b] = q.node(b).work / speedOf(q, cluster, b) + best;
+    makespan = std::max(makespan, bottom[b]);
+  }
+  return makespan;
+}
+
+/// The Eq. (1)-(2) backward pass, with the critical path.
+MakespanResult bottomWeightMakespan(const QuotientGraph& q,
+                                    const platform::Cluster& cluster) {
   MakespanResult result;
   const auto order = q.topologicalOrder();
   if (!order) return result;  // acyclic=false: makespan undefined
   result.acyclic = true;
-  result.bottomWeight.assign(q.numSlots(), 0.0);
   const double beta = cluster.bandwidth();
+  result.makespan = fillBottomWeights(q, cluster, *order, result.bottomWeight);
 
-  auto speedOf = [&](BlockId b) {
-    const platform::ProcessorId p = q.node(b).proc;
-    return p == platform::kNoProcessor ? 1.0 : cluster.speed(p);
-  };
-
-  // Bottom weights in reverse topological order (Eq. (1)).
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
-    const BlockId b = *it;
-    double best = 0.0;
-    for (const auto& [child, cost] : q.out(b)) {
-      best = std::max(best, cost / beta + result.bottomWeight[child]);
-    }
-    result.bottomWeight[b] = q.node(b).work / speedOf(b) + best;
-  }
-
-  // Makespan = max bottom weight (Eq. (2)); critical path follows the
-  // maximizing children from the defining node.
+  // The critical path follows the maximizing children from the first
+  // block (in topological order) whose bottom weight is the makespan.
   BlockId top = kNoBlock;
   for (const BlockId b : *order) {
-    if (top == kNoBlock || result.bottomWeight[b] > result.makespan) {
-      result.makespan = result.bottomWeight[b];
+    if (result.bottomWeight[b] == result.makespan) {
       top = b;
+      break;
     }
   }
   if (top != kNoBlock) {
@@ -384,45 +399,14 @@ MakespanResult computeMakespan(const QuotientGraph& q,
           next = child;
         }
       }
-      const double expected =
-          result.bottomWeight[cur] - q.node(cur).work / speedOf(cur);
+      const double expected = result.bottomWeight[cur] -
+                              q.node(cur).work / speedOf(q, cluster, cur);
       if (next == kNoBlock || bestTail + 1e-12 < expected) break;
       cur = next;
     }
   }
   return result;
 }
-
-std::optional<QuotientFluid> buildQuotientFluid(
-    const QuotientGraph& q, const platform::Cluster& cluster) {
-  const auto order = q.topologicalOrder();
-  if (!order) return std::nullopt;
-  QuotientFluid fluid;
-  fluid.blockOfNode = *order;
-  std::vector<std::uint32_t> nodeOfBlock(q.numSlots(), comm::kNoFluidEdge);
-  for (std::uint32_t i = 0; i < order->size(); ++i) {
-    nodeOfBlock[(*order)[i]] = i;
-  }
-  fluid.problem.nodes.resize(order->size());
-  fluid.problem.order.resize(order->size());
-  for (std::uint32_t i = 0; i < order->size(); ++i) {
-    const BlockId b = (*order)[i];
-    const platform::ProcessorId p = q.node(b).proc;
-    const double speed = p == platform::kNoProcessor ? 1.0 : cluster.speed(p);
-    fluid.problem.nodes[i].duration = q.node(b).work / speed;
-    fluid.problem.nodes[i].proc = p;
-    fluid.problem.order[i] = i;
-    // Per-destination in-edges in adjacency (sorted) order: the same term
-    // sequence computeTimeline folds, so the uncontended pass is
-    // bit-identical to it.
-    for (const auto& [parent, cost] : q.in(b)) {
-      fluid.problem.edges.push_back({nodeOfBlock[parent], i, cost});
-    }
-  }
-  return fluid;
-}
-
-namespace {
 
 MakespanResult makespanFromFluid(const QuotientFluid& fluid,
                                  const comm::FluidResult& eval) {
@@ -453,59 +437,57 @@ MakespanResult makespanFromFluid(const QuotientFluid& fluid,
 
 }  // namespace
 
-MakespanResult computeMakespan(const QuotientGraph& q,
-                               const platform::Cluster& cluster,
-                               const comm::CommCostModel& model) {
-  const auto fluid = buildQuotientFluid(q, cluster);
-  if (!fluid) return MakespanResult{};
-  return makespanFromFluid(*fluid,
-                           model.evaluate(fluid->problem, cluster.bandwidth()));
-}
-
-std::optional<double> makespanValue(const QuotientGraph& q,
-                                    const platform::Cluster& cluster,
-                                    const comm::CommCostModel& model) {
-  const auto fluid = buildQuotientFluid(q, cluster);
-  if (!fluid) return std::nullopt;
-  const comm::FluidResult eval =
-      model.evaluate(fluid->problem, cluster.bandwidth());
-  if (!eval.ok) return std::nullopt;
-  return eval.makespan;
+std::optional<QuotientFluid> buildQuotientFluid(
+    const QuotientGraph& q, const platform::Cluster& cluster) {
+  const auto order = q.topologicalOrder();
+  if (!order) return std::nullopt;
+  QuotientFluid fluid;
+  fluid.blockOfNode = *order;
+  std::vector<std::uint32_t> nodeOfBlock(q.numSlots(), comm::kNoFluidEdge);
+  for (std::uint32_t i = 0; i < order->size(); ++i) {
+    nodeOfBlock[(*order)[i]] = i;
+  }
+  fluid.problem.nodes.resize(order->size());
+  fluid.problem.order.resize(order->size());
+  for (std::uint32_t i = 0; i < order->size(); ++i) {
+    const BlockId b = (*order)[i];
+    fluid.problem.nodes[i].duration = q.node(b).work / speedOf(q, cluster, b);
+    fluid.problem.nodes[i].proc = q.node(b).proc;
+    fluid.problem.order[i] = i;
+    // Per-destination in-edges in adjacency (sorted) order, so the
+    // uncontended forward pass folds a fixed, reproducible term sequence.
+    for (const auto& [parent, cost] : q.in(b)) {
+      fluid.problem.edges.push_back({nodeOfBlock[parent], i, cost});
+    }
+  }
+  return fluid;
 }
 
 MakespanResult computeMakespan(const QuotientGraph& q,
                                const platform::Cluster& cluster,
                                const comm::CommCostModel* model) {
-  return model == nullptr ? computeMakespan(q, cluster)
-                          : computeMakespan(q, cluster, *model);
+  if (model == nullptr) return bottomWeightMakespan(q, cluster);
+  const auto fluid = buildQuotientFluid(q, cluster);
+  if (!fluid) return MakespanResult{};
+  return makespanFromFluid(
+      *fluid, model->evaluate(fluid->problem, cluster.bandwidth()));
 }
 
 std::optional<double> makespanValue(const QuotientGraph& q,
                                     const platform::Cluster& cluster,
                                     const comm::CommCostModel* model) {
-  return model == nullptr ? makespanValue(q, cluster)
-                          : makespanValue(q, cluster, *model);
-}
-
-std::optional<double> makespanValue(const QuotientGraph& q,
-                                    const platform::Cluster& cluster) {
+  if (model != nullptr) {
+    const auto fluid = buildQuotientFluid(q, cluster);
+    if (!fluid) return std::nullopt;
+    const comm::FluidResult eval =
+        model->evaluate(fluid->problem, cluster.bandwidth());
+    if (!eval.ok) return std::nullopt;
+    return eval.makespan;
+  }
   const auto order = q.topologicalOrder();
   if (!order) return std::nullopt;
-  const double beta = cluster.bandwidth();
-  std::vector<double> bottom(q.numSlots(), 0.0);
-  double makespan = 0.0;
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
-    const BlockId b = *it;
-    double best = 0.0;
-    for (const auto& [child, cost] : q.out(b)) {
-      best = std::max(best, cost / beta + bottom[child]);
-    }
-    const platform::ProcessorId p = q.node(b).proc;
-    const double speed = p == platform::kNoProcessor ? 1.0 : cluster.speed(p);
-    bottom[b] = q.node(b).work / speed + best;
-    makespan = std::max(makespan, bottom[b]);
-  }
-  return makespan;
+  std::vector<double> bottom;
+  return fillBottomWeights(q, cluster, *order, bottom);
 }
 
 }  // namespace dagpm::quotient

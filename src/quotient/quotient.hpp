@@ -204,37 +204,24 @@ struct MakespanResult {
   std::vector<BlockId> criticalPath;   // from the makespan-defining node down
 };
 
-MakespanResult computeMakespan(const QuotientGraph& q,
-                               const platform::Cluster& cluster);
-
-/// Makespan only (no critical path extraction); slightly cheaper.
-std::optional<double> makespanValue(const QuotientGraph& q,
-                                    const platform::Cluster& cluster);
-
-/// Forward evaluation under an explicit communication cost model. The
-/// uncontended model reproduces computeTimeline/makespanValue bit-exactly;
-/// the fair-share model prices concurrent transfers the way sim::Engine
-/// executes them. bottomWeight stays empty (contention breaks the Eq. (1)
-/// bottom-weight recurrence); criticalPath follows the binding-predecessor
-/// chain of the forward pass instead.
+/// Evaluates the makespan of the quotient. A null `model` runs the Eq. (1)
+/// backward pass (bottom weights, critical path along the maximizing
+/// children) — the bit-identical default that IncrementalEvaluator and
+/// DagHetMem reproduce. A non-null model runs its forward pass instead: the
+/// uncontended model is the paper's forward recurrence (equal to the Eq. (1)
+/// value up to rounding), the fair-share model prices concurrent transfers
+/// the way sim::Engine executes them. Under a model bottomWeight stays empty (contention breaks
+/// the Eq. (1) bottom-weight recurrence) and criticalPath follows the
+/// binding-predecessor chain of the forward pass.
 MakespanResult computeMakespan(const QuotientGraph& q,
                                const platform::Cluster& cluster,
-                               const comm::CommCostModel& model);
+                               const comm::CommCostModel* model = nullptr);
 
+/// Makespan only (no critical path extraction); slightly cheaper. Same
+/// model dispatch as computeMakespan.
 std::optional<double> makespanValue(const QuotientGraph& q,
                                     const platform::Cluster& cluster,
-                                    const comm::CommCostModel& model);
-
-/// Pointer-dispatch for callers carrying an optional model (the Step-3/4
-/// configs, validation): null routes through the legacy uncontended
-/// recurrence verbatim — the bit-identical default — non-null through the
-/// model evaluation above.
-MakespanResult computeMakespan(const QuotientGraph& q,
-                               const platform::Cluster& cluster,
-                               const comm::CommCostModel* model);
-std::optional<double> makespanValue(const QuotientGraph& q,
-                                    const platform::Cluster& cluster,
-                                    const comm::CommCostModel* model);
+                                    const comm::CommCostModel* model = nullptr);
 
 /// Builds the fluid problem of a scheduled quotient: one node per alive
 /// block (in topological order; blockOfNode maps back to block ids), one

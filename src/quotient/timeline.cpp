@@ -8,45 +8,6 @@
 namespace dagpm::quotient {
 
 Timeline computeTimeline(const QuotientGraph& q,
-                         const platform::Cluster& cluster) {
-  Timeline timeline;
-  const auto order = q.topologicalOrder();
-  assert(order.has_value() && "timeline requires an acyclic quotient");
-  if (!order) return timeline;
-
-  const double beta = cluster.bandwidth();
-  std::vector<double> start(q.numSlots(), 0.0);
-  std::vector<double> finish(q.numSlots(), 0.0);
-  for (const BlockId b : *order) {
-    const QNode& node = q.node(b);
-    double ready = 0.0;
-    for (const auto& [parent, cost] : q.in(b)) {
-      ready = std::max(ready, finish[parent] + cost / beta);
-    }
-    const double speed = node.proc == platform::kNoProcessor
-                             ? 1.0
-                             : cluster.speed(node.proc);
-    start[b] = ready;
-    finish[b] = ready + node.work / speed;
-    timeline.makespan = std::max(timeline.makespan, finish[b]);
-
-    TimelineEntry entry;
-    entry.block = b;
-    entry.proc = node.proc;
-    entry.start = start[b];
-    entry.finish = finish[b];
-    entry.numTasks = node.members.size();
-    timeline.entries.push_back(entry);
-  }
-  std::sort(timeline.entries.begin(), timeline.entries.end(),
-            [](const TimelineEntry& a, const TimelineEntry& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.block < b.block;
-            });
-  return timeline;
-}
-
-Timeline computeTimeline(const QuotientGraph& q,
                          const platform::Cluster& cluster,
                          const comm::CommCostModel& model) {
   Timeline timeline;

@@ -30,19 +30,15 @@ struct Timeline {
   std::vector<TimelineEntry> entries;  // in start-time order
 };
 
-/// Forward-pass timeline; requires an acyclic quotient. Unassigned blocks
-/// compute with speed 1 (the paper's estimated-makespan convention).
-Timeline computeTimeline(const QuotientGraph& q,
-                         const platform::Cluster& cluster);
-
-/// Timeline under an explicit communication cost model. With
-/// comm::uncontendedCommModel() the result is bit-identical to the overload
-/// above; with comm::fairShareCommModel() transfers contend the way the
-/// simulator executes them, so the Gantt view shows the makespan the
-/// fair-share replay will realize.
-Timeline computeTimeline(const QuotientGraph& q,
-                         const platform::Cluster& cluster,
-                         const comm::CommCostModel& model);
+/// Forward-pass timeline under a communication cost model; requires an
+/// acyclic quotient. Unassigned blocks compute with speed 1 (the paper's
+/// estimated-makespan convention). The default uncontended model is the
+/// forward pass above; comm::fairShareCommModel() makes transfers contend
+/// the way the simulator executes them, so the Gantt view shows the
+/// makespan the fair-share replay will realize.
+Timeline computeTimeline(
+    const QuotientGraph& q, const platform::Cluster& cluster,
+    const comm::CommCostModel& model = comm::uncontendedCommModel());
 
 /// ASCII Gantt rendering, one row per block, `width` characters of time
 /// axis. Rows are labelled with processor kind and block size.

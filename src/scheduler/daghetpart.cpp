@@ -91,8 +91,8 @@ ScheduleResult dagHetPartSingle(const graph::Dag& g,
   // --- Step 3: merge unassigned blocks into assigned ones. Every sweep
   // candidate builds its own IncrementalEvaluator inside the steps (probe
   // caches are per-quotient), so the OpenMP-parallel k' sweep stays safe;
-  // fullReevaluation (or DAGPM_FULL_REEVAL=1) routes both steps through
-  // the legacy full-recompute reference instead.
+  // fullReevaluation routes both steps through the legacy full-recompute
+  // reference instead.
   const comm::CommCostModel* commModel = commModelFor(cfg.options);
   const bool fullReeval = useFullReevaluation(cfg.options);
   MergeStepConfig mcfg;

@@ -5,18 +5,8 @@
 #include <sstream>
 
 #include "quotient/quotient.hpp"
-#include "quotient/timeline.hpp"
 
 namespace dagpm::scheduler {
-
-double staticMakespan(const graph::Dag& g, const platform::Cluster& cluster,
-                      const ScheduleResult& schedule) {
-  quotient::QuotientGraph q(g, schedule.blockOf, schedule.numBlocks());
-  for (std::uint32_t b = 0; b < schedule.numBlocks(); ++b) {
-    q.setProcessor(b, schedule.procOfBlock[b]);
-  }
-  return quotient::computeTimeline(q, cluster).makespan;
-}
 
 std::optional<double> modelMakespan(const graph::Dag& g,
                                     const platform::Cluster& cluster,
@@ -26,7 +16,13 @@ std::optional<double> modelMakespan(const graph::Dag& g,
   for (std::uint32_t b = 0; b < schedule.numBlocks(); ++b) {
     q.setProcessor(b, schedule.procOfBlock[b]);
   }
-  return quotient::makespanValue(q, cluster, model);
+  return quotient::makespanValue(q, cluster, &model);
+}
+
+double staticMakespan(const graph::Dag& g, const platform::Cluster& cluster,
+                      const ScheduleResult& schedule) {
+  return modelMakespan(g, cluster, schedule, comm::uncontendedCommModel())
+      .value_or(0.0);
 }
 
 ValidationReport validateSchedule(const graph::Dag& g,

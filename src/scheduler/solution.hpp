@@ -58,9 +58,10 @@ ValidationReport validateSchedule(const graph::Dag& g,
                                   const ScheduleResult& schedule,
                                   const comm::CommCostModel* comm = nullptr);
 
-/// Static Eq. (1)-(2) forward-pass makespan of a schedule, recomputed from
-/// its quotient (not read from schedule.makespan). No feasibility checking;
-/// blockOf labels must be in range.
+/// Static Eq. (1)-(2) forward-pass makespan of a schedule (modelMakespan
+/// under the uncontended model; 0 when the quotient is cyclic), recomputed
+/// from its quotient (not read from schedule.makespan). No feasibility
+/// checking; blockOf labels must be in range.
 double staticMakespan(const graph::Dag& g, const platform::Cluster& cluster,
                       const ScheduleResult& schedule);
 

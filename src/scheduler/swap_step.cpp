@@ -26,7 +26,7 @@ bool canPruneEqualSpeed(const comm::CommCostModel* comm) {
 }
 
 /// The legacy full-recompute loop, kept verbatim as the differential
-/// reference for the incremental path (DAGPM_FULL_REEVAL=1 routes here).
+/// reference for the incremental path (fullReevaluation routes here).
 SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
                                   const platform::Cluster& cluster,
                                   const SwapStepConfig& cfg) {

@@ -15,7 +15,7 @@
 // all candidate makespans are materialized, and the winning pair is then
 // selected by replaying the sequential acceptance rule over the stored
 // values — so the result is bit-identical to the sequential scan for any
-// thread count. fullReevaluation (or DAGPM_FULL_REEVAL=1) switches to the
+// thread count. SchedulerOptions::fullReevaluation switches to the
 // legacy full-recompute loop, kept verbatim as the differential reference.
 
 #include "comm/cost_model.hpp"

@@ -10,8 +10,8 @@
 // processor speed/memory, bandwidth), and the solver configuration.
 //
 // Deliberately EXCLUDED from the config hash: switches that are proven not
-// to change the produced schedule — SchedulerOptions::fullReevaluation /
-// envResolved (incremental and full evaluation are bit-identical, fuzz- and
+// to change the produced schedule — SchedulerOptions::fullReevaluation
+// (incremental and full evaluation are bit-identical, fuzz- and
 // baseline-enforced) and DagHetPartConfig::parallelSweep (thread-count
 // reproducibility is a pinned invariant). A cached schedule is therefore
 // valid across those modes; everything that can move a schedule (sweep

@@ -6,6 +6,10 @@
 #include <string>
 #include <utility>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "memory/oracle.hpp"
 #include "scheduler/list_scheduler.hpp"
 
@@ -22,13 +26,7 @@ double secondsSince(Clock::time_point from) {
 }  // namespace
 
 SchedulerService::SchedulerService(ServiceConfig cfg)
-    : cfg_(cfg),
-      // The re-entrancy fix of ISSUE 8: the environment is consulted here,
-      // exactly once, on the constructing thread. Workers only ever see the
-      // resolved per-job options, so a setenv from another thread (or a
-      // later per-request override) cannot corrupt in-flight solves.
-      envFullReeval_(scheduler::fullReevaluationForced()),
-      cache_(cfg.cacheCapacity) {
+    : cfg_(cfg), cache_(cfg.cacheCapacity) {
   const int threads = std::max(1, cfg_.numThreads);
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
@@ -48,13 +46,6 @@ SchedulerService::~SchedulerService() {
 
 bool SchedulerService::enqueue(Request&& request, std::future<Response>* out,
                                bool blocking) {
-  // Fold the construction-time environment into the job's options unless
-  // the caller resolved them already (their explicit choice then wins).
-  if (!request.config.options.envResolved) {
-    request.config.options.fullReevaluation =
-        request.config.options.fullReevaluation || envFullReeval_;
-    request.config.options.envResolved = true;
-  }
   if (cfg_.singleThreadedJobs) request.config.parallelSweep = false;
   // A poisoned request (null workflow or cluster) is accepted and failed on
   // the worker through the regular exception-isolation path: the error
@@ -107,6 +98,13 @@ void SchedulerService::drain() {
 }
 
 void SchedulerService::workerLoop() {
+#ifdef _OPENMP
+  // Pin the worker to one OpenMP thread, as anchor::drainOnPool does: a
+  // job's inner parallel regions (the Step-4 swap scan) then stay on this
+  // thread instead of opening an nproc team per worker, and the
+  // ThreadCounterScope delta sees every count.
+  if (cfg_.singleThreadedJobs) omp_set_num_threads(1);
+#endif
   BreakerState breaker;
   breaker.cooldownJobs = std::max(1, cfg_.breakerCooldownJobs);
   for (;;) {
@@ -355,8 +353,8 @@ scheduler::ScheduleResult SchedulerService::solve(
                        std::string(algorithmName(r.algorithm)) +
                            " id=" + std::to_string(job.id));
   // The job runs entirely on this thread (singleThreadedJobs disables the
-  // inner OpenMP sweep), so the thread-local delta is this request's exact
-  // probe/repair/merge work.
+  // parallel sweep and pins the worker to one OpenMP thread), so the
+  // thread-local delta is this request's exact probe/repair/merge work.
   const obs::ThreadCounterScope scope;
   scheduler::ScheduleResult result;
   switch (r.algorithm) {

@@ -9,10 +9,6 @@
 // fingerprint (service/fingerprint.hpp) — bit-identical to a cold solve.
 //
 // Concurrency-correctness notes (the re-entrancy bugfixes of ISSUE 8):
-//  * DAGPM_FULL_REEVAL is resolved ONCE at service construction and folded
-//    into every job's SchedulerOptions (envResolved); workers never touch
-//    the environment, so a mid-process setenv cannot race the executor and
-//    per-request option overrides always stick.
 //  * Identical in-flight requests are coalesced (single-flight): the first
 //    dequeued request solves, duplicates wait on its result. Together with
 //    the cache this makes the set of actual solves — and therefore the
@@ -54,9 +50,10 @@ struct ServiceConfig {
   std::size_t cacheCapacity = 512;
   /// Coalesce identical in-flight requests onto one solve (single-flight).
   bool coalesceIdentical = true;
-  /// Run each job single-threaded (parallelSweep = false): the pool already
-  /// saturates the machine, per-request counter deltas stay exact, and the
-  /// solver's thread-count-reproducibility guarantee keeps the schedules
+  /// Run each job single-threaded (parallelSweep = false, and each worker
+  /// pinned to one OpenMP thread): the pool already saturates the machine,
+  /// per-request counter deltas stay exact, and the solver's
+  /// thread-count-reproducibility guarantee keeps the schedules
   /// bit-identical to any parallel-sweep run.
   bool singleThreadedJobs = true;
 
@@ -204,8 +201,6 @@ class SchedulerService {
   bool enqueue(Request&& request, std::future<Response>* out, bool blocking);
 
   ServiceConfig cfg_;
-  /// DAGPM_FULL_REEVAL, read exactly once at construction.
-  bool envFullReeval_ = false;
 
   mutable std::mutex mu_;
   std::condition_variable queueNotFull_;

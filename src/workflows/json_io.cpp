@@ -1,6 +1,7 @@
 #include "workflows/json_io.hpp"
 
 #include <map>
+#include <stdexcept>
 
 #include "graph/topology.hpp"
 #include "support/json.hpp"
@@ -137,9 +138,15 @@ std::optional<Dag> workflowFromJson(const std::string& text,
     setError(error, "top-level JSON value must be an object");
     return std::nullopt;
   }
-  std::optional<Dag> g = root->find("workflow") != nullptr
-                             ? fromWfCommons(*root, error)
-                             : fromNative(*root, error);
+  std::optional<Dag> g;
+  try {
+    g = root->find("workflow") != nullptr ? fromWfCommons(*root, error)
+                                          : fromNative(*root, error);
+  } catch (const std::invalid_argument& e) {
+    // graph::Dag rejects negative weights.
+    setError(error, e.what());
+    return std::nullopt;
+  }
   if (!g) return std::nullopt;
   if (!graph::isAcyclic(*g)) {
     setError(error, "workflow contains a dependency cycle");

@@ -1,15 +1,19 @@
 // Coverage for the bench plumbing: band naming, environment-driven scale
 // selection (DAGPM_QUICK / DAGPM_FULL), cache-tag construction, and the
-// DAGPM_JSON_OUT aggregate export (round-trip through support/json.cpp).
+// one DAGPM_CSV / DAGPM_JSON_OUT export epilogue (round-trip through
+// support/json.cpp).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "bench_common.hpp"
 #include "experiments/export.hpp"
+#include "experiments/faults.hpp"
 #include "support/json.hpp"
 
 namespace dagpm {
@@ -159,14 +163,23 @@ RunOutcome makeOutcome(const std::string& name, SizeBand band,
   return out;
 }
 
+/// A one-outcome harness export named "fig_test".
+experiments::BenchExport singleOutcomeExport() {
+  return experiments::outcomesExport(
+      "fig_test",
+      {{"", {makeOutcome("BLAST-n100-s1", SizeBand::kSmall, "BLAST", 40.0,
+                         100.0)}}});
+}
+
 TEST(JsonExport, DocumentCarriesPerFamilyRowsBandRollupsAndOverall) {
   const std::vector<RunOutcome> outcomes = {
       makeOutcome("BLAST-n100-s1", SizeBand::kSmall, "BLAST", 50.0, 100.0),
       makeOutcome("Montage-n100-s1", SizeBand::kSmall, "Montage", 80.0, 100.0),
       makeOutcome("real-sarek-s1", SizeBand::kReal, "sarek", 90.0, 100.0),
   };
-  const support::JsonValue doc = experiments::outcomesToJson(
-      "fig_test", outcomes, {{"scale", "quick"}});
+  const support::JsonValue doc = experiments::benchDocument(
+      experiments::outcomesExport("fig_test", {{"", outcomes}},
+                                  {{"scale", "quick"}}));
   EXPECT_EQ(doc.stringOr("bench", ""), "fig_test");
   const support::JsonValue* meta = doc.find("meta");
   ASSERT_NE(meta, nullptr);
@@ -211,8 +224,8 @@ TEST(JsonExport, MultiConfigBenchesKeepPerConfigRows) {
       {"beta5",
        {makeOutcome("BLAST-n100-s1", SizeBand::kSmall, "BLAST", 25.0, 100.0)}},
   };
-  const support::JsonValue doc =
-      experiments::outcomesToJson("fig_test", groups);
+  const support::JsonValue doc = experiments::benchDocument(
+      experiments::outcomesExport("fig_test", groups));
   const support::JsonValue* rows = doc.find("rows");
   ASSERT_NE(rows, nullptr);
   double beta1Ratio = -1, beta5Ratio = -1;
@@ -233,27 +246,21 @@ TEST(JsonExport, MultiConfigBenchesKeepPerConfigRows) {
 }
 
 TEST(CsvExport, ReportsWriteFailuresDistinctFromUnsetEnv) {
-  const std::vector<RunOutcome> outcomes = {
-      makeOutcome("BLAST-n100-s1", SizeBand::kSmall, "BLAST", 40.0, 100.0),
-  };
+  const experiments::BenchExport exported = singleOutcomeExport();
+  const std::string path = testing::TempDir() + "/fig_test.csv";
+  std::remove(path.c_str());
+  ScopedEnv jsonOut("DAGPM_JSON_OUT", nullptr);
   {
     ScopedEnv csv("DAGPM_CSV", nullptr);
-    bool error = true;
-    EXPECT_EQ(experiments::maybeExportCsv("fig_test", outcomes, &error), "");
-    EXPECT_FALSE(error);
+    EXPECT_TRUE(experiments::exportBench(exported));
+    EXPECT_FALSE(std::ifstream(path).good());
   }
   {
     ScopedEnv csv("DAGPM_CSV", "/nonexistent-dir");
-    bool error = false;
-    EXPECT_EQ(experiments::maybeExportCsv("fig_test", outcomes, &error), "");
-    EXPECT_TRUE(error);
+    EXPECT_FALSE(experiments::exportBench(exported));
   }
   ScopedEnv csv("DAGPM_CSV", testing::TempDir().c_str());
-  bool error = true;
-  const std::string path =
-      experiments::maybeExportCsv("fig_test", outcomes, &error);
-  ASSERT_NE(path, "");
-  EXPECT_FALSE(error);
+  EXPECT_TRUE(experiments::exportBench(exported));
   std::ifstream in(path);
   std::string header;
   ASSERT_TRUE(std::getline(in, header));
@@ -267,9 +274,11 @@ TEST(CsvExport, MultiConfigGroupsKeepTheConfigColumn) {
       {"beta5",
        {makeOutcome("BLAST-n100-s1", SizeBand::kSmall, "BLAST", 25.0, 100.0)}},
   };
-  const std::string path = testing::TempDir() + "bench_export_groups.csv";
-  ASSERT_TRUE(experiments::exportOutcomesCsv(path, groups));
-  std::ifstream in(path);
+  ScopedEnv jsonOut("DAGPM_JSON_OUT", nullptr);
+  ScopedEnv csv("DAGPM_CSV", testing::TempDir().c_str());
+  ASSERT_TRUE(experiments::exportBench(
+      experiments::outcomesExport("bench_export_groups", groups)));
+  std::ifstream in(testing::TempDir() + "/bench_export_groups.csv");
   std::string line;
   std::vector<std::string> lines;
   while (std::getline(in, line)) lines.push_back(line);
@@ -279,23 +288,18 @@ TEST(CsvExport, MultiConfigGroupsKeepTheConfigColumn) {
 }
 
 TEST(JsonExport, WritesParseableFileAndHonorsJsonOutEnv) {
-  const std::vector<RunOutcome> outcomes = {
-      makeOutcome("BLAST-n100-s1", SizeBand::kSmall, "BLAST", 40.0, 100.0),
-  };
+  const experiments::BenchExport exported = singleOutcomeExport();
   const std::string path = testing::TempDir() + "bench_export_test.json";
+  std::remove(path.c_str());
+  ScopedEnv csv("DAGPM_CSV", nullptr);
   {
     ScopedEnv jsonOut("DAGPM_JSON_OUT", nullptr);
-    bool error = true;
-    EXPECT_EQ(experiments::maybeExportJson("fig_test", outcomes, {}, &error),
-              "");
-    EXPECT_FALSE(error);
+    EXPECT_TRUE(experiments::exportBench(exported));
+    EXPECT_FALSE(std::ifstream(path).good());
   }
   {
     ScopedEnv jsonOut("DAGPM_JSON_OUT", path.c_str());
-    bool error = true;
-    EXPECT_EQ(experiments::maybeExportJson("fig_test", outcomes, {}, &error),
-              path);
-    EXPECT_FALSE(error);
+    EXPECT_TRUE(experiments::exportBench(exported));
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -308,10 +312,34 @@ TEST(JsonExport, WritesParseableFileAndHonorsJsonOutEnv) {
 
   // An unwritable path reports the error instead of dying silently.
   ScopedEnv jsonOut("DAGPM_JSON_OUT", "/nonexistent-dir/out.json");
-  bool error = false;
-  EXPECT_EQ(experiments::maybeExportJson("fig_test", outcomes, {}, &error),
-            "");
-  EXPECT_TRUE(error);
+  EXPECT_FALSE(experiments::exportBench(exported));
+}
+
+TEST(JsonExport, ModuleExportsShareTheHarnessDocumentShape) {
+  // Every bench document has the same top-level keys; the harness adds only
+  // its "overall" aggregate on top.
+  const auto keysOf = [](const experiments::BenchExport& exported) {
+    const support::JsonValue doc = experiments::benchDocument(exported);
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : doc.asObject()) keys.push_back(key);
+    return keys;
+  };
+  experiments::FaultOutcome fault;
+  fault.level = "nofault";
+  fault.scheduler = "part";
+  fault.ok = true;
+  const experiments::BenchExport faults =
+      experiments::faultRecoveryExport("fault_test", {fault});
+  EXPECT_EQ(faults.rows.size(), 1u);
+  EXPECT_EQ(faults.csvRows.size(), 1u);
+  EXPECT_EQ(faults.csvRows[0].size(), faults.csvHeader.size());
+
+  std::vector<std::string> harnessKeys = keysOf(singleOutcomeExport());
+  harnessKeys.erase(
+      std::find(harnessKeys.begin(), harnessKeys.end(), "overall"));
+  EXPECT_EQ(keysOf(faults), harnessKeys);
+  EXPECT_EQ(harnessKeys, (std::vector<std::string>{"bench", "meta", "rows",
+                                                   "schema_version", "stats"}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the communication cost models (src/comm) and their threading
 // through the scheduling stack:
 //   * FairShareLink / LinkLoadProfile closed-form checks;
-//   * the uncontended model reproduces computeTimeline / makespanValue
+//   * the uncontended model reproduces the forward-pass timeline
 //     bit-exactly (the paper-faithful default must not move);
 //   * the fair-share model agrees with the contended block-synchronous
 //     simulation to 1e-9 on fuzzed schedules (the differential that makes
@@ -89,27 +89,40 @@ TEST(CommCostModel, UncontendedMatchesComputeTimelineBitExact) {
     for (const ScheduleResult* schedule : {&fc.part, &fc.mem}) {
       if (!schedule->feasible) continue;
       const quotient::QuotientGraph q = buildQuotient(fc.dag, *schedule);
-      const quotient::Timeline legacy =
+      // Reference forward pass: start(v) = max over parents of
+      // finish(parent) + c/beta in adjacency order, finish = start + w/s.
+      const auto order = q.topologicalOrder();
+      ASSERT_TRUE(order.has_value());
+      std::vector<double> start(q.numSlots(), 0.0);
+      std::vector<double> finish(q.numSlots(), 0.0);
+      const double beta = fc.cluster.bandwidth();
+      double forward = 0.0;
+      for (const quotient::BlockId b : *order) {
+        double ready = 0.0;
+        for (const auto& [parent, cost] : q.in(b)) {
+          ready = std::max(ready, finish[parent] + cost / beta);
+        }
+        start[b] = ready;
+        finish[b] = ready + q.node(b).work / fc.cluster.speed(q.node(b).proc);
+        forward = std::max(forward, finish[b]);
+      }
+      const quotient::Timeline modeled =
           quotient::computeTimeline(q, fc.cluster);
-      const quotient::Timeline modeled = quotient::computeTimeline(
-          q, fc.cluster, comm::uncontendedCommModel());
-      EXPECT_EQ(legacy.makespan, modeled.makespan);
-      ASSERT_EQ(legacy.entries.size(), modeled.entries.size());
-      for (std::size_t i = 0; i < legacy.entries.size(); ++i) {
-        EXPECT_EQ(legacy.entries[i].block, modeled.entries[i].block);
-        EXPECT_EQ(legacy.entries[i].start, modeled.entries[i].start);
-        EXPECT_EQ(legacy.entries[i].finish, modeled.entries[i].finish);
+      EXPECT_EQ(forward, modeled.makespan);
+      ASSERT_EQ(order->size(), modeled.entries.size());
+      for (const quotient::TimelineEntry& entry : modeled.entries) {
+        EXPECT_EQ(start[entry.block], entry.start);
+        EXPECT_EQ(finish[entry.block], entry.finish);
       }
       const auto legacyValue = quotient::makespanValue(q, fc.cluster);
       const auto modeledValue = quotient::makespanValue(
-          q, fc.cluster, comm::uncontendedCommModel());
+          q, fc.cluster, &comm::uncontendedCommModel());
       ASSERT_TRUE(legacyValue.has_value());
       ASSERT_TRUE(modeledValue.has_value());
-      // The model's forward pass IS computeTimeline's arithmetic, so those
-      // two agree bit-exactly; the legacy Eq. (1) backward pass associates
-      // the same sums differently and only agrees to rounding (exactly as
-      // computeTimeline and makespanValue already do today).
-      EXPECT_EQ(legacy.makespan, *modeledValue);
+      // The model's forward pass IS the reference arithmetic, so those two
+      // agree bit-exactly; the Eq. (1) backward pass associates the same
+      // sums differently and only agrees to rounding.
+      EXPECT_EQ(forward, *modeledValue);
       EXPECT_NEAR(*legacyValue, *modeledValue,
                   1e-12 * std::max(1.0, *legacyValue));
     }
@@ -134,7 +147,7 @@ TEST(CommCostModel, UncontendedHandlesUnassignedBlocks) {
   q.setProcessor(0, 2);  // mixed: some assigned, some not
   const auto legacy = quotient::makespanValue(q, cluster);
   const auto modeled =
-      quotient::makespanValue(q, cluster, comm::uncontendedCommModel());
+      quotient::makespanValue(q, cluster, &comm::uncontendedCommModel());
   ASSERT_TRUE(legacy.has_value());
   ASSERT_TRUE(modeled.has_value());
   EXPECT_EQ(*legacy, *modeled);
@@ -148,7 +161,7 @@ TEST(CommCostModel, UncontendedCriticalPathIsAChainWithTheMakespan) {
     const quotient::MakespanResult legacy =
         quotient::computeMakespan(q, fc.cluster);
     const quotient::MakespanResult modeled = quotient::computeMakespan(
-        q, fc.cluster, comm::uncontendedCommModel());
+        q, fc.cluster, &comm::uncontendedCommModel());
     ASSERT_TRUE(modeled.acyclic);
     EXPECT_EQ(legacy.makespan, modeled.makespan);
     ASSERT_FALSE(modeled.criticalPath.empty());
@@ -189,9 +202,9 @@ TEST(CommCostModel, FairShareNeverFasterThanUncontended) {
     if (!fc.part.feasible) continue;
     const quotient::QuotientGraph q = buildQuotient(fc.dag, fc.part);
     const auto uncontended =
-        quotient::makespanValue(q, fc.cluster, comm::uncontendedCommModel());
+        quotient::makespanValue(q, fc.cluster, &comm::uncontendedCommModel());
     const auto fairShare =
-        quotient::makespanValue(q, fc.cluster, comm::fairShareCommModel());
+        quotient::makespanValue(q, fc.cluster, &comm::fairShareCommModel());
     ASSERT_TRUE(uncontended.has_value());
     ASSERT_TRUE(fairShare.has_value());
     EXPECT_GE(*fairShare, *uncontended - 1e-9 * std::max(1.0, *uncontended));

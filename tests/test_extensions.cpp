@@ -5,8 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 #include <set>
 
 #include "experiments/export.hpp"
@@ -449,25 +448,24 @@ TEST(Export, WritesOneRowPerOutcome) {
   outcomes[1].family = "SoyKB";
   outcomes[1].partFeasible = false;
 
-  const std::string path = testing::TempDir() + "/dagpm_export.csv";
-  ASSERT_TRUE(experiments::exportOutcomesCsv(path, outcomes));
-  std::ifstream is(path);
-  std::string line;
-  std::getline(is, line);
-  EXPECT_NE(line.find("instance"), std::string::npos);
-  std::getline(is, line);
-  EXPECT_NE(line.find("BLAST-n100-s1"), std::string::npos);
-  EXPECT_NE(line.find("0.5"), std::string::npos);  // ratio
-  std::getline(is, line);
-  EXPECT_NE(line.find("SoyKB"), std::string::npos);
-  std::remove(path.c_str());
+  const experiments::BenchExport exported =
+      experiments::outcomesExport("x", {{"", outcomes}});
+  const auto& header = exported.csvHeader;
+  const auto column = [&header](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), name) - header.begin());
+  };
+  ASSERT_EQ(exported.csvRows.size(), 2u);
+  EXPECT_EQ(exported.csvRows[0][column("instance")], "BLAST-n100-s1");
+  EXPECT_EQ(exported.csvRows[0][column("ratio")], "0.5");
+  EXPECT_EQ(exported.csvRows[1][column("family")], "SoyKB");
+  EXPECT_EQ(exported.csvRows[1][column("ratio")], "");  // infeasible
 }
 
-TEST(Export, MaybeExportRespectsEnv) {
-  // DAGPM_CSV unset in tests: export is a no-op.
-  EXPECT_EQ(experiments::maybeExportCsv(
-                "x", std::vector<experiments::RunOutcome>{}),
-            "");
+TEST(Export, ExportBenchRespectsEnv) {
+  // DAGPM_CSV / DAGPM_JSON_OUT unset in tests: export is a no-op.
+  EXPECT_TRUE(
+      experiments::exportBench(experiments::outcomesExport("x", {{"", {}}})));
 }
 
 }  // namespace

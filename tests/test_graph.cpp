@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "graph/dag.hpp"
 #include "graph/dot_io.hpp"
@@ -76,6 +78,44 @@ TEST(Dag, SetWeightsMutators) {
   EXPECT_DOUBLE_EQ(g.work(0), 11.0);
   EXPECT_DOUBLE_EQ(g.memory(0), 12.0);
   EXPECT_DOUBLE_EQ(g.edge(0).cost, 13.0);
+}
+
+TEST(Dag, RejectsNanWeights) {
+  Dag g;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(g.addVertex(nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(g.addVertex(1.0, nan), std::invalid_argument);
+  const VertexId a = g.addVertex(1.0, 1.0);
+  const VertexId b = g.addVertex(1.0, 1.0);
+  EXPECT_THROW(g.addEdge(a, b, nan), std::invalid_argument);
+  EXPECT_EQ(g.numVertices(), 2u);
+  EXPECT_EQ(g.numEdges(), 0u);
+}
+
+TEST(Dag, RejectsNegativeWeights) {
+  Dag g;
+  EXPECT_THROW(g.addVertex(-1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(g.addVertex(1.0, -1.0), std::invalid_argument);
+  const VertexId a = g.addVertex(0.0, 0.0);
+  const VertexId b = g.addVertex(0.0, 0.0);
+  EXPECT_THROW(g.addEdge(a, b, -1.0), std::invalid_argument);
+  EXPECT_EQ(g.addEdge(a, b, 0.0), 0u);
+}
+
+TEST(Dag, RejectsSelfLoops) {
+  Dag g;
+  const VertexId a = g.addVertex(1.0, 1.0);
+  EXPECT_THROW(g.addEdge(a, a, 1.0), std::invalid_argument);
+  EXPECT_EQ(g.numEdges(), 0u);
+}
+
+TEST(Dag, RejectsOutOfRangeEndpoints) {
+  Dag g;
+  const VertexId a = g.addVertex(1.0, 1.0);
+  EXPECT_THROW(g.addEdge(a, 1, 1.0), std::invalid_argument);
+  EXPECT_THROW(g.addEdge(7, a, 1.0), std::invalid_argument);
+  EXPECT_EQ(g.numEdges(), 0u);
+  EXPECT_TRUE(g.outEdges(a).empty());
 }
 
 TEST(Topology, TopologicalOrderValid) {
@@ -218,6 +258,37 @@ TEST(DotIo, ParsesQuotedIdsAndComments) {
 TEST(DotIo, RejectsGarbage) {
   EXPECT_FALSE(dagFromDot("not a dot file at all [").has_value());
   EXPECT_FALSE(dagFromDot("digraph { a -> [cost=1]; }").has_value());
+}
+
+TEST(DotIo, RejectsDependencyCycles) {
+  EXPECT_FALSE(dagFromDot("digraph { a -> b; b -> c; c -> a; }").has_value());
+  EXPECT_TRUE(dagFromDot("digraph { a -> b; b -> c; a -> c; }").has_value());
+}
+
+TEST(DotIo, RejectsSelfLoops) {
+  EXPECT_FALSE(dagFromDot("digraph { a -> a; }").has_value());
+  EXPECT_FALSE(dagFromDot("digraph { a -> b -> b; }").has_value());
+}
+
+TEST(DotIo, RejectsNonFiniteWeights) {
+  for (const char* value : {"nan", "inf", "-inf", "NaN", "infinity"}) {
+    const std::string v = value;
+    EXPECT_FALSE(dagFromDot("digraph { a [work=" + v + "]; }").has_value())
+        << v;
+    EXPECT_FALSE(dagFromDot("digraph { a [memory=" + v + "]; }").has_value())
+        << v;
+    EXPECT_FALSE(dagFromDot("digraph { a -> b [cost=" + v + "]; }")
+                     .has_value())
+        << v;
+  }
+}
+
+TEST(DotIo, RejectsNegativeWeights) {
+  EXPECT_FALSE(dagFromDot("digraph { a [work=-1]; }").has_value());
+  EXPECT_FALSE(dagFromDot("digraph { a [memory=-2.5]; }").has_value());
+  EXPECT_FALSE(dagFromDot("digraph { a -> b [cost=-3]; }").has_value());
+  EXPECT_TRUE(dagFromDot("digraph { a [work=0, memory=0]; a -> b [cost=0]; }")
+                  .has_value());
 }
 
 TEST(DotIo, ReadDotFromStream) {

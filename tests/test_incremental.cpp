@@ -2,7 +2,7 @@
 // engine) and its integration into the swap/merge steps: bit-identity with
 // the full recompute, probe purity, the cycle-check equivalence, the
 // equal-speed-prune placement-invariance guard, and end-to-end agreement of
-// the incremental pipeline with the DAGPM_FULL_REEVAL reference.
+// the incremental pipeline with the fullReevaluation reference.
 
 #include <gtest/gtest.h>
 
@@ -179,7 +179,7 @@ TEST(IncrementalEvaluator, ContendedProbesMatchModelEvaluation) {
   const comm::CommCostModel& model = comm::fairShareCommModel();
   IncrementalEvaluator eval(q, c.cluster, &model);
   IncrementalEvaluator::Scratch scratch(eval);
-  EXPECT_EQ(eval.makespan(), *makespanValue(q, c.cluster, model));
+  EXPECT_EQ(eval.makespan(), *makespanValue(q, c.cluster, &model));
   const auto nodes = q.aliveNodes();
   for (std::size_t i = 0; i + 1 < nodes.size(); i += 2) {
     const BlockId a = nodes[i], b = nodes[i + 1];
@@ -188,14 +188,14 @@ TEST(IncrementalEvaluator, ContendedProbesMatchModelEvaluation) {
     const double probed = eval.probeAssign(scratch, overrides);
     q.setProcessor(a, pb);
     q.setProcessor(b, pa);
-    const auto full = makespanValue(q, c.cluster, model);
+    const auto full = makespanValue(q, c.cluster, &model);
     ASSERT_TRUE(full.has_value());
     EXPECT_EQ(probed, *full);
     // Commit the swap and check the patched-fluid cache stays in sync.
     const BlockId dirty[2] = {a, b};
     eval.commitAssign(dirty);
     EXPECT_EQ(eval.makespan(), *full);
-    const MakespanResult ms = computeMakespan(q, c.cluster, model);
+    const MakespanResult ms = computeMakespan(q, c.cluster, &model);
     EXPECT_EQ(eval.criticalPath(), ms.criticalPath);
   }
 }
@@ -284,7 +284,7 @@ TEST(SwapStepPrune, EqualSpeedSwapImprovesPlacementSensitiveMakespan) {
     q.setProcessor(1, 0);  // B shares A's processor
     q.setProcessor(2, 1);  // C pays the transfer
     for (BlockId b = 0; b < 3; ++b) q.setMemReq(b, 1.0);
-    const double before = *quotient::makespanValue(q, cluster, model);
+    const double before = *quotient::makespanValue(q, cluster, &model);
     SwapStepConfig cfg;
     cfg.comm = &model;
     cfg.enableIdleMoves = false;

@@ -153,6 +153,19 @@ TEST(WorkflowJson, RejectsBrokenWorkflows) {
   EXPECT_NE(error.find("cycle"), std::string::npos);
 }
 
+TEST(WorkflowJson, RejectsNegativeWeights) {
+  std::string error;
+  EXPECT_FALSE(workflows::workflowFromJson(
+                   R"({"tasks":[{"name":"a","work":-1}]})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("non-negative"), std::string::npos) << error;
+  EXPECT_FALSE(workflows::workflowFromJson(
+                   R"({"tasks":[{"name":"a"},{"name":"b"}],
+                       "edges":[{"from":"a","to":"b","cost":-2}]})",
+                   &error)
+                   .has_value());
+}
+
 TEST(WorkflowJson, RoundTripPreservesGeneratedWorkflow) {
   workflows::GenConfig cfg;
   cfg.numTasks = 80;

@@ -1,7 +1,6 @@
 // Tests for the scheduling service (ISSUE 8): request fingerprints, the LRU
-// schedule cache, the concurrent executor, the DAGPM_FULL_REEVAL
-// re-entrancy fix, per-request counter attribution, and multi-tenant
-// co-scheduling.
+// schedule cache, the concurrent executor, per-request counter attribution,
+// and multi-tenant co-scheduling.
 //
 // The load-bearing test is ConcurrentDifferential: N worker threads churning
 // through a shuffled, duplicated request stream must produce schedules
@@ -12,10 +11,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <future>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "comm/cost_model.hpp"
 #include "platform/cluster.hpp"
@@ -121,7 +124,7 @@ TEST(ServiceFingerprint, ScheduleRelevantFieldsHash) {
 }
 
 TEST(ServiceFingerprint, ProvenNoOpSwitchesExcluded) {
-  // parallelSweep and fullReevaluation/envResolved provably do not change
+  // parallelSweep and fullReevaluation provably do not change
   // the schedule (pinned invariants), so they must NOT move the fingerprint:
   // a cache entry stays valid across evaluation modes.
   const graph::Dag g =
@@ -134,54 +137,8 @@ TEST(ServiceFingerprint, ProvenNoOpSwitchesExcluded) {
   scheduler::DagHetPartConfig changed = cfg;
   changed.parallelSweep = !cfg.parallelSweep;
   changed.options.fullReevaluation = true;
-  changed.options.envResolved = true;
   EXPECT_EQ(base, service::fingerprintRequest(g, cluster, changed,
                                               Algorithm::kDagHetPart));
-}
-
-// ---------------------------------------------------------------------------
-// DAGPM_FULL_REEVAL re-entrancy fix
-// ---------------------------------------------------------------------------
-
-TEST(ServiceOptions, EnvReadIsFresh) {
-  // The pre-ISSUE-8 bug: the first call latched the env value in a static,
-  // so a service could never trust per-request options. The fix reads fresh
-  // on every call.
-  unsetenv("DAGPM_FULL_REEVAL");
-  EXPECT_FALSE(scheduler::fullReevaluationForced());
-  setenv("DAGPM_FULL_REEVAL", "1", 1);
-  EXPECT_TRUE(scheduler::fullReevaluationForced());
-  setenv("DAGPM_FULL_REEVAL", "0", 1);
-  EXPECT_FALSE(scheduler::fullReevaluationForced());
-  setenv("DAGPM_FULL_REEVAL", "", 1);
-  EXPECT_FALSE(scheduler::fullReevaluationForced());
-  unsetenv("DAGPM_FULL_REEVAL");
-  EXPECT_FALSE(scheduler::fullReevaluationForced());
-}
-
-TEST(ServiceOptions, ResolvedOptionsAreFrozen) {
-  setenv("DAGPM_FULL_REEVAL", "1", 1);
-  scheduler::SchedulerOptions resolved =
-      scheduler::resolveEnvironment(scheduler::SchedulerOptions{});
-  EXPECT_TRUE(resolved.envResolved);
-  EXPECT_TRUE(resolved.fullReevaluation);
-  EXPECT_TRUE(scheduler::useFullReevaluation(resolved));
-
-  // Once resolved, later environment changes must not leak in (and
-  // resolving again is a no-op).
-  unsetenv("DAGPM_FULL_REEVAL");
-  EXPECT_TRUE(scheduler::useFullReevaluation(resolved));
-  EXPECT_TRUE(scheduler::resolveEnvironment(resolved).fullReevaluation);
-
-  // A resolved "off" stays off even when the env turns on afterwards.
-  scheduler::SchedulerOptions off =
-      scheduler::resolveEnvironment(scheduler::SchedulerOptions{});
-  EXPECT_FALSE(off.fullReevaluation);
-  setenv("DAGPM_FULL_REEVAL", "1", 1);
-  EXPECT_FALSE(scheduler::useFullReevaluation(off));
-  // Unresolved options still see the environment (legacy entry points).
-  EXPECT_TRUE(scheduler::useFullReevaluation(scheduler::SchedulerOptions{}));
-  unsetenv("DAGPM_FULL_REEVAL");
 }
 
 // ---------------------------------------------------------------------------
@@ -305,12 +262,10 @@ TEST(ServiceEngine, CacheHitIsBitIdenticalToColdSolve) {
   EXPECT_EQ(warm.solveSeconds, 0.0);
 }
 
-TEST(ServiceEngine, PerRequestOverridesStickUnderEnv) {
-  // A service constructed while DAGPM_FULL_REEVAL is unset must keep jobs on
-  // the incremental path even if the env flips mid-run — and either way the
-  // schedules are bit-identical (the pinned invariant), which this pins
-  // end-to-end through the service.
-  unsetenv("DAGPM_FULL_REEVAL");
+TEST(ServiceEngine, FullReevaluationRequestMatchesIncremental) {
+  // A per-request fullReevaluation switch reaches the solve, and the
+  // schedules are bit-identical either way (the pinned invariant), which
+  // this pins end-to-end through the service.
   const platform::Cluster cluster = testCluster();
   const graph::Dag g =
       workflows::generate(workflows::Family::kSoyKb, genConfig(60, 6));
@@ -323,12 +278,11 @@ TEST(ServiceEngine, PerRequestOverridesStickUnderEnv) {
   service::Request req;
   req.dag = &g;
   req.cluster = &cluster;
-  const service::Response before = svc.submit(req).get();
-  setenv("DAGPM_FULL_REEVAL", "1", 1);  // raced setenv; must not be seen
-  const service::Response after = svc.submit(req).get();
-  unsetenv("DAGPM_FULL_REEVAL");
-  ASSERT_TRUE(before.schedule.feasible);
-  expectIdentical(after.schedule, before.schedule);
+  const service::Response incremental = svc.submit(req).get();
+  req.config.options.fullReevaluation = true;
+  const service::Response full = svc.submit(req).get();
+  ASSERT_TRUE(incremental.schedule.feasible);
+  expectIdentical(full.schedule, incremental.schedule);
 }
 
 TEST(ServiceEngine, TrySubmitRejectsWhenFull) {
@@ -396,6 +350,59 @@ TEST(ServiceEngine, PerRequestCounterAttribution) {
     }
   }
   obs::resetForTest();
+}
+
+TEST(ServiceEngine, WorkersKeepInnerParallelRegionsOnTheWorkerThread) {
+  // With an OpenMP team available, the Step-4 swap scan would fork inside a
+  // worker and the probes made on the team threads would escape the
+  // worker's ThreadCounterScope. Pinned workers attribute every count: the
+  // response's deltas equal a sequential single-thread solve's.
+#ifndef _OPENMP
+  GTEST_SKIP() << "needs OpenMP";
+#else
+  if (omp_get_max_threads() < 2) {
+    GTEST_SKIP() << "needs OMP_NUM_THREADS > 1";
+  }
+  const platform::Cluster cluster = testCluster();
+  const graph::Dag g =
+      workflows::generate(workflows::Family::kMontage, genConfig(200, 5));
+  scheduler::DagHetPartConfig cfg;
+  cfg.parallelSweep = false;
+
+  obs::enableCounters(true);
+  obs::resetForTest();
+  std::vector<obs::CounterValue> sequential;
+  {
+    const int threads = omp_get_max_threads();
+    omp_set_num_threads(1);
+    const obs::ThreadCounterScope scope;
+    ASSERT_TRUE(scheduler::dagHetPart(g, cluster, cfg).feasible);
+    sequential = scope.deltas();
+    omp_set_num_threads(threads);
+  }
+  ServiceConfig sc;
+  sc.numThreads = 2;
+  SchedulerService svc(sc);
+  service::Request req;
+  req.dag = &g;
+  req.cluster = &cluster;
+  req.config = cfg;
+  const service::Response response = svc.submit(req).get();
+  obs::enableCounters(false);
+  obs::resetForTest();
+
+  ASSERT_TRUE(response.schedule.feasible);
+  ASSERT_EQ(response.counters.size(), sequential.size());
+  for (std::size_t i = 0; i < sequential.size(); ++i) {
+    const std::string_view name = sequential[i].name;
+    ASSERT_EQ(std::string_view(response.counters[i].name), name);
+    if (name == "swap.pairs_probed") {
+      EXPECT_GE(sequential[i].value, 2u);
+    }
+    if (name == "span.peak_depth") continue;  // max gauge, not a delta
+    EXPECT_EQ(response.counters[i].value, sequential[i].value) << name;
+  }
+#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -251,18 +251,9 @@ AnnealResult refine(const graph::Dag& g, const platform::Cluster& cluster,
   for (auto& s : streamSeeds) s = root.fork().next();
 
   std::vector<RestartOutcome> outcomes(cfg.restarts);
-  if (cfg.parallelRestarts) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(cfg.restarts);
-         ++i) {
-      outcomes[static_cast<std::size_t>(i)] = runRestart(
-          g, cluster, seedSchedule, cfg,
-          streamSeeds[static_cast<std::size_t>(i)]);
-    }
-  } else {
-    for (std::uint32_t i = 0; i < cfg.restarts; ++i) {
-      outcomes[i] = runRestart(g, cluster, seedSchedule, cfg, streamSeeds[i]);
-    }
+#pragma omp parallel for schedule(dynamic) if (cfg.parallelRestarts)
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    outcomes[i] = runRestart(g, cluster, seedSchedule, cfg, streamSeeds[i]);
   }
 
   for (std::uint32_t i = 0; i < cfg.restarts; ++i) {

@@ -1,59 +1,14 @@
 #include "anchor/portfolio.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#ifdef _OPENMP
 #include <omp.h>
-#endif
 
 #include "scheduler/daghetmem.hpp"
 
 namespace dagpm::anchor {
-
-namespace {
-
-/// Runs the job indices in `queue` on `numThreads` workers — the service
-/// executor's pool, pre-filled (workers drain the deque and exit). Each
-/// worker pins itself to one OpenMP thread so an arm's inner parallel
-/// regions (e.g. the Step-4 swap scan) stay on the worker and the
-/// ThreadCounterScope delta is exact.
-void drainOnPool(std::deque<std::size_t> queue, int numThreads,
-                 const std::function<void(std::size_t)>& job) {
-  std::mutex mu;
-  const auto worker = [&] {
-#ifdef _OPENMP
-    omp_set_num_threads(1);
-#endif
-    for (;;) {
-      std::size_t index;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (queue.empty()) return;
-        index = queue.front();
-        queue.pop_front();
-      }
-      job(index);
-    }
-  };
-  const int workers = std::max(
-      1, std::min(numThreads, static_cast<int>(queue.size())));
-  if (workers == 1) {
-    worker();
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int t = 0; t < workers; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-}
-
-}  // namespace
 
 std::vector<PortfolioArm> defaultArms(const platform::Cluster& cluster,
                                       const PortfolioConfig& cfg) {
@@ -94,8 +49,8 @@ PortfolioResult race(const graph::Dag& g, const platform::Cluster& cluster,
   if (arms.empty()) return result;
 
   // The refinement arms need the heuristic winner as their seed, so the
-  // race runs in two waves sharing one pool pattern.
-  std::deque<std::size_t> heuristicWave, refineWave;
+  // race runs in two waves.
+  std::vector<std::size_t> heuristicWave, refineWave;
   for (std::size_t i = 0; i < arms.size(); ++i) {
     (arms[i].kind == PortfolioArm::Kind::kSaRefine ? refineWave
                                                    : heuristicWave)
@@ -140,7 +95,21 @@ PortfolioResult race(const graph::Dag& g, const platform::Cluster& cluster,
     if (obs::countersEnabled()) out.counters = scope.deltas();
   };
 
-  drainOnPool(std::move(heuristicWave), cfg.numThreads, runArm);
+  // A wave runs on up to cfg.numThreads threads, the loop runSweep uses.
+  // Each arm pins its inner parallel regions (e.g. the Step-4 swap scan) to
+  // its own thread, so the ThreadCounterScope delta is exact; the pin lives
+  // in the region's implicit task and does not outlast the loop.
+  const auto runWave = [&](const std::vector<std::size_t>& wave) {
+    const int workers =
+        std::max(1, std::min(cfg.numThreads, static_cast<int>(wave.size())));
+#pragma omp parallel for schedule(dynamic) num_threads(workers)
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      omp_set_num_threads(1);
+      runArm(wave[i]);
+    }
+  };
+
+  runWave(heuristicWave);
 
   // Interim winner of the heuristic wave: least (makespan, arm index).
   for (std::size_t i = 0; i < arms.size(); ++i) {
@@ -152,7 +121,7 @@ PortfolioResult race(const graph::Dag& g, const platform::Cluster& cluster,
     }
   }
 
-  drainOnPool(std::move(refineWave), cfg.numThreads, runArm);
+  runWave(refineWave);
 
   for (std::uint32_t i = 0; i < result.arms.size(); ++i) {
     const ArmOutcome& out = result.arms[i];

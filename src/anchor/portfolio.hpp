@@ -1,16 +1,17 @@
 #pragma once
 // Portfolio racer (ROADMAP item 3): runs a set of solver configurations —
 // one DagHetPart arm per k' sweep candidate, the DagHetMem baseline, and
-// SA-refinement arms — concurrently on the PR 8 worker-pool pattern and
+// SA-refinement arms — concurrently on an OpenMP worksharing loop and
 // returns the best feasible schedule.
 //
-// Every arm runs single-threaded on one pool worker (the pool is the
+// Every arm runs single-threaded on one loop thread (the loop is the
 // parallelism, exactly like service::SchedulerService jobs), so each arm's
 // obs::ThreadCounterScope delta is its exact probe/merge/anneal work and
 // DAGPM_TRACE shows one span per arm. Arms are deterministic and the
 // winner is the lexicographically least (makespan, arm index) among the
 // feasible outcomes, so the raced result is bit-identical to running the
-// arms sequentially — for any pool size.
+// arms sequentially — for any thread count. The caller's OpenMP thread
+// count is left as it was.
 //
 // Refinement arms start from the best heuristic arm (raced first, as their
 // seed must be known), each with its own SplitMix64 stream.
@@ -43,10 +44,10 @@ struct PortfolioArm {
 };
 
 struct PortfolioConfig {
-  int numThreads = 4;      ///< pool workers (capped to the arm count)
+  int numThreads = 4;      ///< loop threads (capped to the arm count)
   std::uint32_t saArms = 2;   ///< SA arms appended by defaultArms
   /// Base config of the heuristic arms; parallelSweep is forced off per arm
-  /// (the pool is the parallelism).
+  /// (the arm loop is the parallelism).
   scheduler::DagHetPartConfig heuristic;
   /// Base config of the SA arms; parallelRestarts is forced off per arm and
   /// the per-arm seed overrides `anneal.seed`.
@@ -75,9 +76,9 @@ struct PortfolioResult {
 std::vector<PortfolioArm> defaultArms(const platform::Cluster& cluster,
                                       const PortfolioConfig& cfg);
 
-/// Races `arms` on a worker pool. Heuristic arms run first; refinement
-/// arms are then seeded with the best feasible heuristic schedule (they
-/// report infeasible when no heuristic arm closed).
+/// Races `arms` on up to cfg.numThreads threads. Heuristic arms run first;
+/// refinement arms are then seeded with the best feasible heuristic
+/// schedule (they report infeasible when no heuristic arm closed).
 PortfolioResult race(const graph::Dag& g, const platform::Cluster& cluster,
                      const std::vector<PortfolioArm>& arms,
                      const PortfolioConfig& cfg = {});

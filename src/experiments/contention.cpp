@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "experiments/export.hpp"
 #include "memory/oracle.hpp"
 #include "scheduler/solution.hpp"
@@ -93,16 +89,8 @@ std::vector<ContentionOutcome> runContention(
     }
   };
 
-#ifdef _OPENMP
-  if (options.parallelInstances) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::size_t s = 0; s < slots.size(); ++s) runOne(s);
-  } else {
-    for (std::size_t s = 0; s < slots.size(); ++s) runOne(s);
-  }
-#else
+#pragma omp parallel for schedule(dynamic) if (options.parallelInstances)
   for (std::size_t s = 0; s < slots.size(); ++s) runOne(s);
-#endif
   return slots;
 }
 

@@ -4,10 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "obs/obs.hpp"
 #include "scheduler/solution.hpp"
 #include "support/env.hpp"
@@ -80,9 +76,7 @@ std::optional<CachedRun> lookupCached(const RunnerOptions& options,
   if (options.cache == nullptr) return std::nullopt;
   std::optional<CachedRun> result;
   // The cache map is shared by all worker threads.
-#ifdef _OPENMP
 #pragma omp critical(dagpm_result_cache)
-#endif
   {
     const auto feasible = options.cache->lookup(key + "/feasible");
     const auto makespan = options.cache->lookup(key + "/makespan");
@@ -97,9 +91,7 @@ std::optional<CachedRun> lookupCached(const RunnerOptions& options,
 void storeCached(const RunnerOptions& options, const std::string& key,
                  const CachedRun& run) {
   if (options.cache == nullptr) return;
-#ifdef _OPENMP
 #pragma omp critical(dagpm_result_cache)
-#endif
   {
     options.cache->store(key + "/feasible", run.feasible ? 1.0 : 0.0);
     options.cache->store(key + "/makespan", run.makespan);
@@ -188,16 +180,8 @@ std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
     out.memSeconds = mem.seconds;
   };
 
-#ifdef _OPENMP
-  if (options.parallelInstances) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
-  } else {
-    for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
-  }
-#else
+#pragma omp parallel for schedule(dynamic) if (options.parallelInstances)
   for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
-#endif
   return outcomes;
 }
 
@@ -288,16 +272,8 @@ void forEachScheduledInstance(
     consume(i, inst, scaled, partSchedule, memSchedule, partOracle,
             memOracle);
   };
-#ifdef _OPENMP
-  if (parallelInstances) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
-  } else {
-    for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
-  }
-#else
+#pragma omp parallel for schedule(dynamic) if (parallelInstances)
   for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
-#endif
 }
 
 std::string defaultCachePath() {

@@ -1,6 +1,8 @@
 #include "memory/oracle.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "graph/topology.hpp"
 #include "memory/exact_dp.hpp"
@@ -26,7 +28,10 @@ std::vector<VertexId> canonical(std::span<const VertexId> vertices) {
   return sorted;
 }
 
-std::uint64_t blockKey(const std::vector<VertexId>& sorted) {
+}  // namespace
+
+std::size_t MemDagOracle::MemberSetHash::operator()(
+    const std::vector<VertexId>& sorted) const noexcept {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ sorted.size();
   for (const VertexId v : sorted) {
     std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
@@ -34,10 +39,8 @@ std::uint64_t blockKey(const std::vector<VertexId>& sorted) {
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     h = z ^ (z >> 31);
   }
-  return h;
+  return static_cast<std::size_t>(h);
 }
-
-}  // namespace
 
 MemDagOracle::MemDagOracle(const graph::Dag& g, OracleOptions options)
     : g_(g), options_(options) {}
@@ -79,10 +82,10 @@ TraversalResult MemDagOracle::evaluate(const graph::SubDag& sub) const {
 
 TraversalResult MemDagOracle::bestTraversal(
     std::span<const VertexId> blockVertices) const {
-  const std::vector<VertexId> sorted = canonical(blockVertices);
+  std::vector<VertexId> sorted = canonical(blockVertices);
   graph::SubDag sub = graph::inducedSubgraph(g_, sorted);
   TraversalResult local = evaluate(sub);
-  memo_[blockKey(sorted)] = local.peak;
+  memo_.try_emplace(std::move(sorted), local.peak);
   // Translate local ids back to the workflow's vertex ids.
   TraversalResult result;
   result.peak = local.peak;
@@ -99,12 +102,11 @@ double MemDagOracle::blockRequirement(
   if (blockVertices.size() == 1) {
     return g_.taskMemoryRequirement(blockVertices.front());
   }
-  const std::vector<VertexId> sorted = canonical(blockVertices);
-  const std::uint64_t key = blockKey(sorted);
-  if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
+  std::vector<VertexId> sorted = canonical(blockVertices);
+  if (const auto it = memo_.find(sorted); it != memo_.end()) return it->second;
   const graph::SubDag sub = graph::inducedSubgraph(g_, sorted);
   const double peak = evaluate(sub).peak;
-  memo_.emplace(key, peak);
+  memo_.emplace(std::move(sorted), peak);
   return peak;
 }
 

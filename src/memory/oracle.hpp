@@ -12,8 +12,14 @@
 //     keeping the best simulated peak.
 // The returned peak is always the simulated peak of a concrete valid
 // traversal, so feasibility checks are self-consistent with the model.
+//
+// The oracle is the only cache of r_V: its memo is keyed exactly by the
+// sorted member set (a hash collision compares full keys, so it can never
+// return another block's requirement). The memo is written by const
+// methods without a lock, so an oracle is owned by one thread: every sweep
+// arm, annealing restart, portfolio arm and service request builds its own.
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +49,8 @@ class MemDagOracle {
   [[nodiscard]] TraversalResult bestTraversal(
       std::span<const graph::VertexId> blockVertices) const;
 
-  /// Memory requirement r_V = peak of bestTraversal; memoized per block.
+  /// Memory requirement r_V = peak of bestTraversal; memoized per member
+  /// set (any order of the same vertices is served from the memo).
   [[nodiscard]] double blockRequirement(
       std::span<const graph::VertexId> blockVertices) const;
 
@@ -55,9 +62,16 @@ class MemDagOracle {
  private:
   [[nodiscard]] TraversalResult evaluate(const graph::SubDag& sub) const;
 
+  struct MemberSetHash {
+    std::size_t operator()(
+        const std::vector<graph::VertexId>& sorted) const noexcept;
+  };
+
   const graph::Dag& g_;
   OracleOptions options_;
-  mutable std::unordered_map<std::uint64_t, double> memo_;
+  mutable std::unordered_map<std::vector<graph::VertexId>, double,
+                             MemberSetHash>
+      memo_;
   mutable std::size_t evals_ = 0;
 };
 

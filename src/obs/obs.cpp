@@ -56,8 +56,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "resched.fault.greedy_wins",  // kReschedFaultGreedyWins
     "resched.fault.retries",      // kReschedFaultRetries
     "resched.fault.triggers",     // kReschedFaultTriggers
-    "resched.memo.hits",   // kReschedMemoHits
-    "resched.memo.misses", // kReschedMemoMisses
     "resched.rejected",    // kReschedRejected
     "resched.triggers",    // kReschedTriggers
     "service.breaker_probes",     // kServiceBreakerProbes

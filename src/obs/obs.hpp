@@ -49,8 +49,8 @@ enum class Counter : unsigned {
   kHeftEdgesPriced,     ///< HEFT cross-block edges priced via CommCostModel
   kHeftTasksPlaced,     ///< HEFT priority-list placements
   kMergeCommitted,      ///< Step-3 merges committed
-  kMergeMemoHits,       ///< Step-3 blockRequirement memo hits
-  kMergeMemoMisses,     ///< Step-3 blockRequirement memo misses (oracle runs)
+  kMergeMemoHits,       ///< Step-3 probes served by the oracle memo
+  kMergeMemoMisses,     ///< Step-3 probes that ran the oracle
   kMergeProbes,         ///< Step-3 candidate merge probes
   kPortfolioArms,       ///< portfolio arms raced
   kQuotientMerges,      ///< QuotientGraph::merge transactions applied
@@ -60,8 +60,6 @@ enum class Counter : unsigned {
   kReschedFaultGreedyWins,   ///< fault repairs where greedy re-execution won
   kReschedFaultRetries,      ///< fault repairs re-attempted after backoff
   kReschedFaultTriggers,     ///< fault-triggered repair firings
-  kReschedMemoHits,     ///< resched repair memo hits
-  kReschedMemoMisses,   ///< resched repair memo misses
   kReschedRejected,     ///< online reschedules rejected by hindsight guard
   kReschedTriggers,     ///< trigger-policy firings
   kServiceBreakerProbes,     ///< circuit-breaker half-open probe solves

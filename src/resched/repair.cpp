@@ -6,8 +6,6 @@
 #include <set>
 #include <utility>
 
-#include "obs/obs.hpp"
-
 namespace dagpm::resched {
 
 using graph::VertexId;
@@ -206,11 +204,6 @@ RepairResult repairResidual(ResidualState& state,
   constexpr double kMemSlack = 1.0 + 1e-12;
 
   enum class Kind { kNone, kMove, kSwap, kMerge };
-  // Memo of oracle.blockRequirement over merge candidates, keyed on
-  // (host, victim). Moves and swaps never change block memberships, so
-  // entries survive those commits and the round loop re-probes the same
-  // pairs for free; a committed merge invalidates everything.
-  std::map<std::pair<std::size_t, std::size_t>, double> memReqMemo;
   for (int round = 0; round < cfg.maxRounds; ++round) {
     Kind bestKind = Kind::kNone;
     std::size_t bestA = 0;
@@ -271,21 +264,12 @@ RepairResult repairResidual(ResidualState& state,
           // merge would re-traverse the union and discard it.
           if (bi.doneSteps > 0 || bj.doneSteps > 0) continue;
           --mergeBudget;
-          const auto memoKey = std::make_pair(j, i);
-          const auto memoIt = memReqMemo.find(memoKey);
-          obs::add(memoIt != memReqMemo.end()
-                       ? obs::Counter::kReschedMemoHits
-                       : obs::Counter::kReschedMemoMisses);
-          double mem;
-          if (memoIt != memReqMemo.end()) {
-            mem = memoIt->second;
-          } else {
-            std::vector<VertexId> unionMembers = bj.members;
-            unionMembers.insert(unionMembers.end(), bi.members.begin(),
-                                bi.members.end());
-            mem = oracle.blockRequirement(unionMembers);
-            memReqMemo.emplace(memoKey, mem);
-          }
+          // Moves and swaps keep memberships, so later rounds re-probe the
+          // same unions; the oracle's memo serves them.
+          std::vector<VertexId> unionMembers = bj.members;
+          unionMembers.insert(unionMembers.end(), bi.members.begin(),
+                              bi.members.end());
+          const double mem = oracle.blockRequirement(unionMembers);
           if (mem > capacityOf(state, cluster, bj.proc) * kMemSlack) continue;
           // Apply tentatively and roll back (deep-copying the state per
           // candidate would be O(tasks)); a merge creating a cycle projects
@@ -320,7 +304,6 @@ RepairResult repairResidual(ResidualState& state,
         break;
       case Kind::kMerge:
         applyMerge(state, bestA, bestB, bestMem);
-        memReqMemo.clear();  // memberships changed: memoized probes stale
         ++result.merges;
         break;
       case Kind::kNone:

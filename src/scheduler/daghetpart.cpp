@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "obs/obs.hpp"
 #include "quotient/quotient.hpp"
 #include "scheduler/assignment.hpp"
@@ -163,22 +159,11 @@ ScheduleResult runSweep(const graph::Dag& g, const platform::Cluster& cluster,
     results[i] = dagHetPartSingle(g, cluster, candidates[i], cfg);
   };
 
-#ifdef _OPENMP
-  if (cfg.parallelSweep && candidates.size() > 1) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      runArm(i);
-    }
-  } else {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      runArm(i);
-    }
-  }
-#else
+#pragma omp parallel for schedule(dynamic) \
+    if (cfg.parallelSweep && candidates.size() > 1)
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     runArm(i);
   }
-#endif
 
   ScheduleResult best;
   for (ScheduleResult& r : results) {

@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <tuple>
 
 #include "obs/obs.hpp"
 #include "quotient/incremental.hpp"
@@ -32,13 +31,6 @@ struct ProbeBuffers {
   std::vector<BlockId> seeds, dead, seeds2, dead2;
 };
 
-/// Per-round memo of oracle.blockRequirement over tentative merges, keyed
-/// on (host, absorbed, third). Block membership only changes on commit, so
-/// entries stay valid across the probe passes of one round; the caller
-/// clears the memo after every committed merge. The oracle is
-/// deterministic, so memoized probes are bit-identical to recomputed ones.
-using MemReqMemo = std::map<std::tuple<BlockId, BlockId, BlockId>, double>;
-
 /// FindMSOptMerge (Algorithm 3): finds the best feasible merge of `nu` into
 /// an assigned neighbor from `allowed`. All merges are tentative; the
 /// quotient is restored before returning. With a non-null `eval`, cycle
@@ -50,7 +42,7 @@ CandidateOutcome findMsOptMerge(quotient::QuotientGraph& q,
                                 const memory::MemDagOracle& oracle,
                                 const comm::CommCostModel* comm,
                                 quotient::IncrementalEvaluator* eval,
-                                ProbeBuffers* buffers, MemReqMemo& memReqMemo,
+                                ProbeBuffers* buffers,
                                 BlockId nu, const std::set<BlockId>& allowed,
                                 bool neighborsOnly, int maxProbes = -1,
                                 bool firstFeasibleWins = false) {
@@ -121,20 +113,14 @@ CandidateOutcome findMsOptMerge(quotient::QuotientGraph& q,
     }
     bool done = false;
     if (viable) {
-      // The same (host, nu, third) pair is probed repeatedly across the
-      // off-path / anywhere / rescue passes of a round; memoize the oracle
-      // evaluation (valid until the next commit changes memberships).
-      const auto memoKey = std::make_tuple(host, nu, third);
-      const auto memoIt = memReqMemo.find(memoKey);
-      obs::add(memoIt != memReqMemo.end() ? obs::Counter::kMergeMemoHits
-                                          : obs::Counter::kMergeMemoMisses);
-      const double memReq =
-          memoIt != memReqMemo.end()
-              ? memoIt->second
-              : memReqMemo
-                    .emplace(memoKey,
-                             oracle.blockRequirement(q.node(host).members))
-                    .first->second;
+      // The same merged set is probed repeatedly across the off-path /
+      // anywhere / rescue passes of a round; the oracle's memo serves the
+      // repeats, and its evaluation count tells a hit from a miss.
+      const std::size_t evalsBefore = oracle.evaluations();
+      const double memReq = oracle.blockRequirement(q.node(host).members);
+      obs::add(oracle.evaluations() == evalsBefore
+                   ? obs::Counter::kMergeMemoHits
+                   : obs::Counter::kMergeMemoMisses);
       if (memReq <= cluster.memory(q.node(host).proc)) {
         std::optional<double> makespan;
         if (eval != nullptr) {
@@ -222,7 +208,6 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
   // failed attempt (see below).
   std::map<BlockId, std::uint32_t> mergesAtLastFailure;
   int rescueProbesLeft = cfg.rescueProbeBudget;
-  MemReqMemo memReqMemo;  // oracle probes, cleared on every commit
 
   while (!unassigned.empty()) {
     const BlockId nu = unassigned.front();
@@ -246,11 +231,11 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
 
     CandidateOutcome outcome =
         findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr, buffersPtr,
-                       memReqMemo, nu, offPath, /*neighborsOnly=*/true);
+                       nu, offPath, /*neighborsOnly=*/true);
     if (outcome.target == kNoBlock && cfg.preferOffCriticalPath) {
       // No feasible merge off the critical path; allow merges anywhere.
       outcome = findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr,
-                               buffersPtr, memReqMemo, nu, assigned,
+                               buffersPtr, nu, assigned,
                                /*neighborsOnly=*/true);
     }
     if (outcome.target == kNoBlock && cfg.anyHostFallback &&
@@ -265,7 +250,7 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
       // attempts cannot dominate the runtime of large instances.
       const int probes = std::min(rescueProbesLeft, cfg.maxRescueProbes);
       outcome = findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr,
-                               buffersPtr, memReqMemo, nu, assigned,
+                               buffersPtr, nu, assigned,
                                /*neighborsOnly=*/false, probes,
                                /*firstFeasibleWins=*/true);
       rescueProbesLeft -= probes;
@@ -282,7 +267,6 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
       q.setMemReq(outcome.target, outcome.mergedMemReq);
       if (outcome.third != kNoBlock) assigned.erase(outcome.third);
       if (evalPtr != nullptr) evalPtr->rebuild();  // structural commit
-      memReqMemo.clear();  // memberships changed: memoized probes are stale
       ++result.mergesCommitted;
       obs::add(obs::Counter::kMergeCommitted);
       continue;

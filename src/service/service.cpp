@@ -6,9 +6,7 @@
 #include <string>
 #include <utility>
 
-#ifdef _OPENMP
 #include <omp.h>
-#endif
 
 #include "memory/oracle.hpp"
 #include "scheduler/list_scheduler.hpp"
@@ -98,13 +96,11 @@ void SchedulerService::drain() {
 }
 
 void SchedulerService::workerLoop() {
-#ifdef _OPENMP
-  // Pin the worker to one OpenMP thread, as anchor::drainOnPool does: a
+  // Pin the worker to one OpenMP thread, as anchor::race pins its arms: a
   // job's inner parallel regions (the Step-4 swap scan) then stay on this
   // thread instead of opening an nproc team per worker, and the
   // ThreadCounterScope delta sees every count.
   if (cfg_.singleThreadedJobs) omp_set_num_threads(1);
-#endif
   BreakerState breaker;
   breaker.cooldownJobs = std::max(1, cfg_.breakerCooldownJobs);
   for (;;) {

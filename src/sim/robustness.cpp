@@ -61,16 +61,8 @@ RobustnessSummary evaluateRobustness(const graph::Dag& g,
     runs[i] = {run.ok, run.error, run.makespan, run.memoryOverflows,
                run.maxMemoryExcess};
   };
-#ifdef _OPENMP
-  if (options.parallel) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::size_t i = 0; i < runs.size(); ++i) runOne(i);
-  } else {
-    for (std::size_t i = 0; i < runs.size(); ++i) runOne(i);
-  }
-#else
+#pragma omp parallel for schedule(dynamic) if (options.parallel)
   for (std::size_t i = 0; i < runs.size(); ++i) runOne(i);
-#endif
 
   summary.ok = true;
   summary.makespans.reserve(runs.size());

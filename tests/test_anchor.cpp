@@ -9,9 +9,7 @@
 #include <limits>
 #include <vector>
 
-#ifdef _OPENMP
 #include <omp.h>
-#endif
 
 #include "anchor/annealing.hpp"
 #include "anchor/bnb.hpp"
@@ -183,21 +181,6 @@ TEST(Anchor, BnbRespectsNodeBudget) {
   }
 }
 
-/// Runs `fn` under a fixed OpenMP thread count, restoring the previous one.
-template <typename Fn>
-auto withThreads(int threads, Fn&& fn) {
-#ifdef _OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(threads);
-  auto result = fn();
-  omp_set_num_threads(before);
-  return result;
-#else
-  (void)threads;
-  return fn();
-#endif
-}
-
 TEST(Anchor, AnnealNeverWorsensSeedAndIsThreadCountInvariant) {
   const Dag g = test::randomLayeredDag(6, 6, 3, 97);
   const platform::Cluster cluster = tinyCluster(g, 6);
@@ -209,9 +192,9 @@ TEST(Anchor, AnnealNeverWorsensSeedAndIsThreadCountInvariant) {
   cfg.stepsPerRestart = 300;
   cfg.descentSteps = 100;
 
-  const anchor::AnnealResult one = withThreads(
+  const anchor::AnnealResult one = test::withOmpThreads(
       1, [&] { return anchor::refine(g, cluster, seed, cfg); });
-  const anchor::AnnealResult three = withThreads(
+  const anchor::AnnealResult three = test::withOmpThreads(
       3, [&] { return anchor::refine(g, cluster, seed, cfg); });
 
   EXPECT_LE(one.refinedMakespan, seed.makespan);
@@ -287,6 +270,29 @@ TEST(Anchor, PortfolioWinnerEqualsBestSequentialArm) {
   const auto report =
       scheduler::validateSchedule(g, cluster, oracle, raced.schedule);
   EXPECT_TRUE(report.valid) << report.error;
+}
+
+TEST(Anchor, PortfolioLeavesCallerOmpThreadCountUnchanged) {
+  // A wave that runs on one thread must not pin the caller: the caller's
+  // OpenMP thread count is the same before and after the race.
+  const Dag g = test::randomLayeredDag(4, 4, 2, 7);
+  const platform::Cluster cluster = tinyCluster(g, 4);
+  anchor::PortfolioConfig cfg;
+  cfg.saArms = 1;  // a one-arm refinement wave
+  cfg.anneal.restarts = 1;
+  cfg.anneal.stepsPerRestart = 50;
+  cfg.anneal.descentSteps = 10;
+  const std::vector<anchor::PortfolioArm> arms =
+      anchor::defaultArms(cluster, cfg);
+  for (const int workers : {1, 4}) {
+    cfg.numThreads = workers;
+    const int after = test::withOmpThreads(3, [&] {
+      const anchor::PortfolioResult raced = anchor::race(g, cluster, arms, cfg);
+      EXPECT_NE(raced.winningArm, anchor::kNoArm);
+      return omp_get_max_threads();
+    });
+    EXPECT_EQ(after, 3) << "numThreads=" << workers;
+  }
 }
 
 TEST(Anchor, RelaxationBoundsEveryFeasibleSchedule) {

@@ -10,10 +10,6 @@
 
 #include <cmath>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "anchor/annealing.hpp"
 #include "anchor/bnb.hpp"
 #include "comm/cost_model.hpp"
@@ -637,17 +633,10 @@ TEST_P(IncrementalFuzz, ParallelSwapScanIsThreadCountReproducible) {
   }
   const auto run = [&](int threads, bool full) {
     quotient::QuotientGraph q = base;  // value copy: independent state
-#ifdef _OPENMP
-    const int saved = omp_get_max_threads();
-    if (threads > 0) omp_set_num_threads(threads);
-#endif
     scheduler::SwapStepConfig cfg;
     cfg.fullReevaluation = full;
-    const scheduler::SwapStepResult result =
-        scheduler::improveBySwaps(q, fc.cluster, cfg);
-#ifdef _OPENMP
-    omp_set_num_threads(saved);
-#endif
+    const scheduler::SwapStepResult result = test::withOmpThreads(
+        threads, [&] { return scheduler::improveBySwaps(q, fc.cluster, cfg); });
     std::vector<platform::ProcessorId> procs;
     for (const BlockId b : q.aliveNodes()) procs.push_back(q.node(b).proc);
     return std::make_tuple(result.makespan, result.swapsCommitted,

@@ -390,6 +390,27 @@ TEST(Oracle, MemoizesRepeatedBlocks) {
   const double second = oracle.blockRequirement(half);
   EXPECT_DOUBLE_EQ(first, second);
   EXPECT_EQ(oracle.evaluations(), evalsAfterFirst);  // served from memo
+
+  // The memo is keyed by the member set, not the list order.
+  const std::vector<VertexId> permuted(half.rbegin(), half.rend());
+  EXPECT_EQ(oracle.blockRequirement(permuted), first);
+  EXPECT_EQ(oracle.evaluations(), evalsAfterFirst);
+
+  // A distinct set of the same size gets its own evaluation and value.
+  std::vector<VertexId> other;
+  for (VertexId v = 0; v < half.size(); ++v) {
+    other.push_back(g.numVertices() - 1 - v);
+  }
+  const double otherReq = oracle.blockRequirement(other);
+  EXPECT_EQ(oracle.evaluations(), evalsAfterFirst + 1);
+  EXPECT_EQ(otherReq, MemDagOracle(g).blockRequirement(other));
+
+  // bestTraversal fills the memo for blockRequirement on the same set.
+  const std::vector<VertexId> pair{0, 1};
+  const TraversalResult traversal = oracle.bestTraversal(pair);
+  const std::size_t evalsAfterTraversal = oracle.evaluations();
+  EXPECT_EQ(oracle.blockRequirement(pair), traversal.peak);
+  EXPECT_EQ(oracle.evaluations(), evalsAfterTraversal);
 }
 
 TEST(Oracle, EmptyBlockIsFree) {

@@ -4,10 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <string>
 #include <vector>
 
@@ -18,6 +14,7 @@
 #include "scheduler/daghetpart.hpp"
 #include "sim/engine.hpp"
 #include "support/json.hpp"
+#include "test_util.hpp"
 #include "workflows/families.hpp"
 
 namespace dagpm {
@@ -86,17 +83,10 @@ TEST_F(ObsTest, SpanAggregatesAccumulateCallsAndSeconds) {
 TEST_F(ObsTest, CountersMergeAcrossThreads) {
   obs::enableCounters(true);
   obs::resetForTest();
-#ifdef _OPENMP
-#pragma omp parallel num_threads(3)
-  {
-#pragma omp for
-    for (int i = 0; i < 300; ++i) {
-      obs::add(obs::Counter::kMergeProbes);
-    }
+#pragma omp parallel for num_threads(3)
+  for (int i = 0; i < 300; ++i) {
+    obs::add(obs::Counter::kMergeProbes);
   }
-#else
-  for (int i = 0; i < 300; ++i) obs::add(obs::Counter::kMergeProbes);
-#endif
   for (const obs::CounterValue& c : obs::counterSnapshot()) {
     if (std::string(c.name) == "merge.probes") {
       EXPECT_EQ(c.value, 300u);
@@ -121,22 +111,13 @@ TEST_F(ObsTest, StatsTextIdenticalAcrossOmpThreadCounts) {
   cfg.parallelSweep = true;
 
   obs::enableCounters(true);
-  const auto runWithThreads = [&](int threads) {
+  const auto run = [&] {
     obs::resetForTest();
-#ifdef _OPENMP
-    omp_set_num_threads(threads);
-#else
-    (void)threads;
-#endif
-    const scheduler::ScheduleResult r = scheduler::dagHetPart(g, cluster, cfg);
-    EXPECT_TRUE(r.feasible);
+    EXPECT_TRUE(scheduler::dagHetPart(g, cluster, cfg).feasible);
     return obs::statsText();
   };
-  const std::string one = runWithThreads(1);
-  const std::string three = runWithThreads(3);
-#ifdef _OPENMP
-  omp_set_num_threads(omp_get_num_procs());
-#endif
+  const std::string one = test::withOmpThreads(1, run);
+  const std::string three = test::withOmpThreads(3, run);
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, three);
   // The table actually counted the pipeline (not all zeros).

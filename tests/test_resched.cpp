@@ -6,10 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -470,23 +466,12 @@ TEST(Resched, RunnerIsBitReproducibleAcrossThreadCounts) {
   options.replications = 4;
   options.seed = 77;
 
-  auto runWithThreads = [&](int threads) {
-#ifdef _OPENMP
-    const int before = omp_get_max_threads();
-    omp_set_num_threads(threads);
-    const auto outcomes =
-        experiments::runRescheduling(instances, cluster, levels, options);
-    omp_set_num_threads(before);
-#else
-    (void)threads;
-    const auto outcomes =
-        experiments::runRescheduling(instances, cluster, levels, options);
-#endif
-    return outcomes;
+  const auto run = [&] {
+    return experiments::runRescheduling(instances, cluster, levels, options);
   };
 
-  const auto one = runWithThreads(1);
-  const auto four = runWithThreads(4);
+  const auto one = test::withOmpThreads(1, run);
+  const auto four = test::withOmpThreads(4, run);
   ASSERT_EQ(one.size(), four.size());
   ASSERT_FALSE(one.empty());
   for (std::size_t i = 0; i < one.size(); ++i) {

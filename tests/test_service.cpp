@@ -16,9 +16,7 @@
 #include <string_view>
 #include <vector>
 
-#ifdef _OPENMP
 #include <omp.h>
-#endif
 
 #include "comm/cost_model.hpp"
 #include "platform/cluster.hpp"
@@ -357,9 +355,6 @@ TEST(ServiceEngine, WorkersKeepInnerParallelRegionsOnTheWorkerThread) {
   // worker and the probes made on the team threads would escape the
   // worker's ThreadCounterScope. Pinned workers attribute every count: the
   // response's deltas equal a sequential single-thread solve's.
-#ifndef _OPENMP
-  GTEST_SKIP() << "needs OpenMP";
-#else
   if (omp_get_max_threads() < 2) {
     GTEST_SKIP() << "needs OMP_NUM_THREADS > 1";
   }
@@ -371,15 +366,12 @@ TEST(ServiceEngine, WorkersKeepInnerParallelRegionsOnTheWorkerThread) {
 
   obs::enableCounters(true);
   obs::resetForTest();
-  std::vector<obs::CounterValue> sequential;
-  {
-    const int threads = omp_get_max_threads();
-    omp_set_num_threads(1);
-    const obs::ThreadCounterScope scope;
-    ASSERT_TRUE(scheduler::dagHetPart(g, cluster, cfg).feasible);
-    sequential = scope.deltas();
-    omp_set_num_threads(threads);
-  }
+  const std::vector<obs::CounterValue> sequential =
+      test::withOmpThreads(1, [&] {
+        const obs::ThreadCounterScope scope;
+        EXPECT_TRUE(scheduler::dagHetPart(g, cluster, cfg).feasible);
+        return scope.deltas();
+      });
   ServiceConfig sc;
   sc.numThreads = 2;
   SchedulerService svc(sc);
@@ -402,7 +394,6 @@ TEST(ServiceEngine, WorkersKeepInnerParallelRegionsOnTheWorkerThread) {
     if (name == "span.peak_depth") continue;  // max gauge, not a delta
     EXPECT_EQ(response.counters[i].value, sequential[i].value) << name;
   }
-#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -5,10 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <cmath>
 
@@ -338,23 +334,13 @@ TEST(Robustness, FixedSeedIsBitReproducibleAcrossThreadCounts) {
   options.sim.comm = sim::CommModel::kTaskEager;
   options.sim.contention = true;
 
-  auto runWithThreads = [&](int threads) {
-#ifdef _OPENMP
-    const int before = omp_get_max_threads();
-    omp_set_num_threads(threads);
-    const sim::RobustnessSummary s = sim::evaluateRobustness(
-        fc.dag, fc.cluster, schedule, oracle, options);
-    omp_set_num_threads(before);
-#else
-    (void)threads;
-    const sim::RobustnessSummary s = sim::evaluateRobustness(
-        fc.dag, fc.cluster, schedule, oracle, options);
-#endif
-    return s;
+  const auto run = [&] {
+    return sim::evaluateRobustness(fc.dag, fc.cluster, schedule, oracle,
+                                   options);
   };
 
-  const sim::RobustnessSummary one = runWithThreads(1);
-  const sim::RobustnessSummary four = runWithThreads(4);
+  const sim::RobustnessSummary one = test::withOmpThreads(1, run);
+  const sim::RobustnessSummary four = test::withOmpThreads(4, run);
   ASSERT_TRUE(one.ok) << one.error;
   ASSERT_TRUE(four.ok) << four.error;
   ASSERT_EQ(one.makespans.size(), four.makespans.size());

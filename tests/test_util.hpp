@@ -7,6 +7,8 @@
 #include <limits>
 #include <vector>
 
+#include <omp.h>
+
 #include "graph/dag.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
@@ -70,6 +72,17 @@ inline double bruteForceMinPeak(const graph::SubDag& sub) {
   };
   recurse(recurse);
   return best;
+}
+
+/// Runs `fn` with the OpenMP thread count set to `threads` and restores the
+/// caller's count afterwards; returns what `fn` returns.
+template <typename Fn>
+auto withOmpThreads(int threads, Fn&& fn) {
+  const int before = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  auto result = fn();
+  omp_set_num_threads(before);
+  return result;
 }
 
 /// Wraps a whole Dag as a SubDag with no boundary (identity mapping).

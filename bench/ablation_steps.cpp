@@ -60,7 +60,7 @@ int main() {
   support::Table table({"variant", "scheduled", "rel.makespan vs baseline"});
   experiments::OutcomeGroups groups;
   for (const Variant& variant : variants) {
-    auto options = ctx.options("default-36|beta1|ablate-" + variant.name);
+    auto options = ctx.options();
     options.part = variant.cfg;
     options.part.sweep = ctx.sweep();
     const auto outcomes =

@@ -33,7 +33,7 @@ int main() {
                         "rel.makespan vs baseline", "avg runtime (s)"});
   experiments::OutcomeGroups groups;
   for (const auto& [name, sweep] : sweeps) {
-    auto options = ctx.options("default-36|beta1|sweep-" + name);
+    auto options = ctx.options();
     options.part.sweep = sweep;
     const auto outcomes =
         experiments::runComparison(instances, cluster, options);

@@ -2,9 +2,8 @@
 // Shared plumbing for the bench binaries. Every bench binary regenerates one
 // table or figure of the paper: it builds the instance set for the active
 // scale (DAGPM_QUICK / default / DAGPM_FULL), runs both schedulers through
-// the experiment harness (OpenMP-parallel across instances, results shared
-// between binaries via an on-disk cache), and prints the same rows/series
-// the paper reports.
+// the experiment harness (OpenMP-parallel across instances), and prints the
+// same rows/series the paper reports.
 
 #include <cstdio>
 #include <iostream>
@@ -26,23 +25,10 @@ using experiments::Instance;
 using experiments::RunOutcome;
 using workflows::SizeBand;
 
-inline const char* bandName(SizeBand band) {
-  static const std::string names[] = {"real", "small", "mid", "big"};
-  switch (band) {
-    case SizeBand::kReal: return names[0].c_str();
-    case SizeBand::kSmall: return names[1].c_str();
-    case SizeBand::kMid: return names[2].c_str();
-    case SizeBand::kBig: return names[3].c_str();
-  }
-  return "?";
-}
-
-/// Holds the environment, the shared result cache, and scheduler options.
+/// Holds the environment and the scheduler options it selects.
 class BenchContext {
  public:
-  BenchContext()
-      : env_(support::BenchEnv::fromEnvironment()),
-        cache_(experiments::defaultCachePath()) {}
+  BenchContext() : env_(support::BenchEnv::fromEnvironment()) {}
 
   [[nodiscard]] const support::BenchEnv& env() const noexcept { return env_; }
 
@@ -62,13 +48,9 @@ class BenchContext {
     return instances;
   }
 
-  /// Runner options bound to the shared cache. `tag` must identify the
-  /// cluster + scheduler configuration uniquely.
-  experiments::RunnerOptions options(const std::string& tag) {
+  /// Runner options with the active k' sweep.
+  [[nodiscard]] experiments::RunnerOptions options() const {
     experiments::RunnerOptions opts;
-    opts.cacheTag = tag + "|" + scaleName() + "|seeds" +
-                    std::to_string(env_.seeds) + "|" + sweepName();
-    opts.cache = &cache_;
     opts.part.sweep = sweep();
     return opts;
   }
@@ -98,7 +80,6 @@ class BenchContext {
   }
 
   support::BenchEnv env_;
-  support::ResultCache cache_;
 };
 
 /// Standard preamble: what this bench regenerates and at which scale.
@@ -160,7 +141,8 @@ inline void printBandTable(const std::vector<RunOutcome>& outcomes,
   support::Table table({firstColumn, "workflows", "scheduled(part/mem)",
                         "rel.makespan", "speedup"});
   for (const auto& [band, agg] : byBand) {
-    table.addRow({label + "/" + bandName(band), std::to_string(agg.total),
+    table.addRow({label + "/" + workflows::sizeBandName(band),
+                  std::to_string(agg.total),
                   std::to_string(agg.partScheduled) + "/" +
                       std::to_string(agg.memScheduled),
                   support::Table::percent(agg.geomeanRatio),

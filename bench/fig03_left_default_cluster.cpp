@@ -17,14 +17,14 @@ int main() {
   const platform::Cluster cluster = platform::makeCluster(
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
   const auto outcomes = experiments::runComparison(
-      ctx.allInstances(), cluster, ctx.options("default-36|beta1"));
+      ctx.allInstances(), cluster, ctx.options());
 
   const auto byBand = experiments::aggregateByBand(outcomes);
   support::Table table({"workflow type", "workflows", "scheduled(part/mem)",
                         "rel.makespan", "speedup"});
   std::vector<double> allRatios;
   for (const auto& [band, agg] : byBand) {
-    table.addRow({bench::bandName(band), std::to_string(agg.total),
+    table.addRow({workflows::sizeBandName(band), std::to_string(agg.total),
                   std::to_string(agg.partScheduled) + "/" +
                       std::to_string(agg.memScheduled),
                   support::Table::percent(agg.geomeanRatio),

@@ -26,7 +26,7 @@ int main() {
     const platform::Cluster cluster =
         platform::makeCluster(platform::Heterogeneity::kDefault, size);
     const auto outcomes = experiments::runComparison(
-        instances, cluster, ctx.options(name + "|beta1"));
+        instances, cluster, ctx.options());
     groups.emplace_back(name, outcomes);
     for (const auto& [band, agg] : experiments::aggregateByBand(outcomes)) {
       rows[band].push_back(agg.geomeanRatio > 0.0
@@ -35,7 +35,7 @@ int main() {
     }
   }
   for (const auto& [band, cells] : rows) {
-    std::vector<std::string> row{bench::bandName(band)};
+    std::vector<std::string> row{workflows::sizeBandName(band)};
     row.insert(row.end(), cells.begin(), cells.end());
     table.addRow(row);
   }

@@ -31,7 +31,7 @@ int main() {
     const platform::Cluster cluster =
         platform::makeCluster(het, platform::ClusterSize::kDefault);
     const auto outcomes = experiments::runComparison(
-        instances, cluster, ctx.options(name + "-36|beta1"));
+        instances, cluster, ctx.options());
     groups.emplace_back(name, outcomes);
     for (const auto& [band, agg] : experiments::aggregateByBand(outcomes)) {
       relRows[band].push_back(agg.geomeanRatio > 0.0
@@ -47,7 +47,7 @@ int main() {
   std::cout << "Fig. 4 left: relative makespan (DagHetPart/DagHetMem)\n";
   support::Table rel({"workflow type", "NoHet", "LessHet", "default", "MoreHet"});
   for (const auto& [band, cells] : relRows) {
-    std::vector<std::string> row{bench::bandName(band)};
+    std::vector<std::string> row{workflows::sizeBandName(band)};
     row.insert(row.end(), cells.begin(), cells.end());
     rel.addRow(row);
   }
@@ -56,7 +56,7 @@ int main() {
   std::cout << "\nFig. 4 right: absolute DagHetPart makespan (geomean)\n";
   support::Table abs({"workflow type", "NoHet", "LessHet", "default", "MoreHet"});
   for (const auto& [band, cells] : absRows) {
-    std::vector<std::string> row{bench::bandName(band)};
+    std::vector<std::string> row{workflows::sizeBandName(band)};
     row.insert(row.end(), cells.begin(), cells.end());
     abs.addRow(row);
   }

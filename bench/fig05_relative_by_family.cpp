@@ -23,7 +23,7 @@ int main() {
     return inst.band == workflows::SizeBand::kReal;
   });
   const auto outcomes = experiments::runComparison(
-      instances, cluster, ctx.options("default-36|beta1"));
+      instances, cluster, ctx.options());
 
   // Collect sizes actually present, in ascending order.
   std::set<int> sizes;

@@ -22,7 +22,7 @@ int main() {
     return inst.band == workflows::SizeBand::kReal;
   });
   const auto outcomes = experiments::runComparison(
-      instances, cluster, ctx.options("default-36|beta1"));
+      instances, cluster, ctx.options());
 
   std::set<int> sizes;
   for (const auto& out : outcomes) sizes.insert(out.numTasks);

@@ -29,7 +29,7 @@ int main() {
     char tag[64];
     std::snprintf(tag, sizeof tag, "beta%g", beta);
     const auto outcomes = experiments::runComparison(
-        instances, cluster, ctx.options("default-36|" + std::string(tag)));
+        instances, cluster, ctx.options());
     groups.emplace_back(tag, outcomes);
     for (const auto& [band, agg] : experiments::aggregateByBand(outcomes)) {
       rows[band].push_back(agg.geomeanRatio > 0.0
@@ -64,7 +64,7 @@ int main() {
   }
   support::Table table(header);
   for (const auto& [band, cells] : rows) {
-    std::vector<std::string> row{bench::bandName(band)};
+    std::vector<std::string> row{workflows::sizeBandName(band)};
     row.insert(row.end(), cells.begin(), cells.end());
     table.addRow(row);
   }

@@ -4,8 +4,7 @@
 // on mid (1.02x) and *faster* on big workflows (0.85x) because the baseline
 // must compute a memory traversal of the entire graph.
 //
-// Caveat: timings come from the shared result cache; the first bench binary
-// to need a configuration measures it while other instances run in parallel
+// Caveat: each instance is timed while other instances run in parallel
 // (OpenMP), so absolute numbers carry scheduling noise. Shapes are stable.
 
 #include <iostream>
@@ -23,7 +22,7 @@ int main() {
   const platform::Cluster cluster = platform::makeCluster(
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
   const auto outcomes = experiments::runComparison(
-      ctx.allInstances(), cluster, ctx.options("default-36|beta1"));
+      ctx.allInstances(), cluster, ctx.options());
 
   std::set<int> sizes;
   for (const auto& out : outcomes) {

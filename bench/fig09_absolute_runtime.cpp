@@ -18,7 +18,7 @@ int main() {
   const platform::Cluster cluster = platform::makeCluster(
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
   const auto outcomes = experiments::runComparison(
-      ctx.allInstances(), cluster, ctx.options("default-36|beta1"));
+      ctx.allInstances(), cluster, ctx.options());
 
   support::Table table({"workflow type", "min (s)", "mean (s)", "max (s)"});
   const auto byBand = experiments::aggregateByBand(outcomes);
@@ -30,7 +30,7 @@ int main() {
       }
     }
     if (seconds.empty()) continue;
-    table.addRow({bench::bandName(band),
+    table.addRow({workflows::sizeBandName(band),
                   support::Table::num(support::minOf(seconds), 3),
                   support::Table::num(support::mean(seconds), 3),
                   support::Table::num(support::maxOf(seconds), 3)});

@@ -38,12 +38,7 @@ mkdir -p "$repo_root/bench/baselines"
 for bench in "${benches[@]}"; do
   out="$repo_root/bench/baselines/BENCH_${bench}.quick.json"
   echo "recording $out"
-  # A fresh cache per bench: baselines must not inherit stale results.
-  cache="$(mktemp)"
-  rm -f "$cache"
-  DAGPM_QUICK=1 DAGPM_CACHE="$cache" DAGPM_JSON_OUT="$out" \
-    "$build_dir/bench/$bench" > /dev/null
-  rm -f "$cache"
+  DAGPM_QUICK=1 DAGPM_JSON_OUT="$out" "$build_dir/bench/$bench" > /dev/null
   python3 -m json.tool "$out" > /dev/null
 done
 echo "done; diff + commit the refreshed baselines"

@@ -27,10 +27,11 @@ int main() {
     const platform::Cluster cluster =
         platform::makeCluster(platform::Heterogeneity::kDefault, size);
     const auto outcomes = experiments::runComparison(
-        instances, cluster, ctx.options(name + "|beta1"));
+        instances, cluster, ctx.options());
     groups.emplace_back(name, outcomes);
     for (const auto& [band, agg] : experiments::aggregateByBand(outcomes)) {
-      table.addRow({name, bench::bandName(band), std::to_string(agg.total),
+      table.addRow({name, workflows::sizeBandName(band),
+                    std::to_string(agg.total),
                     std::to_string(agg.partScheduled),
                     std::to_string(agg.memScheduled)});
     }

@@ -17,9 +17,9 @@ int main() {
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
 
   const auto base = experiments::runComparison(
-      ctx.allInstances(1.0), cluster, ctx.options("default-36|beta1"));
+      ctx.allInstances(1.0), cluster, ctx.options());
   const auto heavy = experiments::runComparison(
-      ctx.allInstances(4.0), cluster, ctx.options("default-36|beta1|w4"));
+      ctx.allInstances(4.0), cluster, ctx.options());
 
   const auto baseAgg = experiments::aggregateByBand(base);
   const auto heavyAgg = experiments::aggregateByBand(heavy);
@@ -30,7 +30,7 @@ int main() {
     const auto it = heavyAgg.find(band);
     if (it == heavyAgg.end()) continue;
     const double delta = it->second.geomeanRatio - agg.geomeanRatio;
-    table.addRow({bench::bandName(band),
+    table.addRow({workflows::sizeBandName(band),
                   support::Table::percent(agg.geomeanRatio),
                   support::Table::percent(it->second.geomeanRatio),
                   support::Table::num(delta * 100.0, 1) + "pp"});

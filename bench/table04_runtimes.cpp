@@ -17,13 +17,13 @@ int main() {
   const platform::Cluster cluster = platform::makeCluster(
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
   const auto outcomes = experiments::runComparison(
-      ctx.allInstances(), cluster, ctx.options("default-36|beta1"));
+      ctx.allInstances(), cluster, ctx.options());
 
   support::Table table({"Workflow set", "avg. relative runtime",
                         "avg. absolute runtime (sec)"});
   const auto byBand = experiments::aggregateByBand(outcomes);
   for (const auto& [band, agg] : byBand) {
-    table.addRow({bench::bandName(band),
+    table.addRow({workflows::sizeBandName(band),
                   agg.geomeanRuntimeRatio > 0.0
                       ? support::Table::num(agg.geomeanRuntimeRatio, 2)
                       : "-",

@@ -5,7 +5,7 @@
 // keep compile times down in larger projects.
 
 // Support utilities.
-#include "support/csv.hpp"      // CSV writer, on-disk result cache
+#include "support/csv.hpp"      // CSV writer
 #include "support/env.hpp"      // bench scale environment
 #include "support/json.hpp"     // JSON parser/writer
 #include "support/rng.hpp"      // deterministic SplitMix64 RNG

@@ -6,7 +6,6 @@
 
 #include "obs/obs.hpp"
 #include "scheduler/solution.hpp"
-#include "support/env.hpp"
 #include "support/stats.hpp"
 
 namespace dagpm::experiments {
@@ -65,37 +64,18 @@ std::vector<Instance> makeRealInstances(int seeds, double workScale) {
 
 namespace {
 
-struct CachedRun {
-  bool feasible = false;
-  double makespan = 0.0;
-  double seconds = 0.0;
-};
-
-std::optional<CachedRun> lookupCached(const RunnerOptions& options,
-                                      const std::string& key) {
-  if (options.cache == nullptr) return std::nullopt;
-  std::optional<CachedRun> result;
-  // The cache map is shared by all worker threads.
-#pragma omp critical(dagpm_result_cache)
-  {
-    const auto feasible = options.cache->lookup(key + "/feasible");
-    const auto makespan = options.cache->lookup(key + "/makespan");
-    const auto seconds = options.cache->lookup(key + "/seconds");
-    if (feasible && makespan && seconds) {
-      result = CachedRun{*feasible != 0.0, *makespan, *seconds};
-    }
-  }
-  return result;
-}
-
-void storeCached(const RunnerOptions& options, const std::string& key,
-                 const CachedRun& run) {
-  if (options.cache == nullptr) return;
-#pragma omp critical(dagpm_result_cache)
-  {
-    options.cache->store(key + "/feasible", run.feasible ? 1.0 : 0.0);
-    options.cache->store(key + "/makespan", run.makespan);
-    options.cache->store(key + "/seconds", run.seconds);
+/// Throws when a feasible schedule fails the independent validator.
+void requireValid(const char* algorithm, const Instance& inst,
+                  const platform::Cluster& scaled,
+                  const memory::MemDagOracle& oracle,
+                  const scheduler::ScheduleResult& schedule,
+                  const comm::CommCostModel* comm = nullptr) {
+  if (!schedule.feasible) return;
+  const auto report =
+      scheduler::validateSchedule(inst.dag, scaled, oracle, schedule, comm);
+  if (!report.valid) {
+    throw std::logic_error(std::string("invalid ") + algorithm +
+                           " schedule on " + inst.name + ": " + report.error);
   }
 }
 
@@ -105,83 +85,33 @@ std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
                                       const platform::Cluster& cluster,
                                       const RunnerOptions& options) {
   std::vector<RunOutcome> outcomes(instances.size());
-
-  const obs::Span batchSpan("harness.run_comparison",
-                            "instances=" + std::to_string(instances.size()));
-  // Instance spans run on OpenMP worker threads; the explicit parent depth
-  // keeps the trace nesting identical for every OMP_NUM_THREADS.
-  const int instanceParent = batchSpan.depth();
-  auto runOne = [&](std::size_t i) {
-    const Instance& inst = instances[i];
-    const obs::Span instSpan("harness.instance", inst.name, instanceParent);
-    RunOutcome& out = outcomes[i];
-    out.instance = inst.name;
-    out.band = inst.band;
-    out.family = inst.family;
-    out.numTasks = inst.numTasks;
-
-    // Sec. 5.1.2: grow memories proportionally until the most demanding
-    // task fits somewhere.
-    platform::Cluster scaled = cluster;
-    scaled.scaleMemoriesToFit(inst.dag.maxTaskMemoryRequirement());
-
-    const std::string keyBase = options.cacheTag + "|" + inst.name + "|";
-
-    CachedRun part;
-    if (const auto cached = lookupCached(options, keyBase + "part")) {
-      part = *cached;
-    } else {
-      // The instance-level parallel loop already saturates the cores, so
-      // the k' sweep runs sequentially inside it.
-      scheduler::DagHetPartConfig cfg = options.part;
-      cfg.parallelSweep = !options.parallelInstances;
-      const scheduler::ScheduleResult r =
-          scheduler::dagHetPart(inst.dag, scaled, cfg);
-      part = {r.feasible, r.makespan, r.stats.seconds};
-      if (options.validate && r.feasible) {
-        const memory::MemDagOracle oracle(inst.dag, options.part.oracle);
-        // Contention-aware runs report the fair-share priced makespan; the
-        // cross-check must recompute under the same model.
-        const auto report = scheduler::validateSchedule(
-            inst.dag, scaled, oracle, r,
-            scheduler::commModelFor(options.part.options));
-        if (!report.valid) {
-          throw std::logic_error("invalid DagHetPart schedule on " +
-                                 inst.name + ": " + report.error);
+  forEachScheduledInstance(
+      instances, cluster, options.part, options.mem, options.parallelInstances,
+      [&](std::size_t i, const Instance& inst,
+          const platform::Cluster& scaled,
+          const scheduler::ScheduleResult& part,
+          const scheduler::ScheduleResult& mem,
+          const memory::MemDagOracle& partOracle,
+          const memory::MemDagOracle& memOracle) {
+        if (options.validate) {
+          // Contention-aware runs report the fair-share priced makespan;
+          // the cross-check must recompute under the same model.
+          requireValid("DagHetPart", inst, scaled, partOracle, part,
+                       scheduler::commModelFor(options.part.options));
+          requireValid("DagHetMem", inst, scaled, memOracle, mem);
         }
-      }
-      storeCached(options, keyBase + "part", part);
-    }
-
-    CachedRun mem;
-    if (const auto cached = lookupCached(options, keyBase + "mem")) {
-      mem = *cached;
-    } else {
-      const scheduler::ScheduleResult r =
-          scheduler::dagHetMem(inst.dag, scaled, options.mem);
-      mem = {r.feasible, r.makespan, r.stats.seconds};
-      if (options.validate && r.feasible) {
-        const memory::MemDagOracle oracle(inst.dag, options.mem.oracle);
-        const auto report =
-            scheduler::validateSchedule(inst.dag, scaled, oracle, r);
-        if (!report.valid) {
-          throw std::logic_error("invalid DagHetMem schedule on " +
-                                 inst.name + ": " + report.error);
-        }
-      }
-      storeCached(options, keyBase + "mem", mem);
-    }
-
-    out.partFeasible = part.feasible;
-    out.partMakespan = part.makespan;
-    out.partSeconds = part.seconds;
-    out.memFeasible = mem.feasible;
-    out.memMakespan = mem.makespan;
-    out.memSeconds = mem.seconds;
-  };
-
-#pragma omp parallel for schedule(dynamic) if (options.parallelInstances)
-  for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
+        RunOutcome& out = outcomes[i];
+        out.instance = inst.name;
+        out.band = inst.band;
+        out.family = inst.family;
+        out.numTasks = inst.numTasks;
+        out.partFeasible = part.feasible;
+        out.partMakespan = part.makespan;
+        out.partSeconds = part.stats.seconds;
+        out.memFeasible = mem.feasible;
+        out.memMakespan = mem.makespan;
+        out.memSeconds = mem.stats.seconds;
+      });
   return outcomes;
 }
 
@@ -274,10 +204,6 @@ void forEachScheduledInstance(
   };
 #pragma omp parallel for schedule(dynamic) if (parallelInstances)
   for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
-}
-
-std::string defaultCachePath() {
-  return support::getEnvOr("DAGPM_CACHE", "dagpm_results.cache");
 }
 
 }  // namespace dagpm::experiments

@@ -1,12 +1,11 @@
 #pragma once
 // Experiment harness: builds the paper's instance sets, runs both schedulers
-// over them (OpenMP-parallel across instances), caches results on disk so
-// the bench binaries can share work, and aggregates relative makespans the
-// way the paper reports them (geometric mean of per-workflow ratios).
+// over them (OpenMP-parallel across instances), and aggregates relative
+// makespans the way the paper reports them (geometric mean of per-workflow
+// ratios).
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "platform/cluster.hpp"
 #include "scheduler/daghetmem.hpp"
 #include "scheduler/daghetpart.hpp"
-#include "support/csv.hpp"
 #include "workflows/families.hpp"
 #include "workflows/real_world.hpp"
 
@@ -53,28 +51,24 @@ struct RunOutcome {
 struct RunnerOptions {
   scheduler::DagHetPartConfig part;
   scheduler::DagHetMemConfig mem;
-  /// Identifies the (cluster, config) combination in the shared cache; runs
-  /// are only reused across bench binaries when tags match. Empty = no cache.
-  std::string cacheTag;
-  support::ResultCache* cache = nullptr;
   bool parallelInstances = true;  // OpenMP across instances
   bool validate = false;          // re-validate every feasible schedule
 };
 
-/// Runs DagHetPart and DagHetMem on every instance. Before scheduling, the
-/// cluster's memories are scaled (copy) so the largest task requirement fits
-/// somewhere, per Sec. 5.1.2.
+/// Runs DagHetPart and DagHetMem on every instance through
+/// forEachScheduledInstance (memories scaled per Sec. 5.1.2) and records
+/// feasibility, makespan and scheduler runtime of both.
 std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
                                       const platform::Cluster& cluster,
                                       const RunnerOptions& options);
 
-/// Shared scaffolding of the simulation-driven runners (robustness,
-/// rescheduling): schedules every instance with both algorithms on its
-/// memory-scaled cluster copy (Sec. 5.1.2) and hands the results plus the
-/// matching oracles to `consume`, OpenMP-parallel across instances when
-/// requested (the k' sweep's own parallelism is then disabled). `consume`
-/// runs inside the parallel region — callers write to disjoint,
-/// deterministically laid-out slots instead of sharing state.
+/// The harness's scheduling loop, shared by the comparison, robustness,
+/// rescheduling and fault runners: schedules every instance with both
+/// algorithms on its memory-scaled cluster copy (Sec. 5.1.2) and hands the
+/// results plus the matching oracles to `consume`, OpenMP-parallel across
+/// instances when requested (the k' sweep's own parallelism is then
+/// disabled). `consume` runs inside the parallel region — callers write to
+/// disjoint, deterministically laid-out slots instead of sharing state.
 void forEachScheduledInstance(
     const std::vector<Instance>& instances, const platform::Cluster& cluster,
     const scheduler::DagHetPartConfig& part,
@@ -108,8 +102,5 @@ std::map<workflows::SizeBand, Aggregate> aggregateByBand(
 std::map<std::string, Aggregate> aggregateBy(
     const std::vector<RunOutcome>& outcomes,
     const std::function<std::string(const RunOutcome&)>& keyOf);
-
-/// Standard path of the shared bench result cache (honors DAGPM_CACHE).
-std::string defaultCachePath();
 
 }  // namespace dagpm::experiments

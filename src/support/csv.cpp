@@ -1,7 +1,6 @@
 #include "support/csv.hpp"
 
 #include <fstream>
-#include <sstream>
 
 namespace dagpm::support {
 
@@ -35,39 +34,6 @@ bool writeCsv(const std::string& path, const std::vector<std::string>& header,
   // full disk) and must not be reported as success.
   os.close();
   return !os.fail();
-}
-
-ResultCache::ResultCache(std::string path) : path_(std::move(path)) {
-  std::ifstream is(path_);
-  if (!is) return;
-  std::string line;
-  while (std::getline(is, line)) {
-    // Format: key<TAB>value. Keys never contain tabs by construction.
-    const auto tab = line.find('\t');
-    if (tab == std::string::npos) continue;
-    try {
-      entries_[line.substr(0, tab)] = std::stod(line.substr(tab + 1));
-    } catch (...) {
-      // Skip malformed lines (e.g., partial write from a killed bench).
-    }
-  }
-}
-
-std::optional<double> ResultCache::lookup(const std::string& key) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
-void ResultCache::store(const std::string& key, double value) {
-  entries_[key] = value;
-  std::ofstream os(path_, std::ios::app);
-  if (os) {
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << key << '\t' << value << '\n';
-    os << oss.str();
-  }
 }
 
 }  // namespace dagpm::support

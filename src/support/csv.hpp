@@ -1,14 +1,6 @@
 #pragma once
-// Minimal CSV writer + result cache.
-//
-// Several bench binaries need the same (workflow, cluster, scheduler) runs;
-// the cache lets `for b in bench/*; do $b; done` reuse results across binaries
-// instead of recomputing multi-minute schedules. Keys are caller-constructed
-// strings; values are doubles (makespan, runtime, ...). The cache file is
-// append-only CSV so a crashed bench never corrupts previous results.
+// Minimal CSV writer.
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,24 +12,5 @@ std::string csvEscape(const std::string& field);
 /// Write rows to a CSV file (overwrites). Returns false on I/O failure.
 bool writeCsv(const std::string& path, const std::vector<std::string>& header,
               const std::vector<std::vector<std::string>>& rows);
-
-/// Append-only key/value result cache backed by a CSV file.
-class ResultCache {
- public:
-  /// Opens (and loads) the cache at `path`; missing file = empty cache.
-  explicit ResultCache(std::string path);
-
-  [[nodiscard]] std::optional<double> lookup(const std::string& key) const;
-
-  /// Stores and appends to the backing file immediately.
-  void store(const std::string& key, double value);
-
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-  std::map<std::string, double> entries_;
-};
 
 }  // namespace dagpm::support

@@ -16,8 +16,6 @@ BenchEnv BenchEnv::fromEnvironment() {
   env.sweep = getEnvOr("DAGPM_SWEEP", "");
   const std::string seeds = getEnvOr("DAGPM_SEEDS", "");
   if (!seeds.empty()) env.seeds = std::max(1, std::atoi(seeds.c_str()));
-  const std::string threads = getEnvOr("DAGPM_THREADS", "");
-  if (!threads.empty()) env.threads = std::atoi(threads.c_str());
   return env;
 }
 

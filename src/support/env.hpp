@@ -23,7 +23,6 @@ struct BenchEnv {
   BenchScale scale = BenchScale::kDefault;
   std::string sweep;      // empty = bench-specific default
   int seeds = 1;          // instance seeds per configuration
-  int threads = 0;        // 0 = library default (OpenMP decides)
 
   /// Task-count lists per paper size band, already scaled.
   [[nodiscard]] std::vector<int> smallSizes() const;

@@ -1,6 +1,6 @@
-// Coverage for the bench plumbing: band naming, environment-driven scale
-// selection (DAGPM_QUICK / DAGPM_FULL), cache-tag construction, and the
-// one DAGPM_CSV / DAGPM_JSON_OUT export epilogue (round-trip through
+// Coverage for the bench plumbing: environment-driven scale selection
+// (DAGPM_QUICK / DAGPM_FULL / DAGPM_SEEDS / DAGPM_SWEEP), and the one
+// DAGPM_CSV / DAGPM_JSON_OUT export epilogue (round-trip through
 // support/json.cpp).
 
 #include <gtest/gtest.h>
@@ -54,17 +54,6 @@ class ScopedEnv {
   bool hadOld_ = false;
 };
 
-TEST(BenchCommon, BandNamesMatchTheLibraryNames) {
-  for (const SizeBand band : {SizeBand::kReal, SizeBand::kSmall,
-                              SizeBand::kMid, SizeBand::kBig}) {
-    EXPECT_EQ(bench::bandName(band), workflows::sizeBandName(band));
-  }
-  EXPECT_STREQ(bench::bandName(SizeBand::kReal), "real");
-  EXPECT_STREQ(bench::bandName(SizeBand::kSmall), "small");
-  EXPECT_STREQ(bench::bandName(SizeBand::kMid), "mid");
-  EXPECT_STREQ(bench::bandName(SizeBand::kBig), "big");
-}
-
 TEST(BenchCommon, QuickEnvSelectsSmokeScale) {
   ScopedEnv quick("DAGPM_QUICK", "1");
   ScopedEnv full("DAGPM_FULL", nullptr);
@@ -98,21 +87,17 @@ TEST(BenchCommon, DefaultScaleSitsBetweenQuickAndFull) {
   }
 }
 
-TEST(BenchCommon, CacheTagEncodesScaleSeedsAndSweep) {
+TEST(BenchCommon, ContextReadsScaleSeedsAndSweep) {
   ScopedEnv quick("DAGPM_QUICK", "1");
   ScopedEnv full("DAGPM_FULL", nullptr);
   ScopedEnv seeds("DAGPM_SEEDS", "3");
   ScopedEnv sweep("DAGPM_SWEEP", "full");
-  ScopedEnv cache("DAGPM_CACHE",
-                  (testing::TempDir() + "bench_common_tag.cache").c_str());
   bench::BenchContext ctx;
   EXPECT_EQ(ctx.scaleName(), "quick");
+  EXPECT_EQ(ctx.env().seeds, 3);
   EXPECT_EQ(ctx.sweepName(), "full");
   EXPECT_EQ(ctx.sweep(), scheduler::KPrimeSweep::kFull);
-  const auto opts = ctx.options("default-36|beta1");
-  EXPECT_EQ(opts.cacheTag, "default-36|beta1|quick|seeds3|full");
-  EXPECT_NE(opts.cache, nullptr);
-  EXPECT_EQ(opts.part.sweep, scheduler::KPrimeSweep::kFull);
+  EXPECT_EQ(ctx.options().part.sweep, scheduler::KPrimeSweep::kFull);
 }
 
 Aggregate sampleAggregate() {

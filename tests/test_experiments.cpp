@@ -1,10 +1,9 @@
 // Tests for the experiment harness: instance construction, the comparison
-// runner (with validation on), result caching, and aggregation.
+// runner (with validation on), and aggregation.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <set>
 #include <sstream>
 
@@ -75,68 +74,6 @@ TEST(Runner, ComparisonValidatesAndAggregates) {
   EXPECT_LT(agg.geomeanRatio, 1.0);  // the heuristic wins on average
 }
 
-TEST(Runner, CacheAvoidsRecomputation) {
-  const std::string path = testing::TempDir() + "/dagpm_run_cache.tsv";
-  std::remove(path.c_str());
-  auto instances = makeSyntheticInstances({60}, SizeBand::kSmall, 1);
-  instances.resize(2);
-  const platform::Cluster cluster = platform::makeCluster(
-      platform::Heterogeneity::kDefault, platform::ClusterSize::kSmall);
-  std::vector<RunOutcome> first, second;
-  {
-    support::ResultCache cache(path);
-    RunnerOptions options;
-    options.cache = &cache;
-    options.cacheTag = "test-tag";
-    options.parallelInstances = false;
-    options.part.parallelSweep = false;
-    first = runComparison(instances, cluster, options);
-    EXPECT_GT(cache.size(), 0u);
-  }
-  {
-    support::ResultCache cache(path);  // reloaded from disk
-    RunnerOptions options;
-    options.cache = &cache;
-    options.cacheTag = "test-tag";
-    options.parallelInstances = false;
-    options.part.parallelSweep = false;
-    second = runComparison(instances, cluster, options);
-  }
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_DOUBLE_EQ(first[i].partMakespan, second[i].partMakespan);
-    EXPECT_DOUBLE_EQ(first[i].memMakespan, second[i].memMakespan);
-    // Cached runs replay the stored runtime rather than remeasuring.
-    EXPECT_DOUBLE_EQ(first[i].partSeconds, second[i].partSeconds);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Runner, DifferentCacheTagsDoNotCollide) {
-  const std::string path = testing::TempDir() + "/dagpm_tag_cache.tsv";
-  std::remove(path.c_str());
-  support::ResultCache cache(path);
-  auto instances = makeRealInstances(1);
-  instances.resize(1);
-  const platform::Cluster fast = platform::makeCluster(
-      platform::Heterogeneity::kNone, platform::ClusterSize::kSmall);
-  const platform::Cluster slow = platform::makeCluster(
-      platform::Heterogeneity::kDefault, platform::ClusterSize::kSmall);
-  RunnerOptions a;
-  a.cache = &cache;
-  a.cacheTag = "clusterA";
-  a.parallelInstances = false;
-  a.part.parallelSweep = false;
-  RunnerOptions b = a;
-  b.cacheTag = "clusterB";
-  const auto outA = runComparison(instances, fast, a);
-  const auto outB = runComparison(instances, slow, b);
-  // NoHet's all-C2 cluster is strictly faster; results must differ, which
-  // proves the second run did not reuse the first tag's entries.
-  EXPECT_NE(outA[0].partMakespan, outB[0].partMakespan);
-  std::remove(path.c_str());
-}
-
 TEST(Aggregate, GroupsByCustomKey) {
   std::vector<RunOutcome> outcomes(4);
   outcomes[0].family = "BLAST";
@@ -171,10 +108,6 @@ TEST(Aggregate, InfeasibleRunsCountedButNotAveraged) {
   EXPECT_EQ(agg.partScheduled, 1);
   EXPECT_EQ(agg.memScheduled, 2);
   EXPECT_DOUBLE_EQ(agg.geomeanRatio, 0.5);
-}
-
-TEST(Aggregate, DefaultCachePathHonorsEnv) {
-  EXPECT_FALSE(defaultCachePath().empty());
 }
 
 // The ISSUE's acceptance shape for online rescheduling: on the robustness

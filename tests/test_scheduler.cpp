@@ -5,7 +5,9 @@
 
 #include <set>
 
+#include "graph/subgraph.hpp"
 #include "graph/topology.hpp"
+#include "memory/simulate.hpp"
 #include "scheduler/assignment.hpp"
 #include "scheduler/daghetmem.hpp"
 #include "scheduler/daghetpart.hpp"
@@ -79,11 +81,11 @@ TEST(DagHetMem, FailsWhenProcessorsRunOut) {
   std::vector<VertexId> all(g.numVertices());
   for (VertexId v = 0; v < g.numVertices(); ++v) all[v] = v;
   const double wholePeak = oracle.blockRequirement(all);
-  // Two processors with just over the largest task requirement each: the
-  // traversal cannot be packed into two blocks.
+  // One processor that holds every single task but not the whole
+  // traversal: the second block has no processor left.
   const double perTask = g.maxTaskMemoryRequirement();
-  if (perTask * 3 >= wholePeak) GTEST_SKIP() << "graph too small to show";
-  const platform::Cluster cluster = uniformCluster(2, 1.0, perTask * 1.05);
+  ASSERT_LT(perTask, wholePeak);
+  const platform::Cluster cluster = uniformCluster(1, 1.0, perTask);
   const ScheduleResult result = dagHetMem(g, cluster);
   EXPECT_FALSE(result.feasible);
 }
@@ -93,16 +95,33 @@ TEST(DagHetMem, BlocksAreContiguousTraversalSegments) {
   const memory::MemDagOracle oracle(g);
   std::vector<VertexId> all(g.numVertices());
   for (VertexId v = 0; v < g.numVertices(); ++v) all[v] = v;
-  const double wholePeak = oracle.blockRequirement(all);
-  const platform::Cluster cluster = uniformCluster(8, 1.0, wholePeak * 0.5);
+  // One processor per task, each holding any single task: always feasible,
+  // and too small for the whole traversal.
+  const double perTask = g.maxTaskMemoryRequirement();
+  const platform::Cluster cluster =
+      uniformCluster(g.numVertices(), 1.0, perTask);
   const ScheduleResult result = dagHetMem(g, cluster);
-  if (!result.feasible) GTEST_SKIP();
+  ASSERT_TRUE(result.feasible);
+  ASSERT_GT(result.numBlocks(), 1u);
   // Block ids along the oracle traversal must be non-decreasing.
   const auto traversal = oracle.bestTraversal(all);
+  std::vector<std::vector<VertexId>> segments(result.numBlocks());
   std::uint32_t last = 0;
   for (const VertexId v : traversal.order) {
     EXPECT_GE(result.blockOf[v], last);
     last = result.blockOf[v];
+    segments.at(last).push_back(v);
+  }
+  // Each block streamed in its traversal order peaks within its processor.
+  for (std::size_t b = 0; b < segments.size(); ++b) {
+    const graph::SubDag sub = graph::inducedSubgraph(g, segments[b]);
+    std::vector<VertexId> order(segments[b].size());
+    for (VertexId local = 0; local < order.size(); ++local) {
+      order[local] = local;
+    }
+    const memory::SimResult sim = memory::simulateBlockOrder(sub, order);
+    EXPECT_LE(sim.peak, cluster.memory(result.procOfBlock[b]))
+        << "block " << b;
   }
 }
 

@@ -197,41 +197,6 @@ TEST(Csv, WriteCreatesFile) {
   std::remove(path.c_str());
 }
 
-TEST(ResultCache, StoreAndLookupAcrossInstances) {
-  const std::string path = testing::TempDir() + "/dagpm_cache_test.tsv";
-  std::remove(path.c_str());
-  {
-    ResultCache cache(path);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.lookup("k1").has_value());
-    cache.store("k1", 1.25);
-    cache.store("k2", -3.0);
-    EXPECT_DOUBLE_EQ(*cache.lookup("k1"), 1.25);
-  }
-  {
-    ResultCache reloaded(path);
-    EXPECT_EQ(reloaded.size(), 2u);
-    EXPECT_DOUBLE_EQ(*reloaded.lookup("k2"), -3.0);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ResultCache, OverwriteKeepsLatest) {
-  const std::string path = testing::TempDir() + "/dagpm_cache_test2.tsv";
-  std::remove(path.c_str());
-  {
-    ResultCache cache(path);
-    cache.store("k", 1.0);
-    cache.store("k", 2.0);
-    EXPECT_DOUBLE_EQ(*cache.lookup("k"), 2.0);
-  }
-  {
-    ResultCache reloaded(path);
-    EXPECT_DOUBLE_EQ(*reloaded.lookup("k"), 2.0);  // last write wins
-  }
-  std::remove(path.c_str());
-}
-
 TEST(Env, DefaultSizesFormBands) {
   BenchEnv env;  // default scale
   EXPECT_FALSE(env.smallSizes().empty());

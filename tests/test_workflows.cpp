@@ -147,7 +147,10 @@ TEST(FamilyGen, NamesAndClassification) {
   EXPECT_FALSE(isHighFanout(Family::kSoyKb));
   EXPECT_FALSE(isHighFanout(Family::kEpigenomics));
   EXPECT_EQ(allFamilies().size(), 7u);
+  EXPECT_EQ(sizeBandName(SizeBand::kReal), "real");
+  EXPECT_EQ(sizeBandName(SizeBand::kSmall), "small");
   EXPECT_EQ(sizeBandName(SizeBand::kMid), "mid");
+  EXPECT_EQ(sizeBandName(SizeBand::kBig), "big");
 }
 
 TEST(RealWorld, SuiteHasFiveWorkflowsInPaperSizeRange) {

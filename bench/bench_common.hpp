@@ -1,9 +1,10 @@
 #pragma once
-// Shared plumbing for the bench binaries. Every bench binary regenerates one
-// table or figure of the paper: it builds the instance set for the active
-// scale (DAGPM_QUICK / default / DAGPM_FULL), runs both schedulers through
-// the experiment harness (OpenMP-parallel across instances), and prints the
-// same rows/series the paper reports.
+// Shared plumbing for the bench binaries. A bench builds the instance set
+// for the active scale (DAGPM_QUICK / default / DAGPM_FULL), runs both
+// schedulers through the experiment harness (OpenMP-parallel across
+// instances), prints the rows/series the paper reports and exports one
+// document per table or figure. paper_figures emits all of the paper's
+// Sec. 5 figures from one process; the other benches emit one each.
 
 #include <cstdio>
 #include <iostream>
@@ -94,16 +95,16 @@ inline void printPreamble(const BenchContext& ctx, const std::string& title,
             << " lower is better, 100% = baseline\n\n";
 }
 
-/// Standard epilogue of a bench main: writes the optional CSV / JSON exports
-/// (DAGPM_CSV / DAGPM_JSON_OUT, via experiments::exportBench) and converts
-/// the harness outcomes into the process exit status so CI smoke runs fail
-/// loudly. Returns nonzero when the harness produced no outcomes, when an
-/// export failed, or — unless
-/// `requireFeasible` is false (benches that intentionally probe infeasible
-/// regimes) — when not a single instance was schedulable by both schedulers.
-/// Benches that sweep a parameter pass one named group per configuration so
-/// the exported JSON keeps per-configuration rows; single-configuration
-/// benches pass one group named "".
+/// Standard epilogue of one exported table or figure: writes the optional
+/// <name>.csv / <name>.json exports (DAGPM_CSV / DAGPM_JSON_OUT, via
+/// experiments::exportBench) and converts the harness outcomes into an exit
+/// status so CI smoke runs fail loudly. Returns nonzero when the harness
+/// produced no outcomes, when an export failed, or — unless
+/// `requireFeasible` is false (figures that intentionally probe infeasible
+/// regimes) — when not a single instance was schedulable by both
+/// schedulers. Figures that sweep a parameter pass one named group per
+/// configuration so the exported JSON keeps per-configuration rows;
+/// single-configuration figures pass one group named "".
 inline int finish(const BenchContext& ctx, const std::string& name,
                   const experiments::OutcomeGroups& groups,
                   bool requireFeasible = true) {
@@ -131,27 +132,6 @@ inline int finish(const BenchContext& ctx, const std::string& name,
     return 1;
   }
   return 0;
-}
-
-/// Renders the per-band aggregate table used by several figures.
-inline void printBandTable(const std::vector<RunOutcome>& outcomes,
-                           const std::string& firstColumn,
-                           const std::string& label) {
-  const auto byBand = experiments::aggregateByBand(outcomes);
-  support::Table table({firstColumn, "workflows", "scheduled(part/mem)",
-                        "rel.makespan", "speedup"});
-  for (const auto& [band, agg] : byBand) {
-    table.addRow({label + "/" + workflows::sizeBandName(band),
-                  std::to_string(agg.total),
-                  std::to_string(agg.partScheduled) + "/" +
-                      std::to_string(agg.memScheduled),
-                  support::Table::percent(agg.geomeanRatio),
-                  agg.geomeanRatio > 0.0
-                      ? support::Table::num(1.0 / agg.geomeanRatio, 2) + "x"
-                      : "-"});
-  }
-  table.print(std::cout);
-  std::cout << '\n';
 }
 
 }  // namespace dagpm::bench

@@ -104,6 +104,13 @@ def main():
     try:
         with open(args.current) as f:
             cur = json.load(f)
+    except FileNotFoundError:
+        # A baseline whose bench exported nothing (renamed document, bench
+        # dropped from the manifest) must fail by name.
+        print(f"error: current document '{args.current}' does not exist; "
+              "no bench in bench/ci_baselines.txt exported it",
+              file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

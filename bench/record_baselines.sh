@@ -2,14 +2,16 @@
 # Re-record the quick-scale bench baselines CI regresses against.
 #
 # Usage:
-#   bench/record_baselines.sh [build-dir] [bench ...]
+#   bench/record_baselines.sh [build-dir] [doc ...]
 #
-# With no bench arguments, every "gated" bench from bench/ci_baselines.txt
-# is re-run at quick scale and its DAGPM_JSON_OUT document written to
-# bench/baselines/BENCH_<bench>.quick.json. Run this after an *intentional*
-# behavior change (new instance set, changed search rule, new bench), commit
-# the refreshed files, and say so in the commit message — CI treats any
-# other drift from these files as a regression.
+# Runs every binary of bench/ci_baselines.txt at quick scale into a
+# temporary DAGPM_JSON_OUT directory, then copies the named documents (or,
+# with no doc arguments, every document that already has a baseline) to
+# bench/baselines/BENCH_<doc>.quick.json. Run this after an *intentional*
+# behavior change (new instance set, changed search rule, new bench),
+# commit the refreshed files, and say so in the commit message — CI treats
+# any other drift from these files as a regression. Naming a document
+# without a baseline starts gating it.
 #
 # The default build dir matches the release preset; pass the tier-1 layout
 # ("build") or any other configured build tree as the first argument.
@@ -26,19 +28,30 @@ if [ ! -d "$build_dir/bench" ]; then
   exit 2
 fi
 
-benches=("$@")
-if [ "${#benches[@]}" -eq 0 ]; then
-  while read -r bench mode; do
-    case "$bench" in ''|'#'*) continue ;; esac
-    if [ "$mode" = "gated" ]; then benches+=("$bench"); fi
-  done < "$repo_root/bench/ci_baselines.txt"
+out_dir="$(mktemp -d)"
+trap 'rm -rf "$out_dir"' EXIT
+while read -r bench; do
+  case "$bench" in ''|'#'*) continue ;; esac
+  echo "running $bench"
+  DAGPM_QUICK=1 DAGPM_JSON_OUT="$out_dir" "$build_dir/bench/$bench" > /dev/null
+done < "$repo_root/bench/ci_baselines.txt"
+
+docs=("$@")
+if [ "${#docs[@]}" -eq 0 ]; then
+  for baseline in "$repo_root"/bench/baselines/BENCH_*.quick.json; do
+    doc="${baseline##*/BENCH_}"
+    docs+=("${doc%.quick.json}")
+  done
 fi
 
 mkdir -p "$repo_root/bench/baselines"
-for bench in "${benches[@]}"; do
-  out="$repo_root/bench/baselines/BENCH_${bench}.quick.json"
-  echo "recording $out"
-  DAGPM_QUICK=1 DAGPM_JSON_OUT="$out" "$build_dir/bench/$bench" > /dev/null
-  python3 -m json.tool "$out" > /dev/null
+for doc in "${docs[@]}"; do
+  if [ ! -f "$out_dir/$doc.json" ]; then
+    echo "error: no bench in bench/ci_baselines.txt exported '$doc'" >&2
+    exit 1
+  fi
+  python3 -m json.tool "$out_dir/$doc.json" > /dev/null
+  cp "$out_dir/$doc.json" "$repo_root/bench/baselines/BENCH_${doc}.quick.json"
+  echo "recorded bench/baselines/BENCH_${doc}.quick.json"
 done
 echo "done; diff + commit the refreshed baselines"

@@ -5,7 +5,7 @@ Exercises the checker the way CI uses it — as a subprocess over fixture
 documents — covering: identical documents, an added row (allowed, noted),
 a removed row (regression), a drifted non-timing column (regression),
 wildly drifted timing columns (ignored), meta/bench mismatches, duplicate
-row keys and malformed input (usage errors).
+row keys, malformed input and missing files (usage errors).
 """
 
 import copy
@@ -236,6 +236,21 @@ class CompareBenchJsonTest(unittest.TestCase):
         self.assertEqual(result.returncode, 2)
         self.assertIn(missing, result.stderr)
         self.assertIn("record_baselines.sh", result.stderr)
+        self.assertNotIn("Traceback", result.stderr)
+
+    def test_missing_current_names_path(self):
+        # A baseline with no produced document (the bench exporting it did
+        # not run, or the document was renamed) fails by name.
+        with tempfile.TemporaryDirectory() as tmp:
+            base_path = os.path.join(tmp, "BENCH_demo_bench.quick.json")
+            with open(base_path, "w") as f:
+                json.dump(BASE_DOC, f)
+            missing = os.path.join(tmp, "demo_bench.json")
+            result = subprocess.run(
+                [sys.executable, CHECKER, base_path, missing],
+                capture_output=True, text=True)
+        self.assertEqual(result.returncode, 2)
+        self.assertIn(missing, result.stderr)
         self.assertNotIn("Traceback", result.stderr)
 
     def test_document_without_rows_is_a_usage_error(self):

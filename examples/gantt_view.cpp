@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "graph/stats.hpp"
 #include "platform/cluster.hpp"
 #include "quotient/timeline.hpp"
 #include "scheduler/daghetpart.hpp"
@@ -23,7 +22,8 @@ int main(int argc, char** argv) {
   gen.seed = 3;
   const graph::Dag workflow =
       workflows::generate(workflows::Family::kBlast, gen);
-  std::cout << graph::describe(workflow, "BLAST-like workflow") << '\n';
+  std::cout << "BLAST-like workflow: " << workflow.numVertices()
+            << " tasks, " << workflow.numEdges() << " edges\n\n";
 
   platform::Cluster cluster = platform::makeCluster(
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);

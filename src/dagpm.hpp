@@ -14,13 +14,11 @@
 #include "support/timer.hpp"    // wall-clock timer
 
 // Workflow graphs.
-#include "graph/dag.hpp"                  // the weighted DAG
-#include "graph/dot_io.hpp"               // Graphviz interchange
-#include "graph/generators.hpp"           // random DAGs for testing
-#include "graph/stats.hpp"                // structural statistics
-#include "graph/subgraph.hpp"             // induced subgraphs + boundaries
-#include "graph/topology.hpp"             // topological utilities
-#include "graph/transitive_reduction.hpp" // redundant-edge removal
+#include "graph/dag.hpp"         // the weighted DAG
+#include "graph/dot_io.hpp"      // Graphviz interchange
+#include "graph/generators.hpp"  // random DAGs for testing
+#include "graph/subgraph.hpp"    // induced subgraphs + boundaries
+#include "graph/topology.hpp"    // topological utilities
 
 // Peak-memory model and the memDag-style traversal oracle.
 #include "memory/exact_dp.hpp"

@@ -77,13 +77,14 @@ bool exportBench(const BenchExport& out) {
       std::cerr << "error: could not write to the DAGPM_CSV directory\n";
     }
   }
-  const std::string jsonPath = support::getEnvOr("DAGPM_JSON_OUT", "");
-  if (!jsonPath.empty()) {
-    if (writeJsonDocument(jsonPath, benchDocument(out))) {
-      std::cout << "aggregate rows: " << jsonPath << "\n";
+  const std::string jsonDir = support::getEnvOr("DAGPM_JSON_OUT", "");
+  if (!jsonDir.empty()) {
+    const std::string path = jsonDir + "/" + out.bench + ".json";
+    if (writeJsonDocument(path, benchDocument(out))) {
+      std::cout << "aggregate rows: " << path << "\n";
     } else {
       ok = false;
-      std::cerr << "error: could not write DAGPM_JSON_OUT\n";
+      std::cerr << "error: could not write to the DAGPM_JSON_OUT directory\n";
     }
   }
   return ok;

@@ -1,13 +1,15 @@
 #pragma once
 // The one bench export path.
 //
-// Benches honor two environment variables:
+// Benches honor two environment variables, both naming an existing
+// directory, so one process can export several documents:
 //   DAGPM_CSV=<dir>       each bench also writes its raw per-instance results
 //                         to <dir>/<bench>.csv so figures can be re-plotted
 //                         externally.
-//   DAGPM_JSON_OUT=<path> the bench writes its aggregate rows as a JSON
-//                         document, the machine-readable record the perf
-//                         trajectory (BENCH_*.json) regresses against.
+//   DAGPM_JSON_OUT=<dir>  each bench writes its aggregate rows as a JSON
+//                         document to <dir>/<bench>.json, the
+//                         machine-readable record the perf trajectory
+//                         (BENCH_*.json) regresses against.
 //
 // Every bench fills one BenchExport (its row builders live next to its
 // outcomes: outcomesExport below, robustnessExport, contentionExport, ...)
@@ -53,8 +55,8 @@ support::JsonObject metaJson(const std::map<std::string, std::string>& meta);
 support::JsonValue benchDocument(const BenchExport& out);
 
 /// The bench epilogue: writes <bench>.csv into $DAGPM_CSV when that is set
-/// (and the bench has a CSV table) and the JSON document to
-/// $DAGPM_JSON_OUT when that is set, printing each written path. Both
+/// (and the bench has a CSV table) and <bench>.json into $DAGPM_JSON_OUT
+/// when that is set, printing each written path. Both
 /// writes are attempted before a failure is reported, so a bad DAGPM_CSV
 /// directory does not also drop the JSON trajectory record (or vice versa).
 /// Returns false when a requested write failed; an unset variable is no

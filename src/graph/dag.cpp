@@ -1,6 +1,7 @@
 #include "graph/dag.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace dagpm::graph {
@@ -14,12 +15,17 @@ void Dag::reserve(std::size_t vertices, std::size_t edges) {
   edges_.reserve(edges);
 }
 
-VertexId Dag::addVertex(double work, double memory, std::string label) {
-  // !(x >= 0) also rejects NaN, which fails every comparison.
-  if (!(work >= 0.0) || !(memory >= 0.0)) {
+double Dag::checkedWeight(double x) {
+  if (!std::isfinite(x) || x < 0.0) {
     throw std::invalid_argument(
-        "Dag::addVertex: work and memory must be non-negative numbers");
+        "Dag: work, memory and edge cost must be finite and non-negative");
   }
+  return x;
+}
+
+VertexId Dag::addVertex(double work, double memory, std::string label) {
+  checkedWeight(work);
+  checkedWeight(memory);
   const auto id = static_cast<VertexId>(work_.size());
   work_.push_back(work);
   memory_.push_back(memory);
@@ -37,12 +43,8 @@ EdgeId Dag::addEdge(VertexId u, VertexId v, double cost) {
     throw std::invalid_argument(
         "Dag::addEdge: self-loops are not allowed in a workflow DAG");
   }
-  if (!(cost >= 0.0)) {
-    throw std::invalid_argument(
-        "Dag::addEdge: cost must be a non-negative number");
-  }
   const auto id = static_cast<EdgeId>(edges_.size());
-  edges_.push_back(Edge{u, v, cost});
+  edges_.push_back(Edge{u, v, checkedWeight(cost)});
   out_[u].push_back(id);
   in_[v].push_back(id);
   return id;

@@ -38,12 +38,13 @@ class Dag {
   void reserve(std::size_t vertices, std::size_t edges);
 
   /// Adds a task with the given work and memory weights; returns its id.
-  /// Throws std::invalid_argument on a NaN or negative weight.
+  /// Every weight, here and in the setters below, must be finite and
+  /// non-negative; anything else throws std::invalid_argument.
   VertexId addVertex(double work, double memory, std::string label = {});
 
   /// Adds a dependency edge u -> v with communication volume `cost`.
   /// Throws std::invalid_argument on an out-of-range endpoint, a self-loop,
-  /// or a NaN or negative cost. Acyclicity is *not* checked here (use
+  /// or a non-finite or negative cost. Acyclicity is *not* checked here (use
   /// isAcyclic() after construction, generators guarantee it by design).
   EdgeId addEdge(VertexId u, VertexId v, double cost);
 
@@ -57,11 +58,13 @@ class Dag {
   [[nodiscard]] const std::string& label(VertexId v) const noexcept {
     return labels_[v];
   }
-  void setWork(VertexId v, double w) noexcept { work_[v] = w; }
-  void setMemory(VertexId v, double m) noexcept { memory_[v] = m; }
+  void setWork(VertexId v, double w) { work_[v] = checkedWeight(w); }
+  void setMemory(VertexId v, double m) { memory_[v] = checkedWeight(m); }
 
   [[nodiscard]] const Edge& edge(EdgeId e) const noexcept { return edges_[e]; }
-  void setEdgeCost(EdgeId e, double cost) noexcept { edges_[e].cost = cost; }
+  void setEdgeCost(EdgeId e, double cost) {
+    edges_[e].cost = checkedWeight(cost);
+  }
 
   /// Ids of edges leaving / entering v.
   [[nodiscard]] std::span<const EdgeId> outEdges(VertexId v) const noexcept {
@@ -98,6 +101,9 @@ class Dag {
   [[nodiscard]] std::vector<VertexId> targets() const;
 
  private:
+  /// `x` itself when finite and non-negative; throws otherwise.
+  static double checkedWeight(double x);
+
   std::vector<double> work_;
   std::vector<double> memory_;
   std::vector<std::string> labels_;

@@ -29,7 +29,6 @@ IncrementalEvaluator::Scratch::Scratch(const IncrementalEvaluator& eval) {
 void IncrementalEvaluator::rebuild() {
   obs::add(obs::Counter::kEvalRebuilds);
   criticalPathValid_ = false;
-  criticalPath_.clear();
   ++version_;
 
   if (comm_ != nullptr) {
@@ -341,7 +340,6 @@ bool IncrementalEvaluator::mergeWouldCreateCycle(BlockId a, BlockId b) const {
 void IncrementalEvaluator::commitAssign(std::span<const BlockId> dirtySeeds) {
   obs::add(obs::Counter::kEvalCommits);
   criticalPathValid_ = false;
-  criticalPath_.clear();
   ++version_;
   if (comm_ != nullptr) {
     // Patch the committed fluid in place (same expressions as
@@ -374,61 +372,12 @@ void IncrementalEvaluator::commitAssign(std::span<const BlockId> dirtySeeds) {
 
 const std::vector<BlockId>& IncrementalEvaluator::criticalPath() const {
   if (criticalPathValid_) return criticalPath_;
-  criticalPath_.clear();
   criticalPathValid_ = true;
-
   if (comm_ != nullptr) {
-    // Same walk as the model overload of computeMakespan: last-finishing
-    // fluid node, then binding predecessors, reported upstream-first.
-    std::uint32_t top = comm::kNoFluidEdge;
-    for (std::uint32_t i = 0; i < eval_.finish.size(); ++i) {
-      if (top == comm::kNoFluidEdge || eval_.finish[i] > eval_.finish[top]) {
-        top = i;
-      }
-    }
-    if (top != comm::kNoFluidEdge) {
-      std::uint32_t cur = top;
-      while (true) {
-        criticalPath_.push_back(fluid_->blockOfNode[cur]);
-        const std::uint32_t e = eval_.bindingEdge[cur];
-        if (e == comm::kNoFluidEdge) break;
-        cur = fluid_->problem.edges[e].src;
-      }
-      std::reverse(criticalPath_.begin(), criticalPath_.end());
-    }
-    return criticalPath_;
-  }
-
-  // Same tie-breaking as computeMakespan: the first strictly-larger bottom
-  // weight along the committed topological order defines the path head.
-  const double beta = cluster_->bandwidth();
-  BlockId top = kNoBlock;
-  double best = 0.0;
-  for (const BlockId b : order_) {
-    if (top == kNoBlock || bottom_[b] > best) {
-      best = bottom_[b];
-      top = b;
-    }
-  }
-  if (top == kNoBlock) return criticalPath_;
-  BlockId cur = top;
-  while (true) {
-    criticalPath_.push_back(cur);
-    const QNode& node = q_->node(cur);
-    BlockId next = kNoBlock;
-    double bestTail = -1.0;
-    for (const auto& [child, cost] : q_->out(cur)) {
-      const double tail = cost / beta + bottom_[child];
-      if (tail > bestTail) {
-        bestTail = tail;
-        next = child;
-      }
-    }
-    const platform::ProcessorId p = node.proc;
-    const double speed = p == platform::kNoProcessor ? 1.0 : cluster_->speed(p);
-    const double expected = bottom_[cur] - node.work / speed;
-    if (next == kNoBlock || bestTail + 1e-12 < expected) break;
-    cur = next;
+    criticalPath_ = fluidCriticalPath(*fluid_, eval_);
+  } else {
+    const double beta = cluster_->bandwidth();
+    criticalPath_ = bottomWeightCriticalPath(*q_, beta, order_, bottom_);
   }
   return criticalPath_;
 }

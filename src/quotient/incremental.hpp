@@ -190,7 +190,7 @@ class IncrementalEvaluator {
   std::vector<std::uint32_t> nodeOfBlock_;  // block id -> fluid node index
   std::uint64_t version_ = 0;  // bumped on rebuild/commit (scratch sync)
 
-  mutable std::vector<BlockId> criticalPath_;  // lazy; empty = not derived
+  mutable std::vector<BlockId> criticalPath_;  // lazy; valid iff the flag
   mutable bool criticalPathValid_ = false;
   mutable Scratch commitScratch_;  // scratch reused by commitAssign
 

@@ -376,35 +376,8 @@ MakespanResult bottomWeightMakespan(const QuotientGraph& q,
   result.acyclic = true;
   const double beta = cluster.bandwidth();
   result.makespan = fillBottomWeights(q, cluster, *order, result.bottomWeight);
-
-  // The critical path follows the maximizing children from the first
-  // block (in topological order) whose bottom weight is the makespan.
-  BlockId top = kNoBlock;
-  for (const BlockId b : *order) {
-    if (result.bottomWeight[b] == result.makespan) {
-      top = b;
-      break;
-    }
-  }
-  if (top != kNoBlock) {
-    BlockId cur = top;
-    while (true) {
-      result.criticalPath.push_back(cur);
-      BlockId next = kNoBlock;
-      double bestTail = -1.0;
-      for (const auto& [child, cost] : q.out(cur)) {
-        const double tail = cost / beta + result.bottomWeight[child];
-        if (tail > bestTail) {
-          bestTail = tail;
-          next = child;
-        }
-      }
-      const double expected = result.bottomWeight[cur] -
-                              q.node(cur).work / speedOf(q, cluster, cur);
-      if (next == kNoBlock || bestTail + 1e-12 < expected) break;
-      cur = next;
-    }
-  }
+  result.criticalPath =
+      bottomWeightCriticalPath(q, beta, *order, result.bottomWeight);
   return result;
 }
 
@@ -414,24 +387,7 @@ MakespanResult makespanFromFluid(const QuotientFluid& fluid,
   if (!eval.ok) return result;
   result.acyclic = true;
   result.makespan = eval.makespan;
-  // The critical chain: from the last-finishing node up through binding
-  // predecessors, reported upstream-to-downstream like the Eq. (1) path.
-  std::uint32_t top = comm::kNoFluidEdge;
-  for (std::uint32_t i = 0; i < eval.finish.size(); ++i) {
-    if (top == comm::kNoFluidEdge || eval.finish[i] > eval.finish[top]) {
-      top = i;
-    }
-  }
-  if (top != comm::kNoFluidEdge) {
-    std::uint32_t cur = top;
-    while (true) {
-      result.criticalPath.push_back(fluid.blockOfNode[cur]);
-      const std::uint32_t e = eval.bindingEdge[cur];
-      if (e == comm::kNoFluidEdge) break;
-      cur = fluid.problem.edges[e].src;
-    }
-    std::reverse(result.criticalPath.begin(), result.criticalPath.end());
-  }
+  result.criticalPath = fluidCriticalPath(fluid, eval);
   return result;
 }
 
@@ -461,6 +417,50 @@ std::optional<QuotientFluid> buildQuotientFluid(
     }
   }
   return fluid;
+}
+
+std::vector<BlockId> bottomWeightCriticalPath(const QuotientGraph& q,
+                                              double bandwidth,
+                                              std::span<const BlockId> order,
+                                              std::span<const double> bottom) {
+  std::vector<BlockId> path;
+  BlockId cur = kNoBlock;
+  for (const BlockId b : order) {
+    if (cur == kNoBlock || bottom[b] > bottom[cur]) cur = b;
+  }
+  while (cur != kNoBlock) {
+    path.push_back(cur);
+    BlockId next = kNoBlock;
+    double bestTail = -1.0;
+    for (const auto& [child, cost] : q.out(cur)) {
+      const double tail = cost / bandwidth + bottom[child];
+      if (tail > bestTail) {
+        bestTail = tail;
+        next = child;
+      }
+    }
+    cur = next;
+  }
+  return path;
+}
+
+std::vector<BlockId> fluidCriticalPath(const QuotientFluid& fluid,
+                                       const comm::FluidResult& eval) {
+  std::vector<BlockId> path;
+  std::uint32_t cur = comm::kNoFluidEdge;
+  for (std::uint32_t i = 0; i < eval.finish.size(); ++i) {
+    if (cur == comm::kNoFluidEdge || eval.finish[i] > eval.finish[cur]) {
+      cur = i;
+    }
+  }
+  while (cur != comm::kNoFluidEdge) {
+    path.push_back(fluid.blockOfNode[cur]);
+    const std::uint32_t e = eval.bindingEdge[cur];
+    if (e == comm::kNoFluidEdge) break;
+    cur = fluid.problem.edges[e].src;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 MakespanResult computeMakespan(const QuotientGraph& q,

@@ -24,6 +24,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -233,5 +234,21 @@ struct QuotientFluid {
 };
 std::optional<QuotientFluid> buildQuotientFluid(
     const QuotientGraph& q, const platform::Cluster& cluster);
+
+/// The Eq. (1) critical path: from the first block of `order` with the
+/// largest bottom weight down the first maximizing child to a sink. A
+/// bottom weight is the block's time plus max(0, child terms) and every
+/// child term is >= 0, so the maximizing child always binds and the walk
+/// needs no tolerance.
+std::vector<BlockId> bottomWeightCriticalPath(const QuotientGraph& q,
+                                              double bandwidth,
+                                              std::span<const BlockId> order,
+                                              std::span<const double> bottom);
+
+/// The critical chain of a forward (model-priced) evaluation: from the
+/// last-finishing node up through binding predecessors, reported
+/// upstream-to-downstream like the Eq. (1) path.
+std::vector<BlockId> fluidCriticalPath(const QuotientFluid& fluid,
+                                       const comm::FluidResult& eval);
 
 }  // namespace dagpm::quotient

@@ -274,7 +274,8 @@ TEST(CsvExport, MultiConfigGroupsKeepTheConfigColumn) {
 
 TEST(JsonExport, WritesParseableFileAndHonorsJsonOutEnv) {
   const experiments::BenchExport exported = singleOutcomeExport();
-  const std::string path = testing::TempDir() + "bench_export_test.json";
+  // DAGPM_JSON_OUT names a directory; the document lands in <bench>.json.
+  const std::string path = testing::TempDir() + "/fig_test.json";
   std::remove(path.c_str());
   ScopedEnv csv("DAGPM_CSV", nullptr);
   {
@@ -283,7 +284,7 @@ TEST(JsonExport, WritesParseableFileAndHonorsJsonOutEnv) {
     EXPECT_FALSE(std::ifstream(path).good());
   }
   {
-    ScopedEnv jsonOut("DAGPM_JSON_OUT", path.c_str());
+    ScopedEnv jsonOut("DAGPM_JSON_OUT", testing::TempDir().c_str());
     EXPECT_TRUE(experiments::exportBench(exported));
   }
   std::ifstream in(path);
@@ -295,8 +296,8 @@ TEST(JsonExport, WritesParseableFileAndHonorsJsonOutEnv) {
   EXPECT_EQ(parsed->stringOr("bench", ""), "fig_test");
   EXPECT_EQ(parsed->numberOr("schema_version", -1), 1);
 
-  // An unwritable path reports the error instead of dying silently.
-  ScopedEnv jsonOut("DAGPM_JSON_OUT", "/nonexistent-dir/out.json");
+  // A missing directory reports the error instead of dying silently.
+  ScopedEnv jsonOut("DAGPM_JSON_OUT", "/nonexistent-dir");
   EXPECT_FALSE(experiments::exportBench(exported));
 }
 

@@ -1,7 +1,7 @@
-// Tests for the library extensions: graph generators/statistics/transitive
-// reduction, the layered SP-ization portfolio member, topological chunking,
-// the quotient timeline (Gantt), the HEFT list scheduler and its memory
-// diagnosis, and CSV export.
+// Tests for the library extensions: graph generators, the layered
+// SP-ization portfolio member, topological chunking, the quotient timeline
+// (Gantt), the HEFT list scheduler and its memory diagnosis, and CSV
+// export.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,7 @@
 
 #include "experiments/export.hpp"
 #include "graph/generators.hpp"
-#include "graph/stats.hpp"
 #include "graph/topology.hpp"
-#include "graph/transitive_reduction.hpp"
 #include "memory/simulate.hpp"
 #include "memory/sp_schedule.hpp"
 #include "memory/spization.hpp"
@@ -80,126 +78,6 @@ TEST(Generators, Deterministic) {
   ASSERT_EQ(a.numEdges(), b.numEdges());
   for (VertexId v = 0; v < a.numVertices(); ++v) {
     EXPECT_DOUBLE_EQ(a.work(v), b.work(v));
-  }
-}
-
-// --------------------------------------------------------------------- stats
-
-TEST(Stats, ChainProfile) {
-  Dag g;
-  VertexId prev = g.addVertex(2, 3);
-  for (int i = 1; i < 10; ++i) {
-    const VertexId cur = g.addVertex(2, 3);
-    g.addEdge(prev, cur, 1);
-    prev = cur;
-  }
-  const graph::DagStats stats = graph::computeStats(g);
-  EXPECT_EQ(stats.numVertices, 10u);
-  EXPECT_EQ(stats.numEdges, 9u);
-  EXPECT_EQ(stats.depth, 9u);
-  EXPECT_EQ(stats.maxLevelWidth, 1u);
-  EXPECT_DOUBLE_EQ(stats.chainedness, 1.0);
-  EXPECT_DOUBLE_EQ(stats.totalWork, 20.0);
-  EXPECT_DOUBLE_EQ(stats.ccr, 9.0 / 20.0);
-}
-
-TEST(Stats, ForkJoinProfile) {
-  workflows::GenConfig cfg;
-  cfg.numTasks = 50;
-  const Dag g = workflows::generate(workflows::Family::kSeismology, cfg);
-  const graph::DagStats stats = graph::computeStats(g);
-  EXPECT_EQ(stats.depth, 2u);
-  EXPECT_EQ(stats.maxLevelWidth, g.numVertices() - 2);
-  EXPECT_EQ(stats.numSources, 1u);
-  EXPECT_EQ(stats.numTargets, 1u);
-  EXPECT_LT(stats.chainedness, 0.1);
-}
-
-TEST(Stats, FamiliesMatchFanoutClassification) {
-  for (const auto family : workflows::allFamilies()) {
-    workflows::GenConfig cfg;
-    cfg.numTasks = 150;
-    const graph::DagStats stats =
-        graph::computeStats(workflows::generate(family, cfg));
-    if (workflows::isHighFanout(family)) {
-      // The paper's "most fanned-out" families: one level holds most tasks.
-      EXPECT_GT(stats.maxLevelWidth, stats.numVertices / 2)
-          << workflows::familyName(family);
-    }
-    if (family == workflows::Family::kSoyKb ||
-        family == workflows::Family::kEpigenomics) {
-      // The paper's "least fanned-out" families are chain-dominated.
-      EXPECT_GT(stats.depth, 4u) << workflows::familyName(family);
-      EXPECT_GT(stats.chainedness, 0.03) << workflows::familyName(family);
-    }
-  }
-}
-
-TEST(Stats, DescribeMentionsName) {
-  Dag g;
-  g.addVertex(1, 1);
-  const std::string text = graph::describe(g, "myflow");
-  EXPECT_NE(text.find("myflow"), std::string::npos);
-  EXPECT_NE(text.find("tasks: 1"), std::string::npos);
-}
-
-// ------------------------------------------------------- transitive reduction
-
-TEST(TransitiveReduction, RemovesShortcutEdge) {
-  Dag g;
-  const VertexId a = g.addVertex(1, 1);
-  const VertexId b = g.addVertex(1, 1);
-  const VertexId c = g.addVertex(1, 1);
-  g.addEdge(a, b, 1);
-  g.addEdge(b, c, 1);
-  const graph::EdgeId shortcut = g.addEdge(a, c, 0.0);  // redundant, free
-  EXPECT_TRUE(graph::isRedundantEdge(g, shortcut));
-  const auto result = graph::transitiveReduction(g);
-  EXPECT_EQ(result.removedEdges, 1u);
-  EXPECT_EQ(result.dag.numEdges(), 2u);
-  EXPECT_TRUE(graph::isAcyclic(result.dag));
-}
-
-TEST(TransitiveReduction, KeepsCostlyShortcutByDefault) {
-  Dag g;
-  const VertexId a = g.addVertex(1, 1);
-  const VertexId b = g.addVertex(1, 1);
-  const VertexId c = g.addVertex(1, 1);
-  g.addEdge(a, b, 1);
-  g.addEdge(b, c, 1);
-  g.addEdge(a, c, 5.0);  // carries data: kept unless maxRemovableCost >= 5
-  EXPECT_EQ(graph::transitiveReduction(g).removedEdges, 0u);
-  graph::TransitiveReductionConfig cfg;
-  cfg.maxRemovableCost = 10.0;
-  EXPECT_EQ(graph::transitiveReduction(g, cfg).removedEdges, 1u);
-}
-
-TEST(TransitiveReduction, ParallelDuplicatesKeepOne) {
-  Dag g;
-  const VertexId a = g.addVertex(1, 1);
-  const VertexId b = g.addVertex(1, 1);
-  g.addEdge(a, b, 0.0);
-  g.addEdge(a, b, 0.0);
-  const auto result = graph::transitiveReduction(g);
-  EXPECT_EQ(result.dag.numEdges(), 1u);  // connectivity preserved
-  EXPECT_EQ(result.removedEdges, 1u);
-}
-
-TEST(TransitiveReduction, PreservesReachability) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    graph::LayeredDagConfig cfg;
-    cfg.seed = seed;
-    cfg.maxEdgeCost = 1.0;
-    Dag g = graph::randomLayeredDag(cfg);
-    // Zero out some costs so there is something to remove.
-    for (graph::EdgeId e = 0; e < g.numEdges(); e += 2) g.setEdgeCost(e, 0.0);
-    const auto result = graph::transitiveReduction(g);
-    // Reachability from every source must be identical.
-    for (const VertexId s : g.sources()) {
-      EXPECT_EQ(graph::reachableFrom(g, s),
-                graph::reachableFrom(result.dag, s))
-          << "seed " << seed;
-    }
   }
 }
 

@@ -83,13 +83,29 @@ TEST(Dag, SetWeightsMutators) {
 TEST(Dag, RejectsNanWeights) {
   Dag g;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(g.addVertex(nan, 1.0), std::invalid_argument);
-  EXPECT_THROW(g.addVertex(1.0, nan), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(g.addVertex(bad, 1.0), std::invalid_argument) << bad;
+    EXPECT_THROW(g.addVertex(1.0, bad), std::invalid_argument) << bad;
+  }
   const VertexId a = g.addVertex(1.0, 1.0);
   const VertexId b = g.addVertex(1.0, 1.0);
-  EXPECT_THROW(g.addEdge(a, b, nan), std::invalid_argument);
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW(g.addEdge(a, b, bad), std::invalid_argument) << bad;
+  }
   EXPECT_EQ(g.numVertices(), 2u);
   EXPECT_EQ(g.numEdges(), 0u);
+
+  // The setters check like the adders and keep the old weight on a throw.
+  g.addEdge(a, b, 2.0);
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW(g.setWork(a, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(g.setMemory(a, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(g.setEdgeCost(0, bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(g.work(a), 1.0);
+  EXPECT_EQ(g.memory(a), 1.0);
+  EXPECT_EQ(g.edge(0).cost, 2.0);
 }
 
 TEST(Dag, RejectsNegativeWeights) {
@@ -100,6 +116,12 @@ TEST(Dag, RejectsNegativeWeights) {
   const VertexId b = g.addVertex(0.0, 0.0);
   EXPECT_THROW(g.addEdge(a, b, -1.0), std::invalid_argument);
   EXPECT_EQ(g.addEdge(a, b, 0.0), 0u);
+  EXPECT_THROW(g.setWork(a, -1.0), std::invalid_argument);
+  EXPECT_THROW(g.setMemory(a, -1.0), std::invalid_argument);
+  EXPECT_THROW(g.setEdgeCost(0, -1.0), std::invalid_argument);
+  EXPECT_EQ(g.work(a), 0.0);
+  EXPECT_EQ(g.memory(a), 0.0);
+  EXPECT_EQ(g.edge(0).cost, 0.0);
 }
 
 TEST(Dag, RejectsSelfLoops) {

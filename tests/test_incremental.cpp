@@ -64,6 +64,43 @@ QuotientGraph buildQuotient(const Case& c, bool assignAll = true) {
   return q;
 }
 
+TEST(IncrementalEvaluator, CriticalPathFollowsLongChainToTheSink) {
+  // 64-task chains, one block per task, on the large cluster. Above a
+  // makespan of 10^4 one ulp of a bottom weight exceeds 10^-12, so a walk
+  // that compares child terms against bottom - work/speed with an absolute
+  // tolerance stops early (seeds 4, 7 and 10 here). The whole chain is the
+  // critical path.
+  constexpr std::uint32_t kTasks = 64;
+  const platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kLarge);
+  std::vector<std::uint32_t> blockOf(kTasks);
+  std::vector<BlockId> chain(kTasks);
+  for (std::uint32_t i = 0; i < kTasks; ++i) blockOf[i] = chain[i] = i;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Dag g;
+    support::Rng rng(seed);
+    for (std::uint32_t i = 0; i < kTasks; ++i) {
+      g.addVertex(10.0 * static_cast<double>(rng.uniformInt(1, 1000)), 1.0);
+      if (i > 0) {
+        g.addEdge(i - 1, i, static_cast<double>(rng.uniformInt(1, 10)));
+      }
+    }
+    QuotientGraph q(g, blockOf, kTasks);
+    for (const BlockId b : q.aliveNodes()) {
+      q.setProcessor(b, static_cast<ProcessorId>(b % cluster.numProcessors()));
+    }
+    const MakespanResult ms = computeMakespan(q, cluster);
+    ASSERT_TRUE(ms.acyclic);
+    ASSERT_GE(ms.makespan, 1e4);
+    EXPECT_EQ(ms.criticalPath, chain) << "seed " << seed;
+    EXPECT_EQ(IncrementalEvaluator(q, cluster).criticalPath(), chain)
+        << "seed " << seed;
+    const comm::UncontendedCommModel uncontended;
+    EXPECT_EQ(computeMakespan(q, cluster, &uncontended).criticalPath, chain)
+        << "seed " << seed;
+  }
+}
+
 TEST(IncrementalEvaluator, RebuildMatchesFullEvaluation) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const Case c = makeCase(seed, 8);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include "graph/topology.hpp"
@@ -101,6 +103,26 @@ TEST(FamilyGen, HighFanoutFamiliesHaveHubs) {
       EXPECT_GE(maxDegree, g.numVertices() / 2) << familyName(f);
     } else {
       EXPECT_LT(maxDegree, g.numVertices()) << familyName(f);
+    }
+  }
+  // The level profile at n = 150: the paper's most fanned-out families put
+  // most tasks on one level, its least fanned-out ones are chain-dominated.
+  for (const Family f : allFamilies()) {
+    GenConfig cfg;
+    cfg.numTasks = 150;
+    const Dag g = generate(f, cfg);
+    std::map<std::uint32_t, std::size_t> widthOfLevel;
+    for (const std::uint32_t level : graph::topLevels(g)) ++widthOfLevel[level];
+    std::size_t maxWidth = 0;
+    for (const auto& [level, width] : widthOfLevel) {
+      maxWidth = std::max(maxWidth, width);
+    }
+    const std::uint32_t depth = widthOfLevel.rbegin()->first;
+    if (isHighFanout(f)) {
+      EXPECT_GT(maxWidth, g.numVertices() / 2) << familyName(f);
+    }
+    if (f == Family::kSoyKb || f == Family::kEpigenomics) {
+      EXPECT_GT(depth, 4u) << familyName(f);
     }
   }
 }

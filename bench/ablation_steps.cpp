@@ -4,8 +4,9 @@
 //   no-swaps      Step 4 swap search disabled
 //   no-idle       Step 4 idle-processor moves disabled
 //   no-offcp      Step 3 merges do not prefer off-critical-path hosts
-//   paper-merge   library merge extensions off (any-host fallback,
-//                 progress deferral) -- the paper's exact Step-3 rules
+//   paper-merge   library rescue extensions off (Step-3 any-host
+//                 fallback, memory-balanced Step-1 retry); Step 3's
+//                 progress deferral is not switchable and stays on
 // Reported per variant: geomean relative makespan vs DagHetMem and the
 // number of schedulable instances (the paper-merge variant shows why the
 // extensions exist).

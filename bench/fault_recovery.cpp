@@ -82,7 +82,7 @@ int main() {
       {"sweep", ctx.sweepName()},
       {"seeds", std::to_string(ctx.env().seeds)},
       {"replications", std::to_string(options.replications)},
-      {"spares", std::to_string(options.spareProcessors)},
+      {"spares", std::to_string(experiments::kSpareProcessors)},
       {"comm", "block-synchronous"},
   };
   const experiments::BenchExport exported =

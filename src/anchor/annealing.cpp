@@ -18,6 +18,11 @@ using quotient::BlockId;
 
 namespace {
 
+/// Initial temperature as a fraction of the seed makespan.
+constexpr double kInitialTempFraction = 0.05;
+/// Per-proposal geometric cooling.
+constexpr double kCoolingFactor = 0.995;
+
 /// Outcome of one restart, materialized so parallel restarts can be merged
 /// deterministically afterwards.
 struct RestartOutcome {
@@ -78,7 +83,7 @@ RestartOutcome runRestart(const graph::Dag& g,
 
   double current = eval.makespan();
   double best = current;
-  double temperature = seed.makespan * cfg.initialTempFraction;
+  double temperature = seed.makespan * kInitialTempFraction;
   const std::uint64_t totalSteps =
       std::uint64_t{cfg.stepsPerRestart} + cfg.descentSteps;
 
@@ -96,7 +101,7 @@ RestartOutcome runRestart(const graph::Dag& g,
     if (step >= cfg.stepsPerRestart) {
       temperature = 0.0;
     } else {
-      temperature *= cfg.coolingFactor;
+      temperature *= kCoolingFactor;
     }
     const std::int64_t kind = rng.uniformInt(0, 2);
     if (kind == 0 && alive.size() >= 2) {

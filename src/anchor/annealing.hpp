@@ -27,14 +27,12 @@ inline constexpr std::uint32_t kNoRestart = 0xffffffffu;
 
 struct AnnealConfig {
   std::uint32_t restarts = 4;
-  /// Annealing proposals per restart (cooled geometrically), followed by
+  /// Annealing proposals per restart (starting at 5% of the seed makespan,
+  /// cooled by 0.995 per proposal), followed by
   /// `descentSteps` zero-temperature proposals (the ILS polish: only
   /// strictly improving moves are accepted).
   std::uint32_t stepsPerRestart = 2000;
   std::uint32_t descentSteps = 500;
-  /// Initial temperature as a fraction of the seed makespan.
-  double initialTempFraction = 0.05;
-  double coolingFactor = 0.995;  ///< per-proposal geometric cooling
   std::uint64_t seed = 1;
   /// OpenMP over restarts. Results are bit-identical either way; off keeps
   /// a caller's thread (e.g. a portfolio arm) attributable to one counter

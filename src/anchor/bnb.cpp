@@ -312,17 +312,16 @@ BnbResult solveExact(const graph::Dag& g, const platform::Cluster& cluster,
   }
   result.lowerBound = relaxationLowerBound(g, cluster);
 
-  if (cfg.seedIncumbentWithHeuristic) {
-    scheduler::DagHetPartConfig heuristic;
-    heuristic.oracle = cfg.oracle;
-    heuristic.parallelSweep = false;  // the anchor stays single-threaded
-    scheduler::ScheduleResult seed =
-        scheduler::scheduleBest(g, cluster, heuristic);
-    if (seed.feasible) {
-      result.feasible = true;
-      result.optimum = seed.makespan;
-      result.schedule = std::move(seed);
-    }
+  // Seed the incumbent with the heuristic winner.
+  scheduler::DagHetPartConfig heuristic;
+  heuristic.oracle = cfg.oracle;
+  heuristic.parallelSweep = false;  // the anchor stays single-threaded
+  scheduler::ScheduleResult seed =
+      scheduler::scheduleBest(g, cluster, heuristic);
+  if (seed.feasible) {
+    result.feasible = true;
+    result.optimum = seed.makespan;
+    result.schedule = std::move(seed);
   }
 
   const auto topo = graph::topologicalOrder(g);

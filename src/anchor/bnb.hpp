@@ -24,6 +24,8 @@
 //     cross-block edges priced) is admissible against the block-serialized
 //     Eq. (1)-(2) makespan — subtrees whose bound cannot beat the incumbent
 //     are cut.
+// The incumbent is seeded with scheduleBest (the DagHetPart/DagHetMem
+// winner) before searching, so the bound prune cuts from the first node on.
 // Complete assignments are priced through quotient::IncrementalEvaluator,
 // the same evaluation every heuristic probe uses, so "optimal" and
 // "heuristic" makespans are bit-comparable. The expansion order is a pure
@@ -43,11 +45,6 @@ struct BnbConfig {
   /// Node-expansion budget; the search reports closed = false once
   /// exhausted and returns the best incumbent + proved lower bound so far.
   std::uint64_t maxNodes = 2'000'000;
-  /// Seed the incumbent with scheduleBest (DagHetPart/DagHetMem winner)
-  /// before searching: the bound prune then cuts from the first node on.
-  /// The optimum is independent of the seed; the visited-node count is not,
-  /// so benches comparing node counts keep it on (the default) everywhere.
-  bool seedIncumbentWithHeuristic = true;
   memory::OracleOptions oracle;
 };
 

@@ -13,6 +13,12 @@ namespace dagpm::experiments {
 
 namespace {
 
+/// Fault instants are uniform over [0, kHorizonFraction x static makespan).
+constexpr double kHorizonFraction = 0.75;
+/// Crash downtime as a fraction of the static makespan.
+constexpr double kDowntimeFraction = 0.05;
+constexpr std::uint32_t kMaxCrashesPerProcessor = 2;
+
 std::string levelName(const FaultLevel& level) {
   if (level.failStopProbability <= 0.0 && level.crashProbability <= 0.0) {
     return "nofault";
@@ -83,7 +89,7 @@ std::vector<FaultOutcome> runFaultRecovery(
           const memory::MemDagOracle& partOracle,
           const memory::MemDagOracle& memOracle) {
     const platform::Cluster augmented =
-        addSpareProcessors(scaled, options.spareProcessors);
+        addSpareProcessors(scaled, kSpareProcessors);
     for (std::size_t l = 0; l < numLevels; ++l) {
       const FaultLevel& level = levels[l];
       // Replication seeds depend on (instance, level, replication) only, so
@@ -112,10 +118,9 @@ std::vector<FaultOutcome> runFaultRecovery(
         sim::FaultSpec spec;
         spec.failStopProbability = level.failStopProbability;
         spec.crashProbability = level.crashProbability;
-        spec.horizon =
-            std::max(schedule.makespan * options.horizonFraction, 1e-9);
-        spec.downtime = schedule.makespan * level.downtimeFraction;
-        spec.maxCrashesPerProcessor = options.maxCrashesPerProcessor;
+        spec.horizon = std::max(schedule.makespan * kHorizonFraction, 1e-9);
+        spec.downtime = schedule.makespan * kDowntimeFraction;
+        spec.maxCrashesPerProcessor = kMaxCrashesPerProcessor;
 
         std::vector<double> recoveries;
         for (std::size_t r = 0; r < seeds.size(); ++r) {

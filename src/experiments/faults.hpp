@@ -26,19 +26,23 @@
 namespace dagpm::experiments {
 
 /// One rung of the fault ladder. Probabilities are per processor and per
-/// run; horizon and downtime are derived per schedule (fractions of its
-/// static makespan) so faults land mid-execution at every instance size.
+/// run; the fault horizon (75%) and the crash downtime (5%) are fractions of
+/// each schedule's static makespan, so faults land mid-execution at every
+/// instance size. Each processor crashes at most twice.
 struct FaultLevel {
   std::string name;  // "nofault", "fail0.15", "fail0.3+crash0.3", ...
   double failStopProbability = 0.0;
   double crashProbability = 0.0;
-  double downtimeFraction = 0.05;  // crash downtime / static makespan
 };
 
 /// The bench ladder: a zero-rate control rung (bit-identical to the
 /// fault-free driver by construction) and fail-stop rungs of increasing
 /// severity, the last one mixed with transient crashes.
 std::vector<FaultLevel> defaultFaultLadder();
+
+/// Spare processors runFaultRecovery appends to every scaled cluster
+/// (evacuation targets).
+inline constexpr int kSpareProcessors = 2;
 
 /// Clones the `spares` largest-memory processors of `cluster` (kind suffix
 /// "-spare") so lost blocks have guaranteed evacuation targets; existing
@@ -86,17 +90,12 @@ struct FaultOutcome {
 struct FaultRunnerOptions {
   scheduler::DagHetPartConfig part;
   scheduler::DagHetMemConfig mem;
-  /// Policy of the search repair; the fault trigger must stay enabled. The
+  /// Policy of the search repair (fail-stops always trigger a repair). The
   /// greedy baseline is derived from it inside the driver (trigger = none,
   /// evacuation-only repairs).
   resched::ReschedulePolicy policy;
   int replications = 8;
   std::uint64_t seed = 1;
-  /// Spare processors appended to every scaled cluster (evacuation targets).
-  int spareProcessors = 2;
-  /// Fault instants are uniform over [0, horizonFraction x static makespan).
-  double horizonFraction = 0.75;
-  std::uint32_t maxCrashesPerProcessor = 2;
   bool parallelInstances = true;  // OpenMP across instances
 };
 

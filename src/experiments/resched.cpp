@@ -58,8 +58,9 @@ std::vector<ReschedOutcome> runRescheduling(
     const std::vector<Instance>& instances, const platform::Cluster& cluster,
     const std::vector<NoiseLevel>& levels,
     const ReschedulingRunnerOptions& options) {
+  const std::vector<PolicyConfig> policies = defaultPolicyLadder();
   const std::size_t numLevels = levels.size();
-  const std::size_t numPolicies = options.policies.size();
+  const std::size_t numPolicies = policies.size();
   const int replications = std::max(options.replications, 0);
   // Fixed slot layout keeps result order and every derived seed independent
   // of the parallel schedule (cf. runRobustness).
@@ -93,7 +94,7 @@ std::vector<ReschedOutcome> runRescheduling(
               static_cast<std::size_t>(s);
           ReschedOutcome& out = slots[slot];
           out.config = levels[l].config;
-          out.policy = options.policies[p].name;
+          out.policy = policies[p].name;
           out.scheduler = s == 0 ? "part" : "mem";
           out.instance = inst.name;
           out.band = inst.band;
@@ -106,7 +107,7 @@ std::vector<ReschedOutcome> runRescheduling(
           double triggers = 0.0;
           for (std::size_t r = 0; r < seeds.size(); ++r) {
             resched::RescheduleOptions ro;
-            ro.policy = options.policies[p].policy;
+            ro.policy = policies[p].policy;
             ro.perturbation = levels[l].spec;
             ro.seed = seeds[r];
             ro.contention = options.contention;

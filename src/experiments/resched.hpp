@@ -68,7 +68,6 @@ struct ReschedOutcome {
 struct ReschedulingRunnerOptions {
   scheduler::DagHetPartConfig part;
   scheduler::DagHetMemConfig mem;
-  std::vector<PolicyConfig> policies = defaultPolicyLadder();
   int replications = 8;
   std::uint64_t seed = 1;
   bool contention = false;
@@ -77,9 +76,10 @@ struct ReschedulingRunnerOptions {
 
 /// Schedules every instance with DagHetPart and DagHetMem (cluster memories
 /// scaled per Sec. 5.1.2) and runs every feasible schedule through the
-/// online driver at every (noise level, policy). Replication seeds depend
-/// only on (instance, level, replication) — policies and schedulers see the
-/// identical noise draw — and results are independent of thread count.
+/// online driver at every (noise level, defaultPolicyLadder() policy).
+/// Replication seeds depend only on (instance, level, replication) —
+/// policies and schedulers see the identical noise draw — and results are
+/// independent of thread count.
 std::vector<ReschedOutcome> runRescheduling(
     const std::vector<Instance>& instances, const platform::Cluster& cluster,
     const std::vector<NoiseLevel>& levels,

@@ -17,6 +17,9 @@ using graph::VertexId;
 
 namespace {
 
+// Blocks of at most this many tasks are solved by the exact subset DP.
+constexpr std::size_t kExactThreshold = 12;
+
 // The oracle must be a pure function of the vertex *set*: greedy tie-breaks
 // and DFS orders depend on local ids, so the member list is canonicalized
 // (sorted) before building the induced subgraph. Without this, two callers
@@ -51,7 +54,7 @@ TraversalResult MemDagOracle::evaluate(const graph::SubDag& sub) const {
   TraversalResult best;
   best.peak = std::numeric_limits<double>::infinity();
 
-  if (n <= options_.exactThreshold) {
+  if (n <= kExactThreshold) {
     if (const auto exact = exactMinPeakOrder(sub)) {
       return TraversalResult{exact->peak, exact->order};
     }
@@ -65,15 +68,11 @@ TraversalResult MemDagOracle::evaluate(const graph::SubDag& sub) const {
     }
   };
 
-  if (options_.useSpSchedule) {
-    if (auto spOrder = spOptimalOrder(sub)) consider(std::move(*spOrder));
-  }
-  if (options_.useGreedy || best.order.empty()) {
-    consider(greedyOrder(sub, GreedyRule::kMinFootprint));
-    consider(greedyOrder(sub, GreedyRule::kMaxFreed));
-    consider(graph::dfsTopologicalOrder(sub.dag, false));
-    consider(graph::dfsTopologicalOrder(sub.dag, true));
-  }
+  if (auto spOrder = spOptimalOrder(sub)) consider(std::move(*spOrder));
+  consider(greedyOrder(sub, GreedyRule::kMinFootprint));
+  consider(greedyOrder(sub, GreedyRule::kMaxFreed));
+  consider(graph::dfsTopologicalOrder(sub.dag, false));
+  consider(graph::dfsTopologicalOrder(sub.dag, true));
   if (options_.useSpization) {
     consider(layeredSpizationOrder(sub));
   }

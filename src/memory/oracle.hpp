@@ -5,7 +5,7 @@
 // the memory-efficient traversal that drives the DagHetMem baseline.
 //
 // Strategy per block (DESIGN.md substitution #2):
-//   * <= exactThreshold tasks: exact subset DP (provably optimal);
+//   * <= 12 tasks: exact subset DP (provably optimal);
 //   * two-terminal series-parallel blocks: SP-tree schedule with Liu merges
 //     (optimal for SP structure, validated against the DP in tests);
 //   * otherwise: portfolio of greedy min-peak traversals and DFS orders,
@@ -35,10 +35,7 @@ struct TraversalResult {
 };
 
 struct OracleOptions {
-  std::size_t exactThreshold = 12;  // exact DP below this block size
-  bool useSpSchedule = true;   // TTSP recognition + Liu merges
-  bool useGreedy = true;       // greedy + DFS traversal portfolio
-  bool useSpization = true;    // layer-barrier SP-ization order
+  bool useSpization = true;  // layer-barrier SP-ization order
 };
 
 class MemDagOracle {

@@ -16,6 +16,11 @@ using graph::VertexId;
 
 namespace {
 
+/// Coarsening stops below this many vertices.
+constexpr std::size_t kCoarsenTargetSize = 64;
+/// FM passes per level; a pass that improves the cut by <= 1e-12 ends early.
+constexpr int kMaxFmPasses = 8;
+
 double totalOf(const std::vector<double>& w) {
   double s = 0.0;
   for (const double x : w) s += x;
@@ -275,8 +280,7 @@ double fmRefine(const graph::Dag& dag, const std::vector<double>& vertexWeight,
 
 std::vector<std::uint8_t> multilevelBisect(
     const graph::Dag& dag, const std::vector<double>& vertexWeight,
-    const BisectionTargets& targets, std::size_t coarsenTargetSize,
-    int maxFmPasses, bool enableRefinement, support::Rng& rng) {
+    const BisectionTargets& targets, support::Rng& rng) {
   [[maybe_unused]] const std::size_t n = dag.numVertices();
   assert(n >= 2);
   const double total = totalOf(vertexWeight);
@@ -288,7 +292,7 @@ std::vector<std::uint8_t> multilevelBisect(
                    std::min(targets.target0, targets.target1) / 2.0);
 
   std::vector<Level> levels =
-      coarsen(dag, vertexWeight, coarsenTargetSize, maxCluster, rng);
+      coarsen(dag, vertexWeight, kCoarsenTargetSize, maxCluster, rng);
   // Drop over-contracted tails (possible with degenerate zero weights).
   while (!levels.empty() && levels.back().dag.numVertices() < 2) {
     levels.pop_back();
@@ -301,10 +305,8 @@ std::vector<std::uint8_t> multilevelBisect(
 
   std::vector<std::uint8_t> side =
       initialBisection(*coarsest, *coarsestWeight, targets);
-  if (enableRefinement) {
-    for (int pass = 0; pass < maxFmPasses; ++pass) {
-      if (fmRefine(*coarsest, *coarsestWeight, targets, side) <= 1e-12) break;
-    }
+  for (int pass = 0; pass < kMaxFmPasses; ++pass) {
+    if (fmRefine(*coarsest, *coarsestWeight, targets, side) <= 1e-12) break;
   }
 
   // Project through the hierarchy, refining at every level.
@@ -318,10 +320,8 @@ std::vector<std::uint8_t> multilevelBisect(
       fineSide[v] = side[level.fineToCoarse[v]];
     }
     side = std::move(fineSide);
-    if (enableRefinement) {
-      for (int pass = 0; pass < maxFmPasses; ++pass) {
-        if (fmRefine(*fineDag, *fineWeight, targets, side) <= 1e-12) break;
-      }
+    for (int pass = 0; pass < kMaxFmPasses; ++pass) {
+      if (fmRefine(*fineDag, *fineWeight, targets, side) <= 1e-12) break;
     }
   }
 

@@ -28,12 +28,12 @@ std::vector<std::uint8_t> initialBisection(
 double fmRefine(const graph::Dag& dag, const std::vector<double>& vertexWeight,
                 const BisectionTargets& targets, std::vector<std::uint8_t>& side);
 
-/// Full multilevel bisection of `dag`: coarsen, initial bisection, project,
-/// refine. Guarantees side 0 is a non-empty down-set and side 1 non-empty
-/// (unless the graph has fewer than 2 vertices).
+/// Full multilevel bisection of `dag`: coarsen to at most 64 vertices,
+/// initial bisection, project, and at most 8 FM passes per level.
+/// Guarantees side 0 is a non-empty down-set and side 1 non-empty (unless
+/// the graph has fewer than 2 vertices).
 std::vector<std::uint8_t> multilevelBisect(
     const graph::Dag& dag, const std::vector<double>& vertexWeight,
-    const BisectionTargets& targets, std::size_t coarsenTargetSize,
-    int maxFmPasses, bool enableRefinement, support::Rng& rng);
+    const BisectionTargets& targets, support::Rng& rng);
 
 }  // namespace dagpm::partition::detail

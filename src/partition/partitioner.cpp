@@ -108,9 +108,8 @@ class RecursiveBisector {
     targets.target1 = total - targets.target0;
     targets.epsilon = cfg_.epsilon;
 
-    const std::vector<std::uint8_t> side = detail::multilevelBisect(
-        sub.dag, subWeights, targets, cfg_.coarsenTargetSize,
-        cfg_.maxFmPasses, cfg_.enableRefinement, rng_);
+    const std::vector<std::uint8_t> side =
+        detail::multilevelBisect(sub.dag, subWeights, targets, rng_);
 
     std::vector<VertexId> low, high;
     low.reserve(vertices.size());

@@ -29,9 +29,6 @@ struct PartitionConfig {
   std::uint32_t numParts = 2;
   double epsilon = 0.10;   // allowed imbalance over perfectly proportional
   std::uint64_t seed = 1;  // drives shuffled visit orders in coarsening
-  std::size_t coarsenTargetSize = 64;  // stop coarsening below this size
-  int maxFmPasses = 8;
-  bool enableRefinement = true;
   enum class BalanceWeight : std::uint8_t {
     kWork,             // balance sum of w_u (makespan-oriented, Step 1)
     kMemoryFootprint,  // balance sum of r_u (memory-oriented, FitBlock)

@@ -13,6 +13,11 @@ using quotient::BlockId;
 
 namespace {
 
+/// Local-search rounds; each applies one operation.
+constexpr int kMaxRounds = 16;
+/// Oracle evaluations of merge candidates per repair.
+constexpr int kMergeProbeBudget = 64;
+
 double capacityOf(const ResidualState& state, const platform::Cluster& cluster,
                   platform::ProcessorId p) {
   return cluster.memory(p) - state.residentOnProc[p];
@@ -199,12 +204,12 @@ RepairResult repairResidual(ResidualState& state,
     result.accepted = result.evacuations > 0;
     return result;
   }
-  int mergeBudget = cfg.mergeProbeBudget;
+  int mergeBudget = kMergeProbeBudget;
   const double eps = 1e-12 * std::max(1.0, current);
   constexpr double kMemSlack = 1.0 + 1e-12;
 
   enum class Kind { kNone, kMove, kSwap, kMerge };
-  for (int round = 0; round < cfg.maxRounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     Kind bestKind = Kind::kNone;
     std::size_t bestA = 0;
     std::size_t bestB = 0;
@@ -216,74 +221,68 @@ RepairResult repairResidual(ResidualState& state,
     for (std::size_t i = 0; i < n; ++i) {
       ResidualBlock& bi = state.blocks[i];
       if (!bi.alive || bi.pinned) continue;
-      if (cfg.allowMoves) {
-        const platform::ProcessorId from = bi.proc;
-        for (platform::ProcessorId p = 0; p < cluster.numProcessors(); ++p) {
-          if (p == from || state.procHostsLive[p] != 0 || deadProc(p)) {
-            continue;
-          }
-          if (bi.memReq > capacityOf(state, cluster, p) * kMemSlack) continue;
-          bi.proc = p;  // tentative; the projection ignores procHostsLive
-          const double value = projectResidual(state, cluster, cfg.comm);
-          bi.proc = from;
-          if (value < bestValue) {
-            bestValue = value;
-            bestKind = Kind::kMove;
-            bestA = i;
-            bestProc = p;
-          }
+      const platform::ProcessorId from = bi.proc;
+      for (platform::ProcessorId p = 0; p < cluster.numProcessors(); ++p) {
+        if (p == from || state.procHostsLive[p] != 0 || deadProc(p)) {
+          continue;
+        }
+        if (bi.memReq > capacityOf(state, cluster, p) * kMemSlack) continue;
+        bi.proc = p;  // tentative; the projection ignores procHostsLive
+        const double value = projectResidual(state, cluster, cfg.comm);
+        bi.proc = from;
+        if (value < bestValue) {
+          bestValue = value;
+          bestKind = Kind::kMove;
+          bestA = i;
+          bestProc = p;
         }
       }
-      if (cfg.allowSwaps) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-          ResidualBlock& bj = state.blocks[j];
-          if (!bj.alive || bj.pinned) continue;
-          if (bi.memReq > capacityOf(state, cluster, bj.proc) * kMemSlack ||
-              bj.memReq > capacityOf(state, cluster, bi.proc) * kMemSlack) {
-            continue;
-          }
-          std::swap(bi.proc, bj.proc);
-          const double value = projectResidual(state, cluster, cfg.comm);
-          std::swap(bi.proc, bj.proc);
-          if (value < bestValue) {
-            bestValue = value;
-            bestKind = Kind::kSwap;
-            bestA = i;
-            bestB = j;
-          }
+      for (std::size_t j = i + 1; j < n; ++j) {
+        ResidualBlock& bj = state.blocks[j];
+        if (!bj.alive || bj.pinned) continue;
+        if (bi.memReq > capacityOf(state, cluster, bj.proc) * kMemSlack ||
+            bj.memReq > capacityOf(state, cluster, bi.proc) * kMemSlack) {
+          continue;
+        }
+        std::swap(bi.proc, bj.proc);
+        const double value = projectResidual(state, cluster, cfg.comm);
+        std::swap(bi.proc, bj.proc);
+        if (value < bestValue) {
+          bestValue = value;
+          bestKind = Kind::kSwap;
+          bestA = i;
+          bestB = j;
         }
       }
-      if (cfg.allowMerges) {
-        std::set<std::size_t> neighbors;
-        for (const auto& [pred, cost] : bi.preds) neighbors.insert(pred);
-        for (const auto& [succ, cost] : bi.succs) neighbors.insert(succ);
-        for (const std::size_t j : neighbors) {
-          ResidualBlock& bj = state.blocks[j];
-          if (!bj.alive || bj.pinned || mergeBudget <= 0) continue;
-          // A lost started block carries an executed traversal prefix; a
-          // merge would re-traverse the union and discard it.
-          if (bi.doneSteps > 0 || bj.doneSteps > 0) continue;
-          --mergeBudget;
-          // Moves and swaps keep memberships, so later rounds re-probe the
-          // same unions; the oracle's memo serves them.
-          std::vector<VertexId> unionMembers = bj.members;
-          unionMembers.insert(unionMembers.end(), bi.members.begin(),
-                              bi.members.end());
-          const double mem = oracle.blockRequirement(unionMembers);
-          if (mem > capacityOf(state, cluster, bj.proc) * kMemSlack) continue;
-          // Apply tentatively and roll back (deep-copying the state per
-          // candidate would be O(tasks)); a merge creating a cycle projects
-          // to +inf and is never selected.
-          const MergeUndo tx = applyMerge(state, j, i, mem);
-          const double value = projectResidual(state, cluster, cfg.comm);
-          undoMerge(state, tx);
-          if (value < bestValue) {
-            bestValue = value;
-            bestKind = Kind::kMerge;
-            bestA = j;
-            bestB = i;
-            bestMem = mem;
-          }
+      std::set<std::size_t> neighbors;
+      for (const auto& [pred, cost] : bi.preds) neighbors.insert(pred);
+      for (const auto& [succ, cost] : bi.succs) neighbors.insert(succ);
+      for (const std::size_t j : neighbors) {
+        ResidualBlock& bj = state.blocks[j];
+        if (!bj.alive || bj.pinned || mergeBudget <= 0) continue;
+        // A lost started block carries an executed traversal prefix; a
+        // merge would re-traverse the union and discard it.
+        if (bi.doneSteps > 0 || bj.doneSteps > 0) continue;
+        --mergeBudget;
+        // Moves and swaps keep memberships, so later rounds re-probe the
+        // same unions; the oracle's memo serves them.
+        std::vector<VertexId> unionMembers = bj.members;
+        unionMembers.insert(unionMembers.end(), bi.members.begin(),
+                            bi.members.end());
+        const double mem = oracle.blockRequirement(unionMembers);
+        if (mem > capacityOf(state, cluster, bj.proc) * kMemSlack) continue;
+        // Apply tentatively and roll back (deep-copying the state per
+        // candidate would be O(tasks)); a merge creating a cycle projects
+        // to +inf and is never selected.
+        const MergeUndo tx = applyMerge(state, j, i, mem);
+        const double value = projectResidual(state, cluster, cfg.comm);
+        undoMerge(state, tx);
+        if (value < bestValue) {
+          bestValue = value;
+          bestKind = Kind::kMerge;
+          bestA = j;
+          bestB = i;
+          bestMem = mem;
         }
       }
     }

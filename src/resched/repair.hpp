@@ -16,7 +16,8 @@
 //              memory-checked through the oracle and rolled back when it
 //              would create a cycle.
 //
-// The best improving operation is applied until none remains, and the whole
+// The best improving operation is applied until none remains (at most 16
+// rounds, and 64 oracle evaluations of merge candidates), and the whole
 // repair is accepted only when the final projection beats the keep-current
 // projection by `minGain` — the splice then rewrites the schedule, adapts
 // the checkpoint (block-id translation, transfer re-sends for moved blocks)
@@ -32,17 +33,12 @@
 namespace dagpm::resched {
 
 struct RepairConfig {
-  bool allowMoves = true;
-  bool allowSwaps = true;
-  bool allowMerges = true;
   /// Naive greedy re-execution mode: evacuate lost blocks off dead
   /// processors (largest free memory wins) and stop — no improvement
   /// rounds. The fault-tolerant driver races this baseline against the full
   /// search and keeps the better execution, so recovery is never worse than
   /// greedy re-execution by construction.
   bool evacuateOnly = false;
-  int maxRounds = 16;         // local-search rounds (each applies one op)
-  int mergeProbeBudget = 64;  // oracle evaluations for merge candidates
   /// Relative projected improvement required to accept the repair; below
   /// it the schedule is kept unchanged (splicing has real costs: moved
   /// blocks lose their received data).

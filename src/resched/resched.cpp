@@ -26,6 +26,14 @@ std::string triggerPolicyName(TriggerPolicy policy) {
 
 namespace {
 
+/// Observer mute window after every policy pause, as a fraction of the
+/// predicted makespan.
+constexpr double kCooldownFraction = 0.05;
+/// Fault-recovery backoff: the first window as a fraction of the predicted
+/// makespan (doubling per failed retry), and the retries before giving up.
+constexpr double kFaultBackoffFraction = 0.02;
+constexpr int kFaultMaxRetries = 8;
+
 /// The driver's SimObserver: decides, per task finish, whether to pause.
 /// Predictions are owned by the driver and refreshed after every splice.
 class TriggerObserver final : public sim::SimObserver {
@@ -52,7 +60,7 @@ class TriggerObserver final : public sim::SimObserver {
     (void)now;
     // Transient crashes recover in place inside the engine; only fail-stops
     // need a repair. The pause ignores mute windows: it is mandatory.
-    if (!policy_.faultTrigger || fault.kind != sim::FaultKind::kFailStop) {
+    if (fault.kind != sim::FaultKind::kFailStop) {
       return sim::ObserverAction::kContinue;
     }
     faultPending_ = true;
@@ -257,7 +265,7 @@ RescheduleResult runOnline(const graph::Dag& g,
     sim::SimCheckpoint checkpoint;
     bool resuming = false;
     bool observing = true;
-    double backoff = lp.faultBackoffFraction * scale;
+    double backoff = kFaultBackoffFraction * scale;
     int failedRetries = 0;
 
     for (;;) {
@@ -283,7 +291,7 @@ RescheduleResult runOnline(const graph::Dag& g,
         obs::add(obs::Counter::kReschedTriggers);
         checkpoint = std::move(out.run.checkpoint);
         resuming = true;
-        observer.mute(checkpoint.now + lp.cooldownFraction * scale);
+        observer.mute(checkpoint.now + kCooldownFraction * scale);
         if (out.accepted >= lp.maxReschedules) {
           if (faulty) {
             observer.disablePolicy();  // fault pauses must stay armed
@@ -317,21 +325,14 @@ RescheduleResult runOnline(const graph::Dag& g,
 
       ResidualState residual =
           buildResidual(plans.back(), checkpoint, oracle);
-      if (lp.adaptiveSpeedEstimates) {
-        residual.procSlowdown = estimateProcSlowdown(g, cluster, checkpoint);
-      }
+      residual.procSlowdown = estimateProcSlowdown(g, cluster, checkpoint);
       RepairConfig repairCfg;
-      repairCfg.allowMoves = lp.allowMoves;
-      repairCfg.allowSwaps = lp.allowSwaps;
-      repairCfg.allowMerges = lp.allowMerges;
-      repairCfg.maxRounds = lp.maxRepairRounds;
-      repairCfg.mergeProbeBudget = lp.mergeProbeBudget;
       repairCfg.minGain = lp.minGain;
       repairCfg.evacuateOnly = greedyMode;
       // A contended execution is repaired against the contended cost model:
       // the projection then prices the very physics the resumed engine will
       // realize, instead of the optimistic uncontended c/beta.
-      if (options.contention && lp.contentionAwareProjection) {
+      if (options.contention) {
         repairCfg.comm = &comm::fairShareCommModel();
       }
       const RepairResult repair =
@@ -354,7 +355,7 @@ RescheduleResult runOnline(const graph::Dag& g,
           // No surviving processor can host the lost work yet. Resume and
           // retry after an exponential backoff: completions elsewhere free
           // processors (and shrink their resident outputs).
-          if (failedRetries >= lp.faultMaxRetries) {
+          if (failedRetries >= kFaultMaxRetries) {
             out.error =
                 "fault recovery exhausted its retries: no surviving "
                 "processor can host the work lost to a fail-stop";
@@ -371,7 +372,7 @@ RescheduleResult runOnline(const graph::Dag& g,
         }
         observer.clearFaultPending();
         failedRetries = 0;
-        backoff = lp.faultBackoffFraction * scale;
+        backoff = kFaultBackoffFraction * scale;
         out.evacuations += repair.evacuations;
         if (repair.evacuations > 0) {
           obs::add(obs::Counter::kReschedFaultEvacuations,

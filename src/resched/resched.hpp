@@ -27,6 +27,13 @@
 // is monotone by construction — the raw online outcome stays available as
 // `repairedMakespan`.
 //
+// Every repair projects with the observed per-processor slowdown (so blocks
+// flee persistently slow processors; zero noise observes 1 everywhere) and,
+// when the execution contends for the backbone, under the fair-share cost
+// model. A fail-stop always pauses and forces a repair past the drift gate,
+// minGain and maxReschedules; while no surviving processor can host a lost
+// block, the driver retries after a doubling backoff (resched.cpp).
+//
 // Cf. Benoit, Rehn-Sonigo & Robert, "Optimizing Latency and Reliability of
 // Pipeline Workflow Applications", and Ding et al., "A heuristic method for
 // data allocation and task scheduling on heterogeneous multiprocessor
@@ -65,46 +72,12 @@ struct ReschedulePolicy {
   /// this fraction of the predicted makespan. Zero noise therefore never
   /// reschedules: the zero-noise no-op property the tests assert.
   double driftTolerance = 1e-9;
-  /// Observer mute window after every pause, as a fraction of the predicted
-  /// makespan (prevents trigger storms while drift persists).
-  double cooldownFraction = 0.05;
   /// Relative projected improvement required to adopt a repair.
   double minGain = 0.01;
   int maxReschedules = 8;  // accepted splices per run
   int maxTriggers = 64;    // pauses per run (repair attempts are costly)
-  int maxRepairRounds = 16;
-  int mergeProbeBudget = 64;
-  bool allowMoves = true;
-  bool allowSwaps = true;
-  bool allowMerges = true;
-  /// Feed observed per-processor slowdown (actual vs. nominal durations of
-  /// completed tasks) into the repair projection. This is the processor-
-  /// straggler detector: a persistently slow processor makes its remaining
-  /// blocks look expensive, so the repair moves them off it. Zero noise
-  /// observes slowdown exactly 1 everywhere, preserving the no-op property.
-  bool adaptiveSpeedEstimates = true;
-  /// When the execution contends for the backbone
-  /// (RescheduleOptions::contention), price repair projections through the
-  /// fair-share cost model so the repair optimizes the physics the engine
-  /// realizes. No effect on uncontended executions, whose projection stays
-  /// the exact deterministic replay the tests pin to 1e-9.
-  bool contentionAwareProjection = true;
   /// Evaluation-mode hindsight guard (see file comment).
   bool hindsightGuard = true;
-  /// Fault trigger: pause and repair when a fail-stop fault strikes
-  /// (transient crashes recover in place inside the engine and never
-  /// trigger; their lateness surfaces through the regular policies). Fault
-  /// repairs are mandatory — they bypass the drift gate, minGain and the
-  /// maxReschedules cap, because the alternative is stranded work.
-  bool faultTrigger = true;
-  /// When no surviving processor can host a lost block yet, the driver
-  /// resumes execution and retries after a backoff window (processors free
-  /// up as other blocks complete). The window starts at
-  /// `faultBackoffFraction` of the predicted makespan and doubles per
-  /// consecutive failed retry; after `faultMaxRetries` failures the run
-  /// errors out as unrecoverable.
-  int faultMaxRetries = 8;
-  double faultBackoffFraction = 0.02;
 };
 
 /// One repair attempt (a pause that got past the drift gate).

@@ -14,6 +14,9 @@ using graph::VertexId;
 
 namespace {
 
+/// Imbalance allowed when FitBlock splits a block.
+constexpr double kSplitEpsilon = 0.15;
+
 /// Splits a block in two with the acyclic partitioner (memory-balanced).
 /// `fitFraction` sets the share of memory weight aimed at the first part:
 /// instead of halving, FitBlock carves off a part sized for the target
@@ -26,27 +29,19 @@ std::vector<std::vector<VertexId>> splitBlock(
     const AssignmentConfig& cfg, std::uint32_t salt, double fitFraction) {
   if (vertices.size() < 2) return {};
   const graph::SubDag sub = graph::inducedSubgraph(g, vertices);
-  partition::PartitionConfig pcfg;
-  pcfg.numParts = 2;
-  pcfg.epsilon = cfg.splitEpsilon;
-  pcfg.seed = cfg.seed ^ (0x9e3779b97f4a7c15ULL * (salt + 1));
-  pcfg.coarsenTargetSize = cfg.coarsenTargetSize;
-  pcfg.maxFmPasses = cfg.maxFmPasses;
-  pcfg.balance = partition::PartitionConfig::BalanceWeight::kMemoryFootprint;
   // partitionAcyclic's recursive bisector reads proportions from numParts;
   // emulate an asymmetric split by bisecting manually here.
-  const std::vector<double> weights =
-      partition::balanceWeights(sub.dag, pcfg.balance);
+  const std::vector<double> weights = partition::balanceWeights(
+      sub.dag, partition::PartitionConfig::BalanceWeight::kMemoryFootprint);
   double total = 0.0;
   for (const double w : weights) total += w;
   partition::detail::BisectionTargets targets;
   targets.target0 = total * fitFraction;
   targets.target1 = total - targets.target0;
-  targets.epsilon = cfg.splitEpsilon;
-  support::Rng rng(pcfg.seed);
-  const std::vector<std::uint8_t> side = partition::detail::multilevelBisect(
-      sub.dag, weights, targets, pcfg.coarsenTargetSize, pcfg.maxFmPasses,
-      /*enableRefinement=*/true, rng);
+  targets.epsilon = kSplitEpsilon;
+  support::Rng rng(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (salt + 1)));
+  const std::vector<std::uint8_t> side =
+      partition::detail::multilevelBisect(sub.dag, weights, targets, rng);
   std::vector<std::vector<VertexId>> parts(2);
   for (VertexId local = 0; local < sub.dag.numVertices(); ++local) {
     parts[side[local]].push_back(sub.toOriginal[local]);

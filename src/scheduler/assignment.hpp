@@ -27,10 +27,7 @@ struct BlockInfo {
 };
 
 struct AssignmentConfig {
-  double splitEpsilon = 0.15;  // imbalance allowed when splitting a block
   std::uint64_t seed = 1;
-  std::size_t coarsenTargetSize = 64;
-  int maxFmPasses = 8;
 };
 
 struct AssignmentResult {

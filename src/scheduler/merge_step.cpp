@@ -17,6 +17,15 @@ using quotient::kNoBlock;
 
 namespace {
 
+/// Paper Algorithm 3: a node with unassigned neighbors is reinserted at most
+/// this many times.
+constexpr int kMaxReinserts = 2;
+/// Any-host rescue limits: at most kMaxRescueProbes oracle evaluations per
+/// stuck node and kRescueProbeBudget per merge-step invocation, so rescue
+/// attempts stay a small fraction of the total runtime.
+constexpr int kMaxRescueProbes = 12;
+constexpr int kRescueProbeBudget = 400;
+
 /// Outcome of probing one merge candidate.
 struct CandidateOutcome {
   double makespan = std::numeric_limits<double>::infinity();
@@ -207,7 +216,7 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
   // Progress-based deferral bookkeeping: merge count at a node's last
   // failed attempt (see below).
   std::map<BlockId, std::uint32_t> mergesAtLastFailure;
-  int rescueProbesLeft = cfg.rescueProbeBudget;
+  int rescueProbesLeft = kRescueProbeBudget;
 
   while (!unassigned.empty()) {
     const BlockId nu = unassigned.front();
@@ -248,7 +257,7 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
       // DagHetMem baseline produces disconnected blocks as well). Probes
       // are slack-ordered, first-feasible-wins, and budgeted so rescue
       // attempts cannot dominate the runtime of large instances.
-      const int probes = std::min(rescueProbesLeft, cfg.maxRescueProbes);
+      const int probes = std::min(rescueProbesLeft, kMaxRescueProbes);
       outcome = findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr,
                                buffersPtr, nu, assigned,
                                /*neighborsOnly=*/false, probes,
@@ -283,8 +292,7 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
       }
       return false;
     }();
-    if (hasUnassignedNeighbor &&
-        q.node(nu).reinsertCount < cfg.maxReinserts) {
+    if (hasUnassignedNeighbor && q.node(nu).reinsertCount < kMaxReinserts) {
       q.bumpReinsertCount(nu);
       unassigned.push_back(nu);
       continue;
@@ -295,14 +303,12 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
     // in the host, turning its inputs internal). Retry as long as the last
     // attempt is older than the newest committed merge; each retry consumes
     // at least one new merge, so this terminates.
-    if (cfg.progressDeferral) {
-      const auto it = mergesAtLastFailure.find(nu);
-      if (it == mergesAtLastFailure.end() ||
-          it->second < result.mergesCommitted) {
-        mergesAtLastFailure[nu] = result.mergesCommitted;
-        unassigned.push_back(nu);
-        continue;
-      }
+    const auto it = mergesAtLastFailure.find(nu);
+    if (it == mergesAtLastFailure.end() ||
+        it->second < result.mergesCommitted) {
+      mergesAtLastFailure[nu] = result.mergesCommitted;
+      unassigned.push_back(nu);
+      continue;
     }
     result.success = false;
     return result;

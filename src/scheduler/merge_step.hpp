@@ -10,8 +10,9 @@
 // cycles discard the candidate. Among feasible candidates (merged memory
 // requirement within the host processor's memory), the one minimizing the
 // estimated makespan wins. Nodes whose neighbors are still unassigned may be
-// deferred up to two times; if a node can neither merge nor wait, the
-// instance is infeasible for this block count.
+// deferred up to two times; a stuck node is also retried while other merges
+// keep landing (library extension); if a node can neither merge nor wait,
+// the instance is infeasible for this block count.
 
 #include <optional>
 
@@ -24,20 +25,10 @@ namespace dagpm::scheduler {
 
 struct MergeStepConfig {
   bool preferOffCriticalPath = true;  // ablation: disable the A \ P pass
-  int maxReinserts = 2;               // paper: stop reinserting after 2 times
   /// Library extension: when no neighbor merge is feasible, allow merging
   /// into any assigned node (acyclicity- and memory-checked) before
   /// failing. Rescues saturation dead ends; off = the paper's exact rule.
   bool anyHostFallback = true;
-  /// Library extension: retry a stuck node as long as other merges are
-  /// still landing (a gather task often only fits a host once most of its
-  /// producers moved there). Terminates: every retry consumes >= 1 merge.
-  bool progressDeferral = true;
-  /// Rescue probing limits: at most maxRescueProbes oracle evaluations per
-  /// stuck node and rescueProbeBudget per merge-step invocation, so rescue
-  /// attempts stay a small fraction of the total runtime.
-  int maxRescueProbes = 12;
-  int rescueProbeBudget = 400;
   /// Communication cost model the candidate scoring and the critical-path
   /// preference evaluate under. Null = the paper's uncontended Eq. (1)-(2)
   /// recurrence (the legacy code path, bit-identical to pre-model builds);

@@ -17,6 +17,10 @@ using quotient::BlockId;
 
 namespace {
 
+/// Safety bound on Algorithm 5's rounds; each committed round strictly
+/// improves the makespan.
+constexpr std::uint32_t kMaxSwapRounds = 1000;
+
 /// The equal-speed prune is only sound when the cost model provably ignores
 /// placement (the makespan then depends on speeds alone): under a per-link
 /// model an equal-speed swap still reroutes transfers and can change the
@@ -44,7 +48,7 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
 
   if (cfg.enableSwaps) {
     // Algorithm 5: repeatedly execute the best improving feasible swap.
-    for (std::uint32_t round = 0; round < cfg.maxSwapRounds; ++round) {
+    for (std::uint32_t round = 0; round < kMaxSwapRounds; ++round) {
       double bestMakespan = result.makespan;
       BlockId bestA = quotient::kNoBlock;
       BlockId bestB = quotient::kNoBlock;
@@ -159,7 +163,7 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
     };
     std::vector<PairCandidate> pairs;
     std::vector<double> makespans;
-    for (std::uint32_t round = 0; round < cfg.maxSwapRounds; ++round) {
+    for (std::uint32_t round = 0; round < kMaxSwapRounds; ++round) {
       pairs.clear();
       for (std::uint32_t i = 0; i < nodes.size(); ++i) {
         for (std::uint32_t j = i + 1; j < nodes.size(); ++j) {

@@ -27,7 +27,6 @@ namespace dagpm::scheduler {
 struct SwapStepConfig {
   bool enableSwaps = true;      // ablation toggles
   bool enableIdleMoves = true;
-  std::uint32_t maxSwapRounds = 1000;  // safety bound; each round improves
   /// Communication cost model the swap/idle-move search evaluates under.
   /// Null = the paper's uncontended recurrence (the legacy code path);
   /// &comm::fairShareCommModel() = contention-aware local search. The

@@ -56,14 +56,11 @@ std::uint64_t fingerprintConfig(const scheduler::DagHetPartConfig& cfg,
   h.mix(cfg.seed);
   h.mixDouble(cfg.step1Epsilon);
   h.mix(static_cast<std::uint64_t>(cfg.step1Balance));
-  h.mix(cfg.oracle.exactThreshold);
   // One bit per boolean toggle, packed; parallelSweep and the options'
   // fullReevaluation are excluded (schedules are bit-identical
   // across them — see the header).
   std::uint64_t bits = 0;
   const auto pack = [&bits](bool b) { bits = (bits << 1) | (b ? 1u : 0u); };
-  pack(cfg.oracle.useSpSchedule);
-  pack(cfg.oracle.useGreedy);
   pack(cfg.oracle.useSpization);
   pack(cfg.preferOffCriticalPath);
   pack(cfg.anyHostFallback);

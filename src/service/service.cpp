@@ -21,6 +21,13 @@ double secondsSince(Clock::time_point from) {
   return std::chrono::duration<double>(Clock::now() - from).count();
 }
 
+// Deadline-ladder cost model, per task, in Request::deadlineBudget units.
+// The ladder compares these estimates, never wall clocks, so its decisions
+// (full solve / cache / HEFT / reject) are a pure function of the request
+// and reproduce bit-identically under any worker-thread count.
+constexpr double kSolveCostPerTask = 1.0;
+constexpr double kHeftCostPerTask = 0.05;
+
 }  // namespace
 
 SchedulerService::SchedulerService(ServiceConfig cfg)
@@ -44,7 +51,11 @@ SchedulerService::~SchedulerService() {
 
 bool SchedulerService::enqueue(Request&& request, std::future<Response>* out,
                                bool blocking) {
-  if (cfg_.singleThreadedJobs) request.config.parallelSweep = false;
+  // Every job runs single-threaded: the pool already saturates the machine,
+  // per-request counter deltas stay exact, and the solver's
+  // thread-count reproducibility keeps the schedules bit-identical to any
+  // parallel-sweep run.
+  request.config.parallelSweep = false;
   // A poisoned request (null workflow or cluster) is accepted and failed on
   // the worker through the regular exception-isolation path: the error
   // surfaces through the future like any solve failure instead of crashing
@@ -100,7 +111,7 @@ void SchedulerService::workerLoop() {
   // job's inner parallel regions (the Step-4 swap scan) then stay on this
   // thread instead of opening an nproc team per worker, and the
   // ThreadCounterScope delta sees every count.
-  if (cfg_.singleThreadedJobs) omp_set_num_threads(1);
+  omp_set_num_threads(1);
   BreakerState breaker;
   breaker.cooldownJobs = std::max(1, cfg_.breakerCooldownJobs);
   for (;;) {
@@ -170,8 +181,7 @@ void SchedulerService::process(Job job, BreakerState& breaker) {
   const bool poisoned =
       job.request.dag == nullptr || job.request.cluster == nullptr;
   if (!poisoned && job.request.deadlineBudget > 0.0 &&
-      cfg_.solveCostPerTask *
-              static_cast<double>(job.request.dag->numVertices()) >
+      kSolveCostPerTask * static_cast<double>(job.request.dag->numVertices()) >
           job.request.deadlineBudget) {
     obs::add(obs::Counter::kServiceDeadlineMisses);
     resp.deadlineMissed = true;
@@ -195,7 +205,7 @@ void SchedulerService::process(Job job, BreakerState& breaker) {
     // masquerade as the full solve of the same fingerprint, and skipping
     // the in-flight table keeps the rung decision independent of worker
     // interleaving.
-    if (cfg_.heftCostPerTask *
+    if (kHeftCostPerTask *
             static_cast<double>(job.request.dag->numVertices()) <=
         job.request.deadlineBudget) {
       obs::add(obs::Counter::kServiceFallbackHeft);
@@ -348,8 +358,8 @@ scheduler::ScheduleResult SchedulerService::solve(
   const obs::Span span("service.solve",
                        std::string(algorithmName(r.algorithm)) +
                            " id=" + std::to_string(job.id));
-  // The job runs entirely on this thread (singleThreadedJobs disables the
-  // parallel sweep and pins the worker to one OpenMP thread), so the
+  // The job runs entirely on this thread (enqueue disables the parallel
+  // sweep and the worker is pinned to one OpenMP thread), so the
   // thread-local delta is this request's exact probe/repair/merge work.
   const obs::ThreadCounterScope scope;
   scheduler::ScheduleResult result;

@@ -50,23 +50,6 @@ struct ServiceConfig {
   std::size_t cacheCapacity = 512;
   /// Coalesce identical in-flight requests onto one solve (single-flight).
   bool coalesceIdentical = true;
-  /// Run each job single-threaded (parallelSweep = false, and each worker
-  /// pinned to one OpenMP thread): the pool already saturates the machine,
-  /// per-request counter deltas stay exact, and the solver's
-  /// thread-count-reproducibility guarantee keeps the schedules
-  /// bit-identical to any parallel-sweep run.
-  bool singleThreadedJobs = true;
-
-  // -- Graceful degradation (deadline ladder) -------------------------------
-  /// Cost-model estimate of a full solve, per task, in the same unit as
-  /// Request::deadlineBudget. The ladder compares estimates, never wall
-  /// clocks, so its decisions (full solve / cache / HEFT / reject) are a
-  /// pure function of the request and reproduce bit-identically under any
-  /// worker-thread count.
-  double solveCostPerTask = 1.0;
-  /// Estimated cost of the HEFT fast path, per task (same unit). Must be
-  /// well below solveCostPerTask for the fast path to ever help.
-  double heftCostPerTask = 0.05;
 
   // -- Per-worker circuit breaker -------------------------------------------
   /// Consecutive request failures on one worker that trip its breaker;
@@ -87,10 +70,10 @@ struct Request {
   const platform::Cluster* cluster = nullptr;
   Algorithm algorithm = Algorithm::kDagHetPart;
   scheduler::DagHetPartConfig config;
-  /// Deadline budget in cost-model units (ServiceConfig::solveCostPerTask x
-  /// tasks is the full-solve estimate); 0 = no deadline, always the full
-  /// solve — the exact legacy path. When the full-solve estimate exceeds
-  /// the budget the service degrades down the ladder: cached schedule
+  /// Deadline budget in cost-model units (1 per task is the full-solve
+  /// estimate, 0.05 per task the HEFT fast path's); 0 = no deadline, always
+  /// the full solve — the exact legacy path. When the full-solve estimate
+  /// exceeds the budget the service degrades down the ladder: cached schedule
   /// (full fidelity, free) -> HEFT fast path (memory-oblivious, flagged
   /// `degraded`) -> rejection (`rejected`, no schedule).
   double deadlineBudget = 0.0;

@@ -1,10 +1,18 @@
-// Tests for the JSON parser/writer and the WfCommons-style workflow
-// interchange.
+// Tests for the JSON parser/writer, the WfCommons-style workflow
+// interchange, and malformed-input coverage of the DOT and JSON readers.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
+
+#include "graph/dot_io.hpp"
 #include "graph/topology.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 #include "workflows/families.hpp"
 #include "workflows/json_io.hpp"
 
@@ -193,6 +201,92 @@ TEST(WorkflowJson, RoundTripPreservesGeneratedWorkflow) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+// ------------------------------------------------ reader mutation coverage
+
+using Reader = std::optional<graph::Dag> (*)(const std::string&);
+
+/// Feeds `reader` every prefix truncation of `text` plus `substitutions`
+/// seeded copies with 1-4 bytes replaced (half by arbitrary bytes, half by
+/// syntax characters, so some mutants get past the tokenizer). Every input
+/// must be rejected or parse to a valid Dag; nothing may throw.
+void expectRejectOrValid(const std::string& text, Reader reader,
+                         int substitutions) {
+  std::size_t throws = 0;
+  std::string firstThrow;
+  const auto check = [&](const std::string& input) {
+    std::optional<graph::Dag> g;
+    try {
+      g = reader(input);
+    } catch (...) {
+      if (throws++ == 0) firstThrow = input;
+      return;
+    }
+    if (!g) return;
+    EXPECT_TRUE(graph::isAcyclic(*g)) << input;
+    for (graph::VertexId v = 0; v < g->numVertices(); ++v) {
+      EXPECT_TRUE(std::isfinite(g->work(v)) && g->work(v) >= 0.0) << input;
+      EXPECT_TRUE(std::isfinite(g->memory(v)) && g->memory(v) >= 0.0)
+          << input;
+    }
+    for (graph::EdgeId e = 0; e < g->numEdges(); ++e) {
+      const graph::Edge& edge = g->edge(e);
+      EXPECT_NE(edge.src, edge.dst) << input;
+      EXPECT_TRUE(std::isfinite(edge.cost) && edge.cost >= 0.0) << input;
+    }
+  };
+
+  for (std::size_t len = 0; len <= text.size(); ++len) {
+    check(text.substr(0, len));
+  }
+  constexpr std::string_view kSyntax = "{}[]\",:;=->.eE+0123456789 \n\\";
+  support::Rng rng(0x5eed);
+  const auto pick = [&rng](std::size_t n) {  // uniform in [0, n)
+    return static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  for (int m = 0; m < substitutions; ++m) {
+    std::string mutant = text;
+    const std::size_t bytes = 1 + pick(4);
+    for (std::size_t b = 0; b < bytes; ++b) {
+      const std::size_t pos = pick(text.size());
+      if (m % 2 == 0) {
+        mutant[pos] = static_cast<char>(pick(256));
+      } else {
+        mutant[pos] = kSyntax[pick(kSyntax.size())];
+      }
+    }
+    check(mutant);
+  }
+  EXPECT_EQ(throws, 0u) << "first throwing input:\n" << firstThrow;
+}
+
+graph::Dag mutationSource() {
+  workflows::GenConfig cfg;
+  cfg.numTasks = 24;
+  cfg.seed = 7;
+  return workflows::generate(workflows::Family::kMontage, cfg);
+}
+
+/// The JSON reader with its error channel on, so rejections format their
+/// messages too.
+std::optional<graph::Dag> readJsonReportingErrors(const std::string& text) {
+  std::string error;
+  return workflows::workflowFromJson(text, &error);
+}
+
+TEST(ReaderMutation, DotPrefixesAndSubstitutionsNeverThrow) {
+  const std::string dot = graph::toDot(mutationSource());
+  ASSERT_TRUE(graph::dagFromDot(dot).has_value());
+  expectRejectOrValid(dot, graph::dagFromDot, 10000);
+}
+
+TEST(ReaderMutation, JsonPrefixesAndSubstitutionsNeverThrow) {
+  const std::string json =
+      workflows::workflowToJson(mutationSource(), "montage");
+  ASSERT_TRUE(workflows::workflowFromJson(json).has_value());
+  expectRejectOrValid(json, readJsonReportingErrors, 10000);
 }
 
 }  // namespace

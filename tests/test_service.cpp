@@ -96,27 +96,37 @@ TEST(ServiceFingerprint, ScheduleRelevantFieldsHash) {
   const graph::Dag g =
       workflows::generate(workflows::Family::kSeismology, genConfig(60, 1));
   const platform::Cluster cluster = testCluster();
-  scheduler::DagHetPartConfig cfg;
+  const scheduler::DagHetPartConfig cfg;
   const std::uint64_t base = service::fingerprintRequest(
       g, cluster, cfg, Algorithm::kDagHetPart);
 
-  // Every schedule-relevant knob moves the fingerprint.
-  scheduler::DagHetPartConfig changed = cfg;
-  changed.seed = 2;
-  EXPECT_NE(base, service::fingerprintRequest(g, cluster, changed,
-                                              Algorithm::kDagHetPart));
-  changed = cfg;
-  changed.sweep = scheduler::KPrimeSweep::kFull;
-  EXPECT_NE(base, service::fingerprintRequest(g, cluster, changed,
-                                              Algorithm::kDagHetPart));
-  changed = cfg;
-  changed.enableSwaps = false;
-  EXPECT_NE(base, service::fingerprintRequest(g, cluster, changed,
-                                              Algorithm::kDagHetPart));
-  changed = cfg;
-  changed.options.contentionAware = true;
-  EXPECT_NE(base, service::fingerprintRequest(g, cluster, changed,
-                                              Algorithm::kDagHetPart));
+  // One row per schedule-relevant field the fingerprint hashes, moved off
+  // its default: every row must move the fingerprint to a value that
+  // neither the default nor an earlier row hashes to.
+  std::vector<std::uint64_t> seen = {base};
+  const auto expectMoves = [&](auto change) {
+    scheduler::DagHetPartConfig changed = cfg;
+    change(changed);
+    const std::uint64_t fp = service::fingerprintRequest(
+        g, cluster, changed, Algorithm::kDagHetPart);
+    for (const std::uint64_t other : seen) {
+      EXPECT_NE(fp, other) << "row " << seen.size();
+    }
+    seen.push_back(fp);
+  };
+  using C = scheduler::DagHetPartConfig;
+  using Balance = partition::PartitionConfig::BalanceWeight;
+  expectMoves([](C& c) { c.seed = 2; });
+  expectMoves([](C& c) { c.sweep = scheduler::KPrimeSweep::kFull; });
+  expectMoves([](C& c) { c.step1Epsilon = 0.2; });
+  expectMoves([](C& c) { c.step1Balance = Balance::kMemoryFootprint; });
+  expectMoves([](C& c) { c.oracle.useSpization = false; });
+  expectMoves([](C& c) { c.preferOffCriticalPath = false; });
+  expectMoves([](C& c) { c.anyHostFallback = false; });
+  expectMoves([](C& c) { c.enableSwaps = false; });
+  expectMoves([](C& c) { c.enableIdleMoves = false; });
+  expectMoves([](C& c) { c.memoryBalanceFallback = false; });
+  expectMoves([](C& c) { c.options.contentionAware = true; });
   EXPECT_NE(base, service::fingerprintRequest(g, cluster, cfg,
                                               Algorithm::kDagHetMem));
 }

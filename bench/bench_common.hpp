@@ -17,7 +17,6 @@
 #include "support/env.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
-#include "support/timer.hpp"
 
 namespace dagpm::bench {
 

@@ -218,7 +218,6 @@ int main() {
     // candidate and blur the quantity this bench tracks. The ladder is
     // still end-to-end DagHetPart (Steps 1-4), just with a single-k' sweep.
     cfg.sweep = scheduler::KPrimeSweep::kSingle;
-    cfg.parallelSweep = false;  // give the Step-4 scan the OpenMP threads
 
     scheduler::ScheduleResult incremental;
     {

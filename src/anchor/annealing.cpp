@@ -256,7 +256,7 @@ AnnealResult refine(const graph::Dag& g, const platform::Cluster& cluster,
   for (auto& s : streamSeeds) s = root.fork().next();
 
   std::vector<RestartOutcome> outcomes(cfg.restarts);
-#pragma omp parallel for schedule(dynamic) if (cfg.parallelRestarts)
+#pragma omp parallel for schedule(dynamic)
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     outcomes[i] = runRestart(g, cluster, seedSchedule, cfg, streamSeeds[i]);
   }

@@ -34,10 +34,6 @@ struct AnnealConfig {
   std::uint32_t stepsPerRestart = 2000;
   std::uint32_t descentSteps = 500;
   std::uint64_t seed = 1;
-  /// OpenMP over restarts. Results are bit-identical either way; off keeps
-  /// a caller's thread (e.g. a portfolio arm) attributable to one counter
-  /// scope.
-  bool parallelRestarts = true;
   memory::OracleOptions oracle;
 };
 

@@ -315,7 +315,6 @@ BnbResult solveExact(const graph::Dag& g, const platform::Cluster& cluster,
   // Seed the incumbent with the heuristic winner.
   scheduler::DagHetPartConfig heuristic;
   heuristic.oracle = cfg.oracle;
-  heuristic.parallelSweep = false;  // the anchor stays single-threaded
   scheduler::ScheduleResult seed =
       scheduler::scheduleBest(g, cluster, heuristic);
   if (seed.feasible) {

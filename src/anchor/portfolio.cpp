@@ -1,6 +1,5 @@
 #include "anchor/portfolio.hpp"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -66,13 +65,10 @@ PortfolioResult race(const graph::Dag& g, const platform::Cluster& cluster,
     const obs::ThreadCounterScope scope;
     obs::add(obs::Counter::kPortfolioArms);
     switch (arm.kind) {
-      case PortfolioArm::Kind::kDagHetPartKPrime: {
-        scheduler::DagHetPartConfig c = cfg.heuristic;
-        c.parallelSweep = false;
+      case PortfolioArm::Kind::kDagHetPartKPrime:
         out.schedule =
-            scheduler::dagHetPartSingle(g, cluster, arm.kPrime, c);
+            scheduler::dagHetPartSingle(g, cluster, arm.kPrime, cfg.heuristic);
         break;
-      }
       case PortfolioArm::Kind::kDagHetMem: {
         scheduler::DagHetMemConfig c;
         c.oracle = cfg.heuristic.oracle;
@@ -81,7 +77,6 @@ PortfolioResult race(const graph::Dag& g, const platform::Cluster& cluster,
       }
       case PortfolioArm::Kind::kSaRefine: {
         AnnealConfig c = cfg.anneal;
-        c.parallelRestarts = false;
         c.seed = arm.seed;
         if (refineSeed != nullptr && refineSeed->feasible) {
           out.schedule = refine(g, cluster, *refineSeed, c).schedule;
@@ -95,14 +90,12 @@ PortfolioResult race(const graph::Dag& g, const platform::Cluster& cluster,
     if (obs::countersEnabled()) out.counters = scope.deltas();
   };
 
-  // A wave runs on up to cfg.numThreads threads, the loop runSweep uses.
-  // Each arm pins its inner parallel regions (e.g. the Step-4 swap scan) to
-  // its own thread, so the ThreadCounterScope delta is exact; the pin lives
-  // in the region's implicit task and does not outlast the loop.
+  // A wave is an OpenMP loop like runSweep's. Each arm pins its inner
+  // parallel regions (e.g. the Step-4 swap scan) to its own thread, so the
+  // ThreadCounterScope delta is exact; the pin lives in the region's
+  // implicit task and does not outlast the loop.
   const auto runWave = [&](const std::vector<std::size_t>& wave) {
-    const int workers =
-        std::max(1, std::min(cfg.numThreads, static_cast<int>(wave.size())));
-#pragma omp parallel for schedule(dynamic) num_threads(workers)
+#pragma omp parallel for schedule(dynamic)
     for (std::size_t i = 0; i < wave.size(); ++i) {
       omp_set_num_threads(1);
       runArm(wave[i]);

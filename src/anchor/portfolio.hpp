@@ -44,13 +44,10 @@ struct PortfolioArm {
 };
 
 struct PortfolioConfig {
-  int numThreads = 4;      ///< loop threads (capped to the arm count)
   std::uint32_t saArms = 2;   ///< SA arms appended by defaultArms
-  /// Base config of the heuristic arms; parallelSweep is forced off per arm
-  /// (the arm loop is the parallelism).
+  /// Base config of the heuristic arms.
   scheduler::DagHetPartConfig heuristic;
-  /// Base config of the SA arms; parallelRestarts is forced off per arm and
-  /// the per-arm seed overrides `anneal.seed`.
+  /// Base config of the SA arms; the per-arm seed overrides `anneal.seed`.
   AnnealConfig anneal;
 };
 
@@ -76,9 +73,9 @@ struct PortfolioResult {
 std::vector<PortfolioArm> defaultArms(const platform::Cluster& cluster,
                                       const PortfolioConfig& cfg);
 
-/// Races `arms` on up to cfg.numThreads threads. Heuristic arms run first;
-/// refinement arms are then seeded with the best feasible heuristic
-/// schedule (they report infeasible when no heuristic arm closed).
+/// Races `arms` on an OpenMP loop, each arm pinned to one thread. Heuristic
+/// arms run first; refinement arms are then seeded with the best feasible
+/// heuristic schedule (they report infeasible when no heuristic arm closed).
 PortfolioResult race(const graph::Dag& g, const platform::Cluster& cluster,
                      const std::vector<PortfolioArm>& arms,
                      const PortfolioConfig& cfg = {});

@@ -42,16 +42,12 @@
 namespace dagpm::comm {
 
 inline constexpr std::uint32_t kNoFluidEdge = 0xffffffffu;
-inline constexpr std::uint32_t kNoFluidProc = 0xffffffffu;
 
 /// One node of a fluid evaluation: a block computing for `duration` once
-/// all its inputs arrived and `earliestStart` has passed. `proc` carries the
-/// placement for models that price transfers by endpoint (per-link
-/// topologies); the single-backbone models ignore it.
+/// all its inputs arrived and `earliestStart` has passed.
 struct FluidNode {
   double duration = 0.0;
   double earliestStart = 0.0;
-  std::uint32_t proc = kNoFluidProc;
 };
 
 /// A transfer dispatched the instant its source node finishes.
@@ -163,15 +159,6 @@ class CommCostModel {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   /// True when concurrent transfers slow each other down.
   [[nodiscard]] virtual bool contended() const noexcept = 0;
-  /// True when the evaluation ignores FluidNode::proc, i.e. swapping two
-  /// equal-speed blocks provably cannot change the makespan. Both backbone
-  /// models are placement-invariant (one shared link, so a transfer cannot
-  /// move between links); per-link topology models must return false so the
-  /// Step-4 equal-speed prune does not skip swaps that reroute transfers.
-  /// Defaults to false: an unknown model is assumed placement-sensitive.
-  [[nodiscard]] virtual bool placementInvariant() const noexcept {
-    return false;
-  }
   [[nodiscard]] virtual FluidResult evaluate(const FluidProblem& problem,
                                              double beta) const = 0;
 };
@@ -183,9 +170,6 @@ class UncontendedCommModel final : public CommCostModel {
     return "uncontended";
   }
   [[nodiscard]] bool contended() const noexcept override { return false; }
-  [[nodiscard]] bool placementInvariant() const noexcept override {
-    return true;  // every transfer pays volume/beta wherever it lands
-  }
   [[nodiscard]] FluidResult evaluate(const FluidProblem& problem,
                                      double beta) const override;
 };
@@ -197,9 +181,6 @@ class FairShareCommModel final : public CommCostModel {
     return "fair-share";
   }
   [[nodiscard]] bool contended() const noexcept override { return true; }
-  [[nodiscard]] bool placementInvariant() const noexcept override {
-    return true;  // one shared backbone: placement cannot reroute transfers
-  }
   [[nodiscard]] FluidResult evaluate(const FluidProblem& problem,
                                      double beta) const override;
 };

@@ -11,7 +11,6 @@
 #include "support/rng.hpp"      // deterministic SplitMix64 RNG
 #include "support/stats.hpp"    // geometric means & friends
 #include "support/table.hpp"    // aligned text tables
-#include "support/timer.hpp"    // wall-clock timer
 
 // Workflow graphs.
 #include "graph/dag.hpp"         // the weighted DAG

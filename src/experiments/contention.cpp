@@ -58,8 +58,6 @@ std::vector<ContentionOutcome> runContention(
     scaled.setBandwidth(1.0 / ccr);
 
     scheduler::DagHetPartConfig cfg = options.part;
-    // The (instance, rung) loop already saturates the cores.
-    cfg.parallelSweep = !options.parallelInstances;
     cfg.options.contentionAware = false;
     const scheduler::ScheduleResult oblivious =
         scheduler::dagHetPart(inst.dag, scaled, cfg);
@@ -89,7 +87,7 @@ std::vector<ContentionOutcome> runContention(
     }
   };
 
-#pragma omp parallel for schedule(dynamic) if (options.parallelInstances)
+#pragma omp parallel for schedule(dynamic)
   for (std::size_t s = 0; s < slots.size(); ++s) runOne(s);
   return slots;
 }

@@ -55,7 +55,6 @@ struct ContentionOutcome {
 
 struct ContentionRunnerOptions {
   scheduler::DagHetPartConfig part;  // options.contentionAware is overridden
-  bool parallelInstances = true;     // OpenMP across (instance, rung) pairs
 };
 
 /// Schedules every instance at every CCR rung with contention-aware search

@@ -81,7 +81,6 @@ std::vector<FaultOutcome> runFaultRecovery(
 
   forEachScheduledInstance(
       instances, cluster, options.part, options.mem,
-      options.parallelInstances,
       [&](std::size_t i, const Instance& inst,
           const platform::Cluster& scaled,
           const scheduler::ScheduleResult& part,

@@ -96,7 +96,6 @@ struct FaultRunnerOptions {
   resched::ReschedulePolicy policy;
   int replications = 8;
   std::uint64_t seed = 1;
-  bool parallelInstances = true;  // OpenMP across instances
 };
 
 /// Runs every feasible schedule through the fault-injecting online driver at

@@ -86,7 +86,7 @@ std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
                                       const RunnerOptions& options) {
   std::vector<RunOutcome> outcomes(instances.size());
   forEachScheduledInstance(
-      instances, cluster, options.part, options.mem, options.parallelInstances,
+      instances, cluster, options.part, options.mem,
       [&](std::size_t i, const Instance& inst,
           const platform::Cluster& scaled,
           const scheduler::ScheduleResult& part,
@@ -175,7 +175,7 @@ std::map<std::string, Aggregate> aggregateBy(
 void forEachScheduledInstance(
     const std::vector<Instance>& instances, const platform::Cluster& cluster,
     const scheduler::DagHetPartConfig& part,
-    const scheduler::DagHetMemConfig& mem, bool parallelInstances,
+    const scheduler::DagHetMemConfig& mem,
     const std::function<void(std::size_t, const Instance&,
                              const platform::Cluster&,
                              const scheduler::ScheduleResult&,
@@ -190,11 +190,8 @@ void forEachScheduledInstance(
     const obs::Span instSpan("harness.instance", inst.name, instanceParent);
     platform::Cluster scaled = cluster;
     scaled.scaleMemoriesToFit(inst.dag.maxTaskMemoryRequirement());
-    scheduler::DagHetPartConfig pcfg = part;
-    // The instance-level loop already saturates the cores.
-    pcfg.parallelSweep = !parallelInstances;
     const scheduler::ScheduleResult partSchedule =
-        scheduler::dagHetPart(inst.dag, scaled, pcfg);
+        scheduler::dagHetPart(inst.dag, scaled, part);
     const scheduler::ScheduleResult memSchedule =
         scheduler::dagHetMem(inst.dag, scaled, mem);
     const memory::MemDagOracle partOracle(inst.dag, part.oracle);
@@ -202,7 +199,7 @@ void forEachScheduledInstance(
     consume(i, inst, scaled, partSchedule, memSchedule, partOracle,
             memOracle);
   };
-#pragma omp parallel for schedule(dynamic) if (parallelInstances)
+#pragma omp parallel for schedule(dynamic)
   for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
 }
 

@@ -51,8 +51,7 @@ struct RunOutcome {
 struct RunnerOptions {
   scheduler::DagHetPartConfig part;
   scheduler::DagHetMemConfig mem;
-  bool parallelInstances = true;  // OpenMP across instances
-  bool validate = false;          // re-validate every feasible schedule
+  bool validate = false;  // re-validate every feasible schedule
 };
 
 /// Runs DagHetPart and DagHetMem on every instance through
@@ -66,13 +65,14 @@ std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
 /// rescheduling and fault runners: schedules every instance with both
 /// algorithms on its memory-scaled cluster copy (Sec. 5.1.2) and hands the
 /// results plus the matching oracles to `consume`, OpenMP-parallel across
-/// instances when requested (the k' sweep's own parallelism is then
-/// disabled). `consume` runs inside the parallel region — callers write to
-/// disjoint, deterministically laid-out slots instead of sharing state.
+/// instances (the loops nested below, e.g. the k' sweep, then run on the
+/// thread that reached them). `consume` runs inside the parallel region —
+/// callers write to disjoint, deterministically laid-out slots instead of
+/// sharing state.
 void forEachScheduledInstance(
     const std::vector<Instance>& instances, const platform::Cluster& cluster,
     const scheduler::DagHetPartConfig& part,
-    const scheduler::DagHetMemConfig& mem, bool parallelInstances,
+    const scheduler::DagHetMemConfig& mem,
     const std::function<void(std::size_t index, const Instance& instance,
                              const platform::Cluster& scaled,
                              const scheduler::ScheduleResult& partSchedule,

@@ -70,7 +70,6 @@ std::vector<ReschedOutcome> runRescheduling(
 
   forEachScheduledInstance(
       instances, cluster, options.part, options.mem,
-      options.parallelInstances,
       [&](std::size_t i, const Instance& inst,
           const platform::Cluster& scaled,
           const scheduler::ScheduleResult& part,

@@ -71,7 +71,6 @@ struct ReschedulingRunnerOptions {
   int replications = 8;
   std::uint64_t seed = 1;
   bool contention = false;
-  bool parallelInstances = true;  // OpenMP across instances
 };
 
 /// Schedules every instance with DagHetPart and DagHetMem (cluster memories

@@ -39,7 +39,6 @@ std::vector<RobustnessOutcome> runRobustness(
 
   forEachScheduledInstance(
       instances, cluster, options.part, options.mem,
-      options.parallelInstances,
       [&](std::size_t i, const Instance& inst,
           const platform::Cluster& scaled,
           const scheduler::ScheduleResult& part,
@@ -62,8 +61,6 @@ std::vector<RobustnessOutcome> runRobustness(
 
             sim::RobustnessOptions ro = options.robustness;
             ro.perturbation = levels[l].spec;
-            // The instance-level loop already saturates the cores.
-            ro.parallel = !options.parallelInstances;
             ro.seed = sim::mixSeed(options.robustness.seed,
                                    static_cast<std::uint64_t>(slot));
             out.summary = sim::evaluateRobustness(

@@ -45,7 +45,6 @@ struct RobustnessRunnerOptions {
   /// seed. Per-triple seeds are derived deterministically, so results do not
   /// depend on the parallel schedule.
   sim::RobustnessOptions robustness;
-  bool parallelInstances = true;  // OpenMP across instances
 };
 
 /// Schedules every instance with DagHetPart and DagHetMem (cluster memories

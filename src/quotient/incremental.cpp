@@ -351,7 +351,6 @@ void IncrementalEvaluator::commitAssign(std::span<const BlockId> dirtySeeds) {
           p == platform::kNoProcessor ? 1.0 : cluster_->speed(p);
       comm::FluidNode& fn = fluid_->problem.nodes[nodeOfBlock_[b]];
       fn.duration = node.work / speed;
-      fn.proc = p;
     }
     eval_ = comm_->evaluate(fluid_->problem, cluster_->bandwidth());
     assert(eval_.ok);
@@ -408,7 +407,6 @@ double IncrementalEvaluator::contendedProbe(
     const platform::ProcessorId p = overrides[i].proc;
     const double speed = p == platform::kNoProcessor ? 1.0 : cluster_->speed(p);
     s.fluid.nodes[idx].duration = q_->node(b).work / speed;
-    s.fluid.nodes[idx].proc = p;
   }
   const comm::FluidResult eval =
       comm_->evaluate(s.fluid, cluster_->bandwidth());

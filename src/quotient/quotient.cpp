@@ -408,7 +408,6 @@ std::optional<QuotientFluid> buildQuotientFluid(
   for (std::uint32_t i = 0; i < order->size(); ++i) {
     const BlockId b = (*order)[i];
     fluid.problem.nodes[i].duration = q.node(b).work / speedOf(q, cluster, b);
-    fluid.problem.nodes[i].proc = q.node(b).proc;
     fluid.problem.order[i] = i;
     // Per-destination in-edges in adjacency (sorted) order, so the
     // uncontended forward pass folds a fixed, reproducible term sequence.

@@ -9,7 +9,6 @@
 #include "scheduler/daghetmem.hpp"
 #include "scheduler/merge_step.hpp"
 #include "scheduler/swap_step.hpp"
-#include "support/timer.hpp"
 
 namespace dagpm::scheduler {
 
@@ -38,7 +37,6 @@ ScheduleResult dagHetPartSingle(const graph::Dag& g,
                                 const platform::Cluster& cluster,
                                 std::uint32_t kPrime,
                                 const DagHetPartConfig& cfg) {
-  const support::Timer timer;
   ScheduleResult result;
   result.stats.kPrime = kPrime;
   if (g.numVertices() == 0 || cluster.numProcessors() == 0) return result;
@@ -102,10 +100,7 @@ ScheduleResult dagHetPartSingle(const graph::Dag& g,
     merge = mergeUnassignedToAssigned(q, cluster, oracle, mcfg);
   }
   result.stats.mergesCommitted = merge.mergesCommitted;
-  if (!merge.success) {
-    result.stats.seconds = timer.seconds();
-    return result;  // infeasible for this k'
-  }
+  if (!merge.success) return result;  // infeasible for this k'
 
   // --- Step 4: swaps + idle-processor moves.
   SwapStepConfig scfg;
@@ -134,7 +129,6 @@ ScheduleResult dagHetPartSingle(const graph::Dag& g,
   result.makespan = swaps.makespan;
   result.feasible = true;
   result.stats.numBlocks = static_cast<std::uint32_t>(alive.size());
-  result.stats.seconds = timer.seconds();
   return result;
 }
 
@@ -159,8 +153,7 @@ ScheduleResult runSweep(const graph::Dag& g, const platform::Cluster& cluster,
     results[i] = dagHetPartSingle(g, cluster, candidates[i], cfg);
   };
 
-#pragma omp parallel for schedule(dynamic) \
-    if (cfg.parallelSweep && candidates.size() > 1)
+#pragma omp parallel for schedule(dynamic) if (candidates.size() > 1)
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     runArm(i);
   }

@@ -13,8 +13,17 @@
 // The paper tentatively runs the whole pipeline for every k' <= k and keeps
 // the best makespan. The driver supports that exact sweep, a cheaper
 // doubling sweep {1,2,4,...,k} (bench default; see DESIGN.md substitution
-// #5), and a single-k' mode; sweep candidates run in parallel with OpenMP
-// when available.
+// #5), and a single-k' mode; sweep candidates run in parallel with OpenMP.
+//
+// Threads, for the whole library: the outermost active OpenMP loop owns
+// them. The parallel loops nest (experiment instances, then k' arms, SA
+// restarts or Monte-Carlo replications, then the Step-4 swap scan) and no
+// inner loop is switched off by hand: a region nested inside an active
+// region runs serially on the thread that reached it (OpenMP's default of
+// one active level). Results are bit-identical for any thread count. A
+// single-k' sweep hands every core to the Step-4 scan. Service workers
+// (plain std::threads) and portfolio arms pin themselves with
+// omp_set_num_threads(1), so their ThreadCounterScope deltas stay exact.
 
 #include "partition/partitioner.hpp"
 #include "scheduler/options.hpp"
@@ -36,7 +45,6 @@ struct DagHetPartConfig {
   bool anyHostFallback = true;  // Step-3 last-resort non-neighbor merges
   bool enableSwaps = true;
   bool enableIdleMoves = true;
-  bool parallelSweep = true;  // OpenMP over k' candidates
   /// When the whole sweep is infeasible with the (paper-default) work-
   /// balanced Step-1 partition, retry it balancing memory footprints:
   /// memory-balanced blocks split far less degenerately in Step 2, which

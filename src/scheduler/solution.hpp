@@ -18,7 +18,9 @@
 namespace dagpm::scheduler {
 
 struct ScheduleStats {
-  double seconds = 0.0;        // wall-clock of the scheduling run
+  /// Wall-clock of the whole run, set by dagHetPart, scheduleBest and
+  /// dagHetMem only (dagHetPartSingle leaves it 0).
+  double seconds = 0.0;
   std::uint32_t kPrime = 0;    // number of blocks requested in Step 1
   std::uint32_t numBlocks = 0; // blocks in the final solution
   std::uint32_t mergesCommitted = 0;

@@ -21,14 +21,6 @@ namespace {
 /// improves the makespan.
 constexpr std::uint32_t kMaxSwapRounds = 1000;
 
-/// The equal-speed prune is only sound when the cost model provably ignores
-/// placement (the makespan then depends on speeds alone): under a per-link
-/// model an equal-speed swap still reroutes transfers and can change the
-/// contended makespan, so such models must be probed.
-bool canPruneEqualSpeed(const comm::CommCostModel* comm) {
-  return comm == nullptr || comm->placementInvariant();
-}
-
 /// The legacy full-recompute loop, kept verbatim as the differential
 /// reference for the incremental path (fullReevaluation routes here).
 SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
@@ -44,7 +36,6 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
   result.makespan = *current;
 
   const std::vector<BlockId> nodes = q.aliveNodes();
-  const bool pruneEqualSpeed = canPruneEqualSpeed(cfg.comm);
 
   if (cfg.enableSwaps) {
     // Algorithm 5: repeatedly execute the best improving feasible swap.
@@ -59,9 +50,9 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
           const ProcessorId pa = q.node(a).proc;
           const ProcessorId pb = q.node(b).proc;
           if (pa == pb) continue;
-          if (pruneEqualSpeed && cluster.speed(pa) == cluster.speed(pb)) {
-            continue;  // no effect under a placement-invariant model
-          }
+          // An equal-speed swap cannot move the makespan: every transfer
+          // crosses the one shared link wherever its blocks run.
+          if (cluster.speed(pa) == cluster.speed(pb)) continue;
           // Feasible iff each block fits the other's processor memory.
           if (q.node(a).memReq > cluster.memory(pb) ||
               q.node(b).memReq > cluster.memory(pa)) {
@@ -150,7 +141,6 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
   result.makespan = eval.makespan();
 
   const std::vector<BlockId> nodes = q.aliveNodes();
-  const bool pruneEqualSpeed = canPruneEqualSpeed(cfg.comm);
 
   if (cfg.enableSwaps) {
     // Algorithm 5 with materialized probes: each round evaluates every
@@ -172,9 +162,7 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
           const ProcessorId pa = q.node(a).proc;
           const ProcessorId pb = q.node(b).proc;
           if (pa == pb) continue;
-          if (pruneEqualSpeed && cluster.speed(pa) == cluster.speed(pb)) {
-            continue;  // no effect under a placement-invariant model
-          }
+          if (cluster.speed(pa) == cluster.speed(pb)) continue;
           // Feasible iff each block fits the other's processor memory.
           if (q.node(a).memReq > cluster.memory(pb) ||
               q.node(b).memReq > cluster.memory(pa)) {

@@ -56,9 +56,8 @@ std::uint64_t fingerprintConfig(const scheduler::DagHetPartConfig& cfg,
   h.mix(cfg.seed);
   h.mixDouble(cfg.step1Epsilon);
   h.mix(static_cast<std::uint64_t>(cfg.step1Balance));
-  // One bit per boolean toggle, packed; parallelSweep and the options'
-  // fullReevaluation are excluded (schedules are bit-identical
-  // across them — see the header).
+  // One bit per boolean toggle, packed; the options' fullReevaluation is
+  // excluded (schedules are bit-identical across it — see the header).
   std::uint64_t bits = 0;
   const auto pack = [&bits](bool b) { bits = (bits << 1) | (b ? 1u : 0u); };
   pack(cfg.oracle.useSpization);

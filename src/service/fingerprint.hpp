@@ -9,14 +9,13 @@
 // "isomorphic repeats" collapse onto one cache entry), the cluster (per-
 // processor speed/memory, bandwidth), and the solver configuration.
 //
-// Deliberately EXCLUDED from the config hash: switches that are proven not
-// to change the produced schedule — SchedulerOptions::fullReevaluation
+// Deliberately EXCLUDED from the config hash: SchedulerOptions::
+// fullReevaluation, which is proven not to change the produced schedule
 // (incremental and full evaluation are bit-identical, fuzz- and
-// baseline-enforced) and DagHetPartConfig::parallelSweep (thread-count
-// reproducibility is a pinned invariant). A cached schedule is therefore
-// valid across those modes; everything that can move a schedule (sweep
-// strategy, seed, epsilon, balance weight, oracle options, step toggles,
-// contention awareness) is hashed.
+// baseline-enforced). A cached schedule is therefore valid across both
+// evaluation modes; everything that can move a schedule (sweep strategy,
+// seed, epsilon, balance weight, oracle options, step toggles, contention
+// awareness) is hashed.
 
 #include <cstdint>
 

@@ -51,11 +51,6 @@ SchedulerService::~SchedulerService() {
 
 bool SchedulerService::enqueue(Request&& request, std::future<Response>* out,
                                bool blocking) {
-  // Every job runs single-threaded: the pool already saturates the machine,
-  // per-request counter deltas stay exact, and the solver's
-  // thread-count reproducibility keeps the schedules bit-identical to any
-  // parallel-sweep run.
-  request.config.parallelSweep = false;
   // A poisoned request (null workflow or cluster) is accepted and failed on
   // the worker through the regular exception-isolation path: the error
   // surfaces through the future like any solve failure instead of crashing

@@ -61,7 +61,7 @@ RobustnessSummary evaluateRobustness(const graph::Dag& g,
     runs[i] = {run.ok, run.error, run.makespan, run.memoryOverflows,
                run.maxMemoryExcess};
   };
-#pragma omp parallel for schedule(dynamic) if (options.parallel)
+#pragma omp parallel for schedule(dynamic)
   for (std::size_t i = 0; i < runs.size(); ++i) runOne(i);
 
   summary.ok = true;

@@ -6,8 +6,8 @@
 // makespans against the static Eq. (1)-(2) prediction: expected and tail
 // (p95) makespan, slowdown factors, and how many replications hit a memory
 // overflow. Replications draw their seeds from a SplitMix64 stream derived
-// from the base seed *before* the (optionally OpenMP-parallel) loop runs, so
-// the result vector is bit-identical for any thread count.
+// from the base seed *before* the OpenMP-parallel loop runs, so the result
+// vector is bit-identical for any thread count.
 
 #include <cstdint>
 #include <string>
@@ -24,7 +24,6 @@ struct RobustnessOptions {
   /// overridden per replication from `perturbation` and the seed stream.
   SimOptions sim;
   PerturbationSpec perturbation;
-  bool parallel = true;  // OpenMP across replications
 };
 
 struct RobustnessSummary {

@@ -55,8 +55,6 @@ TEST(Runner, ComparisonValidatesAndAggregates) {
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
   RunnerOptions options;
   options.validate = true;  // throws on an invalid schedule
-  options.parallelInstances = false;
-  options.part.parallelSweep = false;
   const auto outcomes = runComparison(instances, cluster, options);
   ASSERT_EQ(outcomes.size(), 3u);
   for (const auto& out : outcomes) {

@@ -276,9 +276,7 @@ TEST(ListScheduler, MakespanOptimisticVsBlockModel) {
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
   cluster.scaleMemoriesToFit(g.maxTaskMemoryRequirement());
   const auto heft = scheduler::heftSchedule(g, cluster);
-  scheduler::DagHetPartConfig cfg;
-  cfg.parallelSweep = false;
-  const auto part = scheduler::dagHetPart(g, cluster, cfg);
+  const auto part = scheduler::dagHetPart(g, cluster);
   ASSERT_TRUE(part.feasible);
   EXPECT_LE(heft.makespan, part.makespan * 1.01);
 }

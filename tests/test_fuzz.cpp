@@ -177,7 +177,6 @@ TEST_P(PipelineFuzz, RandomInstancesAlwaysValidOrInfeasible) {
   const memory::MemDagOracle oracle(g);
   scheduler::DagHetPartConfig cfg;
   cfg.seed = seed;
-  cfg.parallelSweep = false;
   const scheduler::ScheduleResult part = scheduler::dagHetPart(g, cluster, cfg);
   if (part.feasible) {
     const auto report = scheduler::validateSchedule(g, cluster, oracle, part);

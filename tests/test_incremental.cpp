@@ -243,99 +243,12 @@ TEST(IncrementalEvaluator, ContendedProbesMatchModelEvaluation) {
 namespace dagpm::scheduler {
 namespace {
 
-using platform::ProcessorId;
 using quotient::BlockId;
 
-/// A cost model that prices same-processor transfers as free (otherwise the
-/// uncontended c/beta): placement-sensitive, so the Step-4 equal-speed
-/// prune must not skip swaps under it.
-class SameProcFreeModel final : public comm::CommCostModel {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "same-proc-free";
-  }
-  [[nodiscard]] bool contended() const noexcept override { return false; }
-  [[nodiscard]] bool placementInvariant() const noexcept override {
-    return false;
-  }
-  [[nodiscard]] comm::FluidResult evaluate(const comm::FluidProblem& p,
-                                           double beta) const override {
-    comm::FluidResult result;
-    const std::size_t n = p.nodes.size();
-    result.start.assign(n, 0.0);
-    result.finish.assign(n, 0.0);
-    result.bindingEdge.assign(n, comm::kNoFluidEdge);
-    if (p.order.size() != n) return result;
-    std::vector<std::vector<std::uint32_t>> inEdges(n);
-    for (std::uint32_t e = 0; e < p.edges.size(); ++e) {
-      inEdges[p.edges[e].dst].push_back(e);
-    }
-    for (const std::uint32_t v : p.order) {
-      double ready = p.nodes[v].earliestStart;
-      for (const std::uint32_t e : inEdges[v]) {
-        const comm::FluidEdge& edge = p.edges[e];
-        const bool sameProc = p.nodes[edge.src].proc == p.nodes[v].proc &&
-                              p.nodes[v].proc != comm::kNoFluidProc;
-        const double delivery =
-            result.finish[edge.src] + (sameProc ? 0.0 : edge.volume / beta);
-        if (delivery > ready) {
-          ready = delivery;
-          result.bindingEdge[v] = e;
-        }
-      }
-      result.start[v] = ready;
-      result.finish[v] = ready + p.nodes[v].duration;
-      result.makespan = std::max(result.makespan, result.finish[v]);
-    }
-    result.ok = true;
-    return result;
-  }
-};
-
-TEST(SwapStepPrune, BuiltInModelsDeclarePlacementInvariance) {
-  EXPECT_TRUE(comm::uncontendedCommModel().placementInvariant());
-  EXPECT_TRUE(comm::fairShareCommModel().placementInvariant());
-}
-
-/// Regression for the equal-speed prune: under a placement-sensitive model
-/// an equal-speed swap can reroute a heavy transfer onto the free
-/// same-processor path and improve the makespan; the old unconditional
-/// prune skipped it.
-TEST(SwapStepPrune, EqualSpeedSwapImprovesPlacementSensitiveMakespan) {
-  // Three singleton blocks: A -> C with a heavy edge, B isolated. A and C
-  // start on different processors of identical speed; swapping B and C
-  // (equal speeds!) lands C next to A, making the heavy transfer free.
-  graph::Dag g;
-  g.addVertex(1.0, 1.0);  // A
-  g.addVertex(1.0, 1.0);  // B
-  g.addVertex(1.0, 1.0);  // C
-  g.addEdge(0, 2, 100.0);
-  const std::vector<std::uint32_t> blockOf = {0, 1, 2};
-  std::vector<platform::Processor> procs(2, {"p", 1.0, 1e9});
-  const platform::Cluster cluster(std::move(procs), 1.0);
-
-  const SameProcFreeModel model;
-  for (const bool full : {false, true}) {
-    quotient::QuotientGraph q(g, blockOf, 3);
-    q.setProcessor(0, 0);  // A
-    q.setProcessor(1, 0);  // B shares A's processor
-    q.setProcessor(2, 1);  // C pays the transfer
-    for (BlockId b = 0; b < 3; ++b) q.setMemReq(b, 1.0);
-    const double before = *quotient::makespanValue(q, cluster, &model);
-    SwapStepConfig cfg;
-    cfg.comm = &model;
-    cfg.enableIdleMoves = false;
-    cfg.fullReevaluation = full;
-    const SwapStepResult result = improveBySwaps(q, cluster, cfg);
-    EXPECT_GE(result.swapsCommitted, 1u) << "fullReevaluation=" << full;
-    EXPECT_LT(result.makespan, before - 1.0) << "fullReevaluation=" << full;
-    EXPECT_EQ(q.node(0).proc, q.node(2).proc);
-  }
-}
-
 TEST(SwapStepPrune, PlacementInvariantModelsStillPruneEqualSpeedSwaps) {
-  // Same instance under the fair-share backbone model: the swap cannot
-  // change anything (placement-invariant), so no swap is committed.
+  // Three singleton blocks, A -> C over a heavy edge and B isolated, on two
+  // equal-speed processors. Every transfer crosses the one shared link
+  // wherever its blocks run, so no swap can help and none is committed.
   graph::Dag g;
   g.addVertex(1.0, 1.0);
   g.addVertex(1.0, 1.0);
@@ -366,7 +279,6 @@ TEST(Incremental, DagHetPartMatchesFullReevaluationReference) {
           test::makeTightFuzzCase(seed * 57 + 5, seed);
       DagHetPartConfig cfg;
       cfg.seed = seed;
-      cfg.parallelSweep = false;
       cfg.options.contentionAware = aware;
       const ScheduleResult incremental =
           dagHetPart(sc.dag, sc.cluster, cfg);

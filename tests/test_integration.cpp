@@ -39,7 +39,6 @@ TEST_P(FullPipelineGrid, SchedulesAreValidWheneverFeasible) {
   // mapping -- the paper observes the same (Sec. 5.2.2) and recommends a
   // larger platform. Whatever *is* returned must be valid.
   scheduler::DagHetPartConfig cfg;
-  cfg.parallelSweep = false;
   const scheduler::ScheduleResult part = scheduler::dagHetPart(g, cluster, cfg);
   if (part.feasible) {
     const auto report = scheduler::validateSchedule(g, cluster, oracle, part);
@@ -108,7 +107,6 @@ TEST(Headline, HeuristicBeatsBaselineOnAverage) {
   const platform::Cluster cluster = platform::makeCluster(
       Heterogeneity::kDefault, ClusterSize::kDefault);
   experiments::RunnerOptions options;
-  options.parallelInstances = true;
   const auto outcomes = experiments::runComparison(instances, cluster, options);
   const auto agg = experiments::aggregateByBand(outcomes)
                        .at(workflows::SizeBand::kSmall);

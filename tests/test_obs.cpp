@@ -108,7 +108,6 @@ TEST_F(ObsTest, StatsTextIdenticalAcrossOmpThreadCounts) {
 
   scheduler::DagHetPartConfig cfg;
   cfg.sweep = scheduler::KPrimeSweep::kFull;
-  cfg.parallelSweep = true;
 
   obs::enableCounters(true);
   const auto run = [&] {

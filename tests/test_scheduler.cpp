@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
+
+#include <omp.h>
 
 #include "graph/subgraph.hpp"
 #include "graph/topology.hpp"
 #include "memory/simulate.hpp"
+#include "obs/obs.hpp"
 #include "scheduler/assignment.hpp"
 #include "scheduler/daghetmem.hpp"
 #include "scheduler/daghetpart.hpp"
@@ -478,9 +482,7 @@ TEST_P(DagHetPartEndToEnd, ProducesValidImprovingSchedules) {
   platform::Cluster cluster = platform::makeCluster(
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
   cluster.scaleMemoriesToFit(g.maxTaskMemoryRequirement());
-  DagHetPartConfig cfg;
-  cfg.parallelSweep = false;
-  const ScheduleResult part = dagHetPart(g, cluster, cfg);
+  const ScheduleResult part = dagHetPart(g, cluster);
   ASSERT_TRUE(part.feasible) << workflows::familyName(GetParam());
   const memory::MemDagOracle oracle(g);
   const auto report = validateSchedule(g, cluster, oracle, part);
@@ -511,7 +513,6 @@ TEST(DagHetPart, DeterministicForSameSeed) {
   cluster.scaleMemoriesToFit(g.maxTaskMemoryRequirement());
   DagHetPartConfig cfg;
   cfg.seed = 5;
-  cfg.parallelSweep = false;
   const ScheduleResult a = dagHetPart(g, cluster, cfg);
   const ScheduleResult b = dagHetPart(g, cluster, cfg);
   ASSERT_EQ(a.feasible, b.feasible);
@@ -523,9 +524,7 @@ TEST(DagHetPart, DeterministicForSameSeed) {
 TEST(DagHetPart, InfeasibleOnHopelessPlatform) {
   const Dag g = smallWorkflow();
   const platform::Cluster cluster = uniformCluster(2, 1.0, 0.5);
-  DagHetPartConfig cfg;
-  cfg.parallelSweep = false;
-  const ScheduleResult result = dagHetPart(g, cluster, cfg);
+  const ScheduleResult result = dagHetPart(g, cluster);
   EXPECT_FALSE(result.feasible);
 }
 
@@ -536,7 +535,6 @@ TEST(DagHetPart, SingleSweepStillWorks) {
   cluster.scaleMemoriesToFit(g.maxTaskMemoryRequirement());
   DagHetPartConfig cfg;
   cfg.sweep = KPrimeSweep::kSingle;
-  cfg.parallelSweep = false;
   const ScheduleResult result = dagHetPart(g, cluster, cfg);
   EXPECT_TRUE(result.feasible);
 }
@@ -554,12 +552,65 @@ TEST(DagHetPart, StepTogglesNeverBreakValidity) {
         cfg.enableSwaps = swaps;
         cfg.enableIdleMoves = idle;
         cfg.preferOffCriticalPath = offCp;
-        cfg.parallelSweep = false;
         cfg.sweep = KPrimeSweep::kDoubling;
         const ScheduleResult result = dagHetPart(g, cluster, cfg);
         ASSERT_TRUE(result.feasible);
         EXPECT_TRUE(validateSchedule(g, cluster, oracle, result).valid);
       }
+    }
+  }
+}
+
+TEST(DagHetPart, NestedSolveStaysOnItsThread) {
+  // The outermost active OpenMP loop owns the threads: a kFull sweep started
+  // inside a parallel region runs every arm and every Step-4 scan on the
+  // thread that reached it. Each thread's counter delta then holds all the
+  // counts of a top-level run; a forked inner team would leave some on its
+  // own threads.
+  if (omp_get_max_threads() < 2) {
+    GTEST_SKIP() << "needs OMP_NUM_THREADS > 1";
+  }
+  workflows::GenConfig gen;
+  gen.numTasks = 150;
+  gen.seed = 3;
+  const Dag g = workflows::generate(workflows::Family::kMontage, gen);
+  platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
+  cluster.scaleMemoriesToFit(g.maxTaskMemoryRequirement());
+  DagHetPartConfig cfg;
+  cfg.sweep = KPrimeSweep::kFull;
+
+  obs::enableCounters(true);
+  obs::resetForTest();
+  const ScheduleResult top = dagHetPart(g, cluster, cfg);
+  const std::vector<obs::CounterValue> totals = obs::counterSnapshot();
+
+  std::vector<ScheduleResult> nested(2);
+  std::vector<std::vector<obs::CounterValue>> deltas(2);
+#pragma omp parallel num_threads(2)
+  {
+    const std::size_t t = static_cast<std::size_t>(omp_get_thread_num());
+    const obs::ThreadCounterScope scope;
+    nested[t] = dagHetPart(g, cluster, cfg);
+    deltas[t] = scope.deltas();
+  }
+  obs::enableCounters(false);
+  obs::resetForTest();
+
+  ASSERT_TRUE(top.feasible);
+  for (std::size_t t = 0; t < nested.size(); ++t) {
+    EXPECT_EQ(nested[t].makespan, top.makespan) << "thread " << t;
+    EXPECT_EQ(nested[t].blockOf, top.blockOf) << "thread " << t;
+    EXPECT_EQ(nested[t].procOfBlock, top.procOfBlock) << "thread " << t;
+    ASSERT_EQ(deltas[t].size(), totals.size()) << "thread " << t;
+    for (std::size_t i = 0; i < totals.size(); ++i) {
+      const std::string_view name = totals[i].name;
+      if (name == "swap.pairs_probed") {
+        EXPECT_GE(totals[i].value, 2u);
+      }
+      if (name == "span.peak_depth") continue;  // max gauge, not a delta
+      EXPECT_EQ(deltas[t][i].value, totals[i].value)
+          << name << " on thread " << t;
     }
   }
 }
@@ -571,10 +622,8 @@ TEST(DagHetPart, FullSweepAtLeastAsGoodAsSingle) {
   cluster.scaleMemoriesToFit(g.maxTaskMemoryRequirement());
   DagHetPartConfig full;
   full.sweep = KPrimeSweep::kFull;
-  full.parallelSweep = false;
   DagHetPartConfig single;
   single.sweep = KPrimeSweep::kSingle;
-  single.parallelSweep = false;
   const ScheduleResult f = dagHetPart(g, cluster, full);
   const ScheduleResult s = dagHetPart(g, cluster, single);
   ASSERT_TRUE(f.feasible);

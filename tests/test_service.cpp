@@ -132,9 +132,9 @@ TEST(ServiceFingerprint, ScheduleRelevantFieldsHash) {
 }
 
 TEST(ServiceFingerprint, ProvenNoOpSwitchesExcluded) {
-  // parallelSweep and fullReevaluation provably do not change
-  // the schedule (pinned invariants), so they must NOT move the fingerprint:
-  // a cache entry stays valid across evaluation modes.
+  // fullReevaluation provably does not change the schedule (a pinned
+  // invariant), so it must NOT move the fingerprint: a cache entry stays
+  // valid across evaluation modes.
   const graph::Dag g =
       workflows::generate(workflows::Family::kBlast, genConfig(60, 3));
   const platform::Cluster cluster = testCluster();
@@ -143,7 +143,6 @@ TEST(ServiceFingerprint, ProvenNoOpSwitchesExcluded) {
       g, cluster, cfg, Algorithm::kDagHetPart);
 
   scheduler::DagHetPartConfig changed = cfg;
-  changed.parallelSweep = !cfg.parallelSweep;
   changed.options.fullReevaluation = true;
   EXPECT_EQ(base, service::fingerprintRequest(g, cluster, changed,
                                               Algorithm::kDagHetPart));
@@ -208,7 +207,6 @@ TEST(ServiceEngine, ConcurrentDifferential) {
       workflows::generate(workflows::Family::kBwa, genConfig(60, 4)));
 
   scheduler::DagHetPartConfig cfg;
-  cfg.parallelSweep = false;  // match the service's single-threaded jobs
   std::vector<scheduler::ScheduleResult> reference;
   reference.reserve(dags.size());
   for (const graph::Dag& g : dags) {
@@ -372,7 +370,6 @@ TEST(ServiceEngine, WorkersKeepInnerParallelRegionsOnTheWorkerThread) {
   const graph::Dag g =
       workflows::generate(workflows::Family::kMontage, genConfig(200, 5));
   scheduler::DagHetPartConfig cfg;
-  cfg.parallelSweep = false;
 
   obs::enableCounters(true);
   obs::resetForTest();
@@ -605,7 +602,6 @@ TEST(ServiceMultiTenant, UncontendedTenantsDoNotInteract) {
       workflows::generate(workflows::Family::kBwa, genConfig(60, 22)));
   const platform::Cluster cluster = tightClusterFor(dags);
   scheduler::DagHetPartConfig cfg;
-  cfg.parallelSweep = false;
   std::vector<scheduler::ScheduleResult> schedules;
   for (const graph::Dag& g : dags) {
     schedules.push_back(scheduler::dagHetPart(g, cluster, cfg));
@@ -636,7 +632,6 @@ TEST(ServiceMultiTenant, FairSharePricesContentionAndArrivalsDelay) {
       workflows::generate(workflows::Family::kBwa, genConfig(60, 22)));
   const platform::Cluster cluster = tightClusterFor(dags);
   scheduler::DagHetPartConfig cfg;
-  cfg.parallelSweep = false;
   std::vector<scheduler::ScheduleResult> schedules;
   for (const graph::Dag& g : dags) {
     schedules.push_back(scheduler::dagHetPart(g, cluster, cfg));

@@ -328,7 +328,6 @@ TEST(Robustness, FixedSeedIsBitReproducibleAcrossThreadCounts) {
   sim::RobustnessOptions options;
   options.replications = 24;
   options.seed = 99;
-  options.parallel = true;
   options.perturbation.kind = sim::PerturbationKind::kLognormal;
   options.perturbation.sigma = 0.4;
   options.sim.comm = sim::CommModel::kTaskEager;

@@ -12,7 +12,6 @@
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
-#include "support/timer.hpp"
 
 namespace dagpm::support {
 namespace {
@@ -220,17 +219,6 @@ TEST(Env, FullScaleMatchesPaperSizes) {
 
 TEST(Env, GetEnvOrFallback) {
   EXPECT_EQ(getEnvOr("DAGPM_SURELY_UNSET_VAR_123", "fb"), "fb");
-}
-
-TEST(Timer, MeasuresElapsedTime) {
-  Timer t;
-  double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i);
-  ASSERT_GT(sink, 0.0);
-  EXPECT_GE(t.seconds(), 0.0);
-  EXPECT_GE(t.milliseconds(), t.seconds());
-  t.reset();
-  EXPECT_LT(t.seconds(), 1.0);
 }
 
 }  // namespace

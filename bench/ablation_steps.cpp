@@ -1,4 +1,4 @@
-// Ablation (ours, motivated by DESIGN.md): contribution of the individual
+// Ablation (ours, not a paper artifact): contribution of the individual
 // DagHetPart design choices to the final makespan. Variants:
 //   full          all four steps as in the paper (+ library extensions)
 //   no-swaps      Step 4 swap search disabled

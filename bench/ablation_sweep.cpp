@@ -1,6 +1,6 @@
-// Ablation (ours): quality/cost trade-off of the k' sweep strategy
-// (DESIGN.md substitution #5). The paper evaluates every k' <= k; the bench
-// default uses a doubling sweep. This bench quantifies the makespan gap and
+// Ablation (ours): quality/cost trade-off of the k' sweep strategy. The
+// paper evaluates every k' <= k; the bench default substitutes a doubling
+// sweep, O(log k) pipeline runs instead of k. This bench quantifies the makespan gap and
 // the runtime difference between single / doubling / full sweeps.
 
 #include <iostream>
@@ -11,8 +11,8 @@ int main() {
   using namespace dagpm;
   bench::BenchContext ctx;
   bench::printPreamble(ctx, "Ablation: k' sweep strategies",
-                       "quantifies DESIGN.md substitution #5 (doubling "
-                       "sweep vs the paper's full sweep)");
+                       "quantifies the doubling-sweep substitution "
+                       "(doubling sweep vs the paper's full sweep)");
 
   const platform::Cluster cluster = platform::makeCluster(
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);

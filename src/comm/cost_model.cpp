@@ -8,27 +8,21 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Per-destination edge/injection indices, in problem order (the stable
-/// iteration order both passes share).
-struct Incidence {
-  std::vector<std::vector<std::uint32_t>> inEdges;
-  std::vector<std::vector<std::uint32_t>> outEdges;
-  std::vector<std::vector<std::uint32_t>> injections;
-};
-
-Incidence buildIncidence(const FluidProblem& p) {
-  Incidence inc;
-  inc.inEdges.resize(p.nodes.size());
-  inc.outEdges.resize(p.nodes.size());
-  inc.injections.resize(p.nodes.size());
-  for (std::uint32_t e = 0; e < p.edges.size(); ++e) {
-    inc.inEdges[p.edges[e].dst].push_back(e);
-    inc.outEdges[p.edges[e].src].push_back(e);
+/// The FluidProblem layout: every edge has src < dst, and edges and
+/// injections are each grouped by destination with destinations ascending.
+bool inLayout(const FluidProblem& p) {
+  const std::size_t n = p.nodes.size();
+  std::uint32_t last = 0;
+  for (const FluidEdge& e : p.edges) {
+    if (e.src >= e.dst || e.dst >= n || e.dst < last) return false;
+    last = e.dst;
   }
-  for (std::uint32_t j = 0; j < p.injections.size(); ++j) {
-    inc.injections[p.injections[j].dst].push_back(j);
+  last = 0;
+  for (const FluidInjection& j : p.injections) {
+    if (j.dst >= n || j.dst < last) return false;
+    last = j.dst;
   }
-  return inc;
+  return true;
 }
 
 }  // namespace
@@ -40,20 +34,22 @@ FluidResult UncontendedCommModel::evaluate(const FluidProblem& p,
   result.start.assign(n, 0.0);
   result.finish.assign(n, 0.0);
   result.bindingEdge.assign(n, kNoFluidEdge);
-  if (p.order.size() != n) return result;  // cyclic problem: no evaluation
+  if (!inLayout(p)) return result;
 
-  const Incidence inc = buildIncidence(p);
   // The forward recurrence of the paper's model: ready starts at the
   // release, then folds every inbound delivery (finish + volume/beta) in
   // stored order. max is exact in floating point, so only the additive terms
-  // matter for bit-identity.
-  for (const std::uint32_t v : p.order) {
+  // matter for bit-identity. The layout makes each node's injections and
+  // in-edges the next run of its list, so one cursor per list suffices.
+  std::uint32_t e = 0;
+  std::size_t j = 0;
+  for (std::uint32_t v = 0; v < n; ++v) {
     double ready = p.nodes[v].earliestStart;
-    for (const std::uint32_t j : inc.injections[v]) {
+    for (; j < p.injections.size() && p.injections[j].dst == v; ++j) {
       const FluidInjection& inj = p.injections[j];
       ready = std::max(ready, inj.time + inj.volume / beta);
     }
-    for (const std::uint32_t e : inc.inEdges[v]) {
+    for (; e < p.edges.size() && p.edges[e].dst == v; ++e) {
       const double delivery =
           result.finish[p.edges[e].src] + p.edges[e].volume / beta;
       if (delivery > ready) {
@@ -76,15 +72,30 @@ FluidResult FairShareCommModel::evaluate(const FluidProblem& p,
   result.start.assign(n, 0.0);
   result.finish.assign(n, 0.0);
   result.bindingEdge.assign(n, kNoFluidEdge);
-  if (p.order.size() != n) return result;
+  if (!inLayout(p)) return result;
 
-  const Incidence inc = buildIncidence(p);
   const std::uint32_t numEdges = static_cast<std::uint32_t>(p.edges.size());
 
   // Transfer ids on the link: [0, numEdges) are edges, numEdges + j are
   // injections.
   FairShareLink link(beta);
+  // Per-node pending input counts and per-source out-edges (flattened by
+  // source, edge-index order within one source: the dispatch order).
   std::vector<std::size_t> pending(n, 0);
+  std::vector<std::uint32_t> outBegin(n + 1, 0);
+  for (const FluidEdge& edge : p.edges) {
+    ++pending[edge.dst];
+    ++outBegin[edge.src + 1];
+  }
+  for (const FluidInjection& inj : p.injections) ++pending[inj.dst];
+  for (std::size_t v = 0; v < n; ++v) outBegin[v + 1] += outBegin[v];
+  std::vector<std::uint32_t> outEdges(numEdges);
+  {
+    std::vector<std::uint32_t> next(outBegin.begin(), outBegin.end() - 1);
+    for (std::uint32_t e = 0; e < numEdges; ++e) {
+      outEdges[next[p.edges[e].src]++] = e;
+    }
+  }
   std::vector<double> inputReady(n, 0.0);
   std::size_t finishedCount = 0;
 
@@ -108,7 +119,6 @@ FluidResult FairShareCommModel::evaluate(const FluidProblem& p,
   };
 
   for (std::uint32_t v = 0; v < n; ++v) {
-    pending[v] = inc.inEdges[v].size() + inc.injections[v].size();
     inputReady[v] = p.nodes[v].earliestStart;
     if (pending[v] == 0) startNode(v, inputReady[v]);
   }
@@ -165,8 +175,9 @@ FluidResult FairShareCommModel::evaluate(const FluidProblem& p,
       link.advanceTo(ev.time);
       ++finishedCount;
       result.makespan = std::max(result.makespan, ev.time);
-      for (const std::uint32_t e : inc.outEdges[ev.node]) {
-        link.dispatch(e, p.edges[e].volume);
+      const std::uint32_t v = ev.node;
+      for (std::uint32_t k = outBegin[v]; k < outBegin[v + 1]; ++k) {
+        link.dispatch(outEdges[k], p.edges[outEdges[k]].volume);
       }
     }
   }
@@ -182,47 +193,6 @@ const CommCostModel& uncontendedCommModel() {
 const CommCostModel& fairShareCommModel() {
   static const FairShareCommModel model;
   return model;
-}
-
-double LinkLoadProfile::price(double time, double volume) const {
-  if (volume <= 0.0) return time;
-  // Walk the committed segments from the dispatch instant, draining the
-  // volume at the shared rate beta/(k+1) per segment.
-  double t = time;
-  double remaining = volume;
-  auto it = segments_.upper_bound(time);
-  int count = 0;
-  if (it != segments_.begin()) count = std::prev(it)->second;
-  while (it != segments_.end()) {
-    const double rate = beta_ / static_cast<double>(count + 1);
-    const double span = it->first - t;
-    if (remaining <= rate * span) return t + remaining / rate;
-    remaining -= rate * span;
-    t = it->first;
-    count = it->second;
-    ++it;
-  }
-  const double rate = beta_ / static_cast<double>(count + 1);
-  return t + remaining / rate;
-}
-
-void LinkLoadProfile::commit(double dispatch, double delivery) {
-  if (delivery <= dispatch) return;
-  // Materialize breakpoints at both ends (inheriting the surrounding
-  // count), then bump every segment the transfer spans.
-  auto ensure = [&](double at) {
-    auto it = segments_.lower_bound(at);
-    if (it != segments_.end() && it->first == at) return;
-    int count = 0;
-    if (it != segments_.begin()) count = std::prev(it)->second;
-    segments_.emplace_hint(it, at, count);
-  };
-  ensure(dispatch);
-  ensure(delivery);
-  for (auto it = segments_.find(dispatch);
-       it != segments_.end() && it->first < delivery; ++it) {
-    ++it->second;
-  }
 }
 
 }  // namespace dagpm::comm

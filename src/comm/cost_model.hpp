@@ -7,10 +7,9 @@
 // transfers over the same link; the simulator's fair-share model (src/sim)
 // shows the static makespan is provably optimistic exactly where the
 // schedulers are most aggressive. This module extracts the pricing decision
-// behind one interface so the whole decision stack — computeTimeline, the
-// Step-3 merges, the Step-4 swap search, the HEFT comparator, and the
-// rescheduler's residual projection — can evaluate candidates under either
-// physics:
+// behind one interface so the block-level decision stack — computeTimeline,
+// the Step-3 merges, the Step-4 swap search, and the rescheduler's residual
+// projection — can evaluate candidates under either physics:
 //
 //   UncontendedCommModel  every transfer moves at the full beta: the
 //                         paper's forward pass, and the default model of
@@ -34,7 +33,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <queue>
 #include <string_view>
 #include <vector>
@@ -65,17 +63,20 @@ struct FluidInjection {
   double volume = 0.0;
 };
 
+/// The layout every model requires (and every builder emits):
+///   * `nodes` are in topological order, so every edge has src < dst;
+///   * `edges` and `injections` are each grouped by destination, with
+///     destinations ascending; within one destination the stored order is
+///     the order the uncontended pass folds its inputs in.
+/// A problem outside the layout evaluates to ok = false under every model.
 struct FluidProblem {
   std::vector<FluidNode> nodes;
   std::vector<FluidEdge> edges;
   std::vector<FluidInjection> injections;
-  /// Topological order of `nodes`; the uncontended pass evaluates in this
-  /// order (its per-node max sequence is what makes it reproducible).
-  std::vector<std::uint32_t> order;
 };
 
 struct FluidResult {
-  /// False when some node never became ready (cyclic problem / deadlock).
+  /// False when the problem is outside the FluidProblem layout.
   bool ok = false;
   double makespan = 0.0;
   std::vector<double> start;
@@ -188,30 +189,5 @@ class FairShareCommModel final : public CommCostModel {
 /// Shared immutable instances (the models carry no state).
 const CommCostModel& uncontendedCommModel();
 const CommCostModel& fairShareCommModel();
-
-/// Incremental per-link load profile for construction-time pricing (HEFT):
-/// committed transfers occupy the link over [dispatch, delivery); pricing a
-/// new transfer integrates the shared rate beta/(k(t)+1) over the committed
-/// profile. Lookup is O(log n) to locate the dispatch segment plus the
-/// segments the transfer crosses. Unlike FairShareLink this does not
-/// retroactively slow already-committed transfers — it is a one-sided
-/// estimate for greedy placement loops, not the simulator's exact physics.
-class LinkLoadProfile {
- public:
-  explicit LinkLoadProfile(double beta) : beta_(beta) {}
-
-  /// Delivery time of a transfer dispatched at `time` against the committed
-  /// load (the transfer itself counts toward the sharing).
-  [[nodiscard]] double price(double time, double volume) const;
-
-  /// Commits a transfer's occupancy; `delivery` should come from price().
-  void commit(double dispatch, double delivery);
-
- private:
-  double beta_ = 1.0;
-  /// Breakpoint -> committed transfer count on [breakpoint, next one).
-  /// Absent leading segment = 0 committed transfers.
-  std::map<double, int> segments_;
-};
 
 }  // namespace dagpm::comm

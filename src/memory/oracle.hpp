@@ -4,7 +4,7 @@
 // requirement r_V of a block (the minimum traversal peak) and (b) to obtain
 // the memory-efficient traversal that drives the DagHetMem baseline.
 //
-// Strategy per block (DESIGN.md substitution #2):
+// Strategy per block (memDag itself is not reimplemented):
 //   * <= 12 tasks: exact subset DP (provably optimal);
 //   * two-terminal series-parallel blocks: SP-tree schedule with Liu merges
 //     (optimal for SP structure, validated against the DP in tests);

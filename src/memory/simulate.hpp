@@ -1,8 +1,8 @@
 #pragma once
 // Ground-truth peak-memory simulation of block traversals.
 //
-// Memory model (DESIGN.md Sec. 4): executing the tasks of a block B in a
-// topological order sigma, memory holds
+// Memory model (the paper's block model): executing the tasks of a block B
+// in a topological order sigma, memory holds
 //   * internal files (x,y), both in B: from x's step until y's step completes;
 //   * external inputs (x outside B): materialized lazily at the consumer step;
 //   * external outputs (y outside B): from x's step until the end of the block.

@@ -46,7 +46,7 @@ enum class Counter : unsigned {
   kFaultFailStops,      ///< fail-stop faults applied by the simulator
   kFaultTasksKilled,    ///< running tasks killed at fault instants
   kFaultTransientCrashes,  ///< transient crashes applied by the simulator
-  kHeftEdgesPriced,     ///< HEFT cross-block edges priced via CommCostModel
+  kHeftEdgesPriced,     ///< HEFT in-edges priced at uncontended c/beta
   kHeftTasksPlaced,     ///< HEFT priority-list placements
   kMergeCommitted,      ///< Step-3 merges committed
   kMergeMemoHits,       ///< Step-3 probes served by the oracle memo

@@ -404,11 +404,9 @@ std::optional<QuotientFluid> buildQuotientFluid(
     nodeOfBlock[(*order)[i]] = i;
   }
   fluid.problem.nodes.resize(order->size());
-  fluid.problem.order.resize(order->size());
   for (std::uint32_t i = 0; i < order->size(); ++i) {
     const BlockId b = (*order)[i];
     fluid.problem.nodes[i].duration = q.node(b).work / speedOf(q, cluster, b);
-    fluid.problem.order[i] = i;
     // Per-destination in-edges in adjacency (sorted) order, so the
     // uncontended forward pass folds a fixed, reproducible term sequence.
     for (const auto& [parent, cost] : q.in(b)) {

@@ -226,8 +226,9 @@ std::optional<double> makespanValue(const QuotientGraph& q,
 
 /// Builds the fluid problem of a scheduled quotient: one node per alive
 /// block (in topological order; blockOfNode maps back to block ids), one
-/// edge per quotient edge in the per-destination adjacency order. Shared by
-/// the model-priced makespan/timeline evaluations. nullopt when cyclic.
+/// edge per quotient edge, grouped by destination node in adjacency order
+/// (the comm::FluidProblem layout). Shared by the model-priced
+/// makespan/timeline evaluations. nullopt when cyclic.
 struct QuotientFluid {
   comm::FluidProblem problem;
   std::vector<BlockId> blockOfNode;  // fluid node index -> block id

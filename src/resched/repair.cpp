@@ -432,6 +432,33 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
     nk.transfers.push_back(kept);
   }
 
+  // Re-sends `bytes` from `src` to `dst` (new ids) at full volume, drawing
+  // the volume factor the way the engine would for this block pair, and
+  // returns 1 when the transfer is pending. A zero-volume transfer delivers
+  // instantly, like an engine dispatch, and raises `bs`'s barrier instead.
+  const auto resend = [&](BlockId src, BlockId dst, double bytes,
+                          sim::BlockState& bs) -> std::size_t {
+    const double total =
+        bytes * model.transferFactor((static_cast<std::uint64_t>(src) << 32) |
+                                     static_cast<std::uint64_t>(dst));
+    ++nk.numTransfers;
+    nk.transferVolume += bytes;
+    ++sp.resendTransfers;
+    sp.resendVolume += bytes;
+    if (total > 0.0) {
+      sim::TransferState t;
+      t.remaining = total;
+      t.total = total;
+      t.bytes = bytes;
+      t.srcBlock = src;
+      t.dstBlock = dst;
+      nk.transfers.push_back(t);
+      return 1;
+    }
+    bs.barrierTime = std::max(bs.barrierTime, ck.now);
+    return 0;
+  };
+
   nk.blocks.assign(numNew, sim::BlockState{});
   for (BlockId n = 0; n < static_cast<BlockId>(numNew); ++n) {
     const BlockId old = newToOld[n];
@@ -458,50 +485,12 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
       std::size_t pending = 0;
       for (const BlockId p : predsOf[n]) {
         // Every producer of a started block completed before it started.
-        const double cost = aggCost[{p, n}];
-        const double total = cost * model.transferFactor(
-                                        (static_cast<std::uint64_t>(p) << 32) |
-                                        static_cast<std::uint64_t>(n));
-        ++nk.numTransfers;
-        nk.transferVolume += cost;
-        ++sp.resendTransfers;
-        sp.resendVolume += cost;
-        if (total > 0.0) {
-          sim::TransferState resend;
-          resend.remaining = total;
-          resend.total = total;
-          resend.bytes = cost;
-          resend.srcBlock = p;
-          resend.dstBlock = n;
-          nk.transfers.push_back(resend);
-          ++pending;
-        } else {
-          bs.barrierTime = std::max(bs.barrierTime, ck.now);
-        }
+        pending += resend(p, n, aggCost[{p, n}], bs);
       }
       if (rb.restoreBytes > 0.0) {
         // The prefix restore rides the backbone like any transfer; its
         // source is the block itself (the checkpoint store holds its data).
-        const double total =
-            rb.restoreBytes *
-            model.transferFactor((static_cast<std::uint64_t>(n) << 32) |
-                                 static_cast<std::uint64_t>(n));
-        ++nk.numTransfers;
-        nk.transferVolume += rb.restoreBytes;
-        ++sp.resendTransfers;
-        sp.resendVolume += rb.restoreBytes;
-        if (total > 0.0) {
-          sim::TransferState restore;
-          restore.remaining = total;
-          restore.total = total;
-          restore.bytes = rb.restoreBytes;
-          restore.srcBlock = n;
-          restore.dstBlock = n;
-          nk.transfers.push_back(restore);
-          ++pending;
-        } else {
-          bs.barrierTime = std::max(bs.barrierTime, ck.now);
-        }
+        pending += resend(n, n, rb.restoreBytes, bs);
       }
       bs.pendingInputs = pending;
       continue;
@@ -521,29 +510,8 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
         continue;
       }
       // Moved: everything received or in flight was lost; re-send one
-      // aggregated transfer at full volume, drawing the volume factor the
-      // way the engine would for this (new) block pair.
-      const double cost = aggCost[{p, n}];
-      const double total =
-          cost * model.transferFactor((static_cast<std::uint64_t>(p) << 32) |
-                                      static_cast<std::uint64_t>(n));
-      ++nk.numTransfers;
-      nk.transferVolume += cost;
-      ++sp.resendTransfers;
-      sp.resendVolume += cost;
-      if (total > 0.0) {
-        sim::TransferState resend;
-        resend.remaining = total;
-        resend.total = total;
-        resend.bytes = cost;
-        resend.srcBlock = p;
-        resend.dstBlock = n;
-        nk.transfers.push_back(resend);
-        ++pending;
-      } else {
-        // Zero-volume transfers deliver instantly, like engine dispatches.
-        bs.barrierTime = std::max(bs.barrierTime, ck.now);
-      }
+      // aggregated transfer at full volume.
+      pending += resend(p, n, aggCost[{p, n}], bs);
     }
     bs.pendingInputs = pending;
   }

@@ -171,12 +171,13 @@ double projectResidual(const ResidualState& state,
     // injections are the in-flight remainders and re-sends dispatched at
     // `now`, and whose edges are the live inter-block transfers. The
     // uncontended model reproduces the legacy pass below (same maxes, same
-    // additive terms); the fair-share model makes them contend.
+    // additive terms); the fair-share model makes them contend. Nodes follow
+    // the Kahn order and each node's injections and in-edges are appended
+    // together, which is the FluidProblem layout.
     comm::FluidProblem problem;
     std::vector<std::uint32_t> nodeOf(n, comm::kNoFluidEdge);
     for (const std::size_t i : order) {
       nodeOf[i] = static_cast<std::uint32_t>(problem.nodes.size());
-      problem.order.push_back(nodeOf[i]);
       const ResidualBlock& rb = state.blocks[i];
       comm::FluidNode node;
       node.duration =

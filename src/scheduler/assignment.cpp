@@ -21,8 +21,8 @@ constexpr double kSplitEpsilon = 0.15;
 /// `fitFraction` sets the share of memory weight aimed at the first part:
 /// instead of halving, FitBlock carves off a part sized for the target
 /// processor, which avoids shattering the remainder into single-task
-/// fragments over repeated splits (library refinement over plain
-/// Partition(V,2); see DESIGN.md). Returns the parts, or an empty vector
+/// fragments over repeated splits (library refinement over the paper's
+/// plain Partition(V,2)). Returns the parts, or an empty vector
 /// when no split is possible.
 std::vector<std::vector<VertexId>> splitBlock(
     const graph::Dag& g, const std::vector<VertexId>& vertices,

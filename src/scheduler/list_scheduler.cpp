@@ -14,8 +14,7 @@ using graph::VertexId;
 using platform::ProcessorId;
 
 ListScheduleResult heftSchedule(const graph::Dag& g,
-                                const platform::Cluster& cluster,
-                                const SchedulerOptions& options) {
+                                const platform::Cluster& cluster) {
   ListScheduleResult result;
   const std::size_t n = g.numVertices();
   result.procOfTask.assign(n, platform::kNoProcessor);
@@ -61,12 +60,6 @@ ListScheduleResult heftSchedule(const graph::Dag& g,
   std::vector<double> taskFinish(n, 0.0);
   result.entries.resize(n);
 
-  // Contention-aware placement: transfers committed by earlier placements
-  // occupy the shared link; pricing walks the load profile instead of
-  // charging the uncontended c/beta.
-  const bool contended = options.contentionAware;
-  comm::LinkLoadProfile link(beta);
-
   // Incremental pricing scratch: every inbound edge is priced once per task
   // (remote delivery + local finish), and the per-processor fold below only
   // needs the two best remote terms from distinct processors plus the
@@ -93,17 +86,6 @@ ListScheduleResult heftSchedule(const graph::Dag& g,
     double bestFinish = std::numeric_limits<double>::infinity();
     ProcessorId bestProc = 0;
     double bestStart = 0.0;
-    // Contended deliveries are processor-independent (only "same processor,
-    // no transfer" depends on p), so price each inbound edge once against
-    // the profile as it stands before any of v's own transfers commit.
-    std::vector<double> delivery;
-    if (contended) {
-      delivery.reserve(g.inEdges(v).size());
-      for (const EdgeId e : g.inEdges(v)) {
-        delivery.push_back(
-            link.price(taskFinish[g.edge(e).src], g.edge(e).cost));
-      }
-    }
     // remote(p) = max remote term over parents NOT on p: top1 is the global
     // maximum, top2 the best among parents off top1's processor, so
     // remote(p) = (p == top1Proc ? top2 : top1). own(p) folds the free
@@ -112,25 +94,20 @@ ListScheduleResult heftSchedule(const graph::Dag& g,
     ProcessorId top1Proc = platform::kNoProcessor;
     for (const ProcessorId p : ownTouched) ownFinish[p] = kNegInf;
     ownTouched.clear();
-    {
-      std::size_t in = 0;
-      for (const EdgeId e : g.inEdges(v)) {
-        const VertexId u = g.edge(e).src;
-        const std::size_t i = in++;
-        const ProcessorId pu = result.procOfTask[u];
-        const double remote =
-            contended ? delivery[i] : taskFinish[u] + g.edge(e).cost / beta;
-        if (ownFinish[pu] == kNegInf) ownTouched.push_back(pu);
-        ownFinish[pu] = std::max(ownFinish[pu], taskFinish[u]);
-        if (pu == top1Proc) {
-          top1 = std::max(top1, remote);
-        } else if (remote > top1) {
-          top2 = top1;  // the old global max now counts as off-processor
-          top1 = remote;
-          top1Proc = pu;
-        } else {
-          top2 = std::max(top2, remote);
-        }
+    for (const EdgeId e : g.inEdges(v)) {
+      const VertexId u = g.edge(e).src;
+      const ProcessorId pu = result.procOfTask[u];
+      const double remote = taskFinish[u] + g.edge(e).cost / beta;
+      if (ownFinish[pu] == kNegInf) ownTouched.push_back(pu);
+      ownFinish[pu] = std::max(ownFinish[pu], taskFinish[u]);
+      if (pu == top1Proc) {
+        top1 = std::max(top1, remote);
+      } else if (remote > top1) {
+        top2 = top1;  // the old global max now counts as off-processor
+        top1 = remote;
+        top1Proc = pu;
+      } else {
+        top2 = std::max(top2, remote);
       }
     }
     for (ProcessorId p = 0; p < cluster.numProcessors(); ++p) {
@@ -152,19 +129,6 @@ ListScheduleResult heftSchedule(const graph::Dag& g,
         bestFinish = finish;
         bestProc = p;
         bestStart = start;
-      }
-    }
-    if (contended) {
-      // Commit the chosen placement's inbound transfers with the exact
-      // delivery instants that bounded the placement decision (re-pricing
-      // here would see the occupancy of v's own earlier commits and drift).
-      std::size_t in = 0;
-      for (const EdgeId e : g.inEdges(v)) {
-        const VertexId u = g.edge(e).src;
-        const std::size_t i = in++;
-        if (result.procOfTask[u] != bestProc) {
-          link.commit(taskFinish[u], delivery[i]);
-        }
       }
     }
     result.procOfTask[v] = bestProc;

@@ -23,7 +23,6 @@
 #include "graph/dag.hpp"
 #include "memory/oracle.hpp"
 #include "platform/cluster.hpp"
-#include "scheduler/options.hpp"
 
 namespace dagpm::scheduler {
 
@@ -43,16 +42,10 @@ struct ListScheduleResult {
 
 /// Classic HEFT: upward ranks with average execution/communication costs,
 /// then earliest-finish-time placement with insertion into idle slots.
-/// Memory capacities are ignored entirely. With
-/// options.contentionAware the placement's data-ready times are priced
-/// against a comm::LinkLoadProfile of the transfers already committed to
-/// the shared backbone (a one-sided fair-share estimate: committed
-/// transfers are not retroactively slowed), so heavily communicating
-/// placements stop looking free; the default prices every transfer at the
-/// uncontended c/beta exactly as before.
+/// Memory capacities are ignored entirely, and every transfer is priced at
+/// the paper's uncontended c/beta.
 ListScheduleResult heftSchedule(const graph::Dag& g,
-                                const platform::Cluster& cluster,
-                                const SchedulerOptions& options = {});
+                                const platform::Cluster& cluster);
 
 /// Diagnoses the memory feasibility of a task->processor mapping under the
 /// paper's model: each processor's task set forms a block whose traversal

@@ -249,7 +249,8 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
     }
     if (outcome.target == kNoBlock && cfg.anyHostFallback &&
         rescueProbesLeft > 0) {
-      // Library extension (DESIGN.md): before declaring the instance
+      // Library extension, not in the paper (the paper-merge variant of
+      // bench/ablation_steps turns it off): before declaring the instance
       // infeasible, try merging nu into *any* assigned block with enough
       // memory. This rescues "saturation" dead ends where all of nu's
       // neighbors sit on full processors while other hosts have headroom;

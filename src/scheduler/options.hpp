@@ -1,6 +1,6 @@
 #pragma once
-// Cross-cutting scheduler switches shared by DagHetPart, the HEFT
-// comparator, and the experiment harness.
+// Cross-cutting scheduler switches shared by DagHetPart and the experiment
+// harness.
 
 #include "comm/cost_model.hpp"
 

@@ -28,10 +28,10 @@ CoScheduleResult coSchedule(const std::vector<Tenant>& tenants,
   CoScheduleResult out;
   out.tenants.resize(tenants.size());
 
-  // One combined fluid problem: per-tenant node blocks are appended with an
-  // id offset; there are no cross-tenant edges, so the concatenation of the
-  // per-tenant topological orders is a topological order of the union. All
-  // transfers share the links, which is where the models differ.
+  // One combined fluid problem: per-tenant problems are appended with an id
+  // offset; there are no cross-tenant edges, so the concatenation keeps the
+  // FluidProblem layout. All transfers share the links, which is where the
+  // models differ.
   comm::FluidProblem combined;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> nodeRange(
       tenants.size());  // [first, last) combined-node range per tenant
@@ -74,9 +74,6 @@ CoScheduleResult coSchedule(const std::vector<Tenant>& tenants,
     for (comm::FluidInjection injection : fluid->problem.injections) {
       injection.dst += offset;
       combined.injections.push_back(injection);
-    }
-    for (const std::uint32_t n : fluid->problem.order) {
-      combined.order.push_back(n + offset);
     }
   }
 

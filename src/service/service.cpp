@@ -353,8 +353,8 @@ scheduler::ScheduleResult SchedulerService::solve(
   const obs::Span span("service.solve",
                        std::string(algorithmName(r.algorithm)) +
                            " id=" + std::to_string(job.id));
-  // The job runs entirely on this thread (enqueue disables the parallel
-  // sweep and the worker is pinned to one OpenMP thread), so the
+  // The job runs entirely on this thread (the worker is pinned to one
+  // OpenMP thread, so every parallel region runs serially here), so the
   // thread-local delta is this request's exact probe/repair/merge work.
   const obs::ThreadCounterScope scope;
   scheduler::ScheduleResult result;

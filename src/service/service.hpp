@@ -15,8 +15,8 @@
 //    process-global obs counter totals — deterministic under any thread
 //    interleaving (as long as the cache does not evict mid-run).
 //  * Per-request counter attribution uses obs::ThreadCounterScope: each
-//    solve runs entirely on one worker thread (inner OpenMP parallelism is
-//    disabled per job), so the thread-local delta is exact. Every request
+//    solve runs entirely on one worker thread (each worker pins itself with
+//    omp_set_num_threads(1)), so the thread-local delta is exact. Every request
 //    also runs under an obs::Span tagged with its request id, so DAGPM_TRACE
 //    shows per-request latency on the worker tracks.
 //

@@ -1,6 +1,7 @@
 #pragma once
 // Synthetic stand-ins for the paper's real-world nf-core workflows with
-// Lotaru-style historical weights (DESIGN.md substitution #3).
+// Lotaru-style historical weights (the measured traces themselves are not
+// part of this repository).
 //
 // The paper's real-world set consists of five small nextflow pipelines
 // (11-58 tasks after pseudo-task removal) whose weights come from measured

@@ -1,12 +1,13 @@
 // Tests for the communication cost models (src/comm) and their threading
 // through the scheduling stack:
-//   * FairShareLink / LinkLoadProfile closed-form checks;
+//   * FairShareLink closed-form checks, and both models reject a
+//     FluidProblem outside its layout;
 //   * the uncontended model reproduces the forward-pass timeline
 //     bit-exactly (the paper-faithful default must not move);
 //   * the fair-share model agrees with the contended block-synchronous
 //     simulation to 1e-9 on fuzzed schedules (the differential that makes
 //     contention-aware search optimize the physics the engine realizes);
-//   * contention-aware DagHetPart / HEFT never return memory-infeasible or
+//   * contention-aware DagHetPart never returns memory-infeasible or
 //     cyclic schedules;
 //   * the residual projection under the uncontended model matches the
 //     legacy pass, and the fair-share projection never undercuts it.
@@ -21,7 +22,6 @@
 #include "quotient/quotient.hpp"
 #include "quotient/timeline.hpp"
 #include "resched/residual.hpp"
-#include "scheduler/list_scheduler.hpp"
 #include "scheduler/solution.hpp"
 #include "sim/engine.hpp"
 #include "test_util.hpp"
@@ -68,19 +68,43 @@ TEST(FairShareLink, LateTransferSlowsTheEarlyOne) {
   EXPECT_DOUBLE_EQ(link.now(), 5.0);
 }
 
-TEST(LinkLoadProfile, PricesAgainstCommittedLoad) {
-  comm::LinkLoadProfile profile(1.0);
-  EXPECT_DOUBLE_EQ(profile.price(3.0, 4.0), 7.0);  // empty link: full rate
-  profile.commit(0.0, 10.0);
-  // Against one committed transfer the new one moves at rate 1/2 until
-  // t=10, then at full rate: 2.5 of 5 units by t=10, rest by t=12.5.
-  EXPECT_DOUBLE_EQ(profile.price(5.0, 5.0), 12.5);
-  // Entirely inside the committed interval.
-  EXPECT_DOUBLE_EQ(profile.price(0.0, 4.0), 8.0);
-  profile.commit(0.0, 8.0);
-  // Two committed transfers on [0,8): rate 1/3, then 1/2 on [8,10).
-  EXPECT_DOUBLE_EQ(profile.price(2.0, 2.0), 8.0);
-  EXPECT_DOUBLE_EQ(profile.price(2.0, 3.0), 10.0);
+TEST(CommCostModel, RejectsProblemsOutsideTheLayout) {
+  // In layout: nodes topological, edges and injections grouped by ascending
+  // destination. Hand-derived timelines at beta = 1: uncontended, node 1
+  // waits for edge 0 (1 + 2) and node 2 for edges 1/2 (both 5); fair-share,
+  // edges 0 and 1 halve the link from t=1, node 1 starts at 5 and edge 2
+  // then shares the link with edge 1's last unit until t=8.
+  comm::FluidProblem good;
+  good.nodes = {{1.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}};
+  good.edges = {{0, 1, 2.0}, {0, 2, 4.0}, {1, 2, 1.0}};
+  good.injections = {{1, 0.0, 1.0}};
+  const comm::FluidResult flat =
+      comm::uncontendedCommModel().evaluate(good, 1.0);
+  ASSERT_TRUE(flat.ok);
+  EXPECT_EQ(flat.makespan, 6.0);
+  EXPECT_EQ(flat.bindingEdge,
+            (std::vector<std::uint32_t>{comm::kNoFluidEdge, 0, 1}));
+  const comm::FluidResult shared =
+      comm::fairShareCommModel().evaluate(good, 1.0);
+  ASSERT_TRUE(shared.ok);
+  EXPECT_EQ(shared.makespan, 9.0);
+  EXPECT_EQ(shared.start, (std::vector<double>{0.0, 5.0, 8.0}));
+
+  // Out of layout: an edge with src >= dst (destinations still ascending),
+  // an edge listed after one of a later destination, an injection listed
+  // after one of a later destination, and an injection to no node.
+  std::vector<comm::FluidProblem> bad(4, good);
+  bad[0].edges[0] = {2, 1, 2.0};
+  bad[1].edges = {{0, 2, 4.0}, {0, 1, 2.0}, {1, 2, 1.0}};
+  bad[2].injections = {{2, 0.0, 1.0}, {1, 0.0, 1.0}};
+  bad[3].injections = {{3, 0.0, 1.0}};
+  for (std::size_t k = 0; k < bad.size(); ++k) {
+    for (const comm::CommCostModel* model :
+         {&comm::uncontendedCommModel(), &comm::fairShareCommModel()}) {
+      EXPECT_FALSE(model->evaluate(bad[k], 1.0).ok)
+          << "case " << k << " under " << model->name();
+    }
+  }
 }
 
 TEST(CommCostModel, UncontendedMatchesComputeTimelineBitExact) {
@@ -251,34 +275,6 @@ TEST(ContentionAwareScheduling, ObliviousDefaultIsUnchanged) {
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.blockOf, b.blockOf);
     EXPECT_EQ(a.procOfBlock, b.procOfBlock);
-  }
-}
-
-TEST(ContentionAwareScheduling, HeftRespectsPrecedenceAndDefaultsUnchanged) {
-  const graph::Dag g = test::randomLayeredDag(7, 5, 3, 11);
-  const platform::Cluster cluster = platform::makeCluster(
-      platform::Heterogeneity::kDefault, platform::ClusterSize::kSmall, 0.5);
-  const scheduler::ListScheduleResult legacy =
-      scheduler::heftSchedule(g, cluster);
-  const scheduler::ListScheduleResult off =
-      scheduler::heftSchedule(g, cluster, {});
-  EXPECT_EQ(legacy.makespan, off.makespan);
-  EXPECT_EQ(legacy.procOfTask, off.procOfTask);
-
-  scheduler::SchedulerOptions options;
-  options.contentionAware = true;
-  const scheduler::ListScheduleResult aware =
-      scheduler::heftSchedule(g, cluster, options);
-  ASSERT_EQ(aware.entries.size(), g.numVertices());
-  for (graph::EdgeId e = 0; e < g.numEdges(); ++e) {
-    const graph::Edge& edge = g.edge(e);
-    EXPECT_GE(aware.entries[edge.dst].start,
-              aware.entries[edge.src].finish - 1e-9);
-  }
-  for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
-    const scheduler::ListScheduleEntry& entry = aware.entries[v];
-    const double duration = g.work(v) / cluster.speed(entry.proc);
-    EXPECT_NEAR(entry.finish - entry.start, duration, 1e-9);
   }
 }
 

@@ -2,7 +2,10 @@
 // Sec. 5.2.1/5.2.2/5.2.4 tables all read one DagHetPart-vs-DagHetMem
 // comparison over a handful of cluster configurations. Each configuration
 // is scheduled once, the first time a figure asks for it; every figure then
-// prints its table and exports its document under its own bench name.
+// prints its table and exports its document under its own bench name. The
+// ablations of the four-step heuristic, the HEFT price-of-memory table and
+// Tables 2/3 follow; they read the default-cluster comparison and schedule
+// only their own variants.
 //
 //   ./build/bench/paper_figures [figure ...]
 //
@@ -15,10 +18,17 @@
 #include <functional>
 #include <iostream>
 #include <set>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
 #include "bench_common.hpp"
+#include "partition/chunking.hpp"
+#include "quotient/quotient.hpp"
+#include "scheduler/assignment.hpp"
+#include "scheduler/list_scheduler.hpp"
+#include "scheduler/merge_step.hpp"
+#include "scheduler/swap_step.hpp"
 
 namespace dagpm::bench {
 namespace {
@@ -48,13 +58,19 @@ class Comparisons {
   const Outcomes& operator()(const Config& config) {
     auto [run, fresh] = runs_.try_emplace(config);
     if (!fresh) return run->second;
-    auto [instances, generate] = instances_.try_emplace(config.workScale);
-    if (generate) instances->second = ctx_.allInstances(config.workScale);
     const platform::Cluster cluster =
         platform::makeCluster(config.het, config.size, config.bandwidth);
-    run->second =
-        experiments::runComparison(instances->second, cluster, ctx_.options());
+    run->second = experiments::runComparison(instances(config.workScale),
+                                             cluster, ctx_.options());
     return run->second;
+  }
+
+  /// The instances at `workScale`, generated the first time they are asked
+  /// for.
+  const std::vector<Instance>& instances(double workScale = 1.0) {
+    auto [instances, generate] = instances_.try_emplace(workScale);
+    if (generate) instances->second = ctx_.allInstances(workScale);
+    return instances->second;
   }
 
  private:
@@ -125,6 +141,17 @@ Outcomes filterReal(const Outcomes& outcomes, bool real) {
   return result;
 }
 
+/// Part/mem makespan ratios of the outcomes both schedulers scheduled.
+std::vector<double> makespanRatios(const Outcomes& outcomes) {
+  std::vector<double> ratios;
+  for (const RunOutcome& out : outcomes) {
+    if (out.partFeasible && out.memFeasible && out.memMakespan > 0.0) {
+      ratios.push_back(out.partMakespan / out.memMakespan);
+    }
+  }
+  return ratios;
+}
+
 /// Part/mem runtime ratios of the outcomes both schedulers scheduled.
 std::vector<double> runtimeRatios(const Outcomes& outcomes) {
   std::vector<double> ratios;
@@ -163,15 +190,10 @@ int fig03Left(const BenchContext& ctx, Comparisons& runs) {
                   support::Table::percent(agg.geomeanRatio),
                   support::Table::num(1.0 / agg.geomeanRatio, 2) + "x"});
   }
-  std::vector<double> allRatios;
-  for (const RunOutcome& out : outcomes) {
-    if (out.partFeasible && out.memFeasible && out.memMakespan > 0.0) {
-      allRatios.push_back(out.partMakespan / out.memMakespan);
-    }
-  }
   table.print(std::cout);
   std::cout << "\noverall geomean relative makespan: "
-            << support::Table::percent(support::geometricMean(allRatios))
+            << support::Table::percent(
+                   support::geometricMean(makespanRatios(outcomes)))
             << "  (paper: 41% => 2.44x)\n";
   return finish(ctx, "fig03_left_default_cluster", {{"", outcomes}});
 }
@@ -462,15 +484,348 @@ int fig07(const BenchContext& ctx, Comparisons& runs) {
   return finish(ctx, "fig07_bandwidth_ccr", groups);
 }
 
+/// The default cluster of the paper (Table 2, 36 processors).
+platform::Cluster defaultCluster() {
+  return platform::makeCluster(Heterogeneity::kDefault, ClusterSize::kDefault);
+}
+
+/// The ablations compare their variants on the real-world and small
+/// workflows only, which keeps the many variants affordable.
+bool ablationBand(SizeBand band) {
+  return band == SizeBand::kReal || band == SizeBand::kSmall;
+}
+
+/// The default comparison's outcomes on the ablation bands.
+Outcomes ablationOutcomes(Comparisons& runs) {
+  Outcomes result;
+  for (const RunOutcome& out : runs({})) {
+    if (ablationBand(out.band)) result.push_back(out);
+  }
+  return result;
+}
+
+/// DagHetPart configured by `part` against DagHetMem on the default cluster,
+/// over the instances of the ablation bands. Not cached: every variant is
+/// compared once.
+Outcomes ablationRun(const BenchContext& ctx, Comparisons& runs,
+                     const scheduler::DagHetPartConfig& part) {
+  std::vector<Instance> instances;
+  for (const Instance& inst : runs.instances()) {
+    if (ablationBand(inst.band)) instances.push_back(inst);
+  }
+  experiments::RunnerOptions options = ctx.options();
+  options.part = part;
+  return experiments::runComparison(instances, defaultCluster(), options);
+}
+
+/// "<DagHetPart scheduled>/<instances>".
+std::string scheduledCell(const Outcomes& outcomes) {
+  int scheduled = 0;
+  for (const RunOutcome& out : outcomes) scheduled += out.partFeasible ? 1 : 0;
+  return std::to_string(scheduled) + "/" + std::to_string(outcomes.size());
+}
+
+/// The geometric mean of `ratios` as a percentage, "-" when empty.
+std::string ratioCell(const std::vector<double>& ratios) {
+  return ratios.empty()
+             ? "-"
+             : support::Table::percent(support::geometricMean(ratios));
+}
+
+/// One workflow per family for the per-family extension tables: the default
+/// comparison's seed-1 instance at the largest small size, its outcome and
+/// the default cluster scaled to it (Sec. 5.1.2) -- the DAG, cluster and
+/// configuration the table would otherwise solve itself.
+struct FamilyRun {
+  const Instance& instance;
+  const RunOutcome& outcome;
+  platform::Cluster cluster;
+};
+
+FamilyRun familyRun(const BenchContext& ctx, Comparisons& runs,
+                    workflows::Family family) {
+  const int size = ctx.env().smallSizes().back();
+  const std::string name =
+      workflows::familyName(family) + "-n" + std::to_string(size) + "-s1";
+  const std::vector<Instance>& instances = runs.instances();
+  const Outcomes& outcomes = runs({});
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    if (instances[i].name != name) continue;
+    platform::Cluster cluster = defaultCluster();
+    cluster.scaleMemoriesToFit(instances[i].dag.maxTaskMemoryRequirement());
+    return {instances[i], outcomes[i], std::move(cluster)};
+  }
+  throw std::logic_error("no default-comparison instance " + name);
+}
+
+// Ablation (ours, not a paper artifact): contribution of the individual
+// DagHetPart design choices to the final makespan. Variants:
+//   full          all four steps as in the paper (+ library extensions)
+//   no-swaps      Step 4 swap search disabled
+//   no-idle       Step 4 idle-processor moves disabled
+//   no-offcp      Step 3 merges do not prefer off-critical-path hosts
+//   paper-merge   library rescue extensions off (Step-3 any-host
+//                 fallback, memory-balanced Step-1 retry); Step 3's
+//                 progress deferral is not switchable and stays on
+// Reported per variant: geomean relative makespan vs DagHetMem and the
+// number of schedulable instances (the paper-merge variant shows why the
+// extensions exist). `full` is the default comparison.
+int ablationSteps(const BenchContext& ctx, Comparisons& runs) {
+  printPreamble(ctx, "Ablation: step contributions of DagHetPart",
+                "design-choice ablation (not a paper artifact)");
+  const scheduler::DagHetPartConfig full = ctx.options().part;
+  scheduler::DagHetPartConfig noSwaps = full;
+  noSwaps.enableSwaps = false;
+  scheduler::DagHetPartConfig noIdle = full;
+  noIdle.enableIdleMoves = false;
+  scheduler::DagHetPartConfig noOffCp = full;
+  noOffCp.preferOffCriticalPath = false;
+  scheduler::DagHetPartConfig paperMerge = full;
+  paperMerge.anyHostFallback = false;
+  paperMerge.memoryBalanceFallback = false;
+
+  experiments::OutcomeGroups groups{{"full", ablationOutcomes(runs)}};
+  groups.emplace_back("no-swaps", ablationRun(ctx, runs, noSwaps));
+  groups.emplace_back("no-idle", ablationRun(ctx, runs, noIdle));
+  groups.emplace_back("no-offcp", ablationRun(ctx, runs, noOffCp));
+  groups.emplace_back("paper-merge", ablationRun(ctx, runs, paperMerge));
+  support::Table table({"variant", "scheduled", "rel.makespan vs baseline"});
+  for (const auto& [name, outcomes] : groups) {
+    table.addRow({name, scheduledCell(outcomes),
+                  ratioCell(makespanRatios(outcomes))});
+  }
+  table.print(std::cout);
+  return finish(ctx, "ablation_steps", groups);
+}
+
+// Ablation (ours): quality/cost trade-off of the k' sweep strategy. The
+// paper evaluates every k' <= k; the bench default substitutes a doubling
+// sweep, O(log k) pipeline runs instead of k. This figure quantifies the
+// makespan gap and the runtime difference between single / doubling / full
+// sweeps; the arm of the active sweep is the default comparison.
+int ablationSweep(const BenchContext& ctx, Comparisons& runs) {
+  printPreamble(ctx, "Ablation: k' sweep strategies",
+                "quantifies the doubling-sweep substitution "
+                "(doubling sweep vs the paper's full sweep)");
+  const auto numProcessors =
+      static_cast<std::uint32_t>(defaultCluster().numProcessors());
+  support::Table table({"sweep", "k' candidates", "scheduled",
+                        "rel.makespan vs baseline", "avg runtime (s)"});
+  const std::vector<std::pair<std::string, scheduler::KPrimeSweep>> sweeps{
+      {"single", scheduler::KPrimeSweep::kSingle},
+      {"doubling", scheduler::KPrimeSweep::kDoubling},
+      {"full", scheduler::KPrimeSweep::kFull},
+  };
+  experiments::OutcomeGroups groups;
+  for (const auto& [name, sweep] : sweeps) {
+    Outcomes outcomes;
+    if (sweep == ctx.sweep()) {
+      outcomes = ablationOutcomes(runs);
+    } else {
+      scheduler::DagHetPartConfig part = ctx.options().part;
+      part.sweep = sweep;
+      outcomes = ablationRun(ctx, runs, part);
+    }
+    std::vector<double> seconds;
+    for (const RunOutcome& out : outcomes) {
+      if (out.partFeasible) seconds.push_back(out.partSeconds);
+    }
+    const std::size_t candidates =
+        scheduler::sweepCandidates(sweep, numProcessors).size();
+    table.addRow({name, std::to_string(candidates), scheduledCell(outcomes),
+                  ratioCell(makespanRatios(outcomes)),
+                  support::Table::num(support::mean(seconds), 3)});
+    groups.emplace_back(name, outcomes);
+  }
+  table.print(std::cout);
+  return finish(ctx, "ablation_sweep", groups);
+}
+
+/// DagHetPart with Step 1 replaced by topological chunking (same Steps 2-4).
+scheduler::ScheduleResult chunkedDagHetPart(const graph::Dag& g,
+                                            const platform::Cluster& cluster,
+                                            std::uint32_t kPrime) {
+  const memory::MemDagOracle oracle(g);
+  partition::ChunkingConfig ccfg;
+  ccfg.numParts = kPrime;
+  const partition::PartitionResult initial =
+      partition::chunkTopologically(g, ccfg);
+  std::vector<std::vector<graph::VertexId>> blocks(initial.numBlocks);
+  for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
+    blocks[initial.blockOf[v]].push_back(v);
+  }
+  scheduler::AssignmentResult assignment =
+      scheduler::biggestAssign(g, cluster, oracle, std::move(blocks), {});
+  std::vector<std::uint32_t> blockOf(g.numVertices(), 0);
+  for (std::uint32_t b = 0; b < assignment.blocks.size(); ++b) {
+    for (const graph::VertexId v : assignment.blocks[b].vertices) {
+      blockOf[v] = b;
+    }
+  }
+  quotient::QuotientGraph q(
+      g, blockOf, static_cast<std::uint32_t>(assignment.blocks.size()));
+  for (std::uint32_t b = 0; b < assignment.blocks.size(); ++b) {
+    q.setProcessor(b, assignment.blocks[b].proc);
+    q.setMemReq(b, assignment.blocks[b].memReq);
+  }
+  scheduler::ScheduleResult result;
+  if (!scheduler::mergeUnassignedToAssigned(q, cluster, oracle).success) {
+    return result;
+  }
+  const scheduler::SwapStepResult swaps = scheduler::improveBySwaps(q, cluster);
+  result.feasible = true;
+  result.makespan = swaps.makespan;
+  return result;
+}
+
+// Ablation (ours): how much does partition quality matter? Step 1 of
+// DagHetPart uses the multilevel acyclic partitioner (dagP substitute); this
+// figure swaps it against naive topological chunking -- DagHetMem's
+// streaming blocks are chunkings of a traversal, so this isolates the
+// contribution of cut-optimized blocks from the assignment/merge/swap
+// machinery. Reported: edge cut of both partitioners and the downstream
+// DagHetPart makespan when Step 1 is replaced by chunking.
+int ablationPartitioner(const BenchContext& ctx, Comparisons& runs) {
+  printPreamble(ctx, "Ablation: multilevel partitioner vs chunking",
+                "design-choice ablation (not a paper artifact): Step-1 "
+                "partition quality");
+  support::Table table({"family", "tasks", "cut (multilevel)", "cut (chunking)",
+                        "makespan (ml step1)", "makespan (chunk step1)"});
+  const std::uint32_t kPrime = 16;
+  int feasibleRuns = 0;
+  for (const workflows::Family family : workflows::allFamilies()) {
+    const auto [instance, ml, cluster] = familyRun(ctx, runs, family);
+    const graph::Dag& g = instance.dag;
+
+    partition::PartitionConfig pcfg;
+    pcfg.numParts = kPrime;
+    const double mlCut = partition::partitionAcyclic(g, pcfg).edgeCut;
+    partition::ChunkingConfig ccfg;
+    ccfg.numParts = kPrime;
+    const double chunkCut = partition::chunkTopologically(g, ccfg).edgeCut;
+    const scheduler::ScheduleResult chunk =
+        chunkedDagHetPart(g, cluster, kPrime);
+    feasibleRuns += ml.partFeasible ? 1 : 0;
+
+    table.addRow({workflows::familyName(family),
+                  std::to_string(g.numVertices()),
+                  support::Table::num(mlCut, 0),
+                  support::Table::num(chunkCut, 0),
+                  ml.partFeasible ? support::Table::num(ml.partMakespan, 0)
+                                  : "-",
+                  chunk.feasible ? support::Table::num(chunk.makespan, 0)
+                                 : "-"});
+  }
+  table.print(std::cout);
+  std::cout << "\n(smaller cut -> less communication on the critical path; "
+               "the multilevel partitioner should win on both columns)\n";
+  if (feasibleRuns == 0) {
+    std::cerr << "error: DagHetPart scheduled no family at this scale\n";
+    return 1;
+  }
+  return 0;
+}
+
+// Extension (ours): the price of memory constraints. The paper's motivation
+// (Secs. 1-2) is that existing heterogeneous list schedulers optimize the
+// makespan but ignore memory capacities, producing invalid mappings. This
+// table quantifies both halves of that claim on the default cluster: a
+// classic HEFT list scheduler (task-granular, memory-oblivious) yields an
+// optimistic makespan reference, and its induced task->processor mapping is
+// checked against the paper's block-memory model. Expected: HEFT "wins" on
+// makespan (finer granularity + no constraints) while routinely overflowing
+// processor memories -- exactly why DagHetPart exists.
+int priceOfMemory(const BenchContext& ctx, Comparisons& runs) {
+  printPreamble(ctx, "Price of memory constraints (HEFT reference)",
+                "extension of the paper's motivation: memory-"
+                "oblivious list schedules are faster but invalid");
+  support::Table table({"family", "tasks", "HEFT makespan",
+                        "DagHetPart makespan", "gap",
+                        "HEFT procs over memory", "worst overshoot"});
+  int violating = 0, total = 0, partFeasible = 0;
+  for (const workflows::Family family : workflows::allFamilies()) {
+    const auto [instance, part, cluster] = familyRun(ctx, runs, family);
+    const graph::Dag& g = instance.dag;
+    const memory::MemDagOracle oracle(g);
+
+    const scheduler::ListScheduleResult heft =
+        scheduler::heftSchedule(g, cluster);
+    const scheduler::MemoryDiagnosis diagnosis =
+        scheduler::diagnoseMemory(g, cluster, oracle, heft.procOfTask);
+
+    ++total;
+    violating += !diagnosis.feasible();
+    partFeasible += part.partFeasible ? 1 : 0;
+    table.addRow(
+        {workflows::familyName(family), std::to_string(g.numVertices()),
+         support::Table::num(heft.makespan, 0),
+         part.partFeasible ? support::Table::num(part.partMakespan, 0) : "-",
+         part.partFeasible
+             ? support::Table::num(part.partMakespan / heft.makespan, 2) + "x"
+             : "-",
+         std::to_string(diagnosis.processorsOverCapacity) + "/" +
+             std::to_string(diagnosis.processorsUsed),
+         support::Table::num(diagnosis.worstOvershoot, 0)});
+  }
+  table.print(std::cout);
+  std::cout << "\nHEFT mappings violating memory constraints: " << violating
+            << "/" << total
+            << " workflows (the paper's motivation for DagHetPart)\n"
+            << "(HEFT is task-granular and memory-oblivious: its makespan "
+               "is an optimistic reference, not a valid schedule)\n";
+  if (partFeasible == 0) {
+    std::cerr << "error: DagHetPart scheduled no family at this scale\n";
+    return 1;
+  }
+  return 0;
+}
+
+// Table 2 (default cluster configuration) and Table 3 (clusters with more /
+// less heterogeneity) of the paper, plus the NoHet variant and the
+// small/default/large cluster sizes used throughout Section 5. Schedules
+// nothing.
+int table02Clusters(const BenchContext&, Comparisons&) {
+  support::printHeading(std::cout,
+                        "Table 2 / Table 3 -- cluster configurations");
+  const auto renderKinds = [](Heterogeneity h, const std::string& title) {
+    std::cout << title << "\n";
+    support::Table table({"Processor name", "CPU speed (GHz)",
+                          "Memory size (GB)"});
+    for (const platform::Processor& p : platform::machineKinds(h)) {
+      table.addRow({p.kind, support::Table::num(p.speed, 0),
+                    support::Table::num(p.memory, 0)});
+    }
+    table.print(std::cout);
+    std::cout << '\n';
+  };
+  renderKinds(Heterogeneity::kDefault,
+              "Table 2: default cluster kinds (6 of each = 36 processors)");
+  renderKinds(Heterogeneity::kMore, "Table 3 (left): MoreHet");
+  renderKinds(Heterogeneity::kLess, "Table 3 (right): LessHet");
+  renderKinds(Heterogeneity::kNone, "NoHet: homogeneous cluster (all C2)");
+
+  support::Table sizes({"Cluster size", "processors"});
+  for (const ClusterSize size :
+       {ClusterSize::kSmall, ClusterSize::kDefault, ClusterSize::kLarge}) {
+    const platform::Cluster c =
+        platform::makeCluster(Heterogeneity::kDefault, size);
+    sizes.addRow({platform::clusterName(Heterogeneity::kDefault, size),
+                  std::to_string(c.numProcessors())});
+  }
+  sizes.print(std::cout);
+  return 0;
+}
+
 struct Figure {
   std::string_view name;
   int (*run)(const BenchContext&, Comparisons&);
 };
 
 // Run order, whatever the argument order: the default-cluster figures
-// first, then sec524 (which adds the 4x-work run), then the sweeps. Each of
-// the first seven stats blocks thus covers exactly the comparisons its
-// figure reads.
+// first, then sec524 (which adds the 4x-work run), then the sweeps, then
+// the ablation and extension tables. Each of the first seven stats blocks
+// thus covers exactly the comparisons its figure reads; the later ones hold
+// the process's cumulative counters.
 constexpr Figure kFigures[] = {
     {"fig03_left_default_cluster", fig03Left},
     {"table04_runtimes", table04},
@@ -483,6 +838,11 @@ constexpr Figure kFigures[] = {
     {"schedulability_counts", schedulability},
     {"fig04_heterogeneity", fig04},
     {"fig07_bandwidth_ccr", fig07},
+    {"ablation_steps", ablationSteps},
+    {"ablation_sweep", ablationSweep},
+    {"ablation_partitioner", ablationPartitioner},
+    {"price_of_memory", priceOfMemory},
+    {"table02_clusters", table02Clusters},
 };
 
 }  // namespace

@@ -37,10 +37,7 @@ int main(int argc, char** argv) {
   }
 
   // Rebuild the quotient from the solution to derive the timeline.
-  quotient::QuotientGraph q(workflow, schedule.blockOf, schedule.numBlocks());
-  for (std::uint32_t b = 0; b < schedule.numBlocks(); ++b) {
-    q.setProcessor(b, schedule.procOfBlock[b]);
-  }
+  const quotient::QuotientGraph q = scheduler::quotientOf(workflow, schedule);
   const quotient::Timeline timeline = quotient::computeTimeline(q, cluster);
   std::printf("schedule across %u blocks (makespan %.1f):\n\n",
               schedule.numBlocks(), schedule.makespan);

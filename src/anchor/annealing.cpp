@@ -33,26 +33,6 @@ struct RestartOutcome {
   std::uint64_t accepted = 0;
 };
 
-/// Compacts the quotient's alive blocks into a ScheduleResult.
-scheduler::ScheduleResult extractSchedule(const graph::Dag& g,
-                                          const quotient::QuotientGraph& q,
-                                          double makespan) {
-  scheduler::ScheduleResult r;
-  r.feasible = true;
-  r.makespan = makespan;
-  const std::vector<BlockId> alive = q.aliveNodes();
-  r.blockOf.assign(g.numVertices(), 0);
-  r.procOfBlock.resize(alive.size());
-  for (std::uint32_t i = 0; i < alive.size(); ++i) {
-    r.procOfBlock[i] = q.node(alive[i]).proc;
-    for (const graph::VertexId v : q.node(alive[i]).members) {
-      r.blockOf[v] = i;
-    }
-  }
-  r.stats.numBlocks = static_cast<std::uint32_t>(alive.size());
-  return r;
-}
-
 /// One SA restart: rebuild the quotient from the seed, anneal, polish.
 RestartOutcome runRestart(const graph::Dag& g,
                           const platform::Cluster& cluster,
@@ -61,12 +41,11 @@ RestartOutcome runRestart(const graph::Dag& g,
   RestartOutcome out;
   out.makespan = seed.makespan;
 
-  quotient::QuotientGraph q(g, seed.blockOf, seed.numBlocks());
+  quotient::QuotientGraph q = scheduler::quotientOf(g, seed);
   const memory::MemDagOracle oracle(g, cfg.oracle);  // own memo per restart
   std::vector<BlockId> alive;
   std::vector<bool> procUsed(cluster.numProcessors(), false);
   for (BlockId b = 0; b < seed.numBlocks(); ++b) {
-    q.setProcessor(b, seed.procOfBlock[b]);
     q.setMemReq(b, oracle.blockRequirement(q.node(b).members));
     alive.push_back(b);
     procUsed[seed.procOfBlock[b]] = true;
@@ -206,7 +185,7 @@ RestartOutcome runRestart(const graph::Dag& g,
             best = current;
             if (best < seed.makespan) {
               out.improved = true;
-              out.schedule = extractSchedule(g, q, best);
+              out.schedule = scheduler::scheduleOf(q, best);
             }
           }
           continue;
@@ -225,7 +204,7 @@ RestartOutcome runRestart(const graph::Dag& g,
       best = current;
       if (best < seed.makespan) {
         out.improved = true;
-        out.schedule = extractSchedule(g, q, best);
+        out.schedule = scheduler::scheduleOf(q, best);
       }
     }
   }

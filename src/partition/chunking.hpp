@@ -3,8 +3,8 @@
 //
 // Splitting a single topological order into k contiguous, weight-balanced
 // chunks always yields an acyclic quotient (all edges point forward). It is
-// the baseline the multilevel partitioner must beat on edge cut -- the
-// `ablation_partitioner` bench quantifies the gap and its downstream effect
+// the baseline the multilevel partitioner must beat on edge cut --
+// paper_figures' `ablation_partitioner` quantifies the gap and its effect
 // on DagHetPart's makespan. DagHetMem's streaming blocks are exactly
 // chunkings of the memDag traversal, so this also isolates how much of the
 // paper's improvement comes from *partition quality* rather than from the

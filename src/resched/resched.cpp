@@ -177,8 +177,8 @@ RescheduleResult runOnline(const graph::Dag& g,
   const bool faulty =
       options.faults != nullptr && options.faults->spec().active();
 
-  sim::SimPlan initialPlan = sim::prepareSimulation(g, cluster, schedule,
-                                                    oracle);
+  const sim::SimPlan initialPlan =
+      sim::prepareSimulation(g, cluster, schedule, oracle);
   if (!initialPlan.ok()) {
     result.error = initialPlan.error();
     return result;
@@ -260,7 +260,7 @@ RescheduleResult runOnline(const graph::Dag& g,
     // hold pointers to their schedule).
     std::deque<scheduler::ScheduleResult> schedules;
     std::deque<sim::SimPlan> plans;
-    plans.push_back(sim::prepareSimulation(g, cluster, schedule, oracle));
+    plans.push_back(initialPlan);
     const scheduler::ScheduleResult* currentSchedule = &schedule;
     sim::SimCheckpoint checkpoint;
     bool resuming = false;

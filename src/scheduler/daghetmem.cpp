@@ -74,17 +74,12 @@ ScheduleResult dagHetMem(const graph::Dag& g, const platform::Cluster& cluster,
   }
   result.procOfBlock.push_back(procs[procIndex]);
 
-  const auto numBlocks = static_cast<std::uint32_t>(result.procOfBlock.size());
-  quotient::QuotientGraph q(g, result.blockOf, numBlocks);
-  for (std::uint32_t b = 0; b < numBlocks; ++b) {
-    q.setProcessor(b, result.procOfBlock[b]);
-  }
   // Blocks are contiguous segments of one topological order, so the quotient
   // is acyclic by construction.
-  const auto makespan = quotient::makespanValue(q, cluster);
+  const auto makespan = quotient::makespanValue(quotientOf(g, result), cluster);
   result.feasible = makespan.has_value();
   result.makespan = makespan.value_or(0.0);
-  result.stats.numBlocks = numBlocks;
+  result.stats.numBlocks = result.numBlocks();
   result.stats.seconds = span.seconds();
   return result;
 }

@@ -1,7 +1,6 @@
 #include "scheduler/daghetpart.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/obs.hpp"
 #include "quotient/quotient.hpp"
@@ -13,7 +12,6 @@
 namespace dagpm::scheduler {
 
 using graph::VertexId;
-using quotient::BlockId;
 
 std::vector<std::uint32_t> sweepCandidates(KPrimeSweep sweep,
                                            std::uint32_t k) {
@@ -117,19 +115,10 @@ ScheduleResult dagHetPartSingle(const graph::Dag& g,
   result.stats.idleMovesCommitted = swaps.idleMovesCommitted;
 
   // Extract the final solution with compact block ids.
-  const std::vector<BlockId> alive = q.aliveNodes();
-  result.procOfBlock.resize(alive.size());
-  result.blockOf.assign(g.numVertices(), 0);
-  for (std::uint32_t compact = 0; compact < alive.size(); ++compact) {
-    const quotient::QNode& node = q.node(alive[compact]);
-    assert(node.proc != platform::kNoProcessor);
-    result.procOfBlock[compact] = node.proc;
-    for (const VertexId v : node.members) result.blockOf[v] = compact;
-  }
-  result.makespan = swaps.makespan;
-  result.feasible = true;
-  result.stats.numBlocks = static_cast<std::uint32_t>(alive.size());
-  return result;
+  ScheduleResult solved = scheduleOf(q, swaps.makespan);
+  result.stats.numBlocks = solved.stats.numBlocks;
+  solved.stats = result.stats;
+  return solved;
 }
 
 namespace {

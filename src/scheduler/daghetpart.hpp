@@ -13,8 +13,9 @@
 // The paper tentatively runs the whole pipeline for every k' <= k and keeps
 // the best makespan. The driver supports that exact sweep, a cheaper
 // doubling sweep {1,2,4,...,k} (bench default: O(log k) pipeline runs
-// instead of k; bench/ablation_sweep measures the makespan it gives up),
-// and a single-k' mode; sweep candidates run in parallel with OpenMP.
+// instead of k; paper_figures' ablation_sweep measures the makespan it
+// gives up), and a single-k' mode; sweep candidates run in parallel with
+// OpenMP.
 //
 // Threads, for the whole library: the outermost active OpenMP loop owns
 // them. The parallel loops nest (experiment instances, then k' arms, SA
@@ -50,8 +51,8 @@ struct DagHetPartConfig {
   /// balanced Step-1 partition, retry it balancing memory footprints:
   /// memory-balanced blocks split far less degenerately in Step 2, which
   /// rescues memory-tight instances the baseline can schedule. Library
-  /// extension, not in the paper; bench/ablation_steps' paper-merge
-  /// variant turns it off.
+  /// extension, not in the paper; the paper-merge variant of paper_figures'
+  /// ablation_steps turns it off.
   bool memoryBalanceFallback = true;
   /// Cross-cutting switches; options.contentionAware threads the fair-share
   /// communication cost model through Step 3's merge scoring, Step 4's

@@ -9,9 +9,9 @@
 // upward-rank priorities, earliest-finish-time processor selection with
 // idle-slot insertion -- at task granularity, plus a diagnostic that checks
 // the resulting per-processor mapping against the paper's block-memory
-// model. The `price_of_memory` bench uses it to quantify (a) how much
-// makespan the memory constraints cost and (b) how often the unconstrained
-// schedule would actually be invalid.
+// model. paper_figures' `price_of_memory` table uses it to quantify (a) how
+// much makespan the memory constraints cost and (b) how often the
+// unconstrained schedule would actually be invalid.
 //
 // Task-level semantics differ from the paper's block model (a successor may
 // start as soon as its predecessor task finishes, not when the whole block

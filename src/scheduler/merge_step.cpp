@@ -250,9 +250,9 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
     if (outcome.target == kNoBlock && cfg.anyHostFallback &&
         rescueProbesLeft > 0) {
       // Library extension, not in the paper (the paper-merge variant of
-      // bench/ablation_steps turns it off): before declaring the instance
-      // infeasible, try merging nu into *any* assigned block with enough
-      // memory. This rescues "saturation" dead ends where all of nu's
+      // paper_figures' ablation_steps turns it off): before declaring the
+      // instance infeasible, try merging nu into *any* assigned block with
+      // enough memory. This rescues "saturation" dead ends where all of nu's
       // neighbors sit on full processors while other hosts have headroom;
       // the resulting block is simply disconnected (the paper's own
       // DagHetMem baseline produces disconnected blocks as well). Probes

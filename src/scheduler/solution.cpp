@@ -1,22 +1,43 @@
 #include "scheduler/solution.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <set>
 #include <sstream>
 
-#include "quotient/quotient.hpp"
-
 namespace dagpm::scheduler {
+
+quotient::QuotientGraph quotientOf(const graph::Dag& g,
+                                   const ScheduleResult& schedule) {
+  quotient::QuotientGraph q(g, schedule.blockOf, schedule.numBlocks());
+  for (std::uint32_t b = 0; b < schedule.numBlocks(); ++b) {
+    q.setProcessor(b, schedule.procOfBlock[b]);
+  }
+  return q;
+}
+
+ScheduleResult scheduleOf(const quotient::QuotientGraph& q, double makespan) {
+  ScheduleResult result;
+  result.feasible = true;
+  result.makespan = makespan;
+  const std::vector<quotient::BlockId> alive = q.aliveNodes();
+  result.blockOf.assign(q.workflow().numVertices(), 0);
+  result.procOfBlock.resize(alive.size());
+  for (std::uint32_t compact = 0; compact < alive.size(); ++compact) {
+    const quotient::QNode& node = q.node(alive[compact]);
+    assert(node.proc != platform::kNoProcessor);
+    result.procOfBlock[compact] = node.proc;
+    for (const graph::VertexId v : node.members) result.blockOf[v] = compact;
+  }
+  result.stats.numBlocks = static_cast<std::uint32_t>(alive.size());
+  return result;
+}
 
 std::optional<double> modelMakespan(const graph::Dag& g,
                                     const platform::Cluster& cluster,
                                     const ScheduleResult& schedule,
                                     const comm::CommCostModel& model) {
-  quotient::QuotientGraph q(g, schedule.blockOf, schedule.numBlocks());
-  for (std::uint32_t b = 0; b < schedule.numBlocks(); ++b) {
-    q.setProcessor(b, schedule.procOfBlock[b]);
-  }
-  return quotient::makespanValue(q, cluster, &model);
+  return quotient::makespanValue(quotientOf(g, schedule), cluster, &model);
 }
 
 double staticMakespan(const graph::Dag& g, const platform::Cluster& cluster,
@@ -71,11 +92,8 @@ ValidationReport validateSchedule(const graph::Dag& g,
     }
   }
 
-  quotient::QuotientGraph q(g, schedule.blockOf, numBlocks);
+  const quotient::QuotientGraph q = quotientOf(g, schedule);
   if (!q.isAcyclic()) return fail("quotient graph is cyclic");
-  for (std::uint32_t b = 0; b < numBlocks; ++b) {
-    q.setProcessor(b, schedule.procOfBlock[b]);
-  }
   const auto makespan = quotient::makespanValue(q, cluster, comm);
   if (!makespan) return fail("makespan undefined");
   const double tolerance =

@@ -14,6 +14,7 @@
 #include "graph/dag.hpp"
 #include "memory/oracle.hpp"
 #include "platform/cluster.hpp"
+#include "quotient/quotient.hpp"
 
 namespace dagpm::scheduler {
 
@@ -40,6 +41,16 @@ struct ScheduleResult {
     return static_cast<std::uint32_t>(procOfBlock.size());
   }
 };
+
+/// The quotient of a schedule: one node per block, placed on the block's
+/// processor (memory requirements unset). blockOf labels must be in range.
+quotient::QuotientGraph quotientOf(const graph::Dag& g,
+                                   const ScheduleResult& schedule);
+
+/// The feasible schedule a placed quotient describes, reporting `makespan`:
+/// its alive nodes become blocks 0, 1, ... in aliveNodes() order, and
+/// stats.numBlocks counts them. Every alive node must have a processor.
+ScheduleResult scheduleOf(const quotient::QuotientGraph& q, double makespan);
 
 /// Outcome of validating a schedule against the problem constraints.
 struct ValidationReport {

@@ -7,21 +7,6 @@
 
 namespace dagpm::service {
 
-namespace {
-
-/// Rebuilds the quotient of a finished schedule (block memberships +
-/// processor placement) so the fluid builder can price it.
-quotient::QuotientGraph quotientOf(const graph::Dag& dag,
-                                   const scheduler::ScheduleResult& schedule) {
-  quotient::QuotientGraph q(dag, schedule.blockOf, schedule.numBlocks());
-  for (std::uint32_t b = 0; b < schedule.numBlocks(); ++b) {
-    q.setProcessor(b, schedule.procOfBlock[b]);
-  }
-  return q;
-}
-
-}  // namespace
-
 CoScheduleResult coSchedule(const std::vector<Tenant>& tenants,
                             const platform::Cluster& cluster,
                             const comm::CommCostModel& model) {
@@ -42,8 +27,8 @@ CoScheduleResult coSchedule(const std::vector<Tenant>& tenants,
         !tenant.schedule->feasible) {
       return out;  // ok stays false
     }
-    const quotient::QuotientGraph q = quotientOf(*tenant.dag,
-                                                 *tenant.schedule);
+    const quotient::QuotientGraph q =
+        scheduler::quotientOf(*tenant.dag, *tenant.schedule);
     const std::optional<quotient::QuotientFluid> fluid =
         quotient::buildQuotientFluid(q, cluster);
     if (!fluid.has_value()) return out;  // cyclic quotient: unusable

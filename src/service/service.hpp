@@ -176,8 +176,9 @@ class SchedulerService {
   scheduler::ScheduleResult solve(const Job& job, double* solveSeconds,
                                   std::vector<obs::CounterValue>* counters);
   /// Degradation rung 2: task-granular HEFT folded into the block model
-  /// (one block per used processor), memory-diagnosed for an honest
-  /// `feasible` flag. Orders of magnitude cheaper than a full solve.
+  /// (one block per used processor), reporting the block model's makespan
+  /// and `feasible` only when the folded schedule passes validateSchedule.
+  /// Orders of magnitude cheaper than a full solve.
   scheduler::ScheduleResult heftFallback(
       const Job& job, double* solveSeconds,
       std::vector<obs::CounterValue>* counters);

@@ -586,6 +586,34 @@ TEST(ServiceDegradation, TrippedBreakerDrainsDeterministically) {
   EXPECT_EQ(m.breakerFastFails, 2u + 2u + 4u);
 }
 
+TEST(ServiceDegradation, HeftRungReturnsValidOrInfeasible) {
+  // The HEFT rung folds a task-level mapping into one block per used
+  // processor. The fold can overflow a processor or make the quotient
+  // cyclic, and HEFT's own makespan is not the block model's: a degraded
+  // response flagged feasible must pass the validator, makespan included.
+  const graph::Dag g =
+      workflows::generate(workflows::Family::kSeismology, genConfig(60, 1));
+  platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
+  cluster.scaleMemoriesToFit(20.0 * g.maxTaskMemoryRequirement());
+
+  SchedulerService svc(ServiceConfig{});
+  service::Request req;
+  req.dag = &g;
+  req.cluster = &cluster;
+  req.deadlineBudget = 10.0;  // between the HEFT (3) and full (60) estimates
+  const service::Response resp = svc.submit(std::move(req)).get();
+  ASSERT_TRUE(resp.degraded);
+  EXPECT_EQ(resp.schedule.makespan,
+            scheduler::staticMakespan(g, cluster, resp.schedule));
+  if (resp.schedule.feasible) {
+    const memory::MemDagOracle oracle(g);
+    const scheduler::ValidationReport report =
+        scheduler::validateSchedule(g, cluster, oracle, resp.schedule);
+    EXPECT_TRUE(report.valid) << report.error;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Multi-tenant co-scheduling
 // ---------------------------------------------------------------------------

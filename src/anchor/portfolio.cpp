@@ -90,10 +90,12 @@ PortfolioResult race(const graph::Dag& g, const platform::Cluster& cluster,
     if (obs::countersEnabled()) out.counters = scope.deltas();
   };
 
-  // A wave is an OpenMP loop like runSweep's. Each arm pins its inner
-  // parallel regions (e.g. the Step-4 swap scan) to its own thread, so the
-  // ThreadCounterScope delta is exact; the pin lives in the region's
-  // implicit task and does not outlast the loop.
+  // A wave is an OpenMP loop like runSweep's: one team; nested Step-4 work
+  // is tasks on the innermost team. An arm's Step-4 scan chunks may run on
+  // wave threads that are idle at the barrier, and their counts are charged
+  // back to the arm's thread, so the ThreadCounterScope delta is exact. Each
+  // arm pins any inner parallel region to its own thread; the pin lives in
+  // the region's implicit task and does not outlast the loop.
   const auto runWave = [&](const std::vector<std::size_t>& wave) {
 #pragma omp parallel for schedule(dynamic)
     for (std::size_t i = 0; i < wave.size(); ++i) {

@@ -298,6 +298,33 @@ std::vector<CounterValue> ThreadCounterScope::deltas() const {
   return out;
 }
 
+CounterMove::CounterMove(CounterTally& tally) noexcept
+    : tally_(&tally), state_(countersEnabled() ? &threadState() : nullptr) {
+  if (state_ == nullptr) return;
+  const ThreadState& s = *static_cast<const ThreadState*>(state_);
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    start_[i] = s.cells[i].load(std::memory_order_relaxed);
+  }
+}
+
+CounterMove::~CounterMove() {
+  if (state_ == nullptr) return;
+  ThreadState& s = *static_cast<ThreadState*>(state_);
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    if (counterMergesByMax(static_cast<Counter>(i))) continue;
+    const std::uint64_t delta =
+        s.cells[i].load(std::memory_order_relaxed) - start_[i];
+    (*tally_)[i] += delta;
+    s.cells[i].store(start_[i], std::memory_order_relaxed);
+  }
+}
+
+void addTally(const CounterTally& tally) noexcept {
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    if (tally[i] != 0) detail::addSlow(static_cast<Counter>(i), tally[i]);
+  }
+}
+
 void enableCounters(bool on) noexcept {
   detail::gCountersEnabled.store(on, std::memory_order_relaxed);
 }

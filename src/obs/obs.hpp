@@ -19,6 +19,7 @@
 //   DAGPM_STATS=<path>  write the deterministic counter table at exit
 //                       ("-" writes to stdout)
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -171,11 +172,12 @@ struct CounterValue {
 /// produced inside the scope. Zero hot-path cost — the per-thread cells are
 /// single-writer, so no extra bookkeeping runs while the scope is open.
 ///
-/// The deltas are exact when the scoped work runs entirely on the
-/// constructing thread (the SchedulerService executor guarantees this by
-/// running each request single-threaded; see ServiceConfig). Work fanned out
-/// to other threads lands only in the process-global totals. Counters must
-/// be enabled for deltas to be non-zero.
+/// The deltas are exact when every count of the scoped work lands on the
+/// constructing thread: work it runs itself, plus tasks other threads ran
+/// for it whose counts were carried back with CounterMove/addTally (the
+/// Step-4 swap scan does this). Work fanned out any other way lands only in
+/// the process-global totals. Counters must be enabled for deltas to be
+/// non-zero.
 class ThreadCounterScope {
  public:
   ThreadCounterScope();
@@ -191,6 +193,34 @@ class ThreadCounterScope {
   void* state_;  // the constructing thread's counter block
   std::vector<std::uint64_t> start_;
 };
+
+/// Sum-merged counts carried from the thread that produced them to the
+/// thread that owns the work; see CounterMove.
+using CounterTally = std::array<std::uint64_t, kNumCounters>;
+
+/// Moves the sum-merged counts the executing thread produces while the
+/// scope is open off that thread's cells into `tally`. A task that any
+/// thread of the team may run wraps its body in one; the thread that
+/// started the tasks adds the tallies with addTally() once they complete.
+/// Its ThreadCounterScope delta then holds every count, and the process
+/// totals are unchanged. Max-merged gauges stay on the executing thread.
+/// The scope must open and close on one thread, with no task scheduling
+/// point in between.
+class CounterMove {
+ public:
+  explicit CounterMove(CounterTally& tally) noexcept;
+  ~CounterMove();
+  CounterMove(const CounterMove&) = delete;
+  CounterMove& operator=(const CounterMove&) = delete;
+
+ private:
+  CounterTally* tally_;
+  void* state_;  // the executing thread's counter block; null if disabled
+  CounterTally start_{};
+};
+
+/// Adds a CounterMove tally onto the calling thread's counter cells.
+void addTally(const CounterTally& tally) noexcept;
 
 /// The DAGPM_STATS text: one "name value" line per counter, sorted by name.
 /// Bit-identical across OMP_NUM_THREADS for thread-count-invariant work.

@@ -23,7 +23,7 @@
 // Probes never write the committed cache: all tentative state lives in a
 // caller-provided Scratch, so a const evaluator can serve any number of
 // concurrent probes over a const quotient — which is exactly what the
-// OpenMP-parallel Step-4 candidate scan does (one Scratch per thread).
+// OpenMP-tasked Step-4 candidate scan does (one Scratch per chunk).
 //
 // The quotient's arena-backed CSR adjacency (out(b)/in(b) spans) is flat
 // and committed-order-stable, so both the structural and the value-only

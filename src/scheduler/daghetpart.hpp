@@ -17,15 +17,20 @@
 // gives up), and a single-k' mode; sweep candidates run in parallel with
 // OpenMP.
 //
-// Threads, for the whole library: the outermost active OpenMP loop owns
-// them. The parallel loops nest (experiment instances, then k' arms, SA
-// restarts or Monte-Carlo replications, then the Step-4 swap scan) and no
-// inner loop is switched off by hand: a region nested inside an active
-// region runs serially on the thread that reached it (OpenMP's default of
-// one active level). Results are bit-identical for any thread count. A
-// single-k' sweep hands every core to the Step-4 scan. Service workers
-// (plain std::threads) and portfolio arms pin themselves with
-// omp_set_num_threads(1), so their ThreadCounterScope deltas stay exact.
+// Threads, for the whole library: one team; nested Step-4 work is tasks on
+// the innermost team. The parallel loops nest (experiment instances, then
+// k' arms, SA restarts or Monte-Carlo replications) and no inner loop is
+// switched off by hand: a region nested inside an active region runs
+// serially on the thread that reached it (OpenMP's default of one active
+// level), so the outermost active loop forms the team. The Step-4 swap
+// scan is an omp taskloop bound to the innermost enclosing team, so sweep
+// threads whose arms finished take chunks of the heaviest arm; outside any
+// active region it opens its own team, so a single-k' sweep hands every
+// core to the scan. Results are bit-identical for any thread count. Scan
+// chunks charge their counters back to the thread that started the scan,
+// so ThreadCounterScope deltas stay exact wherever the chunks ran. Service
+// workers (plain std::threads) and portfolio arms pin themselves with
+// omp_set_num_threads(1).
 
 #include "partition/partitioner.hpp"
 #include "scheduler/options.hpp"

@@ -7,6 +7,8 @@
 #include <set>
 #include <vector>
 
+#include <omp.h>
+
 #include "obs/obs.hpp"
 #include "quotient/incremental.hpp"
 
@@ -20,6 +22,86 @@ namespace {
 /// Safety bound on Algorithm 5's rounds; each committed round strictly
 /// improves the makespan.
 constexpr std::uint32_t kMaxSwapRounds = 1000;
+
+/// Pairs per task of the Step-4 scan. A scan of one chunk runs inline.
+constexpr std::size_t kPairsPerChunk = 64;
+
+struct PairCandidate {
+  std::uint32_t i = 0, j = 0;
+};
+
+/// Everything one scan chunk reads and writes, as plain pointers. (A
+/// taskloop body that captures its outputs in a lambda may get firstprivate
+/// copies of them and silently drop every probe.)
+struct ScanCtx {
+  const quotient::IncrementalEvaluator* eval = nullptr;
+  const quotient::QuotientGraph* q = nullptr;
+  const BlockId* nodes = nullptr;
+  const PairCandidate* pairs = nullptr;
+  std::size_t numPairs = 0;
+  double* makespans = nullptr;           // one slot per pair
+  obs::CounterTally* tallies = nullptr;  // one per chunk
+};
+
+/// Probes the pairs of one chunk with its own scratch and writes only that
+/// chunk's makespan slots and tally, so any thread of the team may run it.
+void scanChunk(const ScanCtx* ctx, std::size_t chunk) {
+  const obs::CounterMove move(ctx->tallies[chunk]);
+  quotient::IncrementalEvaluator::Scratch scratch(*ctx->eval);
+  const std::size_t end =
+      std::min(ctx->numPairs, (chunk + 1) * kPairsPerChunk);
+  for (std::size_t idx = chunk * kPairsPerChunk; idx < end; ++idx) {
+    const BlockId a = ctx->nodes[ctx->pairs[idx].i];
+    const BlockId b = ctx->nodes[ctx->pairs[idx].j];
+    const ProcessorId pa = ctx->q->node(a).proc;
+    const ProcessorId pb = ctx->q->node(b).proc;
+    const quotient::ProcOverride overrides[2] = {{a, pb}, {b, pa}};
+    ctx->makespans[idx] = ctx->eval->probeAssign(scratch, overrides);
+  }
+}
+
+/// One task per chunk, bound to the innermost enclosing team: threads of
+/// that team that are idle (e.g. sweep threads whose arms finished) take
+/// chunks. Returns when every chunk is done.
+void scanChunks(const ScanCtx* ctx, std::int64_t numChunks) {
+#pragma omp taskloop grainsize(1)
+  for (std::int64_t c = 0; c < numChunks; ++c) {
+    scanChunk(ctx, static_cast<std::size_t>(c));
+  }
+}
+
+/// Fills `makespans` with the probe of every pair and charges the probes'
+/// counts to the calling thread, whichever threads ran them.
+void scanPairs(const quotient::IncrementalEvaluator& eval,
+               const quotient::QuotientGraph& q,
+               const std::vector<BlockId>& nodes,
+               const std::vector<PairCandidate>& pairs,
+               std::vector<double>& makespans,
+               std::vector<obs::CounterTally>& tallies) {
+  const std::size_t numChunks =
+      (pairs.size() + kPairsPerChunk - 1) / kPairsPerChunk;
+  makespans.assign(pairs.size(), std::numeric_limits<double>::infinity());
+  tallies.assign(numChunks, obs::CounterTally{});
+  ScanCtx ctx;
+  ctx.eval = &eval;
+  ctx.q = &q;
+  ctx.nodes = nodes.data();
+  ctx.pairs = pairs.data();
+  ctx.numPairs = pairs.size();
+  ctx.makespans = makespans.data();
+  ctx.tallies = tallies.data();
+  if (numChunks == 1) {
+    scanChunk(&ctx, 0);  // a small scan stays on this thread, no task
+  } else if (numChunks > 1 && omp_in_parallel()) {
+    scanChunks(&ctx, static_cast<std::int64_t>(numChunks));
+  } else if (numChunks > 1) {
+    // Top level: open a team so a single-k' solve still gets every core.
+#pragma omp parallel
+#pragma omp single
+    scanChunks(&ctx, static_cast<std::int64_t>(numChunks));
+  }
+  for (const obs::CounterTally& tally : tallies) obs::addTally(tally);
+}
 
 /// The legacy full-recompute loop, kept verbatim as the differential
 /// reference for the incremental path (fullReevaluation routes here).
@@ -144,15 +226,14 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
 
   if (cfg.enableSwaps) {
     // Algorithm 5 with materialized probes: each round evaluates every
-    // feasible pair (in parallel — probes only write per-thread scratch),
-    // then replays the sequential acceptance rule over the stored
-    // makespans, which keeps the committed swap sequence bit-identical to
-    // the legacy loop for any OpenMP thread count.
-    struct PairCandidate {
-      std::uint32_t i = 0, j = 0;
-    };
+    // feasible pair (as tasks on the enclosing team — probes only write
+    // their chunk's scratch and slots), then replays the sequential
+    // acceptance rule over the stored makespans, which keeps the committed
+    // swap sequence bit-identical to the legacy loop for any OpenMP thread
+    // count.
     std::vector<PairCandidate> pairs;
     std::vector<double> makespans;
+    std::vector<obs::CounterTally> tallies;
     for (std::uint32_t round = 0; round < kMaxSwapRounds; ++round) {
       pairs.clear();
       for (std::uint32_t i = 0; i < nodes.size(); ++i) {
@@ -176,22 +257,7 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
                                  " pairs=" + std::to_string(pairs.size()));
       obs::add(obs::Counter::kSwapRounds);
       obs::add(obs::Counter::kSwapPairsProbed, pairs.size());
-      makespans.assign(pairs.size(),
-                       std::numeric_limits<double>::infinity());
-      const std::int64_t numPairs = static_cast<std::int64_t>(pairs.size());
-#pragma omp parallel if (numPairs > 1)
-      {
-        quotient::IncrementalEvaluator::Scratch scratch(eval);
-#pragma omp for schedule(static)
-        for (std::int64_t idx = 0; idx < numPairs; ++idx) {
-          const BlockId a = nodes[pairs[static_cast<std::size_t>(idx)].i];
-          const BlockId b = nodes[pairs[static_cast<std::size_t>(idx)].j];
-          const quotient::ProcOverride overrides[2] = {
-              {a, q.node(b).proc}, {b, q.node(a).proc}};
-          makespans[static_cast<std::size_t>(idx)] =
-              eval.probeAssign(scratch, overrides);
-        }
-      }
+      scanPairs(eval, q, nodes, pairs, makespans, tallies);
       double bestMakespan = result.makespan;
       BlockId bestA = quotient::kNoBlock;
       BlockId bestB = quotient::kNoBlock;

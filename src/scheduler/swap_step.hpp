@@ -10,13 +10,18 @@
 //
 // The default implementation evaluates every candidate through
 // quotient::IncrementalEvaluator (cone repair instead of a full O(V+E)
-// recompute per probe) and scans the O(n^2) swap candidates in parallel
-// with OpenMP: probes are pure (per-thread scratch over a const quotient),
-// all candidate makespans are materialized, and the winning pair is then
-// selected by replaying the sequential acceptance rule over the stored
-// values — so the result is bit-identical to the sequential scan for any
-// thread count. SchedulerOptions::fullReevaluation switches to the
-// legacy full-recompute loop, kept verbatim as the differential reference.
+// recompute per probe) and scans the O(n^2) swap candidates in parallel:
+// one team; nested Step-4 work is tasks on the innermost team. Each round's
+// pairs split into 64-pair chunks that run as an OpenMP taskloop on the
+// innermost enclosing team (its own team outside any active region; inline
+// for a single chunk). Probes are pure (per-chunk scratch over a const
+// quotient), all candidate makespans are materialized, and the winning
+// pair is then selected by replaying the sequential acceptance rule over
+// the stored values — so the result is bit-identical to the sequential
+// scan for any thread count. Counters of chunks run by other threads are
+// charged to the calling thread (obs::CounterMove).
+// SchedulerOptions::fullReevaluation switches to the legacy full-recompute
+// loop, kept verbatim as the differential reference.
 
 #include "comm/cost_model.hpp"
 #include "platform/cluster.hpp"

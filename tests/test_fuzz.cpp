@@ -648,6 +648,105 @@ TEST_P(IncrementalFuzz, ParallelSwapScanIsThreadCountReproducible) {
   EXPECT_EQ(single, reference);  // and identical to the full recompute
 }
 
+/// A quotient of 25-40 blocks spread over 3-8 processors: its first swap
+/// round holds several 64-pair chunks, so the scan runs as tasks.
+EvalFuzzCase makeWideSwapCase(std::uint64_t seed) {
+  EvalFuzzCase fc;
+  support::Rng rng(seed * 877 + 5);
+  fc.dag = test::randomLayeredDag(10 + static_cast<int>(rng.uniformInt(0, 2)),
+                                  8, 2, seed * 43 + 1);
+  partition::PartitionConfig pcfg;
+  pcfg.numParts = 25 + static_cast<std::uint32_t>(rng.uniformInt(0, 15));
+  pcfg.seed = seed;
+  const auto pr = partition::partitionAcyclic(fc.dag, pcfg);
+  fc.blockOf = pr.blockOf;
+  fc.numBlocks = pr.numBlocks;
+  std::vector<platform::Processor> procs;
+  const int k = 3 + static_cast<int>(rng.uniformInt(0, 5));
+  for (int p = 0; p < k; ++p) {
+    procs.push_back({"p" + std::to_string(p),
+                     static_cast<double>(rng.uniformInt(1, 8)), 1e9});
+  }
+  fc.cluster =
+      platform::Cluster(std::move(procs), 0.5 + rng.uniformReal() * 3.0);
+  return fc;
+}
+
+/// The Step-4 swap search on a multi-chunk scan, run at 1 and 3 threads and
+/// on thread 0 of an active 2-thread region (where thread 1 takes chunks),
+/// against the full-recompute reference. Comparing runs only with each
+/// other would miss a scan that drops its chunk outputs on every run.
+template <typename Compare>
+void runMultiChunkSwapScan(std::uint64_t seed,
+                           const comm::CommCostModel* model,
+                           Compare&& compare) {
+  const EvalFuzzCase fc = makeWideSwapCase(seed);
+  quotient::QuotientGraph base(fc.dag, fc.blockOf, fc.numBlocks);
+  std::uint32_t i = 0;
+  for (const BlockId b : base.aliveNodes()) {
+    base.setProcessor(b, static_cast<platform::ProcessorId>(
+                             i++ % fc.cluster.numProcessors()));
+    base.setMemReq(b, 1.0);
+  }
+  std::size_t firstRoundPairs = 0;
+  const std::vector<BlockId> alive = base.aliveNodes();
+  for (std::size_t x = 0; x < alive.size(); ++x) {
+    for (std::size_t y = x + 1; y < alive.size(); ++y) {
+      const auto px = base.node(alive[x]).proc;
+      const auto py = base.node(alive[y]).proc;
+      if (fc.cluster.speed(px) != fc.cluster.speed(py)) ++firstRoundPairs;
+    }
+  }
+  ASSERT_GT(firstRoundPairs, 64u) << "seed " << seed;
+
+  using Outcome = std::tuple<double, std::uint32_t, std::uint32_t,
+                             std::vector<platform::ProcessorId>>;
+  const auto solve = [&](bool full) {
+    quotient::QuotientGraph q = base;  // value copy: independent state
+    scheduler::SwapStepConfig cfg;
+    cfg.comm = model;
+    cfg.fullReevaluation = full;
+    const scheduler::SwapStepResult result =
+        scheduler::improveBySwaps(q, fc.cluster, cfg);
+    std::vector<platform::ProcessorId> procs;
+    for (const BlockId b : q.aliveNodes()) procs.push_back(q.node(b).proc);
+    return Outcome{result.makespan, result.swapsCommitted,
+                   result.idleMovesCommitted, std::move(procs)};
+  };
+  const Outcome reference =
+      test::withOmpThreads(1, [&] { return solve(true); });
+  const Outcome single = test::withOmpThreads(1, [&] { return solve(false); });
+  const Outcome parallel =
+      test::withOmpThreads(3, [&] { return solve(false); });
+  Outcome nested;
+#pragma omp parallel num_threads(2)
+  {
+    if (omp_get_thread_num() == 0) nested = solve(false);
+  }
+  EXPECT_EQ(single, parallel) << "seed " << seed;
+  EXPECT_EQ(single, nested) << "seed " << seed;
+  compare(single, reference);
+}
+
+TEST_P(IncrementalFuzz, MultiChunkSwapScanMatchesFullRecomputeBitExact) {
+  runMultiChunkSwapScan(GetParam(), nullptr,
+                        [](const auto& incremental, const auto& full) {
+                          EXPECT_EQ(incremental, full);
+                        });
+}
+
+TEST_P(IncrementalFuzz, MultiChunkSwapScanMatchesFairShareModelTo1em9) {
+  runMultiChunkSwapScan(
+      GetParam(), &comm::fairShareCommModel(),
+      [](const auto& incremental, const auto& full) {
+        const double expected = std::get<0>(full);
+        EXPECT_NEAR(std::get<0>(incremental), expected,
+                    1e-9 * std::max(1.0, expected));
+        EXPECT_EQ(std::get<1>(incremental), std::get<1>(full));
+        EXPECT_EQ(std::get<3>(incremental), std::get<3>(full));
+      });
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalFuzz,
                          testing::ValuesIn(fuzzSeeds(12)));
 

@@ -562,11 +562,11 @@ TEST(DagHetPart, StepTogglesNeverBreakValidity) {
 }
 
 TEST(DagHetPart, NestedSolveStaysOnItsThread) {
-  // The outermost active OpenMP loop owns the threads: a kFull sweep started
-  // inside a parallel region runs every arm and every Step-4 scan on the
-  // thread that reached it. Each thread's counter delta then holds all the
-  // counts of a top-level run; a forked inner team would leave some on its
-  // own threads.
+  // One team: a kFull sweep started inside a parallel region opens a
+  // one-thread team, so every arm, and every Step-4 scan task bound to that
+  // team, runs on the thread that reached it. Each thread's counter delta
+  // then holds all the counts of a top-level run; a forked inner team would
+  // leave some on its own threads.
   if (omp_get_max_threads() < 2) {
     GTEST_SKIP() << "needs OMP_NUM_THREADS > 1";
   }
@@ -613,6 +613,63 @@ TEST(DagHetPart, NestedSolveStaysOnItsThread) {
           << name << " on thread " << t;
     }
   }
+}
+
+TEST(DagHetPart, StolenSwapChunksChargeTheSolvingThread) {
+  // A solve started inside an active region runs its Step-4 scan as tasks
+  // on that region's team, so a thread waiting at the barrier takes chunks.
+  // Their counts must still be charged to the solving thread: its delta
+  // equals the totals of a one-thread solve, and so does its schedule.
+  if (omp_get_max_threads() < 2) {
+    // The tsan preset pins one thread: TSan cannot see libgomp's barriers.
+    GTEST_SKIP() << "needs OMP_NUM_THREADS > 1";
+  }
+  workflows::GenConfig gen;
+  gen.numTasks = 1500;
+  gen.seed = 11;
+  const Dag g = workflows::generate(workflows::Family::kSoyKb, gen);
+  platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kLarge);
+  cluster.scaleMemoriesToFit(g.maxTaskMemoryRequirement());
+  const DagHetPartConfig cfg;
+  constexpr std::uint32_t kPrime = 60;
+
+  obs::enableCounters(true);
+  obs::resetForTest();
+  const ScheduleResult alone = test::withOmpThreads(
+      1, [&] { return dagHetPartSingle(g, cluster, kPrime, cfg); });
+  const std::vector<obs::CounterValue> totals = obs::counterSnapshot();
+
+  ScheduleResult shared;
+  std::vector<obs::CounterValue> deltas;
+#pragma omp parallel num_threads(2)
+  {
+    // Thread 1 goes straight to the barrier, where it runs scan tasks.
+    if (omp_get_thread_num() == 0) {
+      const obs::ThreadCounterScope scope;
+      shared = dagHetPartSingle(g, cluster, kPrime, cfg);
+      deltas = scope.deltas();
+    }
+  }
+  obs::enableCounters(false);
+  obs::resetForTest();
+
+  ASSERT_TRUE(alone.feasible);
+  EXPECT_EQ(shared.makespan, alone.makespan);
+  EXPECT_EQ(shared.blockOf, alone.blockOf);
+  EXPECT_EQ(shared.procOfBlock, alone.procOfBlock);
+  std::uint64_t pairs = 0;
+  std::uint64_t rounds = 0;
+  ASSERT_EQ(deltas.size(), totals.size());
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    const std::string_view name = totals[i].name;
+    if (name == "swap.pairs_probed") pairs = totals[i].value;
+    if (name == "swap.rounds") rounds = totals[i].value;
+    if (name == "span.peak_depth") continue;  // max gauge, not a delta
+    EXPECT_EQ(deltas[i].value, totals[i].value) << name;
+  }
+  // Rounds average several 64-pair chunks, so the scan runs as tasks.
+  EXPECT_GT(pairs, 4 * 64 * rounds);
 }
 
 TEST(DagHetPart, FullSweepAtLeastAsGoodAsSingle) {

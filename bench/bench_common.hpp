@@ -4,7 +4,8 @@
 // schedulers through the experiment harness (OpenMP-parallel across
 // instances), prints the rows/series the paper reports and exports one
 // document per table or figure. paper_figures emits all of the paper's
-// Sec. 5 figures from one process; the other benches emit one each.
+// Sec. 5 figures and the extension studies from one process; the other
+// benches emit one document each.
 
 #include <cstdio>
 #include <iostream>
@@ -32,13 +33,20 @@ class BenchContext {
 
   [[nodiscard]] const support::BenchEnv& env() const noexcept { return env_; }
 
-  /// All four workflow groups at the active scale.
-  std::vector<Instance> allInstances(double workScale = 1.0) const {
+  /// The real-world and small workflows at the active scale, in that
+  /// order: the extension studies' instance set.
+  std::vector<Instance> realAndSmallInstances(double workScale = 1.0) const {
     std::vector<Instance> instances =
         experiments::makeRealInstances(env_.seeds, workScale);
     append(instances, experiments::makeSyntheticInstances(
                           env_.smallSizes(), SizeBand::kSmall, env_.seeds,
                           workScale));
+    return instances;
+  }
+
+  /// All four workflow groups at the active scale.
+  std::vector<Instance> allInstances(double workScale = 1.0) const {
+    std::vector<Instance> instances = realAndSmallInstances(workScale);
     append(instances,
            experiments::makeSyntheticInstances(
                env_.midSizes(), SizeBand::kMid, env_.seeds, workScale));
@@ -63,6 +71,13 @@ class BenchContext {
 
   [[nodiscard]] std::string sweepName() const {
     return env_.sweep.empty() ? "doubling" : env_.sweep;
+  }
+
+  /// The run parameters every exported document records as its "meta".
+  [[nodiscard]] std::map<std::string, std::string> meta() const {
+    return {{"scale", scaleName()},
+            {"sweep", sweepName()},
+            {"seeds", std::to_string(env_.seeds)}};
   }
 
   [[nodiscard]] std::string scaleName() const {
@@ -107,13 +122,8 @@ inline void printPreamble(const BenchContext& ctx, const std::string& title,
 inline int finish(const BenchContext& ctx, const std::string& name,
                   const experiments::OutcomeGroups& groups,
                   bool requireFeasible = true) {
-  const std::map<std::string, std::string> meta = {
-      {"scale", ctx.scaleName()},
-      {"sweep", ctx.sweepName()},
-      {"seeds", std::to_string(ctx.env().seeds)},
-  };
   const experiments::BenchExport exported =
-      experiments::outcomesExport(name, groups, meta);
+      experiments::outcomesExport(name, groups, ctx.meta());
   if (!experiments::exportBench(exported)) return 1;
   bool anyOutcome = false, anyFeasible = false;
   for (const auto& [config, outcomes] : groups) {

@@ -29,10 +29,10 @@ import sys
 
 IGNORED_SUFFIXES = ("_seconds", "_runtime_ratio", "_rss_mb")
 
-# Integer event tallies from the fault-injection benches (bench/fault_recovery)
-# count discrete SplitMix64-drawn events, so "close" is meaningless: any drift
-# means a different fault sequence was applied. They are compared exactly,
-# whatever --rtol/--atol say.
+# Integer event tallies of the fault-injection study (the fault_recovery
+# document) count discrete SplitMix64-drawn events, so "close" is
+# meaningless: any drift means a different fault sequence was applied. They
+# are compared exactly, whatever --rtol/--atol say.
 EXACT_SUFFIXES = ("_fail_stops", "_crashes", "_tasks_killed", "_retries")
 
 

@@ -5,7 +5,9 @@
 // prints its table and exports its document under its own bench name. The
 // ablations of the four-step heuristic, the HEFT price-of-memory table and
 // Tables 2/3 follow; they read the default-cluster comparison and schedule
-// only their own variants.
+// only their own variants. The extension studies come last: link
+// contention, then three Monte-Carlo studies (fault recovery, online
+// rescheduling, runtime noise) that replay one shared schedule pass.
 //
 //   ./build/bench/paper_figures [figure ...]
 //
@@ -17,12 +19,17 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
 #include "bench_common.hpp"
+#include "experiments/contention.hpp"
+#include "experiments/faults.hpp"
+#include "experiments/resched.hpp"
+#include "experiments/robustness.hpp"
 #include "partition/chunking.hpp"
 #include "quotient/quotient.hpp"
 #include "scheduler/assignment.hpp"
@@ -49,6 +56,11 @@ struct Config {
   auto operator<=>(const Config&) const = default;
 };
 
+/// The default cluster of the paper (Table 2, 36 processors).
+platform::Cluster defaultCluster() {
+  return platform::makeCluster(Heterogeneity::kDefault, ClusterSize::kDefault);
+}
+
 /// The comparisons of this process. Each is scheduled the first time a
 /// figure asks for it and lives until the process exits.
 class Comparisons {
@@ -73,10 +85,30 @@ class Comparisons {
     return instances->second;
   }
 
+  /// The real-world and small instances of the extension studies.
+  const std::vector<Instance>& extensionInstances() {
+    if (extensionInstances_.empty()) {
+      extensionInstances_ = ctx_.realAndSmallInstances();
+    }
+    return extensionInstances_;
+  }
+
+  /// extensionInstances scheduled by both algorithms on the default
+  /// cluster, once: the Monte-Carlo figures replay these schedules.
+  const std::vector<experiments::ScheduledInstance>& extensionSchedules() {
+    if (extensionSchedules_.empty()) {
+      extensionSchedules_ = experiments::scheduleInstances(
+          extensionInstances(), defaultCluster(), ctx_.options().part);
+    }
+    return extensionSchedules_;
+  }
+
  private:
   const BenchContext& ctx_;
   std::map<double, std::vector<Instance>> instances_;
   std::map<Config, Outcomes> runs_;
+  std::vector<Instance> extensionInstances_;
+  std::vector<experiments::ScheduledInstance> extensionSchedules_;
 };
 
 /// The relative makespan of an aggregate, "-" when nothing was scheduled
@@ -484,11 +516,6 @@ int fig07(const BenchContext& ctx, Comparisons& runs) {
   return finish(ctx, "fig07_bandwidth_ccr", groups);
 }
 
-/// The default cluster of the paper (Table 2, 36 processors).
-platform::Cluster defaultCluster() {
-  return platform::makeCluster(Heterogeneity::kDefault, ClusterSize::kDefault);
-}
-
 /// The ablations compare their variants on the real-world and small
 /// workflows only, which keeps the many variants affordable.
 bool ablationBand(SizeBand band) {
@@ -816,6 +843,285 @@ int table02Clusters(const BenchContext&, Comparisons&) {
   return 0;
 }
 
+// Extension (ours): how optimistic is the paper's uncontended Eq. (1)-(2)
+// makespan under fair-share link contention, and how much of the gap does
+// contention-aware scheduling (SchedulerOptions::contentionAware) win back?
+// A CCR ladder (bandwidth = 1/ccr) over the extension instances; each
+// instance is scheduled by the oblivious and the aware pipeline and both
+// are judged against the deterministic fair-share block-synchronous
+// simulation.
+int contentionGap(const BenchContext& ctx, Comparisons& runs) {
+  printPreamble(
+      ctx, "Contention gap: static optimism vs contention-aware recovery",
+      "extension (no paper figure); expected shape: the optimism gap grows "
+      "with the CCR, and contention-aware Step-3/4 search wins back part of "
+      "it (aware gain > 1 where transfers overlap)");
+  const std::vector<Instance>& instances = runs.extensionInstances();
+  const platform::Cluster cluster = defaultCluster();
+  const std::vector<double> ccrLadder{0.5, 1.0, 2.0, 4.0};
+  experiments::ContentionRunnerOptions options;
+  options.part = ctx.options().part;
+  const std::vector<experiments::ContentionOutcome> outcomes =
+      experiments::runContention(instances, cluster, ccrLadder, options);
+
+  support::Table table({"ccr", "band", "workflows", "optimism gap",
+                        "aware gain", "recovered", "wins/losses"});
+  for (const auto& [key, agg] : experiments::aggregateContention(outcomes)) {
+    table.addRow({key.first, key.second, std::to_string(agg.comparable),
+                  support::Table::num(agg.geomeanOptimismGap, 3) + "x",
+                  support::Table::num(agg.geomeanAwareGain, 3) + "x",
+                  support::Table::percent(agg.meanRecoveredFraction),
+                  std::to_string(agg.awareWins) + "/" +
+                      std::to_string(agg.awareLosses)});
+  }
+  table.print(std::cout);
+  std::cout << "\noptimism gap = fair-share simulated / static Eq.(1)-(2) "
+               "makespan of the oblivious schedule;\naware gain = oblivious "
+               "/ contention-aware simulated makespan; recovered = share of "
+               "the gap\nthe aware search closes\n";
+
+  std::map<std::string, std::string> meta = ctx.meta();
+  meta["comm"] = "block-synchronous";
+  meta["contention"] = "1";
+  const experiments::BenchExport exported =
+      experiments::contentionExport("contention_gap", outcomes, meta);
+  if (!experiments::exportBench(exported)) return 1;
+  bool anyComparable = false;
+  for (const experiments::ContentionOutcome& out : outcomes) {
+    anyComparable =
+        anyComparable || (out.obliviousFeasible && out.awareFeasible);
+  }
+  if (!anyComparable) {
+    std::cerr << "error: no instance was schedulable in both modes\n";
+    return 1;
+  }
+  return 0;
+}
+
+/// The replication count of a Monte-Carlo figure at the active scale.
+int replications(const BenchContext& ctx, int quick, int standard, int full) {
+  switch (ctx.env().scale) {
+    case support::BenchScale::kQuick: return quick;
+    case support::BenchScale::kDefault: return standard;
+    case support::BenchScale::kFull: return full;
+  }
+  return standard;
+}
+
+/// Why a Monte-Carlo replay failed; nullopt when it succeeded.
+std::optional<std::string> failure(const experiments::RobustnessOutcome& out) {
+  if (out.summary.ok) return std::nullopt;
+  return out.summary.error;
+}
+std::optional<std::string> failure(const experiments::ReschedOutcome& out) {
+  if (out.ok) return std::nullopt;
+  return out.policy + ": " + out.error;
+}
+std::optional<std::string> failure(const experiments::FaultOutcome& out) {
+  if (out.ok) return std::nullopt;
+  return out.error;
+}
+
+/// The exit status of a Monte-Carlo figure: 1 when it replayed nothing or
+/// when a replay failed.
+template <class Outcome>
+int replayStatus(const std::vector<Outcome>& outcomes) {
+  if (outcomes.empty()) {
+    std::cerr << "error: no schedule could be replayed\n";
+    return 1;
+  }
+  for (const Outcome& out : outcomes) {
+    if (const std::optional<std::string> error = failure(out)) {
+      std::cerr << "error: replay failed on " << out.instance << " ("
+                << out.config << "/" << out.scheduler << "): " << *error
+                << "\n";
+      return 1;
+    }
+  }
+  return 0;
+}
+
+// Extension (ours): how much noise-induced degradation can runtime repair
+// win back? Both schedulers' schedules run through the online rescheduling
+// driver (src/resched) under a straggler-noise ladder, comparing trigger
+// policies (no-resched baseline / fixed-interval / event-triggered
+// lateness). Straggler draws involve no transcendental functions, so the
+// whole execution is bit-stable across compilers and libms, which lets a
+// recorded baseline gate this document.
+int reschedRecovery(const BenchContext& ctx, Comparisons& runs) {
+  printPreamble(
+      ctx, "Online rescheduling: recovered makespan under straggler noise",
+      "extension (no paper figure); expected shape: event-triggered repair "
+      "recovers part of the degradation the no-resched baseline suffers, at "
+      "a handful of splices per run");
+  const std::vector<Instance>& instances = runs.extensionInstances();
+  const auto& scheduled = runs.extensionSchedules();
+  // Deterministic control rung, two straggler strengths, and a transient
+  // processor slowdown (the scenario the adaptive speed estimates target).
+  std::vector<experiments::NoiseLevel> levels =
+      experiments::stragglerLadder({0.0, 0.1, 0.25}, 4.0);
+  experiments::NoiseLevel slow;
+  slow.spec.kind = sim::PerturbationKind::kTransientSlowdown;
+  slow.spec.slowdownFraction = 0.3;
+  slow.spec.slowdownFactor = 3.0;
+  slow.config = "slowdown0.3x3";
+  levels.push_back(std::move(slow));
+
+  experiments::ReschedulingRunnerOptions options;
+  options.seed = 42;
+  options.replications = replications(ctx, 5, 20, 60);
+  const std::vector<experiments::ReschedOutcome> outcomes =
+      experiments::runRescheduling(instances, scheduled, levels, options);
+
+  support::Table table({"noise", "policy", "scheduler", "instances",
+                        "mean slowdown", "p95 slowdown", "recovered",
+                        "resched/run"});
+  for (const auto& [key, agg] : experiments::aggregateRescheduling(outcomes)) {
+    table.addRow({std::get<0>(key), std::get<1>(key), std::get<2>(key),
+                  std::to_string(agg.instances),
+                  support::Table::num(agg.geomeanMeanSlowdown, 3) + "x",
+                  support::Table::num(agg.geomeanP95Slowdown, 3) + "x",
+                  support::Table::percent(agg.recoveredFraction),
+                  support::Table::num(agg.meanReschedules, 2)});
+  }
+  table.print(std::cout);
+  std::cout << "\nslowdown = simulated / static Eq.(1)-(2) makespan; "
+               "recovered = share of the no-resched\ndegradation won back "
+               "(1 = repaired all the way to the static prediction)\n";
+
+  std::map<std::string, std::string> meta = ctx.meta();
+  meta["replications"] = std::to_string(options.replications);
+  meta["comm"] = "block-synchronous";
+  const experiments::BenchExport exported =
+      experiments::reschedulingExport("resched_recovery", outcomes, meta);
+  if (!experiments::exportBench(exported)) return 1;
+  return replayStatus(outcomes);
+}
+
+// Extension (ours): when processors fail-stop or crash mid-run, how much of
+// the damage does recovery-aware rescheduling undo compared to naive greedy
+// re-execution? Both schedulers' schedules run through the fault-injecting
+// online driver on a cluster with spare processors, across a ladder of
+// per-processor fault rates; every replication races the repair against
+// greedy re-execution under the identical fault draw. Fault instants are
+// SplitMix64 uniforms and the execution model is block-synchronous, so
+// makespans and the exact fault tallies are bit-stable across compilers and
+// thread counts (the baseline gates the tallies exactly).
+int faultRecovery(const BenchContext& ctx, Comparisons& runs) {
+  printPreamble(
+      ctx, "Fault recovery: rescheduling vs. greedy re-execution under "
+           "processor failures",
+      "extension (no paper figure); expected shape: recovery-aware repair "
+      "strictly beats greedy re-execution at every nonzero fault rate, with "
+      "the gap widening as failures get more likely");
+  const std::vector<Instance>& instances = runs.extensionInstances();
+  const auto& scheduled = runs.extensionSchedules();
+  const std::vector<experiments::FaultLevel> levels =
+      experiments::defaultFaultLadder();
+
+  experiments::FaultRunnerOptions options;
+  options.seed = 42;
+  options.replications = replications(ctx, 5, 20, 60);
+  const std::vector<experiments::FaultOutcome> outcomes =
+      experiments::runFaultRecovery(instances, scheduled, levels, options);
+  const auto aggregates = experiments::aggregateFaultRecovery(outcomes);
+
+  support::Table table({"faults", "scheduler", "instances", "fail-stops",
+                        "killed", "evac", "aware slowdown", "greedy slowdown",
+                        "recovered", "improvement"});
+  for (const auto& [key, agg] : aggregates) {
+    table.addRow({key.first, key.second, std::to_string(agg.instances),
+                  std::to_string(agg.totalFailStops),
+                  std::to_string(agg.totalTasksKilled),
+                  std::to_string(agg.totalEvacuations),
+                  support::Table::num(agg.geomeanAwareSlowdown, 3) + "x",
+                  support::Table::num(agg.geomeanGreedySlowdown, 3) + "x",
+                  support::Table::percent(agg.meanRecoveredFraction),
+                  support::Table::num(agg.improvement, 3) + "x"});
+  }
+  table.print(std::cout);
+  std::cout << "\nslowdown = simulated / static Eq.(1)-(2) makespan; "
+               "recovered = share of the greedy\nre-execution degradation "
+               "the repair search won back; improvement = greedy / aware\n"
+               "slowdown (> 1 = recovery-aware rescheduling strictly beats "
+               "greedy re-execution)\n";
+
+  std::map<std::string, std::string> meta = ctx.meta();
+  meta["replications"] = std::to_string(options.replications);
+  meta["spares"] = std::to_string(experiments::kSpareProcessors);
+  meta["comm"] = "block-synchronous";
+  const experiments::BenchExport exported =
+      experiments::faultRecoveryExport("fault_recovery", outcomes, meta);
+  if (!experiments::exportBench(exported)) return 1;
+  if (replayStatus(outcomes) != 0) return 1;
+  // The acceptance bar of this extension: at every nonzero fault rung the
+  // recovery-aware repair must strictly beat greedy re-execution in
+  // aggregate (improvement > 1). min(aware, greedy) per run makes >= 1
+  // structural; strictness requires the repair search to actually win runs.
+  for (const auto& [key, agg] : aggregates) {
+    if (key.first == "nofault") continue;
+    if (!(agg.improvement > 1.0)) {
+      std::cerr << "error: recovery-aware rescheduling did not strictly beat "
+                   "greedy re-execution at "
+                << key.first << "/" << key.second
+                << " (improvement = " << agg.improvement << ")\n";
+      return 1;
+    }
+  }
+  return 0;
+}
+
+// Extension (ours): how gracefully do the HetPart and HetMem schedules
+// degrade when task runtimes fluctuate? Both schedulers' schedules replay
+// through the discrete-event simulator (task-eager semantics, fair-share
+// link contention) under a lognormal noise ladder; reported per level are
+// the geomean and tail (p95) slowdown vs. the static prediction and the
+// memory-overflow rate. The lognormal draws are not bit-stable across
+// libms, so this document has no baseline.
+int robustnessNoise(const BenchContext& ctx, Comparisons& runs) {
+  printPreamble(
+      ctx, "Robustness: schedule degradation under lognormal runtime noise",
+      "extension (no paper figure); expected shape: slowdown grows with "
+      "sigma, HetPart's tighter critical path degrades faster than HetMem's "
+      "serial chain");
+  const std::vector<Instance>& instances = runs.extensionInstances();
+  const auto& scheduled = runs.extensionSchedules();
+  const std::vector<experiments::NoiseLevel> levels =
+      experiments::lognormalLadder({0.0, 0.05, 0.1, 0.2, 0.4});
+
+  sim::RobustnessOptions options;
+  options.sim.comm = sim::CommModel::kTaskEager;
+  options.sim.contention = true;
+  options.seed = 42;
+  options.replications = replications(ctx, 10, 40, 200);
+  const std::vector<experiments::RobustnessOutcome> outcomes =
+      experiments::runRobustness(instances, scheduled, levels, options);
+
+  support::Table table({"noise", "scheduler", "instances", "mean slowdown",
+                        "p95 slowdown", "worst", "overflow runs"});
+  for (const auto& [key, agg] : experiments::aggregateRobustness(outcomes)) {
+    table.addRow({key.first, key.second, std::to_string(agg.instances),
+                  support::Table::num(agg.geomeanMeanSlowdown, 3) + "x",
+                  support::Table::num(agg.geomeanP95Slowdown, 3) + "x",
+                  support::Table::num(agg.maxSlowdown, 3) + "x",
+                  std::to_string(agg.overflowRuns) + " (" +
+                      support::Table::percent(agg.overflowFraction) + ")"});
+  }
+  table.print(std::cout);
+  std::cout << "\nslowdown = simulated / static Eq.(1)-(2) makespan; values "
+               "< 1x mean the task-eager\nexecution beats the conservative "
+               "block-synchronous prediction\n";
+
+  std::map<std::string, std::string> meta = ctx.meta();
+  meta["replications"] = std::to_string(options.replications);
+  meta["comm"] = "task-eager";
+  meta["contention"] = "1";
+  const experiments::BenchExport exported =
+      experiments::robustnessExport("robustness_noise", outcomes, meta);
+  if (!experiments::exportBench(exported)) return 1;
+  return replayStatus(outcomes);
+}
+
 struct Figure {
   std::string_view name;
   int (*run)(const BenchContext&, Comparisons&);
@@ -823,9 +1129,9 @@ struct Figure {
 
 // Run order, whatever the argument order: the default-cluster figures
 // first, then sec524 (which adds the 4x-work run), then the sweeps, then
-// the ablation and extension tables. Each of the first seven stats blocks
-// thus covers exactly the comparisons its figure reads; the later ones hold
-// the process's cumulative counters.
+// the ablation and extension tables, then the extension studies. Each of
+// the first seven stats blocks thus covers exactly the comparisons its
+// figure reads; the later ones hold the process's cumulative counters.
 constexpr Figure kFigures[] = {
     {"fig03_left_default_cluster", fig03Left},
     {"table04_runtimes", table04},
@@ -843,6 +1149,10 @@ constexpr Figure kFigures[] = {
     {"ablation_partitioner", ablationPartitioner},
     {"price_of_memory", priceOfMemory},
     {"table02_clusters", table02Clusters},
+    {"contention_gap", contentionGap},
+    {"fault_recovery", faultRecovery},
+    {"resched_recovery", reschedRecovery},
+    {"robustness_noise", robustnessNoise},
 };
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Scheduler scaling ladder: end-to-end DagHetPart runtime and raw probe
-// throughput with incremental makespan evaluation (the default) versus the
-// SchedulerOptions::fullReevaluation full-recompute reference, on a ladder
-// of growing (workflow, cluster) sizes. Not a paper figure — the paper's
+// Scheduler scaling ladder: end-to-end DagHetPart runtime with incremental
+// makespan evaluation (the default) versus the full-recompute reference
+// (SchedulerOptions::fullReevaluation), on a ladder of growing (workflow,
+// cluster) sizes. Not a paper figure — the paper's
 // Table 4 reports absolute runtimes; this bench tracks the speedup the
 // quotient::IncrementalEvaluator delta path delivers over the O(V+E)
 // per-probe recompute, and asserts the two modes produce bit-identical
@@ -17,12 +17,11 @@
 // so they run the incremental path only (differential=false) and the
 // bit-identity cross-check rides on the smaller rungs; every rung reports
 // the process peak RSS (getrusage) so the flat quotient core's footprint
-// is tracked alongside speed.
+// is tracked alongside speed. Per-layer timing and the solver counters are
+// perfbench's and DAGPM_STATS's job, not this bench's.
 
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,10 +30,7 @@
 #endif
 
 #include "experiments/export.hpp"
-#include "obs/obs.hpp"
-#include "partition/partitioner.hpp"
 #include "platform/cluster.hpp"
-#include "quotient/incremental.hpp"
 #include "scheduler/daghetpart.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
@@ -79,9 +75,6 @@ struct RungResult {
   std::uint32_t blocks = 0;
   double incrementalSeconds = 0.0;
   double fullSeconds = 0.0;
-  double probeIncrementalSeconds = 0.0;
-  double probeFullSeconds = 0.0;
-  std::int64_t probes = 0;
   double peakRssMb = 0.0;
 };
 
@@ -101,65 +94,6 @@ std::vector<Rung> ladder(support::BenchScale scale) {
   return {};
 }
 
-/// Raw probe throughput: the same swap-probe sequence priced through the
-/// incremental evaluator and through the full makespanValue recompute, on a
-/// Step-3-entry-sized quotient (blocks are most numerous before the merge
-/// step shrinks them down to the processor count).
-void measureProbes(const graph::Dag& g, const platform::Cluster& cluster,
-                   std::int64_t probes, bool fullReference, RungResult& out) {
-  partition::PartitionConfig pcfg;
-  pcfg.numParts =
-      std::max(static_cast<std::uint32_t>(cluster.numProcessors()),
-               static_cast<std::uint32_t>(g.numVertices() / 16));
-  const partition::PartitionResult pr = partition::partitionAcyclic(g, pcfg);
-  quotient::QuotientGraph q(g, pr.blockOf, pr.numBlocks);
-  std::uint32_t i = 0;
-  for (const quotient::BlockId b : q.aliveNodes()) {
-    q.setProcessor(b, static_cast<platform::ProcessorId>(
-                          i++ % cluster.numProcessors()));
-  }
-  const std::vector<quotient::BlockId> nodes = q.aliveNodes();
-  if (nodes.size() < 2) return;
-
-  const quotient::IncrementalEvaluator eval(q, cluster);
-  quotient::IncrementalEvaluator::Scratch scratch(eval);
-  double sink = 0.0;
-  {
-    const obs::Span span("bench.probe_incremental");
-    for (std::int64_t p = 0; p < probes; ++p) {
-      const quotient::BlockId a =
-          nodes[static_cast<std::size_t>(p) % nodes.size()];
-      const quotient::BlockId b =
-          nodes[static_cast<std::size_t>(p * 7 + 1) % nodes.size()];
-      if (a == b) continue;
-      const quotient::ProcOverride overrides[2] = {{a, q.node(b).proc},
-                                                   {b, q.node(a).proc}};
-      sink += eval.probeAssign(scratch, overrides);
-    }
-    out.probeIncrementalSeconds = span.seconds();
-  }
-  if (fullReference) {
-    const obs::Span span("bench.probe_full");
-    for (std::int64_t p = 0; p < probes; ++p) {
-      const quotient::BlockId a =
-          nodes[static_cast<std::size_t>(p) % nodes.size()];
-      const quotient::BlockId b =
-          nodes[static_cast<std::size_t>(p * 7 + 1) % nodes.size()];
-      if (a == b) continue;
-      const platform::ProcessorId pa = q.node(a).proc;
-      const platform::ProcessorId pb = q.node(b).proc;
-      q.setProcessor(a, pb);
-      q.setProcessor(b, pa);
-      sink += *quotient::makespanValue(q, cluster);
-      q.setProcessor(a, pa);
-      q.setProcessor(b, pb);
-    }
-    out.probeFullSeconds = span.seconds();
-  }
-  out.probes = probes;
-  if (sink < 0.0) std::cout << "";  // keep the probes observable
-}
-
 }  // namespace
 
 int main() {
@@ -171,15 +105,10 @@ int main() {
   support::printHeading(std::cout,
                         "Scheduler scaling: incremental vs full evaluation");
   std::cout << "extension (no paper figure); expected shape: the end-to-end "
-               "and probe speedups grow\nwith the rung size (the full "
-               "recompute pays O(V+E) per probe, the evaluator only\nthe "
-               "affected cone)\nscale: "
+               "speedup grows with the\nrung size (the full recompute pays "
+               "O(V+E) per probe, the evaluator only the\naffected cone)\n"
+               "scale: "
             << scaleName << " (DAGPM_QUICK=1 / DAGPM_FULL=1 to change)\n\n";
-
-  const std::int64_t probes =
-      env.scale == support::BenchScale::kQuick      ? 2000
-      : env.scale == support::BenchScale::kDefault  ? 20000
-                                                    : 50000;
 
   std::vector<RungResult> results;
   for (const Rung rung : ladder(env.scale)) {
@@ -219,23 +148,14 @@ int main() {
     // still end-to-end DagHetPart (Steps 1-4), just with a single-k' sweep.
     cfg.sweep = scheduler::KPrimeSweep::kSingle;
 
-    scheduler::ScheduleResult incremental;
-    {
-      const obs::Span span("bench.rung_incremental",
-                           "n=" + std::to_string(rung.tasks));
-      incremental = scheduler::dagHetPart(g, cluster, cfg);
-      out.incrementalSeconds = span.seconds();
-    }
+    const scheduler::ScheduleResult incremental =
+        scheduler::dagHetPart(g, cluster, cfg);
+    out.incrementalSeconds = incremental.stats.seconds;
     if (rung.differential) {
-      scheduler::ScheduleResult reference;
-      {
-        cfg.options.fullReevaluation = true;
-        const obs::Span span("bench.rung_full",
-                             "n=" + std::to_string(rung.tasks));
-        reference = scheduler::dagHetPart(g, cluster, cfg);
-        out.fullSeconds = span.seconds();
-        cfg.options.fullReevaluation = false;
-      }
+      cfg.options.fullReevaluation = true;
+      const scheduler::ScheduleResult reference =
+          scheduler::dagHetPart(g, cluster, cfg);
+      out.fullSeconds = reference.stats.seconds;
       if (incremental.feasible != reference.feasible ||
           (incremental.feasible &&
            (incremental.makespan != reference.makespan ||
@@ -251,21 +171,16 @@ int main() {
     out.feasible = incremental.feasible;
     out.makespan = incremental.makespan;
     out.blocks = incremental.stats.numBlocks;
-    measureProbes(g, cluster, probes, rung.differential, out);
     out.peakRssMb = peakRssMb();
     results.push_back(out);
   }
 
   support::Table table({"rung", "procs", "makespan", "incremental (s)",
-                        "full (s)", "end-to-end speedup", "probe speedup",
-                        "peak RSS (MB)"});
+                        "full (s)", "end-to-end speedup", "peak RSS (MB)"});
   for (const RungResult& r : results) {
     const double endToEnd =
         r.incrementalSeconds > 0.0 ? r.fullSeconds / r.incrementalSeconds
                                    : 0.0;
-    const double probe = r.probeIncrementalSeconds > 0.0
-                             ? r.probeFullSeconds / r.probeIncrementalSeconds
-                             : 0.0;
     table.addRow({"n" + std::to_string(r.rung.tasks),
                   std::to_string(r.procs),
                   r.feasible ? support::Table::num(r.makespan, 3) : "-",
@@ -273,9 +188,6 @@ int main() {
                   support::Table::num(r.fullSeconds, 3),
                   r.fullSeconds > 0.0 ? support::Table::num(endToEnd, 2) + "x"
                                       : "-",
-                  r.probeFullSeconds > 0.0
-                      ? support::Table::num(probe, 2) + "x"
-                      : "-",
                   support::Table::num(r.peakRssMb, 1)});
   }
   table.print(std::cout);
@@ -284,36 +196,6 @@ int main() {
                "incremental path only); speedups are wall-clock\nand grow "
                "with the rung; peak RSS is the process high-water mark so "
                "far\n";
-
-  if (obs::countersEnabled()) {
-    // Headline solver counters for the CI job summary (enable with
-    // DAGPM_STATS). Whole-process totals across all rungs, deterministic
-    // for any OMP_NUM_THREADS.
-    std::map<std::string, std::uint64_t> c;
-    for (const obs::CounterValue& v : obs::counterSnapshot()) c[v.name] = v.value;
-    const auto rate = [](std::uint64_t hits, std::uint64_t misses) {
-      const std::uint64_t total = hits + misses;
-      return total == 0 ? std::string("-")
-                        : support::Table::percent(static_cast<double>(hits) /
-                                                  static_cast<double>(total));
-    };
-    support::Table counters({"counter", "value"});
-    counters.addRow({"eval probes (assign)",
-                     std::to_string(c["eval.probes.assign"])});
-    counters.addRow({"eval probes (merged)",
-                     std::to_string(c["eval.probes.merged"])});
-    counters.addRow({"swap pairs probed",
-                     std::to_string(c["swap.pairs_probed"])});
-    counters.addRow({"merge probes", std::to_string(c["merge.probes"])});
-    counters.addRow({"merge memo hit rate",
-                     rate(c["merge.memo.hits"], c["merge.memo.misses"])});
-    counters.addRow({"repair heap pushes",
-                     std::to_string(c["eval.repair_pushes"])});
-    counters.addRow({"peak span depth",
-                     std::to_string(c["span.peak_depth"])});
-    std::cout << "\nheadline counters (DAGPM_STATS totals across all rungs):\n";
-    counters.print(std::cout);
-  }
 
   // JSON export: quality columns gate; *_seconds / *_runtime_ratio /
   // *_rss_mb are ignored by bench/compare_bench_json.py. The bench pins a
@@ -346,15 +228,6 @@ int main() {
                 support::JsonValue(r.incrementalSeconds > 0.0
                                        ? r.fullSeconds / r.incrementalSeconds
                                        : 0.0));
-    row.emplace("probe_incremental_seconds",
-                support::JsonValue(r.probeIncrementalSeconds));
-    row.emplace("probe_full_seconds",
-                support::JsonValue(r.probeFullSeconds));
-    row.emplace(
-        "probe_speedup_runtime_ratio",
-        support::JsonValue(r.probeIncrementalSeconds > 0.0
-                               ? r.probeFullSeconds / r.probeIncrementalSeconds
-                               : 0.0));
     row.emplace("peak_rss_mb", support::JsonValue(r.peakRssMb));
     rows.emplace_back(std::move(row));
   }

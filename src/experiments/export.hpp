@@ -43,6 +43,11 @@ struct BenchExport {
   support::JsonObject extra;
 };
 
+/// A Monte-Carlo CSV row: the OutcomeKey's cells (config, scheduler,
+/// instance, band, family, tasks), then `cells`.
+std::vector<std::string> keyRow(const OutcomeKey& key,
+                                const std::vector<std::string>& cells);
+
 /// String-valued run parameters (scale, sweep, seeds, ...) as the "meta"
 /// object of a bench document.
 support::JsonObject metaJson(const std::map<std::string, std::string>& meta);

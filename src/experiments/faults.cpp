@@ -68,69 +68,44 @@ platform::Cluster addSpareProcessors(const platform::Cluster& cluster,
 }
 
 std::vector<FaultOutcome> runFaultRecovery(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    const std::vector<Instance>& instances,
+    const std::vector<ScheduledInstance>& scheduled,
     const std::vector<FaultLevel>& levels,
     const FaultRunnerOptions& options) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t numLevels = levels.size();
   const int replications = std::max(options.replications, 0);
-  // Fixed slot layout keeps result order and every derived seed independent
-  // of the parallel schedule (cf. runRescheduling).
-  std::vector<FaultOutcome> slots(instances.size() * numLevels * 2);
-  std::vector<char> filled(slots.size(), 0);
-
-  forEachScheduledInstance(
-      instances, cluster, options.part, options.mem,
-      [&](std::size_t i, const Instance& inst,
-          const platform::Cluster& scaled,
-          const scheduler::ScheduleResult& part,
-          const scheduler::ScheduleResult& mem,
-          const memory::MemDagOracle& partOracle,
-          const memory::MemDagOracle& memOracle) {
-    const platform::Cluster augmented =
-        addSpareProcessors(scaled, kSpareProcessors);
-    for (std::size_t l = 0; l < numLevels; ++l) {
-      const FaultLevel& level = levels[l];
-      // Replication seeds depend on (instance, level, replication) only, so
-      // both schedulers face the identical fault draw.
-      std::vector<std::uint64_t> seeds(static_cast<std::size_t>(replications));
-      for (std::size_t r = 0; r < seeds.size(); ++r) {
-        seeds[r] =
-            sim::mixSeed(options.seed, (i * numLevels + l) * 1000003ULL + r);
-      }
-      for (int s = 0; s < 2; ++s) {
-        const scheduler::ScheduleResult& schedule = s == 0 ? part : mem;
-        if (!schedule.feasible) continue;
-        const std::size_t slot =
-            (i * numLevels + l) * 2 + static_cast<std::size_t>(s);
-        FaultOutcome& out = slots[slot];
-        out.level = level.name;
-        out.scheduler = s == 0 ? "part" : "mem";
-        out.instance = inst.name;
-        out.band = inst.band;
-        out.family = inst.family;
-        out.numTasks = inst.numTasks;
+  return replayScheduled<FaultOutcome>(
+      instances, scheduled, levels, &FaultLevel::name, 1,
+      [&](FaultOutcome& out, const ReplayCell& cell) {
+        const FaultLevel& level = levels[cell.level];
+        const double makespan = cell.schedule.makespan;
+        const platform::Cluster augmented =
+            addSpareProcessors(cell.scaled, kSpareProcessors);
         out.replications = replications;
-        out.staticMakespan = schedule.makespan;
+        out.staticMakespan = makespan;
         out.ok = true;
 
         sim::FaultSpec spec;
         spec.failStopProbability = level.failStopProbability;
         spec.crashProbability = level.crashProbability;
-        spec.horizon = std::max(schedule.makespan * kHorizonFraction, 1e-9);
-        spec.downtime = schedule.makespan * kDowntimeFraction;
+        spec.horizon = std::max(makespan * kHorizonFraction, 1e-9);
+        spec.downtime = makespan * kDowntimeFraction;
         spec.maxCrashesPerProcessor = kMaxCrashesPerProcessor;
 
+        // Replication seeds depend on (instance, level, replication) only,
+        // so both schedulers face the identical fault draw.
+        const std::uint64_t draw =
+            (cell.instance * numLevels + cell.level) * 1000003ULL;
         std::vector<double> recoveries;
-        for (std::size_t r = 0; r < seeds.size(); ++r) {
+        for (int r = 0; r < replications; ++r) {
           sim::FaultModel faults(spec, augmented.numProcessors());
           resched::RescheduleOptions ro;
           ro.policy = options.policy;
-          ro.seed = seeds[r];
+          ro.seed = sim::mixSeed(options.seed, draw + r);
           ro.faults = &faults;
           const resched::RescheduleResult run = resched::runOnline(
-              inst.dag, augmented, schedule, s == 0 ? partOracle : memOracle,
-              ro);
+              cell.dag, augmented, cell.schedule, cell.oracle, ro);
           if (!run.ok) {
             // Neither the repair nor greedy re-execution could recover this
             // draw (e.g. every capable processor died): data, not an error.
@@ -176,24 +151,14 @@ std::vector<FaultOutcome> runFaultRecovery(
           }
         }
         out.meanRecoveredFraction = support::mean(recoveries);
-        filled[slot] = 1;
-      }
-    }
       });
-
-  std::vector<FaultOutcome> outcomes;
-  outcomes.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (filled[i] != 0) outcomes.push_back(std::move(slots[i]));
-  }
-  return outcomes;
 }
 
 std::map<FaultKey, FaultAggregate> aggregateFaultRecovery(
     const std::vector<FaultOutcome>& outcomes) {
   std::map<FaultKey, std::vector<const FaultOutcome*>> groups;
   for (const FaultOutcome& out : outcomes) {
-    groups[{out.level, out.scheduler}].push_back(&out);
+    groups[{out.config, out.scheduler}].push_back(&out);
   }
   std::map<FaultKey, FaultAggregate> result;
   for (const auto& [key, group] : groups) {
@@ -244,13 +209,7 @@ BenchExport faultRecoveryExport(
                       "unrecovered", "replications"};
   const auto& fmt = formatG6;
   for (const FaultOutcome& out : outcomes) {
-    result.csvRows.push_back({
-        out.level,
-        out.scheduler,
-        out.instance,
-        workflows::sizeBandName(out.band),
-        out.family,
-        std::to_string(out.numTasks),
+    const std::vector<std::string> cells = {
         out.ok ? "1" : "0",
         fmt(out.staticMakespan),
         fmt(out.meanAware),
@@ -268,7 +227,8 @@ BenchExport faultRecoveryExport(
         std::to_string(out.searchWins),
         std::to_string(out.unrecovered),
         std::to_string(out.replications),
-    });
+    };
+    result.csvRows.push_back(keyRow(out, cells));
   }
   for (const auto& [key, agg] : aggregateFaultRecovery(outcomes)) {
     support::JsonObject row;

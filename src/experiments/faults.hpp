@@ -53,13 +53,7 @@ platform::Cluster addSpareProcessors(const platform::Cluster& cluster,
 /// Outcome of one (fault level, scheduler, instance) cell, aggregated over
 /// the Monte-Carlo replications. Aware = the driver's finalMakespan (never
 /// worse than greedy by construction); greedy = naive re-execution.
-struct FaultOutcome {
-  std::string level;      // FaultLevel::name
-  std::string scheduler;  // "part" | "mem"
-  std::string instance;
-  workflows::SizeBand band = workflows::SizeBand::kSmall;
-  std::string family;
-  int numTasks = 0;
+struct FaultOutcome : OutcomeKey {  // config = FaultLevel::name
   bool ok = false;
   std::string error;
   double staticMakespan = 0.0;
@@ -85,11 +79,10 @@ struct FaultOutcome {
   /// 0 = it added nothing. Replications where greedy failed outright but the
   /// aware repair recovered count as 1.
   double meanRecoveredFraction = 0.0;
+  friend bool operator==(const FaultOutcome&, const FaultOutcome&) = default;
 };
 
 struct FaultRunnerOptions {
-  scheduler::DagHetPartConfig part;
-  scheduler::DagHetMemConfig mem;
   /// Policy of the search repair (fail-stops always trigger a repair). The
   /// greedy baseline is derived from it inside the driver (trigger = none,
   /// evacuation-only repairs).
@@ -98,12 +91,14 @@ struct FaultRunnerOptions {
   std::uint64_t seed = 1;
 };
 
-/// Runs every feasible schedule through the fault-injecting online driver at
-/// every fault level. Replication seeds depend only on (instance, level,
-/// replication) — both schedulers face the identical fault draw — and the
-/// fixed slot layout keeps results independent of thread count.
+/// Runs every feasible schedule of `scheduled` (scheduleInstances of
+/// `instances`) through the fault-injecting online driver at every fault
+/// level. Replication seeds depend only on (instance, level, replication) —
+/// both schedulers face the identical fault draw — and the fixed slot layout
+/// keeps results independent of thread count.
 std::vector<FaultOutcome> runFaultRecovery(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    const std::vector<Instance>& instances,
+    const std::vector<ScheduledInstance>& scheduled,
     const std::vector<FaultLevel>& levels, const FaultRunnerOptions& options);
 
 /// Per-(level, scheduler) aggregate: the bench table / JSON rows. The fault

@@ -1,5 +1,6 @@
 #include "experiments/harness.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -81,37 +82,67 @@ void requireValid(const char* algorithm, const Instance& inst,
 
 }  // namespace
 
+std::vector<ScheduledInstance> scheduleInstances(
+    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    const scheduler::DagHetPartConfig& part,
+    const scheduler::DagHetMemConfig& mem) {
+  const obs::Span batchSpan("harness.for_each_scheduled",
+                            "instances=" + std::to_string(instances.size()));
+  const int instanceParent = batchSpan.depth();
+  std::vector<ScheduledInstance> scheduled(instances.size());
+  // libgomp is not ThreadSanitizer-instrumented, so TSan cannot see that
+  // the team's fork orders the caller's writes before every iteration and
+  // its join orders every iteration before the caller's next access (the
+  // replay threads that read these schedules, the thread that frees them).
+  // This counter states both edges in atomics TSan understands.
+  std::atomic<std::size_t> done;
+  done.store(0, std::memory_order_release);
+#pragma omp parallel for schedule(dynamic)
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    (void)done.load(std::memory_order_acquire);
+    const Instance& inst = instances[i];
+    const obs::Span instSpan("harness.instance", inst.name, instanceParent);
+    ScheduledInstance& out = scheduled[i];
+    out.scaled = cluster;
+    out.scaled.scaleMemoriesToFit(inst.dag.maxTaskMemoryRequirement());
+    out.part = scheduler::dagHetPart(inst.dag, out.scaled, part);
+    out.mem = scheduler::dagHetMem(inst.dag, out.scaled, mem);
+    done.fetch_add(1, std::memory_order_acq_rel);
+  }
+  (void)done.load(std::memory_order_acquire);
+  return scheduled;
+}
+
 std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
                                       const platform::Cluster& cluster,
                                       const RunnerOptions& options) {
+  const std::vector<ScheduledInstance> scheduled =
+      scheduleInstances(instances, cluster, options.part, options.mem);
   std::vector<RunOutcome> outcomes(instances.size());
-  forEachScheduledInstance(
-      instances, cluster, options.part, options.mem,
-      [&](std::size_t i, const Instance& inst,
-          const platform::Cluster& scaled,
-          const scheduler::ScheduleResult& part,
-          const scheduler::ScheduleResult& mem,
-          const memory::MemDagOracle& partOracle,
-          const memory::MemDagOracle& memOracle) {
-        if (options.validate) {
-          // Contention-aware runs report the fair-share priced makespan;
-          // the cross-check must recompute under the same model.
-          requireValid("DagHetPart", inst, scaled, partOracle, part,
-                       scheduler::commModelFor(options.part.options));
-          requireValid("DagHetMem", inst, scaled, memOracle, mem);
-        }
-        RunOutcome& out = outcomes[i];
-        out.instance = inst.name;
-        out.band = inst.band;
-        out.family = inst.family;
-        out.numTasks = inst.numTasks;
-        out.partFeasible = part.feasible;
-        out.partMakespan = part.makespan;
-        out.partSeconds = part.stats.seconds;
-        out.memFeasible = mem.feasible;
-        out.memMakespan = mem.makespan;
-        out.memSeconds = mem.stats.seconds;
-      });
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Instance& inst = instances[i];
+    const auto& [scaled, part, mem] = scheduled[i];
+    if (options.validate) {
+      // Contention-aware runs report the fair-share priced makespan; the
+      // cross-check must recompute under the same model.
+      requireValid("DagHetPart", inst, scaled,
+                   memory::MemDagOracle(inst.dag, options.part.oracle), part,
+                   scheduler::commModelFor(options.part.options));
+      requireValid("DagHetMem", inst, scaled,
+                   memory::MemDagOracle(inst.dag, options.mem.oracle), mem);
+    }
+    RunOutcome& out = outcomes[i];
+    out.instance = inst.name;
+    out.band = inst.band;
+    out.family = inst.family;
+    out.numTasks = inst.numTasks;
+    out.partFeasible = part.feasible;
+    out.partMakespan = part.makespan;
+    out.partSeconds = part.stats.seconds;
+    out.memFeasible = mem.feasible;
+    out.memMakespan = mem.makespan;
+    out.memSeconds = mem.stats.seconds;
+  }
   return outcomes;
 }
 
@@ -170,37 +201,6 @@ std::map<std::string, Aggregate> aggregateBy(
     result[key] = aggregateGroup(group);
   }
   return result;
-}
-
-void forEachScheduledInstance(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
-    const scheduler::DagHetPartConfig& part,
-    const scheduler::DagHetMemConfig& mem,
-    const std::function<void(std::size_t, const Instance&,
-                             const platform::Cluster&,
-                             const scheduler::ScheduleResult&,
-                             const scheduler::ScheduleResult&,
-                             const memory::MemDagOracle&,
-                             const memory::MemDagOracle&)>& consume) {
-  const obs::Span batchSpan("harness.for_each_scheduled",
-                            "instances=" + std::to_string(instances.size()));
-  const int instanceParent = batchSpan.depth();
-  auto runOne = [&](std::size_t i) {
-    const Instance& inst = instances[i];
-    const obs::Span instSpan("harness.instance", inst.name, instanceParent);
-    platform::Cluster scaled = cluster;
-    scaled.scaleMemoriesToFit(inst.dag.maxTaskMemoryRequirement());
-    const scheduler::ScheduleResult partSchedule =
-        scheduler::dagHetPart(inst.dag, scaled, part);
-    const scheduler::ScheduleResult memSchedule =
-        scheduler::dagHetMem(inst.dag, scaled, mem);
-    const memory::MemDagOracle partOracle(inst.dag, part.oracle);
-    const memory::MemDagOracle memOracle(inst.dag, mem.oracle);
-    consume(i, inst, scaled, partSchedule, memSchedule, partOracle,
-            memOracle);
-  };
-#pragma omp parallel for schedule(dynamic)
-  for (std::size_t i = 0; i < instances.size(); ++i) runOne(i);
 }
 
 }  // namespace dagpm::experiments

@@ -4,6 +4,7 @@
 // makespans the way the paper reports them (geometric mean of per-workflow
 // ratios).
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <string>
@@ -54,31 +55,112 @@ struct RunnerOptions {
   bool validate = false;  // re-validate every feasible schedule
 };
 
-/// Runs DagHetPart and DagHetMem on every instance through
-/// forEachScheduledInstance (memories scaled per Sec. 5.1.2) and records
-/// feasibility, makespan and scheduler runtime of both.
+/// One instance scheduled by both algorithms on its memory-scaled copy of
+/// the cluster (Sec. 5.1.2).
+struct ScheduledInstance {
+  platform::Cluster scaled;
+  scheduler::ScheduleResult part;
+  scheduler::ScheduleResult mem;
+};
+
+/// The harness's scheduling pass, read by the comparison and by the
+/// Monte-Carlo runners: entry i holds instances[i] scheduled by DagHetPart
+/// and DagHetMem on its memory-scaled cluster copy. OpenMP-parallel across
+/// instances (the loops nested below, e.g. the k' sweep, then run on the
+/// thread that reached them).
+std::vector<ScheduledInstance> scheduleInstances(
+    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    const scheduler::DagHetPartConfig& part = {},
+    const scheduler::DagHetMemConfig& mem = {});
+
+/// Runs scheduleInstances and records feasibility, makespan and scheduler
+/// runtime of both algorithms per instance.
 std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
                                       const platform::Cluster& cluster,
                                       const RunnerOptions& options);
 
-/// The harness's scheduling loop, shared by the comparison, robustness,
-/// rescheduling and fault runners: schedules every instance with both
-/// algorithms on its memory-scaled cluster copy (Sec. 5.1.2) and hands the
-/// results plus the matching oracles to `consume`, OpenMP-parallel across
-/// instances (the loops nested below, e.g. the k' sweep, then run on the
-/// thread that reached them). `consume` runs inside the parallel region —
-/// callers write to disjoint, deterministically laid-out slots instead of
-/// sharing state.
-void forEachScheduledInstance(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
-    const scheduler::DagHetPartConfig& part,
-    const scheduler::DagHetMemConfig& mem,
-    const std::function<void(std::size_t index, const Instance& instance,
-                             const platform::Cluster& scaled,
-                             const scheduler::ScheduleResult& partSchedule,
-                             const scheduler::ScheduleResult& memSchedule,
-                             const memory::MemDagOracle& partOracle,
-                             const memory::MemDagOracle& memOracle)>& consume);
+/// What identifies one Monte-Carlo outcome (robustness, rescheduling, fault
+/// recovery): the replayed schedule and the level it was replayed at.
+struct OutcomeKey {
+  std::string config;     // noise or fault level
+  std::string scheduler;  // "part" | "mem"
+  std::string instance;
+  workflows::SizeBand band = workflows::SizeBand::kSmall;
+  std::string family;
+  int numTasks = 0;
+  friend bool operator==(const OutcomeKey&, const OutcomeKey&) = default;
+};
+
+/// One replay of a Monte-Carlo runner: a feasible schedule of instance
+/// `instance` at level `level` and policy `policy`; `slot` is the cell's
+/// index in the fixed instance-major layout.
+struct ReplayCell {
+  std::size_t instance = 0;
+  std::size_t level = 0;
+  std::size_t policy = 0;
+  std::size_t slot = 0;
+  const graph::Dag& dag;
+  const platform::Cluster& scaled;
+  const scheduler::ScheduleResult& schedule;
+  const memory::MemDagOracle& oracle;
+};
+
+/// The Monte-Carlo runners' slot loop: calls `replay(outcome, cell)` for
+/// every (instance, level, policy, scheduler) cell whose schedule is
+/// feasible, after filling the outcome's key (`levelName` projects a level
+/// to its name). Every replay of an instance shares one default-option
+/// oracle. OpenMP-parallel across instances; the fixed slot layout
+/// (instance-major, then level, policy, scheduler) makes the result order
+/// and every seed derived from a cell independent of thread scheduling.
+/// Returns the filled slots in layout order.
+template <class Outcome, class Level, class LevelName, class Replay>
+std::vector<Outcome> replayScheduled(
+    const std::vector<Instance>& instances,
+    const std::vector<ScheduledInstance>& scheduled,
+    const std::vector<Level>& levels, LevelName levelName,
+    std::size_t numPolicies, Replay replay) {
+  const std::size_t numLevels = levels.size();
+  std::vector<Outcome> slots(instances.size() * numLevels * numPolicies * 2);
+  std::vector<char> filled(slots.size(), 0);
+  // States the team's fork and join in atomics ThreadSanitizer sees, as in
+  // scheduleInstances: libgomp's own barriers are invisible to it.
+  std::atomic<std::size_t> replayed;
+  replayed.store(0, std::memory_order_release);
+#pragma omp parallel for schedule(dynamic)
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    (void)replayed.load(std::memory_order_acquire);
+    const Instance& inst = instances[i];
+    const platform::Cluster& scaled = scheduled[i].scaled;
+    const memory::MemDagOracle oracle(inst.dag);
+    for (std::size_t l = 0; l < numLevels; ++l) {
+      for (std::size_t p = 0; p < numPolicies; ++p) {
+        for (std::size_t s = 0; s < 2; ++s) {
+          const scheduler::ScheduleResult& schedule =
+              s == 0 ? scheduled[i].part : scheduled[i].mem;
+          if (!schedule.feasible) continue;
+          const std::size_t slot =
+              ((i * numLevels + l) * numPolicies + p) * 2 + s;
+          Outcome& out = slots[slot];
+          out.config = std::invoke(levelName, levels[l]);
+          out.scheduler = s == 0 ? "part" : "mem";
+          out.instance = inst.name;
+          out.band = inst.band;
+          out.family = inst.family;
+          out.numTasks = inst.numTasks;
+          replay(out, {i, l, p, slot, inst.dag, scaled, schedule, oracle});
+          filled[slot] = 1;
+        }
+      }
+    }
+    replayed.fetch_add(1, std::memory_order_acq_rel);
+  }
+  (void)replayed.load(std::memory_order_acquire);
+  std::vector<Outcome> outcomes;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    if (filled[k] != 0) outcomes.push_back(std::move(slots[k]));
+  }
+  return outcomes;
+}
 
 /// Per-group aggregation (the paper reports geometric means of ratios).
 struct Aggregate {

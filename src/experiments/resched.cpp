@@ -55,103 +55,60 @@ std::vector<NoiseLevel> stragglerLadder(
 }
 
 std::vector<ReschedOutcome> runRescheduling(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    const std::vector<Instance>& instances,
+    const std::vector<ScheduledInstance>& scheduled,
     const std::vector<NoiseLevel>& levels,
     const ReschedulingRunnerOptions& options) {
   const std::vector<PolicyConfig> policies = defaultPolicyLadder();
   const std::size_t numLevels = levels.size();
-  const std::size_t numPolicies = policies.size();
   const int replications = std::max(options.replications, 0);
-  // Fixed slot layout keeps result order and every derived seed independent
-  // of the parallel schedule (cf. runRobustness).
-  std::vector<ReschedOutcome> slots(instances.size() * numLevels *
-                                    numPolicies * 2);
-  std::vector<char> filled(slots.size(), 0);
-
-  forEachScheduledInstance(
-      instances, cluster, options.part, options.mem,
-      [&](std::size_t i, const Instance& inst,
-          const platform::Cluster& scaled,
-          const scheduler::ScheduleResult& part,
-          const scheduler::ScheduleResult& mem,
-          const memory::MemDagOracle& partOracle,
-          const memory::MemDagOracle& memOracle) {
-    for (std::size_t l = 0; l < numLevels; ++l) {
-      // Replication seeds depend on (instance, level, replication) only, so
-      // every policy and both schedulers face the identical noise draw.
-      std::vector<std::uint64_t> seeds(static_cast<std::size_t>(replications));
-      for (std::size_t r = 0; r < seeds.size(); ++r) {
-        seeds[r] = sim::mixSeed(options.seed,
-                                (i * numLevels + l) * 1000003ULL + r);
-      }
-      for (std::size_t p = 0; p < numPolicies; ++p) {
-        for (int s = 0; s < 2; ++s) {
-          const scheduler::ScheduleResult& schedule = s == 0 ? part : mem;
-          if (!schedule.feasible) continue;
-          const std::size_t slot =
-              ((i * numLevels + l) * numPolicies + p) * 2 +
-              static_cast<std::size_t>(s);
-          ReschedOutcome& out = slots[slot];
-          out.config = levels[l].config;
-          out.policy = policies[p].name;
-          out.scheduler = s == 0 ? "part" : "mem";
-          out.instance = inst.name;
-          out.band = inst.band;
-          out.family = inst.family;
-          out.numTasks = inst.numTasks;
-          out.replications = replications;
-          out.ok = true;
-
-          double accepted = 0.0;
-          double triggers = 0.0;
-          for (std::size_t r = 0; r < seeds.size(); ++r) {
-            resched::RescheduleOptions ro;
-            ro.policy = policies[p].policy;
-            ro.perturbation = levels[l].spec;
-            ro.seed = seeds[r];
-            ro.contention = options.contention;
-            const resched::RescheduleResult run = resched::runOnline(
-                inst.dag, scaled, schedule, s == 0 ? partOracle : memOracle,
-                ro);
-            if (!run.ok) {
-              out.ok = false;
-              out.error = run.error;
-              break;
-            }
-            out.staticMakespan = run.staticMakespan;
-            out.finalMakespans.push_back(run.finalMakespan);
-            out.unrepairedMakespans.push_back(run.unrepairedMakespan);
-            accepted += run.reschedulesAccepted;
-            triggers += run.triggersFired;
-            if (run.guardTripped) ++out.guardTrips;
+  return replayScheduled<ReschedOutcome>(
+      instances, scheduled, levels, &NoiseLevel::config, policies.size(),
+      [&](ReschedOutcome& out, const ReplayCell& cell) {
+        out.policy = policies[cell.policy].name;
+        out.replications = replications;
+        out.ok = true;
+        // Replication seeds depend on (instance, level, replication) only,
+        // so every policy and both schedulers face the identical noise draw.
+        const std::uint64_t draw =
+            (cell.instance * numLevels + cell.level) * 1000003ULL;
+        double accepted = 0.0;
+        double triggers = 0.0;
+        for (int r = 0; r < replications; ++r) {
+          resched::RescheduleOptions ro;
+          ro.policy = policies[cell.policy].policy;
+          ro.perturbation = levels[cell.level].spec;
+          ro.seed = sim::mixSeed(options.seed, draw + r);
+          ro.contention = options.contention;
+          const resched::RescheduleResult run = resched::runOnline(
+              cell.dag, cell.scaled, cell.schedule, cell.oracle, ro);
+          if (!run.ok) {
+            out.ok = false;
+            out.error = run.error;
+            break;
           }
-          if (out.ok && !out.finalMakespans.empty()) {
-            const double n =
-                static_cast<double>(out.finalMakespans.size());
-            out.meanFinal = support::mean(out.finalMakespans);
-            out.p95Final = support::percentile(out.finalMakespans, 0.95);
-            out.meanUnrepaired = support::mean(out.unrepairedMakespans);
-            if (out.staticMakespan > 0.0) {
-              out.meanSlowdown = out.meanFinal / out.staticMakespan;
-              out.p95Slowdown = out.p95Final / out.staticMakespan;
-              out.meanUnrepairedSlowdown =
-                  out.meanUnrepaired / out.staticMakespan;
-            }
-            out.meanReschedules = accepted / n;
-            out.meanTriggers = triggers / n;
-          }
-          filled[slot] = 1;
+          out.staticMakespan = run.staticMakespan;
+          out.finalMakespans.push_back(run.finalMakespan);
+          out.unrepairedMakespans.push_back(run.unrepairedMakespan);
+          accepted += run.reschedulesAccepted;
+          triggers += run.triggersFired;
+          if (run.guardTripped) ++out.guardTrips;
         }
-      }
-    }
+        if (out.ok && !out.finalMakespans.empty()) {
+          const double n = static_cast<double>(out.finalMakespans.size());
+          out.meanFinal = support::mean(out.finalMakespans);
+          out.p95Final = support::percentile(out.finalMakespans, 0.95);
+          out.meanUnrepaired = support::mean(out.unrepairedMakespans);
+          if (out.staticMakespan > 0.0) {
+            out.meanSlowdown = out.meanFinal / out.staticMakespan;
+            out.p95Slowdown = out.p95Final / out.staticMakespan;
+            out.meanUnrepairedSlowdown =
+                out.meanUnrepaired / out.staticMakespan;
+          }
+          out.meanReschedules = accepted / n;
+          out.meanTriggers = triggers / n;
+        }
       });
-
-  std::vector<ReschedOutcome> outcomes;
-  outcomes.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (filled[i] != 0) outcomes.push_back(std::move(slots[i]));
-  }
-  return outcomes;
 }
 
 std::map<ReschedKey, ReschedAggregate> aggregateRescheduling(
@@ -227,14 +184,7 @@ BenchExport reschedulingExport(
                       "replications"};
   const auto& fmt = formatG6;
   for (const ReschedOutcome& out : outcomes) {
-    result.csvRows.push_back({
-        out.config,
-        out.policy,
-        out.scheduler,
-        out.instance,
-        workflows::sizeBandName(out.band),
-        out.family,
-        std::to_string(out.numTasks),
+    const std::vector<std::string> cells = {
         out.ok ? "1" : "0",
         fmt(out.staticMakespan),
         fmt(out.meanFinal),
@@ -247,7 +197,10 @@ BenchExport reschedulingExport(
         fmt(out.meanTriggers),
         std::to_string(out.guardTrips),
         std::to_string(out.replications),
-    });
+    };
+    std::vector<std::string> row = keyRow(out, cells);
+    row.insert(row.begin() + 1, out.policy);  // after the config column
+    result.csvRows.push_back(std::move(row));
   }
   for (const auto& [key, agg] : aggregateRescheduling(outcomes)) {
     support::JsonObject row;

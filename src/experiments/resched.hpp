@@ -39,14 +39,8 @@ std::vector<NoiseLevel> stragglerLadder(
 
 /// Outcome of one (noise level, policy, scheduler, instance) tuple,
 /// aggregated over the replications.
-struct ReschedOutcome {
-  std::string config;     // NoiseLevel::config
-  std::string policy;     // PolicyConfig::name
-  std::string scheduler;  // "part" | "mem"
-  std::string instance;
-  workflows::SizeBand band = workflows::SizeBand::kSmall;
-  std::string family;
-  int numTasks = 0;
+struct ReschedOutcome : OutcomeKey {
+  std::string policy;  // PolicyConfig::name
   bool ok = false;
   std::string error;
   double staticMakespan = 0.0;
@@ -63,24 +57,24 @@ struct ReschedOutcome {
   double meanReschedules = 0.0;         // accepted splices per replication
   double meanTriggers = 0.0;
   int guardTrips = 0;  // replications where the hindsight guard fell back
+  friend bool operator==(const ReschedOutcome&,
+                         const ReschedOutcome&) = default;
 };
 
 struct ReschedulingRunnerOptions {
-  scheduler::DagHetPartConfig part;
-  scheduler::DagHetMemConfig mem;
   int replications = 8;
   std::uint64_t seed = 1;
   bool contention = false;
 };
 
-/// Schedules every instance with DagHetPart and DagHetMem (cluster memories
-/// scaled per Sec. 5.1.2) and runs every feasible schedule through the
-/// online driver at every (noise level, defaultPolicyLadder() policy).
-/// Replication seeds depend only on (instance, level, replication) —
-/// policies and schedulers see the identical noise draw — and results are
-/// independent of thread count.
+/// Runs every feasible schedule of `scheduled` (scheduleInstances of
+/// `instances`) through the online driver at every (noise level,
+/// defaultPolicyLadder() policy). Replication seeds depend only on
+/// (instance, level, replication) — policies and schedulers see the
+/// identical noise draw — and results are independent of thread count.
 std::vector<ReschedOutcome> runRescheduling(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    const std::vector<Instance>& instances,
+    const std::vector<ScheduledInstance>& scheduled,
     const std::vector<NoiseLevel>& levels,
     const ReschedulingRunnerOptions& options);
 

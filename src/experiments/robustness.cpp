@@ -28,55 +28,19 @@ std::vector<NoiseLevel> lognormalLadder(const std::vector<double>& sigmas) {
 }
 
 std::vector<RobustnessOutcome> runRobustness(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    const std::vector<Instance>& instances,
+    const std::vector<ScheduledInstance>& scheduled,
     const std::vector<NoiseLevel>& levels,
-    const RobustnessRunnerOptions& options) {
-  const std::size_t numLevels = levels.size();
-  // Fixed slot layout (instance-major, then level, then scheduler) makes the
-  // result order and every derived seed independent of thread scheduling.
-  std::vector<RobustnessOutcome> slots(instances.size() * numLevels * 2);
-  std::vector<char> filled(slots.size(), 0);
-
-  forEachScheduledInstance(
-      instances, cluster, options.part, options.mem,
-      [&](std::size_t i, const Instance& inst,
-          const platform::Cluster& scaled,
-          const scheduler::ScheduleResult& part,
-          const scheduler::ScheduleResult& mem,
-          const memory::MemDagOracle& partOracle,
-          const memory::MemDagOracle& memOracle) {
-        for (std::size_t l = 0; l < numLevels; ++l) {
-          for (int s = 0; s < 2; ++s) {
-            const scheduler::ScheduleResult& schedule = s == 0 ? part : mem;
-            if (!schedule.feasible) continue;
-            const std::size_t slot = (i * numLevels + l) * 2 +
-                                     static_cast<std::size_t>(s);
-            RobustnessOutcome& out = slots[slot];
-            out.config = levels[l].config;
-            out.scheduler = s == 0 ? "part" : "mem";
-            out.instance = inst.name;
-            out.band = inst.band;
-            out.family = inst.family;
-            out.numTasks = inst.numTasks;
-
-            sim::RobustnessOptions ro = options.robustness;
-            ro.perturbation = levels[l].spec;
-            ro.seed = sim::mixSeed(options.robustness.seed,
-                                   static_cast<std::uint64_t>(slot));
-            out.summary = sim::evaluateRobustness(
-                inst.dag, scaled, schedule,
-                s == 0 ? partOracle : memOracle, ro);
-            filled[slot] = 1;
-          }
-        }
+    const sim::RobustnessOptions& options) {
+  return replayScheduled<RobustnessOutcome>(
+      instances, scheduled, levels, &NoiseLevel::config, 1,
+      [&](RobustnessOutcome& out, const ReplayCell& cell) {
+        sim::RobustnessOptions ro = options;
+        ro.perturbation = levels[cell.level].spec;
+        ro.seed = sim::mixSeed(options.seed, cell.slot);
+        out.summary = sim::evaluateRobustness(cell.dag, cell.scaled,
+                                              cell.schedule, cell.oracle, ro);
       });
-
-  std::vector<RobustnessOutcome> outcomes;
-  outcomes.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (filled[i] != 0) outcomes.push_back(std::move(slots[i]));
-  }
-  return outcomes;
 }
 
 std::map<std::pair<std::string, std::string>, RobustnessAggregate>
@@ -140,13 +104,7 @@ BenchExport robustnessExport(
   const auto& fmt = formatG6;
   for (const RobustnessOutcome& out : outcomes) {
     const sim::RobustnessSummary& s = out.summary;
-    result.csvRows.push_back({
-        out.config,
-        out.scheduler,
-        out.instance,
-        workflows::sizeBandName(out.band),
-        out.family,
-        std::to_string(out.numTasks),
+    const std::vector<std::string> cells = {
         s.ok ? "1" : "0",
         fmt(s.staticMakespan),
         fmt(s.meanMakespan),
@@ -158,7 +116,8 @@ BenchExport robustnessExport(
         fmt(s.p95Slowdown),
         std::to_string(s.overflowRuns),
         std::to_string(s.replications),
-    });
+    };
+    result.csvRows.push_back(keyRow(out, cells));
   }
   for (const auto& [key, agg] : aggregateRobustness(outcomes)) {
     support::JsonObject row;

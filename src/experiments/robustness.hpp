@@ -28,32 +28,23 @@ struct NoiseLevel {
 std::vector<NoiseLevel> lognormalLadder(const std::vector<double>& sigmas);
 
 /// Simulation outcome of one (noise level, scheduler, instance) triple.
-struct RobustnessOutcome {
-  std::string config;     // NoiseLevel::config
-  std::string scheduler;  // "part" | "mem"
-  std::string instance;
-  workflows::SizeBand band = workflows::SizeBand::kSmall;
-  std::string family;
-  int numTasks = 0;
+struct RobustnessOutcome : OutcomeKey {
   sim::RobustnessSummary summary;
+  friend bool operator==(const RobustnessOutcome&,
+                         const RobustnessOutcome&) = default;
 };
 
-struct RobustnessRunnerOptions {
-  scheduler::DagHetPartConfig part;
-  scheduler::DagHetMemConfig mem;
-  /// Replication count, engine semantics (comm model, contention) and base
-  /// seed. Per-triple seeds are derived deterministically, so results do not
-  /// depend on the parallel schedule.
-  sim::RobustnessOptions robustness;
-};
-
-/// Schedules every instance with DagHetPart and DagHetMem (cluster memories
-/// scaled per Sec. 5.1.2) and evaluates every feasible schedule at every
-/// noise level. Infeasible (instance, scheduler) pairs are skipped.
+/// Evaluates every feasible schedule of `scheduled` (scheduleInstances of
+/// `instances`) at every noise level. `options` sets the replication count,
+/// the engine semantics (comm model, contention) and the base seed;
+/// per-triple seeds are derived from the slot, so results do not depend on
+/// the parallel schedule. Infeasible (instance, scheduler) pairs are
+/// skipped.
 std::vector<RobustnessOutcome> runRobustness(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    const std::vector<Instance>& instances,
+    const std::vector<ScheduledInstance>& scheduled,
     const std::vector<NoiseLevel>& levels,
-    const RobustnessRunnerOptions& options);
+    const sim::RobustnessOptions& options);
 
 /// Per-(noise level, scheduler) aggregate: the columns of the bench table
 /// and of the exported JSON rows.

@@ -10,8 +10,11 @@
 //     (optimal for SP structure, validated against the DP in tests);
 //   * otherwise: portfolio of greedy min-peak traversals and DFS orders,
 //     keeping the best simulated peak.
-// The returned peak is always the simulated peak of a concrete valid
-// traversal, so feasibility checks are self-consistent with the model.
+// The returned peak belongs to a concrete valid traversal, so feasibility
+// checks are self-consistent with the model: the heuristic members return
+// the simulated peak of their order, and the exact DP (blocks of <= 12
+// tasks) returns its own peak, which the tests pin to the simulated peak of
+// the DP's order within 1e-9.
 //
 // The oracle is the only cache of r_V: its memo is keyed exactly by the
 // sorted member set (a hash collision compares full keys, so it can never

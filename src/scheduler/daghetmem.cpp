@@ -1,5 +1,8 @@
 #include "scheduler/daghetmem.hpp"
 
+#include <stdexcept>
+
+#include "graph/topology.hpp"
 #include "memory/simulate.hpp"
 #include "obs/obs.hpp"
 #include "quotient/quotient.hpp"
@@ -10,6 +13,10 @@ using graph::VertexId;
 
 ScheduleResult dagHetMem(const graph::Dag& g, const platform::Cluster& cluster,
                          const DagHetMemConfig& cfg) {
+  // The traversal below never returns on a cyclic workflow.
+  if (!graph::isAcyclic(g)) {
+    throw std::invalid_argument("dagHetMem: cyclic workflow");
+  }
   const obs::Span span("daghetmem.total");
   ScheduleResult result;
   result.blockOf.assign(g.numVertices(), 0);

@@ -7,7 +7,8 @@
 // processor (processors are visited in decreasing memory order, ignoring
 // speeds). A task that no longer fits starts the next block on the next
 // processor. Fails when tasks remain but processors run out, or when a
-// single task exceeds every remaining processor's memory.
+// single task exceeds every remaining processor's memory. Throws
+// std::invalid_argument on a cyclic workflow.
 
 #include "scheduler/solution.hpp"
 

@@ -1,7 +1,10 @@
 #include "scheduler/daghetpart.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
+#include "graph/topology.hpp"
 #include "obs/obs.hpp"
 #include "quotient/quotient.hpp"
 #include "scheduler/assignment.hpp"
@@ -31,10 +34,20 @@ std::vector<std::uint32_t> sweepCandidates(KPrimeSweep sweep,
   return candidates;
 }
 
-ScheduleResult dagHetPartSingle(const graph::Dag& g,
-                                const platform::Cluster& cluster,
-                                std::uint32_t kPrime,
-                                const DagHetPartConfig& cfg) {
+namespace {
+
+/// Every entry point rejects a cyclic workflow before any step runs: the
+/// steps assume a DAG and would crash or never return on a cycle.
+void requireAcyclic(const graph::Dag& g, const char* entry) {
+  if (!graph::isAcyclic(g)) {
+    throw std::invalid_argument(std::string(entry) + ": cyclic workflow");
+  }
+}
+
+/// dagHetPartSingle on a workflow already checked to be acyclic.
+ScheduleResult runPipeline(const graph::Dag& g,
+                           const platform::Cluster& cluster,
+                           std::uint32_t kPrime, const DagHetPartConfig& cfg) {
   ScheduleResult result;
   result.stats.kPrime = kPrime;
   if (g.numVertices() == 0 || cluster.numProcessors() == 0) return result;
@@ -121,8 +134,6 @@ ScheduleResult dagHetPartSingle(const graph::Dag& g,
   return solved;
 }
 
-namespace {
-
 ScheduleResult runSweep(const graph::Dag& g, const platform::Cluster& cluster,
                         const DagHetPartConfig& cfg) {
   const std::vector<std::uint32_t> candidates = sweepCandidates(
@@ -139,7 +150,7 @@ ScheduleResult runSweep(const graph::Dag& g, const platform::Cluster& cluster,
     const obs::Span arm("daghetpart.arm",
                         "k'=" + std::to_string(candidates[i]), armParent);
     obs::add(obs::Counter::kSweepArms);
-    results[i] = dagHetPartSingle(g, cluster, candidates[i], cfg);
+    results[i] = runPipeline(g, cluster, candidates[i], cfg);
   };
 
 #pragma omp parallel for schedule(dynamic) if (candidates.size() > 1)
@@ -157,8 +168,17 @@ ScheduleResult runSweep(const graph::Dag& g, const platform::Cluster& cluster,
 
 }  // namespace
 
+ScheduleResult dagHetPartSingle(const graph::Dag& g,
+                                const platform::Cluster& cluster,
+                                std::uint32_t kPrime,
+                                const DagHetPartConfig& cfg) {
+  requireAcyclic(g, "dagHetPartSingle");
+  return runPipeline(g, cluster, kPrime, cfg);
+}
+
 ScheduleResult dagHetPart(const graph::Dag& g, const platform::Cluster& cluster,
                           const DagHetPartConfig& cfg) {
+  requireAcyclic(g, "dagHetPart");
   const obs::Span span("daghetpart.total");
   ScheduleResult best = runSweep(g, cluster, cfg);
   if (!best.feasible && cfg.memoryBalanceFallback &&

@@ -71,7 +71,9 @@ struct DagHetPartConfig {
 std::vector<std::uint32_t> sweepCandidates(KPrimeSweep sweep, std::uint32_t k);
 
 /// Runs the full four-step heuristic; infeasible results carry feasible =
-/// false (the paper's "no valid assignment is returned").
+/// false (the paper's "no valid assignment is returned"). Throws
+/// std::invalid_argument on a cyclic workflow, as do dagHetPartSingle,
+/// dagHetMem and so scheduleBest.
 ScheduleResult dagHetPart(const graph::Dag& g, const platform::Cluster& cluster,
                           const DagHetPartConfig& cfg = {});
 

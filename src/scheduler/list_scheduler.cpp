@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 #include "graph/topology.hpp"
 #include "obs/obs.hpp"
@@ -34,7 +35,9 @@ ListScheduleResult heftSchedule(const graph::Dag& g,
   // classic HEFT recipe halves it for same-processor pairs at placement
   // time; the rank only needs a consistent priority order).
   const auto order = graph::topologicalOrder(g);
-  assert(order.has_value() && "HEFT requires an acyclic workflow");
+  if (!order) {
+    throw std::invalid_argument("heftSchedule: cyclic workflow");
+  }
   std::vector<double> rank(n, 0.0);
   for (auto it = order->rbegin(); it != order->rend(); ++it) {
     const VertexId v = *it;

@@ -43,7 +43,8 @@ struct ListScheduleResult {
 /// Classic HEFT: upward ranks with average execution/communication costs,
 /// then earliest-finish-time placement with insertion into idle slots.
 /// Memory capacities are ignored entirely, and every transfer is priced at
-/// the paper's uncontended c/beta.
+/// the paper's uncontended c/beta. Throws std::invalid_argument on a cyclic
+/// workflow.
 ListScheduleResult heftSchedule(const graph::Dag& g,
                                 const platform::Cluster& cluster);
 

@@ -47,6 +47,8 @@ struct RobustnessSummary {
   /// Per-replication makespans in replication order (for reproducibility
   /// checks and external plotting).
   std::vector<double> makespans;
+  friend bool operator==(const RobustnessSummary&,
+                         const RobustnessSummary&) = default;
 };
 
 /// Runs `options.replications` perturbed simulations of `schedule` and

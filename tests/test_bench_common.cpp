@@ -311,7 +311,7 @@ TEST(JsonExport, ModuleExportsShareTheHarnessDocumentShape) {
     return keys;
   };
   experiments::FaultOutcome fault;
-  fault.level = "nofault";
+  fault.config = "nofault";
   fault.scheduler = "part";
   fault.ok = true;
   const experiments::BenchExport faults =

@@ -1,5 +1,6 @@
 // Tests for the experiment harness: instance construction, the comparison
-// runner (with validation on), and aggregation.
+// runner (with validation on), aggregation, and the Monte-Carlo runners'
+// shared schedule pass.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +9,11 @@
 #include <sstream>
 
 #include "experiments/contention.hpp"
+#include "experiments/faults.hpp"
 #include "experiments/harness.hpp"
 #include "experiments/resched.hpp"
+#include "experiments/robustness.hpp"
+#include "test_util.hpp"
 
 namespace dagpm::experiments {
 namespace {
@@ -126,8 +130,8 @@ TEST(Rescheduling, EventTriggeredPolicyBeatsNoReschedAtLognormalNoise) {
   ReschedulingRunnerOptions options;
   options.replications = 4;
   options.seed = 42;
-  const std::vector<ReschedOutcome> outcomes =
-      runRescheduling(instances, cluster, levels, options);
+  const std::vector<ReschedOutcome> outcomes = runRescheduling(
+      instances, scheduleInstances(instances, cluster), levels, options);
   ASSERT_FALSE(outcomes.empty());
   for (const ReschedOutcome& out : outcomes) {
     ASSERT_TRUE(out.ok) << out.instance << " (" << out.config << "/"
@@ -175,6 +179,63 @@ TEST(Rescheduling, EventTriggeredPolicyBeatsNoReschedAtLognormalNoise) {
   // ... and strictly better somewhere: repairs demonstrably engage and win.
   EXPECT_GT(strictWins, 0);
   EXPECT_GT(acceptedSplices, 0.0);
+}
+
+// The Monte-Carlo runners replay a schedule pass instead of scheduling
+// themselves. One pass shared by all three runners must give each the
+// outcomes a pass of its own gives, at any OpenMP thread count.
+TEST(MonteCarlo, SharedSchedulePassMatchesRebuiltPassAtAnyThreadCount) {
+  std::vector<Instance> instances = makeRealInstances(1);
+  instances.resize(2);
+  for (Instance& inst : makeSyntheticInstances({60}, SizeBand::kSmall, 1)) {
+    instances.push_back(std::move(inst));
+  }
+  const platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
+  sim::RobustnessOptions noise;
+  noise.replications = 3;
+  noise.seed = 5;
+  ReschedulingRunnerOptions resched;
+  resched.replications = 2;
+  resched.seed = 6;
+  FaultRunnerOptions faults;
+  faults.replications = 2;
+  faults.seed = 7;
+  const std::vector<NoiseLevel> noiseLevels = lognormalLadder({0.0, 0.2});
+  const std::vector<NoiseLevel> stragglers = stragglerLadder({0.0, 0.25}, 4.0);
+  const std::vector<FaultLevel> faultLevels = defaultFaultLadder();
+
+  struct Outcomes {
+    std::vector<RobustnessOutcome> robustness;
+    std::vector<ReschedOutcome> resched;
+    std::vector<FaultOutcome> faults;
+  };
+  const auto runAll = [&](bool shared) {
+    const std::vector<ScheduledInstance> pass =
+        scheduleInstances(instances, cluster);
+    const auto schedules = [&] {
+      return shared ? pass : scheduleInstances(instances, cluster);
+    };
+    Outcomes out;
+    out.robustness = runRobustness(instances, schedules(), noiseLevels, noise);
+    out.resched = runRescheduling(instances, schedules(), stragglers, resched);
+    out.faults = runFaultRecovery(instances, schedules(), faultLevels, faults);
+    return out;
+  };
+  const Outcomes shared = test::withOmpThreads(1, [&] { return runAll(true); });
+  const Outcomes rebuilt =
+      test::withOmpThreads(1, [&] { return runAll(false); });
+  const Outcomes threaded =
+      test::withOmpThreads(3, [&] { return runAll(true); });
+  ASSERT_FALSE(shared.robustness.empty());
+  ASSERT_FALSE(shared.resched.empty());
+  ASSERT_FALSE(shared.faults.empty());
+  EXPECT_TRUE(shared.robustness == rebuilt.robustness);
+  EXPECT_TRUE(shared.resched == rebuilt.resched);
+  EXPECT_TRUE(shared.faults == rebuilt.faults);
+  EXPECT_TRUE(shared.robustness == threaded.robustness);
+  EXPECT_TRUE(shared.resched == threaded.resched);
+  EXPECT_TRUE(shared.faults == threaded.faults);
 }
 
 TEST(Contention, AwareSchedulingImprovesSimulatedMakespanAtHighCcr) {

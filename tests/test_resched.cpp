@@ -467,7 +467,9 @@ TEST(Resched, RunnerIsBitReproducibleAcrossThreadCounts) {
   options.seed = 77;
 
   const auto run = [&] {
-    return experiments::runRescheduling(instances, cluster, levels, options);
+    return experiments::runRescheduling(
+        instances, experiments::scheduleInstances(instances, cluster), levels,
+        options);
   };
 
   const auto one = test::withOmpThreads(1, run);

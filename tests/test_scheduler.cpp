@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string_view>
 
 #include <omp.h>
@@ -15,6 +16,7 @@
 #include "scheduler/assignment.hpp"
 #include "scheduler/daghetmem.hpp"
 #include "scheduler/daghetpart.hpp"
+#include "scheduler/list_scheduler.hpp"
 #include "scheduler/merge_step.hpp"
 #include "scheduler/swap_step.hpp"
 #include "test_util.hpp"
@@ -687,6 +689,20 @@ TEST(DagHetPart, FullSweepAtLeastAsGoodAsSingle) {
   if (s.feasible) {
     EXPECT_LE(f.makespan, s.makespan + 1e-9);
   }
+}
+
+// A cycle is no workflow. Every entry point rejects it in release builds;
+// unchecked, DagHetPart and HEFT crash on it and DagHetMem never returns.
+TEST(SchedulerInput, EveryEntryPointRejectsACyclicWorkflow) {
+  const Dag g = test::cyclicWorkflow();
+  ASSERT_FALSE(graph::isAcyclic(g));
+  const platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kSmall);
+  EXPECT_THROW(dagHetPart(g, cluster), std::invalid_argument);
+  EXPECT_THROW(dagHetPartSingle(g, cluster, 2, {}), std::invalid_argument);
+  EXPECT_THROW(dagHetMem(g, cluster), std::invalid_argument);
+  EXPECT_THROW(scheduleBest(g, cluster), std::invalid_argument);
+  EXPECT_THROW(heftSchedule(g, cluster), std::invalid_argument);
 }
 
 }  // namespace

@@ -434,6 +434,38 @@ TEST(ServiceDegradation, PoolSurvivesPoisonedRequest) {
   EXPECT_EQ(m.solves, 1u);
 }
 
+TEST(ServiceDegradation, CyclicRequestFailsItsFutureAndPoolKeepsServing) {
+  // A cyclic workflow fails the request's own future with the solver's
+  // input error, for both algorithms and on the deadline ladder's HEFT
+  // fast path; after each, the worker serves the healthy request behind it.
+  const platform::Cluster cluster = testCluster();
+  const graph::Dag cyclic = test::cyclicWorkflow();
+  const graph::Dag g =
+      workflows::generate(workflows::Family::kSeismology, genConfig(60, 31));
+
+  ServiceConfig sc;
+  sc.numThreads = 1;  // the cyclic and healthy jobs share one worker
+  SchedulerService svc(sc);
+  const auto failsThenServes = [&](Algorithm algorithm, double budget) {
+    service::Request bad;
+    bad.dag = &cyclic;
+    bad.cluster = &cluster;
+    bad.algorithm = algorithm;
+    bad.deadlineBudget = budget;
+    EXPECT_THROW(svc.submit(std::move(bad)).get(), std::invalid_argument);
+    service::Request req;
+    req.dag = &g;
+    req.cluster = &cluster;
+    EXPECT_TRUE(svc.submit(std::move(req)).get().schedule.feasible);
+  };
+  failsThenServes(Algorithm::kDagHetPart, 0.0);
+  failsThenServes(Algorithm::kDagHetMem, 0.0);
+  // Too small a budget for the full solve, enough for the HEFT fast path.
+  failsThenServes(Algorithm::kDagHetPart, 1.0);
+  svc.drain();
+  EXPECT_EQ(svc.metrics().completed, 6u);
+}
+
 TEST(ServiceDegradation, LadderIsDeterministicAcrossWorkerCounts) {
   // The deadline ladder decides on cost-model estimates, never wall clocks,
   // so an identical request sequence must produce identical per-response

@@ -40,6 +40,16 @@ inline graph::Dag randomSpDag(int targetSize, std::uint64_t seed) {
   return graph::randomSpDag(cfg);
 }
 
+/// A 6-task chain 0 -> 1 -> 2 -> 3 -> 4 -> 5 whose edge 3 -> 1 closes the
+/// cycle 1 -> 2 -> 3 -> 1: no workflow, and every scheduler must reject it.
+inline graph::Dag cyclicWorkflow() {
+  graph::Dag g;
+  for (int v = 0; v < 6; ++v) g.addVertex(1.0 + v, 1.0);
+  for (graph::VertexId v = 0; v + 1 < 6; ++v) g.addEdge(v, v + 1, 1.0);
+  g.addEdge(3, 1, 1.0);
+  return g;
+}
+
 /// Brute force: minimum peak over all topological orders (tiny graphs only).
 inline double bruteForceMinPeak(const graph::SubDag& sub) {
   const std::size_t n = sub.dag.numVertices();

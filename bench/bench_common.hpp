@@ -33,20 +33,14 @@ class BenchContext {
 
   [[nodiscard]] const support::BenchEnv& env() const noexcept { return env_; }
 
-  /// The real-world and small workflows at the active scale, in that
-  /// order: the extension studies' instance set.
-  std::vector<Instance> realAndSmallInstances(double workScale = 1.0) const {
+  /// All four workflow groups at the active scale: real-world, small, mid
+  /// and big, in that order.
+  std::vector<Instance> allInstances(double workScale = 1.0) const {
     std::vector<Instance> instances =
         experiments::makeRealInstances(env_.seeds, workScale);
     append(instances, experiments::makeSyntheticInstances(
                           env_.smallSizes(), SizeBand::kSmall, env_.seeds,
                           workScale));
-    return instances;
-  }
-
-  /// All four workflow groups at the active scale.
-  std::vector<Instance> allInstances(double workScale = 1.0) const {
-    std::vector<Instance> instances = realAndSmallInstances(workScale);
     append(instances,
            experiments::makeSyntheticInstances(
                env_.midSizes(), SizeBand::kMid, env_.seeds, workScale));

@@ -1,13 +1,13 @@
 // The paper's Sec. 5 figures from one process. Figs. 3-9, Table 4 and the
 // Sec. 5.2.1/5.2.2/5.2.4 tables all read one DagHetPart-vs-DagHetMem
-// comparison over a handful of cluster configurations. Each configuration
-// is scheduled once, the first time a figure asks for it; every figure then
-// prints its table and exports its document under its own bench name. The
-// ablations of the four-step heuristic, the HEFT price-of-memory table and
-// Tables 2/3 follow; they read the default-cluster comparison and schedule
-// only their own variants. The extension studies come last: link
-// contention, then three Monte-Carlo studies (fault recovery, online
-// rescheduling, runtime noise) that replay one shared schedule pass.
+// comparison over a handful of cluster configurations, each scheduled once
+// (as far as a figure asks); every figure prints its table and exports its
+// document under its own bench name. The ablations of the four-step
+// heuristic, the HEFT price-of-memory table and Tables 2/3 follow; they read
+// the default-cluster comparison and schedule only their own variants. The
+// extension studies come last: link contention, whose oblivious arm is the
+// comparisons', then three Monte-Carlo studies (fault recovery, online
+// rescheduling, runtime noise) that replay the default comparison.
 //
 //   ./build/bench/paper_figures [figure ...]
 //
@@ -19,8 +19,10 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -42,6 +44,8 @@ namespace {
 
 using Heterogeneity = platform::Heterogeneity;
 using ClusterSize = platform::ClusterSize;
+using experiments::aggregateAll;
+using experiments::ScheduledInstance;
 using Outcomes = std::vector<RunOutcome>;
 using Cell = std::function<std::string(const Aggregate&)>;
 using GroupCell = std::function<std::string(const Outcomes&)>;
@@ -61,54 +65,77 @@ platform::Cluster defaultCluster() {
   return platform::makeCluster(Heterogeneity::kDefault, ClusterSize::kDefault);
 }
 
-/// The comparisons of this process. Each is scheduled the first time a
-/// figure asks for it and lives until the process exits.
+/// The workflows of the ablations and extension studies, which lead every
+/// instance set (BenchContext::allInstances).
+bool realOrSmall(const Instance& inst) {
+  return inst.band == SizeBand::kReal || inst.band == SizeBand::kSmall;
+}
+
+/// A prefix of one comparison: entry i of each span belongs to instance i.
+struct Pass {
+  std::span<const Instance> instances;
+  std::span<const ScheduledInstance> scheduled;
+  std::span<const RunOutcome> outcomes;
+};
+
+/// The comparisons of this process: one schedule pass and its outcomes per
+/// configuration, extended as far as a figure asks and kept until the
+/// process exits. Instances are independent and seeded per instance, so any
+/// split gives the same schedules.
 class Comparisons {
  public:
   explicit Comparisons(const BenchContext& ctx) : ctx_(ctx) {}
 
+  /// The outcomes of `config` over all of its instances.
   const Outcomes& operator()(const Config& config) {
-    auto [run, fresh] = runs_.try_emplace(config);
-    if (!fresh) return run->second;
-    const platform::Cluster cluster =
-        platform::makeCluster(config.het, config.size, config.bandwidth);
-    run->second = experiments::runComparison(instances(config.workScale),
-                                             cluster, ctx_.options());
-    return run->second;
+    prefix(config, instances(config.workScale).size());
+    return cache_[config].second;
   }
 
+  /// `config` over the real-world and small instances.
+  Pass realAndSmall(const Config& config = {}) {
+    const std::vector<Instance>& all = instances(config.workScale);
+    return prefix(config, static_cast<std::size_t>(
+                              std::ranges::find_if_not(all, realOrSmall) -
+                              all.begin()));
+  }
+
+ private:
   /// The instances at `workScale`, generated the first time they are asked
   /// for.
-  const std::vector<Instance>& instances(double workScale = 1.0) {
+  const std::vector<Instance>& instances(double workScale) {
     auto [instances, generate] = instances_.try_emplace(workScale);
     if (generate) instances->second = ctx_.allInstances(workScale);
     return instances->second;
   }
 
-  /// The real-world and small instances of the extension studies.
-  const std::vector<Instance>& extensionInstances() {
-    if (extensionInstances_.empty()) {
-      extensionInstances_ = ctx_.realAndSmallInstances();
+  /// `config`'s first `count` instances, scheduling those not scheduled yet.
+  Pass prefix(const Config& config, std::size_t count) {
+    const std::vector<Instance>& all = instances(config.workScale);
+    auto& [scheduled, outcomes] = cache_[config];
+    if (scheduled.size() < count) {
+      // Room for every instance: growing never moves what a Pass views.
+      scheduled.reserve(all.size());
+      outcomes.reserve(all.size());
+      const auto fresh =
+          std::span(all).subspan(scheduled.size(), count - scheduled.size());
+      const experiments::RunnerOptions options = ctx_.options();
+      std::vector<ScheduledInstance> pass = experiments::scheduleInstances(
+          fresh,
+          platform::makeCluster(config.het, config.size, config.bandwidth),
+          options.part, options.mem);
+      std::ranges::move(experiments::outcomesOf(fresh, pass, options),
+                        std::back_inserter(outcomes));
+      std::ranges::move(pass, std::back_inserter(scheduled));
     }
-    return extensionInstances_;
+    return {std::span(all).first(count), std::span(scheduled).first(count),
+            std::span(outcomes).first(count)};
   }
 
-  /// extensionInstances scheduled by both algorithms on the default
-  /// cluster, once: the Monte-Carlo figures replay these schedules.
-  const std::vector<experiments::ScheduledInstance>& extensionSchedules() {
-    if (extensionSchedules_.empty()) {
-      extensionSchedules_ = experiments::scheduleInstances(
-          extensionInstances(), defaultCluster(), ctx_.options().part);
-    }
-    return extensionSchedules_;
-  }
-
- private:
   const BenchContext& ctx_;
   std::map<double, std::vector<Instance>> instances_;
-  std::map<Config, Outcomes> runs_;
-  std::vector<Instance> extensionInstances_;
-  std::vector<experiments::ScheduledInstance> extensionSchedules_;
+  /// Per configuration: its schedule pass and the outcomes derived from it.
+  std::map<Config, std::pair<std::vector<ScheduledInstance>, Outcomes>> cache_;
 };
 
 /// The relative makespan of an aggregate, "-" when nothing was scheduled
@@ -173,28 +200,6 @@ Outcomes filterReal(const Outcomes& outcomes, bool real) {
   return result;
 }
 
-/// Part/mem makespan ratios of the outcomes both schedulers scheduled.
-std::vector<double> makespanRatios(const Outcomes& outcomes) {
-  std::vector<double> ratios;
-  for (const RunOutcome& out : outcomes) {
-    if (out.partFeasible && out.memFeasible && out.memMakespan > 0.0) {
-      ratios.push_back(out.partMakespan / out.memMakespan);
-    }
-  }
-  return ratios;
-}
-
-/// Part/mem runtime ratios of the outcomes both schedulers scheduled.
-std::vector<double> runtimeRatios(const Outcomes& outcomes) {
-  std::vector<double> ratios;
-  for (const RunOutcome& out : outcomes) {
-    if (out.partFeasible && out.memFeasible && out.memSeconds > 0.0) {
-      ratios.push_back(out.partSeconds / out.memSeconds);
-    }
-  }
-  return ratios;
-}
-
 bool highFanout(const std::string& family) {
   for (const workflows::Family f : workflows::allFamilies()) {
     if (workflows::familyName(f) == family && workflows::isHighFanout(f)) {
@@ -224,8 +229,7 @@ int fig03Left(const BenchContext& ctx, Comparisons& runs) {
   }
   table.print(std::cout);
   std::cout << "\noverall geomean relative makespan: "
-            << support::Table::percent(
-                   support::geometricMean(makespanRatios(outcomes)))
+            << support::Table::percent(aggregateAll(outcomes).geomeanRatio)
             << "  (paper: 41% => 2.44x)\n";
   return finish(ctx, "fig03_left_default_cluster", {{"", outcomes}});
 }
@@ -265,9 +269,7 @@ int fig05(const BenchContext& ctx, Comparisons& runs) {
   // Real-world workflows are not part of this figure.
   const Outcomes outcomes = filterReal(runs({}), /*real=*/false);
   const GroupCell cell = [](const Outcomes& group) {
-    const auto agg = experiments::aggregateBy(
-        group, [](const RunOutcome&) { return std::string(); });
-    return agg.empty() ? "-" : relativeCell(agg.begin()->second);
+    return relativeCell(aggregateAll(group));
   };
   familyBySize(outcomes, /*markFanout=*/true, cell).print(std::cout);
   std::cout << "\n('-' = size not generated for this family or not "
@@ -313,16 +315,15 @@ int fig08(const BenchContext& ctx, Comparisons& runs) {
                 "workflows, falling toward/below 1 as size grows");
   const Outcomes& outcomes = runs({});
   const GroupCell cell = [](const Outcomes& group) {
-    const std::vector<double> ratios = runtimeRatios(group);
-    return ratios.empty()
-               ? "-"
-               : support::Table::num(support::geometricMean(ratios), 2) + "x";
+    const double ratio = aggregateAll(group).geomeanRuntimeRatio;
+    return ratio > 0.0 ? support::Table::num(ratio, 2) + "x" : "-";
   };
   familyBySize(outcomes, /*markFanout=*/false, cell).print(std::cout);
-  const std::vector<double> realRatios =
-      runtimeRatios(filterReal(outcomes, /*real=*/true));
   std::cout << "\nreal-world workflows: "
-            << support::Table::num(support::geometricMean(realRatios), 1)
+            << support::Table::num(
+                   aggregateAll(filterReal(outcomes, /*real=*/true))
+                       .geomeanRuntimeRatio,
+                   1)
             << "x (paper: ~406x -- both are fractions of a second)\n";
   return finish(ctx, "fig08_relative_runtime", {{"", outcomes}});
 }
@@ -495,19 +496,12 @@ int fig07(const BenchContext& ctx, Comparisons& runs) {
     groups.emplace_back(tag, outcomes);
     header.push_back(support::Table::num(beta, 1));
     // Fan-out split (paper Sec. 5.2.6).
-    std::vector<double> fanned, chained;
-    for (const RunOutcome& out : outcomes) {
-      if (!out.partFeasible || !out.memFeasible ||
-          out.band == SizeBand::kReal) {
-        continue;
-      }
-      const bool high = highFanout(out.family);
-      (high ? fanned : chained).push_back(out.partMakespan / out.memMakespan);
+    Outcomes fanned, chained;
+    for (const RunOutcome& out : filterReal(outcomes, /*real=*/false)) {
+      (highFanout(out.family) ? fanned : chained).push_back(out);
     }
-    fannedRow.push_back(
-        support::Table::percent(support::geometricMean(fanned)));
-    chainedRow.push_back(
-        support::Table::percent(support::geometricMean(chained)));
+    fannedRow.push_back(relativeCell(aggregateAll(fanned)));
+    chainedRow.push_back(relativeCell(aggregateAll(chained)));
   }
   support::Table table = bandByConfig(header, groups, relativeCell);
   table.addRow(fannedRow);
@@ -516,47 +510,26 @@ int fig07(const BenchContext& ctx, Comparisons& runs) {
   return finish(ctx, "fig07_bandwidth_ccr", groups);
 }
 
-/// The ablations compare their variants on the real-world and small
-/// workflows only, which keeps the many variants affordable.
-bool ablationBand(SizeBand band) {
-  return band == SizeBand::kReal || band == SizeBand::kSmall;
-}
-
-/// The default comparison's outcomes on the ablation bands.
+/// The default comparison's outcomes on the real-world and small workflows.
 Outcomes ablationOutcomes(Comparisons& runs) {
-  Outcomes result;
-  for (const RunOutcome& out : runs({})) {
-    if (ablationBand(out.band)) result.push_back(out);
-  }
-  return result;
+  const std::span<const RunOutcome> outcomes = runs.realAndSmall().outcomes;
+  return {outcomes.begin(), outcomes.end()};
 }
 
 /// DagHetPart configured by `part` against DagHetMem on the default cluster,
-/// over the instances of the ablation bands. Not cached: every variant is
+/// over the real-world and small workflows. Not cached: every variant is
 /// compared once.
 Outcomes ablationRun(const BenchContext& ctx, Comparisons& runs,
                      const scheduler::DagHetPartConfig& part) {
-  std::vector<Instance> instances;
-  for (const Instance& inst : runs.instances()) {
-    if (ablationBand(inst.band)) instances.push_back(inst);
-  }
   experiments::RunnerOptions options = ctx.options();
   options.part = part;
-  return experiments::runComparison(instances, defaultCluster(), options);
+  return experiments::runComparison(runs.realAndSmall().instances,
+                                    defaultCluster(), options);
 }
 
 /// "<DagHetPart scheduled>/<instances>".
-std::string scheduledCell(const Outcomes& outcomes) {
-  int scheduled = 0;
-  for (const RunOutcome& out : outcomes) scheduled += out.partFeasible ? 1 : 0;
-  return std::to_string(scheduled) + "/" + std::to_string(outcomes.size());
-}
-
-/// The geometric mean of `ratios` as a percentage, "-" when empty.
-std::string ratioCell(const std::vector<double>& ratios) {
-  return ratios.empty()
-             ? "-"
-             : support::Table::percent(support::geometricMean(ratios));
+std::string scheduledCell(const Aggregate& agg) {
+  return std::to_string(agg.partScheduled) + "/" + std::to_string(agg.total);
 }
 
 /// One workflow per family for the per-family extension tables: the default
@@ -566,7 +539,7 @@ std::string ratioCell(const std::vector<double>& ratios) {
 struct FamilyRun {
   const Instance& instance;
   const RunOutcome& outcome;
-  platform::Cluster cluster;
+  const platform::Cluster& cluster;
 };
 
 FamilyRun familyRun(const BenchContext& ctx, Comparisons& runs,
@@ -574,13 +547,11 @@ FamilyRun familyRun(const BenchContext& ctx, Comparisons& runs,
   const int size = ctx.env().smallSizes().back();
   const std::string name =
       workflows::familyName(family) + "-n" + std::to_string(size) + "-s1";
-  const std::vector<Instance>& instances = runs.instances();
-  const Outcomes& outcomes = runs({});
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (instances[i].name != name) continue;
-    platform::Cluster cluster = defaultCluster();
-    cluster.scaleMemoriesToFit(instances[i].dag.maxTaskMemoryRequirement());
-    return {instances[i], outcomes[i], std::move(cluster)};
+  const Pass pass = runs.realAndSmall();
+  for (std::size_t i = 0; i < pass.instances.size(); ++i) {
+    if (pass.instances[i].name == name) {
+      return {pass.instances[i], pass.outcomes[i], pass.scheduled[i].scaled};
+    }
   }
   throw std::logic_error("no default-comparison instance " + name);
 }
@@ -618,8 +589,8 @@ int ablationSteps(const BenchContext& ctx, Comparisons& runs) {
   groups.emplace_back("paper-merge", ablationRun(ctx, runs, paperMerge));
   support::Table table({"variant", "scheduled", "rel.makespan vs baseline"});
   for (const auto& [name, outcomes] : groups) {
-    table.addRow({name, scheduledCell(outcomes),
-                  ratioCell(makespanRatios(outcomes))});
+    const Aggregate agg = aggregateAll(outcomes);
+    table.addRow({name, scheduledCell(agg), relativeCell(agg)});
   }
   table.print(std::cout);
   return finish(ctx, "ablation_steps", groups);
@@ -659,8 +630,9 @@ int ablationSweep(const BenchContext& ctx, Comparisons& runs) {
     }
     const std::size_t candidates =
         scheduler::sweepCandidates(sweep, numProcessors).size();
-    table.addRow({name, std::to_string(candidates), scheduledCell(outcomes),
-                  ratioCell(makespanRatios(outcomes)),
+    const Aggregate agg = aggregateAll(outcomes);
+    table.addRow({name, std::to_string(candidates), scheduledCell(agg),
+                  relativeCell(agg),
                   support::Table::num(support::mean(seconds), 3)});
     groups.emplace_back(name, outcomes);
   }
@@ -846,23 +818,25 @@ int table02Clusters(const BenchContext&, Comparisons&) {
 // Extension (ours): how optimistic is the paper's uncontended Eq. (1)-(2)
 // makespan under fair-share link contention, and how much of the gap does
 // contention-aware scheduling (SchedulerOptions::contentionAware) win back?
-// A CCR ladder (bandwidth = 1/ccr) over the extension instances; each
-// instance is scheduled by the oblivious and the aware pipeline and both
-// are judged against the deterministic fair-share block-synchronous
-// simulation.
+// A CCR ladder (bandwidth = 1/ccr) over the real-world and small workflows;
+// each rung's oblivious schedules are the comparison at that bandwidth (the
+// first three are Fig. 7's), the contention-aware pipeline schedules each
+// instance on the same scaled cluster, and both are judged against the
+// deterministic fair-share block-synchronous simulation.
 int contentionGap(const BenchContext& ctx, Comparisons& runs) {
   printPreamble(
       ctx, "Contention gap: static optimism vs contention-aware recovery",
       "extension (no paper figure); expected shape: the optimism gap grows "
       "with the CCR, and contention-aware Step-3/4 search wins back part of "
       "it (aware gain > 1 where transfers overlap)");
-  const std::vector<Instance>& instances = runs.extensionInstances();
-  const platform::Cluster cluster = defaultCluster();
   const std::vector<double> ccrLadder{0.5, 1.0, 2.0, 4.0};
-  experiments::ContentionRunnerOptions options;
-  options.part = ctx.options().part;
+  std::vector<std::span<const ScheduledInstance>> oblivious;
+  for (const double ccr : ccrLadder) {
+    oblivious.push_back(runs.realAndSmall({.bandwidth = 1.0 / ccr}).scheduled);
+  }
   const std::vector<experiments::ContentionOutcome> outcomes =
-      experiments::runContention(instances, cluster, ccrLadder, options);
+      experiments::runContention(runs.realAndSmall().instances, ccrLadder,
+                                 oblivious, ctx.options().part);
 
   support::Table table({"ccr", "band", "workflows", "optimism gap",
                         "aware gain", "recovered", "wins/losses"});
@@ -954,8 +928,7 @@ int reschedRecovery(const BenchContext& ctx, Comparisons& runs) {
       "extension (no paper figure); expected shape: event-triggered repair "
       "recovers part of the degradation the no-resched baseline suffers, at "
       "a handful of splices per run");
-  const std::vector<Instance>& instances = runs.extensionInstances();
-  const auto& scheduled = runs.extensionSchedules();
+  const Pass pass = runs.realAndSmall();
   // Deterministic control rung, two straggler strengths, and a transient
   // processor slowdown (the scenario the adaptive speed estimates target).
   std::vector<experiments::NoiseLevel> levels =
@@ -971,7 +944,8 @@ int reschedRecovery(const BenchContext& ctx, Comparisons& runs) {
   options.seed = 42;
   options.replications = replications(ctx, 5, 20, 60);
   const std::vector<experiments::ReschedOutcome> outcomes =
-      experiments::runRescheduling(instances, scheduled, levels, options);
+      experiments::runRescheduling(pass.instances, pass.scheduled, levels,
+                                   options);
 
   support::Table table({"noise", "policy", "scheduler", "instances",
                         "mean slowdown", "p95 slowdown", "recovered",
@@ -1014,8 +988,7 @@ int faultRecovery(const BenchContext& ctx, Comparisons& runs) {
       "extension (no paper figure); expected shape: recovery-aware repair "
       "strictly beats greedy re-execution at every nonzero fault rate, with "
       "the gap widening as failures get more likely");
-  const std::vector<Instance>& instances = runs.extensionInstances();
-  const auto& scheduled = runs.extensionSchedules();
+  const Pass pass = runs.realAndSmall();
   const std::vector<experiments::FaultLevel> levels =
       experiments::defaultFaultLadder();
 
@@ -1023,7 +996,8 @@ int faultRecovery(const BenchContext& ctx, Comparisons& runs) {
   options.seed = 42;
   options.replications = replications(ctx, 5, 20, 60);
   const std::vector<experiments::FaultOutcome> outcomes =
-      experiments::runFaultRecovery(instances, scheduled, levels, options);
+      experiments::runFaultRecovery(pass.instances, pass.scheduled, levels,
+                                    options);
   const auto aggregates = experiments::aggregateFaultRecovery(outcomes);
 
   support::Table table({"faults", "scheduler", "instances", "fail-stops",
@@ -1084,8 +1058,7 @@ int robustnessNoise(const BenchContext& ctx, Comparisons& runs) {
       "extension (no paper figure); expected shape: slowdown grows with "
       "sigma, HetPart's tighter critical path degrades faster than HetMem's "
       "serial chain");
-  const std::vector<Instance>& instances = runs.extensionInstances();
-  const auto& scheduled = runs.extensionSchedules();
+  const Pass pass = runs.realAndSmall();
   const std::vector<experiments::NoiseLevel> levels =
       experiments::lognormalLadder({0.0, 0.05, 0.1, 0.2, 0.4});
 
@@ -1095,7 +1068,8 @@ int robustnessNoise(const BenchContext& ctx, Comparisons& runs) {
   options.seed = 42;
   options.replications = replications(ctx, 10, 40, 200);
   const std::vector<experiments::RobustnessOutcome> outcomes =
-      experiments::runRobustness(instances, scheduled, levels, options);
+      experiments::runRobustness(pass.instances, pass.scheduled, levels,
+                                 options);
 
   support::Table table({"noise", "scheduler", "instances", "mean slowdown",
                         "p95 slowdown", "worst", "overflow runs"});

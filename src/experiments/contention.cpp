@@ -1,7 +1,9 @@
 #include "experiments/contention.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
+#include <stdexcept>
 
 #include "experiments/export.hpp"
 #include "memory/oracle.hpp"
@@ -30,14 +32,33 @@ double simulateContended(const graph::Dag& g, const platform::Cluster& cluster,
 }  // namespace
 
 std::vector<ContentionOutcome> runContention(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
-    const std::vector<double>& ccrLadder,
-    const ContentionRunnerOptions& options) {
+    std::span<const Instance> instances, const std::vector<double>& ccrLadder,
+    const std::vector<std::span<const ScheduledInstance>>& obliviousPasses,
+    const scheduler::DagHetPartConfig& part) {
+  if (obliviousPasses.size() != ccrLadder.size()) {
+    throw std::invalid_argument("runContention needs one pass per CCR rung");
+  }
+  for (std::size_t r = 0; r < ccrLadder.size(); ++r) {
+    requireCovered(instances.size(), obliviousPasses[r]);
+    if (!instances.empty() &&
+        obliviousPasses[r][0].scaled.bandwidth() != 1.0 / ccrLadder[r]) {
+      throw std::invalid_argument("pass not scheduled at bandwidth 1/ccr");
+    }
+  }
+  scheduler::DagHetPartConfig awareConfig = part;
+  awareConfig.options.contentionAware = true;
   // Fixed slot layout (instance-major, then rung) keeps the result order
   // independent of thread scheduling.
   std::vector<ContentionOutcome> slots(instances.size() * ccrLadder.size());
-
-  auto runOne = [&](std::size_t slot) {
+  const comm::CommCostModel& fairShare = comm::fairShareCommModel();
+  // States the team's fork and join in atomics ThreadSanitizer sees, as in
+  // scheduleInstances: the workers read the caller's passes, which the
+  // caller may free right after this returns.
+  std::atomic<std::size_t> done;
+  done.store(0, std::memory_order_release);
+#pragma omp parallel for schedule(dynamic)
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    (void)done.load(std::memory_order_acquire);
     const std::size_t i = slot / ccrLadder.size();
     const std::size_t r = slot % ccrLadder.size();
     const Instance& inst = instances[i];
@@ -53,20 +74,12 @@ std::vector<ContentionOutcome> runContention(
     out.numTasks = inst.numTasks;
     out.ccr = ccr;
 
-    platform::Cluster scaled = cluster;
-    scaled.scaleMemoriesToFit(inst.dag.maxTaskMemoryRequirement());
-    scaled.setBandwidth(1.0 / ccr);
-
-    scheduler::DagHetPartConfig cfg = options.part;
-    cfg.options.contentionAware = false;
-    const scheduler::ScheduleResult oblivious =
-        scheduler::dagHetPart(inst.dag, scaled, cfg);
-    cfg.options.contentionAware = true;
+    const platform::Cluster& scaled = obliviousPasses[r][i].scaled;
+    const scheduler::ScheduleResult& oblivious = obliviousPasses[r][i].part;
     const scheduler::ScheduleResult aware =
-        scheduler::dagHetPart(inst.dag, scaled, cfg);
+        scheduler::dagHetPart(inst.dag, scaled, awareConfig);
 
-    const memory::MemDagOracle oracle(inst.dag, options.part.oracle);
-    const comm::CommCostModel& fairShare = comm::fairShareCommModel();
+    const memory::MemDagOracle oracle(inst.dag, part.oracle);
     out.obliviousFeasible = oblivious.feasible;
     if (oblivious.feasible) {
       out.obliviousStatic = scheduler::staticMakespan(inst.dag, scaled,
@@ -85,10 +98,9 @@ std::vector<ContentionOutcome> runContention(
               .value_or(0.0);
       out.awareSimulated = simulateContended(inst.dag, scaled, aware, oracle);
     }
-  };
-
-#pragma omp parallel for schedule(dynamic)
-  for (std::size_t s = 0; s < slots.size(); ++s) runOne(s);
+    done.fetch_add(1, std::memory_order_acq_rel);
+  }
+  (void)done.load(std::memory_order_acquire);
   return slots;
 }
 

@@ -4,12 +4,12 @@
 // contention-aware scheduling (SchedulerOptions::contentionAware) win back?
 //
 // For every instance and every rung of a CCR ladder (communication-to-
-// computation ratio; the cluster bandwidth is set to 1/ccr, so higher rungs
-// mean slower links and more contention), DagHetPart schedules the workflow
-// twice — contention-oblivious (the paper's pipeline) and contention-aware —
-// and both schedules are executed through the deterministic fair-share
-// block-synchronous simulator, the ground truth both cost models are judged
-// against:
+// computation ratio; the cluster bandwidth is 1/ccr, so higher rungs mean
+// slower links and more contention), the caller's pass at that bandwidth
+// holds the contention-oblivious DagHetPart schedule (the paper's pipeline)
+// and runContention adds a contention-aware one on the same scaled cluster;
+// both are executed through the deterministic fair-share block-synchronous
+// simulator, the ground truth both cost models are judged against:
 //
 //   optimism gap       = simulated / static  of the oblivious schedule: how
 //                        much the paper's Eq. (1)-(2) underestimates the
@@ -26,6 +26,7 @@
 // baseline like the fig03/table04/resched benches.
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,19 +52,19 @@ struct ContentionOutcome {
   double awareStatic = 0.0;
   double awarePredicted = 0.0;  // the value the aware search optimized
   double awareSimulated = 0.0;
+  friend bool operator==(const ContentionOutcome&,
+                         const ContentionOutcome&) = default;
 };
 
-struct ContentionRunnerOptions {
-  scheduler::DagHetPartConfig part;  // options.contentionAware is overridden
-};
-
-/// Schedules every instance at every CCR rung with contention-aware search
-/// off and on (cluster memories scaled per Sec. 5.1.2, bandwidth = 1/ccr)
-/// and simulates both schedules under fair-share contention.
+/// For every instance and CCR rung r: reads the oblivious schedule and its
+/// scaled cluster from `obliviousPasses[r]` (scheduled with `part` at
+/// bandwidth 1/ccrLadder[r]), schedules the contention-aware arm on that
+/// cluster and simulates both under fair-share contention. Throws
+/// std::invalid_argument unless there is one covering pass per rung.
 std::vector<ContentionOutcome> runContention(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
-    const std::vector<double>& ccrLadder,
-    const ContentionRunnerOptions& options);
+    std::span<const Instance> instances, const std::vector<double>& ccrLadder,
+    const std::vector<std::span<const ScheduledInstance>>& obliviousPasses,
+    const scheduler::DagHetPartConfig& part);
 
 /// Per-group aggregate: the bench table / JSON rows.
 struct ContentionAggregate {

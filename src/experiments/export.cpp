@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "support/csv.hpp"
@@ -126,9 +127,6 @@ support::JsonValue aggregateToJson(const Aggregate& agg) {
 
 namespace {
 
-// "band|family" composite keys; '|' cannot appear in band or family names.
-constexpr char kGroupSep = '|';
-
 support::JsonValue rowJson(const std::string& config, const std::string& band,
                            const std::string& family, const Aggregate& agg) {
   support::JsonObject obj = aggregateToJson(agg).asObject();
@@ -173,13 +171,10 @@ BenchExport outcomesExport(const std::string& bench,
     all.insert(all.end(), outcomes.begin(), outcomes.end());
     // Per-(band, family) rows: the finest aggregate the paper reports.
     const auto byGroup = aggregateBy(outcomes, [](const RunOutcome& o) {
-      return workflows::sizeBandName(o.band) + std::string(1, kGroupSep) +
-             o.family;
+      return std::pair(workflows::sizeBandName(o.band), o.family);
     });
     for (const auto& [key, agg] : byGroup) {
-      const std::size_t sep = key.find(kGroupSep);
-      out.rows.push_back(
-          rowJson(config, key.substr(0, sep), key.substr(sep + 1), agg));
+      out.rows.push_back(rowJson(config, key.first, key.second, agg));
     }
     // Per-band rollups ("family": "*"), matching the printed band tables.
     for (const auto& [band, agg] : aggregateByBand(outcomes)) {
@@ -187,10 +182,7 @@ BenchExport outcomesExport(const std::string& bench,
           rowJson(config, workflows::sizeBandName(band), "*", agg));
     }
   }
-  out.extra["overall"] = aggregateToJson(
-      aggregateBy(all, [](const RunOutcome&) {
-        return std::string("all");
-      })["all"]);
+  out.extra["overall"] = aggregateToJson(aggregateAll(all));
   return out;
 }
 

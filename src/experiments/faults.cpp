@@ -68,8 +68,8 @@ platform::Cluster addSpareProcessors(const platform::Cluster& cluster,
 }
 
 std::vector<FaultOutcome> runFaultRecovery(
-    const std::vector<Instance>& instances,
-    const std::vector<ScheduledInstance>& scheduled,
+    std::span<const Instance> instances,
+    std::span<const ScheduledInstance> scheduled,
     const std::vector<FaultLevel>& levels,
     const FaultRunnerOptions& options) {
   constexpr double kInf = std::numeric_limits<double>::infinity();

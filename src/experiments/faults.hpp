@@ -97,8 +97,8 @@ struct FaultRunnerOptions {
 /// both schedulers face the identical fault draw — and the fixed slot layout
 /// keeps results independent of thread count.
 std::vector<FaultOutcome> runFaultRecovery(
-    const std::vector<Instance>& instances,
-    const std::vector<ScheduledInstance>& scheduled,
+    std::span<const Instance> instances,
+    std::span<const ScheduledInstance> scheduled,
     const std::vector<FaultLevel>& levels, const FaultRunnerOptions& options);
 
 /// Per-(level, scheduler) aggregate: the bench table / JSON rows. The fault

@@ -83,7 +83,7 @@ void requireValid(const char* algorithm, const Instance& inst,
 }  // namespace
 
 std::vector<ScheduledInstance> scheduleInstances(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    std::span<const Instance> instances, const platform::Cluster& cluster,
     const scheduler::DagHetPartConfig& part,
     const scheduler::DagHetMemConfig& mem) {
   const obs::Span batchSpan("harness.for_each_scheduled",
@@ -113,11 +113,10 @@ std::vector<ScheduledInstance> scheduleInstances(
   return scheduled;
 }
 
-std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
-                                      const platform::Cluster& cluster,
-                                      const RunnerOptions& options) {
-  const std::vector<ScheduledInstance> scheduled =
-      scheduleInstances(instances, cluster, options.part, options.mem);
+std::vector<RunOutcome> outcomesOf(std::span<const Instance> instances,
+                                   std::span<const ScheduledInstance> scheduled,
+                                   const RunnerOptions& options) {
+  requireCovered(instances.size(), scheduled);
   std::vector<RunOutcome> outcomes(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Instance& inst = instances[i];
@@ -146,7 +145,14 @@ std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
   return outcomes;
 }
 
-namespace {
+std::vector<RunOutcome> runComparison(std::span<const Instance> instances,
+                                      const platform::Cluster& cluster,
+                                      const RunnerOptions& options) {
+  return outcomesOf(
+      instances,
+      scheduleInstances(instances, cluster, options.part, options.mem),
+      options);
+}
 
 Aggregate aggregateGroup(const std::vector<const RunOutcome*>& group) {
   Aggregate agg;
@@ -178,29 +184,13 @@ Aggregate aggregateGroup(const std::vector<const RunOutcome*>& group) {
   return agg;
 }
 
-}  // namespace
+Aggregate aggregateAll(const std::vector<RunOutcome>& outcomes) {
+  return aggregateBy(outcomes, [](const RunOutcome&) { return 0; })[0];
+}
 
 std::map<SizeBand, Aggregate> aggregateByBand(
     const std::vector<RunOutcome>& outcomes) {
-  std::map<SizeBand, std::vector<const RunOutcome*>> groups;
-  for (const RunOutcome& out : outcomes) groups[out.band].push_back(&out);
-  std::map<SizeBand, Aggregate> result;
-  for (const auto& [band, group] : groups) {
-    result[band] = aggregateGroup(group);
-  }
-  return result;
-}
-
-std::map<std::string, Aggregate> aggregateBy(
-    const std::vector<RunOutcome>& outcomes,
-    const std::function<std::string(const RunOutcome&)>& keyOf) {
-  std::map<std::string, std::vector<const RunOutcome*>> groups;
-  for (const RunOutcome& out : outcomes) groups[keyOf(out)].push_back(&out);
-  std::map<std::string, Aggregate> result;
-  for (const auto& [key, group] : groups) {
-    result[key] = aggregateGroup(group);
-  }
-  return result;
+  return aggregateBy(outcomes, [](const RunOutcome& out) { return out.band; });
 }
 
 }  // namespace dagpm::experiments

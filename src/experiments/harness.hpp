@@ -2,12 +2,16 @@
 // Experiment harness: builds the paper's instance sets, runs both schedulers
 // over them (OpenMP-parallel across instances), and aggregates relative
 // makespans the way the paper reports them (geometric mean of per-workflow
-// ratios).
+// ratios). Instances are scheduled independently, so every entry point takes
+// spans: a caller hands it a prefix of a longer pass without copying.
 
 #include <atomic>
 #include <functional>
 #include <map>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graph/dag.hpp"
@@ -63,21 +67,35 @@ struct ScheduledInstance {
   scheduler::ScheduleResult mem;
 };
 
-/// The harness's scheduling pass, read by the comparison and by the
-/// Monte-Carlo runners: entry i holds instances[i] scheduled by DagHetPart
-/// and DagHetMem on its memory-scaled cluster copy. OpenMP-parallel across
-/// instances (the loops nested below, e.g. the k' sweep, then run on the
-/// thread that reached them).
+/// The harness's scheduling pass, read by the comparison, the contention
+/// study and the Monte-Carlo runners: entry i holds instances[i] scheduled
+/// by DagHetPart and DagHetMem on its memory-scaled cluster copy.
+/// OpenMP-parallel across instances (the loops nested below, e.g. the k'
+/// sweep, then run on the thread that reached them).
 std::vector<ScheduledInstance> scheduleInstances(
-    const std::vector<Instance>& instances, const platform::Cluster& cluster,
+    std::span<const Instance> instances, const platform::Cluster& cluster,
     const scheduler::DagHetPartConfig& part = {},
     const scheduler::DagHetMemConfig& mem = {});
 
-/// Runs scheduleInstances and records feasibility, makespan and scheduler
-/// runtime of both algorithms per instance.
-std::vector<RunOutcome> runComparison(const std::vector<Instance>& instances,
+/// Feasibility, makespan and scheduler runtime of both algorithms per
+/// instance of a pass, each feasible schedule re-validated first when
+/// `options.validate` is set. Throws std::invalid_argument on a short pass.
+std::vector<RunOutcome> outcomesOf(std::span<const Instance> instances,
+                                   std::span<const ScheduledInstance> scheduled,
+                                   const RunnerOptions& options);
+
+/// scheduleInstances followed by outcomesOf.
+std::vector<RunOutcome> runComparison(std::span<const Instance> instances,
                                       const platform::Cluster& cluster,
                                       const RunnerOptions& options);
+
+/// Throws std::invalid_argument when `pass` has fewer than `count` entries.
+inline void requireCovered(std::size_t count,
+                           std::span<const ScheduledInstance> pass) {
+  if (pass.size() < count) {
+    throw std::invalid_argument("schedule pass shorter than its instances");
+  }
+}
 
 /// What identifies one Monte-Carlo outcome (robustness, rescheduling, fault
 /// recovery): the replayed schedule and the level it was replayed at.
@@ -112,13 +130,15 @@ struct ReplayCell {
 /// oracle. OpenMP-parallel across instances; the fixed slot layout
 /// (instance-major, then level, policy, scheduler) makes the result order
 /// and every seed derived from a cell independent of thread scheduling.
-/// Returns the filled slots in layout order.
+/// Returns the filled slots in layout order. Throws std::invalid_argument
+/// when `scheduled` is shorter than `instances`.
 template <class Outcome, class Level, class LevelName, class Replay>
 std::vector<Outcome> replayScheduled(
-    const std::vector<Instance>& instances,
-    const std::vector<ScheduledInstance>& scheduled,
+    std::span<const Instance> instances,
+    std::span<const ScheduledInstance> scheduled,
     const std::vector<Level>& levels, LevelName levelName,
     std::size_t numPolicies, Replay replay) {
+  requireCovered(instances.size(), scheduled);
   const std::size_t numLevels = levels.size();
   std::vector<Outcome> slots(instances.size() * numLevels * numPolicies * 2);
   std::vector<char> filled(slots.size(), 0);
@@ -176,13 +196,26 @@ struct Aggregate {
   double geomeanRuntimeRatio = 0.0;  // geomean(part/mem runtime)
 };
 
+/// Aggregates one group of outcomes.
+Aggregate aggregateGroup(const std::vector<const RunOutcome*>& group);
+
+/// Groups outcomes by an arbitrary key (family, (band, family), ...), in
+/// key order.
+template <class KeyOf>
+auto aggregateBy(const std::vector<RunOutcome>& outcomes, const KeyOf& keyOf) {
+  using Key = std::decay_t<std::invoke_result_t<KeyOf, const RunOutcome&>>;
+  std::map<Key, std::vector<const RunOutcome*>> groups;
+  for (const RunOutcome& out : outcomes) groups[keyOf(out)].push_back(&out);
+  std::map<Key, Aggregate> result;
+  for (const auto& [key, group] : groups) result[key] = aggregateGroup(group);
+  return result;
+}
+
+/// Aggregates all outcomes as one group.
+Aggregate aggregateAll(const std::vector<RunOutcome>& outcomes);
+
 /// Groups outcomes by size band.
 std::map<workflows::SizeBand, Aggregate> aggregateByBand(
     const std::vector<RunOutcome>& outcomes);
-
-/// Groups outcomes by an arbitrary key (family, size, ...).
-std::map<std::string, Aggregate> aggregateBy(
-    const std::vector<RunOutcome>& outcomes,
-    const std::function<std::string(const RunOutcome&)>& keyOf);
 
 }  // namespace dagpm::experiments

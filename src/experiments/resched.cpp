@@ -55,8 +55,8 @@ std::vector<NoiseLevel> stragglerLadder(
 }
 
 std::vector<ReschedOutcome> runRescheduling(
-    const std::vector<Instance>& instances,
-    const std::vector<ScheduledInstance>& scheduled,
+    std::span<const Instance> instances,
+    std::span<const ScheduledInstance> scheduled,
     const std::vector<NoiseLevel>& levels,
     const ReschedulingRunnerOptions& options) {
   const std::vector<PolicyConfig> policies = defaultPolicyLadder();

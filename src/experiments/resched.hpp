@@ -73,8 +73,8 @@ struct ReschedulingRunnerOptions {
 /// (instance, level, replication) — policies and schedulers see the
 /// identical noise draw — and results are independent of thread count.
 std::vector<ReschedOutcome> runRescheduling(
-    const std::vector<Instance>& instances,
-    const std::vector<ScheduledInstance>& scheduled,
+    std::span<const Instance> instances,
+    std::span<const ScheduledInstance> scheduled,
     const std::vector<NoiseLevel>& levels,
     const ReschedulingRunnerOptions& options);
 

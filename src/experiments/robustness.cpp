@@ -28,8 +28,8 @@ std::vector<NoiseLevel> lognormalLadder(const std::vector<double>& sigmas) {
 }
 
 std::vector<RobustnessOutcome> runRobustness(
-    const std::vector<Instance>& instances,
-    const std::vector<ScheduledInstance>& scheduled,
+    std::span<const Instance> instances,
+    std::span<const ScheduledInstance> scheduled,
     const std::vector<NoiseLevel>& levels,
     const sim::RobustnessOptions& options) {
   return replayScheduled<RobustnessOutcome>(

@@ -41,8 +41,8 @@ struct RobustnessOutcome : OutcomeKey {
 /// the parallel schedule. Infeasible (instance, scheduler) pairs are
 /// skipped.
 std::vector<RobustnessOutcome> runRobustness(
-    const std::vector<Instance>& instances,
-    const std::vector<ScheduledInstance>& scheduled,
+    std::span<const Instance> instances,
+    std::span<const ScheduledInstance> scheduled,
     const std::vector<NoiseLevel>& levels,
     const sim::RobustnessOptions& options);
 

@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <set>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 
 #include "experiments/contention.hpp"
 #include "experiments/faults.hpp"
@@ -181,9 +183,10 @@ TEST(Rescheduling, EventTriggeredPolicyBeatsNoReschedAtLognormalNoise) {
   EXPECT_GT(acceptedSplices, 0.0);
 }
 
-// The Monte-Carlo runners replay a schedule pass instead of scheduling
-// themselves. One pass shared by all three runners must give each the
-// outcomes a pass of its own gives, at any OpenMP thread count.
+// The Monte-Carlo runners and the contention study's oblivious arm replay a
+// schedule pass instead of scheduling themselves. One pass shared by all
+// four runners must give each the outcomes a pass of its own gives, at any
+// OpenMP thread count.
 TEST(MonteCarlo, SharedSchedulePassMatchesRebuiltPassAtAnyThreadCount) {
   std::vector<Instance> instances = makeRealInstances(1);
   instances.resize(2);
@@ -204,11 +207,17 @@ TEST(MonteCarlo, SharedSchedulePassMatchesRebuiltPassAtAnyThreadCount) {
   const std::vector<NoiseLevel> noiseLevels = lognormalLadder({0.0, 0.2});
   const std::vector<NoiseLevel> stragglers = stragglerLadder({0.0, 0.25}, 4.0);
   const std::vector<FaultLevel> faultLevels = defaultFaultLadder();
+  // CCR 1 reads the default cluster's pass; CCR 2 needs a pass of its own.
+  const std::vector<double> ccrLadder{1.0, 2.0};
+  const platform::Cluster slowLinks =
+      platform::makeCluster(platform::Heterogeneity::kDefault,
+                            platform::ClusterSize::kDefault, 0.5);
 
   struct Outcomes {
     std::vector<RobustnessOutcome> robustness;
     std::vector<ReschedOutcome> resched;
     std::vector<FaultOutcome> faults;
+    std::vector<ContentionOutcome> contention;
   };
   const auto runAll = [&](bool shared) {
     const std::vector<ScheduledInstance> pass =
@@ -220,6 +229,10 @@ TEST(MonteCarlo, SharedSchedulePassMatchesRebuiltPassAtAnyThreadCount) {
     out.robustness = runRobustness(instances, schedules(), noiseLevels, noise);
     out.resched = runRescheduling(instances, schedules(), stragglers, resched);
     out.faults = runFaultRecovery(instances, schedules(), faultLevels, faults);
+    const std::vector<ScheduledInstance> atCcr1 = schedules();
+    out.contention = runContention(
+        instances, ccrLadder,
+        {atCcr1, scheduleInstances(instances, slowLinks)}, {});
     return out;
   };
   const Outcomes shared = test::withOmpThreads(1, [&] { return runAll(true); });
@@ -230,12 +243,56 @@ TEST(MonteCarlo, SharedSchedulePassMatchesRebuiltPassAtAnyThreadCount) {
   ASSERT_FALSE(shared.robustness.empty());
   ASSERT_FALSE(shared.resched.empty());
   ASSERT_FALSE(shared.faults.empty());
+  ASSERT_EQ(shared.contention.size(), instances.size() * ccrLadder.size());
   EXPECT_TRUE(shared.robustness == rebuilt.robustness);
   EXPECT_TRUE(shared.resched == rebuilt.resched);
   EXPECT_TRUE(shared.faults == rebuilt.faults);
+  EXPECT_TRUE(shared.contention == rebuilt.contention);
   EXPECT_TRUE(shared.robustness == threaded.robustness);
   EXPECT_TRUE(shared.resched == threaded.resched);
   EXPECT_TRUE(shared.faults == threaded.faults);
+  EXPECT_TRUE(shared.contention == threaded.contention);
+}
+
+// A pass shorter than its instance list is rejected before a replay can
+// read past its end; callers hand the runners prefixes of longer passes.
+TEST(MonteCarlo, ShortSchedulePassIsRejected) {
+  std::vector<Instance> instances = makeRealInstances(1);
+  instances.resize(2);
+  const platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
+  std::vector<ScheduledInstance> pass = scheduleInstances(instances, cluster);
+  pass.pop_back();
+  sim::RobustnessOptions noise;
+  noise.replications = 1;
+  EXPECT_THROW(runRobustness(instances, pass, lognormalLadder({0.0}), noise),
+               std::invalid_argument);
+  EXPECT_THROW(runRescheduling(instances, pass, stragglerLadder({0.0}, 4.0),
+                               ReschedulingRunnerOptions{}),
+               std::invalid_argument);
+  EXPECT_THROW(runFaultRecovery(instances, pass, defaultFaultLadder(),
+                                FaultRunnerOptions{}),
+               std::invalid_argument);
+}
+
+// runContention reads rung r's oblivious schedules from pass r: the passes
+// must cover every instance, one per rung, at the rung's bandwidth.
+TEST(Contention, PassesMustMatchTheLadder) {
+  std::vector<Instance> instances = makeRealInstances(1);
+  instances.resize(2);
+  const platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
+  const std::vector<ScheduledInstance> pass =
+      scheduleInstances(instances, cluster);
+  const std::span<const ScheduledInstance> shortPass =
+      std::span(pass).first(1);
+  EXPECT_THROW(runContention(instances, {1.0}, {shortPass}, {}),
+               std::invalid_argument);
+  EXPECT_THROW(runContention(instances, {1.0, 2.0}, {pass}, {}),
+               std::invalid_argument);
+  EXPECT_THROW(runContention(instances, {2.0}, {pass}, {}),
+               std::invalid_argument);
+  EXPECT_EQ(runContention(instances, {1.0}, {pass}, {}).size(), 2u);
 }
 
 TEST(Contention, AwareSchedulingImprovesSimulatedMakespanAtHighCcr) {
@@ -244,18 +301,25 @@ TEST(Contention, AwareSchedulingImprovesSimulatedMakespanAtHighCcr) {
   // simulated makespan beats the oblivious pipeline's in geometric mean, and
   // it never loses in aggregate at any rung. Everything is deterministic, so
   // this is a fixed property of the code, not a statistical one.
-  const platform::Cluster cluster = platform::makeCluster(
-      platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
   std::vector<Instance> instances = makeRealInstances(1);
   for (Instance& inst :
        makeSyntheticInstances({60}, workflows::SizeBand::kSmall, 1)) {
     instances.push_back(std::move(inst));
   }
   const std::vector<double> ladder{1.0, 2.0, 4.0};
-  ContentionRunnerOptions options;
-  options.part.sweep = scheduler::KPrimeSweep::kDoubling;
-  const std::vector<ContentionOutcome> outcomes =
-      runContention(instances, cluster, ladder, options);
+  scheduler::DagHetPartConfig part;
+  part.sweep = scheduler::KPrimeSweep::kDoubling;
+  // Each rung's oblivious arm: the pass at bandwidth 1/ccr.
+  std::vector<std::vector<ScheduledInstance>> passes;
+  for (const double ccr : ladder) {
+    passes.push_back(scheduleInstances(
+        instances,
+        platform::makeCluster(platform::Heterogeneity::kDefault,
+                              platform::ClusterSize::kDefault, 1.0 / ccr),
+        part));
+  }
+  const std::vector<ContentionOutcome> outcomes = runContention(
+      instances, ladder, {passes.begin(), passes.end()}, part);
 
   const auto aggregates = aggregateContention(outcomes);
   int strictWins = 0;

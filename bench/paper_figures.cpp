@@ -72,6 +72,7 @@ bool realOrSmall(const Instance& inst) {
 }
 
 /// A prefix of one comparison: entry i of each span belongs to instance i.
+/// A DagHetPart-only pass has no DagHetMem half and no outcomes.
 struct Pass {
   std::span<const Instance> instances;
   std::span<const ScheduledInstance> scheduled;
@@ -88,16 +89,20 @@ class Comparisons {
 
   /// The outcomes of `config` over all of its instances.
   const Outcomes& operator()(const Config& config) {
-    prefix(config, instances(config.workScale).size());
+    prefix(config, instances(config.workScale).size(), /*withMem=*/true);
     return cache_[config].second;
   }
 
   /// `config` over the real-world and small instances.
   Pass realAndSmall(const Config& config = {}) {
-    const std::vector<Instance>& all = instances(config.workScale);
-    return prefix(config, static_cast<std::size_t>(
-                              std::ranges::find_if_not(all, realOrSmall) -
-                              all.begin()));
+    return prefix(config, realAndSmallCount(config), /*withMem=*/true);
+  }
+
+  /// DagHetPart's half of realAndSmall(config), for a figure that reads no
+  /// DagHetMem schedule: a later realAndSmall(config) schedules only the
+  /// DagHetMem half.
+  Pass realAndSmallPart(const Config& config = {}) {
+    return prefix(config, realAndSmallCount(config), /*withMem=*/false);
   }
 
  private:
@@ -109,27 +114,55 @@ class Comparisons {
     return instances->second;
   }
 
-  /// `config`'s first `count` instances, scheduling those not scheduled yet.
-  Pass prefix(const Config& config, std::size_t count) {
+  std::size_t realAndSmallCount(const Config& config) {
     const std::vector<Instance>& all = instances(config.workScale);
+    return static_cast<std::size_t>(
+        std::ranges::find_if_not(all, realOrSmall) - all.begin());
+  }
+
+  /// `config`'s first `count` instances, scheduling those not scheduled yet
+  /// (by DagHetPart, and by DagHetMem too when `withMem`).
+  Pass prefix(const Config& config, std::size_t count, bool withMem) {
+    const std::vector<Instance>& all = instances(config.workScale);
+    // Entries [0, outcomes.size()) hold both halves; the rest of
+    // `scheduled` holds DagHetPart's half only.
     auto& [scheduled, outcomes] = cache_[config];
+    // Room for every instance: growing never moves what a Pass views.
+    scheduled.reserve(all.size());
+    outcomes.reserve(all.size());
+    const platform::Cluster cluster =
+        platform::makeCluster(config.het, config.size, config.bandwidth);
+    const experiments::RunnerOptions options = ctx_.options();
+    const std::size_t partOnlyEnd = std::min(count, scheduled.size());
+    if (withMem && outcomes.size() < partOnlyEnd) {
+      std::vector<ScheduledInstance> late = experiments::scheduleInstances(
+          std::span(all).subspan(outcomes.size(),
+                                 partOnlyEnd - outcomes.size()),
+          cluster, std::nullopt, options.mem);
+      for (std::size_t i = 0; i < late.size(); ++i) {
+        scheduled[outcomes.size() + i].mem = std::move(late[i].mem);
+      }
+    }
     if (scheduled.size() < count) {
-      // Room for every instance: growing never moves what a Pass views.
-      scheduled.reserve(all.size());
-      outcomes.reserve(all.size());
       const auto fresh =
           std::span(all).subspan(scheduled.size(), count - scheduled.size());
-      const experiments::RunnerOptions options = ctx_.options();
-      std::vector<ScheduledInstance> pass = experiments::scheduleInstances(
-          fresh,
-          platform::makeCluster(config.het, config.size, config.bandwidth),
-          options.part, options.mem);
-      std::ranges::move(experiments::outcomesOf(fresh, pass, options),
-                        std::back_inserter(outcomes));
-      std::ranges::move(pass, std::back_inserter(scheduled));
+      std::ranges::move(
+          experiments::scheduleInstances(
+              fresh, cluster, options.part,
+              withMem ? std::optional(options.mem) : std::nullopt),
+          std::back_inserter(scheduled));
+    }
+    if (withMem && outcomes.size() < count) {
+      const std::size_t done = outcomes.size();
+      std::ranges::move(
+          experiments::outcomesOf(
+              std::span(all).subspan(done, count - done),
+              std::span(scheduled).subspan(done, count - done), options),
+          std::back_inserter(outcomes));
     }
     return {std::span(all).first(count), std::span(scheduled).first(count),
-            std::span(outcomes).first(count)};
+            withMem ? std::span(outcomes).first(count)
+                    : std::span<const RunOutcome>()};
   }
 
   const BenchContext& ctx_;
@@ -516,15 +549,21 @@ Outcomes ablationOutcomes(Comparisons& runs) {
   return {outcomes.begin(), outcomes.end()};
 }
 
-/// DagHetPart configured by `part` against DagHetMem on the default cluster,
-/// over the real-world and small workflows. Not cached: every variant is
-/// compared once.
+/// DagHetPart configured by `part` against the default comparison's
+/// DagHetMem schedules on the default cluster, over the real-world and small
+/// workflows. Not cached: every variant is scheduled once, by DagHetPart
+/// alone (DagHetMem does not depend on the variant).
 Outcomes ablationRun(const BenchContext& ctx, Comparisons& runs,
                      const scheduler::DagHetPartConfig& part) {
+  const Pass pass = runs.realAndSmall();
+  std::vector<ScheduledInstance> variant = experiments::scheduleInstances(
+      pass.instances, defaultCluster(), part, std::nullopt);
+  for (std::size_t i = 0; i < variant.size(); ++i) {
+    variant[i].mem = pass.scheduled[i].mem;
+  }
   experiments::RunnerOptions options = ctx.options();
   options.part = part;
-  return experiments::runComparison(runs.realAndSmall().instances,
-                                    defaultCluster(), options);
+  return experiments::outcomesOf(pass.instances, variant, options);
 }
 
 /// "<DagHetPart scheduled>/<instances>".
@@ -832,10 +871,11 @@ int contentionGap(const BenchContext& ctx, Comparisons& runs) {
   const std::vector<double> ccrLadder{0.5, 1.0, 2.0, 4.0};
   std::vector<std::span<const ScheduledInstance>> oblivious;
   for (const double ccr : ccrLadder) {
-    oblivious.push_back(runs.realAndSmall({.bandwidth = 1.0 / ccr}).scheduled);
+    oblivious.push_back(
+        runs.realAndSmallPart({.bandwidth = 1.0 / ccr}).scheduled);
   }
   const std::vector<experiments::ContentionOutcome> outcomes =
-      experiments::runContention(runs.realAndSmall().instances, ccrLadder,
+      experiments::runContention(runs.realAndSmallPart().instances, ccrLadder,
                                  oblivious, ctx.options().part);
 
   support::Table table({"ccr", "band", "workflows", "optimism gap",

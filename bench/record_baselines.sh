@@ -33,7 +33,10 @@ trap 'rm -rf "$out_dir"' EXIT
 while read -r bench; do
   case "$bench" in ''|'#'*) continue ;; esac
   echo "running $bench"
-  DAGPM_QUICK=1 DAGPM_JSON_OUT="$out_dir" "$build_dir/bench/$bench" > /dev/null
+  # DAGPM_STATS as in CI, so each document's stats block carries the work
+  # counters as well as the span totals.
+  DAGPM_QUICK=1 DAGPM_JSON_OUT="$out_dir" DAGPM_STATS="$out_dir/$bench.stats" \
+    "$build_dir/bench/$bench" > /dev/null
 done < "$repo_root/bench/ci_baselines.txt"
 
 docs=("$@")

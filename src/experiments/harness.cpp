@@ -84,8 +84,8 @@ void requireValid(const char* algorithm, const Instance& inst,
 
 std::vector<ScheduledInstance> scheduleInstances(
     std::span<const Instance> instances, const platform::Cluster& cluster,
-    const scheduler::DagHetPartConfig& part,
-    const scheduler::DagHetMemConfig& mem) {
+    const std::optional<scheduler::DagHetPartConfig>& part,
+    const std::optional<scheduler::DagHetMemConfig>& mem) {
   const obs::Span batchSpan("harness.for_each_scheduled",
                             "instances=" + std::to_string(instances.size()));
   const int instanceParent = batchSpan.depth();
@@ -105,8 +105,8 @@ std::vector<ScheduledInstance> scheduleInstances(
     ScheduledInstance& out = scheduled[i];
     out.scaled = cluster;
     out.scaled.scaleMemoriesToFit(inst.dag.maxTaskMemoryRequirement());
-    out.part = scheduler::dagHetPart(inst.dag, out.scaled, part);
-    out.mem = scheduler::dagHetMem(inst.dag, out.scaled, mem);
+    if (part) out.part = scheduler::dagHetPart(inst.dag, out.scaled, *part);
+    if (mem) out.mem = scheduler::dagHetMem(inst.dag, out.scaled, *mem);
     done.fetch_add(1, std::memory_order_acq_rel);
   }
   (void)done.load(std::memory_order_acquire);

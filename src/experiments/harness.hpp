@@ -8,6 +8,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -59,8 +60,8 @@ struct RunnerOptions {
   bool validate = false;  // re-validate every feasible schedule
 };
 
-/// One instance scheduled by both algorithms on its memory-scaled copy of
-/// the cluster (Sec. 5.1.2).
+/// One instance scheduled by both algorithms (or one, see
+/// scheduleInstances) on its memory-scaled copy of the cluster (Sec. 5.1.2).
 struct ScheduledInstance {
   platform::Cluster scaled;
   scheduler::ScheduleResult part;
@@ -69,13 +70,17 @@ struct ScheduledInstance {
 
 /// The harness's scheduling pass, read by the comparison, the contention
 /// study and the Monte-Carlo runners: entry i holds instances[i] scheduled
-/// by DagHetPart and DagHetMem on its memory-scaled cluster copy.
+/// by DagHetPart and DagHetMem on its memory-scaled cluster copy. An
+/// algorithm passed as std::nullopt is not run; its half of every entry
+/// stays a default (infeasible) ScheduleResult.
 /// OpenMP-parallel across instances (the loops nested below, e.g. the k'
 /// sweep, then run on the thread that reached them).
 std::vector<ScheduledInstance> scheduleInstances(
     std::span<const Instance> instances, const platform::Cluster& cluster,
-    const scheduler::DagHetPartConfig& part = {},
-    const scheduler::DagHetMemConfig& mem = {});
+    const std::optional<scheduler::DagHetPartConfig>& part =
+        scheduler::DagHetPartConfig{},
+    const std::optional<scheduler::DagHetMemConfig>& mem =
+        scheduler::DagHetMemConfig{});
 
 /// Feasibility, makespan and scheduler runtime of both algorithms per
 /// instance of a pass, each feasible schedule re-validated first when

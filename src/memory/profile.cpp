@@ -11,31 +11,33 @@ Profile decomposeProfile(std::span<const graph::VertexId> tasks,
                          double startResident) {
   assert(tasks.size() == stepMemory.size());
   assert(tasks.size() == residentAfter.size());
+  const std::size_t n = tasks.size();
   Profile profile;
   profile.startResident = startResident;
 
+  // Segment = prefix of the remainder ending at the (last) minimum of the
+  // remaining resident values. Cutting at the global suffix minimum makes
+  // the first segment the deepest dropper; subsequent segments are risers
+  // with non-increasing (hill - delta), which keeps the within-branch order
+  // compatible with the global merge rule. One backward pass finds every
+  // suffix's last minimum.
+  std::vector<std::size_t> lastMin(n);
+  for (std::size_t i = n; i-- > 0;) {
+    const bool keepLater =
+        i + 1 < n && !(residentAfter[i] < residentAfter[lastMin[i + 1]]);
+    lastMin[i] = keepLater ? lastMin[i + 1] : i;
+  }
+
   std::size_t begin = 0;
   double segStartResident = startResident;
-  while (begin < tasks.size()) {
-    // Segment = prefix of the remainder ending at the (last) minimum of the
-    // remaining resident values. Cutting at the global suffix minimum makes
-    // the first segment the deepest dropper; subsequent segments are risers
-    // with non-increasing (hill - delta), which keeps the within-branch order
-    // compatible with the global merge rule.
-    std::size_t cut = begin;
-    double minResident = residentAfter[begin];
-    for (std::size_t i = begin; i < tasks.size(); ++i) {
-      if (residentAfter[i] <= minResident) {
-        minResident = residentAfter[i];
-        cut = i;
-      }
-    }
+  while (begin < n) {
+    const std::size_t cut = lastMin[begin];
     Segment seg;
     double hill = 0.0;
     for (std::size_t i = begin; i <= cut; ++i) {
       hill = std::max(hill, stepMemory[i] - segStartResident);
-      seg.tasks.push_back(tasks[i]);
     }
+    seg.tasks.assign(tasks.begin() + begin, tasks.begin() + cut + 1);
     seg.hill = hill;
     seg.delta = residentAfter[cut] - segStartResident;
     segStartResident = residentAfter[cut];
@@ -47,53 +49,63 @@ Profile decomposeProfile(std::span<const graph::VertexId> tasks,
 
 namespace {
 
-struct Tagged {
-  const Segment* seg;
-  std::size_t branch;
-  std::size_t index;  // position within the branch (precedence order)
-};
-
 /// Liu ordering: droppers before risers; droppers by increasing hill;
 /// risers by decreasing (hill - delta).
-bool liuLess(const Tagged& a, const Tagged& b) {
-  const bool aDrops = a.seg->delta < 0.0;
-  const bool bDrops = b.seg->delta < 0.0;
+bool liuLess(const Segment& a, const Segment& b) {
+  const bool aDrops = a.delta < 0.0;
+  const bool bDrops = b.delta < 0.0;
   if (aDrops != bDrops) return aDrops;
-  if (aDrops) {
-    if (a.seg->hill != b.seg->hill) return a.seg->hill < b.seg->hill;
-  } else {
-    const double ka = a.seg->hill - a.seg->delta;
-    const double kb = b.seg->hill - b.seg->delta;
-    if (ka != kb) return ka > kb;
-  }
-  // Deterministic tie-breaking; never reorders within a branch against
-  // precedence because the sort below is stable.
-  return false;
+  if (aDrops) return a.hill < b.hill;
+  return a.hill - a.delta > b.hill - b.delta;
+}
+
+/// A branch's next unconsumed segment.
+struct Head {
+  const Segment* seg;
+  std::size_t branch;
+};
+
+/// Heap order: true when `a` is taken after `b` (Liu order, then the lower
+/// branch index first), so the heap's front is the next segment to take.
+bool takenAfter(const Head& a, const Head& b) {
+  if (liuLess(*b.seg, *a.seg)) return true;
+  if (liuLess(*a.seg, *b.seg)) return false;
+  return a.branch > b.branch;
 }
 
 }  // namespace
 
 std::vector<graph::VertexId> mergeProfiles(std::span<const Profile> branches) {
-  // K-way head-greedy merge: repeatedly take, among the branches' next
-  // unconsumed segments, the best one under the Liu rule. This preserves
-  // within-branch precedence by construction and coincides with a global
-  // sort whenever the canonical decomposition is well-ordered (it is, by
-  // Liu's segmentation lemma; the head-greedy form is robust regardless).
-  std::vector<std::size_t> next(branches.size(), 0);
-  std::vector<graph::VertexId> merged;
-  while (true) {
-    bool anyLeft = false;
-    Tagged best{nullptr, 0, 0};
-    for (std::size_t b = 0; b < branches.size(); ++b) {
-      if (next[b] >= branches[b].segments.size()) continue;
-      const Tagged cand{&branches[b].segments[next[b]], b, next[b]};
-      if (!anyLeft || liuLess(cand, best)) best = cand;
-      anyLeft = true;
+  // K-way merge of the branches' segment lists: repeatedly take, among the
+  // branches' next unconsumed segments, the first under the Liu rule (ties to
+  // the lowest branch index). This preserves within-branch precedence by
+  // construction and coincides with a global sort whenever the canonical
+  // decomposition is well-ordered (it is, by Liu's segmentation lemma; the
+  // head-greedy form is robust regardless). The heads sit in a binary heap,
+  // so a merge of S segments over k branches costs O(S log k).
+  std::vector<Head> heap;
+  heap.reserve(branches.size());
+  std::size_t total = 0;
+  for (std::size_t b = 0; b < branches.size(); ++b) {
+    for (const Segment& seg : branches[b].segments) total += seg.tasks.size();
+    if (!branches[b].segments.empty()) {
+      heap.push_back(Head{&branches[b].segments.front(), b});
     }
-    if (!anyLeft) break;
-    merged.insert(merged.end(), best.seg->tasks.begin(),
-                  best.seg->tasks.end());
-    ++next[best.branch];
+  }
+  std::make_heap(heap.begin(), heap.end(), takenAfter);
+  std::vector<graph::VertexId> merged;
+  merged.reserve(total);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), takenAfter);
+    const Head head = heap.back();
+    heap.pop_back();
+    merged.insert(merged.end(), head.seg->tasks.begin(),
+                  head.seg->tasks.end());
+    const std::vector<Segment>& segs = branches[head.branch].segments;
+    if (head.seg + 1 != segs.data() + segs.size()) {
+      heap.push_back(Head{head.seg + 1, head.branch});
+      std::push_heap(heap.begin(), heap.end(), takenAfter);
+    }
   }
   return merged;
 }

@@ -13,6 +13,11 @@
 // yields a peak-minimal interleaving. The canonical decomposition guarantees
 // the within-branch segment order is consistent with this global order, so a
 // stable sort preserves precedence constraints.
+//
+// Cost: decomposeProfile is O(L) for L tasks (one backward suffix-minimum
+// pass); mergeProfiles is O(S log k + T) for S segments and T tasks over k
+// branches (a binary heap of branch heads). A Profile owns its segments and
+// their task lists; mergeProfiles only reads the branches.
 
 #include <span>
 #include <vector>
@@ -47,7 +52,9 @@ Profile decomposeProfile(std::span<const graph::VertexId> tasks,
 
 /// Merges branch profiles into a single interleaved schedule that minimizes
 /// the combined peak (sum of concurrent branch residents + active spike).
-/// Segment order within each branch is preserved.
+/// Segment order within each branch is preserved; among the branches' next
+/// segments the first in Liu order is taken, equal ones by the lowest branch
+/// index.
 std::vector<graph::VertexId> mergeProfiles(std::span<const Profile> branches);
 
 }  // namespace dagpm::memory

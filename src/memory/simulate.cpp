@@ -26,6 +26,10 @@ SimResult simulateOrder(const graph::SubDag& sub, const BoundaryCosts& costs,
 #ifndef NDEBUG
   {
     std::vector<bool> done(g.numVertices(), false);
+    assert(static_cast<std::size_t>(
+               std::count(isMember.begin(), isMember.end(), true)) ==
+               order.size() &&
+           "the members are not exactly the vertices of the order");
     for (const VertexId u : order) {
       assert(isMember[u] && "order contains a non-member vertex");
       for (const EdgeId e : g.inEdges(u)) {
@@ -39,12 +43,20 @@ SimResult simulateOrder(const graph::SubDag& sub, const BoundaryCosts& costs,
 #endif
 
   // Edges from non-members into members cross the prefix from the start.
+  // They are summed in ascending member id, whatever the order: a branch
+  // sorts its members (O(k log k)), the whole block walks its ids.
   double resident = 0.0;
-  for (VertexId v = 0; v < g.numVertices(); ++v) {
-    if (!isMember[v]) continue;
+  auto addCrossingInputs = [&](VertexId v) {
     for (const EdgeId e : g.inEdges(v)) {
       if (!isMember[g.edge(e).src]) resident += g.edge(e).cost;
     }
+  };
+  if (order.size() == g.numVertices()) {
+    for (VertexId v = 0; v < g.numVertices(); ++v) addCrossingInputs(v);
+  } else {
+    std::vector<VertexId> members(order.begin(), order.end());
+    std::sort(members.begin(), members.end());
+    for (const VertexId v : members) addCrossingInputs(v);
   }
   result.startResident = resident;
   double peak = 0.0;

@@ -40,9 +40,11 @@ struct BoundaryCosts {
 };
 
 /// Simulates executing `order` (local vertex ids, a subset of sub's vertices)
-/// with `isMember[v]` marking the simulated subset. Non-member producers are
-/// treated as already executed. `order` must respect all internal edges among
-/// members (checked in debug builds).
+/// with `isMember[v]` marking exactly the vertices of `order`. Non-member
+/// producers are treated as already executed. `order` must respect all
+/// internal edges among members (checked in debug builds). A release build
+/// spends O(k log k + edges of the members) on a k-vertex subset and
+/// O(n + m) on the whole block.
 SimResult simulateOrder(const graph::SubDag& sub, const BoundaryCosts& costs,
                         std::span<const graph::VertexId> order,
                         const std::vector<bool>& isMember);

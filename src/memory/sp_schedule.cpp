@@ -13,7 +13,10 @@ namespace {
 class SpScheduler {
  public:
   SpScheduler(const graph::SubDag& sub, const SpTree& tree)
-      : sub_(sub), tree_(tree), costs_(sub) {}
+      : sub_(sub),
+        tree_(tree),
+        costs_(sub),
+        member_(sub.dag.numVertices(), false) {}
 
   std::vector<VertexId> schedule() { return scheduleNode(tree_.root); }
 
@@ -48,11 +51,13 @@ class SpScheduler {
 
   /// Simulates `order` as a standalone branch: every in-edge from a vertex
   /// outside the branch counts as crossing from the start (its producer is a
-  /// terminal or an ancestor in the composed schedule).
+  /// terminal or an ancestor in the composed schedule). Marks and clears only
+  /// the branch's bits of the shared scratch bitmap, so a profile costs time
+  /// in the branch's size, not the block's.
   Profile profileOf(const std::vector<VertexId>& order) {
-    std::vector<bool> member(sub_.dag.numVertices(), false);
-    for (const VertexId v : order) member[v] = true;
-    const SimResult sim = simulateOrder(sub_, costs_, order, member);
+    for (const VertexId v : order) member_[v] = true;
+    const SimResult sim = simulateOrder(sub_, costs_, order, member_);
+    for (const VertexId v : order) member_[v] = false;
     return decomposeProfile(order, sim.stepMemory, sim.residentAfter,
                             sim.startResident);
   }
@@ -60,6 +65,7 @@ class SpScheduler {
   const graph::SubDag& sub_;
   const SpTree& tree_;
   BoundaryCosts costs_;
+  std::vector<bool> member_;  // all false between profileOf calls
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <unordered_map>
+#include <utility>
 
 namespace dagpm::memory {
 
@@ -53,6 +54,9 @@ class Reducer {
 
   std::uint32_t makeExpr(SpNode node) {
     nodes_.push_back(std::move(node));
+#ifndef NDEBUG
+    refs_.push_back(0);
+#endif
     return static_cast<std::uint32_t>(nodes_.size() - 1);
   }
 
@@ -60,13 +64,23 @@ class Reducer {
     return makeExpr(SpNode{SpNode::Kind::kSeries, graph::kInvalidVertex, {}});
   }
 
-  void addMEdge(std::uint32_t u, std::uint32_t v, std::uint32_t expr) {
+  /// Counts one more reference to `node` from an edge or a parent node
+  /// (debug builds).
+  void addRef([[maybe_unused]] std::uint32_t node) {
+#ifndef NDEBUG
+    ++refs_[node];
+#endif
+  }
+
+  std::uint32_t addMEdge(std::uint32_t u, std::uint32_t v, std::uint32_t expr) {
     const auto id = static_cast<std::uint32_t>(edges_.size());
     edges_.push_back(MEdge{u, v, expr, true});
     outEdges_[u].push_back(id);
     inEdges_[v].push_back(id);
     ++outDeg_[u];
     ++inDeg_[v];
+    addRef(expr);
+    return id;
   }
 
   void removeMEdge(std::uint32_t id) {
@@ -75,6 +89,9 @@ class Reducer {
     e.alive = false;
     --outDeg_[e.src];
     --inDeg_[e.dst];
+#ifndef NDEBUG
+    --refs_[e.expr];
+#endif
   }
 
   /// First alive edge id in `list`, compacting dead entries.
@@ -88,6 +105,8 @@ class Reducer {
   }
 
   void buildMultigraph() {
+    edges_.reserve(g_.numEdges() + 2 * g_.numVertices());
+    nodes_.reserve(edges_.capacity());
     for (VertexId v = 0; v < g_.numVertices(); ++v) {
       for (const graph::EdgeId e : g_.outEdges(v)) {
         addMEdge(v, g_.edge(e).dst, emptySeries());
@@ -101,62 +120,65 @@ class Reducer {
     }
   }
 
-  /// Appends `expr` into `series.children`, flattening nested series.
-  void appendFlattened(std::vector<std::uint32_t>& children,
-                       std::uint32_t expr) {
-    const SpNode& node = nodes_[expr];
-    if (node.kind == SpNode::Kind::kSeries) {
-      for (const std::uint32_t c : node.children) {
-        appendFlattened(children, c);
-      }
+  /// Series(a, Task(mid), b) in O(1): nested series are left as they are
+  /// and flattened once, by finish().
+  std::uint32_t seriesOf(std::uint32_t a, VertexId mid, std::uint32_t b) {
+    const std::uint32_t task = makeExpr(SpNode{SpNode::Kind::kTask, mid, {}});
+    addRef(a);
+    addRef(task);
+    addRef(b);
+    return makeExpr(SpNode{SpNode::Kind::kSeries, graph::kInvalidVertex,
+                           {a, task, b}});
+  }
+
+  /// Composes `expr` in parallel after the expression of the live edge `id`.
+  /// A live edge's expression is referenced by that edge alone, so a
+  /// Parallel expression grows in place; a Parallel `expr` hands over its
+  /// children (it is garbage afterwards).
+  void parallelInto(std::uint32_t id, std::uint32_t expr) {
+    std::uint32_t survivor = edges_[id].expr;
+    assert(refs_[survivor] == 1 && "a live edge's expression is shared");
+    if (nodes_[survivor].kind != SpNode::Kind::kParallel) {
+      // The wrapper takes over the edge's reference to `survivor`.
+      survivor = makeExpr(
+          SpNode{SpNode::Kind::kParallel, graph::kInvalidVertex, {survivor}});
+      edges_[id].expr = survivor;
+      addRef(survivor);
+    }
+    std::vector<std::uint32_t>& children = nodes_[survivor].children;
+    if (nodes_[expr].kind == SpNode::Kind::kParallel) {
+      std::vector<std::uint32_t>& absorbed = nodes_[expr].children;
+      children.insert(children.end(), absorbed.begin(), absorbed.end());
+      absorbed.clear();
     } else {
+      addRef(expr);
       children.push_back(expr);
     }
-  }
-
-  std::uint32_t seriesOf(std::uint32_t a, VertexId mid, std::uint32_t b) {
-    SpNode node{SpNode::Kind::kSeries, graph::kInvalidVertex, {}};
-    appendFlattened(node.children, a);
-    node.children.push_back(
-        makeExpr(SpNode{SpNode::Kind::kTask, mid, {}}));
-    appendFlattened(node.children, b);
-    return makeExpr(std::move(node));
-  }
-
-  std::uint32_t parallelOf(std::uint32_t a, std::uint32_t b) {
-    SpNode node{SpNode::Kind::kParallel, graph::kInvalidVertex, {}};
-    auto absorb = [&](std::uint32_t expr) {
-      if (nodes_[expr].kind == SpNode::Kind::kParallel) {
-        for (const std::uint32_t c : nodes_[expr].children) {
-          node.children.push_back(c);
-        }
-      } else {
-        node.children.push_back(expr);
-      }
-    };
-    absorb(a);
-    absorb(b);
-    return makeExpr(std::move(node));
   }
 
   static std::uint64_t pairKey(std::uint32_t u, std::uint32_t v) {
     return (static_cast<std::uint64_t>(u) << 32) | v;
   }
 
-  /// Merges all alive parallel edges u->v into one; returns the survivor.
-  std::uint32_t mergeParallel(std::uint32_t u, std::uint32_t v) {
-    std::uint32_t survivor = kNoEdge;
-    for (const std::uint32_t id : outEdges_[u]) {
-      if (!edges_[id].alive || edges_[id].dst != v) continue;
-      if (survivor == kNoEdge) {
-        survivor = id;
-      } else {
-        edges_[survivor].expr =
-            parallelOf(edges_[survivor].expr, edges_[id].expr);
-        removeMEdge(id);
+  /// Composes each input multi-edge into the first u->v edge of its out-list
+  /// (in list order) and indexes every surviving pair.
+  void mergeInitialMultiEdges() {
+    std::vector<std::uint32_t> seenFrom(numVertices_, kNoEdge);
+    std::vector<std::uint32_t> firstEdge(numVertices_, kNoEdge);
+    pairEdge_.reserve(edges_.size());
+    for (std::uint32_t u = 0; u < numVertices_; ++u) {
+      for (const std::uint32_t id : outEdges_[u]) {
+        const std::uint32_t v = edges_[id].dst;
+        if (seenFrom[v] != u) {
+          seenFrom[v] = u;
+          firstEdge[v] = id;
+          pairEdge_.emplace(pairKey(u, v), id);
+        } else {
+          parallelInto(firstEdge[v], edges_[id].expr);
+          removeMEdge(id);
+        }
       }
     }
-    return survivor;
   }
 
   void reduce() {
@@ -167,16 +189,7 @@ class Reducer {
         queue.push_back(v);
       }
     };
-    // Initial parallel merges (multi-edges in the input).
-    for (std::uint32_t v = 0; v < numVertices_; ++v) {
-      std::unordered_map<std::uint32_t, int> count;
-      for (const std::uint32_t id : outEdges_[v]) {
-        if (edges_[id].alive) ++count[edges_[id].dst];
-      }
-      for (const auto& [dst, c] : count) {
-        if (c > 1) mergeParallel(v, dst);
-      }
-    }
+    mergeInitialMultiEdges();
     for (std::uint32_t v = 0; v < numVertices_; ++v) enqueueIfSeries(v);
 
     while (!queue.empty()) {
@@ -195,14 +208,20 @@ class Reducer {
                    static_cast<VertexId>(v), edges_[eOut].expr);
       removeMEdge(eIn);
       removeMEdge(eOut);
-      addMEdge(u, w, expr);
-      mergeParallel(u, w);
+      // At most one u->w edge is alive; the pair index names it (or a dead
+      // edge of the same pair).
+      const auto [it, fresh] = pairEdge_.try_emplace(pairKey(u, w), kNoEdge);
+      if (!fresh && edges_[it->second].alive) {
+        parallelInto(it->second, expr);
+      } else {
+        it->second = addMEdge(u, w, expr);
+      }
       enqueueIfSeries(u);
       enqueueIfSeries(w);
     }
   }
 
-  std::optional<SpTree> finish() {
+  std::optional<SpTree> finish() const {
     std::uint32_t last = kNoEdge;
     std::size_t aliveCount = 0;
     for (std::uint32_t id = 0; id < edges_.size(); ++id) {
@@ -214,9 +233,48 @@ class Reducer {
     if (aliveCount != 1) return std::nullopt;  // not TTSP
     const MEdge& e = edges_[last];
     if (e.src != source_ || e.dst != sink_) return std::nullopt;
+    return compact(e.expr);
+  }
+
+  /// Copies the expression under `root` into a fresh arena, each series
+  /// flattened into one child list. Iterative: a chain nests one series per
+  /// task, and that depth must not reach the call stack.
+  SpTree compact(std::uint32_t root) const {
     SpTree tree;
-    tree.nodes = std::move(nodes_);
-    tree.root = e.expr;
+    // Copies whose children are still to be filled: (old id, new id).
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;
+    std::vector<std::uint32_t> nested;
+    auto copyOf = [&](std::uint32_t old) {
+      const auto id = static_cast<std::uint32_t>(tree.nodes.size());
+      tree.nodes.push_back(SpNode{nodes_[old].kind, nodes_[old].task, {}});
+      pending.emplace_back(old, id);
+      return id;
+    };
+    tree.root = copyOf(root);
+    while (!pending.empty()) {
+      const auto [old, id] = pending.back();
+      pending.pop_back();
+      const std::vector<std::uint32_t>& from = nodes_[old].children;
+      std::vector<std::uint32_t> children;
+      if (nodes_[old].kind == SpNode::Kind::kParallel) {
+        children.reserve(from.size());
+        for (const std::uint32_t c : from) children.push_back(copyOf(c));
+      } else if (nodes_[old].kind == SpNode::Kind::kSeries) {
+        nested.assign(from.rbegin(), from.rend());
+        while (!nested.empty()) {
+          const std::uint32_t c = nested.back();
+          nested.pop_back();
+          const SpNode& child = nodes_[c];
+          if (child.kind == SpNode::Kind::kSeries) {
+            nested.insert(nested.end(), child.children.rbegin(),
+                          child.children.rend());
+          } else {
+            children.push_back(copyOf(c));
+          }
+        }
+      }
+      tree.nodes[id].children = std::move(children);
+    }
     return tree;
   }
 
@@ -230,6 +288,12 @@ class Reducer {
   std::vector<std::vector<std::uint32_t>> outEdges_;
   std::vector<MEdge> edges_;
   std::vector<SpNode> nodes_;
+  // Live (or last) edge of each vertex pair, keyed by pairKey.
+  std::unordered_map<std::uint64_t, std::uint32_t> pairEdge_;
+#ifndef NDEBUG
+  // References to each node from live edges and parent nodes.
+  std::vector<std::uint32_t> refs_;
+#endif
 };
 
 }  // namespace

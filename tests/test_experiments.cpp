@@ -254,6 +254,33 @@ TEST(MonteCarlo, SharedSchedulePassMatchesRebuiltPassAtAnyThreadCount) {
   EXPECT_TRUE(shared.contention == threaded.contention);
 }
 
+// A pass can skip either algorithm: the skipped half stays a default
+// (infeasible) schedule and the other half equals the full pass's.
+TEST(Runner, PassSkipsAnAlgorithmPassedAsNullopt) {
+  std::vector<Instance> instances = makeRealInstances(1);
+  instances.resize(2);
+  const platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
+  const std::vector<ScheduledInstance> full =
+      scheduleInstances(instances, cluster);
+  const std::vector<ScheduledInstance> partOnly = scheduleInstances(
+      instances, cluster, scheduler::DagHetPartConfig{}, std::nullopt);
+  const std::vector<ScheduledInstance> memOnly = scheduleInstances(
+      instances, cluster, std::nullopt, scheduler::DagHetMemConfig{});
+  ASSERT_EQ(partOnly.size(), full.size());
+  ASSERT_EQ(memOnly.size(), full.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_TRUE(full[i].part.feasible && full[i].mem.feasible);
+    EXPECT_EQ(partOnly[i].part.makespan, full[i].part.makespan);
+    EXPECT_EQ(partOnly[i].part.blockOf, full[i].part.blockOf);
+    EXPECT_FALSE(partOnly[i].mem.feasible);
+    EXPECT_TRUE(partOnly[i].mem.blockOf.empty());
+    EXPECT_EQ(memOnly[i].mem.makespan, full[i].mem.makespan);
+    EXPECT_EQ(memOnly[i].mem.blockOf, full[i].mem.blockOf);
+    EXPECT_FALSE(memOnly[i].part.feasible);
+  }
+}
+
 // A pass shorter than its instance list is rejected before a replay can
 // read past its end; callers hand the runners prefixes of longer passes.
 TEST(MonteCarlo, ShortSchedulePassIsRejected) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <string>
+
 #include "graph/topology.hpp"
 #include "memory/exact_dp.hpp"
 #include "memory/greedy.hpp"
@@ -12,7 +17,9 @@
 #include "memory/simulate.hpp"
 #include "memory/sp_schedule.hpp"
 #include "memory/sp_tree.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
+#include "workflows/families.hpp"
 
 namespace dagpm::memory {
 namespace {
@@ -140,6 +147,27 @@ TEST(Simulate, PeakIfAddedDoesNotMutate) {
   stream.add(a);
   EXPECT_DOUBLE_EQ(stream.currentPeak(), before);
   EXPECT_EQ(stream.blockSize(), 1u);
+}
+
+// A branch's start resident is summed over its members in ascending id,
+// whatever the execution order, so branch profiles match the whole-block
+// scan bit for bit. 1e16 + 1 rounds back to 1e16, so the order shows.
+TEST(Simulate, BranchStartResidentSumsInAscendingIdOrder) {
+  Dag g;
+  const VertexId s = g.addVertex(1, 1);
+  const VertexId x = g.addVertex(1, 1);
+  const VertexId y = g.addVertex(1, 1);
+  const VertexId z = g.addVertex(1, 1);
+  g.addEdge(s, x, 1e16);
+  g.addEdge(s, y, 1);
+  g.addEdge(s, z, 1);
+  const SubDag sub = test::wholeDagAsSub(g);
+  const BoundaryCosts costs(sub);
+  std::vector<bool> member(g.numVertices(), false);
+  member[x] = member[y] = member[z] = true;
+  const std::vector<VertexId> order{z, y, x};
+  EXPECT_EQ(simulateOrder(sub, costs, order, member).startResident,
+            (1e16 + 1.0) + 1.0);
 }
 
 TEST(SpTree, RecognizesChain) {
@@ -418,6 +446,434 @@ TEST(Oracle, EmptyBlockIsFree) {
   const MemDagOracle oracle(g);
   EXPECT_DOUBLE_EQ(oracle.blockRequirement(std::vector<VertexId>{}), 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// Reference copies of the profile routines as they were before they became
+// linear (an O(L) re-scan per cut, an O(k) head scan per merged segment).
+// The fuzz tests below hold the fast versions to their exact output.
+
+Profile rescanDecompose(std::span<const VertexId> tasks,
+                        std::span<const double> stepMemory,
+                        std::span<const double> residentAfter,
+                        double startResident) {
+  Profile profile;
+  profile.startResident = startResident;
+  std::size_t begin = 0;
+  double segStartResident = startResident;
+  while (begin < tasks.size()) {
+    std::size_t cut = begin;
+    double minResident = residentAfter[begin];
+    for (std::size_t i = begin; i < tasks.size(); ++i) {
+      if (residentAfter[i] <= minResident) {
+        minResident = residentAfter[i];
+        cut = i;
+      }
+    }
+    Segment seg;
+    double hill = 0.0;
+    for (std::size_t i = begin; i <= cut; ++i) {
+      hill = std::max(hill, stepMemory[i] - segStartResident);
+      seg.tasks.push_back(tasks[i]);
+    }
+    seg.hill = hill;
+    seg.delta = residentAfter[cut] - segStartResident;
+    segStartResident = residentAfter[cut];
+    profile.segments.push_back(std::move(seg));
+    begin = cut + 1;
+  }
+  return profile;
+}
+
+bool headScanLess(const Segment& a, const Segment& b) {
+  const bool aDrops = a.delta < 0.0;
+  const bool bDrops = b.delta < 0.0;
+  if (aDrops != bDrops) return aDrops;
+  if (aDrops) return a.hill < b.hill;
+  return a.hill - a.delta > b.hill - b.delta;
+}
+
+std::vector<VertexId> headScanMerge(std::span<const Profile> branches) {
+  std::vector<std::size_t> next(branches.size(), 0);
+  std::vector<VertexId> merged;
+  while (true) {
+    const Segment* best = nullptr;
+    std::size_t bestBranch = 0;
+    for (std::size_t b = 0; b < branches.size(); ++b) {
+      if (next[b] >= branches[b].segments.size()) continue;
+      const Segment& cand = branches[b].segments[next[b]];
+      if (best == nullptr || headScanLess(cand, *best)) {
+        best = &cand;
+        bestBranch = b;
+      }
+    }
+    if (best == nullptr) break;
+    merged.insert(merged.end(), best->tasks.begin(), best->tasks.end());
+    ++next[bestBranch];
+  }
+  return merged;
+}
+
+TEST(Profile, OnePassDecomposeMatchesRescan) {
+  // Small integer residents make equal minima (the `<=` rule picks the last
+  // one) common.
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    support::Rng rng(seed);
+    const auto length = static_cast<std::size_t>(rng.uniformInt(0, 24));
+    std::vector<VertexId> tasks(length);
+    std::vector<double> step(length);
+    std::vector<double> resident(length);
+    for (std::size_t i = 0; i < length; ++i) {
+      tasks[i] = static_cast<VertexId>(100 + i);
+      resident[i] = static_cast<double>(rng.uniformInt(-4, 4));
+      step[i] = static_cast<double>(rng.uniformInt(-2, 8));
+    }
+    const double start = static_cast<double>(rng.uniformInt(-2, 2));
+    const Profile fast = decomposeProfile(tasks, step, resident, start);
+    const Profile ref = rescanDecompose(tasks, step, resident, start);
+    ASSERT_EQ(fast.startResident, ref.startResident) << "seed " << seed;
+    ASSERT_EQ(fast.segments.size(), ref.segments.size()) << "seed " << seed;
+    for (std::size_t s = 0; s < ref.segments.size(); ++s) {
+      EXPECT_EQ(fast.segments[s].hill, ref.segments[s].hill) << "seed " << seed;
+      EXPECT_EQ(fast.segments[s].delta, ref.segments[s].delta)
+          << "seed " << seed;
+      EXPECT_EQ(fast.segments[s].tasks, ref.segments[s].tasks)
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(Profile, HeapMergeMatchesHeadScanOnTiedSegments) {
+  // Hills and deltas from a handful of integers, so that equal keys across
+  // branches (broken by the lower branch index) are the common case.
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    support::Rng rng(seed);
+    const auto k = static_cast<std::size_t>(rng.uniformInt(0, 12));
+    std::vector<Profile> branches(k);
+    VertexId nextTask = 0;
+    for (Profile& p : branches) {
+      const auto segs = rng.uniformInt(0, 5);
+      for (std::int64_t s = 0; s < segs; ++s) {
+        Segment seg;
+        seg.hill = static_cast<double>(rng.uniformInt(0, 4));
+        seg.delta = static_cast<double>(rng.uniformInt(-3, 3));
+        const auto len = rng.uniformInt(1, 3);
+        for (std::int64_t t = 0; t < len; ++t) seg.tasks.push_back(nextTask++);
+        p.segments.push_back(std::move(seg));
+      }
+    }
+    EXPECT_EQ(mergeProfiles(branches), headScanMerge(branches))
+        << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SP tree size. Composition must not copy children: a chain reduces by one
+// series step per task and a fan by one parallel step per branch, so the
+// arena stays linear in the block.
+
+std::size_t totalChildren(const SpTree& tree) {
+  std::size_t total = 0;
+  for (const SpNode& node : tree.nodes) total += node.children.size();
+  return total;
+}
+
+TEST(SpTree, SizeIsLinearInChainAndFanLength) {
+  constexpr VertexId kTasks = 4000;
+  Dag chain;
+  for (VertexId v = 0; v < kTasks; ++v) chain.addVertex(1, 1);
+  for (VertexId v = 0; v + 1 < kTasks; ++v) chain.addEdge(v, v + 1, 1);
+  const auto chainTree = buildSpTree(chain);
+  ASSERT_TRUE(chainTree.has_value());
+  EXPECT_EQ(chainTree->tasksUnder(chainTree->root).size(), kTasks);
+  EXPECT_LE(totalChildren(*chainTree),
+            4 * (chain.numVertices() + chain.numEdges()));
+
+  Dag fan;
+  const VertexId src = fan.addVertex(1, 1);
+  const VertexId dst = fan.addVertex(1, 1);
+  for (VertexId b = 0; b < kTasks; ++b) {
+    const VertexId mid = fan.addVertex(1, 1);
+    fan.addEdge(src, mid, 1);
+    fan.addEdge(mid, dst, 1);
+  }
+  const auto fanTree = buildSpTree(fan);
+  ASSERT_TRUE(fanTree.has_value());
+  EXPECT_EQ(fanTree->tasksUnder(fanTree->root).size(), fan.numVertices());
+  EXPECT_LE(totalChildren(*fanTree), 4 * (fan.numVertices() + fan.numEdges()));
+}
+
+// ---------------------------------------------------------------------------
+// Pinned SP orders. FNV-1a hashes of the SP tree's shape, of spOptimalOrder's
+// order and peak and of the oracle's bestTraversal order and peak, on seeded
+// blocks: nested fork-joins with multi-edges, blocks with several sources and
+// sinks, fans of 1,000+ branches and real workflow blocks. Any change to the
+// SP path must reproduce every order and peak bit for bit.
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t bitsOf(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+std::uint64_t hashOrder(std::uint64_t h, std::span<const VertexId> order) {
+  h = fnv1a(h, order.size());
+  for (const VertexId v : order) h = fnv1a(h, v);
+  return h;
+}
+
+/// Pre-order kind, task and child count of every node reachable from the
+/// root: equal hashes mean equal trees, child for child.
+std::uint64_t hashTreeShape(std::uint64_t h, const SpTree& tree) {
+  std::vector<std::uint32_t> stack{tree.root};
+  while (!stack.empty()) {
+    const SpNode& node = tree.nodes[stack.back()];
+    stack.pop_back();
+    h = fnv1a(h, static_cast<std::uint64_t>(node.kind));
+    h = fnv1a(h, node.kind == SpNode::Kind::kTask ? node.task
+                                                  : node.children.size());
+    for (auto it = node.children.rbegin(); it != node.children.rend(); ++it) {
+      stack.push_back(*it);
+    }
+  }
+  return h;
+}
+
+std::uint64_t pinnedHash(const Dag& g, std::span<const VertexId> block) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const graph::SubDag sub = graph::inducedSubgraph(g, block);
+  if (const auto tree = buildSpTree(sub.dag)) {
+    h = hashTreeShape(h, *tree);
+  } else {
+    h = fnv1a(h, ~0ULL);
+  }
+  if (const auto order = spOptimalOrder(sub)) {
+    h = hashOrder(h, *order);
+    h = fnv1a(h, bitsOf(simulateBlockOrder(sub, *order).peak));
+  } else {
+    h = fnv1a(h, ~0ULL);
+  }
+  const MemDagOracle oracle(g);
+  const TraversalResult best = oracle.bestTraversal(block);
+  h = hashOrder(h, best.order);
+  return fnv1a(h, bitsOf(best.peak));
+}
+
+std::vector<VertexId> allOf(const Dag& g) {
+  std::vector<VertexId> all(g.numVertices());
+  for (VertexId v = 0; v < g.numVertices(); ++v) all[v] = v;
+  return all;
+}
+
+/// Copies `part` into `g` (vertex ids shifted past g's current ones).
+void appendDag(Dag& g, const Dag& part) {
+  const auto base = static_cast<VertexId>(g.numVertices());
+  for (VertexId v = 0; v < part.numVertices(); ++v) {
+    g.addVertex(part.work(v), part.memory(v));
+  }
+  for (graph::EdgeId e = 0; e < part.numEdges(); ++e) {
+    g.addEdge(base + part.edge(e).src, base + part.edge(e).dst,
+              part.edge(e).cost);
+  }
+}
+
+/// `branches` chains of `chainLength` tasks into one sink, forked from one
+/// source when `withSource`; non-integer weights, so no peak is an exact
+/// integer sum.
+Dag realWeightedFan(std::size_t branches, std::size_t chainLength,
+                    bool withSource, std::uint64_t seed) {
+  support::Rng rng(seed);
+  Dag g;
+  const auto task = [&] {
+    return g.addVertex(rng.uniformReal(1, 100), rng.uniformReal(1, 50));
+  };
+  const VertexId src = withSource ? task() : graph::kInvalidVertex;
+  const VertexId sink = task();
+  for (std::size_t b = 0; b < branches; ++b) {
+    VertexId prev = src;
+    for (std::size_t i = 0; i < chainLength; ++i) {
+      const VertexId cur = task();
+      if (prev != graph::kInvalidVertex) {
+        g.addEdge(prev, cur, rng.uniformReal(0.1, 10));
+      }
+      prev = cur;
+    }
+    g.addEdge(prev, sink, rng.uniformReal(0.1, 10));
+  }
+  return g;
+}
+
+struct PinnedCase {
+  const char* name;
+  std::function<std::pair<Dag, std::vector<VertexId>>()> make;
+  bool isSp;  // buildSpTree recognizes the block
+  std::uint64_t expected;
+};
+
+std::pair<Dag, std::vector<VertexId>> wholeSp(int size, std::uint64_t seed) {
+  Dag g = test::randomSpDag(size, seed);
+  auto all = allOf(g);
+  return {std::move(g), std::move(all)};
+}
+
+std::pair<Dag, std::vector<VertexId>> workflowBlock(
+    workflows::Family family, int tasks,
+    const std::function<bool(VertexId)>& keep) {
+  workflows::GenConfig gen;
+  gen.numTasks = tasks;
+  gen.seed = 7;
+  Dag g = workflows::generate(family, gen);
+  std::vector<VertexId> block;
+  for (VertexId v = 0; v < g.numVertices(); ++v) {
+    if (keep(v)) block.push_back(v);
+  }
+  return {std::move(g), std::move(block)};
+}
+
+const std::vector<PinnedCase>& pinnedCases() {
+  using workflows::Family;
+  static const std::vector<PinnedCase> cases{
+      // Nested fork-joins; the generator emits a parallel src->dst edge for
+      // every empty branch, so most of these also carry multi-edges.
+      {"ForkJoin40s1", [] { return wholeSp(40, 1); }, true,
+       0x803eff93cad40db4ULL},
+      {"ForkJoin40s2", [] { return wholeSp(40, 2); }, true,
+       0xcf1fa1ab56a3908fULL},
+      {"ForkJoin40s3", [] { return wholeSp(40, 3); }, true,
+       0xed9afa4babbd8260ULL},
+      {"ForkJoin400s4", [] { return wholeSp(400, 4); }, true,
+       0x459ad945f803dd3eULL},
+      {"ForkJoin400s5", [] { return wholeSp(400, 5); }, true,
+       0x229ba846ae7dde58ULL},
+      {"ForkJoin3000s6", [] { return wholeSp(3000, 6); }, true,
+       0xcef51a0722c73df7ULL},
+      {"MultiEdges",
+       [] {
+         Dag g;
+         for (int v = 0; v < 6; ++v) g.addVertex(10 + v, 5 + 2 * v);
+         for (int k = 0; k < 3; ++k) g.addEdge(0, 1, 1 + k);
+         g.addEdge(1, 2, 4);
+         g.addEdge(1, 2, 2);
+         g.addEdge(0, 3, 7);
+         g.addEdge(3, 2, 3);
+         g.addEdge(2, 4, 5);
+         g.addEdge(2, 4, 6);
+         g.addEdge(2, 5, 1);
+         auto all = allOf(g);
+         return std::pair{std::move(g), std::move(all)};
+       },
+       true, 0x8543f822fe977f70ULL},
+      // Dropping the generator's terminals (ids 0 and 1) leaves blocks with
+      // several sources and sinks and a boundary to the rest of the DAG.
+      {"Interior300s7",
+       [] {
+         Dag g = test::randomSpDag(300, 7);
+         std::vector<VertexId> block;
+         for (VertexId v = 2; v < g.numVertices(); ++v) block.push_back(v);
+         return std::pair{std::move(g), std::move(block)};
+       },
+       true, 0x6c26d020aaa25956ULL},
+      {"Interior300s8",
+       [] {
+         Dag g = test::randomSpDag(300, 8);
+         std::vector<VertexId> block;
+         for (VertexId v = 2; v < g.numVertices(); ++v) block.push_back(v);
+         return std::pair{std::move(g), std::move(block)};
+       },
+       true, 0x52023b59552f6fb3ULL},
+      {"Components",
+       [] {
+         Dag g;
+         for (std::uint64_t seed = 9; seed <= 11; ++seed) {
+           appendDag(g, test::randomSpDag(60, seed));
+         }
+         auto all = allOf(g);
+         return std::pair{std::move(g), std::move(all)};
+       },
+       true, 0xdd4463c4194c19a5ULL},
+      {"Fan1200",
+       [] {
+         Dag g = realWeightedFan(1200, 1, true, 12);
+         auto all = allOf(g);
+         return std::pair{std::move(g), std::move(all)};
+       },
+       true, 0xd414267ee23f6d90ULL},
+      {"FanOfChains1000",
+       [] {
+         Dag g = realWeightedFan(1000, 3, true, 13);
+         auto all = allOf(g);
+         return std::pair{std::move(g), std::move(all)};
+       },
+       true, 0x74aa39fd293318e5ULL},
+      {"Sources1500",
+       [] {
+         Dag g = realWeightedFan(1500, 1, false, 14);
+         auto all = allOf(g);
+         return std::pair{std::move(g), std::move(all)};
+       },
+       true, 0x2cfe11c0c8d74aa4ULL},
+      {"Seismology1500",
+       [] {
+         return workflowBlock(Family::kSeismology, 1500,
+                              [](VertexId) { return true; });
+       },
+       true, 0xf9674f3a0ece3ee4ULL},
+      {"SeismologyHead",
+       [] {
+         return workflowBlock(Family::kSeismology, 1500,
+                              [](VertexId v) { return v < 700; });
+       },
+       true, 0xc91de0a42aa0e3a9ULL},
+      {"Genome800",
+       [] {
+         return workflowBlock(Family::kGenome1000, 800,
+                              [](VertexId) { return true; });
+       },
+       false, 0x1bd6918d76117aadULL},
+      {"GenomeHead",
+       [] {
+         return workflowBlock(Family::kGenome1000, 800,
+                              [](VertexId v) { return v < 400; });
+       },
+       false, 0x66c5263121400338ULL},
+      {"GenomeStrided",
+       [] {
+         return workflowBlock(Family::kGenome1000, 800,
+                              [](VertexId v) { return v % 3 != 0; });
+       },
+       true, 0xd719ba4470982526ULL},
+  };
+  return cases;
+}
+
+class PinnedSpOrders : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(PinnedSpOrders, MatchesPinnedHash) {
+  const PinnedCase& pinned = pinnedCases()[GetParam()];
+  const auto [g, block] = pinned.make();
+  const std::uint64_t h = pinnedHash(g, block);
+  char actual[32];
+  std::snprintf(actual, sizeof actual, "0x%016llxULL",
+                static_cast<unsigned long long>(h));
+  EXPECT_EQ(h, pinned.expected) << pinned.name << " hashes to " << actual;
+  EXPECT_EQ(buildSpTree(graph::inducedSubgraph(g, block).dag).has_value(),
+            pinned.isSp)
+      << pinned.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Blocks, PinnedSpOrders,
+    testing::Range<std::size_t>(0, pinnedCases().size()),
+    [](const testing::TestParamInfo<std::size_t>& info) {
+      return std::string(pinnedCases()[info.param].name);
+    });
 
 }  // namespace
 }  // namespace dagpm::memory

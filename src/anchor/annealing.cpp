@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -57,7 +55,7 @@ RestartOutcome runRestart(const graph::Dag& g,
 
   quotient::IncrementalEvaluator eval(q, cluster);
   quotient::IncrementalEvaluator::Scratch scratch(eval);
-  std::vector<BlockId> seeds, dead, seeds2, dead2;
+  quotient::TentativeMerge merge(q, &eval);
   support::Rng rng(rngSeed);
 
   double current = eval.makespan();
@@ -127,55 +125,32 @@ RestartOutcome runRestart(const graph::Dag& g,
       current = probed;
     } else if (kind == 2 && alive.size() >= 2) {
       // Merge one alive block into another (host keeps its processor),
-      // following the Step-3 probe idiom: cycle precheck, tentative merge,
-      // 2-cycle repair, oracle feasibility, cone-repair probe, rollback on
-      // reject. Acceptance keeps the transactions and rebuilds the
-      // evaluator (structural commit).
+      // following the Step-3 probe: tentative merge with 2-cycle repair,
+      // oracle feasibility, cone-repair probe, rollback on reject.
+      // Acceptance keeps the merge and rebuilds the evaluator (structural
+      // commit).
       const auto hi = static_cast<std::size_t>(
           rng.uniformInt(0, static_cast<std::int64_t>(alive.size()) - 1));
       auto ai = static_cast<std::size_t>(
           rng.uniformInt(0, static_cast<std::int64_t>(alive.size()) - 2));
       if (ai >= hi) ++ai;
       const BlockId host = alive[hi], absorbed = alive[ai];
-      const ProcessorId procAbsorbed = q.node(absorbed).proc;
-      ProcessorId procThird = platform::kNoProcessor;
-      const bool knownCyclic = eval.mergeWouldCreateCycle(host, absorbed);
-      quotient::MergeTransaction tx1 = q.merge(host, absorbed);
-      std::optional<quotient::MergeTransaction> tx2;
-      BlockId third = quotient::kNoBlock;
-      bool viable = true;
-      if (knownCyclic) {
-        const auto partner = q.twoCyclePartner(host);
-        if (partner) procThird = q.node(*partner).proc;
-        if (partner && (tx2 = q.merge(host, *partner), q.isAcyclic())) {
-          third = *partner;
-        } else {
-          viable = false;
-        }
-      }
-      double memReq = 0.0;
-      if (viable) {
-        memReq = oracle.blockRequirement(q.node(host).members);
-        viable = memReq <= cluster.memory(q.node(host).proc);
-      }
-      if (viable) {
+      if (!merge.apply(host, absorbed)) continue;
+      const double memReq = oracle.blockRequirement(q.node(host).members);
+      if (memReq <= cluster.memory(q.node(host).proc)) {
         ++out.proposed;
         obs::add(obs::Counter::kAnnealProposed);
-        quotient::IncrementalEvaluator::seedsOfMerge(tx1, seeds, dead);
-        if (tx2) {
-          quotient::IncrementalEvaluator::seedsOfMerge(*tx2, seeds2, dead2);
-          seeds.insert(seeds.end(), seeds2.begin(), seeds2.end());
-          dead.insert(dead.end(), dead2.begin(), dead2.end());
-        }
-        const double probed = eval.probeMerged(scratch, seeds, dead);
+        const double probed = merge.probe();
         if (accept(probed - current)) {
+          merge.keep();
           q.setMemReq(host, memReq);
-          const auto release = [&](BlockId b, ProcessorId p) {
+          // A merge leaves the absorbed blocks' processors in place.
+          const auto release = [&](BlockId b) {
             alive.erase(std::find(alive.begin(), alive.end(), b));
-            idle.push_back(p);
+            idle.push_back(q.node(b).proc);
           };
-          release(absorbed, procAbsorbed);
-          if (third != quotient::kNoBlock) release(third, procThird);
+          release(absorbed);
+          if (merge.third() != quotient::kNoBlock) release(merge.third());
           std::sort(idle.begin(), idle.end());
           eval.rebuild();
           current = eval.makespan();
@@ -191,8 +166,7 @@ RestartOutcome runRestart(const graph::Dag& g,
           continue;
         }
       }
-      if (tx2) q.rollback(std::move(*tx2));
-      q.rollback(std::move(tx1));
+      merge.rollback();
       continue;
     } else {
       continue;  // move kind not applicable to the current state

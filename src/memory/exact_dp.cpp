@@ -15,20 +15,12 @@ namespace {
 
 class DpSolver {
  public:
-  explicit DpSolver(const graph::SubDag& sub)
-      : g_(sub.dag), costs_(sub), n_(sub.dag.numVertices()) {
-    predMask_.resize(n_, 0);
-    footprint_.resize(n_);
-    delta_.resize(n_);
+  explicit DpSolver(const BlockCosts& costs)
+      : costs_(costs), n_(costs.size()), predMask_(n_, 0) {
     for (VertexId v = 0; v < n_; ++v) {
-      for (const EdgeId e : g_.inEdges(v)) {
-        predMask_[v] |= (1u << g_.edge(e).src);
+      for (const EdgeId e : costs.dag.inEdges(v)) {
+        predMask_[v] |= (1u << costs.dag.edge(e).src);
       }
-      const double out = g_.outCost(v);
-      const double in = g_.inCost(v);
-      footprint_[v] =
-          g_.memory(v) + out + costs_.externalOut[v] + costs_.externalIn[v];
-      delta_[v] = out + costs_.externalOut[v] - in;
     }
   }
 
@@ -45,7 +37,7 @@ class DpSolver {
         const std::uint32_t bit = 1u << v;
         if ((state & bit) != 0) continue;
         if ((predMask_[v] & state) != predMask_[v]) continue;
-        const double step = resident(state) + footprint_[v];
+        const double step = resident(state) + costs_.task[v].footprint;
         const double future = best(state | bit);
         if (std::max(step, future) <= best(state) + kTolerance) {
           result.order.push_back(v);
@@ -63,7 +55,7 @@ class DpSolver {
   double resident(std::uint32_t state) const {
     double r = 0.0;
     for (VertexId v = 0; v < n_; ++v) {
-      if ((state & (1u << v)) != 0) r += delta_[v];
+      if ((state & (1u << v)) != 0) r += costs_.task[v].delta;
     }
     // Deltas can make intermediate sums differ from the simulator's resident
     // only through lazy external inputs, which are charged per step and leave
@@ -82,7 +74,7 @@ class DpSolver {
       const std::uint32_t bit = 1u << v;
       if ((state & bit) != 0) continue;
       if ((predMask_[v] & state) != predMask_[v]) continue;
-      const double step = r + footprint_[v];
+      const double step = r + costs_.task[v].footprint;
       const double future = best(state | bit);
       bestPeak = std::min(bestPeak, std::max(step, future));
     }
@@ -90,21 +82,18 @@ class DpSolver {
     return bestPeak;
   }
 
-  const graph::Dag& g_;
-  BoundaryCosts costs_;
+  const BlockCosts& costs_;
   std::size_t n_;
   std::vector<std::uint32_t> predMask_;
-  std::vector<double> footprint_;
-  std::vector<double> delta_;
   std::unordered_map<std::uint32_t, double> memo_;
 };
 
 }  // namespace
 
-std::optional<ExactResult> exactMinPeakOrder(const graph::SubDag& sub) {
-  if (sub.dag.numVertices() > kExactDpMaxVertices) return std::nullopt;
-  if (sub.dag.numVertices() == 0) return ExactResult{};
-  return DpSolver(sub).solve();
+std::optional<ExactResult> exactMinPeakOrder(const BlockCosts& costs) {
+  if (costs.size() > kExactDpMaxVertices) return std::nullopt;
+  if (costs.size() == 0) return ExactResult{};
+  return DpSolver(costs).solve();
 }
 
 }  // namespace dagpm::memory

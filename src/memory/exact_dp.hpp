@@ -8,7 +8,7 @@
 #include <optional>
 #include <vector>
 
-#include "graph/subgraph.hpp"
+#include "memory/simulate.hpp"
 
 namespace dagpm::memory {
 
@@ -19,8 +19,8 @@ struct ExactResult {
   std::vector<graph::VertexId> order;
 };
 
-/// Exact optimum; std::nullopt if sub has more than kExactDpMaxVertices
+/// Exact optimum; std::nullopt if the block has more than kExactDpMaxVertices
 /// vertices (state space too large).
-std::optional<ExactResult> exactMinPeakOrder(const graph::SubDag& sub);
+std::optional<ExactResult> exactMinPeakOrder(const BlockCosts& costs);
 
 }  // namespace dagpm::memory

@@ -2,26 +2,14 @@
 
 #include <queue>
 
-#include "memory/simulate.hpp"
-
 namespace dagpm::memory {
 
 using graph::EdgeId;
 using graph::VertexId;
 
-std::vector<VertexId> greedyOrder(const graph::SubDag& sub, GreedyRule rule) {
-  const graph::Dag& g = sub.dag;
-  const BoundaryCosts costs(sub);
-  const std::size_t n = g.numVertices();
-
-  std::vector<double> footprint(n), delta(n);
-  for (VertexId v = 0; v < n; ++v) {
-    const double out = g.outCost(v);
-    const double in = g.inCost(v);
-    footprint[v] = g.memory(v) + out + costs.externalOut[v] +
-                   costs.externalIn[v];
-    delta[v] = out + costs.externalOut[v] - in;
-  }
+std::vector<VertexId> greedyOrder(const BlockCosts& costs, GreedyRule rule) {
+  const graph::Dag& g = costs.dag;
+  const std::size_t n = costs.size();
 
   struct Entry {
     double primary;
@@ -35,10 +23,11 @@ std::vector<VertexId> greedyOrder(const graph::SubDag& sub, GreedyRule rule) {
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ready;
   auto push = [&](VertexId v) {
+    const BlockCosts::Task& t = costs.task[v];
     if (rule == GreedyRule::kMinFootprint) {
-      ready.push(Entry{footprint[v], delta[v], v});
+      ready.push(Entry{t.footprint, t.delta, v});
     } else {
-      ready.push(Entry{delta[v], footprint[v], v});
+      ready.push(Entry{t.delta, t.footprint, v});
     }
   };
 

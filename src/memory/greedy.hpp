@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "graph/subgraph.hpp"
+#include "memory/simulate.hpp"
 
 namespace dagpm::memory {
 
@@ -18,8 +18,8 @@ enum class GreedyRule {
   kMaxFreed,      // most memory freed first, tie: smallest spike
 };
 
-/// Topological order of all of sub's vertices following the given rule.
-std::vector<graph::VertexId> greedyOrder(const graph::SubDag& sub,
+/// Topological order of all of the block's vertices following the rule.
+std::vector<graph::VertexId> greedyOrder(const BlockCosts& costs,
                                          GreedyRule rule);
 
 }  // namespace dagpm::memory

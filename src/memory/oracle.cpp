@@ -48,33 +48,34 @@ std::size_t MemDagOracle::MemberSetHash::operator()(
 MemDagOracle::MemDagOracle(const graph::Dag& g, OracleOptions options)
     : g_(g), options_(options) {}
 
-TraversalResult MemDagOracle::evaluate(const graph::SubDag& sub) const {
+TraversalResult MemDagOracle::evaluate(
+    std::span<const VertexId> sorted) const {
   ++evals_;
-  const std::size_t n = sub.dag.numVertices();
-  TraversalResult best;
-  best.peak = std::numeric_limits<double>::infinity();
-
-  if (n <= kExactThreshold) {
-    if (const auto exact = exactMinPeakOrder(sub)) {
+  const graph::SubDag sub = graph::inducedSubgraph(g_, sorted);
+  const BlockCosts costs(sub);
+  if (costs.size() <= kExactThreshold) {
+    if (const auto exact = exactMinPeakOrder(costs)) {
       return TraversalResult{exact->peak, exact->order};
     }
   }
 
+  TraversalResult best;
+  best.peak = std::numeric_limits<double>::infinity();
   auto consider = [&](std::vector<VertexId> order) {
-    const SimResult sim = simulateBlockOrder(sub, order);
+    const SimResult sim = simulateBlockOrder(costs, order);
     if (sim.peak < best.peak) {
       best.peak = sim.peak;
       best.order = std::move(order);
     }
   };
 
-  if (auto spOrder = spOptimalOrder(sub)) consider(std::move(*spOrder));
-  consider(greedyOrder(sub, GreedyRule::kMinFootprint));
-  consider(greedyOrder(sub, GreedyRule::kMaxFreed));
+  if (auto spOrder = spOptimalOrder(costs)) consider(std::move(*spOrder));
+  consider(greedyOrder(costs, GreedyRule::kMinFootprint));
+  consider(greedyOrder(costs, GreedyRule::kMaxFreed));
   consider(graph::dfsTopologicalOrder(sub.dag, false));
   consider(graph::dfsTopologicalOrder(sub.dag, true));
   if (options_.useSpization) {
-    consider(layeredSpizationOrder(sub));
+    consider(layeredSpizationOrder(costs));
   }
   return best;
 }
@@ -82,16 +83,10 @@ TraversalResult MemDagOracle::evaluate(const graph::SubDag& sub) const {
 TraversalResult MemDagOracle::bestTraversal(
     std::span<const VertexId> blockVertices) const {
   std::vector<VertexId> sorted = canonical(blockVertices);
-  graph::SubDag sub = graph::inducedSubgraph(g_, sorted);
-  TraversalResult local = evaluate(sub);
-  memo_.try_emplace(std::move(sorted), local.peak);
-  // Translate local ids back to the workflow's vertex ids.
-  TraversalResult result;
-  result.peak = local.peak;
-  result.order.reserve(local.order.size());
-  for (const VertexId v : local.order) {
-    result.order.push_back(sub.toOriginal[v]);
-  }
+  TraversalResult result = evaluate(sorted);
+  // Local id i is the workflow's vertex sorted[i].
+  for (VertexId& v : result.order) v = sorted[v];
+  memo_.try_emplace(std::move(sorted), result.peak);
   return result;
 }
 
@@ -103,8 +98,7 @@ double MemDagOracle::blockRequirement(
   }
   std::vector<VertexId> sorted = canonical(blockVertices);
   if (const auto it = memo_.find(sorted); it != memo_.end()) return it->second;
-  const graph::SubDag sub = graph::inducedSubgraph(g_, sorted);
-  const double peak = evaluate(sub).peak;
+  const double peak = evaluate(sorted).peak;
   memo_.emplace(std::move(sorted), peak);
   return peak;
 }

@@ -10,6 +10,9 @@
 //     (optimal for SP structure, validated against the DP in tests);
 //   * otherwise: portfolio of greedy min-peak traversals and DFS orders,
 //     keeping the best simulated peak.
+// Each evaluation derives the block's per-task costs once, into one
+// BlockCosts that every member and every candidate's simulation reads
+// (simulate.hpp states the summation order that keeps peaks bit-stable).
 // The returned peak belongs to a concrete valid traversal, so feasibility
 // checks are self-consistent with the model: the heuristic members return
 // the simulated peak of their order, and the exact DP (blocks of <= 12
@@ -28,7 +31,6 @@
 #include <vector>
 
 #include "graph/dag.hpp"
-#include "graph/subgraph.hpp"
 
 namespace dagpm::memory {
 
@@ -60,7 +62,10 @@ class MemDagOracle {
   [[nodiscard]] std::size_t evaluations() const noexcept { return evals_; }
 
  private:
-  [[nodiscard]] TraversalResult evaluate(const graph::SubDag& sub) const;
+  /// Best traversal of the block of `sorted` vertices, in local ids (the
+  /// positions in `sorted`).
+  [[nodiscard]] TraversalResult evaluate(
+      std::span<const graph::VertexId> sorted) const;
 
   struct MemberSetHash {
     std::size_t operator()(

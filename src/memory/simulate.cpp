@@ -8,72 +8,58 @@ namespace dagpm::memory {
 using graph::EdgeId;
 using graph::VertexId;
 
-BoundaryCosts::BoundaryCosts(const graph::SubDag& sub)
-    : externalIn(sub.dag.numVertices(), 0.0),
-      externalOut(sub.dag.numVertices(), 0.0) {
-  for (const auto& b : sub.externalInputs) externalIn[b.local] += b.cost;
-  for (const auto& b : sub.externalOutputs) externalOut[b.local] += b.cost;
+BlockCosts::BlockCosts(const graph::SubDag& sub)
+    : dag(sub.dag), task(sub.dag.numVertices()) {
+  for (const auto& b : sub.externalInputs) task[b.local].externalIn += b.cost;
+  for (const auto& b : sub.externalOutputs) task[b.local].externalOut += b.cost;
+  for (VertexId v = 0; v < task.size(); ++v) {
+    Task& t = task[v];
+    t.memory = dag.memory(v);
+    t.out = dag.outCost(v);
+    t.footprint = t.memory + t.out + t.externalOut + t.externalIn;
+    t.delta = t.out + t.externalOut - dag.inCost(v);
+  }
 }
 
-SimResult simulateOrder(const graph::SubDag& sub, const BoundaryCosts& costs,
-                        std::span<const VertexId> order,
-                        const std::vector<bool>& isMember) {
-  const graph::Dag& g = sub.dag;
-  SimResult result;
-  result.residentAfter.reserve(order.size());
-  result.stepMemory.reserve(order.size());
+namespace {
 
 #ifndef NDEBUG
-  {
-    std::vector<bool> done(g.numVertices(), false);
-    assert(static_cast<std::size_t>(
-               std::count(isMember.begin(), isMember.end(), true)) ==
-               order.size() &&
-           "the members are not exactly the vertices of the order");
-    for (const VertexId u : order) {
-      assert(isMember[u] && "order contains a non-member vertex");
-      for (const EdgeId e : g.inEdges(u)) {
-        const VertexId p = g.edge(e).src;
-        assert((!isMember[p] || done[p]) &&
-               "order violates a precedence constraint among members");
-      }
-      done[u] = true;
+void assertValidOrder(const graph::Dag& g, std::span<const VertexId> order,
+                      const std::vector<bool>& isMember) {
+  std::vector<bool> done(g.numVertices(), false);
+  assert(static_cast<std::size_t>(
+             std::count(isMember.begin(), isMember.end(), true)) ==
+             order.size() &&
+         "the members are not exactly the vertices of the order");
+  for (const VertexId u : order) {
+    assert(isMember[u] && "order contains a non-member vertex");
+    for (const EdgeId e : g.inEdges(u)) {
+      const VertexId p = g.edge(e).src;
+      assert((!isMember[p] || done[p]) &&
+             "order violates a precedence constraint among members");
     }
+    done[u] = true;
   }
+}
 #endif
 
-  // Edges from non-members into members cross the prefix from the start.
-  // They are summed in ascending member id, whatever the order: a branch
-  // sorts its members (O(k log k)), the whole block walks its ids.
-  double resident = 0.0;
-  auto addCrossingInputs = [&](VertexId v) {
-    for (const EdgeId e : g.inEdges(v)) {
-      if (!isMember[g.edge(e).src]) resident += g.edge(e).cost;
-    }
-  };
-  if (order.size() == g.numVertices()) {
-    for (VertexId v = 0; v < g.numVertices(); ++v) addCrossingInputs(v);
-  } else {
-    std::vector<VertexId> members(order.begin(), order.end());
-    std::sort(members.begin(), members.end());
-    for (const VertexId v : members) addCrossingInputs(v);
-  }
+SimResult run(const BlockCosts& costs, std::span<const VertexId> order,
+              double resident) {
+  SimResult result;
   result.startResident = resident;
+  result.residentAfter.reserve(order.size());
+  result.stepMemory.reserve(order.size());
   double peak = 0.0;
-
   for (const VertexId u : order) {
-    double outCost = 0.0;
-    for (const EdgeId e : g.outEdges(u)) outCost += g.edge(e).cost;
-    double inCost = 0.0;
-    for (const EdgeId e : g.inEdges(u)) inCost += g.edge(e).cost;
-
-    const double step = resident + g.memory(u) + outCost +
-                        costs.externalOut[u] + costs.externalIn[u];
+    const BlockCosts::Task& t = costs.task[u];
+    // Summed left to right; resident + footprint would round differently.
+    const double step =
+        resident + t.memory + t.out + t.externalOut + t.externalIn;
     peak = std::max(peak, step);
     // Outputs (internal + sticky external) become resident; all inputs that
     // were crossing (internal or from non-members) are consumed. Lazy
     // external inputs were never resident, so nothing to subtract for them.
-    resident += outCost + costs.externalOut[u] - inCost;
+    resident += t.delta;
     result.stepMemory.push_back(step);
     result.residentAfter.push_back(resident);
   }
@@ -82,11 +68,34 @@ SimResult simulateOrder(const graph::SubDag& sub, const BoundaryCosts& costs,
   return result;
 }
 
-SimResult simulateBlockOrder(const graph::SubDag& sub,
+}  // namespace
+
+SimResult simulateOrder(const BlockCosts& costs,
+                        std::span<const VertexId> order,
+                        const std::vector<bool>& isMember) {
+  const graph::Dag& g = costs.dag;
+#ifndef NDEBUG
+  assertValidOrder(g, order, isMember);
+#endif
+  // Edges from non-members into members cross the prefix from the start.
+  // They are summed in ascending member id, whatever the order.
+  std::vector<VertexId> members(order.begin(), order.end());
+  std::sort(members.begin(), members.end());
+  double resident = 0.0;
+  for (const VertexId v : members) {
+    for (const EdgeId e : g.inEdges(v)) {
+      if (!isMember[g.edge(e).src]) resident += g.edge(e).cost;
+    }
+  }
+  return run(costs, order, resident);
+}
+
+SimResult simulateBlockOrder(const BlockCosts& costs,
                              std::span<const VertexId> order) {
-  const BoundaryCosts costs(sub);
-  const std::vector<bool> everyone(sub.dag.numVertices(), true);
-  return simulateOrder(sub, costs, order, everyone);
+#ifndef NDEBUG
+  assertValidOrder(costs.dag, order, std::vector<bool>(costs.size(), true));
+#endif
+  return run(costs, order, 0.0);
 }
 
 IncrementalBlockMemory::IncrementalBlockMemory(const graph::Dag& g)

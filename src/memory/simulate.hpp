@@ -15,6 +15,14 @@
 // scheduler: passing a member subset treats every in-edge from a non-member
 // as already produced (crossing from the start), which is exactly the cut
 // semantics needed for Liu profile composition.
+//
+// A task's costs under this model are static: MemDagOracle::evaluate
+// derives them once per evaluation into a BlockCosts, which the exact DP,
+// the SP schedule, both greedy rules, the layered SP-ization and every
+// candidate's simulation read. Summation order keeps peaks bit-stable: the
+// simulator sums a step left to right as resident + m + out + extOut +
+// extIn (resident + footprint rounds differently) and adds `delta`; the
+// exact DP prices a step as resident + footprint.
 
 #include <span>
 #include <vector>
@@ -32,25 +40,39 @@ struct SimResult {
   std::vector<double> stepMemory;     // memory while executing each step
 };
 
-/// Per-vertex boundary cost sums of a SubDag, precomputed once.
-struct BoundaryCosts {
-  explicit BoundaryCosts(const graph::SubDag& sub);
-  std::vector<double> externalIn;   // lazy inputs, per local vertex
-  std::vector<double> externalOut;  // sticky outputs, per local vertex
+/// Per-task costs of a block's local vertices, derived once from a SubDag.
+/// Refers to the sub's DAG, so the sub must outlive it.
+struct BlockCosts {
+  struct Task {
+    double memory = 0.0;       // m_u
+    double out = 0.0;          // internal outputs (written at u's step)
+    double externalOut = 0.0;  // sticky outputs, resident to the block's end
+    double externalIn = 0.0;   // lazy inputs, charged at u's step only
+    double footprint = 0.0;    // memory + out + externalOut + externalIn
+    double delta = 0.0;        // out + externalOut - internal inputs
+  };
+
+  explicit BlockCosts(const graph::SubDag& sub);
+  explicit BlockCosts(graph::SubDag&&) = delete;  // would dangle
+
+  [[nodiscard]] std::size_t size() const noexcept { return task.size(); }
+
+  const graph::Dag& dag;   // the sub's induced DAG, local ids
+  std::vector<Task> task;  // per local vertex
 };
 
-/// Simulates executing `order` (local vertex ids, a subset of sub's vertices)
-/// with `isMember[v]` marking exactly the vertices of `order`. Non-member
-/// producers are treated as already executed. `order` must respect all
-/// internal edges among members (checked in debug builds). A release build
-/// spends O(k log k + edges of the members) on a k-vertex subset and
-/// O(n + m) on the whole block.
-SimResult simulateOrder(const graph::SubDag& sub, const BoundaryCosts& costs,
+/// Simulates executing `order` (local vertex ids, a subset of the block)
+/// with `isMember[v]` marking exactly the vertices of `order`: an SP branch.
+/// Non-member producers are treated as already executed. `order` must
+/// respect all internal edges among members (checked in debug builds).
+/// O(k log k + edges of the members) for a k-vertex branch.
+SimResult simulateOrder(const BlockCosts& costs,
                         std::span<const graph::VertexId> order,
                         const std::vector<bool>& isMember);
 
-/// Convenience: full-block simulation (all vertices are members).
-SimResult simulateBlockOrder(const graph::SubDag& sub,
+/// Full-block simulation: `order` holds every vertex, so every producer is
+/// a member and the run starts at resident 0. O(n).
+SimResult simulateBlockOrder(const BlockCosts& costs,
                              std::span<const graph::VertexId> order);
 
 /// Streaming per-block memory accounting over a global traversal of the whole

@@ -12,11 +12,8 @@ namespace {
 
 class SpScheduler {
  public:
-  SpScheduler(const graph::SubDag& sub, const SpTree& tree)
-      : sub_(sub),
-        tree_(tree),
-        costs_(sub),
-        member_(sub.dag.numVertices(), false) {}
+  SpScheduler(const BlockCosts& costs, const SpTree& tree)
+      : costs_(costs), tree_(tree), member_(costs.size(), false) {}
 
   std::vector<VertexId> schedule() { return scheduleNode(tree_.root); }
 
@@ -56,26 +53,25 @@ class SpScheduler {
   /// in the branch's size, not the block's.
   Profile profileOf(const std::vector<VertexId>& order) {
     for (const VertexId v : order) member_[v] = true;
-    const SimResult sim = simulateOrder(sub_, costs_, order, member_);
+    const SimResult sim = simulateOrder(costs_, order, member_);
     for (const VertexId v : order) member_[v] = false;
     return decomposeProfile(order, sim.stepMemory, sim.residentAfter,
                             sim.startResident);
   }
 
-  const graph::SubDag& sub_;
+  const BlockCosts& costs_;
   const SpTree& tree_;
-  BoundaryCosts costs_;
   std::vector<bool> member_;  // all false between profileOf calls
 };
 
 }  // namespace
 
-std::optional<std::vector<VertexId>> spOptimalOrder(const graph::SubDag& sub) {
-  const auto tree = buildSpTree(sub.dag);
+std::optional<std::vector<VertexId>> spOptimalOrder(const BlockCosts& costs) {
+  const auto tree = buildSpTree(costs.dag);
   if (!tree) return std::nullopt;
-  SpScheduler scheduler(sub, *tree);
+  SpScheduler scheduler(costs, *tree);
   auto order = scheduler.schedule();
-  assert(order.size() == sub.dag.numVertices());
+  assert(order.size() == costs.size());
   return order;
 }
 

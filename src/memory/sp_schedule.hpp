@@ -6,15 +6,14 @@
 #include <optional>
 #include <vector>
 
-#include "graph/subgraph.hpp"
 #include "memory/simulate.hpp"
 #include "memory/sp_tree.hpp"
 
 namespace dagpm::memory {
 
-/// Computes a traversal (local vertex ids of `sub`) for an SP block.
+/// Computes a traversal (local vertex ids) for an SP block.
 /// Returns std::nullopt if the block is not two-terminal series-parallel.
 std::optional<std::vector<graph::VertexId>> spOptimalOrder(
-    const graph::SubDag& sub);
+    const BlockCosts& costs);
 
 }  // namespace dagpm::memory

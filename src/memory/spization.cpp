@@ -3,26 +3,14 @@
 #include <algorithm>
 
 #include "graph/topology.hpp"
-#include "memory/simulate.hpp"
 
 namespace dagpm::memory {
 
 using graph::VertexId;
 
-std::vector<VertexId> layeredSpizationOrder(const graph::SubDag& sub) {
-  const graph::Dag& g = sub.dag;
-  const BoundaryCosts costs(sub);
+std::vector<VertexId> layeredSpizationOrder(const BlockCosts& costs) {
+  const graph::Dag& g = costs.dag;
   const auto levels = graph::topLevels(g);
-
-  // Per-task spike (step memory above the running resident) and resident
-  // delta, as in the greedy portfolio.
-  std::vector<double> spike(g.numVertices()), delta(g.numVertices());
-  for (VertexId v = 0; v < g.numVertices(); ++v) {
-    const double out = g.outCost(v);
-    const double in = g.inCost(v);
-    spike[v] = g.memory(v) + out + costs.externalOut[v] + costs.externalIn[v];
-    delta[v] = out + costs.externalOut[v] - in;
-  }
 
   std::uint32_t maxLevel = 0;
   for (VertexId v = 0; v < g.numVertices(); ++v) {
@@ -35,16 +23,19 @@ std::vector<VertexId> layeredSpizationOrder(const graph::SubDag& sub) {
   order.reserve(g.numVertices());
   for (auto& tasks : layer) {
     // Liu rule within the layer: memory-releasing tasks first (smallest
-    // spike leading), then accumulating tasks by decreasing spike - delta.
+    // footprint leading), then accumulating tasks by decreasing
+    // footprint - delta.
     std::sort(tasks.begin(), tasks.end(), [&](VertexId a, VertexId b) {
-      const bool aDrops = delta[a] < 0.0;
-      const bool bDrops = delta[b] < 0.0;
+      const BlockCosts::Task& ta = costs.task[a];
+      const BlockCosts::Task& tb = costs.task[b];
+      const bool aDrops = ta.delta < 0.0;
+      const bool bDrops = tb.delta < 0.0;
       if (aDrops != bDrops) return aDrops;
       if (aDrops) {
-        if (spike[a] != spike[b]) return spike[a] < spike[b];
+        if (ta.footprint != tb.footprint) return ta.footprint < tb.footprint;
       } else {
-        const double ka = spike[a] - delta[a];
-        const double kb = spike[b] - delta[b];
+        const double ka = ta.footprint - ta.delta;
+        const double kb = tb.footprint - tb.delta;
         if (ka != kb) return ka > kb;
       }
       return a < b;

@@ -14,12 +14,12 @@
 
 #include <vector>
 
-#include "graph/subgraph.hpp"
+#include "memory/simulate.hpp"
 
 namespace dagpm::memory {
 
-/// Topological order of all of sub's vertices: levels in sequence, each
-/// level ordered by the Liu dropper/riser rule on task footprints.
-std::vector<graph::VertexId> layeredSpizationOrder(const graph::SubDag& sub);
+/// Topological order of all of the block's vertices: levels in sequence,
+/// each level ordered by the Liu dropper/riser rule on task footprints.
+std::vector<graph::VertexId> layeredSpizationOrder(const BlockCosts& costs);
 
 }  // namespace dagpm::memory

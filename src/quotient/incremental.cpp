@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "obs/obs.hpp"
 
@@ -295,6 +296,52 @@ void IncrementalEvaluator::seedsOfMerge(const MergeTransaction& tx,
     dirtySeeds.push_back(parent);
   }
   deadBlocks.push_back(tx.absorbed);
+}
+
+TentativeMerge::TentativeMerge(QuotientGraph& q,
+                               const IncrementalEvaluator* eval)
+    : q_(q), eval_(eval) {
+  if (eval != nullptr) scratch_ = IncrementalEvaluator::Scratch(*eval);
+}
+
+bool TentativeMerge::apply(BlockId host, BlockId absorbed) {
+  assert(!tx1_ && "the previous merge was neither rolled back nor kept");
+  const bool knownCyclic =
+      eval_ != nullptr && eval_->mergeWouldCreateCycle(host, absorbed);
+  tx1_ = q_.merge(host, absorbed);
+  assert(eval_ == nullptr || knownCyclic == !q_.isAcyclic());
+  third_ = kNoBlock;
+  if (eval_ != nullptr ? !knownCyclic : q_.isAcyclic()) return true;
+  // A 2-cycle can be repaired by absorbing the partner; anything longer
+  // discards the candidate. Rare path: the full acyclicity check after the
+  // repair merge stays.
+  if (const auto partner = q_.twoCyclePartner(host)) {
+    tx2_ = q_.merge(host, *partner);
+    if (q_.isAcyclic()) {
+      third_ = *partner;
+      return true;
+    }
+  }
+  rollback();
+  return false;
+}
+
+double TentativeMerge::probe() {
+  assert(eval_ != nullptr && tx1_);
+  IncrementalEvaluator::seedsOfMerge(*tx1_, seeds_, dead_);
+  if (tx2_) {
+    IncrementalEvaluator::seedsOfMerge(*tx2_, seeds2_, dead2_);
+    seeds_.insert(seeds_.end(), seeds2_.begin(), seeds2_.end());
+    dead_.insert(dead_.end(), dead2_.begin(), dead2_.end());
+  }
+  return eval_->probeMerged(scratch_, seeds_, dead_);
+}
+
+void TentativeMerge::rollback() {
+  if (tx2_) q_.rollback(std::move(*tx2_));
+  q_.rollback(std::move(*tx1_));
+  tx1_.reset();
+  tx2_.reset();
 }
 
 bool IncrementalEvaluator::mergeWouldCreateCycle(BlockId a, BlockId b) const {

@@ -201,4 +201,42 @@ class IncrementalEvaluator {
   mutable std::vector<BlockId> dfsStack_;
 };
 
+/// The tentative merge shared by the Step-3 probes and the annealing merge
+/// move. apply() absorbs a block into a host (the host keeps its processor)
+/// and repairs a 2-cycle by absorbing the partner too (paper Fig. 2); the
+/// caller then prices the merged state and either rolls it back (LIFO) or
+/// keeps it and rebuilds the evaluator. With an evaluator the cycle check
+/// is its bounded reachability query and probe() repairs only the cone the
+/// merge dirtied; a null evaluator (the full-reevaluation reference) checks
+/// the merged quotient with isAcyclic(). Reusable across probes.
+class TentativeMerge {
+ public:
+  TentativeMerge(QuotientGraph& q, const IncrementalEvaluator* eval);
+
+  /// Merges `absorbed` into `host`. Returns false, with the quotient
+  /// restored, when the merge closes a cycle no 2-cycle repair removes.
+  [[nodiscard]] bool apply(BlockId host, BlockId absorbed);
+
+  /// The 2-cycle partner the applied merge absorbed as well, or kNoBlock.
+  [[nodiscard]] BlockId third() const noexcept { return third_; }
+
+  /// The applied state's makespan via probeMerged over the seeds of both
+  /// transactions (requires an evaluator).
+  [[nodiscard]] double probe();
+
+  /// Undoes the applied merge.
+  void rollback();
+
+  /// Keeps the applied merge as committed.
+  void keep() noexcept { tx1_.reset(); tx2_.reset(); }
+
+ private:
+  QuotientGraph& q_;
+  const IncrementalEvaluator* eval_;
+  IncrementalEvaluator::Scratch scratch_;
+  std::optional<MergeTransaction> tx1_, tx2_;
+  BlockId third_ = kNoBlock;
+  std::vector<BlockId> seeds_, dead_, seeds2_, dead2_;
+};
+
 }  // namespace dagpm::quotient

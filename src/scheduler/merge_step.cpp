@@ -34,24 +34,18 @@ struct CandidateOutcome {
   double mergedMemReq = 0.0;
 };
 
-/// Reusable buffers of the incremental probe path.
-struct ProbeBuffers {
-  quotient::IncrementalEvaluator::Scratch scratch;
-  std::vector<BlockId> seeds, dead, seeds2, dead2;
-};
-
 /// FindMSOptMerge (Algorithm 3): finds the best feasible merge of `nu` into
 /// an assigned neighbor from `allowed`. All merges are tentative; the
-/// quotient is restored before returning. With a non-null `eval`, cycle
-/// detection runs as a bounded reachability query on the committed
-/// structure and the makespan probes repair only the affected cone; the
-/// null-eval path is the legacy full recompute (differential reference).
+/// quotient is restored before returning. With a non-null `eval` (which
+/// `merge` shares), cycle detection runs as a bounded reachability query
+/// and the makespan probes repair only the affected cone; the null-eval
+/// path is the legacy full recompute (differential reference).
 CandidateOutcome findMsOptMerge(quotient::QuotientGraph& q,
                                 const platform::Cluster& cluster,
                                 const memory::MemDagOracle& oracle,
                                 const comm::CommCostModel* comm,
-                                quotient::IncrementalEvaluator* eval,
-                                ProbeBuffers* buffers,
+                                const quotient::IncrementalEvaluator* eval,
+                                quotient::TentativeMerge& merge,
                                 BlockId nu, const std::set<BlockId>& allowed,
                                 bool neighborsOnly, int maxProbes = -1,
                                 bool firstFeasibleWins = false) {
@@ -93,78 +87,32 @@ CandidateOutcome findMsOptMerge(quotient::QuotientGraph& q,
 
   for (const BlockId host : candidates) {
     obs::add(obs::Counter::kMergeProbes);
-    // With the evaluator, detect the cycle before merging: a bounded
-    // reachability query on the committed structure replaces the full
-    // post-merge isAcyclic() pass.
-    bool knownCyclic = false;
-    if (eval != nullptr) knownCyclic = eval->mergeWouldCreateCycle(host, nu);
     // Tentatively absorb nu into the host (the host keeps its processor).
-    quotient::MergeTransaction tx1 = q.merge(host, nu);
-    assert(eval == nullptr || knownCyclic == !q.isAcyclic());
-    std::optional<quotient::MergeTransaction> tx2;
-    BlockId third = kNoBlock;
-    bool viable = true;
-    if (eval != nullptr ? knownCyclic : !q.isAcyclic()) {
-      // A 2-cycle can be repaired by absorbing the partner (paper Fig. 2);
-      // anything longer discards the candidate. Rare path: the full
-      // acyclicity check after the repair merge stays.
-      const auto partner = q.twoCyclePartner(host);
-      if (partner) {
-        tx2 = q.merge(host, *partner);
-        if (q.isAcyclic()) {
-          third = *partner;
-        } else {
-          viable = false;
-        }
-      } else {
-        viable = false;
-      }
-    }
+    if (!merge.apply(host, nu)) continue;
+    // The same merged set is probed repeatedly across the off-path /
+    // anywhere / rescue passes of a round; the oracle's memo serves the
+    // repeats, and its evaluation count tells a hit from a miss.
+    const std::size_t evalsBefore = oracle.evaluations();
+    const double memReq = oracle.blockRequirement(q.node(host).members);
+    obs::add(oracle.evaluations() == evalsBefore
+                 ? obs::Counter::kMergeMemoHits
+                 : obs::Counter::kMergeMemoMisses);
     bool done = false;
-    if (viable) {
-      // The same merged set is probed repeatedly across the off-path /
-      // anywhere / rescue passes of a round; the oracle's memo serves the
-      // repeats, and its evaluation count tells a hit from a miss.
-      const std::size_t evalsBefore = oracle.evaluations();
-      const double memReq = oracle.blockRequirement(q.node(host).members);
-      obs::add(oracle.evaluations() == evalsBefore
-                   ? obs::Counter::kMergeMemoHits
-                   : obs::Counter::kMergeMemoMisses);
-      if (memReq <= cluster.memory(q.node(host).proc)) {
-        std::optional<double> makespan;
-        if (eval != nullptr) {
-          // Incremental probe: repair the cone the merge dirtied (both
-          // transactions when a 2-cycle repair was needed).
-          quotient::IncrementalEvaluator::seedsOfMerge(tx1, buffers->seeds,
-                                                       buffers->dead);
-          if (tx2) {
-            quotient::IncrementalEvaluator::seedsOfMerge(
-                *tx2, buffers->seeds2, buffers->dead2);
-            buffers->seeds.insert(buffers->seeds.end(),
-                                  buffers->seeds2.begin(),
-                                  buffers->seeds2.end());
-            buffers->dead.insert(buffers->dead.end(), buffers->dead2.begin(),
-                                 buffers->dead2.end());
-          }
-          makespan = eval->probeMerged(buffers->scratch, buffers->seeds,
-                                       buffers->dead);
-        } else {
-          // Null comm keeps the legacy uncontended recurrence
-          // byte-for-byte.
-          makespan = quotient::makespanValue(q, cluster, comm);
-        }
-        assert(makespan.has_value());
-        if (*makespan <= best.makespan) {
-          best.makespan = *makespan;
-          best.target = host;
-          best.third = third;
-          best.mergedMemReq = memReq;
-        }
-        done = firstFeasibleWins;  // rescue mode: any feasible merge will do
+    if (memReq <= cluster.memory(q.node(host).proc)) {
+      // Null comm keeps the legacy uncontended recurrence byte-for-byte.
+      const std::optional<double> makespan =
+          eval != nullptr ? merge.probe()
+                          : quotient::makespanValue(q, cluster, comm);
+      assert(makespan.has_value());
+      if (*makespan <= best.makespan) {
+        best.makespan = *makespan;
+        best.target = host;
+        best.third = merge.third();
+        best.mergedMemReq = memReq;
       }
+      done = firstFeasibleWins;  // rescue mode: any feasible merge will do
     }
-    if (tx2) q.rollback(std::move(*tx2));
-    q.rollback(std::move(tx1));
+    merge.rollback();
     if (done) break;
   }
   return best;
@@ -204,14 +152,9 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
   // The incremental evaluator serves every probe of the main loop; each
   // committed merge rebuilds its caches (once per merge, not per probe).
   std::optional<quotient::IncrementalEvaluator> eval;
-  std::optional<ProbeBuffers> buffers;
-  if (!cfg.fullReevaluation) {
-    eval.emplace(q, cluster, cfg.comm);
-    buffers.emplace();
-    buffers->scratch = quotient::IncrementalEvaluator::Scratch(*eval);
-  }
+  if (!cfg.fullReevaluation) eval.emplace(q, cluster, cfg.comm);
   quotient::IncrementalEvaluator* evalPtr = eval ? &*eval : nullptr;
-  ProbeBuffers* buffersPtr = buffers ? &*buffers : nullptr;
+  quotient::TentativeMerge merge(q, evalPtr);
 
   // Progress-based deferral bookkeeping: merge count at a node's last
   // failed attempt (see below).
@@ -239,13 +182,12 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
     }
 
     CandidateOutcome outcome =
-        findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr, buffersPtr,
-                       nu, offPath, /*neighborsOnly=*/true);
+        findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr, merge, nu,
+                       offPath, /*neighborsOnly=*/true);
     if (outcome.target == kNoBlock && cfg.preferOffCriticalPath) {
       // No feasible merge off the critical path; allow merges anywhere.
-      outcome = findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr,
-                               buffersPtr, nu, assigned,
-                               /*neighborsOnly=*/true);
+      outcome = findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr, merge,
+                               nu, assigned, /*neighborsOnly=*/true);
     }
     if (outcome.target == kNoBlock && cfg.anyHostFallback &&
         rescueProbesLeft > 0) {
@@ -259,9 +201,8 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
       // are slack-ordered, first-feasible-wins, and budgeted so rescue
       // attempts cannot dominate the runtime of large instances.
       const int probes = std::min(rescueProbesLeft, kMaxRescueProbes);
-      outcome = findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr,
-                               buffersPtr, nu, assigned,
-                               /*neighborsOnly=*/false, probes,
+      outcome = findMsOptMerge(q, cluster, oracle, cfg.comm, evalPtr, merge,
+                               nu, assigned, /*neighborsOnly=*/false, probes,
                                /*firstFeasibleWins=*/true);
       rescueProbesLeft -= probes;
     }

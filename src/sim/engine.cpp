@@ -113,7 +113,8 @@ SimPlan prepareSimulation(const graph::Dag& g,
     const graph::SubDag sub = graph::inducedSubgraph(g, bp.order);
     std::vector<graph::VertexId> identity(bp.order.size());
     for (graph::VertexId i = 0; i < identity.size(); ++i) identity[i] = i;
-    const memory::SimResult mem = memory::simulateBlockOrder(sub, identity);
+    const memory::SimResult mem =
+        memory::simulateBlockOrder(memory::BlockCosts(sub), identity);
     bp.stepMemory = mem.stepMemory;
     bp.residentAfter = mem.residentAfter;
     bp.startResident = mem.startResident;

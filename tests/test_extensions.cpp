@@ -64,7 +64,8 @@ TEST(Generators, SpDagsAreSeriesParallel) {
     cfg.targetSize = 15;
     const Dag g = graph::randomSpDag(cfg);
     EXPECT_TRUE(graph::isAcyclic(g));
-    const auto order = memory::spOptimalOrder(test::wholeDagAsSub(g));
+    const graph::SubDag sub = test::wholeDagAsSub(g);
+    const auto order = memory::spOptimalOrder(memory::BlockCosts(sub));
     EXPECT_TRUE(order.has_value()) << "seed " << seed;
   }
 }
@@ -89,7 +90,7 @@ TEST(Spization, OrderIsTopological) {
     cfg.seed = seed;
     const Dag g = graph::randomLayeredDag(cfg);
     const graph::SubDag sub = test::wholeDagAsSub(g);
-    const auto order = memory::layeredSpizationOrder(sub);
+    const auto order = memory::layeredSpizationOrder(memory::BlockCosts(sub));
     EXPECT_TRUE(graph::isTopologicalOrder(sub.dag, order));
   }
 }

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "graph/topology.hpp"
@@ -17,6 +19,7 @@
 #include "memory/simulate.hpp"
 #include "memory/sp_schedule.hpp"
 #include "memory/sp_tree.hpp"
+#include "memory/spization.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 #include "workflows/families.hpp"
@@ -37,7 +40,7 @@ TEST(Simulate, SingleTaskEqualsPaperRequirement) {
   g.addEdge(b, c, 6.0);
   // Block = {b} alone: r_b = 4 + 6 + 20.
   const SubDag sub = graph::inducedSubgraph(g, std::vector<VertexId>{b});
-  const SimResult sim = simulateBlockOrder(sub, std::vector<VertexId>{0});
+  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0});
   EXPECT_DOUBLE_EQ(sim.peak, 30.0);
   EXPECT_DOUBLE_EQ(g.taskMemoryRequirement(b), 30.0);
 }
@@ -50,7 +53,7 @@ TEST(Simulate, ChainFreesConsumedFiles) {
   g.addEdge(a, b, 10.0);
   g.addEdge(b, c, 1.0);
   const SubDag sub = test::wholeDagAsSub(g);
-  const SimResult sim = simulateBlockOrder(sub, std::vector<VertexId>{0, 1, 2});
+  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1, 2});
   // Step a: 5 + 10 = 15. Step b: 10 (input) + 5 + 1 = 16. Step c: 1 + 5 = 6.
   ASSERT_EQ(sim.stepMemory.size(), 3u);
   EXPECT_DOUBLE_EQ(sim.stepMemory[0], 15.0);
@@ -69,7 +72,7 @@ TEST(Simulate, ParallelBranchesAccumulateLiveFiles) {
   g.addEdge(a, b, 7.0);
   g.addEdge(a, c, 9.0);
   const SubDag sub = test::wholeDagAsSub(g);
-  const SimResult sim = simulateBlockOrder(sub, std::vector<VertexId>{0, 1, 2});
+  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1, 2});
   // Step a: 1 + 16. Step b: resident 16 + 1. Step c: resident 9 + 1.
   EXPECT_DOUBLE_EQ(sim.stepMemory[0], 17.0);
   EXPECT_DOUBLE_EQ(sim.stepMemory[1], 17.0);
@@ -84,7 +87,7 @@ TEST(Simulate, ExternalOutputsStayResidentUntilBlockEnd) {
   g.addEdge(a, x, 5.0);  // external output of the block {a,b}
   g.addEdge(a, b, 2.0);
   const SubDag sub = graph::inducedSubgraph(g, std::vector<VertexId>{a, b});
-  const SimResult sim = simulateBlockOrder(sub, std::vector<VertexId>{0, 1});
+  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1});
   // Step a: 1 + 2 + 5. Step b: resident (2 internal + 5 sticky) + 1.
   EXPECT_DOUBLE_EQ(sim.stepMemory[0], 8.0);
   EXPECT_DOUBLE_EQ(sim.stepMemory[1], 8.0);
@@ -99,7 +102,7 @@ TEST(Simulate, ExternalInputsAreLazy) {
   g.addEdge(x, b, 50.0);  // external input, needed only at b's step
   g.addEdge(a, b, 1.0);
   const SubDag sub = graph::inducedSubgraph(g, std::vector<VertexId>{a, b});
-  const SimResult sim = simulateBlockOrder(sub, std::vector<VertexId>{0, 1});
+  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1});
   EXPECT_DOUBLE_EQ(sim.stepMemory[0], 2.0);         // a: mem 1 + out 1
   EXPECT_DOUBLE_EQ(sim.stepMemory[1], 1 + 1 + 50);  // b: in 1 + mem + ext 50
 }
@@ -119,7 +122,7 @@ TEST(Simulate, IncrementalMatchesBatchOnStreamedBlocks) {
       // Local ids follow the order of `first`.
       std::vector<VertexId> localOrder(first.size());
       for (VertexId i = 0; i < first.size(); ++i) localOrder[i] = i;
-      const SimResult sim = simulateBlockOrder(sub, localOrder);
+      const SimResult sim = simulateBlockOrder(BlockCosts(sub), localOrder);
       EXPECT_NEAR(stream.currentPeak(), sim.peak, 1e-9) << "seed " << seed;
     }
     stream.beginBlock();
@@ -129,7 +132,7 @@ TEST(Simulate, IncrementalMatchesBatchOnStreamedBlocks) {
       const SubDag sub = graph::inducedSubgraph(g, second);
       std::vector<VertexId> localOrder(second.size());
       for (VertexId i = 0; i < second.size(); ++i) localOrder[i] = i;
-      const SimResult sim = simulateBlockOrder(sub, localOrder);
+      const SimResult sim = simulateBlockOrder(BlockCosts(sub), localOrder);
       EXPECT_NEAR(stream.currentPeak(), sim.peak, 1e-9) << "seed " << seed;
     }
   }
@@ -162,12 +165,29 @@ TEST(Simulate, BranchStartResidentSumsInAscendingIdOrder) {
   g.addEdge(s, y, 1);
   g.addEdge(s, z, 1);
   const SubDag sub = test::wholeDagAsSub(g);
-  const BoundaryCosts costs(sub);
+  const BlockCosts costs(sub);
   std::vector<bool> member(g.numVertices(), false);
   member[x] = member[y] = member[z] = true;
   const std::vector<VertexId> order{z, y, x};
-  EXPECT_EQ(simulateOrder(sub, costs, order, member).startResident,
+  EXPECT_EQ(simulateOrder(costs, order, member).startResident,
             (1e16 + 1.0) + 1.0);
+}
+
+// A step is summed left to right, resident + m + out + extOut + extIn:
+// 1e16 + 1 rounds back to 1e16, so resident + footprint (1e16 + 2) would
+// show. Every member's candidate is priced by this one sum.
+TEST(Simulate, StepSumsLeftToRightFromTheResident) {
+  Dag g;
+  const VertexId a = g.addVertex(1, 0);
+  const VertexId b = g.addVertex(1, 1);
+  const VertexId c = g.addVertex(1, 0);
+  g.addEdge(a, b, 1e16);
+  g.addEdge(b, c, 1);
+  const SubDag sub = test::wholeDagAsSub(g);
+  const SimResult sim =
+      simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{a, b, c});
+  EXPECT_EQ(sim.stepMemory[1], ((1e16 + 1.0) + 1.0) + 0.0 + 0.0);
+  EXPECT_NE(sim.stepMemory[1], 1e16 + 2.0);
 }
 
 TEST(SpTree, RecognizesChain) {
@@ -300,7 +320,7 @@ TEST(SpSchedule, OrderIsTopological) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Dag g = test::randomSpDag(14, seed);
     const graph::SubDag sub = test::wholeDagAsSub(g);
-    const auto order = spOptimalOrder(sub);
+    const auto order = spOptimalOrder(BlockCosts(sub));
     ASSERT_TRUE(order.has_value()) << "seed " << seed;
     EXPECT_TRUE(graph::isTopologicalOrder(sub.dag, *order));
   }
@@ -319,9 +339,9 @@ TEST_P(SpOptimality, CloseToBruteForceOnSpGraphs) {
   const Dag g = test::randomSpDag(9, GetParam());
   if (g.numVertices() > 9) GTEST_SKIP() << "generator overshoot";
   const graph::SubDag sub = test::wholeDagAsSub(g);
-  const auto order = spOptimalOrder(sub);
+  const auto order = spOptimalOrder(BlockCosts(sub));
   ASSERT_TRUE(order.has_value());
-  const double spPeak = simulateBlockOrder(sub, *order).peak;
+  const double spPeak = simulateBlockOrder(BlockCosts(sub), *order).peak;
   const double optimal = test::bruteForceMinPeak(sub);
   EXPECT_GE(spPeak, optimal - 1e-9) << "seed " << GetParam();
   EXPECT_LE(spPeak, optimal * 1.10 + 1e-9) << "seed " << GetParam();
@@ -336,12 +356,12 @@ TEST_P(ExactDpOptimality, MatchesBruteForce) {
   const Dag g = test::randomLayeredDag(4, 3, 2, GetParam());
   if (g.numVertices() > 9) GTEST_SKIP() << "too large for brute force";
   const graph::SubDag sub = test::wholeDagAsSub(g);
-  const auto exact = exactMinPeakOrder(sub);
+  const auto exact = exactMinPeakOrder(BlockCosts(sub));
   ASSERT_TRUE(exact.has_value());
   EXPECT_NEAR(exact->peak, test::bruteForceMinPeak(sub), 1e-9);
   // The reconstructed order must achieve the reported peak.
   EXPECT_TRUE(graph::isTopologicalOrder(sub.dag, exact->order));
-  EXPECT_NEAR(simulateBlockOrder(sub, exact->order).peak, exact->peak, 1e-9);
+  EXPECT_NEAR(simulateBlockOrder(BlockCosts(sub), exact->order).peak, exact->peak, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactDpOptimality,
@@ -350,17 +370,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExactDpOptimality,
 TEST(ExactDp, RefusesOversizedBlocks) {
   const Dag g = test::randomLayeredDag(8, 6, 3, 1);
   if (g.numVertices() <= kExactDpMaxVertices) GTEST_SKIP();
-  EXPECT_FALSE(exactMinPeakOrder(test::wholeDagAsSub(g)).has_value());
+  const SubDag sub = test::wholeDagAsSub(g);
+  EXPECT_FALSE(exactMinPeakOrder(BlockCosts(sub)).has_value());
 }
 
 TEST(Greedy, OrdersAreTopological) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Dag g = test::randomLayeredDag(6, 5, 3, seed);
     const graph::SubDag sub = test::wholeDagAsSub(g);
+    const BlockCosts costs(sub);
     EXPECT_TRUE(graph::isTopologicalOrder(
-        sub.dag, greedyOrder(sub, GreedyRule::kMinFootprint)));
+        sub.dag, greedyOrder(costs, GreedyRule::kMinFootprint)));
     EXPECT_TRUE(graph::isTopologicalOrder(
-        sub.dag, greedyOrder(sub, GreedyRule::kMaxFreed)));
+        sub.dag, greedyOrder(costs, GreedyRule::kMaxFreed)));
   }
 }
 
@@ -381,7 +403,7 @@ TEST(Oracle, NeverWorseThanAPlainTopologicalOrder) {
     const MemDagOracle oracle(g);
     const graph::SubDag sub = test::wholeDagAsSub(g);
     const double naive =
-        simulateBlockOrder(sub, *graph::topologicalOrder(sub.dag)).peak;
+        simulateBlockOrder(BlockCosts(sub), *graph::topologicalOrder(sub.dag)).peak;
     EXPECT_LE(oracle.blockRequirement(all), naive + 1e-9);
   }
 }
@@ -405,7 +427,7 @@ TEST(Oracle, BestTraversalOrderAchievesReportedPeak) {
   const MemDagOracle oracle(g);
   const TraversalResult best = oracle.bestTraversal(all);
   const graph::SubDag sub = test::wholeDagAsSub(g);
-  EXPECT_NEAR(simulateBlockOrder(sub, best.order).peak, best.peak, 1e-9);
+  EXPECT_NEAR(simulateBlockOrder(BlockCosts(sub), best.order).peak, best.peak, 1e-9);
 }
 
 TEST(Oracle, MemoizesRepeatedBlocks) {
@@ -649,14 +671,15 @@ std::uint64_t hashTreeShape(std::uint64_t h, const SpTree& tree) {
 std::uint64_t pinnedHash(const Dag& g, std::span<const VertexId> block) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const graph::SubDag sub = graph::inducedSubgraph(g, block);
+  const BlockCosts costs(sub);
   if (const auto tree = buildSpTree(sub.dag)) {
     h = hashTreeShape(h, *tree);
   } else {
     h = fnv1a(h, ~0ULL);
   }
-  if (const auto order = spOptimalOrder(sub)) {
+  if (const auto order = spOptimalOrder(costs)) {
     h = hashOrder(h, *order);
-    h = fnv1a(h, bitsOf(simulateBlockOrder(sub, *order).peak));
+    h = fnv1a(h, bitsOf(simulateBlockOrder(costs, *order).peak));
   } else {
     h = fnv1a(h, ~0ULL);
   }
@@ -664,6 +687,58 @@ std::uint64_t pinnedHash(const Dag& g, std::span<const VertexId> block) {
   const TraversalResult best = oracle.bestTraversal(block);
   h = hashOrder(h, best.order);
   return fnv1a(h, bitsOf(best.peak));
+}
+
+/// The oracle's portfolio members, in MemDagOracle::evaluate's order.
+enum Member : std::size_t {
+  kDp,
+  kSp,
+  kGreedyMinFootprint,
+  kGreedyMaxFreed,
+  kDfs,
+  kDfsReversed,
+  kSpization,
+  kNumMembers
+};
+constexpr const char* kMemberNames[kNumMembers] = {
+    "dp", "sp", "greedy-min-footprint", "greedy-max-freed", "dfs",
+    "dfs-reversed", "spization"};
+using MemberHashes = std::array<std::uint64_t, kNumMembers>;
+
+/// FNV-1a of every member's order and of the simulated peak of that order,
+/// so a member that drifts while it loses is seen too. The DP runs on
+/// blocks of at most 12 tasks, as in the oracle, and adds its own peak; a
+/// member that does not run hashes a marker.
+MemberHashes memberHashes(const Dag& g, std::span<const VertexId> block) {
+  const graph::SubDag sub = graph::inducedSubgraph(g, block);
+  const BlockCosts costs(sub);
+  const auto hashOf = [&](const std::optional<std::vector<VertexId>>& order) {
+    const std::uint64_t h = 0xcbf29ce484222325ULL;
+    if (!order) return fnv1a(h, ~0ULL);
+    return fnv1a(hashOrder(h, *order),
+                 bitsOf(simulateBlockOrder(costs, *order).peak));
+  };
+  MemberHashes h{};
+  h[kDp] = hashOf(std::nullopt);
+  if (costs.size() <= 12) {
+    const auto exact = exactMinPeakOrder(costs);
+    h[kDp] = fnv1a(hashOf(exact->order), bitsOf(exact->peak));
+  }
+  h[kSp] = hashOf(spOptimalOrder(costs));
+  h[kGreedyMinFootprint] =
+      hashOf(greedyOrder(costs, GreedyRule::kMinFootprint));
+  h[kGreedyMaxFreed] = hashOf(greedyOrder(costs, GreedyRule::kMaxFreed));
+  h[kDfs] = hashOf(graph::dfsTopologicalOrder(sub.dag, false));
+  h[kDfsReversed] = hashOf(graph::dfsTopologicalOrder(sub.dag, true));
+  h[kSpization] = hashOf(layeredSpizationOrder(costs));
+  return h;
+}
+
+std::string hexWord(std::uint64_t h) {
+  char text[32];
+  std::snprintf(text, sizeof text, "0x%016llxULL",
+                static_cast<unsigned long long>(h));
+  return text;
 }
 
 std::vector<VertexId> allOf(const Dag& g) {
@@ -715,6 +790,7 @@ struct PinnedCase {
   std::function<std::pair<Dag, std::vector<VertexId>>()> make;
   bool isSp;  // buildSpTree recognizes the block
   std::uint64_t expected;
+  MemberHashes members;
 };
 
 std::pair<Dag, std::vector<VertexId>> wholeSp(int size, std::uint64_t seed) {
@@ -743,17 +819,35 @@ const std::vector<PinnedCase>& pinnedCases() {
       // Nested fork-joins; the generator emits a parallel src->dst edge for
       // every empty branch, so most of these also carry multi-edges.
       {"ForkJoin40s1", [] { return wholeSp(40, 1); }, true,
-       0x803eff93cad40db4ULL},
+       0x803eff93cad40db4ULL,
+       {0x8cf51a8bfca3883dULL, 0xce5785120138588eULL, 0x7db67754457f6bd8ULL,
+        0x0b1bdbb9e6c3fa6eULL, 0xd0b388b0feb46bc1ULL, 0x60d5f7c5daf740aeULL,
+        0x4e03cb0b5371e44eULL}},
       {"ForkJoin40s2", [] { return wholeSp(40, 2); }, true,
-       0xcf1fa1ab56a3908fULL},
+       0xcf1fa1ab56a3908fULL,
+       {0x8cf51a8bfca3883dULL, 0x5383fd4959f9c077ULL, 0xa5aa3e77bc63cf41ULL,
+        0x766c81ad84e6074eULL, 0xf68619699e21aa41ULL, 0xa4deb69263986c97ULL,
+        0x6ed221f2928282b7ULL}},
       {"ForkJoin40s3", [] { return wholeSp(40, 3); }, true,
-       0xed9afa4babbd8260ULL},
+       0xed9afa4babbd8260ULL,
+       {0x8cf51a8bfca3883dULL, 0xb08fc48f317fad41ULL, 0xf76507466ae2abcaULL,
+        0x8039564ff98abb2aULL, 0x3adf1a1741b6d5eaULL, 0xbb232625d681bdd3ULL,
+        0x472b83240cd053aaULL}},
       {"ForkJoin400s4", [] { return wholeSp(400, 4); }, true,
-       0x459ad945f803dd3eULL},
+       0x459ad945f803dd3eULL,
+       {0x8cf51a8bfca3883dULL, 0x2d01af349e4dc2f3ULL, 0x3d1d506ca11b3de4ULL,
+        0x998943bdf6b8531bULL, 0xb1cf9da3d65925a0ULL, 0x3bd2d3dac9078fe3ULL,
+        0x6394225b0ec3f580ULL}},
       {"ForkJoin400s5", [] { return wholeSp(400, 5); }, true,
-       0x229ba846ae7dde58ULL},
+       0x229ba846ae7dde58ULL,
+       {0x8cf51a8bfca3883dULL, 0xf7cf2b425928f809ULL, 0x8b5aab0c5d0378deULL,
+        0x978454d1c93c3ad4ULL, 0xfa559b7a5f44ec66ULL, 0x151ca8d0d7365eceULL,
+        0x597051bd90d9a3f2ULL}},
       {"ForkJoin3000s6", [] { return wholeSp(3000, 6); }, true,
-       0xcef51a0722c73df7ULL},
+       0xcef51a0722c73df7ULL,
+       {0x8cf51a8bfca3883dULL, 0x9deaf8e43ef93ca9ULL, 0x37b15a490b915e4eULL,
+        0x1d9684691dfea2e8ULL, 0xc5c8a0abf34719aeULL, 0x48b8b9a46b06526dULL,
+        0xe5f2fbaeea55865fULL}},
       {"MultiEdges",
        [] {
          Dag g;
@@ -769,7 +863,10 @@ const std::vector<PinnedCase>& pinnedCases() {
          auto all = allOf(g);
          return std::pair{std::move(g), std::move(all)};
        },
-       true, 0x8543f822fe977f70ULL},
+       true, 0x8543f822fe977f70ULL,
+       {0x23d3ed7a9e6ac182ULL, 0x7a023d6800bd1c6cULL, 0xcebd0109c365ff2cULL,
+        0x7a023d6800bd1c6cULL, 0xa33229f45721148cULL, 0xcebd0109c365ff2cULL,
+        0x7a023d6800bd1c6cULL}},
       // Dropping the generator's terminals (ids 0 and 1) leaves blocks with
       // several sources and sinks and a boundary to the rest of the DAG.
       {"Interior300s7",
@@ -779,7 +876,10 @@ const std::vector<PinnedCase>& pinnedCases() {
          for (VertexId v = 2; v < g.numVertices(); ++v) block.push_back(v);
          return std::pair{std::move(g), std::move(block)};
        },
-       true, 0x6c26d020aaa25956ULL},
+       true, 0x6c26d020aaa25956ULL,
+       {0x8cf51a8bfca3883dULL, 0x344907bb98ab28a0ULL, 0x11fbb2c03ed20ec8ULL,
+        0xbc0c0db334717461ULL, 0xd6ba0b71fbb52a37ULL, 0x6b52ee979d5e079bULL,
+        0xbe661b47b41d0912ULL}},
       {"Interior300s8",
        [] {
          Dag g = test::randomSpDag(300, 8);
@@ -787,7 +887,10 @@ const std::vector<PinnedCase>& pinnedCases() {
          for (VertexId v = 2; v < g.numVertices(); ++v) block.push_back(v);
          return std::pair{std::move(g), std::move(block)};
        },
-       true, 0x52023b59552f6fb3ULL},
+       true, 0x52023b59552f6fb3ULL,
+       {0x8cf51a8bfca3883dULL, 0xec3a0cbfad6dabe4ULL, 0x7dc5f79f39ac6894ULL,
+        0xf7d98eb2736ba0cdULL, 0xf16664c404e3a897ULL, 0xf5388adf0d4eaa51ULL,
+        0x83b425f013217e13ULL}},
       {"Components",
        [] {
          Dag g;
@@ -797,58 +900,145 @@ const std::vector<PinnedCase>& pinnedCases() {
          auto all = allOf(g);
          return std::pair{std::move(g), std::move(all)};
        },
-       true, 0xdd4463c4194c19a5ULL},
+       true, 0xdd4463c4194c19a5ULL,
+       {0x8cf51a8bfca3883dULL, 0x082da32373235e43ULL, 0x0f799182df078d8dULL,
+        0xeb06a9138e09034cULL, 0xb9efbc0df9f4e2f5ULL, 0x565ae8795977fe4cULL,
+        0xae4e28593e3cf136ULL}},
       {"Fan1200",
        [] {
          Dag g = realWeightedFan(1200, 1, true, 12);
          auto all = allOf(g);
          return std::pair{std::move(g), std::move(all)};
        },
-       true, 0xd414267ee23f6d90ULL},
+       true, 0xd414267ee23f6d90ULL,
+       {0x8cf51a8bfca3883dULL, 0xefee10a02ae20801ULL, 0x0a755f074f616010ULL,
+        0x6b9c3f3df3016b30ULL, 0x053c13ea909170dbULL, 0x36bd302d069f0368ULL,
+        0xefee10a02ae20801ULL}},
       {"FanOfChains1000",
        [] {
          Dag g = realWeightedFan(1000, 3, true, 13);
          auto all = allOf(g);
          return std::pair{std::move(g), std::move(all)};
        },
-       true, 0x74aa39fd293318e5ULL},
+       true, 0x74aa39fd293318e5ULL,
+       {0x8cf51a8bfca3883dULL, 0xd4ec2677a0b88315ULL, 0x0fa13ed68d161e15ULL,
+        0x352c3f21049ceeddULL, 0xaa9a163a7d6836a6ULL, 0x02b7ba064e048e44ULL,
+        0x377f8809fd5526a9ULL}},
       {"Sources1500",
        [] {
          Dag g = realWeightedFan(1500, 1, false, 14);
          auto all = allOf(g);
          return std::pair{std::move(g), std::move(all)};
        },
-       true, 0x2cfe11c0c8d74aa4ULL},
+       true, 0x2cfe11c0c8d74aa4ULL,
+       {0x8cf51a8bfca3883dULL, 0x94ee3077b28c5b77ULL, 0x95697e028f747e53ULL,
+        0x1c6d5569ed20dd47ULL, 0xd67cd61938ba9dfcULL, 0xd67cd61938ba9dfcULL,
+        0x94ee3077b28c5b77ULL}},
       {"Seismology1500",
        [] {
          return workflowBlock(Family::kSeismology, 1500,
                               [](VertexId) { return true; });
        },
-       true, 0xf9674f3a0ece3ee4ULL},
+       true, 0xf9674f3a0ece3ee4ULL,
+       {0x8cf51a8bfca3883dULL, 0x7645ae2261ecdaceULL, 0xce2a002ae85ee34eULL,
+        0x89a41fa720d46826ULL, 0x0d27ff036b33fc05ULL, 0x450bb0fcb0ebcf7aULL,
+        0x70c4767d144cd906ULL}},
       {"SeismologyHead",
        [] {
          return workflowBlock(Family::kSeismology, 1500,
                               [](VertexId v) { return v < 700; });
        },
-       true, 0xc91de0a42aa0e3a9ULL},
+       true, 0xc91de0a42aa0e3a9ULL,
+       {0x8cf51a8bfca3883dULL, 0xa1b88fb8c959aa60ULL, 0xe2841cfca8201eceULL,
+        0xf12f767704aa9b21ULL, 0xf96a5e297dcca1d7ULL, 0x752e309006f7eed5ULL,
+        0xa02820e200453dacULL}},
       {"Genome800",
        [] {
          return workflowBlock(Family::kGenome1000, 800,
                               [](VertexId) { return true; });
        },
-       false, 0x1bd6918d76117aadULL},
+       false, 0x1bd6918d76117aadULL,
+       {0x8cf51a8bfca3883dULL, 0x8cf51a8bfca3883dULL, 0x7ffa96df68a023cdULL,
+        0x4aa4b9dbaa75dab2ULL, 0x899b520996d8a39dULL, 0x6d0724c173600615ULL,
+        0x4e8f8f35a4be9197ULL}},
       {"GenomeHead",
        [] {
          return workflowBlock(Family::kGenome1000, 800,
                               [](VertexId v) { return v < 400; });
        },
-       false, 0x66c5263121400338ULL},
+       false, 0x66c5263121400338ULL,
+       {0x8cf51a8bfca3883dULL, 0x8cf51a8bfca3883dULL, 0x18088ae55c761a0fULL,
+        0x46c3d39989534750ULL, 0xaa200da06b9e2228ULL, 0x697ef6948f0a4db4ULL,
+        0xbe66dd977b25851eULL}},
       {"GenomeStrided",
        [] {
          return workflowBlock(Family::kGenome1000, 800,
                               [](VertexId v) { return v % 3 != 0; });
        },
-       true, 0xd719ba4470982526ULL},
+       true, 0xd719ba4470982526ULL,
+       {0x8cf51a8bfca3883dULL, 0x78da4b5ce6f761bbULL, 0x16592e1aaf527d6eULL,
+        0x2852c4e7249f914aULL, 0xb1b89accde973087ULL, 0x5bd476e1c07c5b2bULL,
+        0x5942ae3f5bf8d1b0ULL}},
+      // Seismology-1500 is a fork of single-task branches into one sink, so
+      // every cut of it is SP; the non-SP cuts come from 1000Genome-800.
+      {"GenomeMiddle",
+       [] {
+         return workflowBlock(Family::kGenome1000, 800, [](VertexId v) {
+           return v >= 200 && v < 600;
+         });
+       },
+       false, 0x702c0127f693c982ULL,
+       {0x8cf51a8bfca3883dULL, 0x8cf51a8bfca3883dULL, 0xab7576ae9d6913a1ULL,
+        0xd4843f420b6503ccULL, 0xcc3ac0957544db72ULL, 0x4f885c48194ff7beULL,
+        0x4cebef5f95d6e45cULL}},
+      {"GenomeTail",
+       [] {
+         return workflowBlock(Family::kGenome1000, 800,
+                              [](VertexId v) { return v >= 400; });
+       },
+       false, 0xf3f21d863aea5092ULL,
+       {0x8cf51a8bfca3883dULL, 0x8cf51a8bfca3883dULL, 0x4441337cd23f06b0ULL,
+        0x622f65a197966a6eULL, 0xcd65e5ab5dc0d53aULL, 0xbc58dfd0e7793c8eULL,
+        0x794a5c3a4eb2aaaaULL}},
+      {"GenomeSparse",
+       [] {
+         return workflowBlock(Family::kGenome1000, 800,
+                              [](VertexId v) { return v % 5 != 0; });
+       },
+       false, 0xddfe26e72b16bfa5ULL,
+       {0x8cf51a8bfca3883dULL, 0x8cf51a8bfca3883dULL, 0x9531755050b9152bULL,
+        0xb21af85db785da10ULL, 0x806316d375028758ULL, 0x93d000b60d4fa8dcULL,
+        0x57a6efec607db0ecULL}},
+      {"GenomeHead150",
+       [] {
+         return workflowBlock(Family::kGenome1000, 800,
+                              [](VertexId v) { return v < 150; });
+       },
+       false, 0x983f34bda1292efbULL,
+       {0x8cf51a8bfca3883dULL, 0x8cf51a8bfca3883dULL, 0xde369e938d8f7b74ULL,
+        0xcccf349adac8024fULL, 0x63cb24f567a3458bULL, 0x2ea61f2c5ebf8b0bULL,
+        0x68c71457650400beULL}},
+      // Two individuals-merge tasks, both feeding the same two consumers
+      // (a bridge, so not SP), small enough for the exact DP.
+      {"GenomeBridge12",
+       [] {
+         return workflowBlock(Family::kGenome1000, 800, [](VertexId v) {
+           return v < 10 || v == 64 || v == 65;
+         });
+       },
+       false, 0x1a39f087d0807cbeULL,
+       {0xcf56a7d567d7a409ULL, 0x8cf51a8bfca3883dULL, 0x4c8ee1dd4833c7a9ULL,
+        0xc7dc6475a89aff2eULL, 0x0a579efa7641980eULL, 0x5f99cb880817a8eeULL,
+        0xdcf1b5ab6a635269ULL}},
+      {"SeismologyFan10",
+       [] {
+         return workflowBlock(Family::kSeismology, 1500,
+                              [](VertexId v) { return v < 10; });
+       },
+       true, 0xd4bac1a6716bbe9cULL,
+       {0x4b3012cd886103eeULL, 0x140566544101e3f9ULL, 0x4d70ceaf44ba4d71ULL,
+        0xffe1a9412d53e6f9ULL, 0x3fd7fcf67cb18646ULL, 0x2b3bf1f1c487a8c5ULL,
+        0x140566544101e3f9ULL}},
   };
   return cases;
 }
@@ -859,13 +1049,23 @@ TEST_P(PinnedSpOrders, MatchesPinnedHash) {
   const PinnedCase& pinned = pinnedCases()[GetParam()];
   const auto [g, block] = pinned.make();
   const std::uint64_t h = pinnedHash(g, block);
-  char actual[32];
-  std::snprintf(actual, sizeof actual, "0x%016llxULL",
-                static_cast<unsigned long long>(h));
-  EXPECT_EQ(h, pinned.expected) << pinned.name << " hashes to " << actual;
+  EXPECT_EQ(h, pinned.expected) << pinned.name << " hashes to " << hexWord(h);
   EXPECT_EQ(buildSpTree(graph::inducedSubgraph(g, block).dag).has_value(),
             pinned.isSp)
       << pinned.name;
+}
+
+TEST_P(PinnedSpOrders, MembersMatchPinnedHashes) {
+  const PinnedCase& pinned = pinnedCases()[GetParam()];
+  const auto [g, block] = pinned.make();
+  const MemberHashes h = memberHashes(g, block);
+  std::string all;
+  for (const std::uint64_t word : h) all += hexWord(word) + ", ";
+  for (std::size_t m = 0; m < kNumMembers; ++m) {
+    EXPECT_EQ(h[m], pinned.members[m])
+        << pinned.name << " member " << kMemberNames[m] << " hashes to "
+        << hexWord(h[m]) << "; all members: {" << all << "}";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

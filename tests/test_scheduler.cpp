@@ -125,7 +125,8 @@ TEST(DagHetMem, BlocksAreContiguousTraversalSegments) {
     for (VertexId local = 0; local < order.size(); ++local) {
       order[local] = local;
     }
-    const memory::SimResult sim = memory::simulateBlockOrder(sub, order);
+    const memory::SimResult sim =
+        memory::simulateBlockOrder(memory::BlockCosts(sub), order);
     EXPECT_LE(sim.peak, cluster.memory(result.procOfBlock[b]))
         << "block " << b;
   }

@@ -59,10 +59,11 @@ inline double bruteForceMinPeak(const graph::SubDag& sub) {
   for (graph::VertexId v = 0; v < n; ++v) {
     remainingParents[v] = sub.dag.inDegree(v);
   }
+  const memory::BlockCosts costs(sub);
   double best = std::numeric_limits<double>::infinity();
   auto recurse = [&](auto&& self) -> void {
     if (order.size() == n) {
-      best = std::min(best, memory::simulateBlockOrder(sub, order).peak);
+      best = std::min(best, memory::simulateBlockOrder(costs, order).peak);
       return;
     }
     for (graph::VertexId v = 0; v < n; ++v) {

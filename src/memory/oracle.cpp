@@ -62,9 +62,9 @@ TraversalResult MemDagOracle::evaluate(
   TraversalResult best;
   best.peak = std::numeric_limits<double>::infinity();
   auto consider = [&](std::vector<VertexId> order) {
-    const SimResult sim = simulateBlockOrder(costs, order);
-    if (sim.peak < best.peak) {
-      best.peak = sim.peak;
+    const double peak = simulateBlockPeak(costs, order);
+    if (peak < best.peak) {
+      best.peak = peak;
       best.order = std::move(order);
     }
   };

@@ -43,12 +43,12 @@ void assertValidOrder(const graph::Dag& g, std::span<const VertexId> order,
 }
 #endif
 
-SimResult run(const BlockCosts& costs, std::span<const VertexId> order,
-              double resident) {
-  SimResult result;
-  result.startResident = resident;
-  result.residentAfter.reserve(order.size());
-  result.stepMemory.reserve(order.size());
+/// Walks `order` from `resident` and returns the peak step memory; `onStep`
+/// sees each step's memory and the resident after it. The one step loop of
+/// both the profile run and the peak-only run.
+template <typename OnStep>
+double walk(const BlockCosts& costs, std::span<const VertexId> order,
+            double& resident, OnStep&& onStep) {
   double peak = 0.0;
   for (const VertexId u : order) {
     const BlockCosts::Task& t = costs.task[u];
@@ -60,10 +60,21 @@ SimResult run(const BlockCosts& costs, std::span<const VertexId> order,
     // were crossing (internal or from non-members) are consumed. Lazy
     // external inputs were never resident, so nothing to subtract for them.
     resident += t.delta;
-    result.stepMemory.push_back(step);
-    result.residentAfter.push_back(resident);
+    onStep(step, resident);
   }
-  result.peak = peak;
+  return peak;
+}
+
+SimResult run(const BlockCosts& costs, std::span<const VertexId> order,
+              double resident) {
+  SimResult result;
+  result.startResident = resident;
+  result.residentAfter.reserve(order.size());
+  result.stepMemory.reserve(order.size());
+  result.peak = walk(costs, order, resident, [&](double step, double after) {
+    result.stepMemory.push_back(step);
+    result.residentAfter.push_back(after);
+  });
   result.finalResident = resident;
   return result;
 }
@@ -96,6 +107,15 @@ SimResult simulateBlockOrder(const BlockCosts& costs,
   assertValidOrder(costs.dag, order, std::vector<bool>(costs.size(), true));
 #endif
   return run(costs, order, 0.0);
+}
+
+double simulateBlockPeak(const BlockCosts& costs,
+                         std::span<const VertexId> order) {
+#ifndef NDEBUG
+  assertValidOrder(costs.dag, order, std::vector<bool>(costs.size(), true));
+#endif
+  double resident = 0.0;
+  return walk(costs, order, resident, [](double, double) {});
 }
 
 IncrementalBlockMemory::IncrementalBlockMemory(const graph::Dag& g)

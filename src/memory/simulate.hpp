@@ -19,10 +19,12 @@
 // A task's costs under this model are static: MemDagOracle::evaluate
 // derives them once per evaluation into a BlockCosts, which the exact DP,
 // the SP schedule, both greedy rules, the layered SP-ization and every
-// candidate's simulation read. Summation order keeps peaks bit-stable: the
-// simulator sums a step left to right as resident + m + out + extOut +
-// extIn (resident + footprint rounds differently) and adds `delta`; the
-// exact DP prices a step as resident + footprint.
+// candidate's simulation read (the oracle prices a candidate by its peak
+// alone, simulateBlockPeak; the profile run and the peak run share one
+// step loop). Summation order keeps peaks bit-stable: the simulator sums a
+// step left to right as resident + m + out + extOut + extIn (resident +
+// footprint rounds differently) and adds `delta`; the exact DP prices a
+// step as resident + footprint.
 
 #include <span>
 #include <vector>
@@ -74,6 +76,11 @@ SimResult simulateOrder(const BlockCosts& costs,
 /// a member and the run starts at resident 0. O(n).
 SimResult simulateBlockOrder(const BlockCosts& costs,
                              std::span<const graph::VertexId> order);
+
+/// simulateBlockOrder(costs, order).peak, bit-identical, without recording
+/// the per-step profile: how MemDagOracle prices its candidate orders.
+[[nodiscard]] double simulateBlockPeak(const BlockCosts& costs,
+                                       std::span<const graph::VertexId> order);
 
 /// Streaming per-block memory accounting over a global traversal of the whole
 /// workflow; used by the DagHetMem baseline to grow blocks until a processor

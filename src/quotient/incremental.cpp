@@ -17,7 +17,10 @@ IncrementalEvaluator::IncrementalEvaluator(const QuotientGraph& q,
 }
 
 IncrementalEvaluator::Scratch::Scratch(const IncrementalEvaluator& eval) {
-  const std::size_t slots = eval.q_->numSlots();
+  allocate(eval.q_->numSlots());
+}
+
+void IncrementalEvaluator::Scratch::allocate(std::size_t slots) {
   value.assign(slots, 0.0);
   stamp.assign(slots, 0);
   dead.assign(slots, 0);
@@ -78,8 +81,9 @@ void IncrementalEvaluator::rebuild() {
     bestTerm_[b] = best;
     bottom_[b] = node.work / speed + best;
     makespan_ = std::max(makespan_, bottom_[b]);
-    values_.emplace(bottom_[b], b);
+    values_.emplace_back(bottom_[b], b);
   }
+  std::sort(values_.begin(), values_.end());
 }
 
 double IncrementalEvaluator::speedOf(
@@ -99,15 +103,7 @@ double IncrementalEvaluator::repair(Scratch& s,
                                     std::span<const BlockId> deadBlocks,
                                     std::span<const ProcOverride> overrides,
                                     bool structural) const {
-  if (s.stamp.size() != q_->numSlots()) {
-    s.value.assign(q_->numSlots(), 0.0);
-    s.stamp.assign(q_->numSlots(), 0);
-    s.dead.assign(q_->numSlots(), 0);
-    s.queued.assign(q_->numSlots(), 0);
-    s.bestVal.assign(q_->numSlots(), 0.0);
-    s.bestStamp.assign(q_->numSlots(), 0);
-    s.refold.assign(q_->numSlots(), 0);
-  }
+  if (s.stamp.size() != q_->numSlots()) s.allocate(q_->numSlots());
   ++s.epoch;
   if (s.epoch == 0) {  // stamp wrap-around: reset and restart at 1
     std::fill(s.stamp.begin(), s.stamp.end(), 0u);
@@ -408,12 +404,23 @@ void IncrementalEvaluator::commitAssign(std::span<const BlockId> dirtySeeds) {
   for (const BlockId b : commitScratch_.bestTouched) {
     bestTerm_[b] = commitScratch_.bestVal[b];
   }
-  for (const BlockId b : commitScratch_.touched) {
-    values_.erase({bottom_[b], b});
-    bottom_[b] = commitScratch_.value[b];
-    values_.emplace(bottom_[b], b);
+  // Drop the touched blocks' entries (stamped by this repair), append their
+  // new values sorted, and merge the two runs: the same pairs in the same
+  // order as a fresh sort.
+  const Scratch& s = commitScratch_;
+  values_.erase(std::remove_if(values_.begin(), values_.end(),
+                               [&](const std::pair<double, BlockId>& v) {
+                                 return s.stamp[v.second] == s.epoch;
+                               }),
+                values_.end());
+  const auto kept = static_cast<std::ptrdiff_t>(values_.size());
+  for (const BlockId b : s.touched) {
+    bottom_[b] = s.value[b];
+    values_.emplace_back(bottom_[b], b);
   }
-  makespan_ = values_.empty() ? 0.0 : values_.rbegin()->first;
+  std::sort(values_.begin() + kept, values_.end());
+  std::inplace_merge(values_.begin(), values_.begin() + kept, values_.end());
+  makespan_ = values_.empty() ? 0.0 : values_.back().first;
 }
 
 const std::vector<BlockId>& IncrementalEvaluator::criticalPath() const {

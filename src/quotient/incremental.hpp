@@ -16,9 +16,10 @@
 //   * propagation cuts off early the moment a repaired bottom weight is
 //     bit-identical to the cached one — the classic delta-evaluation rule,
 //     sound here because Eq. (1) folds exact max/add expressions;
-//   * the makespan is re-derived in O(affected * log V) from an ordered
-//     (bottom weight, block) set by walking down from the committed maximum
-//     and skipping blocks the probe touched.
+//   * the makespan is re-derived from a sorted vector of (bottom weight,
+//     block) pairs by walking down from the committed maximum and skipping
+//     blocks the probe touched. rebuild() sorts it once; commitAssign
+//     re-sorts only the entries it changed and merges them back in.
 //
 // Probes never write the committed cache: all tentative state lives in a
 // caller-provided Scratch, so a const evaluator can serve any number of
@@ -44,7 +45,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -78,6 +78,9 @@ class IncrementalEvaluator {
 
    private:
     friend class IncrementalEvaluator;
+    /// Sizes every per-slot buffer for `slots` blocks, zero-filled.
+    void allocate(std::size_t slots);
+
     std::vector<double> value;          // tentative bottom weights
     std::vector<std::uint32_t> stamp;   // epoch: `value` entry is live
     std::vector<std::uint32_t> dead;    // epoch: block dead in the probe
@@ -180,7 +183,8 @@ class IncrementalEvaluator {
   mutable std::vector<double> bestTerm_;
   std::vector<std::uint32_t> pos_;      // committed topological position
   std::vector<BlockId> order_;
-  mutable std::set<std::pair<double, BlockId>> values_;  // alive blocks
+  // (bottom weight, block) of every alive block, ascending.
+  std::vector<std::pair<double, BlockId>> values_;
   mutable double makespan_ = 0.0;
 
   // Committed caches (model path): the fluid problem of the committed state

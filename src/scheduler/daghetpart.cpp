@@ -96,8 +96,8 @@ ScheduleResult runPipeline(const graph::Dag& g,
   // --- Step 3: merge unassigned blocks into assigned ones. Every sweep
   // candidate builds its own IncrementalEvaluator inside the steps (probe
   // caches are per-quotient), so the OpenMP-parallel k' sweep stays safe;
-  // fullReevaluation routes both steps through the legacy full-recompute
-  // reference instead.
+  // fullReevaluation prices both steps' probes with the full recompute
+  // instead.
   const comm::CommCostModel* commModel = commModelFor(cfg.options);
   const bool fullReeval = useFullReevaluation(cfg.options);
   MergeStepConfig mcfg;

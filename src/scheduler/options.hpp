@@ -14,11 +14,12 @@ struct SchedulerOptions {
   /// scoring, the Step-4 swap/idle-move search, the k'-sweep selection and
   /// the reported makespan all optimize the contended physics.
   bool contentionAware = false;
-  /// Evaluate every Step-3/4 probe with the full O(V+E) recompute instead
-  /// of the quotient::IncrementalEvaluator delta path. Schedules are
-  /// bit-identical either way (fuzz- and baseline-enforced); the full mode
-  /// is kept as the differential reference and for the
-  /// bench/scheduler_scaling speedup measurement.
+  /// Price every Step-3/4 probe with the full O(V+E) recompute instead of
+  /// the quotient::IncrementalEvaluator delta path. Each step runs its one
+  /// search loop either way, and only the pricing (plus the critical path
+  /// and the evaluator's commit) differs, so schedules are bit-identical
+  /// (fuzz- and baseline-enforced); the full mode is the differential
+  /// reference and the baseline of the bench/scheduler_scaling speedup.
   bool fullReevaluation = false;
 };
 

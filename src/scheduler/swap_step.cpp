@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -103,30 +104,44 @@ void scanPairs(const quotient::IncrementalEvaluator& eval,
   for (const obs::CounterTally& tally : tallies) obs::addTally(tally);
 }
 
-/// The legacy full-recompute loop, kept verbatim as the differential
-/// reference for the incremental path (fullReevaluation routes here).
-SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
-                                  const platform::Cluster& cluster,
-                                  const SwapStepConfig& cfg) {
+}  // namespace
+
+SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
+                              const platform::Cluster& cluster,
+                              const SwapStepConfig& cfg) {
   SwapStepResult result;
-  // Null model keeps the legacy uncontended recurrence byte-for-byte.
-  const auto evalMakespan = [&]() {
-    return quotient::makespanValue(q, cluster, cfg.comm);
+  // The incremental evaluator prices every probe by cone repair; without it
+  // (the fullReevaluation reference) each probe is a full recompute of the
+  // probed quotient. Pricing, the critical path and the commit are the only
+  // steps that differ between the two.
+  std::optional<quotient::IncrementalEvaluator> eval;
+  if (!cfg.fullReevaluation) eval.emplace(q, cluster, cfg.comm);
+  // Null comm keeps the uncontended recurrence byte-for-byte. Swaps and
+  // moves leave the topology alone, so every recompute has a value.
+  const auto recompute = [&] {
+    const std::optional<double> makespan =
+        quotient::makespanValue(q, cluster, cfg.comm);
+    assert(makespan.has_value() && "swap step requires an acyclic quotient");
+    return *makespan;
   };
-  const auto current = evalMakespan();
-  assert(current.has_value() && "swap step requires an acyclic quotient");
-  result.makespan = *current;
+  result.makespan = eval ? eval->makespan() : recompute();
 
   const std::vector<BlockId> nodes = q.aliveNodes();
 
   if (cfg.enableSwaps) {
-    // Algorithm 5: repeatedly execute the best improving feasible swap.
+    // Algorithm 5 with materialized probes: each round prices every
+    // feasible pair, then replays the sequential acceptance rule over the
+    // stored makespans. The evaluator prices the pairs as tasks on the
+    // enclosing team (probes only write their chunk's scratch and slots),
+    // so the committed swap sequence is bit-identical for any OpenMP thread
+    // count, and identical to the reference's.
+    std::vector<PairCandidate> pairs;
+    std::vector<double> makespans;
+    std::vector<obs::CounterTally> tallies;
     for (std::uint32_t round = 0; round < kMaxSwapRounds; ++round) {
-      double bestMakespan = result.makespan;
-      BlockId bestA = quotient::kNoBlock;
-      BlockId bestB = quotient::kNoBlock;
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      pairs.clear();
+      for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+        for (std::uint32_t j = i + 1; j < nodes.size(); ++j) {
           const BlockId a = nodes[i];
           const BlockId b = nodes[j];
           const ProcessorId pa = q.node(a).proc;
@@ -140,16 +155,41 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
               q.node(b).memReq > cluster.memory(pa)) {
             continue;
           }
+          pairs.push_back({i, j});
+        }
+      }
+      const obs::Span roundSpan(
+          "swap.scan_round", "round=" + std::to_string(round) +
+                                 " pairs=" + std::to_string(pairs.size()));
+      obs::add(obs::Counter::kSwapRounds);
+      obs::add(obs::Counter::kSwapPairsProbed, pairs.size());
+      if (eval) {
+        scanPairs(*eval, q, nodes, pairs, makespans, tallies);
+      } else {
+        // The reference swaps each pair in place, recomputes and restores,
+        // one pair after another on this thread: it shares nothing with
+        // the tasked scan it checks.
+        makespans.resize(pairs.size());
+        for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
+          const BlockId a = nodes[pairs[idx].i];
+          const BlockId b = nodes[pairs[idx].j];
+          const ProcessorId pa = q.node(a).proc;
+          const ProcessorId pb = q.node(b).proc;
           q.setProcessor(a, pb);
           q.setProcessor(b, pa);
-          const auto makespan = evalMakespan();
+          makespans[idx] = recompute();
           q.setProcessor(a, pa);
           q.setProcessor(b, pb);
-          if (makespan && *makespan < bestMakespan - 1e-12) {
-            bestMakespan = *makespan;
-            bestA = a;
-            bestB = b;
-          }
+        }
+      }
+      double bestMakespan = result.makespan;
+      BlockId bestA = quotient::kNoBlock;
+      BlockId bestB = quotient::kNoBlock;
+      for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
+        if (makespans[idx] < bestMakespan - 1e-12) {
+          bestMakespan = makespans[idx];
+          bestA = nodes[pairs[idx].i];
+          bestB = nodes[pairs[idx].j];
         }
       }
       if (bestA == quotient::kNoBlock) break;  // no improving swap exists
@@ -157,8 +197,14 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
       const ProcessorId pb = q.node(bestB).proc;
       q.setProcessor(bestA, pb);
       q.setProcessor(bestB, pa);
+      if (eval) {
+        const BlockId dirty[2] = {bestA, bestB};
+        eval->commitAssign(dirty);
+        assert(eval->makespan() == bestMakespan);
+      }
       result.makespan = bestMakespan;
       ++result.swapsCommitted;
+      obs::add(obs::Counter::kSwapsCommitted);
     }
   }
 
@@ -166,6 +212,8 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
     // Idle processors exist in particular when the partitioner produced
     // fewer blocks than processors; move critical-path blocks to faster
     // idle processors while that improves the makespan.
+    quotient::IncrementalEvaluator::Scratch scratch;
+    if (eval) scratch = quotient::IncrementalEvaluator::Scratch(*eval);
     std::set<ProcessorId> idle;
     for (ProcessorId p = 0; p < cluster.numProcessors(); ++p) idle.insert(p);
     for (const BlockId b : nodes) idle.erase(q.node(b).proc);
@@ -174,9 +222,14 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
     bool progress = true;
     while (progress && !idle.empty()) {
       progress = false;
-      const quotient::MakespanResult ms =
-          computeMakespan(q, cluster, cfg.comm);
-      for (const BlockId b : ms.criticalPath) {
+      // The committed critical path. The evaluator derives it from its
+      // cached passes (bit-identical to computeMakespan's, tie-breaks
+      // included); taken by value, since a committed move below
+      // invalidates that cache while this loop is still live.
+      const std::vector<BlockId> path =
+          eval ? eval->criticalPath()
+               : quotient::computeMakespan(q, cluster, cfg.comm).criticalPath;
+      for (const BlockId b : path) {
         if (moved.count(b) > 0) continue;
         const ProcessorId from = q.node(b).proc;
         // Fastest idle processor that holds the block and beats the current
@@ -193,131 +246,21 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
           }
         }
         if (best == platform::kNoProcessor) continue;
-        q.setProcessor(b, best);
-        const auto makespan = evalMakespan();
-        if (makespan && *makespan < result.makespan - 1e-12) {
-          idle.erase(best);
-          idle.insert(from);
-          moved.insert(b);
-          result.makespan = *makespan;
-          ++result.idleMovesCommitted;
-          progress = true;
-          break;  // critical path changed; recompute it
+        double makespan;
+        if (eval) {
+          const quotient::ProcOverride overrides[1] = {{b, best}};
+          makespan = eval->probeAssign(scratch, overrides);
+        } else {
+          q.setProcessor(b, best);
+          makespan = recompute();
+          q.setProcessor(b, from);
         }
-        q.setProcessor(b, from);
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
-                              const platform::Cluster& cluster,
-                              const SwapStepConfig& cfg) {
-  if (cfg.fullReevaluation) return improveBySwapsFull(q, cluster, cfg);
-
-  SwapStepResult result;
-  quotient::IncrementalEvaluator eval(q, cluster, cfg.comm);
-  result.makespan = eval.makespan();
-
-  const std::vector<BlockId> nodes = q.aliveNodes();
-
-  if (cfg.enableSwaps) {
-    // Algorithm 5 with materialized probes: each round evaluates every
-    // feasible pair (as tasks on the enclosing team — probes only write
-    // their chunk's scratch and slots), then replays the sequential
-    // acceptance rule over the stored makespans, which keeps the committed
-    // swap sequence bit-identical to the legacy loop for any OpenMP thread
-    // count.
-    std::vector<PairCandidate> pairs;
-    std::vector<double> makespans;
-    std::vector<obs::CounterTally> tallies;
-    for (std::uint32_t round = 0; round < kMaxSwapRounds; ++round) {
-      pairs.clear();
-      for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-        for (std::uint32_t j = i + 1; j < nodes.size(); ++j) {
-          const BlockId a = nodes[i];
-          const BlockId b = nodes[j];
-          const ProcessorId pa = q.node(a).proc;
-          const ProcessorId pb = q.node(b).proc;
-          if (pa == pb) continue;
-          if (cluster.speed(pa) == cluster.speed(pb)) continue;
-          // Feasible iff each block fits the other's processor memory.
-          if (q.node(a).memReq > cluster.memory(pb) ||
-              q.node(b).memReq > cluster.memory(pa)) {
-            continue;
-          }
-          pairs.push_back({i, j});
-        }
-      }
-      const obs::Span roundSpan(
-          "swap.scan_round", "round=" + std::to_string(round) +
-                                 " pairs=" + std::to_string(pairs.size()));
-      obs::add(obs::Counter::kSwapRounds);
-      obs::add(obs::Counter::kSwapPairsProbed, pairs.size());
-      scanPairs(eval, q, nodes, pairs, makespans, tallies);
-      double bestMakespan = result.makespan;
-      BlockId bestA = quotient::kNoBlock;
-      BlockId bestB = quotient::kNoBlock;
-      for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-        if (makespans[idx] < bestMakespan - 1e-12) {
-          bestMakespan = makespans[idx];
-          bestA = nodes[pairs[idx].i];
-          bestB = nodes[pairs[idx].j];
-        }
-      }
-      if (bestA == quotient::kNoBlock) break;  // no improving swap exists
-      const ProcessorId pa = q.node(bestA).proc;
-      const ProcessorId pb = q.node(bestB).proc;
-      q.setProcessor(bestA, pb);
-      q.setProcessor(bestB, pa);
-      const BlockId dirty[2] = {bestA, bestB};
-      eval.commitAssign(dirty);
-      assert(eval.makespan() == bestMakespan);
-      result.makespan = bestMakespan;
-      ++result.swapsCommitted;
-      obs::add(obs::Counter::kSwapsCommitted);
-    }
-  }
-
-  if (cfg.enableIdleMoves) {
-    quotient::IncrementalEvaluator::Scratch scratch(eval);
-    std::set<ProcessorId> idle;
-    for (ProcessorId p = 0; p < cluster.numProcessors(); ++p) idle.insert(p);
-    for (const BlockId b : nodes) idle.erase(q.node(b).proc);
-
-    std::set<BlockId> moved;
-    bool progress = true;
-    while (progress && !idle.empty()) {
-      progress = false;
-      // The committed critical path, derived from the cached passes
-      // (bit-identical to computeMakespan's, including tie-breaks). Taken
-      // by value: a committed move below invalidates the evaluator's cache
-      // while this loop is still live.
-      const std::vector<BlockId> path = eval.criticalPath();
-      for (const BlockId b : path) {
-        if (moved.count(b) > 0) continue;
-        const ProcessorId from = q.node(b).proc;
-        ProcessorId best = platform::kNoProcessor;
-        for (const ProcessorId p : idle) {
-          if (cluster.speed(p) <= cluster.speed(from)) continue;
-          if (q.node(b).memReq > cluster.memory(p)) continue;
-          if (best == platform::kNoProcessor ||
-              cluster.speed(p) > cluster.speed(best) ||
-              (cluster.speed(p) == cluster.speed(best) &&
-               cluster.memory(p) > cluster.memory(best))) {
-            best = p;
-          }
-        }
-        if (best == platform::kNoProcessor) continue;
-        const quotient::ProcOverride overrides[1] = {{b, best}};
-        const double makespan = eval.probeAssign(scratch, overrides);
         if (makespan < result.makespan - 1e-12) {
           q.setProcessor(b, best);
-          const BlockId dirty[1] = {b};
-          eval.commitAssign(dirty);
+          if (eval) {
+            const BlockId dirty[1] = {b};
+            eval->commitAssign(dirty);
+          }
           idle.erase(best);
           idle.insert(from);
           moved.insert(b);

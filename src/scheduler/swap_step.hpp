@@ -8,20 +8,22 @@
 // idle processors that can hold them, as long as doing so improves the
 // makespan.
 //
-// The default implementation evaluates every candidate through
-// quotient::IncrementalEvaluator (cone repair instead of a full O(V+E)
-// recompute per probe) and scans the O(n^2) swap candidates in parallel:
-// one team; nested Step-4 work is tasks on the innermost team. Each round's
-// pairs split into 64-pair chunks that run as an OpenMP taskloop on the
-// innermost enclosing team (its own team outside any active region; inline
-// for a single chunk). Probes are pure (per-chunk scratch over a const
-// quotient), all candidate makespans are materialized, and the winning
-// pair is then selected by replaying the sequential acceptance rule over
-// the stored values — so the result is bit-identical to the sequential
-// scan for any thread count. Counters of chunks run by other threads are
-// charged to the calling thread (obs::CounterMove).
-// SchedulerOptions::fullReevaluation switches to the legacy full-recompute
-// loop, kept verbatim as the differential reference.
+// One swap-round loop and one idle-move loop serve both pricings. By
+// default every candidate is priced through quotient::IncrementalEvaluator
+// (cone repair instead of a full O(V+E) recompute per probe) and the O(n^2)
+// swap candidates are scanned in parallel: each round's pairs split into
+// 64-pair chunks that run as an OpenMP taskloop on the innermost enclosing
+// team (its own team outside any active region; inline for a single
+// chunk). Probes are pure (per-chunk scratch over a const quotient), all
+// candidate makespans are materialized, and the winning pair is then
+// selected by replaying the sequential acceptance rule over the stored
+// values — so the result is bit-identical to the sequential scan for any
+// thread count. Counters of chunks run by other threads are charged to the
+// calling thread (obs::CounterMove).
+// SwapStepConfig::fullReevaluation is the differential reference: the same
+// loops, but each probe is a full recompute of the probed quotient, priced
+// sequentially on the calling thread, and the critical path comes from
+// quotient::computeMakespan. Both modes count the same swap.* work.
 
 #include "comm/cost_model.hpp"
 #include "platform/cluster.hpp"
@@ -37,8 +39,8 @@ struct SwapStepConfig {
   /// &comm::fairShareCommModel() = contention-aware local search. The
   /// returned makespan is priced under the same model.
   const comm::CommCostModel* comm = nullptr;
-  /// Probe every candidate with the full recompute instead of the
-  /// incremental evaluator (differential reference; bit-identical results).
+  /// Price every probe with the full recompute instead of the incremental
+  /// evaluator (differential reference; bit-identical results).
   bool fullReevaluation = false;
 };
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
@@ -621,6 +622,21 @@ TEST_P(IncrementalFuzz, MutationSequencesMatchFairShareModelTo1em9) {
       });
 }
 
+/// The Step-4 work a scope's thread counted: swap.rounds,
+/// swap.pairs_probed, swap.committed and swap.idle_moves (scan chunks other
+/// threads ran are charged back to it).
+using SwapWork = std::array<std::uint64_t, 4>;
+SwapWork swapWork(const obs::ThreadCounterScope& scope) {
+  const std::vector<obs::CounterValue> deltas = scope.deltas();
+  const auto count = [&](obs::Counter c) {
+    return deltas[static_cast<std::size_t>(c)].value;
+  };
+  return {count(obs::Counter::kSwapRounds),
+          count(obs::Counter::kSwapPairsProbed),
+          count(obs::Counter::kSwapsCommitted),
+          count(obs::Counter::kSwapIdleMoves)};
+}
+
 TEST_P(IncrementalFuzz, ParallelSwapScanIsThreadCountReproducible) {
   const EvalFuzzCase fc = makeEvalFuzzCase(GetParam() * 7 + 3);
   quotient::QuotientGraph base(fc.dag, fc.blockOf, fc.numBlocks);
@@ -630,22 +646,27 @@ TEST_P(IncrementalFuzz, ParallelSwapScanIsThreadCountReproducible) {
                              i++ % fc.cluster.numProcessors()));
     base.setMemReq(b, 1.0);
   }
+  obs::enableCounters(true);
   const auto run = [&](int threads, bool full) {
     quotient::QuotientGraph q = base;  // value copy: independent state
     scheduler::SwapStepConfig cfg;
     cfg.fullReevaluation = full;
+    const obs::ThreadCounterScope scope;
     const scheduler::SwapStepResult result = test::withOmpThreads(
         threads, [&] { return scheduler::improveBySwaps(q, fc.cluster, cfg); });
     std::vector<platform::ProcessorId> procs;
     for (const BlockId b : q.aliveNodes()) procs.push_back(q.node(b).proc);
     return std::make_tuple(result.makespan, result.swapsCommitted,
-                           result.idleMovesCommitted, std::move(procs));
+                           result.idleMovesCommitted, std::move(procs),
+                           swapWork(scope));
   };
   const auto single = run(1, false);
   const auto parallel = run(3, false);
   const auto reference = run(1, true);
+  obs::enableCounters(false);
   EXPECT_EQ(single, parallel);  // bit-identical for any thread count
-  EXPECT_EQ(single, reference);  // and identical to the full recompute
+  // and identical to the full recompute, which counts the same work
+  EXPECT_EQ(single, reference);
 }
 
 /// A quotient of 25-40 blocks spread over 3-8 processors: its first swap
@@ -675,7 +696,9 @@ EvalFuzzCase makeWideSwapCase(std::uint64_t seed) {
 /// The Step-4 swap search on a multi-chunk scan, run at 1 and 3 threads and
 /// on thread 0 of an active 2-thread region (where thread 1 takes chunks),
 /// against the full-recompute reference. Comparing runs only with each
-/// other would miss a scan that drops its chunk outputs on every run.
+/// other would miss a scan that drops its chunk outputs on every run. Every
+/// run also reports the Step-4 work it counted; the two pricings share one
+/// search loop, so they must count the same rounds, probes and commits.
 template <typename Compare>
 void runMultiChunkSwapScan(std::uint64_t seed,
                            const comm::CommCostModel* model,
@@ -700,18 +723,21 @@ void runMultiChunkSwapScan(std::uint64_t seed,
   ASSERT_GT(firstRoundPairs, 64u) << "seed " << seed;
 
   using Outcome = std::tuple<double, std::uint32_t, std::uint32_t,
-                             std::vector<platform::ProcessorId>>;
+                             std::vector<platform::ProcessorId>, SwapWork>;
+  obs::enableCounters(true);
   const auto solve = [&](bool full) {
     quotient::QuotientGraph q = base;  // value copy: independent state
     scheduler::SwapStepConfig cfg;
     cfg.comm = model;
     cfg.fullReevaluation = full;
+    const obs::ThreadCounterScope scope;
     const scheduler::SwapStepResult result =
         scheduler::improveBySwaps(q, fc.cluster, cfg);
     std::vector<platform::ProcessorId> procs;
     for (const BlockId b : q.aliveNodes()) procs.push_back(q.node(b).proc);
     return Outcome{result.makespan, result.swapsCommitted,
-                   result.idleMovesCommitted, std::move(procs)};
+                   result.idleMovesCommitted, std::move(procs),
+                   swapWork(scope)};
   };
   const Outcome reference =
       test::withOmpThreads(1, [&] { return solve(true); });
@@ -723,6 +749,7 @@ void runMultiChunkSwapScan(std::uint64_t seed,
   {
     if (omp_get_thread_num() == 0) nested = solve(false);
   }
+  obs::enableCounters(false);
   EXPECT_EQ(single, parallel) << "seed " << seed;
   EXPECT_EQ(single, nested) << "seed " << seed;
   compare(single, reference);
@@ -744,6 +771,7 @@ TEST_P(IncrementalFuzz, MultiChunkSwapScanMatchesFairShareModelTo1em9) {
                     1e-9 * std::max(1.0, expected));
         EXPECT_EQ(std::get<1>(incremental), std::get<1>(full));
         EXPECT_EQ(std::get<3>(incremental), std::get<3>(full));
+        EXPECT_EQ(std::get<4>(incremental), std::get<4>(full));
       });
 }
 

@@ -395,29 +395,18 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
     predsOf[b].insert(a);
   }
 
-  // Adapt the checkpoint: translate ids, rebuild per-block input state, keep
-  // in-flight transfers to unmoved destinations, re-send the inputs of moved
-  // destinations from their completed producers.
+  // Adapt the checkpoint: everything but its block-indexed parts carries
+  // over verbatim (fault state is processor-indexed, and applied fault
+  // events are never re-applied on resume). Translate the events' block ids,
+  // rebuild per-block input state, keep in-flight transfers to unmoved
+  // destinations, re-send the inputs of moved destinations from their
+  // completed producers.
   sim::SimCheckpoint& nk = sp.checkpoint;
-  nk.now = ck.now;
-  nk.tasksDone = ck.tasksDone;
-  nk.taskCompleted = ck.taskCompleted;
-  nk.readyTime = ck.readyTime;
-  nk.events = ck.events;
+  nk = ck;
   for (sim::TaskEvent& ev : nk.events) {
     if (ev.block != quotient::kNoBlock) ev.block = sp.oldToNew[ev.block];
   }
-  nk.running = ck.running;
-  nk.makespanSoFar = ck.makespanSoFar;
-  nk.numTransfers = ck.numTransfers;
-  nk.transferVolume = ck.transferVolume;
-  nk.memoryOverflows = ck.memoryOverflows;
-  nk.maxMemoryExcess = ck.maxMemoryExcess;
-  // Fault state is processor-indexed: it survives block-id translation
-  // verbatim (applied fault events are never re-applied on resume).
-  nk.procDeadUntil = ck.procDeadUntil;
-  nk.faultsApplied = ck.faultsApplied;
-  nk.faultLog = ck.faultLog;
+  nk.transfers.clear();
 
   std::set<std::pair<BlockId, BlockId>> inFlightOld;
   for (const sim::TransferState& t : ck.transfers) {
@@ -439,8 +428,7 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
   const auto resend = [&](BlockId src, BlockId dst, double bytes,
                           sim::BlockState& bs) -> std::size_t {
     const double total =
-        bytes * model.transferFactor((static_cast<std::uint64_t>(src) << 32) |
-                                     static_cast<std::uint64_t>(dst));
+        bytes * model.transferFactor(sim::blockTransferId(src, dst));
     ++nk.numTransfers;
     nk.transferVolume += bytes;
     ++sp.resendTransfers;
@@ -450,6 +438,7 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
       t.remaining = total;
       t.total = total;
       t.bytes = bytes;
+      t.dispatched = ck.now;
       t.srcBlock = src;
       t.dstBlock = dst;
       nk.transfers.push_back(t);

@@ -48,8 +48,7 @@ class TriggerObserver final : public sim::SimObserver {
         nextDeadline_(policy.intervalFraction * scale_) {}
 
   void mute(double until) { muteUntil_ = std::max(muteUntil_, until); }
-  /// Stops policy-driven pauses while leaving fault pauses armed (used in
-  /// fault runs where `observing = false` would strand lost work).
+  /// Stops policy-driven pauses while leaving fault pauses armed.
   void disablePolicy() noexcept { policyDisabled_ = true; }
   void clearFaultPending() noexcept { faultPending_ = false; }
   [[nodiscard]] bool faultPending() const noexcept { return faultPending_; }
@@ -150,8 +149,8 @@ std::vector<double> estimateProcSlowdown(const graph::Dag& g,
 namespace {
 
 /// One full online execution (engine runs + pauses + repairs + splices):
-/// the driver runs it once fault-free, and twice under faults (the naive
-/// greedy re-execution baseline and the recovery-aware search).
+/// the driver runs the baseline (no policy trigger, forced evacuations only)
+/// and the search it is raced against.
 struct LoopOutcome {
   bool ok = false;
   std::string error;
@@ -195,56 +194,24 @@ RescheduleResult runOnline(const graph::Dag& g,
   base.seed = options.seed;
   if (faulty) base.faults = options.faults;
 
-  if (!faulty) {
-    // The no-rescheduling replay: the baseline every policy is measured
-    // against (and the hindsight guard's fallback execution). Under faults
-    // this replay would strand the lost work, so the greedy re-execution
-    // loop below takes over as the baseline instead.
-    const sim::SimResult unrepaired = sim::simulateSchedule(initialPlan, base);
-    if (!unrepaired.ok) {
-      result.error = unrepaired.error;
-      return result;
-    }
-    result.unrepairedMakespan = unrepaired.makespan;
-
-    if (policy.trigger == TriggerPolicy::kNone) {
-      result.repairedMakespan = result.finalMakespan = unrepaired.makespan;
-      result.memoryOverflows = unrepaired.memoryOverflows;
-      result.execution = unrepaired;
-      result.finalSchedule = schedule;
-      result.ok = true;
-      return result;
-    }
-  }
-
   // Predictions: the deterministic fault-free replay of the current
-  // schedule, at task granularity. Refreshed from the splice point after
-  // every repair; faults are deliberately absent — drift and repair
-  // projections measure against the plan, not against future failures.
+  // schedule, at task granularity, filled in before the search loop runs
+  // (the baseline loop triggers nothing, so it never reads them). Refreshed
+  // from the splice point after every repair; faults are deliberately
+  // absent — drift and repair projections measure against the plan, not
+  // against future failures.
   sim::SimOptions deterministic = base;
   deterministic.perturbation = nullptr;
   deterministic.faults = nullptr;
   std::vector<double> basePredictedStart(g.numVertices(), 0.0);
   std::vector<double> basePredictedFinish(g.numVertices(), 0.0);
-  {
-    const sim::SimResult reference =
-        sim::simulateSchedule(initialPlan, deterministic);
-    if (!reference.ok) {
-      result.error = reference.error;
-      return result;
-    }
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-      basePredictedStart[v] = reference.events[v].start;
-      basePredictedFinish[v] = reference.events[v].finish;
-    }
-  }
 
-  const auto runLoop = [&](bool greedyMode) {
+  const auto runLoop = [&](bool baseline) {
     LoopOutcome out;
     ReschedulePolicy lp = policy;
-    // The greedy baseline repairs nothing it is not forced to: fault
-    // evacuations only, placed naively, no improvement search.
-    if (greedyMode) lp.trigger = TriggerPolicy::kNone;
+    // The baseline repairs nothing it is not forced to: fault evacuations
+    // only, placed naively, no improvement search.
+    if (baseline) lp.trigger = TriggerPolicy::kNone;
 
     std::vector<double> predictedStart = basePredictedStart;
     std::vector<double> predictedFinish = basePredictedFinish;
@@ -264,13 +231,12 @@ RescheduleResult runOnline(const graph::Dag& g,
     const scheduler::ScheduleResult* currentSchedule = &schedule;
     sim::SimCheckpoint checkpoint;
     bool resuming = false;
-    bool observing = true;
     double backoff = kFaultBackoffFraction * scale;
     int failedRetries = 0;
 
     for (;;) {
       sim::SimOptions opts = base;
-      opts.observer = observing ? &observer : nullptr;
+      opts.observer = &observer;
       opts.resume = resuming ? &checkpoint : nullptr;
       out.run = sim::simulateSchedule(plans.back(), opts);
       if (!out.run.ok) {
@@ -278,38 +244,26 @@ RescheduleResult runOnline(const graph::Dag& g,
         return out;
       }
       if (!out.run.paused) break;
+      checkpoint = std::move(out.run.checkpoint);
+      resuming = true;
 
       const bool faultRepair = observer.faultPending();
       if (faultRepair) {
         obs::add(obs::Counter::kReschedFaultTriggers);
-        checkpoint = std::move(out.run.checkpoint);
-        resuming = true;
         // Mandatory: no cooldown, no caps, no drift gate — the lost work
         // cannot execute where it sits.
       } else {
         ++out.triggers;
         obs::add(obs::Counter::kReschedTriggers);
-        checkpoint = std::move(out.run.checkpoint);
-        resuming = true;
         observer.mute(checkpoint.now + kCooldownFraction * scale);
+        // Past either cap only fault pauses stay armed. The trigger that
+        // reaches maxTriggers still gets its repair attempt (maxTriggers = 1
+        // means one attempt, not zero).
         if (out.accepted >= lp.maxReschedules) {
-          if (faulty) {
-            observer.disablePolicy();  // fault pauses must stay armed
-          } else {
-            observing = false;
-          }
+          observer.disablePolicy();
           continue;
         }
-        // The trigger that reaches the cap still gets its repair attempt
-        // (maxTriggers = 1 means one attempt, not zero); only further pauses
-        // are disabled.
-        if (out.triggers >= lp.maxTriggers) {
-          if (faulty) {
-            observer.disablePolicy();
-          } else {
-            observing = false;
-          }
-        }
+        if (out.triggers >= lp.maxTriggers) observer.disablePolicy();
 
         // Drift gate: while execution tracks the prediction, repairing
         // could only churn (and would break the zero-noise no-op property).
@@ -328,7 +282,7 @@ RescheduleResult runOnline(const graph::Dag& g,
       residual.procSlowdown = estimateProcSlowdown(g, cluster, checkpoint);
       RepairConfig repairCfg;
       repairCfg.minGain = lp.minGain;
-      repairCfg.evacuateOnly = greedyMode;
+      repairCfg.evacuateOnly = baseline;
       // A contended execution is repaired against the contended cost model:
       // the projection then prices the very physics the resumed engine will
       // realize, instead of the optimistic uncontended c/beta.
@@ -442,55 +396,60 @@ RescheduleResult runOnline(const graph::Dag& g,
     return out;
   };
 
-  if (!faulty) {
-    LoopOutcome out = runLoop(false);
-    if (!out.ok) {
-      result.error = std::move(out.error);
-      return result;
-    }
-    result.triggersFired = out.triggers;
-    result.reschedulesAccepted = out.accepted;
-    result.reschedulesRejected = out.rejected;
-    result.repairs = std::move(out.repairs);
-    result.repairedMakespan = out.run.makespan;
-    result.memoryOverflows = out.run.memoryOverflows;
-    result.execution = std::move(out.run);
-    result.finalSchedule = std::move(out.finalSchedule);
-    if (policy.hindsightGuard &&
-        result.unrepairedMakespan < result.repairedMakespan) {
-      result.guardTripped = true;
-      result.finalMakespan = result.unrepairedMakespan;
-    } else {
-      result.finalMakespan = result.repairedMakespan;
-    }
-    result.ok = true;
+  // The baseline execution. Without faults its observer never pauses, so it
+  // is the unrepaired replay every policy is measured against; under faults
+  // it is the naive greedy re-execution (an unrepaired replay would strand
+  // the lost work).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LoopOutcome baseline = runLoop(true);
+  if (!faulty && !baseline.ok) {
+    result.error = std::move(baseline.error);
     return result;
   }
+  result.unrepairedMakespan = baseline.ok ? baseline.run.makespan : kInf;
+  result.greedyMakespan = faulty ? result.unrepairedMakespan : 0.0;
+  LoopOutcome search;
+  if (!faulty && policy.trigger == TriggerPolicy::kNone) {
+    search = baseline;  // the search loop would replay the baseline verbatim
+  } else {
+    const sim::SimResult reference =
+        sim::simulateSchedule(initialPlan, deterministic);
+    if (!reference.ok) {
+      result.error = reference.error;
+      return result;
+    }
+    for (VertexId v = 0; v < g.numVertices(); ++v) {
+      basePredictedStart[v] = reference.events[v].start;
+      basePredictedFinish[v] = reference.events[v].finish;
+    }
+    search = runLoop(false);
+  }
 
-  // Fault mode: race the naive greedy re-execution baseline against the
-  // recovery-aware search under the identical fault and noise draws and
-  // keep whichever execution finished first — the never-worse-than-greedy
-  // guarantee is then true by construction.
-  constexpr double kInfD = std::numeric_limits<double>::infinity();
-  LoopOutcome greedy = runLoop(true);
-  LoopOutcome search = runLoop(false);
-  result.greedyMakespan = greedy.ok ? greedy.run.makespan : kInfD;
-  result.unrepairedMakespan = result.greedyMakespan;
-  if (!search.ok && !greedy.ok) {
+  // Race the search against the baseline under the identical noise (and
+  // fault) draws. A failed loop counts as infinitely slow. A faulty run
+  // keeps the faster execution, so recovery is never worse than greedy
+  // re-execution by construction; a fault-free run reports the search's
+  // execution, and the hindsight guard only decides the final makespan.
+  const double searchMakespan = search.ok ? search.run.makespan : kInf;
+  const bool baselineFaster = result.unrepairedMakespan < searchMakespan;
+  const bool useBaseline = faulty && baselineFaster;
+  LoopOutcome& executed = useBaseline ? baseline : search;
+  if (!executed.ok) {
     result.error = std::move(search.error);
     return result;
   }
-  const bool useGreedy =
-      !search.ok || (greedy.ok && greedy.run.makespan < search.run.makespan);
-  if (useGreedy) obs::add(obs::Counter::kReschedFaultGreedyWins);
-  result.greedyWon = useGreedy;
-  result.guardTripped = policy.hindsightGuard && useGreedy;
-  result.repairedMakespan = search.ok ? search.run.makespan : kInfD;
+  if (useBaseline) obs::add(obs::Counter::kReschedFaultGreedyWins);
+  result.repairedMakespan = searchMakespan;
+  result.greedyWon = useBaseline;
+  result.guardTripped = policy.hindsightGuard && baselineFaster;
+  result.finalMakespan =
+      (faulty ? baselineFaster : result.guardTripped)
+          ? result.unrepairedMakespan
+          : result.repairedMakespan;
 
   // Reporting (triggers, repairs, evacuations) follows the search loop when
-  // it survived — that is the policy under evaluation; the final execution
-  // is the winner's.
-  LoopOutcome& reporting = search.ok ? search : greedy;
+  // it survived — that is the policy under evaluation.
+  LoopOutcome& reporting = search.ok ? search : baseline;
   result.triggersFired = reporting.triggers;
   result.reschedulesAccepted = reporting.accepted;
   result.reschedulesRejected = reporting.rejected;
@@ -498,13 +457,11 @@ RescheduleResult runOnline(const graph::Dag& g,
   result.faultRetries = reporting.retries;
   result.repairs = std::move(reporting.repairs);
 
-  LoopOutcome& winner = useGreedy ? greedy : search;
-  result.finalMakespan = winner.run.makespan;
-  result.memoryOverflows = winner.run.memoryOverflows;
-  result.faultsInjected = static_cast<int>(winner.run.faultLog.size());
-  result.faultLog = winner.run.faultLog;
-  result.execution = std::move(winner.run);
-  result.finalSchedule = std::move(winner.finalSchedule);
+  result.memoryOverflows = executed.run.memoryOverflows;
+  result.faultsInjected = static_cast<int>(executed.run.faultLog.size());
+  result.faultLog = executed.run.faultLog;
+  result.execution = std::move(executed.run);
+  result.finalSchedule = std::move(executed.finalSchedule);
   result.ok = true;
   return result;
 }

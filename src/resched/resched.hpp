@@ -21,11 +21,16 @@
 // refreshed from the splice point after every accepted repair, so drift is
 // always measured against the newest plan. A repair is only accepted when
 // its projected residual makespan beats keeping the current schedule by
-// `minGain`; with the (evaluation-mode) hindsight guard enabled the driver
-// additionally replays the unrepaired schedule under the identical noise
-// draw and reports whichever execution finished first, so `finalMakespan`
-// is monotone by construction — the raw online outcome stays available as
-// `repairedMakespan`.
+// `minGain`.
+//
+// One driver loop runs twice under the identical noise and fault draws: a
+// baseline that triggers no policy repair (without faults its observer
+// never pauses, so it is the unrepaired replay; under faults it is the
+// naive greedy re-execution) and the search under the policy. A faulty run
+// keeps the faster execution. A fault-free run reports the search's
+// execution, and with the (evaluation-mode) hindsight guard enabled reports
+// the faster makespan, so `finalMakespan` is monotone by construction — the
+// raw online outcome stays available as `repairedMakespan`.
 //
 // Every repair projects with the observed per-processor slowdown (so blocks
 // flee persistently slow processors; zero noise observes 1 everywhere) and,
@@ -107,7 +112,7 @@ struct RescheduleResult {
   bool ok = false;
   std::string error;
   double staticMakespan = 0.0;      // Eq. (1)-(2) of the input schedule
-  double unrepairedMakespan = 0.0;  // same-noise replay, no rescheduling
+  double unrepairedMakespan = 0.0;  // same-noise baseline execution
   double repairedMakespan = 0.0;    // the online-rescheduled execution
   /// repairedMakespan, or unrepairedMakespan when the hindsight guard
   /// tripped (the repair turned out worse under the realized noise).
@@ -116,7 +121,7 @@ struct RescheduleResult {
   int triggersFired = 0;
   int reschedulesAccepted = 0;
   int reschedulesRejected = 0;  // repair attempts below minGain
-  std::size_t memoryOverflows = 0;  // of the repaired execution
+  std::size_t memoryOverflows = 0;  // of `execution`
   // Fault-recovery bookkeeping (zero when no fault model is attached).
   int faultsInjected = 0;   // fault events the winning execution applied
   int evacuations = 0;      // lost blocks moved off dead processors
@@ -129,8 +134,8 @@ struct RescheduleResult {
   bool greedyWon = false;  // the naive baseline beat the search repair
   std::vector<sim::FaultEvent> faultLog;  // of the winning execution
   std::vector<RepairRecord> repairs;
-  /// The repaired execution's full event history; block ids refer to
-  /// `finalSchedule`.
+  /// The reported execution's full event history (the search's; under
+  /// faults the faster one's); block ids refer to `finalSchedule`.
   sim::SimResult execution;
   scheduler::ScheduleResult finalSchedule;
 };

@@ -255,15 +255,13 @@ void SchedulerService::process(Job job, BreakerState& breaker) {
       job.promise.set_value(std::move(resp));
       return;
     }
-    if (cfg_.coalesceIdentical) {
-      const auto it = inFlight_.find(job.fingerprint);
-      if (it != inFlight_.end()) {
-        leader = it->second;
-        ++coalesced_;
-      } else {
-        mine = std::make_shared<InFlight>();
-        inFlight_.emplace(job.fingerprint, mine);
-      }
+    const auto it = inFlight_.find(job.fingerprint);
+    if (it != inFlight_.end()) {
+      leader = it->second;
+      ++coalesced_;
+    } else {
+      mine = std::make_shared<InFlight>();
+      inFlight_.emplace(job.fingerprint, mine);
     }
   }
 
@@ -289,9 +287,9 @@ void SchedulerService::process(Job job, BreakerState& breaker) {
     noteSolveFailure(breaker);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (mine != nullptr) inFlight_.erase(job.fingerprint);
+      inFlight_.erase(job.fingerprint);
     }
-    if (mine != nullptr) mine->promise.set_exception(std::current_exception());
+    mine->promise.set_exception(std::current_exception());
     job.promise.set_exception(std::current_exception());
     return;
   }
@@ -301,9 +299,9 @@ void SchedulerService::process(Job job, BreakerState& breaker) {
     ++solves_;
     if (!schedule.feasible) ++infeasible_;
     cache_.insert(job.fingerprint, schedule);
-    if (mine != nullptr) inFlight_.erase(job.fingerprint);
+    inFlight_.erase(job.fingerprint);
   }
-  if (mine != nullptr) mine->promise.set_value(schedule);
+  mine->promise.set_value(schedule);
   resp.schedule = std::move(schedule);
   resp.totalSeconds = secondsSince(job.submitted);
   job.promise.set_value(std::move(resp));

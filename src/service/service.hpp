@@ -9,11 +9,11 @@
 // fingerprint (service/fingerprint.hpp) — bit-identical to a cold solve.
 //
 // Concurrency-correctness notes (the re-entrancy bugfixes of ISSUE 8):
-//  * Identical in-flight requests are coalesced (single-flight): the first
-//    dequeued request solves, duplicates wait on its result. Together with
-//    the cache this makes the set of actual solves — and therefore the
-//    process-global obs counter totals — deterministic under any thread
-//    interleaving (as long as the cache does not evict mid-run).
+//  * Identical in-flight requests are always coalesced (single-flight):
+//    the first dequeued request solves, duplicates wait on its result.
+//    Together with the cache this makes the set of actual solves — and
+//    therefore the process-global obs counter totals — deterministic under
+//    any thread interleaving (as long as the cache does not evict mid-run).
 //  * Per-request counter attribution uses obs::ThreadCounterScope: each
 //    solve runs entirely on one worker thread (each worker pins itself with
 //    omp_set_num_threads(1)), so the thread-local delta is exact. Every request
@@ -48,8 +48,6 @@ struct ServiceConfig {
   std::size_t queueCapacity = 256;
   /// LRU schedule cache entries; 0 disables caching.
   std::size_t cacheCapacity = 512;
-  /// Coalesce identical in-flight requests onto one solve (single-flight).
-  bool coalesceIdentical = true;
 
   // -- Per-worker circuit breaker -------------------------------------------
   /// Consecutive request failures on one worker that trip its breaker;

@@ -135,9 +135,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The engine's mutable per-block and per-transfer runtime state ARE the
-// public checkpoint structs (BlockState, TransferState): capture and resume
-// are then plain vector copies with no field-order-sensitive conversions.
+// The engine's resumable state IS a SimCheckpoint (`st_`): capture copies it
+// and adds the running tasks, resume assigns it after the consistency
+// checks, and the SimResult counters and records are read from it once, when
+// run() returns. Only per-processor scratch (running task, early-arrival
+// buffers) and the eager-mode input counts live beside it.
 
 class Engine {
  public:
@@ -158,18 +160,19 @@ class Engine {
   SimResult run();
 
  private:
+  void execute();
   void tryStart(quotient::BlockId b);
   void tryStartProc(platform::ProcessorId p);
   void applyFault(FaultEvent ev);
   bool applyFaultEvents();
   void completeTask(platform::ProcessorId p);
-  void dispatchEdgeTransfer(graph::EdgeId e);
-  void dispatchBlockTransfer(quotient::BlockId from, quotient::BlockId to,
-                             double cost);
+  void dispatch(quotient::BlockId src, quotient::BlockId dst,
+                graph::VertexId dstTask, double bytes,
+                std::uint64_t transferId);
   void deliver(const TransferState& t);
   void checkMemory(quotient::BlockId b);
   bool loadCheckpoint(const SimCheckpoint& ck);
-  void capture(SimCheckpoint& ck) const;
+  [[nodiscard]] SimCheckpoint capture() const;
   void fail(std::string message) {
     result_.ok = false;
     result_.error = std::move(message);
@@ -183,31 +186,25 @@ class Engine {
   std::unique_ptr<PerturbationModel> fallback_;
   PerturbationModel* model_ = nullptr;
 
-  std::vector<BlockState> blocks_;
+  SimCheckpoint st_;  // `running` stays empty: see running_/procFinish_
   std::vector<std::size_t> remoteInputs_;  // eager: outstanding remote inputs
   std::vector<double> arrivedBytes_;       // eager: buffered bytes per task
-  std::vector<double> readyTime_;          // latest dependency satisfaction
   std::vector<double> bufferedOnProc_;     // early-arrival bytes per processor
   std::vector<graph::VertexId> running_;   // per processor; invalid = idle
   std::vector<double> procFinish_;         // finish time of the running task
-  std::vector<TransferState> transfers_;
-  std::vector<char> taskDone_;             // per task; checkpoint bookkeeping
-  double now_ = 0.0;
-  std::size_t tasksDone_ = 0;
-  SimResult result_;
+  SimResult result_;  // status, pause flag and transfer log
 
-  // Fault-injection state; allocated only when opts_.faults is set, so runs
-  // without a fault model execute the exact legacy instruction stream.
+  // Fault injection; st_'s fault fields are allocated only when opts_.faults
+  // is set, so runs without a fault model execute the exact legacy
+  // instruction stream.
   FaultModel* faults_ = nullptr;
-  std::vector<double> deadUntil_;            // per proc; 0 = alive, inf = dead
-  std::vector<std::uint32_t> faultsApplied_; // events consumed per proc
   std::vector<std::vector<quotient::BlockId>> procBlocks_;
 };
 
 void Engine::checkMemory(quotient::BlockId b) {
   if (!opts_.trackMemory) return;
   const detail::BlockPlan& bp = plan_.blocks[b];
-  const BlockState& br = blocks_[b];
+  const BlockState& br = st_.blocks[b];
   const platform::ProcessorId p = bp.proc;
   double base = 0.0;
   if (running_[p] != graph::kInvalidVertex) {
@@ -219,16 +216,16 @@ void Engine::checkMemory(quotient::BlockId b) {
   const double used = base + bufferedOnProc_[p];
   const double limit = cluster_.memory(p);
   if (used > limit * (1.0 + 1e-12)) {
-    ++result_.memoryOverflows;
-    result_.maxMemoryExcess = std::max(result_.maxMemoryExcess, used - limit);
+    ++st_.memoryOverflows;
+    st_.maxMemoryExcess = std::max(st_.maxMemoryExcess, used - limit);
   }
 }
 
 void Engine::tryStart(quotient::BlockId b) {
   const detail::BlockPlan& bp = plan_.blocks[b];
-  BlockState& br = blocks_[b];
+  BlockState& br = st_.blocks[b];
   const platform::ProcessorId p = bp.proc;
-  if (faults_ != nullptr && deadUntil_[p] > now_) return;
+  if (faults_ != nullptr && st_.procDeadUntil[p] > st_.now) return;
   if (running_[p] != graph::kInvalidVertex) return;
   if (br.nextStep >= bp.order.size()) return;
   if (opts_.comm == CommModel::kBlockSynchronous && br.pendingInputs > 0) {
@@ -237,20 +234,20 @@ void Engine::tryStart(quotient::BlockId b) {
   const graph::VertexId v = bp.order[br.nextStep];
   if (opts_.comm == CommModel::kTaskEager && remoteInputs_[v] > 0) return;
 
-  TaskEvent& ev = result_.events[v];
+  TaskEvent& ev = st_.events[v];
   ev.block = b;
   ev.proc = p;
-  ev.ready = std::max(readyTime_[v], br.barrierTime);
-  ev.start = now_;
+  ev.ready = std::max(st_.readyTime[v], br.barrierTime);
+  ev.start = st_.now;
   // The task consumes its buffered early arrivals (they become part of the
   // step's own external-input accounting).
   bufferedOnProc_[p] -= arrivedBytes_[v];
   arrivedBytes_[v] = 0.0;
 
   const double nominal = g_.work(v) / cluster_.speed(p);
-  const double duration = nominal * model_->taskFactor(v, p, now_);
+  const double duration = nominal * model_->taskFactor(v, p, st_.now);
   running_[p] = v;
-  procFinish_[p] = now_ + duration;
+  procFinish_[p] = st_.now + duration;
   ++br.nextStep;
   checkMemory(b);
 }
@@ -269,41 +266,42 @@ void Engine::applyFault(FaultEvent ev) {
     ev.killedTask = v;
     // The killed task restarts from scratch: roll its block back one step.
     // Its start event will be rewritten if it ever runs again.
-    --blocks_[schedule_.blockOf[v]].nextStep;
+    --st_.blocks[schedule_.blockOf[v]].nextStep;
     running_[p] = graph::kInvalidVertex;
     procFinish_[p] = kInf;
     obs::add(obs::Counter::kFaultTasksKilled);
   }
-  deadUntil_[p] = ev.recover;
+  st_.procDeadUntil[p] = ev.recover;
   obs::add(ev.kind == FaultKind::kFailStop
                ? obs::Counter::kFaultFailStops
                : obs::Counter::kFaultTransientCrashes);
-  result_.faultLog.push_back(ev);
+  st_.faultLog.push_back(ev);
   if (opts_.observer != nullptr &&
-      opts_.observer->onFault(ev, now_) == ObserverAction::kPause &&
-      tasksDone_ < g_.numVertices()) {
+      opts_.observer->onFault(ev, st_.now) == ObserverAction::kPause &&
+      st_.tasksDone < g_.numVertices()) {
     result_.paused = true;
-    capture(result_.checkpoint);
   }
 }
 
 bool Engine::applyFaultEvents() {
-  const double tol = 1e-12 * (1.0 + std::abs(now_));
+  const double now = st_.now;
+  const double tol = 1e-12 * (1.0 + std::abs(now));
+  std::vector<double>& deadUntil = st_.procDeadUntil;
   // Recoveries strictly first (ascending processor id): a processor whose
   // downtime ends now may immediately resume its block.
   for (platform::ProcessorId p = 0; p < running_.size(); ++p) {
-    if (deadUntil_[p] > 0.0 && std::isfinite(deadUntil_[p]) &&
-        deadUntil_[p] - now_ <= tol) {
-      deadUntil_[p] = 0.0;
+    if (deadUntil[p] > 0.0 && std::isfinite(deadUntil[p]) &&
+        deadUntil[p] - now <= tol) {
+      deadUntil[p] = 0.0;
       tryStartProc(p);
     }
   }
   for (platform::ProcessorId p = 0; p < running_.size(); ++p) {
     const std::vector<FaultEvent>& evs = faults_->events(p);
-    while (faultsApplied_[p] < evs.size() &&
-           evs[faultsApplied_[p]].time - now_ <= tol) {
-      const FaultEvent ev = evs[faultsApplied_[p]++];
-      if (deadUntil_[p] == kInf) continue;  // already failed for good
+    std::uint32_t& applied = st_.faultsApplied[p];
+    while (applied < evs.size() && evs[applied].time - now <= tol) {
+      const FaultEvent ev = evs[applied++];
+      if (deadUntil[p] == kInf) continue;  // already failed for good
       applyFault(ev);
       if (result_.paused || !result_.ok) return true;
     }
@@ -311,92 +309,76 @@ bool Engine::applyFaultEvents() {
   return false;
 }
 
-void Engine::dispatchEdgeTransfer(graph::EdgeId e) {
-  const graph::Edge& edge = g_.edge(e);
-  ++result_.numTransfers;
-  result_.transferVolume += edge.cost;
+void Engine::dispatch(quotient::BlockId src, quotient::BlockId dst,
+                      graph::VertexId dstTask, double bytes,
+                      std::uint64_t transferId) {
+  ++st_.numTransfers;
+  st_.transferVolume += bytes;
   obs::add(obs::Counter::kSimTransfers);
   TransferState t;
-  t.bytes = edge.cost;
-  t.total = edge.cost * model_->transferFactor(e);
+  t.bytes = bytes;
+  t.total = bytes * model_->transferFactor(transferId);
   t.remaining = t.total;
-  t.dispatched = now_;
-  t.srcBlock = schedule_.blockOf[edge.src];
-  t.dstBlock = schedule_.blockOf[edge.dst];
-  t.dstTask = edge.dst;
+  t.dispatched = st_.now;
+  t.srcBlock = src;
+  t.dstBlock = dst;
+  t.dstTask = dstTask;
   if (t.remaining <= 0.0) {
     deliver(t);
   } else {
-    transfers_.push_back(t);
-  }
-}
-
-void Engine::dispatchBlockTransfer(quotient::BlockId from,
-                                   quotient::BlockId to, double cost) {
-  ++result_.numTransfers;
-  result_.transferVolume += cost;
-  obs::add(obs::Counter::kSimTransfers);
-  TransferState t;
-  t.bytes = cost;
-  t.total = cost * model_->transferFactor(
-                       (static_cast<std::uint64_t>(from) << 32) |
-                       static_cast<std::uint64_t>(to));
-  t.remaining = t.total;
-  t.dispatched = now_;
-  t.srcBlock = from;
-  t.dstBlock = to;
-  if (t.remaining <= 0.0) {
-    deliver(t);
-  } else {
-    transfers_.push_back(t);
+    st_.transfers.push_back(t);
   }
 }
 
 void Engine::deliver(const TransferState& t) {
+  const double now = st_.now;
   if (opts_.recordTransfers) {
     result_.transferLog.push_back(TransferRecord{
-        t.srcBlock, t.dstBlock, t.dstTask, t.bytes, t.dispatched, now_});
+        t.srcBlock, t.dstBlock, t.dstTask, t.bytes, t.dispatched, now});
   }
-  BlockState& br = blocks_[t.dstBlock];
+  BlockState& br = st_.blocks[t.dstBlock];
   if (t.dstTask != graph::kInvalidVertex) {
     // Eager mode: one task's remote input arrived; buffer it until the
     // consumer starts.
-    readyTime_[t.dstTask] = std::max(readyTime_[t.dstTask], now_);
+    st_.readyTime[t.dstTask] = std::max(st_.readyTime[t.dstTask], now);
     arrivedBytes_[t.dstTask] += t.bytes;
     bufferedOnProc_[plan_.blocks[t.dstBlock].proc] += t.bytes;
     checkMemory(t.dstBlock);
     if (--remoteInputs_[t.dstTask] == 0) tryStart(t.dstBlock);
   } else {
-    br.barrierTime = std::max(br.barrierTime, now_);
+    br.barrierTime = std::max(br.barrierTime, now);
     if (--br.pendingInputs == 0) tryStart(t.dstBlock);
   }
 }
 
 void Engine::completeTask(platform::ProcessorId p) {
+  const double now = st_.now;
   const graph::VertexId v = running_[p];
   const std::uint32_t b = schedule_.blockOf[v];
   running_[p] = graph::kInvalidVertex;
   procFinish_[p] = kInf;
-  result_.events[v].finish = now_;
-  result_.makespan = std::max(result_.makespan, now_);
-  taskDone_[v] = 1;
-  ++tasksDone_;
+  st_.events[v].finish = now;
+  st_.makespanSoFar = std::max(st_.makespanSoFar, now);
+  st_.taskCompleted[v] = 1;
+  ++st_.tasksDone;
   obs::add(obs::Counter::kSimTasksExecuted);
-  BlockState& br = blocks_[b];
+  BlockState& br = st_.blocks[b];
   ++br.done;
 
   for (const graph::EdgeId e : g_.outEdges(v)) {
-    const graph::VertexId dst = g_.edge(e).dst;
-    if (schedule_.blockOf[dst] == b) {
-      readyTime_[dst] = std::max(readyTime_[dst], now_);
+    const graph::Edge& edge = g_.edge(e);
+    const quotient::BlockId dstBlock = schedule_.blockOf[edge.dst];
+    if (dstBlock == b) {
+      st_.readyTime[edge.dst] = std::max(st_.readyTime[edge.dst], now);
     } else if (opts_.comm == CommModel::kTaskEager) {
-      dispatchEdgeTransfer(e);
+      dispatch(b, dstBlock, edge.dst, edge.cost, e);
     }
   }
   if (opts_.comm == CommModel::kBlockSynchronous &&
       br.done == plan_.blocks[b].order.size()) {
     for (const auto& [succ, cost] : plan_.blocks[b].out) {
-      dispatchBlockTransfer(b, succ, cost);
+      dispatch(b, succ, graph::kInvalidVertex, cost,
+               blockTransferId(b, succ));
     }
   }
   tryStart(b);
@@ -405,24 +387,18 @@ void Engine::completeTask(platform::ProcessorId p) {
 bool Engine::loadCheckpoint(const SimCheckpoint& ck) {
   const std::size_t numTasks = g_.numVertices();
   if (ck.blocks.size() != plan_.blocks.size() ||
-      ck.taskCompleted.size() != numTasks || ck.events.size() != numTasks) {
+      ck.taskCompleted.size() != numTasks || ck.events.size() != numTasks ||
+      ck.readyTime.size() != numTasks) {
     fail("resume checkpoint does not match the plan");
     return false;
   }
-  if (ck.readyTime.size() != numTasks) {
-    fail("resume checkpoint does not match the plan");
-    return false;
-  }
-  now_ = ck.now;
-  tasksDone_ = ck.tasksDone;
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+  for (std::size_t b = 0; b < ck.blocks.size(); ++b) {
     const BlockState& s = ck.blocks[b];
     if (s.nextStep > plan_.blocks[b].order.size() || s.done > s.nextStep) {
       fail("resume checkpoint has inconsistent block progress");
       return false;
     }
   }
-  blocks_ = ck.blocks;
   for (const RunningTaskState& r : ck.running) {
     if (r.proc >= running_.size() || r.task >= numTasks ||
         running_[r.proc] != graph::kInvalidVertex) {
@@ -433,74 +409,66 @@ bool Engine::loadCheckpoint(const SimCheckpoint& ck) {
     procFinish_[r.proc] = r.finish;
   }
   for (const TransferState& t : ck.transfers) {
-    if (t.srcBlock >= blocks_.size() || t.dstBlock >= blocks_.size()) {
+    if (t.srcBlock >= ck.blocks.size() || t.dstBlock >= ck.blocks.size()) {
       fail("resume checkpoint has a transfer to an unknown block");
       return false;
     }
   }
-  transfers_ = ck.transfers;
-  taskDone_ = ck.taskCompleted;
-  readyTime_ = ck.readyTime;
-  if (faults_ != nullptr && !ck.procDeadUntil.empty()) {
-    if (ck.procDeadUntil.size() != running_.size() ||
-        ck.faultsApplied.size() != running_.size()) {
-      fail("resume checkpoint fault state does not match the cluster");
-      return false;
-    }
-    deadUntil_ = ck.procDeadUntil;
-    faultsApplied_ = ck.faultsApplied;
-    result_.faultLog = ck.faultLog;
+  if (faults_ != nullptr && !ck.procDeadUntil.empty() &&
+      (ck.procDeadUntil.size() != running_.size() ||
+       ck.faultsApplied.size() != running_.size())) {
+    fail("resume checkpoint fault state does not match the cluster");
+    return false;
   }
-  result_.events = ck.events;
-  result_.makespan = ck.makespanSoFar;
-  result_.numTransfers = ck.numTransfers;
-  result_.transferVolume = ck.transferVolume;
-  result_.memoryOverflows = ck.memoryOverflows;
-  result_.maxMemoryExcess = ck.maxMemoryExcess;
+  st_ = ck;
+  st_.running.clear();  // now held per processor in running_/procFinish_
+  if (faults_ == nullptr) {
+    // A run without a fault model carries no fault state.
+    st_.procDeadUntil.clear();
+    st_.faultsApplied.clear();
+    st_.faultLog.clear();
+  }
   return true;
 }
 
-void Engine::capture(SimCheckpoint& ck) const {
-  ck.now = now_;
-  ck.tasksDone = tasksDone_;
-  ck.blocks = blocks_;
-  ck.running.clear();
+SimCheckpoint Engine::capture() const {
+  SimCheckpoint ck = st_;
   for (platform::ProcessorId p = 0; p < running_.size(); ++p) {
     if (running_[p] != graph::kInvalidVertex) {
       ck.running.push_back({p, running_[p], procFinish_[p]});
     }
   }
-  ck.transfers = transfers_;
-  ck.taskCompleted = taskDone_;
-  ck.readyTime = readyTime_;
-  if (faults_ != nullptr) {
-    ck.procDeadUntil = deadUntil_;
-    ck.faultsApplied = faultsApplied_;
-    ck.faultLog = result_.faultLog;
-  }
-  ck.events = result_.events;
-  ck.makespanSoFar = result_.makespan;
-  ck.numTransfers = result_.numTransfers;
-  ck.transferVolume = result_.transferVolume;
-  ck.memoryOverflows = result_.memoryOverflows;
-  ck.maxMemoryExcess = result_.maxMemoryExcess;
+  return ck;
 }
 
 SimResult Engine::run() {
+  execute();
+  if (result_.paused) result_.checkpoint = capture();
+  result_.makespan = st_.makespanSoFar;
+  result_.events = std::move(st_.events);
+  result_.numTransfers = st_.numTransfers;
+  result_.transferVolume = st_.transferVolume;
+  result_.memoryOverflows = st_.memoryOverflows;
+  result_.maxMemoryExcess = st_.maxMemoryExcess;
+  result_.faultLog = std::move(st_.faultLog);
+  return std::move(result_);
+}
+
+void Engine::execute() {
   if (!plan_.error.empty()) {
     fail(plan_.error);
-    return result_;
+    return;
   }
   if ((opts_.observer != nullptr || opts_.resume != nullptr) &&
       opts_.comm != CommModel::kBlockSynchronous) {
     fail("observers and checkpoint resume require the block-synchronous "
          "model");
-    return result_;
+    return;
   }
   if (opts_.faults != nullptr &&
       opts_.comm != CommModel::kBlockSynchronous) {
     fail("fault injection requires the block-synchronous model");
-    return result_;
+    return;
   }
   // A plan whose hints marked blocks as already executed relaxed the
   // distinct-processor rule; executing it from t=0 would quietly serialize
@@ -508,43 +476,46 @@ SimResult Engine::run() {
   if (plan_.resumeOnly && opts_.resume == nullptr) {
     fail("plan was built with completed-block hints and can only resume "
          "from a checkpoint");
-    return result_;
+    return;
   }
   result_.ok = true;
   model_->beginRun(opts_.seed);
 
   const std::size_t numTasks = g_.numVertices();
+  const std::size_t numProcs = cluster_.numProcessors();
   if (opts_.faults != nullptr) {
     faults_ = opts_.faults;
     faults_->beginRun(opts_.seed);
-    deadUntil_.assign(cluster_.numProcessors(), 0.0);
-    faultsApplied_.assign(cluster_.numProcessors(), 0);
-    procBlocks_.assign(cluster_.numProcessors(), {});
+    procBlocks_.assign(numProcs, {});
     for (std::uint32_t b = 0; b < plan_.blocks.size(); ++b) {
       procBlocks_[plan_.blocks[b].proc].push_back(b);
     }
   }
-  blocks_.assign(plan_.blocks.size(), BlockState{});
+  st_.blocks.assign(plan_.blocks.size(), BlockState{});
   if (opts_.comm == CommModel::kBlockSynchronous) {
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      blocks_[b].pendingInputs = plan_.blocks[b].initialPendingInputs;
+    for (std::size_t b = 0; b < st_.blocks.size(); ++b) {
+      st_.blocks[b].pendingInputs = plan_.blocks[b].initialPendingInputs;
     }
     remoteInputs_.assign(numTasks, 0);
   } else {
     remoteInputs_ = plan_.remoteInputs;
   }
   arrivedBytes_.assign(numTasks, 0.0);
-  readyTime_.assign(numTasks, 0.0);
-  running_.assign(cluster_.numProcessors(), graph::kInvalidVertex);
-  procFinish_.assign(cluster_.numProcessors(), kInf);
-  bufferedOnProc_.assign(cluster_.numProcessors(), 0.0);
-  taskDone_.assign(numTasks, 0);
-  result_.events.assign(numTasks, TaskEvent{});
-  if (opts_.resume != nullptr && !loadCheckpoint(*opts_.resume)) {
-    return result_;
+  st_.readyTime.assign(numTasks, 0.0);
+  running_.assign(numProcs, graph::kInvalidVertex);
+  procFinish_.assign(numProcs, kInf);
+  bufferedOnProc_.assign(numProcs, 0.0);
+  st_.taskCompleted.assign(numTasks, 0);
+  st_.events.assign(numTasks, TaskEvent{});
+  if (opts_.resume != nullptr && !loadCheckpoint(*opts_.resume)) return;
+  // Fresh runs, and checkpoints captured without a fault model, start with
+  // every processor alive and no fault event consumed.
+  if (faults_ != nullptr && st_.procDeadUntil.empty()) {
+    st_.procDeadUntil.assign(numProcs, 0.0);
+    st_.faultsApplied.assign(numProcs, 0);
   }
 
-  for (std::uint32_t b = 0; b < blocks_.size(); ++b) tryStart(b);
+  for (std::uint32_t b = 0; b < st_.blocks.size(); ++b) tryStart(b);
 
   // Each iteration either completes at least one task/transfer or closes an
   // ulp-sized gap to the next event; the generous cap only catches bugs.
@@ -555,59 +526,63 @@ SimResult Engine::run() {
       16 + 8 * (numTasks + g_.numEdges() + 4 * faultEvents);
   std::size_t iterations = 0;
   std::vector<std::size_t> done;  // completed-transfer scratch
-  while (tasksDone_ < numTasks) {
+  std::vector<TransferState>& transfers = st_.transfers;
+  while (st_.tasksDone < numTasks) {
     if (++iterations > maxIterations) {
       fail("event loop exceeded its iteration budget");
-      return result_;
+      return;
     }
+    const double now = st_.now;
     double dt = kInf;
     for (platform::ProcessorId p = 0; p < running_.size(); ++p) {
       if (running_[p] != graph::kInvalidVertex) {
-        dt = std::min(dt, procFinish_[p] - now_);
+        dt = std::min(dt, procFinish_[p] - now);
       }
     }
     const double beta = cluster_.bandwidth();
     const double rate =
-        transfers_.empty()
+        transfers.empty()
             ? 0.0
-            : (opts_.contention ? beta / static_cast<double>(transfers_.size())
+            : (opts_.contention ? beta / static_cast<double>(transfers.size())
                                 : beta);
-    for (const TransferState& t : transfers_) {
+    for (const TransferState& t : transfers) {
       dt = std::min(dt, t.remaining / rate);
     }
     if (faults_ != nullptr) {
       for (platform::ProcessorId p = 0; p < running_.size(); ++p) {
-        if (deadUntil_[p] > now_ && std::isfinite(deadUntil_[p])) {
-          dt = std::min(dt, deadUntil_[p] - now_);
+        const double deadUntil = st_.procDeadUntil[p];
+        if (deadUntil > now && std::isfinite(deadUntil)) {
+          dt = std::min(dt, deadUntil - now);
         }
         const std::vector<FaultEvent>& evs = faults_->events(p);
-        if (faultsApplied_[p] < evs.size()) {
-          dt = std::min(dt, std::max(0.0, evs[faultsApplied_[p]].time - now_));
+        if (st_.faultsApplied[p] < evs.size()) {
+          dt = std::min(dt,
+                        std::max(0.0, evs[st_.faultsApplied[p]].time - now));
         }
       }
     }
     if (!std::isfinite(dt)) {
       if (faults_ != nullptr) {
-        for (const double d : deadUntil_) {
+        for (const double d : st_.procDeadUntil) {
           if (d == kInf) {
             fail("processor fail-stop stranded unfinished work (no recovery "
                  "attached)");
-            return result_;
+            return;
           }
         }
       }
       fail("deadlock: tasks remain but no event is pending "
            "(unsatisfiable dependency in the schedule)");
-      return result_;
+      return;
     }
     dt = std::max(dt, 0.0);
-    now_ += dt;
+    st_.now += dt;
 
     // Advance and deliver transfers first: a task finishing at the same
     // instant may only depend on data that has fully arrived.
     done.clear();
-    for (std::size_t i = 0; i < transfers_.size(); ++i) {
-      TransferState& t = transfers_[i];
+    for (std::size_t i = 0; i < transfers.size(); ++i) {
+      TransferState& t = transfers[i];
       t.remaining -= rate * dt;
       if (t.remaining <= 1e-12 * (1.0 + t.total)) done.push_back(i);
     }
@@ -617,9 +592,9 @@ SimResult Engine::run() {
     std::vector<TransferState> completed;
     for (std::size_t j = done.size(); j > 0; --j) {
       const std::size_t i = done[j - 1];
-      completed.push_back(transfers_[i]);
-      transfers_[i] = transfers_.back();
-      transfers_.pop_back();
+      completed.push_back(transfers[i]);
+      transfers[i] = transfers.back();
+      transfers.pop_back();
     }
     // Deliver in dispatch order (reversed by the swap-remove above) so the
     // processing order stays deterministic.
@@ -629,29 +604,28 @@ SimResult Engine::run() {
     // Faults strike after deliveries and before completions at the same
     // instant: a task finishing exactly when its processor dies is killed
     // (the pessimistic, deterministic reading of the tie).
-    if (faults_ != nullptr && applyFaultEvents()) return result_;
+    if (faults_ != nullptr && applyFaultEvents()) return;
 
     for (platform::ProcessorId p = 0; p < running_.size(); ++p) {
       if (running_[p] != graph::kInvalidVertex &&
-          procFinish_[p] - now_ <= 1e-12 * (1.0 + std::abs(now_))) {
+          procFinish_[p] - st_.now <= 1e-12 * (1.0 + std::abs(st_.now))) {
         const graph::VertexId v = running_[p];
         completeTask(p);
         // The observer sees every completion, including the last one (the
         // contract in engine.hpp); only a pause after the final task is
         // meaningless and ignored. Pausing mid-instant is fine: processors
-        // whose task also finishes at `now_` stay running with finish ==
-        // now_ and complete first thing after resume.
+        // whose task also finishes at `now` stay running with finish ==
+        // now and complete first thing after resume.
         if (opts_.observer != nullptr &&
-            opts_.observer->onTaskFinish(v, now_) == ObserverAction::kPause &&
-            tasksDone_ < numTasks) {
+            opts_.observer->onTaskFinish(v, st_.now) ==
+                ObserverAction::kPause &&
+            st_.tasksDone < numTasks) {
           result_.paused = true;
-          capture(result_.checkpoint);
-          return result_;
+          return;
         }
       }
     }
   }
-  return result_;
 }
 
 }  // namespace

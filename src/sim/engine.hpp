@@ -40,12 +40,14 @@
 // counts these overflow episodes instead of failing, which is exactly the
 // robustness signal the Monte-Carlo evaluator aggregates.
 //
-// Observation / checkpoint / resume: a SimObserver may pause a block-
-// synchronous run at any task-finish event; the result then carries a
-// SimCheckpoint (completed tasks, per-block progress, running tasks with
-// their drawn finish times, in-flight transfers) from which the run resumes
-// bit-identically — or, after the online rescheduler (src/resched) repaired
-// the remaining schedule, against a new plan built with PlanHints.
+// Observation / checkpoint / resume: the engine keeps its whole resumable
+// state in one SimCheckpoint (completed tasks, per-block progress, in-flight
+// transfers, event records, result counters, fault state). A SimObserver may
+// pause a block-synchronous run at any task-finish event; the result then
+// carries a copy of that state plus the running tasks with their drawn
+// finish times, from which the run resumes bit-identically — or, after the
+// online rescheduler (src/resched) repaired the remaining schedule, against
+// a new plan built with PlanHints.
 
 #include <cstdint>
 #include <string>
@@ -125,6 +127,15 @@ struct TransferState {
   graph::VertexId dstTask = graph::kInvalidVertex;  // eager mode only
 };
 
+/// Perturbation key of the aggregated transfer from block `src` to block
+/// `dst` (eager-mode transfers are keyed by their edge id instead); the
+/// rescheduler's re-sends draw their volume factors under the same key.
+inline std::uint64_t blockTransferId(quotient::BlockId src,
+                                     quotient::BlockId dst) {
+  return (static_cast<std::uint64_t>(src) << 32) |
+         static_cast<std::uint64_t>(dst);
+}
+
 /// One completed transfer, recorded when SimOptions::recordTransfers is set
 /// (the schedule-timeline trace exporter renders these as link slices).
 struct TransferRecord {
@@ -136,9 +147,11 @@ struct TransferRecord {
   double end = 0.0;    // delivery time (>= start)
 };
 
-/// Complete in-flight state of a paused block-synchronous run. Block ids
-/// index the plan the checkpoint was captured from; the rescheduler
-/// translates them when it splices a repaired schedule (src/resched).
+/// Complete in-flight state of a paused block-synchronous run, and the
+/// engine's own state while it runs (all but `running`, which it tracks per
+/// processor). Block ids index the plan the checkpoint was captured from;
+/// the rescheduler translates them when it splices a repaired schedule
+/// (src/resched).
 struct SimCheckpoint {
   double now = 0.0;
   std::size_t tasksDone = 0;

@@ -37,6 +37,57 @@ FuzzCase makeFuzzCase(std::uint64_t seed) {
   return test::makeTightFuzzCase(seed, seed);
 }
 
+/// Runs `opts` on `plan` once whole and once chopped into pieces by a pause
+/// at every `period`-th task finish, each piece resuming from the previous
+/// one's checkpoint, and expects the two runs to be bit-identical.
+/// Returns the whole run.
+sim::SimResult expectSeamlessResume(const sim::SimPlan& plan,
+                                    const sim::SimOptions& opts,
+                                    int period) {
+  const sim::SimResult whole = sim::simulateSchedule(plan, opts);
+  EXPECT_TRUE(whole.ok) << whole.error;
+  PauseEveryNthFinish pacer(period);
+  sim::SimOptions paced = opts;
+  paced.observer = &pacer;
+  sim::SimCheckpoint checkpoint;
+  sim::SimResult pieces = sim::simulateSchedule(plan, paced);
+  int pauses = 0;
+  while (pieces.ok && pieces.paused) {
+    ++pauses;
+    checkpoint = std::move(pieces.checkpoint);
+    paced.resume = &checkpoint;
+    pieces = sim::simulateSchedule(plan, paced);
+  }
+  EXPECT_TRUE(pieces.ok) << pieces.error;
+  EXPECT_GT(pauses, 0);
+  EXPECT_EQ(pieces.makespan, whole.makespan);
+  EXPECT_EQ(pieces.numTransfers, whole.numTransfers);
+  EXPECT_EQ(pieces.memoryOverflows, whole.memoryOverflows);
+  EXPECT_EQ(pieces.events.size(), whole.events.size());
+  for (std::size_t v = 0;
+       v < std::min(pieces.events.size(), whole.events.size()); ++v) {
+    const sim::TaskEvent& a = pieces.events[v];
+    const sim::TaskEvent& b = whole.events[v];
+    EXPECT_EQ(a.block, b.block) << "task " << v;
+    EXPECT_EQ(a.proc, b.proc) << "task " << v;
+    EXPECT_EQ(a.ready, b.ready) << "task " << v;
+    EXPECT_EQ(a.start, b.start) << "task " << v;
+    EXPECT_EQ(a.finish, b.finish) << "task " << v;
+  }
+  EXPECT_EQ(pieces.faultLog.size(), whole.faultLog.size());
+  for (std::size_t i = 0;
+       i < std::min(pieces.faultLog.size(), whole.faultLog.size()); ++i) {
+    const sim::FaultEvent& a = pieces.faultLog[i];
+    const sim::FaultEvent& b = whole.faultLog[i];
+    EXPECT_EQ(a.proc, b.proc) << "fault " << i;
+    EXPECT_EQ(a.kind, b.kind) << "fault " << i;
+    EXPECT_EQ(a.time, b.time) << "fault " << i;
+    EXPECT_EQ(a.recover, b.recover) << "fault " << i;
+    EXPECT_EQ(a.killedTask, b.killedTask) << "fault " << i;
+  }
+  return whole;
+}
+
 class ReschedFuzz : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ReschedFuzz, PauseResumeIsSeamlessUnderNoise) {
@@ -56,34 +107,41 @@ TEST_P(ReschedFuzz, PauseResumeIsSeamlessUnderNoise) {
     sim::SimOptions opts;
     opts.perturbation = model.get();
     opts.seed = GetParam() * 17 + 3;
-    const sim::SimResult whole = sim::simulateSchedule(plan, opts);
-    ASSERT_TRUE(whole.ok) << whole.error;
+    // Perturbation streams are per-entity and the checkpoint is complete.
+    expectSeamlessResume(plan, opts, 3);
+  }
+}
 
-    // The same run chopped into pause/resume pieces must be bit-identical:
-    // perturbation streams are per-entity and the checkpoint is complete.
-    PauseEveryNthFinish pacer(3);
-    sim::SimOptions paced = opts;
-    paced.observer = &pacer;
-    sim::SimCheckpoint checkpoint;
-    sim::SimResult pieces = sim::simulateSchedule(plan, paced);
-    int pauses = 0;
-    while (pieces.ok && pieces.paused) {
-      ++pauses;
-      checkpoint = std::move(pieces.checkpoint);
-      paced.resume = &checkpoint;
-      pieces = sim::simulateSchedule(plan, paced);
-    }
-    ASSERT_TRUE(pieces.ok) << pieces.error;
-    EXPECT_GT(pauses, 0);
-    EXPECT_EQ(pieces.makespan, whole.makespan);
-    EXPECT_EQ(pieces.numTransfers, whole.numTransfers);
-    ASSERT_EQ(pieces.events.size(), whole.events.size());
-    for (VertexId v = 0; v < fc.dag.numVertices(); ++v) {
-      EXPECT_EQ(pieces.events[v].start, whole.events[v].start) << "task " << v;
-      EXPECT_EQ(pieces.events[v].finish, whole.events[v].finish)
-          << "task " << v;
-      EXPECT_EQ(pieces.events[v].ready, whole.events[v].ready) << "task " << v;
-    }
+TEST_P(ReschedFuzz, PauseResumeIsSeamlessUnderCrashes) {
+  // Transient crashes strike while the run is chopped at every task
+  // finish: the checkpoint carries the dead-until instants, the consumed
+  // fault events and the fault log across every resume.
+  const FuzzCase fc = makeFuzzCase(GetParam());
+  const memory::MemDagOracle oracle(fc.dag);
+  for (const ScheduleResult* schedule : {&fc.part, &fc.mem}) {
+    if (!schedule->feasible) continue;
+    const sim::SimPlan plan =
+        sim::prepareSimulation(fc.dag, fc.cluster, *schedule, oracle);
+    ASSERT_TRUE(plan.ok()) << plan.error();
+
+    sim::FaultSpec spec;
+    spec.failStopProbability = 0.0;
+    spec.crashProbability = 0.9;
+    spec.horizon = std::max(schedule->makespan, 1e-9);
+    spec.downtime = schedule->makespan * 0.1;
+    spec.maxCrashesPerProcessor = 2;
+    sim::FaultModel faults(spec, fc.cluster.numProcessors());
+    sim::PerturbationSpec noise;
+    noise.kind = sim::PerturbationKind::kLognormal;
+    noise.sigma = 0.3;
+    const auto model =
+        sim::makePerturbation(noise, fc.cluster.numProcessors());
+    sim::SimOptions opts;
+    opts.perturbation = model.get();
+    opts.faults = &faults;
+    opts.seed = GetParam() * 29 + 11;
+    const sim::SimResult whole = expectSeamlessResume(plan, opts, 1);
+    EXPECT_FALSE(whole.faultLog.empty());
   }
 }
 
@@ -292,6 +350,78 @@ TEST(ReschedEngine, CheckpointStateIsConsistent) {
     EXPECT_EQ(ck.taskCompleted[r.task], 0);
   }
   EXPECT_LE(ck.makespanSoFar, ck.now + 1e-12);
+}
+
+TEST(ReschedSplice, ResentTransfersLeaveAtTheSpliceInstant) {
+  // Moving a freed block off its processor discards the inputs it already
+  // received; the splice re-sends them from their completed producers. The
+  // re-sends are dispatched at the splice instant, and the resumed run's
+  // transfer log reports them starting there.
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 10 && checked == 0; ++seed) {
+    const FuzzCase fc = makeFuzzCase(seed);
+    if (!fc.part.feasible) continue;
+    const memory::MemDagOracle oracle(fc.dag);
+    const sim::SimPlan plan =
+        sim::prepareSimulation(fc.dag, fc.cluster, fc.part, oracle);
+    ASSERT_TRUE(plan.ok()) << plan.error();
+    const auto model = sim::makePerturbation({}, fc.cluster.numProcessors());
+    for (int period = 2; period <= 8 && checked == 0; ++period) {
+      PauseEveryNthFinish pacer(period);
+      sim::SimOptions opts;
+      opts.observer = &pacer;
+      const sim::SimResult paused = sim::simulateSchedule(plan, opts);
+      ASSERT_TRUE(paused.ok) << paused.error;
+      if (!paused.paused) continue;
+      const sim::SimCheckpoint& ck = paused.checkpoint;
+      const resched::ResidualState residual =
+          resched::buildResidual(plan, ck, oracle);
+      for (std::size_t i = 0; i < residual.blocks.size() && checked == 0;
+           ++i) {
+        if (residual.blocks[i].pinned) continue;
+        for (platform::ProcessorId p = 0;
+             p < fc.cluster.numProcessors() && checked == 0; ++p) {
+          if (residual.procHostsLive[p] != 0) continue;
+          resched::ResidualState state = residual;
+          state.procHostsLive[state.blocks[i].proc] = 0;
+          state.blocks[i].proc = p;
+          state.procHostsLive[p] = 1;
+          model->beginRun(opts.seed);
+          const resched::Splice splice =
+              resched::buildSplice(plan, ck, state, *model);
+          if (splice.resendTransfers == 0) continue;
+          ++checked;
+
+          const quotient::BlockId moved =
+              splice.oldToNew[state.blocks[i].block];
+          std::size_t resent = 0;
+          for (const sim::TransferState& t : splice.checkpoint.transfers) {
+            if (t.dstBlock != moved) continue;
+            ++resent;
+            EXPECT_EQ(t.dispatched, ck.now);
+          }
+          EXPECT_GT(resent, 0u);
+
+          const sim::SimPlan splicedPlan = sim::prepareSimulation(
+              fc.dag, fc.cluster, splice.schedule, oracle, &splice.hints);
+          ASSERT_TRUE(splicedPlan.ok()) << splicedPlan.error();
+          sim::SimOptions resume;
+          resume.resume = &splice.checkpoint;
+          resume.recordTransfers = true;
+          const sim::SimResult rest =
+              sim::simulateSchedule(splicedPlan, resume);
+          ASSERT_TRUE(rest.ok) << rest.error;
+          std::size_t atSplice = 0;
+          for (const sim::TransferRecord& r : rest.transferLog) {
+            EXPECT_GE(r.start, ck.now);
+            if (r.dstBlock == moved && r.start == ck.now) ++atSplice;
+          }
+          EXPECT_EQ(atSplice, resent);
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0) << "no splice re-sent a transfer";
 }
 
 TEST(ReschedEngine, ResumeRejectsMismatchedCheckpoint) {

@@ -279,7 +279,6 @@ TEST(ServiceEngine, FullReevaluationRequestMatchesIncremental) {
   ServiceConfig sc;
   sc.numThreads = 2;
   sc.cacheCapacity = 0;  // force both submissions to actually solve
-  sc.coalesceIdentical = false;
   SchedulerService svc(sc);
   service::Request req;
   req.dag = &g;

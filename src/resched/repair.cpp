@@ -1,9 +1,7 @@
 #include "resched/repair.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <map>
-#include <set>
+#include <iterator>
 #include <utility>
 
 namespace dagpm::resched {
@@ -23,134 +21,21 @@ double capacityOf(const ResidualState& state, const platform::Cluster& cluster,
   return cluster.memory(p) - state.residentOnProc[p];
 }
 
-/// Rollback data for one tentative merge (cf. quotient::MergeTransaction):
-/// candidate evaluation applies the merge, projects, and undoes it, instead
-/// of deep-copying the whole residual state per candidate.
-struct MergeUndo {
-  std::size_t host = 0;
-  std::size_t victim = 0;
-  std::size_t hostMembersSize = 0;
-  double hostRemainingWork = 0.0;
-  double hostMemReq = 0.0;
-  double hostBarrier = 0.0;
-  bool hostMerged = false;
-  std::vector<ResidualInput> hostCompletedInputs;
-  std::map<std::size_t, double> hostPreds, hostSuccs;
-  std::vector<int> liveIndexPointingAtVictim;  // positions in liveIndexOf
-};
-
-/// Absorbs `victim` into `host` (both freed, alive, distinct processors).
-/// `mergedMemReq` is the oracle requirement of the union, computed by the
-/// caller (it gates the candidate before any mutation happens). Returns the
-/// rollback data for undoMerge.
-MergeUndo applyMerge(ResidualState& state, std::size_t host,
-                     std::size_t victim, double mergedMemReq) {
-  ResidualBlock& h = state.blocks[host];
-  ResidualBlock& v = state.blocks[victim];
-  MergeUndo undo;
-  undo.host = host;
-  undo.victim = victim;
-  undo.hostMembersSize = h.members.size();
-  undo.hostRemainingWork = h.remainingWork;
-  undo.hostMemReq = h.memReq;
-  undo.hostBarrier = h.barrier;
-  undo.hostMerged = h.merged;
-  undo.hostCompletedInputs = h.completedInputs;
-  undo.hostPreds = h.preds;
-  undo.hostSuccs = h.succs;
-  for (std::size_t i = 0; i < state.liveIndexOf.size(); ++i) {
-    if (state.liveIndexOf[i] == static_cast<int>(victim)) {
-      undo.liveIndexPointingAtVictim.push_back(static_cast<int>(i));
-    }
-  }
-
-  h.members.insert(h.members.end(), v.members.begin(), v.members.end());
-  h.remainingWork += v.remainingWork;
-  h.memReq = mergedMemReq;
-  h.merged = true;
-  h.barrier = std::max(h.barrier, v.barrier);
-  // Coalesce completed-producer inputs by producer: the merged block counts
-  // as moved, so the splice re-sends one aggregated transfer per producer.
-  h.completedInputs.insert(h.completedInputs.end(), v.completedInputs.begin(),
-                           v.completedInputs.end());
-  std::map<BlockId, ResidualInput> byProducer;
-  for (const ResidualInput& in : h.completedInputs) {
-    auto [it, fresh] = byProducer.try_emplace(in.srcBlock, in);
-    if (!fresh) it->second.fullCost += in.fullCost;
-    it->second.delivered = false;
-    it->second.remaining = 0.0;
-  }
-  h.completedInputs.clear();
-  for (auto& [src, in] : byProducer) h.completedInputs.push_back(in);
-  // Rewire the residual quotient around the victim.
-  for (const auto& [pred, cost] : v.preds) {
-    state.blocks[pred].succs.erase(victim);
-    if (pred == host) continue;
-    h.preds[pred] += cost;
-    state.blocks[pred].succs[host] += cost;
-  }
-  for (const auto& [succ, cost] : v.succs) {
-    state.blocks[succ].preds.erase(victim);
-    if (succ == host) continue;
-    h.succs[succ] += cost;
-    state.blocks[succ].preds[host] += cost;
-  }
-  h.preds.erase(victim);
-  h.succs.erase(victim);
-  state.procHostsLive[v.proc] = 0;
-  v.alive = false;
-  // Blocks absorbed (possibly transitively) now resolve to the host.
-  for (const int i : undo.liveIndexPointingAtVictim) {
-    state.liveIndexOf[static_cast<std::size_t>(i)] = static_cast<int>(host);
-  }
-  return undo;
-}
-
-/// Restores the state applyMerge mutated. The victim block itself was never
-/// touched (only unlinked), so its own fields are still authoritative;
-/// neighbor adjacency entries pointing at the host are restored wholesale
-/// from the saved host maps.
-void undoMerge(ResidualState& state, const MergeUndo& undo) {
-  ResidualBlock& h = state.blocks[undo.host];
-  ResidualBlock& v = state.blocks[undo.victim];
-  h.members.resize(undo.hostMembersSize);
-  h.remainingWork = undo.hostRemainingWork;
-  h.memReq = undo.hostMemReq;
-  h.barrier = undo.hostBarrier;
-  h.merged = undo.hostMerged;
-  h.completedInputs = undo.hostCompletedInputs;
-  // Re-link the victim's neighbors first (their host entries are fixed up
-  // right after, from the saved originals).
-  for (const auto& [pred, cost] : v.preds) {
-    state.blocks[pred].succs[undo.victim] = cost;
-  }
-  for (const auto& [succ, cost] : v.succs) {
-    state.blocks[succ].preds[undo.victim] = cost;
-  }
-  for (const auto& [pred, cost] : undo.hostPreds) {
-    state.blocks[pred].succs[undo.host] = cost;
-  }
-  for (const auto& [pred, cost] : h.preds) {
-    if (undo.hostPreds.find(pred) == undo.hostPreds.end()) {
-      state.blocks[pred].succs.erase(undo.host);
-    }
-  }
-  for (const auto& [succ, cost] : undo.hostSuccs) {
-    state.blocks[succ].preds[undo.host] = cost;
-  }
-  for (const auto& [succ, cost] : h.succs) {
-    if (undo.hostSuccs.find(succ) == undo.hostSuccs.end()) {
-      state.blocks[succ].preds.erase(undo.host);
-    }
-  }
-  h.preds = undo.hostPreds;
-  h.succs = undo.hostSuccs;
-  state.procHostsLive[v.proc] = 1;
-  v.alive = true;
-  for (const int i : undo.liveIndexPointingAtVictim) {
-    state.liveIndexOf[static_cast<std::size_t>(i)] =
-        static_cast<int>(undo.victim);
-  }
+/// Absorbs freed block `absorbed` into freed block `survivor` (distinct
+/// processors): the quotient merge plus the survivor's execution state.
+/// `memReq` is the oracle requirement of the union, computed by the caller
+/// (it gates the candidate before any mutation happens). A probe undoes it
+/// by restoring the survivor's saved ResidualBlock and rolling `tx` back.
+quotient::MergeTransaction mergeBlocks(ResidualState& state, BlockId survivor,
+                                       BlockId absorbed, double memReq) {
+  quotient::MergeTransaction tx = state.q.merge(survivor, absorbed);
+  state.q.setMemReq(survivor, memReq);
+  ResidualBlock& s = state.blocks[survivor];
+  const ResidualBlock& a = state.blocks[absorbed];
+  s.remainingWork += a.remainingWork;
+  s.barrier = std::max(s.barrier, a.barrier);
+  s.merged = true;  // moved: its completed producers re-send in full
+  return tx;
 }
 
 }  // namespace
@@ -160,9 +45,11 @@ RepairResult repairResidual(ResidualState& state,
                             const memory::MemDagOracle& oracle,
                             const RepairConfig& cfg) {
   RepairResult result;
+  quotient::QuotientGraph& q = state.q;
+  const BlockId n = static_cast<BlockId>(q.numSlots());
   constexpr double kSlack = 1.0 + 1e-12;
-  const auto deadProc = [&state](platform::ProcessorId p) {
-    return !state.procDead.empty() && state.procDead[p] != 0;
+  const auto fits = [&](BlockId b, platform::ProcessorId p) {
+    return q.node(b).memReq <= capacityOf(state, cluster, p) * kSlack;
   };
 
   // Mandatory evacuation pass: every lost block must leave its fail-stop
@@ -173,28 +60,26 @@ RepairResult repairResidual(ResidualState& state,
   // rounds below then optimize from there. A lost block with no feasible
   // target stays put (evacuations < evacuationsNeeded) and the driver
   // retries after a backoff once other blocks complete and free processors.
-  if (!state.procDead.empty()) {
-    for (std::size_t i = 0; i < state.blocks.size(); ++i) {
-      ResidualBlock& rb = state.blocks[i];
-      if (!rb.alive || !deadProc(rb.proc)) continue;
-      ++result.evacuationsNeeded;
-      platform::ProcessorId target = platform::kNoProcessor;
-      double targetFree = -1.0;
-      for (platform::ProcessorId p = 0; p < cluster.numProcessors(); ++p) {
-        if (deadProc(p) || state.procHostsLive[p] != 0) continue;
-        const double free = capacityOf(state, cluster, p);
-        if (rb.memReq > free * kSlack) continue;
-        if (free > targetFree) {
-          targetFree = free;
-          target = p;
-        }
+  for (BlockId b = 0; b < n; ++b) {
+    if (!state.live(b) || !state.dead(q.node(b).proc)) continue;
+    ++result.evacuationsNeeded;
+    platform::ProcessorId target = platform::kNoProcessor;
+    double targetFree = -1.0;
+    for (platform::ProcessorId p = 0; p < cluster.numProcessors(); ++p) {
+      if (state.dead(p) || state.procHostsLive[p] != 0 || !fits(b, p)) {
+        continue;
       }
-      if (target == platform::kNoProcessor) continue;
-      state.procHostsLive[rb.proc] = 0;
-      rb.proc = target;
-      state.procHostsLive[target] = 1;
-      ++result.evacuations;
+      const double free = capacityOf(state, cluster, p);
+      if (free > targetFree) {
+        targetFree = free;
+        target = p;
+      }
     }
+    if (target == platform::kNoProcessor) continue;
+    state.procHostsLive[q.node(b).proc] = 0;
+    q.setProcessor(b, target);
+    state.procHostsLive[target] = 1;
+    ++result.evacuations;
   }
 
   result.projectedBefore = projectResidual(state, cluster, cfg.comm);
@@ -206,103 +91,106 @@ RepairResult repairResidual(ResidualState& state,
   }
   int mergeBudget = kMergeProbeBudget;
   const double eps = 1e-12 * std::max(1.0, current);
-  constexpr double kMemSlack = 1.0 + 1e-12;
+  const auto freed = [&](BlockId b) {
+    return state.live(b) && !state.blocks[b].pinned;
+  };
+  const auto byBlock = [](const quotient::AdjEntry& x,
+                          const quotient::AdjEntry& y) {
+    return x.first < y.first;
+  };
 
   enum class Kind { kNone, kMove, kSwap, kMerge };
   for (int round = 0; round < kMaxRounds; ++round) {
     Kind bestKind = Kind::kNone;
-    std::size_t bestA = 0;
-    std::size_t bestB = 0;
+    BlockId bestA = 0;
+    BlockId bestB = 0;
     platform::ProcessorId bestProc = platform::kNoProcessor;
     double bestMem = 0.0;
     double bestValue = current - eps;  // strict improvement required
+    const auto consider = [&](double value, Kind kind, BlockId a, BlockId b) {
+      if (!(value < bestValue)) return false;
+      bestValue = value;
+      bestKind = kind;
+      bestA = a;
+      bestB = b;
+      return true;
+    };
 
-    const std::size_t n = state.blocks.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      ResidualBlock& bi = state.blocks[i];
-      if (!bi.alive || bi.pinned) continue;
-      const platform::ProcessorId from = bi.proc;
+    for (BlockId i = 0; i < n; ++i) {
+      if (!freed(i)) continue;
+      const platform::ProcessorId from = q.node(i).proc;
       for (platform::ProcessorId p = 0; p < cluster.numProcessors(); ++p) {
-        if (p == from || state.procHostsLive[p] != 0 || deadProc(p)) {
+        if (p == from || state.procHostsLive[p] != 0 || state.dead(p) ||
+            !fits(i, p)) {
           continue;
         }
-        if (bi.memReq > capacityOf(state, cluster, p) * kMemSlack) continue;
-        bi.proc = p;  // tentative; the projection ignores procHostsLive
+        q.setProcessor(i, p);  // tentative; the projection ignores hosts
         const double value = projectResidual(state, cluster, cfg.comm);
-        bi.proc = from;
-        if (value < bestValue) {
-          bestValue = value;
-          bestKind = Kind::kMove;
-          bestA = i;
-          bestProc = p;
-        }
+        q.setProcessor(i, from);
+        if (consider(value, Kind::kMove, i, 0)) bestProc = p;
       }
-      for (std::size_t j = i + 1; j < n; ++j) {
-        ResidualBlock& bj = state.blocks[j];
-        if (!bj.alive || bj.pinned) continue;
-        if (bi.memReq > capacityOf(state, cluster, bj.proc) * kMemSlack ||
-            bj.memReq > capacityOf(state, cluster, bi.proc) * kMemSlack) {
-          continue;
-        }
-        std::swap(bi.proc, bj.proc);
+      for (BlockId j = i + 1; j < n; ++j) {
+        if (!freed(j)) continue;
+        const platform::ProcessorId to = q.node(j).proc;
+        if (!fits(i, to) || !fits(j, from)) continue;
+        q.setProcessor(i, to);
+        q.setProcessor(j, from);
         const double value = projectResidual(state, cluster, cfg.comm);
-        std::swap(bi.proc, bj.proc);
-        if (value < bestValue) {
-          bestValue = value;
-          bestKind = Kind::kSwap;
-          bestA = i;
-          bestB = j;
-        }
+        q.setProcessor(i, from);
+        q.setProcessor(j, to);
+        consider(value, Kind::kSwap, i, j);
       }
-      std::set<std::size_t> neighbors;
-      for (const auto& [pred, cost] : bi.preds) neighbors.insert(pred);
-      for (const auto& [succ, cost] : bi.succs) neighbors.insert(succ);
-      for (const std::size_t j : neighbors) {
-        ResidualBlock& bj = state.blocks[j];
-        if (!bj.alive || bj.pinned || mergeBudget <= 0) continue;
+      // Merge partners in ascending block id across preds and succs, copied
+      // out of the arena (probes invalidate adjacency views).
+      std::vector<quotient::AdjEntry> neighbors;
+      std::set_union(q.in(i).begin(), q.in(i).end(), q.out(i).begin(),
+                     q.out(i).end(), std::back_inserter(neighbors), byBlock);
+      for (const auto& [j, cost] : neighbors) {
+        if (!freed(j) || mergeBudget <= 0) continue;
         // A lost started block carries an executed traversal prefix; a
         // merge would re-traverse the union and discard it.
-        if (bi.doneSteps > 0 || bj.doneSteps > 0) continue;
+        if (state.blocks[i].doneSteps > 0 || state.blocks[j].doneSteps > 0) {
+          continue;
+        }
         --mergeBudget;
         // Moves and swaps keep memberships, so later rounds re-probe the
         // same unions; the oracle's memo serves them.
-        std::vector<VertexId> unionMembers = bj.members;
-        unionMembers.insert(unionMembers.end(), bi.members.begin(),
-                            bi.members.end());
+        std::vector<VertexId> unionMembers = q.node(j).members;
+        unionMembers.insert(unionMembers.end(), q.node(i).members.begin(),
+                            q.node(i).members.end());
         const double mem = oracle.blockRequirement(unionMembers);
-        if (mem > capacityOf(state, cluster, bj.proc) * kMemSlack) continue;
-        // Apply tentatively and roll back (deep-copying the state per
-        // candidate would be O(tasks)); a merge creating a cycle projects
-        // to +inf and is never selected.
-        const MergeUndo tx = applyMerge(state, j, i, mem);
-        const double value = projectResidual(state, cluster, cfg.comm);
-        undoMerge(state, tx);
-        if (value < bestValue) {
-          bestValue = value;
-          bestKind = Kind::kMerge;
-          bestA = j;
-          bestB = i;
-          bestMem = mem;
+        if (mem > capacityOf(state, cluster, q.node(j).proc) * kSlack) {
+          continue;
         }
+        // Apply tentatively and roll back; a merge creating a cycle
+        // projects to +inf and is never selected.
+        const ResidualBlock saved = state.blocks[j];
+        quotient::MergeTransaction tx = mergeBlocks(state, j, i, mem);
+        const double value = projectResidual(state, cluster, cfg.comm);
+        state.blocks[j] = saved;
+        q.rollback(std::move(tx));
+        if (consider(value, Kind::kMerge, j, i)) bestMem = mem;
       }
     }
 
     if (bestKind == Kind::kNone) break;
     switch (bestKind) {
-      case Kind::kMove: {
-        ResidualBlock& rb = state.blocks[bestA];
-        state.procHostsLive[rb.proc] = 0;
-        rb.proc = bestProc;
+      case Kind::kMove:
+        state.procHostsLive[q.node(bestA).proc] = 0;
+        q.setProcessor(bestA, bestProc);
         state.procHostsLive[bestProc] = 1;
         ++result.moves;
         break;
-      }
-      case Kind::kSwap:
-        std::swap(state.blocks[bestA].proc, state.blocks[bestB].proc);
+      case Kind::kSwap: {
+        const platform::ProcessorId a = q.node(bestA).proc;
+        q.setProcessor(bestA, q.node(bestB).proc);
+        q.setProcessor(bestB, a);
         ++result.swaps;
         break;
+      }
       case Kind::kMerge:
-        applyMerge(state, bestA, bestB, bestMem);
+        mergeBlocks(state, bestA, bestB, bestMem);
+        state.procHostsLive[q.node(bestB).proc] = 0;
         ++result.merges;
         break;
       case Kind::kNone:
@@ -324,76 +212,41 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
                    const sim::PerturbationModel& model) {
   const sim::detail::PlanData& d = plan.data();
   const graph::Dag& g = *d.g;
+  const quotient::QuotientGraph& q = state.q;
   const std::size_t numOld = d.blocks.size();
-  const std::size_t numTasks = g.numVertices();
 
   Splice sp;
-  // Compact new ids, ascending in the survivor's old block id: completed
-  // blocks and alive residual blocks survive; absorbed blocks map to their
-  // absorber.
-  std::vector<char> completedOld(numOld, 0);
-  sp.oldToNew.assign(numOld, quotient::kNoBlock);
-  std::vector<BlockId> newToOld;
-  for (BlockId b = 0; b < static_cast<BlockId>(numOld); ++b) {
-    completedOld[b] = ck.blocks[b].done == d.blocks[b].order.size() ? 1 : 0;
-    const int idx = state.liveIndexOf[b];
-    const bool survivor =
-        completedOld[b] != 0 ||
-        (idx >= 0 && state.blocks[static_cast<std::size_t>(idx)].alive &&
-         state.blocks[static_cast<std::size_t>(idx)].block == b);
-    if (survivor) {
-      sp.oldToNew[b] = static_cast<BlockId>(newToOld.size());
-      newToOld.push_back(b);
-    }
-  }
-  for (BlockId b = 0; b < static_cast<BlockId>(numOld); ++b) {
-    if (sp.oldToNew[b] != quotient::kNoBlock) continue;
-    const int idx = state.liveIndexOf[b];
-    sp.oldToNew[b] =
-        sp.oldToNew[state.blocks[static_cast<std::size_t>(idx)].block];
-  }
+  // Compact new ids, ascending in the survivor's old block id: the alive
+  // quotient nodes (completed blocks and unabsorbed live ones) survive;
+  // absorbed blocks map to their absorber, which holds their members.
+  std::vector<BlockId> newToOld = q.aliveNodes();
   const std::size_t numNew = newToOld.size();
-
   scheduler::ScheduleResult& schedule = sp.schedule;
   schedule.feasible = true;
-  schedule.blockOf.assign(numTasks, 0);
+  schedule.blockOf.assign(g.numVertices(), 0);
   schedule.procOfBlock.assign(numNew, platform::kNoProcessor);
   sp.hints.completedBlock.assign(numNew, 0);
   sp.hints.forcedOrder.assign(numNew, {});
   for (BlockId n = 0; n < static_cast<BlockId>(numNew); ++n) {
     const BlockId old = newToOld[n];
-    if (completedOld[old] != 0) {
-      schedule.procOfBlock[n] = d.blocks[old].proc;
-      sp.hints.completedBlock[n] = 1;
-      sp.hints.forcedOrder[n] = d.blocks[old].order;
-      for (const VertexId v : d.blocks[old].order) schedule.blockOf[v] = n;
-    } else {
-      const ResidualBlock& rb =
-          state.blocks[static_cast<std::size_t>(state.liveIndexOf[old])];
-      schedule.procOfBlock[n] = rb.proc;
-      // Merged blocks get a fresh oracle traversal; everyone else keeps the
-      // order their (possibly partial) execution history indexes into.
-      if (!rb.merged) sp.hints.forcedOrder[n] = d.blocks[old].order;
-      for (const VertexId v : rb.members) schedule.blockOf[v] = n;
-    }
+    const ResidualBlock& rb = state.blocks[old];
+    schedule.procOfBlock[n] = q.node(old).proc;
+    sp.hints.completedBlock[n] = rb.completed ? 1 : 0;
+    // Merged blocks get a fresh oracle traversal; everyone else keeps the
+    // order their (possibly partial) execution history indexes into.
+    if (!rb.merged) sp.hints.forcedOrder[n] = d.blocks[old].order;
+    for (const VertexId v : q.node(old).members) schedule.blockOf[v] = n;
+  }
+  sp.oldToNew.resize(numOld);
+  for (BlockId b = 0; b < static_cast<BlockId>(numOld); ++b) {
+    sp.oldToNew[b] = schedule.blockOf[d.blocks[b].order.front()];
   }
   // Keep the field's repo-wide meaning (the static Eq. (1)-(2) quotient
   // makespan of the mapping, history-free); the residual projection that
   // justified this splice lives in RepairResult/RepairRecord instead.
   schedule.makespan = scheduler::staticMakespan(g, *d.cluster, schedule);
-
-  // Quotient of the spliced schedule (aggregated costs + predecessor sets).
-  std::map<std::pair<BlockId, BlockId>, double> aggCost;
-  std::vector<std::set<BlockId>> predsOf(numNew);
-  for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(g.numEdges());
-       ++e) {
-    const graph::Edge& edge = g.edge(e);
-    const BlockId a = schedule.blockOf[edge.src];
-    const BlockId b = schedule.blockOf[edge.dst];
-    if (a == b) continue;
-    aggCost[{a, b}] += edge.cost;
-    predsOf[b].insert(a);
-  }
+  // Re-send volumes fold the spliced quotient's edges in edge-id order.
+  const quotient::QuotientGraph spliced = scheduler::quotientOf(g, schedule);
 
   // Adapt the checkpoint: everything but its block-indexed parts carries
   // over verbatim (fault state is processor-indexed, and applied fault
@@ -408,13 +261,12 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
   }
   nk.transfers.clear();
 
-  std::set<std::pair<BlockId, BlockId>> inFlightOld;
   for (const sim::TransferState& t : ck.transfers) {
-    // In-flight destinations are always unstarted, hence live.
-    const ResidualBlock& rb = state.blocks[static_cast<std::size_t>(
-        state.liveIndexOf[t.dstBlock])];
-    inFlightOld.insert({t.srcBlock, t.dstBlock});
-    if (rb.moved()) continue;  // invalidated; re-sent below
+    // In-flight destinations are always unstarted, hence live; an absorbed
+    // destination resolves to its (merged, so moved) absorber.
+    if (state.moved(newToOld[sp.oldToNew[t.dstBlock]])) {
+      continue;  // invalidated; re-sent below
+    }
     sim::TransferState kept = t;
     kept.srcBlock = sp.oldToNew[t.srcBlock];
     kept.dstBlock = sp.oldToNew[t.dstBlock];
@@ -452,13 +304,9 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
   for (BlockId n = 0; n < static_cast<BlockId>(numNew); ++n) {
     const BlockId old = newToOld[n];
     sim::BlockState& bs = nk.blocks[n];
-    if (completedOld[old] != 0) {
-      bs = ck.blocks[old];
-      continue;
-    }
-    const ResidualBlock& rb =
-        state.blocks[static_cast<std::size_t>(state.liveIndexOf[old])];
-    if (rb.pinned || (ck.blocks[old].done > 0 && !rb.moved())) {
+    const ResidualBlock& rb = state.blocks[old];
+    const bool moved = state.moved(old);
+    if (rb.completed || rb.pinned || (ck.blocks[old].done > 0 && !moved)) {
       bs = ck.blocks[old];  // started: inputs satisfied, prefix preserved
       continue;
     }
@@ -472,9 +320,9 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
       bs = ck.blocks[old];
       bs.barrierTime = 0.0;
       std::size_t pending = 0;
-      for (const BlockId p : predsOf[n]) {
+      for (const auto& [p, cost] : spliced.in(n)) {
         // Every producer of a started block completed before it started.
-        pending += resend(p, n, aggCost[{p, n}], bs);
+        pending += resend(p, n, cost, bs);
       }
       if (rb.restoreBytes > 0.0) {
         // The prefix restore rides the backbone like any transfer; its
@@ -485,22 +333,22 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
       continue;
     }
     bs.nextStep = bs.done = 0;
-    bs.barrierTime = rb.moved() ? 0.0 : ck.blocks[old].barrierTime;
+    bs.barrierTime = moved ? 0.0 : ck.blocks[old].barrierTime;
     std::size_t pending = 0;
-    for (const BlockId p : predsOf[n]) {
+    for (const auto& [p, cost] : spliced.in(n)) {
       if (sp.hints.completedBlock[p] == 0) {
         ++pending;  // live producer: the engine dispatches when it finishes
         continue;
       }
-      if (!rb.moved()) {
+      if (!moved) {
         // Unmoved: the producer's transfer was either delivered (satisfied)
         // or kept in flight above (still pending).
-        if (inFlightOld.count({newToOld[p], old}) != 0) ++pending;
+        if (state.inFlight.count({newToOld[p], old}) != 0) ++pending;
         continue;
       }
       // Moved: everything received or in flight was lost; re-send one
       // aggregated transfer at full volume.
-      pending += resend(p, n, aggCost[{p, n}], bs);
+      pending += resend(p, n, cost, bs);
     }
     bs.pendingInputs = pending;
   }

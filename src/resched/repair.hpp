@@ -13,11 +13,16 @@
 //   * swap   — two freed blocks exchange processors — Step 4's swaps;
 //   * merge  — a freed block is absorbed into an adjacent freed block,
 //              eliminating their communication — Step 3's merge refinement,
-//              memory-checked through the oracle and rolled back when it
-//              would create a cycle.
+//              memory-checked through the oracle. Each candidate is a
+//              QuotientGraph::merge on the residual's quotient, projected
+//              (a cycle projects to +infinity) and rolled back, exactly as
+//              Step 3 probes merges on the static quotient.
 //
-// The best improving operation is applied until none remains (at most 16
-// rounds, and 64 oracle evaluations of merge candidates), and the whole
+// Moves and swaps only re-label quotient nodes' processors. Merge partners
+// are probed in ascending block id across a block's predecessors and
+// successors. The best improving operation is applied until none remains
+// (at most 16 rounds, and 64 oracle evaluations of merge candidates), and
+// the whole
 // repair is accepted only when the final projection beats the keep-current
 // projection by `minGain` — the splice then rewrites the schedule, adapts
 // the checkpoint (block-id translation, transfer re-sends for moved blocks)
@@ -89,9 +94,12 @@ struct Splice {
   double resendVolume = 0.0;
 };
 
-/// Builds the splice for a (possibly repaired) residual state. `model` must
-/// have been seeded with beginRun(<run seed>) — re-sent transfers draw their
-/// volume factors from it exactly like engine dispatches do.
+/// Builds the splice for a (possibly repaired) residual state: the alive
+/// quotient nodes become the new blocks, and the inputs a moved block must
+/// re-receive are its in-edges in the spliced schedule's own quotient.
+/// `model` must have been seeded with beginRun(<run seed>) — re-sent
+/// transfers draw their volume factors from it exactly like engine
+/// dispatches do.
 Splice buildSplice(const sim::SimPlan& plan,
                    const sim::SimCheckpoint& checkpoint,
                    const ResidualState& state,

@@ -43,9 +43,9 @@ SimPlan prepareSimulation(const graph::Dag& g,
   }
   // Safe to build only now: the quotient constructor indexes blockOf
   // unchecked.
-  const quotient::QuotientGraph quotient(
-      g, schedule.blockOf, static_cast<std::uint32_t>(numBlocks));
-  if (!quotient.isAcyclic()) {
+  d.quotient.emplace(g, schedule.blockOf,
+                     static_cast<std::uint32_t>(numBlocks));
+  if (!d.quotient->isAcyclic()) {
     d.error = "quotient graph is cyclic";
     return plan;
   }
@@ -101,8 +101,6 @@ SimPlan prepareSimulation(const graph::Dag& g,
     } else {
       bp.order = oracle.bestTraversal(members[b]).order;
     }
-    bp.initialPendingInputs = quotient.in(b).size();
-    bp.out.assign(quotient.out(b).begin(), quotient.out(b).end());
     // A block already fully executed at resume time never starts a task, so
     // its memory profile would never be consulted; skip the subgraph and
     // memory simulation (late-run splices have mostly completed blocks).
@@ -376,7 +374,7 @@ void Engine::completeTask(platform::ProcessorId p) {
   }
   if (opts_.comm == CommModel::kBlockSynchronous &&
       br.done == plan_.blocks[b].order.size()) {
-    for (const auto& [succ, cost] : plan_.blocks[b].out) {
+    for (const auto& [succ, cost] : plan_.quotient->out(b)) {
       dispatch(b, succ, graph::kInvalidVertex, cost,
                blockTransferId(b, succ));
     }
@@ -494,7 +492,7 @@ void Engine::execute() {
   st_.blocks.assign(plan_.blocks.size(), BlockState{});
   if (opts_.comm == CommModel::kBlockSynchronous) {
     for (std::size_t b = 0; b < st_.blocks.size(); ++b) {
-      st_.blocks[b].pendingInputs = plan_.blocks[b].initialPendingInputs;
+      st_.blocks[b].pendingInputs = plan_.quotient->in(b).size();
     }
     remoteInputs_.assign(numTasks, 0);
   } else {

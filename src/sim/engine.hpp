@@ -50,6 +50,7 @@
 // a new plan built with PlanHints.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -224,12 +225,10 @@ struct SimResult {
 
 namespace detail {
 /// Perturbation-independent per-block data: traversal order, processor,
-/// aggregated successor transfers, and the oracle-traversal memory profile.
+/// and the oracle-traversal memory profile.
 struct BlockPlan {
   std::vector<graph::VertexId> order;
   platform::ProcessorId proc = platform::kNoProcessor;
-  std::size_t initialPendingInputs = 0;  // inbound quotient edges
-  std::vector<std::pair<quotient::BlockId, double>> out;  // summed costs
   std::vector<double> stepMemory;
   std::vector<double> residentAfter;
   double startResident = 0.0;
@@ -242,6 +241,9 @@ struct PlanData {
   const scheduler::ScheduleResult* schedule = nullptr;
   std::string error;
   std::vector<BlockPlan> blocks;
+  /// The schedule's quotient (set on every ok plan): in(b) are a block's
+  /// inbound block transfers, out(b) its aggregated outbound ones.
+  std::optional<quotient::QuotientGraph> quotient;
   std::vector<std::size_t> remoteInputs;  // eager mode: remote in-edges/task
   /// Built with PlanHints::completedBlock: the distinct-processor rule was
   /// relaxed for blocks that only make sense as already-executed history,

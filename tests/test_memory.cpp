@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
@@ -631,19 +630,8 @@ TEST(SpTree, SizeIsLinearInChainAndFanLength) {
 // sinks, fans of 1,000+ branches and real workflow blocks. Any change to the
 // SP path must reproduce every order and peak bit for bit.
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t bitsOf(double x) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &x, sizeof bits);
-  return bits;
-}
+using test::bitsOf;
+using test::fnv1a;
 
 std::uint64_t hashOrder(std::uint64_t h, std::span<const VertexId> order) {
   h = fnv1a(h, order.size());

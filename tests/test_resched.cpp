@@ -8,8 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <optional>
 
+#include "comm/cost_model.hpp"
+#include "experiments/faults.hpp"
 #include "experiments/resched.hpp"
 #include "memory/oracle.hpp"
 #include "platform/cluster.hpp"
@@ -21,6 +25,7 @@
 #include "scheduler/daghetmem.hpp"
 #include "scheduler/daghetpart.hpp"
 #include "sim/engine.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 
 namespace dagpm {
@@ -300,8 +305,98 @@ TEST_P(ReschedFuzz, SplicedSchedulesAreValidResiduals) {
   }
 }
 
+/// Repair outcomes (test::hashRepairOutcome) of the online driver under
+/// straggler noise, which draws uniforms only, so the hashes do not depend
+/// on the platform's libm: part and mem schedules, default and forced
+/// policy, contention off and on. A refactor of the residual or repair code
+/// must reproduce every projection, count and final mapping bit for bit.
+TEST_P(ReschedFuzz, RepairOutcomesMatchPinnedHashes) {
+  constexpr std::uint64_t kPinned[] = {
+      0x9ebb3a068d34fc97ULL, 0xa48ae0244c2f1f28ULL, 0xf89ff2101c42bb1bULL,
+      0x0750d0c5660f2485ULL, 0x16a4864fa85d2073ULL, 0xd48dff176fe49633ULL,
+      0xd4e94893557095d0ULL, 0x94ed7de87d01d015ULL, 0x18717f0589e5498dULL,
+      0xf41090503dec785aULL};
+  const std::uint64_t seed = GetParam();
+  const FuzzCase fc = makeFuzzCase(seed);
+  const memory::MemDagOracle oracle(fc.dag);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const ScheduleResult* schedule : {&fc.part, &fc.mem}) {
+    if (!schedule->feasible) continue;
+    for (const bool forced : {false, true}) {
+      for (const bool contention : {false, true}) {
+        resched::RescheduleOptions options;
+        options.seed = seed * 31 + 7;
+        options.contention = contention;
+        options.perturbation.kind = sim::PerturbationKind::kStraggler;
+        options.perturbation.stragglerProbability = 0.25;
+        options.perturbation.stragglerFactor = 3.0;
+        if (forced) {
+          options.policy.trigger = resched::TriggerPolicy::kInterval;
+          options.policy.intervalFraction = 0.15;
+          options.policy.driftTolerance = -1.0;
+          options.policy.minGain = 1e-6;
+          options.policy.hindsightGuard = false;
+        }
+        h = test::hashRepairOutcome(
+            h, resched::runOnline(fc.dag, fc.cluster, *schedule, oracle,
+                                  options));
+      }
+    }
+  }
+  EXPECT_EQ(h, kPinned[seed - 1]) << "seed " << seed << " hash 0x"
+                                  << std::hex << h;
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ReschedFuzz,
                          testing::Range<std::uint64_t>(1, 11));
+
+/// Repair outcomes of fail-stop recovery on the FaultFuzz cases (same
+/// workflows, schedules and spare-augmented clusters, same fuzzed fault
+/// rates), with transient crashes off so processor downtime never enters
+/// the projection; contention off and on.
+class FaultRepairPinned : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FaultRepairPinned, RepairOutcomesMatchPinnedHashes) {
+  constexpr std::uint64_t kPinned[] = {
+      0x27c45c5b5500a829ULL, 0xa7da4845043cd28aULL, 0x35493092885ac951ULL,
+      0x102b43dc105fb1c5ULL, 0xbba05bcb31517c11ULL, 0xcffc24a064986c70ULL,
+      0x57fe3db44891154cULL, 0x7a2d5f20beabaf3dULL, 0xb048ab0a5416e305ULL,
+      0x17962ee0a4cd10daULL, 0x0e41e2c45819e3c5ULL, 0xd1e668549bd24ea6ULL,
+      0x8b8e88a938237505ULL, 0x7a314577f4d53695ULL, 0x885d3724d8e65ec1ULL,
+      0x0e716ac4ad1bfa41ULL};
+  const std::uint64_t seed = GetParam();
+  const FuzzCase fc = test::makeTightFuzzCase(seed * 131 + 17, seed);
+  const memory::MemDagOracle oracle(fc.dag);
+  const platform::Cluster augmented =
+      experiments::addSpareProcessors(fc.cluster, 2);
+  support::Rng rates(sim::mixSeed(seed, 0xfa17));
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const ScheduleResult* schedule : {&fc.part, &fc.mem}) {
+    if (!schedule->feasible) continue;
+    sim::FaultSpec spec;
+    spec.failStopProbability = 0.2 + 0.5 * rates.uniformReal();
+    rates.uniformReal();  // FaultFuzz's crash rate, drawn but unused here
+    spec.crashProbability = 0.0;
+    spec.horizon = std::max(schedule->makespan * 0.8, 1e-9);
+    spec.downtime = schedule->makespan * 0.05;
+    spec.maxCrashesPerProcessor = 2;
+    for (const bool contention : {false, true}) {
+      sim::FaultModel faults(spec, augmented.numProcessors());
+      resched::RescheduleOptions options;
+      options.seed = seed * 977 + 5;
+      options.contention = contention;
+      options.faults = &faults;
+      h = test::hashRepairOutcome(
+          h, resched::runOnline(fc.dag, augmented, *schedule, oracle,
+                                options));
+    }
+  }
+  EXPECT_EQ(h, kPinned[seed - 1]) << "seed " << seed << " hash 0x"
+                                  << std::hex << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FaultRepairPinned,
+                         testing::Range<std::uint64_t>(1, 17));
 
 TEST(ReschedEngine, ObserverAndResumeRejectedInEagerMode) {
   const FuzzCase fc = makeFuzzCase(2);
@@ -376,15 +471,15 @@ TEST(ReschedSplice, ResentTransfersLeaveAtTheSpliceInstant) {
       const sim::SimCheckpoint& ck = paused.checkpoint;
       const resched::ResidualState residual =
           resched::buildResidual(plan, ck, oracle);
-      for (std::size_t i = 0; i < residual.blocks.size() && checked == 0;
-           ++i) {
-        if (residual.blocks[i].pinned) continue;
+      for (quotient::BlockId i = 0;
+           i < residual.blocks.size() && checked == 0; ++i) {
+        if (!residual.live(i) || residual.blocks[i].pinned) continue;
         for (platform::ProcessorId p = 0;
              p < fc.cluster.numProcessors() && checked == 0; ++p) {
           if (residual.procHostsLive[p] != 0) continue;
           resched::ResidualState state = residual;
-          state.procHostsLive[state.blocks[i].proc] = 0;
-          state.blocks[i].proc = p;
+          state.procHostsLive[state.q.node(i).proc] = 0;
+          state.q.setProcessor(i, p);
           state.procHostsLive[p] = 1;
           model->beginRun(opts.seed);
           const resched::Splice splice =
@@ -392,8 +487,7 @@ TEST(ReschedSplice, ResentTransfersLeaveAtTheSpliceInstant) {
           if (splice.resendTransfers == 0) continue;
           ++checked;
 
-          const quotient::BlockId moved =
-              splice.oldToNew[state.blocks[i].block];
+          const quotient::BlockId moved = splice.oldToNew[i];
           std::size_t resent = 0;
           for (const sim::TransferState& t : splice.checkpoint.transfers) {
             if (t.dstBlock != moved) continue;
@@ -422,6 +516,145 @@ TEST(ReschedSplice, ResentTransfersLeaveAtTheSpliceInstant) {
     }
   }
   EXPECT_GT(checked, 0) << "no splice re-sent a transfer";
+}
+
+/// A chain s -> a -> b -> c plus a branch s -> y, one task per block on
+/// processors 0-4 (processor 5 is spare), every task 3 units of work except
+/// s (1 unit), every edge 2 units of data on a unit-bandwidth backbone,
+/// paused at s's finish (t = 1): blocks a, b, c and y are freed, and s's
+/// transfers to a and y are in flight.
+class ChainResidual : public testing::Test {
+ protected:
+  static constexpr quotient::BlockId kA = 1, kB = 2, kC = 3, kY = 4;
+  static constexpr platform::ProcessorId kSpare = 5;
+
+  void SetUp() override {
+    for (int v = 0; v < 5; ++v) dag_.addVertex(v == 0 ? 1.0 : 3.0, 1.0);
+    dag_.addEdge(0, 1, 2.0);
+    dag_.addEdge(1, 2, 2.0);
+    dag_.addEdge(2, 3, 2.0);
+    dag_.addEdge(0, 4, 2.0);
+    cluster_ = platform::Cluster(
+        std::vector<platform::Processor>(6, {"p", 1.0, 100.0}), 1.0);
+    schedule_.feasible = true;
+    schedule_.blockOf = {0, 1, 2, 3, 4};
+    schedule_.procOfBlock = {0, 1, 2, 3, 4};
+    oracle_.emplace(dag_);
+    plan_ = sim::prepareSimulation(dag_, cluster_, schedule_, *oracle_);
+    ASSERT_TRUE(plan_.ok()) << plan_.error();
+    PauseEveryNthFinish pacer(1);
+    sim::SimOptions opts;
+    opts.observer = &pacer;
+    sim::SimResult run = sim::simulateSchedule(plan_, opts);
+    ASSERT_TRUE(run.ok) << run.error;
+    ASSERT_TRUE(run.paused);
+    ck_ = std::move(run.checkpoint);
+    ASSERT_EQ(ck_.now, 1.0);
+  }
+
+  /// The pause as a transient crash striking idle processor `p` at that
+  /// instant leaves it: `p` is down until now + downtime.
+  sim::SimCheckpoint crashedAtPause(platform::ProcessorId p,
+                                    double downtime) const {
+    sim::SimCheckpoint ck = ck_;
+    ck.procDeadUntil.assign(cluster_.numProcessors(), 0.0);
+    ck.faultsApplied.assign(cluster_.numProcessors(), 0);
+    ck.procDeadUntil[p] = ck.now + downtime;
+    return ck;
+  }
+
+  /// Makespan of the deterministic engine resumed from `state` spliced into
+  /// `ck`, honouring the checkpoint's processor downtime.
+  double replay(const resched::ResidualState& state,
+                const sim::SimCheckpoint& ck) const {
+    const auto model = sim::makePerturbation({}, cluster_.numProcessors());
+    model->beginRun(1);
+    const resched::Splice splice =
+        resched::buildSplice(plan_, ck, state, *model);
+    const sim::SimPlan spliced = sim::prepareSimulation(
+        dag_, cluster_, splice.schedule, *oracle_, &splice.hints);
+    EXPECT_TRUE(spliced.ok()) << spliced.error();
+    sim::FaultModel noFaults(sim::FaultSpec{}, cluster_.numProcessors());
+    sim::SimOptions opts;
+    opts.resume = &splice.checkpoint;
+    opts.faults = &noFaults;
+    const sim::SimResult rest = sim::simulateSchedule(spliced, opts);
+    EXPECT_TRUE(rest.ok) << rest.error;
+    return rest.makespan;
+  }
+
+  graph::Dag dag_;
+  platform::Cluster cluster_;
+  ScheduleResult schedule_;
+  std::optional<memory::MemDagOracle> oracle_;
+  sim::SimPlan plan_;
+  sim::SimCheckpoint ck_;
+};
+
+TEST_F(ChainResidual, CyclicMergeProjectsToInfinityAndRollsBack) {
+  resched::ResidualState state = resched::buildResidual(plan_, ck_, *oracle_);
+  for (const quotient::BlockId b : {kA, kB, kC}) {
+    ASSERT_TRUE(state.live(b) && !state.blocks[b].pinned) << "block " << b;
+  }
+  const comm::CommCostModel* fair = &comm::fairShareCommModel();
+  const double before = resched::projectResidual(state, cluster_);
+  const double beforeFair = resched::projectResidual(state, cluster_, fair);
+  EXPECT_EQ(before, 16.0);  // a 3-6, b 8-11, c 13-16
+  const auto adjacency = [&state] {
+    std::vector<std::vector<quotient::AdjEntry>> adj;
+    for (quotient::BlockId b = 0; b < state.q.numSlots(); ++b) {
+      adj.emplace_back(state.q.out(b).begin(), state.q.out(b).end());
+      adj.emplace_back(state.q.in(b).begin(), state.q.in(b).end());
+    }
+    return adj;
+  };
+  const auto adjacencyBefore = adjacency();
+
+  // (a + c) -> b -> (a + c): the merged residual is cyclic.
+  quotient::MergeTransaction tx = state.q.merge(kA, kC);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(resched::projectResidual(state, cluster_), kInf);
+  EXPECT_EQ(resched::projectResidual(state, cluster_, fair), kInf);
+  state.q.rollback(std::move(tx));
+
+  EXPECT_EQ(resched::projectResidual(state, cluster_), before);
+  EXPECT_EQ(resched::projectResidual(state, cluster_, fair), beforeFair);
+  EXPECT_EQ(adjacency(), adjacencyBefore);
+}
+
+TEST_F(ChainResidual, BlockMovedOffACrashedProcessorIgnoresItsDowntime) {
+  // a's processor is down until t = 21. Moved to the spare, a restarts from
+  // re-sent inputs at t = 3, exactly as if the crash had not happened.
+  const sim::SimCheckpoint down = crashedAtPause(1, 20.0);
+  resched::ResidualState state =
+      resched::buildResidual(plan_, down, *oracle_);
+  resched::ResidualState healthy =
+      resched::buildResidual(plan_, ck_, *oracle_);
+  for (resched::ResidualState* s : {&state, &healthy}) {
+    s->q.setProcessor(kA, kSpare);
+  }
+  const double projected = resched::projectResidual(state, cluster_);
+  EXPECT_EQ(projected, resched::projectResidual(healthy, cluster_));
+  EXPECT_EQ(projected, 16.0);
+  EXPECT_NEAR(projected, replay(state, down), 1e-9);
+  const comm::CommCostModel* fair = &comm::fairShareCommModel();
+  EXPECT_EQ(resched::projectResidual(state, cluster_, fair),
+            resched::projectResidual(healthy, cluster_, fair));
+}
+
+TEST_F(ChainResidual, BlockMovedOntoACrashedProcessorWaitsForItsRecovery) {
+  // The idle spare is down until t = 21: y moved there cannot start before
+  // then, although its re-sent input arrives at t = 3.
+  const sim::SimCheckpoint down = crashedAtPause(kSpare, 20.0);
+  resched::ResidualState state =
+      resched::buildResidual(plan_, down, *oracle_);
+  state.q.setProcessor(kY, kSpare);
+  const double projected = resched::projectResidual(state, cluster_);
+  EXPECT_EQ(projected, down.procDeadUntil[kSpare] + dag_.work(4));
+  EXPECT_NEAR(projected, replay(state, down), 1e-9);
+  EXPECT_NEAR(resched::projectResidual(state, cluster_,
+                                       &comm::fairShareCommModel()),
+              projected, 1e-9);
 }
 
 TEST(ReschedEngine, ResumeRejectsMismatchedCheckpoint) {

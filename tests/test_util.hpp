@@ -4,6 +4,8 @@
 // ground truth for the SP scheduler and the exact DP.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -15,11 +17,53 @@
 #include "graph/topology.hpp"
 #include "memory/simulate.hpp"
 #include "platform/cluster.hpp"
+#include "resched/resched.hpp"
 #include "scheduler/daghetmem.hpp"
 #include "scheduler/daghetpart.hpp"
 #include "sim/engine.hpp"
 
 namespace dagpm::test {
+
+/// One FNV-1a step over the eight bytes of `word`, low byte first (seed
+/// `h` with 0xcbf29ce484222325). Pinned-hash tests fold results through it.
+inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The bit pattern of `x`, for hashing doubles exactly.
+inline std::uint64_t bitsOf(double x) {
+  return std::bit_cast<std::uint64_t>(x);
+}
+
+/// Folds what the online repair decided in `run` into `h`: the final
+/// makespan, every repair record's projections and move, swap, merge and
+/// evacuation counts, and the final schedule's block and processor maps.
+inline std::uint64_t hashRepairOutcome(std::uint64_t h,
+                                       const resched::RescheduleResult& run) {
+  h = fnv1a(h, run.ok ? 1 : 0);
+  h = fnv1a(h, bitsOf(run.finalMakespan));
+  h = fnv1a(h, run.repairs.size());
+  for (const resched::RepairRecord& r : run.repairs) {
+    h = fnv1a(h, r.accepted ? 1 : 0);
+    h = fnv1a(h, bitsOf(r.projectedBefore));
+    h = fnv1a(h, bitsOf(r.projectedAfter));
+    h = fnv1a(h, static_cast<std::uint64_t>(r.moves));
+    h = fnv1a(h, static_cast<std::uint64_t>(r.swaps));
+    h = fnv1a(h, static_cast<std::uint64_t>(r.merges));
+    h = fnv1a(h, static_cast<std::uint64_t>(r.evacuations));
+  }
+  h = fnv1a(h, run.finalSchedule.blockOf.size());
+  for (const std::uint32_t b : run.finalSchedule.blockOf) h = fnv1a(h, b);
+  h = fnv1a(h, run.finalSchedule.procOfBlock.size());
+  for (const platform::ProcessorId p : run.finalSchedule.procOfBlock) {
+    h = fnv1a(h, p);
+  }
+  return h;
+}
 
 /// Random layered DAG (see graph::randomLayeredDag).
 inline graph::Dag randomLayeredDag(int layers, int width, int maxIn,

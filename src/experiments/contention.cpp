@@ -4,6 +4,7 @@
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "experiments/export.hpp"
 #include "memory/oracle.hpp"
@@ -15,18 +16,25 @@ namespace dagpm::experiments {
 
 namespace {
 
-/// Fair-share simulated makespan of a feasible schedule (the ground truth
-/// both cost models are judged against). Deterministic: no perturbation.
-double simulateContended(const graph::Dag& g, const platform::Cluster& cluster,
-                         const scheduler::ScheduleResult& schedule,
-                         const memory::MemDagOracle& oracle) {
+/// The static Eq. (1)-(2), fair-share predicted and fair-share simulated
+/// makespans of a feasible schedule, all read from its one simulation plan
+/// (the deterministic simulation is the ground truth both cost models are
+/// judged against). All 0 when the plan fails.
+std::tuple<double, double, double> priceSchedule(
+    const graph::Dag& g, const platform::Cluster& cluster,
+    const scheduler::ScheduleResult& schedule,
+    const memory::MemDagOracle& oracle) {
+  const sim::SimPlan plan = sim::prepareSimulation(g, cluster, schedule, oracle);
+  if (!plan.ok()) return {0.0, 0.0, 0.0};
+  const quotient::QuotientGraph& q = *plan.data().quotient;
   sim::SimOptions options;
   options.comm = sim::CommModel::kBlockSynchronous;
   options.contention = true;
-  options.trackMemory = false;  // feasibility was validated statically
-  const sim::SimResult result =
-      sim::simulateSchedule(g, cluster, schedule, oracle, options);
-  return result.ok ? result.makespan : 0.0;
+  const sim::SimResult run = sim::simulateSchedule(plan, options);
+  return {scheduler::staticMakespan(q, cluster),
+          quotient::makespanValue(q, cluster, &comm::fairShareCommModel())
+              .value_or(0.0),
+          run.ok ? run.makespan : 0.0};
 }
 
 }  // namespace
@@ -50,7 +58,6 @@ std::vector<ContentionOutcome> runContention(
   // Fixed slot layout (instance-major, then rung) keeps the result order
   // independent of thread scheduling.
   std::vector<ContentionOutcome> slots(instances.size() * ccrLadder.size());
-  const comm::CommCostModel& fairShare = comm::fairShareCommModel();
   // States the team's fork and join in atomics ThreadSanitizer sees, as in
   // scheduleInstances: the workers read the caller's passes, which the
   // caller may free right after this returns.
@@ -82,21 +89,14 @@ std::vector<ContentionOutcome> runContention(
     const memory::MemDagOracle oracle(inst.dag, part.oracle);
     out.obliviousFeasible = oblivious.feasible;
     if (oblivious.feasible) {
-      out.obliviousStatic = scheduler::staticMakespan(inst.dag, scaled,
-                                                      oblivious);
-      out.obliviousPredicted =
-          scheduler::modelMakespan(inst.dag, scaled, oblivious, fairShare)
-              .value_or(0.0);
-      out.obliviousSimulated =
-          simulateContended(inst.dag, scaled, oblivious, oracle);
+      std::tie(out.obliviousStatic, out.obliviousPredicted,
+               out.obliviousSimulated) =
+          priceSchedule(inst.dag, scaled, oblivious, oracle);
     }
     out.awareFeasible = aware.feasible;
     if (aware.feasible) {
-      out.awareStatic = scheduler::staticMakespan(inst.dag, scaled, aware);
-      out.awarePredicted =
-          scheduler::modelMakespan(inst.dag, scaled, aware, fairShare)
-              .value_or(0.0);
-      out.awareSimulated = simulateContended(inst.dag, scaled, aware, oracle);
+      std::tie(out.awareStatic, out.awarePredicted, out.awareSimulated) =
+          priceSchedule(inst.dag, scaled, aware, oracle);
     }
     done.fetch_add(1, std::memory_order_acq_rel);
   }

@@ -42,37 +42,21 @@ PartitionResult chunkOrder(const graph::Dag& g,
 
 PartitionResult chunkTopologically(const graph::Dag& g,
                                    const ChunkingConfig& cfg) {
-  PartitionResult result;
-  if (g.numVertices() == 0) return result;
+  if (g.numVertices() == 0) return {};
   if (cfg.numParts <= 1 || g.numVertices() == 1) {
-    result.blockOf.assign(g.numVertices(), 0);
-    result.numBlocks = 1;
-    return result;
+    return {std::vector<std::uint32_t>(g.numVertices(), 0), 1, 0.0};
   }
   const std::vector<double> weights = balanceWeights(g, cfg.balance);
   const std::uint32_t parts = std::min(
       cfg.numParts, static_cast<std::uint32_t>(g.numVertices()));
 
-  auto evaluate = [&](const std::vector<VertexId>& order) {
-    return chunkOrder(g, order, weights, parts);
-  };
-
-  switch (cfg.order) {
-    case ChunkOrder::kKahn:
-      result = evaluate(*graph::topologicalOrder(g));
-      break;
-    case ChunkOrder::kDfs:
-      result = evaluate(graph::dfsTopologicalOrder(g, false));
-      break;
-    case ChunkOrder::kBestOfBoth: {
-      PartitionResult kahn = evaluate(*graph::topologicalOrder(g));
-      PartitionResult dfs = evaluate(graph::dfsTopologicalOrder(g, false));
-      result = dfs.edgeCut < kahn.edgeCut ? std::move(dfs) : std::move(kahn);
-      break;
-    }
-  }
-  assert(quotientIsAcyclic(g, result.blockOf));
-  return result;
+  PartitionResult kahn =
+      chunkOrder(g, *graph::topologicalOrder(g), weights, parts);
+  PartitionResult dfs =
+      chunkOrder(g, graph::dfsTopologicalOrder(g, false), weights, parts);
+  PartitionResult& best = dfs.edgeCut < kahn.edgeCut ? dfs : kahn;
+  assert(quotientIsAcyclic(g, best.blockOf));
+  return std::move(best);
 }
 
 }  // namespace dagpm::partition

@@ -14,21 +14,16 @@
 
 namespace dagpm::partition {
 
-enum class ChunkOrder {
-  kKahn,      // plain Kahn topological order
-  kDfs,       // depth-first flavoured order (follows chains)
-  kBestOfBoth // evaluate both, keep the smaller edge cut
-};
-
 struct ChunkingConfig {
   std::uint32_t numParts = 2;
-  ChunkOrder order = ChunkOrder::kBestOfBoth;
   PartitionConfig::BalanceWeight balance =
       PartitionConfig::BalanceWeight::kWork;
 };
 
 /// Partitions `g` into at most cfg.numParts contiguous chunks of a
-/// topological order, balancing the chosen vertex weight.
+/// topological order, balancing the chosen vertex weight. Both the Kahn
+/// order and the depth-first (chain-following) order are chunked; the
+/// smaller edge cut wins, Kahn on ties.
 PartitionResult chunkTopologically(const graph::Dag& g,
                                    const ChunkingConfig& cfg);
 

@@ -5,9 +5,9 @@
 #include <numeric>
 
 #include "graph/subgraph.hpp"
-#include "graph/topology.hpp"
 #include "obs/obs.hpp"
 #include "partition/bisect.hpp"
+#include "quotient/quotient.hpp"
 #include "support/rng.hpp"
 
 namespace dagpm::partition {
@@ -39,23 +39,7 @@ bool quotientIsAcyclic(const graph::Dag& g,
                        const std::vector<std::uint32_t>& blockOf) {
   std::uint32_t numBlocks = 0;
   for (const std::uint32_t b : blockOf) numBlocks = std::max(numBlocks, b + 1);
-  graph::Dag quotient;
-  for (std::uint32_t b = 0; b < numBlocks; ++b) quotient.addVertex(0.0, 0.0);
-  // Deduplicate block pairs to keep the quotient small.
-  std::vector<std::uint64_t> pairs;
-  pairs.reserve(g.numEdges());
-  for (graph::EdgeId e = 0; e < g.numEdges(); ++e) {
-    const std::uint32_t a = blockOf[g.edge(e).src];
-    const std::uint32_t b = blockOf[g.edge(e).dst];
-    if (a != b) pairs.push_back((static_cast<std::uint64_t>(a) << 32) | b);
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  for (const std::uint64_t p : pairs) {
-    quotient.addEdge(static_cast<VertexId>(p >> 32),
-                     static_cast<VertexId>(p & 0xffffffffu), 0.0);
-  }
-  return graph::isAcyclic(quotient);
+  return quotient::QuotientGraph(g, blockOf, numBlocks).isAcyclic();
 }
 
 namespace {

@@ -241,12 +241,12 @@ Splice buildSplice(const sim::SimPlan& plan, const sim::SimCheckpoint& ck,
   for (BlockId b = 0; b < static_cast<BlockId>(numOld); ++b) {
     sp.oldToNew[b] = schedule.blockOf[d.blocks[b].order.front()];
   }
+  // Re-send volumes fold the spliced quotient's edges in edge-id order.
+  const quotient::QuotientGraph spliced = scheduler::quotientOf(g, schedule);
   // Keep the field's repo-wide meaning (the static Eq. (1)-(2) quotient
   // makespan of the mapping, history-free); the residual projection that
   // justified this splice lives in RepairResult/RepairRecord instead.
-  schedule.makespan = scheduler::staticMakespan(g, *d.cluster, schedule);
-  // Re-send volumes fold the spliced quotient's edges in edge-id order.
-  const quotient::QuotientGraph spliced = scheduler::quotientOf(g, schedule);
+  schedule.makespan = scheduler::staticMakespan(spliced, *d.cluster);
 
   // Adapt the checkpoint: everything but its block-indexed parts carries
   // over verbatim (fault state is processor-indexed, and applied fault

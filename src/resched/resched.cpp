@@ -182,7 +182,8 @@ RescheduleResult runOnline(const graph::Dag& g,
     result.error = initialPlan.error();
     return result;
   }
-  result.staticMakespan = scheduler::staticMakespan(g, cluster, schedule);
+  result.staticMakespan =
+      scheduler::staticMakespan(*initialPlan.data().quotient, cluster);
   const double scale = std::max(result.staticMakespan, 1e-12);
 
   const std::unique_ptr<sim::PerturbationModel> model =

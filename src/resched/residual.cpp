@@ -26,11 +26,11 @@ ResidualState buildResidual(const sim::SimPlan& plan,
     const sim::detail::BlockPlan& bp = d.blocks[b];
     const sim::BlockState& bs = checkpoint.blocks[b];
     ResidualBlock& rb = state.blocks[b];
-    rb.origProc = bp.proc;
-    state.q.setProcessor(b, bp.proc);
+    const platform::ProcessorId p = state.q.node(b).proc;
+    rb.origProc = p;
     rb.completed = bs.done == bp.order.size();  // its processor is free
     if (rb.completed) continue;
-    rb.lost = state.dead(bp.proc);
+    rb.lost = state.dead(p);
     // A lost started block is unpinned: preemptive task-level restart on a
     // surviving processor, re-receiving the checkpointed prefix below.
     rb.pinned = bs.nextStep > 0 && !rb.lost;
@@ -43,8 +43,8 @@ ResidualState buildResidual(const sim::SimPlan& plan,
     for (std::size_t s = bs.nextStep; s < bp.order.size(); ++s) {
       rb.remainingWork += g.work(bp.order[s]);
     }
-    rb.release = state.readyAt(bp.proc);
-    state.procHostsLive[bp.proc] = 1;
+    rb.release = state.readyAt(p);
+    state.procHostsLive[p] = 1;
   }
 
   // A busy pinned block's processor frees up when its running task finishes.
@@ -59,7 +59,7 @@ ResidualState buildResidual(const sim::SimPlan& plan,
   // processor.
   for (const sim::TransferState& t : checkpoint.transfers) {
     state.inFlight[{t.srcBlock, t.dstBlock}] = t.remaining;
-    state.residentOnProc[d.blocks[t.srcBlock].proc] += t.bytes;
+    state.residentOnProc[state.q.node(t.srcBlock).proc] += t.bytes;
   }
   return state;
 }

@@ -1,8 +1,8 @@
 #include "scheduler/solution.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 namespace dagpm::scheduler {
@@ -40,10 +40,55 @@ std::optional<double> modelMakespan(const graph::Dag& g,
   return quotient::makespanValue(quotientOf(g, schedule), cluster, &model);
 }
 
+double staticMakespan(const quotient::QuotientGraph& q,
+                      const platform::Cluster& cluster) {
+  return quotient::makespanValue(q, cluster, &comm::uncontendedCommModel())
+      .value_or(0.0);
+}
+
 double staticMakespan(const graph::Dag& g, const platform::Cluster& cluster,
                       const ScheduleResult& schedule) {
-  return modelMakespan(g, cluster, schedule, comm::uncontendedCommModel())
-      .value_or(0.0);
+  return staticMakespan(quotientOf(g, schedule), cluster);
+}
+
+ScheduleShape checkScheduleShape(const graph::Dag& g,
+                                 const platform::Cluster& cluster,
+                                 const ScheduleResult& schedule,
+                                 std::span<const char> completed) {
+  const auto fail = [](std::string msg) {
+    ScheduleShape shape;
+    shape.error = std::move(msg);
+    return shape;
+  };
+  if (!schedule.feasible) return fail("schedule is marked infeasible");
+  if (schedule.blockOf.size() != g.numVertices()) {
+    return fail("blockOf does not cover all tasks");
+  }
+  const std::uint32_t numBlocks = schedule.numBlocks();
+  std::vector<char> populated(numBlocks, 0);
+  for (const std::uint32_t b : schedule.blockOf) {
+    if (b >= numBlocks) return fail("task assigned to an out-of-range block");
+    populated[b] = 1;
+  }
+  if (std::ranges::find(populated, 0) != populated.end()) {
+    return fail("empty block in solution");
+  }
+  std::vector<char> procUsed(cluster.numProcessors(), 0);
+  for (std::uint32_t b = 0; b < numBlocks; ++b) {
+    const platform::ProcessorId p = schedule.procOfBlock[b];
+    if (p >= cluster.numProcessors()) {  // kNoProcessor included
+      return fail("block mapped to an invalid processor");
+    }
+    // A block already executed at resume time no longer occupies its
+    // processor; only live blocks compete for one.
+    if (b < completed.size() && completed[b] != 0) continue;
+    if (procUsed[p] != 0) return fail("two blocks share a processor");
+    procUsed[p] = 1;
+  }
+  ScheduleShape shape;
+  shape.quotient.emplace(quotientOf(g, schedule));
+  if (!shape.quotient->isAcyclic()) return fail("quotient graph is cyclic");
+  return shape;
 }
 
 ValidationReport validateSchedule(const graph::Dag& g,
@@ -51,61 +96,37 @@ ValidationReport validateSchedule(const graph::Dag& g,
                                   const memory::MemDagOracle& oracle,
                                   const ScheduleResult& schedule,
                                   const comm::CommCostModel* comm) {
-  ValidationReport report;
-  auto fail = [&report](std::string msg) {
-    report.valid = false;
-    report.error = std::move(msg);
-    return report;
+  const auto fail = [](std::string msg) {
+    return ValidationReport{false, std::move(msg)};
   };
-
-  if (!schedule.feasible) return fail("schedule is marked infeasible");
-  if (schedule.blockOf.size() != g.numVertices()) {
-    return fail("blockOf does not cover all tasks");
-  }
-  const std::uint32_t numBlocks = schedule.numBlocks();
-  if (numBlocks == 0) return fail("no blocks");
-  if (numBlocks > cluster.numProcessors()) {
+  if (schedule.numBlocks() == 0) return fail("no blocks");
+  if (schedule.numBlocks() > cluster.numProcessors()) {
     return fail("more blocks than processors");
   }
-  std::vector<std::vector<graph::VertexId>> members(numBlocks);
-  for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
-    if (schedule.blockOf[v] >= numBlocks) {
-      return fail("task assigned to an out-of-range block");
-    }
-    members[schedule.blockOf[v]].push_back(v);
-  }
-  std::set<platform::ProcessorId> usedProcs;
-  for (std::uint32_t b = 0; b < numBlocks; ++b) {
-    if (members[b].empty()) return fail("empty block in solution");
-    const platform::ProcessorId p = schedule.procOfBlock[b];
-    if (p == platform::kNoProcessor || p >= cluster.numProcessors()) {
-      return fail("block mapped to an invalid processor");
-    }
-    if (!usedProcs.insert(p).second) {
-      return fail("two blocks share a processor");
-    }
-    const double r = oracle.blockRequirement(members[b]);
-    if (r > cluster.memory(p) * (1.0 + 1e-9)) {
+  ScheduleShape shape = checkScheduleShape(g, cluster, schedule);
+  if (!shape.quotient) return fail(std::move(shape.error));
+  const quotient::QuotientGraph& q = *shape.quotient;
+  for (std::uint32_t b = 0; b < schedule.numBlocks(); ++b) {
+    const quotient::QNode& node = q.node(b);
+    const double r = oracle.blockRequirement(node.members);
+    if (r > cluster.memory(node.proc) * (1.0 + 1e-9)) {
       std::ostringstream oss;
-      oss << "block " << b << " needs memory " << r << " > " << cluster.memory(p);
+      oss << "block " << b << " needs memory " << r << " > "
+          << cluster.memory(node.proc);
       return fail(oss.str());
     }
   }
-
-  const quotient::QuotientGraph q = quotientOf(g, schedule);
-  if (!q.isAcyclic()) return fail("quotient graph is cyclic");
-  const auto makespan = quotient::makespanValue(q, cluster, comm);
-  if (!makespan) return fail("makespan undefined");
+  // Defined: the shape check proved the quotient acyclic.
+  const double makespan = *quotient::makespanValue(q, cluster, comm);
   const double tolerance =
       1e-9 * std::max(1.0, std::abs(schedule.makespan));
-  if (std::abs(*makespan - schedule.makespan) > tolerance) {
+  if (std::abs(makespan - schedule.makespan) > tolerance) {
     std::ostringstream oss;
     oss << "reported makespan " << schedule.makespan
-        << " != recomputed " << *makespan;
+        << " != recomputed " << makespan;
     return fail(oss.str());
   }
-  report.valid = true;
-  return report;
+  return ValidationReport{true, {}};
 }
 
 }  // namespace dagpm::scheduler

@@ -4,9 +4,15 @@
 // A solution is an acyclic k'-way partition of the workflow plus an injective
 // mapping of blocks to processors such that every block's traversal peak
 // memory fits its processor; its quality is the makespan of the quotient DAG.
+//
+// The structural half of that definition lives in one place,
+// checkScheduleShape: validateSchedule adds the block count, memory and
+// makespan checks on top, sim::prepareSimulation its forced traversal
+// orders, and both read the quotient (processors included) it returns.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,14 +58,33 @@ quotient::QuotientGraph quotientOf(const graph::Dag& g,
 /// stats.numBlocks counts them. Every alive node must have a processor.
 ScheduleResult scheduleOf(const quotient::QuotientGraph& q, double makespan);
 
+/// checkScheduleShape's verdict.
+struct ScheduleShape {
+  std::string error;  // empty when well formed
+  std::optional<quotient::QuotientGraph> quotient;  // set when well formed
+};
+
+/// Checks that `schedule` is a well-formed mapping of `g` onto `cluster`, in
+/// this order: the feasible flag; blockOf covers every task with a label in
+/// range; no block is empty; every block's processor is in range, and the
+/// processors are pairwise distinct except for blocks `completed` marks
+/// (already executed at resume time; entries past its end are unmarked);
+/// the quotient is acyclic. On success `quotient` is quotientOf(g, schedule),
+/// every node placed on its block's processor. Memory and the makespan are
+/// not checked, and zero blocks on an empty workflow are well formed.
+ScheduleShape checkScheduleShape(const graph::Dag& g,
+                                 const platform::Cluster& cluster,
+                                 const ScheduleResult& schedule,
+                                 std::span<const char> completed = {});
+
 /// Outcome of validating a schedule against the problem constraints.
 struct ValidationReport {
   bool valid = false;
   std::string error;  // empty when valid
 };
 
-/// Checks all DAGP-PM constraints: complete task coverage, at most k blocks,
-/// pairwise-distinct processors, acyclic quotient, every block's memory
+/// Checks all DAGP-PM constraints: at least one and at most k blocks, the
+/// shape of checkScheduleShape (no completed blocks), every block's memory
 /// requirement (per `oracle`) within its processor's memory, and the reported
 /// makespan matching a recomputation (relative tolerance 1e-9). Schedules
 /// produced with SchedulerOptions::contentionAware report the fair-share
@@ -77,6 +102,10 @@ ValidationReport validateSchedule(const graph::Dag& g,
 /// checking; blockOf labels must be in range.
 double staticMakespan(const graph::Dag& g, const platform::Cluster& cluster,
                       const ScheduleResult& schedule);
+
+/// The same number, bit for bit, priced on a schedule's placed quotient.
+double staticMakespan(const quotient::QuotientGraph& q,
+                      const platform::Cluster& cluster);
 
 /// Model-priced makespan of a schedule, recomputed from its quotient.
 /// nullopt when the quotient is cyclic. With the fair-share model this is

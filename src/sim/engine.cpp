@@ -22,89 +22,41 @@ SimPlan prepareSimulation(const graph::Dag& g,
   d.cluster = &cluster;
   d.schedule = &schedule;
 
-  const std::size_t numTasks = g.numVertices();
-  const std::size_t numBlocks = schedule.procOfBlock.size();
-  if (!schedule.feasible) {
-    d.error = "schedule is not feasible";
+  std::span<const char> completed;
+  if (hints != nullptr) completed = hints->completedBlock;
+  scheduler::ScheduleShape shape =
+      scheduler::checkScheduleShape(g, cluster, schedule, completed);
+  if (!shape.quotient) {
+    d.error = std::move(shape.error);
     return plan;
   }
-  if (schedule.blockOf.size() != numTasks) {
-    d.error = "schedule covers a different task count than the workflow";
-    return plan;
-  }
-  std::vector<std::vector<graph::VertexId>> members(numBlocks);
-  for (graph::VertexId v = 0; v < numTasks; ++v) {
-    const std::uint32_t b = schedule.blockOf[v];
-    if (b >= numBlocks) {
-      d.error = "task mapped to an out-of-range block";
-      return plan;
-    }
-    members[b].push_back(v);
-  }
-  // Safe to build only now: the quotient constructor indexes blockOf
-  // unchecked.
-  d.quotient.emplace(g, schedule.blockOf,
-                     static_cast<std::uint32_t>(numBlocks));
-  if (!d.quotient->isAcyclic()) {
-    d.error = "quotient graph is cyclic";
-    return plan;
-  }
+  d.quotient = std::move(shape.quotient);
+  d.resumeOnly = std::ranges::any_of(completed, [](char c) { return c != 0; });
 
-  const auto isCompleted = [hints](std::uint32_t b) {
-    return hints != nullptr && b < hints->completedBlock.size() &&
-           hints->completedBlock[b] != 0;
-  };
-  if (hints != nullptr) {
-    for (const char c : hints->completedBlock) {
-      if (c != 0) {
-        d.resumeOnly = true;
-        break;
-      }
-    }
-  }
+  const std::size_t numTasks = g.numVertices();
+  const std::size_t numBlocks = schedule.numBlocks();
   d.blocks.resize(numBlocks);
-  std::vector<char> procUsed(cluster.numProcessors(), 0);
   for (std::uint32_t b = 0; b < numBlocks; ++b) {
     detail::BlockPlan& bp = d.blocks[b];
-    const platform::ProcessorId p = schedule.procOfBlock[b];
-    if (p == platform::kNoProcessor || p >= cluster.numProcessors()) {
-      d.error = "block mapped to an invalid processor";
-      return plan;
-    }
-    // Blocks already fully executed at resume time do not occupy their
-    // processor anymore; only live blocks compete for it.
-    if (!isCompleted(b)) {
-      if (procUsed[p] != 0) {
-        d.error = "two blocks share one processor";
-        return plan;
-      }
-      procUsed[p] = 1;
-    }
-    bp.proc = p;
-    if (members[b].empty()) {
-      d.error = "schedule contains an empty block";
-      return plan;
-    }
+    const std::vector<graph::VertexId>& members = d.quotient->node(b).members;
     if (hints != nullptr && b < hints->forcedOrder.size() &&
         !hints->forcedOrder[b].empty()) {
       bp.order = hints->forcedOrder[b];
       // The forced order must be a permutation of the block's members — the
       // memory profile below silently degrades otherwise.
       std::vector<graph::VertexId> a = bp.order;
-      std::vector<graph::VertexId> m = members[b];
       std::sort(a.begin(), a.end());
-      std::sort(m.begin(), m.end());
-      if (a != m) {
+      if (a != members) {
         d.error = "forced traversal order does not match the block members";
         return plan;
       }
     } else {
-      bp.order = oracle.bestTraversal(members[b]).order;
+      bp.order = oracle.bestTraversal(members).order;
     }
     // A block already fully executed at resume time never starts a task, so
     // its memory profile would never be consulted; skip the subgraph and
     // memory simulation (late-run splices have mostly completed blocks).
-    if (isCompleted(b)) continue;
+    if (b < completed.size() && completed[b] != 0) continue;
     // The induced subgraph is built over the traversal order itself, so
     // local ids coincide with step indices and the identity order can be
     // fed straight into the ground-truth memory simulation.
@@ -171,6 +123,9 @@ class Engine {
   void checkMemory(quotient::BlockId b);
   bool loadCheckpoint(const SimCheckpoint& ck);
   [[nodiscard]] SimCheckpoint capture() const;
+  [[nodiscard]] platform::ProcessorId procOf(quotient::BlockId b) const {
+    return plan_.quotient->node(b).proc;
+  }
   void fail(std::string message) {
     result_.ok = false;
     result_.error = std::move(message);
@@ -200,10 +155,9 @@ class Engine {
 };
 
 void Engine::checkMemory(quotient::BlockId b) {
-  if (!opts_.trackMemory) return;
   const detail::BlockPlan& bp = plan_.blocks[b];
   const BlockState& br = st_.blocks[b];
-  const platform::ProcessorId p = bp.proc;
+  const platform::ProcessorId p = procOf(b);
   double base = 0.0;
   if (running_[p] != graph::kInvalidVertex) {
     base = bp.stepMemory[br.nextStep - 1];  // step of the running task
@@ -222,7 +176,7 @@ void Engine::checkMemory(quotient::BlockId b) {
 void Engine::tryStart(quotient::BlockId b) {
   const detail::BlockPlan& bp = plan_.blocks[b];
   BlockState& br = st_.blocks[b];
-  const platform::ProcessorId p = bp.proc;
+  const platform::ProcessorId p = procOf(b);
   if (faults_ != nullptr && st_.procDeadUntil[p] > st_.now) return;
   if (running_[p] != graph::kInvalidVertex) return;
   if (br.nextStep >= bp.order.size()) return;
@@ -340,7 +294,7 @@ void Engine::deliver(const TransferState& t) {
     // consumer starts.
     st_.readyTime[t.dstTask] = std::max(st_.readyTime[t.dstTask], now);
     arrivedBytes_[t.dstTask] += t.bytes;
-    bufferedOnProc_[plan_.blocks[t.dstBlock].proc] += t.bytes;
+    bufferedOnProc_[procOf(t.dstBlock)] += t.bytes;
     checkMemory(t.dstBlock);
     if (--remoteInputs_[t.dstTask] == 0) tryStart(t.dstBlock);
   } else {
@@ -486,7 +440,7 @@ void Engine::execute() {
     faults_->beginRun(opts_.seed);
     procBlocks_.assign(numProcs, {});
     for (std::uint32_t b = 0; b < plan_.blocks.size(); ++b) {
-      procBlocks_[plan_.blocks[b].proc].push_back(b);
+      procBlocks_[procOf(b)].push_back(b);
     }
   }
   st_.blocks.assign(plan_.blocks.size(), BlockState{});

@@ -32,6 +32,10 @@
 // which is what lets contention-aware Step-3/4 search optimize exactly the
 // makespan this engine will measure (differential-tested in test_comm).
 //
+// Plans: prepareSimulation checks a schedule with validateSchedule's
+// scheduler::checkScheduleShape, and the engine reads block processors and
+// block transfers from the placed quotient that check returns.
+//
 // Memory: per-step usage follows the oracle's traversal accounting
 // (memory::simulateBlockOrder). In kTaskEager mode, remote inputs that
 // arrive before their consumer starts are additionally buffered on the
@@ -179,7 +183,6 @@ struct SimCheckpoint {
 struct SimOptions {
   CommModel comm = CommModel::kBlockSynchronous;
   bool contention = false;  // fair-share the beta backbone across transfers
-  bool trackMemory = true;  // per-step memory accounting + overflow counting
   /// Null = deterministic replay. The engine calls beginRun(seed) itself.
   PerturbationModel* perturbation = nullptr;
   std::uint64_t seed = 1;  // run seed handed to the perturbation model
@@ -224,11 +227,10 @@ struct SimResult {
 };
 
 namespace detail {
-/// Perturbation-independent per-block data: traversal order, processor,
-/// and the oracle-traversal memory profile.
+/// Perturbation-independent per-block data: traversal order and the
+/// oracle-traversal memory profile (the processor is the quotient node's).
 struct BlockPlan {
   std::vector<graph::VertexId> order;
-  platform::ProcessorId proc = platform::kNoProcessor;
   std::vector<double> stepMemory;
   std::vector<double> residentAfter;
   double startResident = 0.0;
@@ -241,8 +243,9 @@ struct PlanData {
   const scheduler::ScheduleResult* schedule = nullptr;
   std::string error;
   std::vector<BlockPlan> blocks;
-  /// The schedule's quotient (set on every ok plan): in(b) are a block's
-  /// inbound block transfers, out(b) its aggregated outbound ones.
+  /// The schedule's quotient from scheduler::checkScheduleShape (set on
+  /// every ok plan): node(b).proc is block b's processor, in(b) its inbound
+  /// block transfers, out(b) its aggregated outbound ones.
   std::optional<quotient::QuotientGraph> quotient;
   std::vector<std::size_t> remoteInputs;  // eager mode: remote in-edges/task
   /// Built with PlanHints::completedBlock: the distinct-processor rule was
@@ -253,8 +256,8 @@ struct PlanData {
 }  // namespace detail
 
 /// Precomputed execution plan for one (workflow, cluster, schedule) triple:
-/// schedule validation, per-block oracle traversals, memory profiles, and
-/// quotient edges. Building the plan is the expensive part of a simulation;
+/// the schedule's shape check and placed quotient, per-block oracle
+/// traversals and memory profiles. Building the plan is the expensive part of a simulation;
 /// Monte-Carlo loops build it once and replay it under many perturbations.
 /// Holds references to the workflow, cluster and schedule, which must
 /// outlive the plan.
@@ -289,8 +292,10 @@ struct PlanHints {
   std::vector<std::vector<graph::VertexId>> forcedOrder;
 };
 
-/// Validates `schedule` (must be feasible and map blocks to pairwise
-/// distinct processors) and precomputes everything the event loop needs.
+/// Checks `schedule` with scheduler::checkScheduleShape (completed blocks
+/// exempt from the distinct-processor rule), then the forced orders, and
+/// precomputes everything the event loop needs. Memory is not checked: the
+/// engine counts overflows instead.
 /// The oracle provides each block's traversal order — the same order the
 /// static model's r_V is computed from, so simulation and feasibility check
 /// agree on the memory model. A failed plan carries error() and every

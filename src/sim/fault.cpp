@@ -1,7 +1,6 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 #include "sim/perturbation.hpp"
@@ -70,22 +69,6 @@ std::size_t FaultModel::totalEvents() const noexcept {
   std::size_t n = 0;
   for (const std::vector<FaultEvent>& ev : events_) n += ev.size();
   return n;
-}
-
-std::string faultName(const FaultSpec& spec) {
-  if (!spec.active()) return "nofault";
-  char buf[128];
-  if (spec.failStopProbability > 0.0 && spec.crashProbability > 0.0) {
-    std::snprintf(buf, sizeof buf, "fail(p=%g)+crash(p=%g,dt=%g)",
-                  spec.failStopProbability, spec.crashProbability,
-                  spec.downtime);
-  } else if (spec.failStopProbability > 0.0) {
-    std::snprintf(buf, sizeof buf, "fail(p=%g)", spec.failStopProbability);
-  } else {
-    std::snprintf(buf, sizeof buf, "crash(p=%g,dt=%g)", spec.crashProbability,
-                  spec.downtime);
-  }
-  return buf;
 }
 
 }  // namespace dagpm::sim

@@ -32,7 +32,6 @@
 // zero-rate run is bit-identical to one with no fault model attached.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/dag.hpp"
@@ -97,9 +96,5 @@ class FaultModel {
   std::vector<std::vector<FaultEvent>> events_;
   bool anyEvents_ = false;
 };
-
-/// Short human-readable name, e.g. "fail(p=0.2)+crash(p=0.1,dt=5)", for
-/// printouts and harness config labels.
-std::string faultName(const FaultSpec& spec);
 
 }  // namespace dagpm::sim

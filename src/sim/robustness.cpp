@@ -15,19 +15,18 @@ RobustnessSummary evaluateRobustness(const graph::Dag& g,
   RobustnessSummary summary;
   summary.replications = std::max(options.replications, 0);
 
-  // The plan (validation, traversals, memory profiles) is perturbation-
-  // independent: build it once instead of once per replication — it
-  // dominates the cost of a single replay. It also validates the schedule,
-  // which MUST happen before any quotient construction (the quotient
-  // constructor indexes blockOf unchecked).
+  // The plan (shape check, quotient, traversals, memory profiles) is
+  // perturbation-independent: build it once instead of once per replication
+  // — it dominates the cost of a single replay.
   const SimPlan plan = prepareSimulation(g, cluster, schedule, oracle);
   if (!plan.ok()) {
     summary.error = plan.error();
     return summary;
   }
 
-  // Static Eq. (1)-(2) prediction, recomputed from the schedule.
-  summary.staticMakespan = scheduler::staticMakespan(g, cluster, schedule);
+  // Static Eq. (1)-(2) prediction, priced on the plan's quotient.
+  summary.staticMakespan =
+      scheduler::staticMakespan(*plan.data().quotient, cluster);
 
   if (summary.replications == 0) {
     summary.ok = true;

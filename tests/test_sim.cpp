@@ -222,6 +222,116 @@ TEST(SimEngine, RejectsInfeasibleAndMalformedSchedules) {
   EXPECT_NE(run.error.find("processor"), std::string::npos);
 }
 
+/// The same schedules fed to both consumers of the schedule definition:
+/// validateSchedule (the static problem constraints) and prepareSimulation
+/// (what the engine can execute). Both share the structural rules; only
+/// validateSchedule counts blocks against processors and checks memory and
+/// the makespan, only the plan exempts completed blocks from the
+/// distinct-processor rule and checks forced orders.
+TEST(ScheduleVerdicts, ValidatorAndPlanAcceptExactlyTheirSchedules) {
+  graph::Dag chain;  // a -> b -> c -> d
+  for (int i = 0; i < 4; ++i) chain.addVertex(1.0, 1.0);
+  for (graph::VertexId v = 0; v + 1 < 4; ++v) chain.addEdge(v, v + 1, 1.0);
+  const graph::Dag empty;
+  // Processor 2 is too small for any block.
+  const platform::Cluster cluster(
+      {{"p", 1.0, 1e9}, {"p", 2.0, 1e9}, {"p", 1.0, 1e-3}}, 1.0);
+  const memory::MemDagOracle chainOracle(chain);
+  const memory::MemDagOracle emptyOracle(empty);
+
+  const auto schedule = [](std::vector<std::uint32_t> blockOf,
+                           std::vector<platform::ProcessorId> procs) {
+    ScheduleResult s;
+    s.feasible = true;
+    s.blockOf = std::move(blockOf);
+    s.procOfBlock = std::move(procs);
+    return s;
+  };
+  const auto priced = [&](ScheduleResult s) {
+    s.makespan = staticMakespan(chain, cluster, s);
+    return s;
+  };
+  const auto completed = [](std::vector<char> flags) {
+    sim::PlanHints hints;
+    hints.completedBlock = std::move(flags);
+    return hints;
+  };
+  constexpr platform::ProcessorId kNone = platform::kNoProcessor;
+
+  struct Case {
+    const char* name;
+    const graph::Dag* g;
+    ScheduleResult s;
+    sim::PlanHints hints;
+    bool validates;
+    bool plans;
+  };
+  ScheduleResult infeasible = priced(schedule({0, 0, 1, 1}, {0, 1}));
+  infeasible.feasible = false;
+  sim::PlanHints wrongOrder;
+  wrongOrder.forcedOrder = {{0, 2}};
+  const std::vector<Case> cases = {
+      {"infeasible flag", &chain, infeasible, {}, false, false},
+      {"short blockOf", &chain, schedule({0, 0, 1}, {0, 1}), {}, false, false},
+      {"out-of-range label", &chain, schedule({0, 0, 1, 2}, {0, 1}), {},
+       false, false},
+      {"empty block", &chain, schedule({0, 0, 1, 1}, {0, 1, 2}), {}, false,
+       false},
+      {"no processor", &chain, schedule({0, 0, 1, 1}, {0, kNone}), {}, false,
+       false},
+      {"processor out of range", &chain, schedule({0, 0, 1, 1}, {0, 3}), {},
+       false, false},
+      {"shared processor", &chain, priced(schedule({0, 0, 1, 1}, {1, 1})), {},
+       false, false},
+      {"shared processor, one completed", &chain,
+       priced(schedule({0, 0, 1, 1}, {1, 1})), completed({1, 0}), false, true},
+      {"cyclic quotient", &chain, schedule({0, 1, 1, 0}, {0, 1}), {}, false,
+       false},
+      {"zero blocks on an empty workflow", &empty, schedule({}, {}), {},
+       false, true},
+      {"more blocks than processors", &chain,
+       priced(schedule({0, 1, 2, 3}, {0, 1, 2, 0})), {}, false, false},
+      {"more blocks than processors, one completed", &chain,
+       priced(schedule({0, 1, 2, 3}, {0, 1, 2, 0})), completed({0, 0, 0, 1}),
+       false, true},
+      {"block over its processor's memory", &chain,
+       priced(schedule({0, 0, 1, 1}, {0, 2})), {}, false, true},
+      {"forced order not the block's members", &chain,
+       priced(schedule({0, 0, 1, 1}, {0, 1})), wrongOrder, true, false},
+      {"valid", &chain, priced(schedule({0, 0, 1, 1}, {0, 1})), {}, true,
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const memory::MemDagOracle& oracle =
+        c.g == &empty ? emptyOracle : chainOracle;
+    const scheduler::ValidationReport report =
+        scheduler::validateSchedule(*c.g, cluster, oracle, c.s);
+    EXPECT_EQ(report.valid, c.validates) << report.error;
+    EXPECT_EQ(report.error.empty(), c.validates);
+    const sim::SimPlan plan =
+        sim::prepareSimulation(*c.g, cluster, c.s, oracle, &c.hints);
+    EXPECT_EQ(plan.ok(), c.plans) << plan.error();
+  }
+}
+
+/// The plan's quotient is built like scheduler::quotientOf, so pricing it
+/// under the uncontended model reproduces staticMakespan bit for bit.
+TEST_P(SimFuzz, PlanQuotientPricesTheStaticMakespan) {
+  const FuzzCase fc = makeFuzzCase(GetParam());
+  const memory::MemDagOracle oracle(fc.dag);
+  for (const ScheduleResult* schedule : {&fc.part, &fc.mem}) {
+    if (!schedule->feasible) continue;
+    const sim::SimPlan plan =
+        sim::prepareSimulation(fc.dag, fc.cluster, *schedule, oracle);
+    ASSERT_TRUE(plan.ok()) << plan.error();
+    const std::optional<double> priced = quotient::makespanValue(
+        *plan.data().quotient, fc.cluster, &comm::uncontendedCommModel());
+    ASSERT_TRUE(priced.has_value());
+    EXPECT_EQ(*priced, staticMakespan(fc.dag, fc.cluster, *schedule));
+  }
+}
+
 /// Hand-built two-block instance where an early-arriving remote input must
 /// overflow the destination processor in task-eager mode: the consumer block
 /// is busy with a long head task while the 5-unit file sits buffered.

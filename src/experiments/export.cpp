@@ -20,14 +20,30 @@ std::string formatG6(double v) {
 
 namespace {
 
+// Process totals when the current stats window opened (empty before the
+// first beginStatsWindow: the window is the whole process).
+std::vector<obs::CounterValue> gWindowCounters;
+std::map<std::string, obs::SpanAggregate> gWindowSpans;
+
 support::JsonValue statsJson() {
   support::JsonObject stats;
   if (obs::countersEnabled()) {
-    for (const obs::CounterValue& c : obs::counterSnapshot()) {
-      stats[c.name] = support::JsonValue(static_cast<double>(c.value));
+    const std::vector<obs::CounterValue> now = obs::counterSnapshot();
+    for (std::size_t i = 0; i < now.size(); ++i) {
+      std::uint64_t value = now[i].value;
+      if (i < gWindowCounters.size() &&
+          !obs::counterMergesByMax(static_cast<obs::Counter>(i))) {
+        value -= gWindowCounters[i].value;
+      }
+      stats[now[i].name] = support::JsonValue(static_cast<double>(value));
     }
   }
-  for (const obs::SpanAggregate& s : obs::spanAggregates()) {
+  for (obs::SpanAggregate s : obs::spanAggregates()) {
+    if (const auto it = gWindowSpans.find(s.name); it != gWindowSpans.end()) {
+      s.calls -= it->second.calls;
+      s.seconds -= it->second.seconds;
+    }
+    if (s.calls == 0) continue;
     stats["span." + s.name + "_calls"] =
         support::JsonValue(static_cast<double>(s.calls));
     stats["span." + s.name + "_seconds"] = support::JsonValue(s.seconds);
@@ -68,6 +84,14 @@ support::JsonObject metaJson(const std::map<std::string, std::string>& meta) {
   support::JsonObject obj;
   for (const auto& [key, value] : meta) obj[key] = support::JsonValue(value);
   return obj;
+}
+
+void beginStatsWindow() {
+  gWindowCounters = obs::counterSnapshot();
+  gWindowSpans.clear();
+  for (obs::SpanAggregate& s : obs::spanAggregates()) {
+    gWindowSpans.emplace(s.name, std::move(s));
+  }
 }
 
 support::JsonValue benchDocument(const BenchExport& out) {

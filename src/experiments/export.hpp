@@ -56,8 +56,17 @@ support::JsonObject metaJson(const std::map<std::string, std::string>& meta);
 /// "stats" is the run's observability summary: deterministic obs counters
 /// (when enabled) plus per-span wall-time totals (`span.<name>_calls` /
 /// `span.<name>_seconds`; the `_seconds` fields are machine-varying and
-/// ignored by the checker).
+/// ignored by the checker). It covers the current stats window: the whole
+/// process until beginStatsWindow is first called.
 support::JsonValue benchDocument(const BenchExport& out);
+
+/// Opens a new stats window: documents built from now on carry the counter
+/// and span deltas since this call (spans with no call in the window are
+/// left out; the max-merged span.peak_depth gauge keeps its process value).
+/// A process exporting several documents calls it before each one's work,
+/// so every document gates only its own counters. DAGPM_STATS and
+/// DAGPM_TRACE still cover the whole process.
+void beginStatsWindow();
 
 /// The bench epilogue: writes <bench>.csv into $DAGPM_CSV when that is set
 /// (and the bench has a CSV table) and <bench>.json into $DAGPM_JSON_OUT

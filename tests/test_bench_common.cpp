@@ -1,7 +1,7 @@
 // Coverage for the bench plumbing: environment-driven scale selection
 // (DAGPM_QUICK / DAGPM_FULL / DAGPM_SEEDS / DAGPM_SWEEP), and the one
 // DAGPM_CSV / DAGPM_JSON_OUT export epilogue (round-trip through
-// support/json.cpp).
+// support/json.cpp), and its per-document stats windows.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "bench_common.hpp"
 #include "experiments/export.hpp"
 #include "experiments/faults.hpp"
+#include "obs/obs.hpp"
 #include "support/json.hpp"
 
 namespace dagpm {
@@ -299,6 +300,24 @@ TEST(JsonExport, WritesParseableFileAndHonorsJsonOutEnv) {
   // A missing directory reports the error instead of dying silently.
   ScopedEnv jsonOut("DAGPM_JSON_OUT", "/nonexistent-dir");
   EXPECT_FALSE(experiments::exportBench(exported));
+}
+
+TEST(JsonExport, StatsWindowHoldsOnlyTheWorkSinceItOpened) {
+  const bool countersWere = obs::countersEnabled();
+  obs::enableCounters(true);
+  obs::add(obs::Counter::kSimTransfers, 5);
+  { const obs::Span span("test.before_window"); }
+  experiments::beginStatsWindow();
+  obs::add(obs::Counter::kSimTransfers, 2);
+  { const obs::Span span("test.in_window"); }
+  const support::JsonValue doc =
+      experiments::benchDocument(singleOutcomeExport());
+  obs::enableCounters(countersWere);
+  const support::JsonValue* stats = doc.find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->numberOr("sim.transfers", -1), 2);
+  EXPECT_EQ(stats->numberOr("span.test.in_window_calls", -1), 1);
+  EXPECT_EQ(stats->find("span.test.before_window_calls"), nullptr);
 }
 
 TEST(JsonExport, ModuleExportsShareTheHarnessDocumentShape) {

@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Self-test for median.py's statistics (stdlib unittest; no build needed).
+
+Feeds canned perfbench/run.py output lines through the parser and checks
+the medians, quartiles, median pairwise ratio, win counts, the gain-beyond-
+IQR flag and the BENCHMARK.json bound flag.
+"""
+
+import json
+import os
+import sys
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import median  # noqa: E402
+
+
+def run_line(solve_s, makespan, ratio=3.8, correct=True):
+    """One canned run.py stdout: build chatter, then the JSON result."""
+    doc = {"correct": correct, "attempted": 32, "failed": 0, "metrics": {
+        "solve_s": {"value": solve_s, "unit": "s"},
+        "makespan": {"value": makespan, "unit": "time"},
+        "makespan_ratio_daghetmem": {"value": ratio, "unit": "ratio"},
+    }}
+    return "failed_frac 0 (0 of 32 attempted)\n" + json.dumps(doc) + "\n"
+
+
+SPECS = median.end_to_end_specs({"end_to_end": [
+    {"name": "solve_s", "better": "lower", "bound": 0.25},
+    {"name": "makespan", "better": "lower", "bound": 0.15},
+    {"name": "makespan_ratio_daghetmem", "better": "higher", "bound": 0.15},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+]})
+
+
+def runs(lines):
+    return [median.metric_values(median.parse_run_output(t)) for t in lines]
+
+
+class ParseTest(unittest.TestCase):
+    def test_last_line_is_the_result(self):
+        doc = median.parse_run_output(run_line(2.0, 10.0))
+        self.assertTrue(doc["correct"])
+        self.assertEqual(median.metric_values(doc)["solve_s"], 2.0)
+
+    def test_empty_or_foreign_output_is_refused(self):
+        with self.assertRaises(ValueError):
+            median.parse_run_output("\n\n")
+        with self.assertRaises(ValueError):
+            median.parse_run_output('{"metrics": {}}')
+
+
+class QuartileTest(unittest.TestCase):
+    def test_odd_count(self):
+        self.assertEqual(median.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]),
+                         (2.0, 3.0, 4.0))
+
+    def test_even_count_interpolates(self):
+        self.assertEqual(median.quartiles([1.0, 2.0, 3.0, 4.0]),
+                         (1.75, 2.5, 3.25))
+
+    def test_single_value(self):
+        self.assertEqual(median.quartiles([7.0]), (7.0, 7.0, 7.0))
+
+
+class SummaryTest(unittest.TestCase):
+    def setUp(self):
+        # Five pairs; the change halves solve_s except in pair 3, where the
+        # host stalled it. Makespans are identical.
+        base = [2.0, 2.4, 2.2, 2.0, 2.1]
+        change = [1.0, 1.2, 2.3, 1.0, 1.05]
+        self.summary = median.summarize_runs(
+            runs(run_line(b, 100.0) for b in base),
+            runs(run_line(c, 100.0) for c in change), SPECS)
+
+    def test_only_metrics_both_sides_report(self):
+        self.assertEqual(sorted(self.summary),
+                         ["makespan", "makespan_ratio_daghetmem", "solve_s"])
+
+    def test_medians_quartiles_ratio_and_wins(self):
+        s = self.summary["solve_s"]
+        self.assertEqual(s["base"], {"q1": 2.0, "median": 2.1, "q3": 2.2})
+        self.assertEqual(s["change"], {"q1": 1.0, "median": 1.05, "q3": 1.2})
+        # Ratios 0.5, 0.5, 1.045.., 0.5, 0.5: the stalled pair is outvoted.
+        self.assertAlmostEqual(s["median_ratio"], 0.5)
+        self.assertEqual((s["wins"], s["pairs"]), (4, 5))
+        self.assertTrue(s["gain_beyond_base_iqr"])
+        self.assertFalse(s["past_bound"])
+
+    def test_unchanged_metric_has_no_wins_and_no_gain(self):
+        s = self.summary["makespan"]
+        self.assertEqual(s["median_ratio"], 1.0)
+        self.assertEqual(s["wins"], 0)
+        self.assertFalse(s["gain_beyond_base_iqr"])
+        self.assertFalse(s["past_bound"])
+
+    def test_regression_past_bound_is_flagged(self):
+        s = median.summarize([1.0, 1.0, 1.0], [1.3, 1.2, 1.3], "lower", 0.25)
+        self.assertAlmostEqual(s["median_ratio"], 1.3)
+        self.assertTrue(s["past_bound"])
+        inside = median.summarize([1.0, 1.0, 1.0], [1.2, 1.2, 1.2], "lower",
+                                  0.25)
+        self.assertFalse(inside["past_bound"])
+
+    def test_higher_is_better_direction(self):
+        s = median.summarize([4.0, 4.0, 4.0], [3.0, 5.0, 3.2], "higher", 0.15)
+        self.assertEqual(s["wins"], 1)
+        self.assertAlmostEqual(s["median_ratio"], 0.8)
+        self.assertTrue(s["past_bound"])
+        self.assertFalse(s["gain_beyond_base_iqr"])
+
+    def test_gain_within_base_spread_is_not_clear(self):
+        s = median.summarize([1.0, 2.0, 3.0], [1.5, 1.9, 2.5], "lower")
+        self.assertEqual(s["wins"], 2)
+        self.assertFalse(s["gain_beyond_base_iqr"])
+        self.assertFalse(s["past_bound"])  # no bound: never flagged
+
+    def test_mismatched_pairs_are_refused(self):
+        with self.assertRaises(ValueError):
+            median.summarize([1.0], [1.0, 2.0], "lower")
+        with self.assertRaises(ValueError):
+            median.summarize([1.0], [1.0], "sideways")
+
+    def test_table_shows_flags(self):
+        table = median.format_table("merge-genome", 1, self.summary)
+        self.assertIn("== merge-genome (seed 1) ==", table)
+        solve = next(l for l in table.splitlines() if l.startswith("solve_s"))
+        self.assertIn("4/5", solve)
+        self.assertIn("gain>IQR", solve)
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -56,6 +56,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "resched.fault.greedy_wins",  // kReschedFaultGreedyWins
     "resched.fault.retries",      // kReschedFaultRetries
     "resched.fault.triggers",     // kReschedFaultTriggers
+    "resched.merge_probes",       // kReschedMergeProbes
     "resched.rejected",    // kReschedRejected
     "resched.triggers",    // kReschedTriggers
     "service.breaker_probes",     // kServiceBreakerProbes
@@ -73,6 +74,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "swap.rounds",         // kSwapRounds
     "swap.committed",      // kSwapsCommitted
     "sweep.arms",          // kSweepArms
+    "sweep.arms_pruned",   // kSweepArmsPruned
 };
 
 struct TraceEvent {

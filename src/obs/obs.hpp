@@ -61,6 +61,7 @@ enum class Counter : unsigned {
   kReschedFaultGreedyWins,   ///< fault repairs where greedy re-execution won
   kReschedFaultRetries,      ///< fault repairs re-attempted after backoff
   kReschedFaultTriggers,     ///< fault-triggered repair firings
+  kReschedMergeProbes,  ///< residual-repair tentative merges priced
   kReschedRejected,     ///< online reschedules rejected by hindsight guard
   kReschedTriggers,     ///< trigger-policy firings
   kServiceBreakerProbes,     ///< circuit-breaker half-open probe solves
@@ -78,6 +79,7 @@ enum class Counter : unsigned {
   kSwapRounds,          ///< Step-4 scan rounds
   kSwapsCommitted,      ///< Step-4 swaps committed
   kSweepArms,           ///< k'-sweep arms evaluated
+  kSweepArmsPruned,     ///< k'-sweep arms stopped by the path-work bound
   kCount
 };
 

@@ -2,12 +2,39 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 namespace dagpm::platform {
 
+namespace {
+
+/// Speeds and the bandwidth divide every duration: each must be a finite
+/// positive number.
+double checkedRate(double x, const char* what) {
+  if (!std::isfinite(x) || x <= 0.0) {
+    throw std::invalid_argument(std::string("Cluster: ") + what +
+                                " must be finite and positive");
+  }
+  return x;
+}
+
+}  // namespace
+
 Cluster::Cluster(std::vector<Processor> processors, double bandwidth)
-    : processors_(std::move(processors)), bandwidth_(bandwidth) {
-  assert(bandwidth_ > 0.0);
+    : processors_(std::move(processors)),
+      bandwidth_(checkedRate(bandwidth, "bandwidth")) {
+  for (const Processor& p : processors_) {
+    checkedRate(p.speed, "processor speed");
+    if (!std::isfinite(p.memory) || p.memory < 0.0) {
+      throw std::invalid_argument(
+          "Cluster: processor memory must be finite and non-negative");
+    }
+  }
+}
+
+void Cluster::setBandwidth(double beta) {
+  bandwidth_ = checkedRate(beta, "bandwidth");
 }
 
 double Cluster::largestMemory() const noexcept {

@@ -26,6 +26,8 @@ enum class ClusterSize { kSmall, kDefault, kLarge };  // 3 / 6 / 10 per kind
 class Cluster {
  public:
   Cluster() = default;
+  /// Throws std::invalid_argument unless every speed and the bandwidth are
+  /// finite and positive and every memory is finite and non-negative.
   Cluster(std::vector<Processor> processors, double bandwidth);
 
   [[nodiscard]] std::size_t numProcessors() const noexcept {
@@ -41,7 +43,8 @@ class Cluster {
     return processors_[p].memory;
   }
   [[nodiscard]] double bandwidth() const noexcept { return bandwidth_; }
-  void setBandwidth(double beta) noexcept { bandwidth_ = beta; }
+  /// Throws std::invalid_argument unless `beta` is finite and positive.
+  void setBandwidth(double beta);
 
   [[nodiscard]] double largestMemory() const noexcept;
   [[nodiscard]] double smallestMemory() const noexcept;

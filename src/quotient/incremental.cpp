@@ -52,6 +52,16 @@ void IncrementalEvaluator::rebuild() {
     eval_ = comm_->evaluate(fluid_->problem, cluster_->bandwidth());
     assert(eval_.ok);
     makespan_ = eval_.makespan;
+    pathWork_.assign(q_->numSlots(), 0.0);
+    heaviestPathWork_ = 0.0;
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+      double heaviest = 0.0;
+      for (const auto& [child, cost] : q_->out(*it)) {
+        heaviest = std::max(heaviest, pathWork_[child]);
+      }
+      pathWork_[*it] = q_->node(*it).work + heaviest;
+      heaviestPathWork_ = std::max(heaviestPathWork_, pathWork_[*it]);
+    }
     return;
   }
 
@@ -63,24 +73,31 @@ void IncrementalEvaluator::rebuild() {
   for (std::uint32_t i = 0; i < order_.size(); ++i) pos_[order_[i]] = i;
 
   // The exact recurrence of quotient::makespanValue: bottom weights in
-  // reverse topological order, makespan = running max.
+  // reverse topological order, makespan = running max. The same walk folds
+  // the heaviest path work.
   bottom_.assign(q_->numSlots(), 0.0);
   bestTerm_.assign(q_->numSlots(), 0.0);
+  pathWork_.assign(q_->numSlots(), 0.0);
   values_.clear();
   makespan_ = 0.0;
+  heaviestPathWork_ = 0.0;
   const double beta = cluster_->bandwidth();
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
     const BlockId b = *it;
     const QNode& node = q_->node(b);
     double best = 0.0;
+    double heaviest = 0.0;
     for (const auto& [child, cost] : q_->out(b)) {
       best = std::max(best, cost / beta + bottom_[child]);
+      heaviest = std::max(heaviest, pathWork_[child]);
     }
     const platform::ProcessorId p = node.proc;
     const double speed = p == platform::kNoProcessor ? 1.0 : cluster_->speed(p);
     bestTerm_[b] = best;
     bottom_[b] = node.work / speed + best;
+    pathWork_[b] = node.work + heaviest;
     makespan_ = std::max(makespan_, bottom_[b]);
+    heaviestPathWork_ = std::max(heaviestPathWork_, pathWork_[b]);
     values_.emplace_back(bottom_[b], b);
   }
   std::sort(values_.begin(), values_.end());

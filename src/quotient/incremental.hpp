@@ -110,6 +110,17 @@ class IncrementalEvaluator {
   /// comm) on the committed state).
   [[nodiscard]] double makespan() const noexcept { return makespan_; }
 
+  /// The largest total block work along any path of the committed quotient
+  /// (recomputed by rebuild(); processor changes leave it alone). Merges
+  /// only contract an acyclic quotient, so every path keeps all of its work
+  /// in the blocks of one path of any later quotient: this value over
+  /// Cluster::fastestSpeed() bounds from below the makespan of every
+  /// quotient that merges and reassignments reach from the committed one,
+  /// under either pricing.
+  [[nodiscard]] double heaviestPathWork() const noexcept {
+    return heaviestPathWork_;
+  }
+
   /// The committed critical path, bit-identical to computeMakespan(q,
   /// cluster, comm).criticalPath — same tie-breaking, derived from the
   /// cached passes instead of a fresh full evaluation. Computed lazily and
@@ -186,6 +197,9 @@ class IncrementalEvaluator {
   // (bottom weight, block) of every alive block, ascending.
   std::vector<std::pair<double, BlockId>> values_;
   mutable double makespan_ = 0.0;
+  // Heaviest path work ending at each block (both paths) and its maximum.
+  std::vector<double> pathWork_;
+  double heaviestPathWork_ = 0.0;
 
   // Committed caches (model path): the fluid problem of the committed state
   // plus its forward evaluation (start/finish/binding edges).

@@ -4,6 +4,8 @@
 #include <iterator>
 #include <utility>
 
+#include "obs/obs.hpp"
+
 namespace dagpm::resched {
 
 using graph::VertexId;
@@ -164,6 +166,7 @@ RepairResult repairResidual(ResidualState& state,
         }
         // Apply tentatively and roll back; a merge creating a cycle
         // projects to +inf and is never selected.
+        obs::add(obs::Counter::kReschedMergeProbes);
         const ResidualBlock saved = state.blocks[j];
         quotient::MergeTransaction tx = mergeBlocks(state, j, i, mem);
         const double value = projectResidual(state, cluster, cfg.comm);

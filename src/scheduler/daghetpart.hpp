@@ -17,18 +17,35 @@
 // gives up), and a single-k' mode; sweep candidates run in parallel with
 // OpenMP.
 //
+// Pruned sweep. The sweep keeps the first strict minimum in candidate
+// order, and candidates ascend, so the arms with k' <= 8 (the first wave)
+// come first. Steps 3 and 4 only merge blocks and move them between
+// processors, and the quotient stays acyclic, so the heaviest path work of
+// an arm's current quotient over the fastest speed is a lower bound on the
+// arm's final makespan, under both pricings (merge_step.hpp). A later arm
+// whose bound exceeds the best first-wave makespan (by a relative 1e-9)
+// can neither win nor tie, and its Step 3 stops there (obs counter
+// sweep.arms_pruned). The returned schedule is the one the unpruned sweep
+// returns. With no feasible first-wave arm nothing is pruned; neither the
+// fullReevaluation reference nor dagHetPartSingle ever prunes.
+//
 // Threads, for the whole library: one team; nested Step-4 work is tasks on
 // the innermost team. The parallel loops nest (experiment instances, then
 // k' arms, SA restarts or Monte-Carlo replications) and no inner loop is
 // switched off by hand: a region nested inside an active region runs
 // serially on the thread that reached it (OpenMP's default of one active
-// level), so the outermost active loop forms the team. The Step-4 swap
-// scan is an omp taskloop bound to the innermost enclosing team, so sweep
-// threads whose arms finished take chunks of the heaviest arm; outside any
-// active region it opens its own team, so a single-k' sweep hands every
-// core to the scan. Results are bit-identical for any thread count. Scan
-// chunks charge their counters back to the thread that started the scan,
-// so ThreadCounterScope deltas stay exact wherever the chunks ran. Service
+// level), so the outermost active loop forms the team. The sweep starts
+// every arm's Steps 1-2, and the first wave's Steps 3-4, as tasks at once;
+// a later arm's Steps 3-4 start as a task once both its own Steps 1-2 and
+// the whole first wave are done. Its threshold is therefore the
+// deterministic minimum over the first wave, so abort points, counters and
+// spans are the same for any thread count. The Step-4 swap scan is an omp
+// taskloop bound to the innermost enclosing team, so sweep threads whose
+// arms finished take chunks of the heaviest arm; outside any active region
+// it opens its own team, so a single-k' sweep hands every core to the
+// scan. Results are bit-identical for any thread count. Scan chunks charge
+// their counters back to the thread that started the scan, so
+// ThreadCounterScope deltas stay exact wherever the chunks ran. Service
 // workers (plain std::threads) and portfolio arms pin themselves with
 // omp_set_num_threads(1).
 

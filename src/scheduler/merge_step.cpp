@@ -25,6 +25,9 @@ constexpr int kMaxReinserts = 2;
 /// attempts stay a small fraction of the total runtime.
 constexpr int kMaxRescueProbes = 12;
 constexpr int kRescueProbeBudget = 400;
+/// Relative margin of the abort test, so that rounding in merged work sums
+/// cannot flip it.
+constexpr double kAbortSlack = 1e-9;
 
 /// Outcome of probing one merge candidate.
 struct CandidateOutcome {
@@ -155,6 +158,16 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
   if (!cfg.fullReevaluation) eval.emplace(q, cluster, cfg.comm);
   quotient::IncrementalEvaluator* evalPtr = eval ? &*eval : nullptr;
   quotient::TentativeMerge merge(q, evalPtr);
+  const double abortAt = cfg.abortAbove * (1.0 + kAbortSlack);
+  const double fastest = cluster.fastestSpeed();
+  const auto boundCrossed = [&] {
+    return evalPtr != nullptr &&
+           evalPtr->heaviestPathWork() / fastest > abortAt;
+  };
+  if (boundCrossed()) {
+    result.aborted = true;
+    return result;
+  }
 
   // Progress-based deferral bookkeeping: merge count at a node's last
   // failed attempt (see below).
@@ -220,6 +233,10 @@ MergeStepResult mergeUnassignedToAssigned(quotient::QuotientGraph& q,
       if (evalPtr != nullptr) evalPtr->rebuild();  // structural commit
       ++result.mergesCommitted;
       obs::add(obs::Counter::kMergeCommitted);
+      if (boundCrossed()) {
+        result.aborted = true;
+        return result;
+      }
       continue;
     }
 

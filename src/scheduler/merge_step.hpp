@@ -13,7 +13,18 @@
 // deferred up to two times; a stuck node is also retried while other merges
 // keep landing (library extension); if a node can neither merge nor wait,
 // the instance is infeasible for this block count.
+//
+// Abort: merges only contract the quotient, so the heaviest path work of
+// the current quotient over the fastest speed bounds the final makespan of
+// the arm from below (quotient::IncrementalEvaluator::heaviestPathWork).
+// With a finite MergeStepConfig::abortAbove the step checks that bound once
+// its evaluator is built and after every committed merge, and gives up
+// (success = false, aborted = true) as soon as it exceeds the threshold by
+// more than a relative 1e-9. Only the k' sweep sets the threshold, to the
+// best makespan of its first wave; the fullReevaluation reference has no
+// evaluator and never aborts.
 
+#include <limits>
 #include <optional>
 
 #include "comm/cost_model.hpp"
@@ -38,10 +49,15 @@ struct MergeStepConfig {
   /// whole-quotient makespan) instead of the quotient::IncrementalEvaluator
   /// delta path (differential reference; bit-identical results).
   bool fullReevaluation = false;
+  /// Give up once the path-work lower bound on the final makespan exceeds
+  /// this (see the header comment). +inf = never; set by the k' sweep only.
+  double abortAbove = std::numeric_limits<double>::infinity();
 };
 
 struct MergeStepResult {
   bool success = false;
+  /// The lower bound crossed MergeStepConfig::abortAbove (success = false).
+  bool aborted = false;
   std::uint32_t mergesCommitted = 0;
 };
 

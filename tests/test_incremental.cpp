@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "partition/partitioner.hpp"
 #include "quotient/incremental.hpp"
@@ -112,6 +113,68 @@ TEST(IncrementalEvaluator, RebuildMatchesFullEvaluation) {
     const MakespanResult ms = computeMakespan(q, c.cluster);
     EXPECT_EQ(eval.criticalPath(), ms.criticalPath);
     EXPECT_EQ(eval.makespan(), computeTimeline(q, c.cluster).makespan);
+  }
+}
+
+/// The heaviest path work of `q` by a forward pass (the evaluator walks
+/// backwards): the longest work-weighted path ending at each block.
+double forwardHeaviestPathWork(const QuotientGraph& q) {
+  const std::optional<std::vector<BlockId>> order = q.topologicalOrder();
+  std::vector<double> upTo(q.numSlots(), 0.0);
+  double heaviest = 0.0;
+  for (const BlockId b : *order) {
+    double before = 0.0;
+    for (const auto& [parent, cost] : q.in(b)) {
+      before = std::max(before, upTo[parent]);
+    }
+    upTo[b] = before + q.node(b).work;
+    heaviest = std::max(heaviest, upTo[b]);
+  }
+  return heaviest;
+}
+
+TEST(IncrementalEvaluator, HeaviestPathWorkGrowsUnderMergesOnly) {
+  // Both pricings: the value is the longest work path, processor changes
+  // leave it alone, and a merge can only raise it (the merged quotient is
+  // a contraction of the committed one).
+  for (const comm::CommCostModel* model :
+       {static_cast<const comm::CommCostModel*>(nullptr),
+        &comm::fairShareCommModel()}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      const Case c = makeCase(seed, 8);
+      QuotientGraph q = buildQuotient(c);
+      IncrementalEvaluator eval(q, c.cluster, model);
+      const double initial = eval.heaviestPathWork();
+      EXPECT_NEAR(initial, forwardHeaviestPathWork(q), 1e-12 * initial);
+
+      const std::vector<BlockId> alive = q.aliveNodes();
+      const ProcessorId p0 = q.node(alive[0]).proc;
+      q.setProcessor(alive[0], q.node(alive[1]).proc);
+      q.setProcessor(alive[1], p0);
+      const BlockId swapped[2] = {alive[0], alive[1]};
+      eval.commitAssign(swapped);
+      EXPECT_EQ(eval.heaviestPathWork(), initial);
+
+      // Merge along edges until one block is left.
+      double before = initial;
+      for (bool merged = true; merged;) {
+        merged = false;
+        for (const BlockId b : q.aliveNodes()) {
+          const quotient::AdjSpan out = q.out(b);
+          if (out.empty()) continue;
+          const BlockId child = out.begin()->first;
+          if (eval.mergeWouldCreateCycle(b, child)) continue;
+          q.merge(b, child);
+          eval.rebuild();
+          EXPECT_GE(eval.heaviestPathWork(), before) << "seed " << seed;
+          EXPECT_NEAR(eval.heaviestPathWork(), forwardHeaviestPathWork(q),
+                      1e-12 * eval.heaviestPathWork());
+          before = eval.heaviestPathWork();
+          merged = true;
+          break;
+        }
+      }
+    }
   }
 }
 

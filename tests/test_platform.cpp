@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "platform/cluster.hpp"
 
 namespace dagpm::platform {
@@ -96,6 +99,40 @@ TEST(Cluster, BandwidthStoredAndMutable) {
   EXPECT_DOUBLE_EQ(c.bandwidth(), 2.5);
   c.setBandwidth(0.1);
   EXPECT_DOUBLE_EQ(c.bandwidth(), 0.1);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Cluster, RejectsNonPositiveOrNonFiniteSpeeds) {
+  for (const double speed : {kNaN, kInf, -kInf, 0.0, -1.0}) {
+    EXPECT_THROW(Cluster({{"ok", 2.0, 8.0}, {"bad", speed, 8.0}}, 1.0),
+                 std::invalid_argument)
+        << "speed " << speed;
+  }
+}
+
+TEST(Cluster, RejectsNegativeOrNonFiniteMemories) {
+  for (const double memory : {kNaN, kInf, -kInf, -1.0}) {
+    EXPECT_THROW(Cluster({{"bad", 1.0, memory}}, 1.0), std::invalid_argument)
+        << "memory " << memory;
+  }
+  // A processor without memory is legal: it simply hosts nothing.
+  EXPECT_DOUBLE_EQ(Cluster({{"empty", 1.0, 0.0}}, 1.0).memory(0), 0.0);
+}
+
+TEST(Cluster, RejectsNonPositiveOrNonFiniteBandwidth) {
+  for (const double beta : {kNaN, kInf, -kInf, 0.0, -2.0}) {
+    EXPECT_THROW(Cluster({{"p", 1.0, 1.0}}, beta), std::invalid_argument)
+        << "bandwidth " << beta;
+    EXPECT_THROW(makeCluster(Heterogeneity::kDefault, 1, beta),
+                 std::invalid_argument)
+        << "bandwidth " << beta;
+    Cluster c = makeCluster(Heterogeneity::kDefault, 1, 2.5);
+    EXPECT_THROW(c.setBandwidth(beta), std::invalid_argument)
+        << "bandwidth " << beta;
+    EXPECT_DOUBLE_EQ(c.bandwidth(), 2.5);  // a rejected value is not kept
+  }
 }
 
 TEST(Cluster, Names) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include <omp.h>
@@ -13,6 +15,8 @@
 #include "graph/topology.hpp"
 #include "memory/simulate.hpp"
 #include "obs/obs.hpp"
+#include "partition/partitioner.hpp"
+#include "quotient/incremental.hpp"
 #include "scheduler/assignment.hpp"
 #include "scheduler/daghetmem.hpp"
 #include "scheduler/daghetpart.hpp"
@@ -228,6 +232,47 @@ TEST(MergeStep, AssignsEveryNodeOrFails) {
     EXPECT_NE(q.node(b).proc, platform::kNoProcessor);
   }
   EXPECT_TRUE(q.isAcyclic());
+}
+
+TEST(MergeStep, AbortsOnceThePathBoundExceedsTheThreshold) {
+  // The setup of AssignsEveryNodeOrFails. Any block's work over the
+  // fastest speed already exceeds a threshold of 0, so the step gives up
+  // before its first merge; the fullReevaluation reference has no
+  // evaluator and never gives up.
+  const Dag g = smallWorkflow(5);
+  const memory::MemDagOracle oracle(g);
+  const auto order = *graph::topologicalOrder(g);
+  std::vector<std::uint32_t> blocks(g.numVertices());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    blocks[order[i]] = static_cast<std::uint32_t>(3 * i / order.size());
+  }
+  const platform::Cluster cluster = uniformCluster(3, 1.0, 1e9);
+  const auto makeQuotient = [&] {
+    quotient::QuotientGraph q(g, blocks, 3);
+    q.setProcessor(0, 0);
+    q.setProcessor(2, 2);
+    for (const auto b : q.aliveNodes()) {
+      q.setMemReq(b, oracle.blockRequirement(q.node(b).members));
+    }
+    return q;
+  };
+  MergeStepConfig cfg;
+  cfg.abortAbove = 0.0;
+  quotient::QuotientGraph q = makeQuotient();
+  const MergeStepResult aborted =
+      mergeUnassignedToAssigned(q, cluster, oracle, cfg);
+  EXPECT_FALSE(aborted.success);
+  EXPECT_TRUE(aborted.aborted);
+  EXPECT_EQ(aborted.mergesCommitted, 0u);
+  EXPECT_EQ(q.aliveNodes().size(), 3u);
+
+  cfg.fullReevaluation = true;
+  quotient::QuotientGraph reference = makeQuotient();
+  const MergeStepResult full =
+      mergeUnassignedToAssigned(reference, cluster, oracle, cfg);
+  EXPECT_TRUE(full.success);
+  EXPECT_FALSE(full.aborted);
+  EXPECT_EQ(full.mergesCommitted, 1u);
 }
 
 TEST(MergeStep, NoUnassignedIsTrivialSuccess) {
@@ -694,6 +739,207 @@ TEST(DagHetPart, FullSweepAtLeastAsGoodAsSingle) {
 
 // A cycle is no workflow. Every entry point rejects it in release builds;
 // unchecked, DagHetPart and HEFT crash on it and DagHetMem never returns.
+// ---- The pruned k' sweep ---------------------------------------------
+
+struct SweepCase {
+  Dag dag;
+  platform::Cluster cluster;
+};
+
+/// A fuzzed workflow on a memory-tight 12-processor cluster: its sweeps
+/// have arms above k' = 8, and about one in four of its sweeps prunes one.
+SweepCase tightSweepCase(std::uint64_t seed) {
+  SweepCase c;
+  c.dag = test::randomLayeredDag(12, 8, 4, seed);
+  c.cluster = test::tightCluster(c.dag, 12);
+  return c;
+}
+
+/// A 1000Genome workflow on the small 18-processor cluster under the
+/// paper's memory rule. A k' <= 8 arm wins, and the path-work bound of the
+/// k' = 16 and 18 arms crosses its makespan during their Step 3.
+SweepCase genomeSweepCase() {
+  workflows::GenConfig gen;
+  gen.numTasks = 200;
+  gen.seed = 3;
+  SweepCase c;
+  c.dag = workflows::generate(workflows::Family::kGenome1000, gen);
+  c.cluster = platform::makeCluster(platform::Heterogeneity::kDefault,
+                                    platform::ClusterSize::kSmall);
+  c.cluster.scaleMemoriesToFit(c.dag.maxTaskMemoryRequirement());
+  return c;
+}
+
+/// Sum-merged obs counters and span call counts of one run of `fn`.
+struct Work {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::uint64_t> spanCalls;
+
+  [[nodiscard]] std::uint64_t operator[](const std::string& name) const {
+    return counters.at(name);
+  }
+};
+
+template <typename Fn>
+Work workOf(Fn&& fn) {
+  obs::enableCounters(true);
+  obs::resetForTest();
+  fn();
+  Work w;
+  for (const obs::CounterValue& c : obs::counterSnapshot()) {
+    if (std::string_view(c.name) != "span.peak_depth") {
+      w.counters[c.name] = c.value;
+    }
+  }
+  for (const obs::SpanAggregate& s : obs::spanAggregates()) {
+    w.spanCalls[s.name] = s.calls;
+  }
+  obs::enableCounters(false);
+  obs::resetForTest();
+  return w;
+}
+
+void expectSameSchedule(const ScheduleResult& a, const ScheduleResult& b,
+                        const std::string& where) {
+  ASSERT_EQ(a.feasible, b.feasible) << where;
+  if (!a.feasible) return;
+  EXPECT_EQ(a.makespan, b.makespan) << where;
+  EXPECT_EQ(a.blockOf, b.blockOf) << where;
+  EXPECT_EQ(a.procOfBlock, b.procOfBlock) << where;
+  EXPECT_EQ(a.stats.kPrime, b.stats.kPrime) << where;  // the winning arm
+}
+
+TEST(PrunedSweep, MatchesTheUnprunedReferenceOnTightFuzzCases) {
+  // The fullReevaluation reference has no evaluator, so its sweep runs every
+  // arm in full: the pruned sweep must return its schedule exactly.
+  std::uint64_t pruned = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const SweepCase c = tightSweepCase(seed);
+    for (const KPrimeSweep sweep :
+         {KPrimeSweep::kDoubling, KPrimeSweep::kFull}) {
+      for (const bool aware : {false, true}) {
+        DagHetPartConfig cfg;
+        cfg.sweep = sweep;
+        cfg.seed = seed;
+        cfg.options.contentionAware = aware;
+        ScheduleResult pruning;
+        pruned += workOf([&] {
+          pruning = dagHetPart(c.dag, c.cluster, cfg);
+        })["sweep.arms_pruned"];
+        cfg.options.fullReevaluation = true;
+        expectSameSchedule(pruning, dagHetPart(c.dag, c.cluster, cfg),
+                           "seed " + std::to_string(seed) + " sweep " +
+                               std::to_string(static_cast<int>(sweep)) +
+                               " aware " + std::to_string(aware));
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);  // the cases do exercise the prune
+}
+
+TEST(PrunedSweep, PathWorkBoundIsBelowEveryArmsMakespan) {
+  // The bound the sweep prunes with, taken on each arm's Step-2 quotient,
+  // never exceeds the makespan the arm reaches when run in full.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const SweepCase c = tightSweepCase(seed);
+    for (const bool aware : {false, true}) {
+      DagHetPartConfig cfg;
+      cfg.seed = seed;
+      cfg.options.contentionAware = aware;
+      for (const std::uint32_t kPrime : sweepCandidates(
+               KPrimeSweep::kFull,
+               static_cast<std::uint32_t>(c.cluster.numProcessors()))) {
+        const memory::MemDagOracle oracle(c.dag);
+        partition::PartitionConfig pcfg;
+        pcfg.numParts = kPrime;
+        pcfg.epsilon = cfg.step1Epsilon;
+        pcfg.seed = cfg.seed;
+        const partition::PartitionResult initial =
+            partition::partitionAcyclic(c.dag, pcfg);
+        std::vector<std::vector<VertexId>> parts(initial.numBlocks);
+        for (VertexId v = 0; v < c.dag.numVertices(); ++v) {
+          parts[initial.blockOf[v]].push_back(v);
+        }
+        AssignmentConfig acfg;
+        acfg.seed = cfg.seed;
+        const AssignmentResult assigned = biggestAssign(
+            c.dag, c.cluster, oracle, std::move(parts), acfg);
+        std::vector<std::uint32_t> blockOf(c.dag.numVertices());
+        for (std::uint32_t b = 0; b < assigned.blocks.size(); ++b) {
+          for (const VertexId v : assigned.blocks[b].vertices) {
+            blockOf[v] = b;
+          }
+        }
+        quotient::QuotientGraph q(
+            c.dag, blockOf, static_cast<std::uint32_t>(assigned.blocks.size()));
+        for (std::uint32_t b = 0; b < assigned.blocks.size(); ++b) {
+          q.setProcessor(b, assigned.blocks[b].proc);
+        }
+        const quotient::IncrementalEvaluator eval(
+            q, c.cluster, commModelFor(cfg.options));
+        const double bound =
+            eval.heaviestPathWork() / c.cluster.fastestSpeed();
+        const ScheduleResult arm =
+            dagHetPartSingle(c.dag, c.cluster, kPrime, cfg);
+        if (!arm.feasible) continue;
+        EXPECT_LE(bound, arm.makespan * (1.0 + 1e-12))
+            << "seed " << seed << " aware " << aware << " k'=" << kPrime;
+      }
+    }
+  }
+}
+
+TEST(PrunedSweep, PrunesTheHeavyArmsOfAGenomeWorkflow) {
+  // The heavy arms stop early: fewer merges than the unpruned reference
+  // commits, and the same schedule.
+  const SweepCase c = genomeSweepCase();
+  DagHetPartConfig cfg;
+  ScheduleResult pruning;
+  const Work pruned = workOf([&] {
+    pruning = dagHetPart(c.dag, c.cluster, cfg);
+  });
+  cfg.options.fullReevaluation = true;
+  ScheduleResult reference;
+  const Work full = workOf([&] {
+    reference = dagHetPart(c.dag, c.cluster, cfg);
+  });
+  ASSERT_TRUE(pruning.feasible);
+  expectSameSchedule(pruning, reference, "genome");
+  EXPECT_LE(pruning.stats.kPrime, 8u);
+  EXPECT_GT(pruned["sweep.arms_pruned"], 0u);
+  EXPECT_EQ(full["sweep.arms_pruned"], 0u);
+  EXPECT_EQ(pruned["sweep.arms"], full["sweep.arms"]);
+  EXPECT_LT(pruned["merge.committed"], full["merge.committed"]);
+  // A pruned arm never reaches Step 4.
+  EXPECT_EQ(pruned.spanCalls.at("daghetpart.step4_swaps") +
+                pruned["sweep.arms_pruned"],
+            full.spanCalls.at("daghetpart.step4_swaps"));
+}
+
+TEST(PrunedSweep, WorkIsTheSameAtOneAndThreeThreads) {
+  // The threshold is the minimum over the whole first wave, so the abort
+  // points, and with them every counter and span count, do not depend on
+  // which arm finished first.
+  const SweepCase c = genomeSweepCase();
+  for (const bool aware : {false, true}) {
+    DagHetPartConfig cfg;
+    cfg.options.contentionAware = aware;
+    ScheduleResult one, three;
+    const Work atOne = workOf([&] {
+      one = test::withOmpThreads(
+          1, [&] { return dagHetPart(c.dag, c.cluster, cfg); });
+    });
+    const Work atThree = workOf([&] {
+      three = test::withOmpThreads(
+          3, [&] { return dagHetPart(c.dag, c.cluster, cfg); });
+    });
+    expectSameSchedule(one, three, "aware " + std::to_string(aware));
+    EXPECT_GT(atOne["sweep.arms_pruned"], 0u) << "aware " << aware;
+    EXPECT_EQ(atOne.counters, atThree.counters) << "aware " << aware;
+    EXPECT_EQ(atOne.spanCalls, atThree.spanCalls) << "aware " << aware;
+  }
+}
+
 TEST(SchedulerInput, EveryEntryPointRejectsACyclicWorkflow) {
   const Dag g = test::cyclicWorkflow();
   ASSERT_FALSE(graph::isAcyclic(g));

@@ -160,17 +160,24 @@ struct ScheduledFuzzCase {
   scheduler::ScheduleResult mem;
 };
 
+/// The memory-tight heterogeneous cluster of makeTightFuzzCase, with
+/// `numProcs` processors: speeds 1, 1.5 and 2 in turn, memories 1.5 and 1.8
+/// times the workflow's largest task requirement in turn.
+inline platform::Cluster tightCluster(const graph::Dag& dag, int numProcs) {
+  const double mem = dag.maxTaskMemoryRequirement() * 1.5;
+  std::vector<platform::Processor> procs;
+  for (int p = 0; p < numProcs; ++p) {
+    procs.push_back({"p" + std::to_string(p), 1.0 + 0.5 * (p % 3),
+                     mem * (1.0 + 0.2 * (p % 2))});
+  }
+  return platform::Cluster(std::move(procs), 2.0);
+}
+
 inline ScheduledFuzzCase makeTightFuzzCase(std::uint64_t dagSeed,
                                            std::uint64_t schedulerSeed) {
   ScheduledFuzzCase fc;
   fc.dag = randomLayeredDag(8, 5, 3, dagSeed);
-  const double mem = fc.dag.maxTaskMemoryRequirement() * 1.5;
-  std::vector<platform::Processor> procs;
-  for (int p = 0; p < 6; ++p) {
-    procs.push_back({"p" + std::to_string(p), 1.0 + 0.5 * (p % 3),
-                     mem * (1.0 + 0.2 * (p % 2))});
-  }
-  fc.cluster = platform::Cluster(std::move(procs), 2.0);
+  fc.cluster = tightCluster(fc.dag, 6);
   scheduler::DagHetPartConfig cfg;
   cfg.seed = schedulerSeed;
   fc.part = scheduler::dagHetPart(fc.dag, fc.cluster, cfg);

@@ -71,6 +71,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "span.peak_depth",     // kSpanPeakDepth
     "swap.idle_moves",     // kSwapIdleMoves
     "swap.pairs_probed",   // kSwapPairsProbed
+    "swap.pairs_pruned",   // kSwapPairsPruned
     "swap.rounds",         // kSwapRounds
     "swap.committed",      // kSwapsCommitted
     "sweep.arms",          // kSweepArms

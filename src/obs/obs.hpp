@@ -76,6 +76,7 @@ enum class Counter : unsigned {
   kSpanPeakDepth,       ///< max span-nesting depth observed (merged by max)
   kSwapIdleMoves,       ///< Step-4 idle moves committed
   kSwapPairsProbed,     ///< Step-4 swap pairs probed
+  kSwapPairsPruned,     ///< Step-4 swap pairs skipped as unable to win
   kSwapRounds,          ///< Step-4 scan rounds
   kSwapsCommitted,      ///< Step-4 swaps committed
   kSweepArms,           ///< k'-sweep arms evaluated

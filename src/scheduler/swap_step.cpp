@@ -129,17 +129,30 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
   const std::vector<BlockId> nodes = q.aliveNodes();
 
   if (cfg.enableSwaps) {
-    // Algorithm 5 with materialized probes: each round prices every
-    // feasible pair, then replays the sequential acceptance rule over the
+    // Algorithm 5 with materialized probes: each round prices its
+    // candidate pairs, then replays the sequential acceptance rule over the
     // stored makespans. The evaluator prices the pairs as tasks on the
     // enclosing team (probes only write their chunk's scratch and slots),
     // so the committed swap sequence is bit-identical for any OpenMP thread
     // count, and identical to the reference's.
+    //
+    // Under the null model the evaluator skips the feasible pairs that
+    // swapCanShortenPath rejects: their probes could never pass the
+    // acceptance rule. Fair share couples transfers globally, so the path
+    // argument fails there. The reference probes every feasible pair, which
+    // keeps the differential fuzz checking the cut.
+    const bool prunePairs = eval && cfg.comm == nullptr;
+    std::vector<char> onPath;
     std::vector<PairCandidate> pairs;
     std::vector<double> makespans;
     std::vector<obs::CounterTally> tallies;
     for (std::uint32_t round = 0; round < kMaxSwapRounds; ++round) {
+      if (prunePairs) {
+        onPath.assign(q.numSlots(), 0);
+        for (const BlockId b : eval->criticalPath()) onPath[b] = 1;
+      }
       pairs.clear();
+      std::uint64_t pruned = 0;
       for (std::uint32_t i = 0; i < nodes.size(); ++i) {
         for (std::uint32_t j = i + 1; j < nodes.size(); ++j) {
           const BlockId a = nodes[i];
@@ -155,6 +168,11 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
               q.node(b).memReq > cluster.memory(pa)) {
             continue;
           }
+          if (prunePairs && !swapCanShortenPath(onPath, a, b, cluster.speed(pa),
+                                                cluster.speed(pb))) {
+            ++pruned;
+            continue;
+          }
           pairs.push_back({i, j});
         }
       }
@@ -163,6 +181,7 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
                                  " pairs=" + std::to_string(pairs.size()));
       obs::add(obs::Counter::kSwapRounds);
       obs::add(obs::Counter::kSwapPairsProbed, pairs.size());
+      obs::add(obs::Counter::kSwapPairsPruned, pruned);
       if (eval) {
         scanPairs(*eval, q, nodes, pairs, makespans, tallies);
       } else {

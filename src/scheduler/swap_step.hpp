@@ -23,7 +23,13 @@
 // SwapStepConfig::fullReevaluation is the differential reference: the same
 // loops, but each probe is a full recompute of the probed quotient, priced
 // sequentially on the calling thread, and the critical path comes from
-// quotient::computeMakespan. Both modes count the same swap.* work.
+// quotient::computeMakespan. Under the null model the evaluator also skips
+// the pairs swapCanShortenPath rejects, which cannot win, so the committed
+// swaps are the reference's. Both modes count the same swap.rounds,
+// swap.committed and swap.idle_moves; the evaluator's swap.pairs_probed +
+// swap.pairs_pruned equals the reference's swap.pairs_probed.
+
+#include <vector>
 
 #include "comm/cost_model.hpp"
 #include "platform/cluster.hpp"
@@ -49,6 +55,21 @@ struct SwapStepResult {
   std::uint32_t swapsCommitted = 0;
   std::uint32_t idleMovesCommitted = 0;
 };
+
+/// The null-model Step-4 prune: true iff swapping blocks `a` (on a
+/// processor of speed `speedA`) and `b` (speed `speedB`) moves a block of
+/// the committed critical path (`onPath`, indexed by block) onto a strictly
+/// faster processor. Only such a swap can strictly lower a path-additive
+/// makespan. Otherwise every block of the path keeps or raises its
+/// work/speed term, every transfer keeps its price on the one shared link,
+/// and Eq. (1) folds the path with monotone +, / and max: the probe is at
+/// least the path's old length, which is the committed makespan.
+inline bool swapCanShortenPath(const std::vector<char>& onPath,
+                               quotient::BlockId a, quotient::BlockId b,
+                               double speedA, double speedB) {
+  return (onPath[a] != 0 && speedB > speedA) ||
+         (onPath[b] != 0 && speedA > speedB);
+}
 
 /// Requires every alive node of `q` to be assigned and the quotient acyclic.
 SwapStepResult improveBySwaps(quotient::QuotientGraph& q,

@@ -623,9 +623,9 @@ TEST_P(IncrementalFuzz, MutationSequencesMatchFairShareModelTo1em9) {
 }
 
 /// The Step-4 work a scope's thread counted: swap.rounds,
-/// swap.pairs_probed, swap.committed and swap.idle_moves (scan chunks other
-/// threads ran are charged back to it).
-using SwapWork = std::array<std::uint64_t, 4>;
+/// swap.pairs_probed, swap.pairs_pruned, swap.committed and swap.idle_moves
+/// (scan chunks other threads ran are charged back to it).
+using SwapWork = std::array<std::uint64_t, 5>;
 SwapWork swapWork(const obs::ThreadCounterScope& scope) {
   const std::vector<obs::CounterValue> deltas = scope.deltas();
   const auto count = [&](obs::Counter c) {
@@ -633,8 +633,18 @@ SwapWork swapWork(const obs::ThreadCounterScope& scope) {
   };
   return {count(obs::Counter::kSwapRounds),
           count(obs::Counter::kSwapPairsProbed),
+          count(obs::Counter::kSwapPairsPruned),
           count(obs::Counter::kSwapsCommitted),
           count(obs::Counter::kSwapIdleMoves)};
+}
+
+/// The work of an evaluator run as the full-recompute reference counts it:
+/// the reference prunes nothing, so it probes every pair the evaluator
+/// probed or pruned.
+SwapWork asProbedByReference(SwapWork work) {
+  work[1] += work[2];
+  work[2] = 0;
+  return work;
 }
 
 TEST_P(IncrementalFuzz, ParallelSwapScanIsThreadCountReproducible) {
@@ -665,8 +675,11 @@ TEST_P(IncrementalFuzz, ParallelSwapScanIsThreadCountReproducible) {
   const auto reference = run(1, true);
   obs::enableCounters(false);
   EXPECT_EQ(single, parallel);  // bit-identical for any thread count
-  // and identical to the full recompute, which counts the same work
-  EXPECT_EQ(single, reference);
+  // and identical to the full recompute, which probes every pair the
+  // evaluator probed or pruned
+  auto unpruned = single;
+  std::get<4>(unpruned) = asProbedByReference(std::get<4>(single));
+  EXPECT_EQ(unpruned, reference);
 }
 
 /// A quotient of 25-40 blocks spread over 3-8 processors: its first swap
@@ -698,7 +711,8 @@ EvalFuzzCase makeWideSwapCase(std::uint64_t seed) {
 /// against the full-recompute reference. Comparing runs only with each
 /// other would miss a scan that drops its chunk outputs on every run. Every
 /// run also reports the Step-4 work it counted; the two pricings share one
-/// search loop, so they must count the same rounds, probes and commits.
+/// search loop, so they must count the same rounds and commits, and the
+/// reference probes exactly the pairs the evaluator probed or pruned.
 template <typename Compare>
 void runMultiChunkSwapScan(std::uint64_t seed,
                            const comm::CommCostModel* model,
@@ -757,7 +771,9 @@ void runMultiChunkSwapScan(std::uint64_t seed,
 
 TEST_P(IncrementalFuzz, MultiChunkSwapScanMatchesFullRecomputeBitExact) {
   runMultiChunkSwapScan(GetParam(), nullptr,
-                        [](const auto& incremental, const auto& full) {
+                        [](auto incremental, const auto& full) {
+                          std::get<4>(incremental) =
+                              asProbedByReference(std::get<4>(incremental));
                           EXPECT_EQ(incremental, full);
                         });
 }
@@ -777,6 +793,72 @@ TEST_P(IncrementalFuzz, MultiChunkSwapScanMatchesFairShareModelTo1em9) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalFuzz,
                          testing::ValuesIn(fuzzSeeds(12)));
+
+class SwapPrune : public testing::TestWithParam<std::uint64_t> {};
+
+/// The null-model Step-4 prune is exact: round after round of Algorithm 5,
+/// every feasible pair swapCanShortenPath skips is probed anyway, and none
+/// prices below the committed makespan (no tolerance). Each round then
+/// commits the best improving swap over every feasible pair, as the
+/// unpruned scan would.
+TEST_P(SwapPrune, PrunedPairsNeverBeatTheCommittedMakespan) {
+  const EvalFuzzCase fc = makeWideSwapCase(GetParam());
+  quotient::QuotientGraph q(fc.dag, fc.blockOf, fc.numBlocks);
+  std::uint32_t i = 0;
+  for (const BlockId b : q.aliveNodes()) {
+    q.setProcessor(b, static_cast<platform::ProcessorId>(
+                          i++ % fc.cluster.numProcessors()));
+    q.setMemReq(b, 1.0);
+  }
+  quotient::IncrementalEvaluator eval(q, fc.cluster);
+  quotient::IncrementalEvaluator::Scratch scratch(eval);
+  const std::vector<BlockId> nodes = q.aliveNodes();
+  std::uint64_t prunedProbes = 0;
+  std::uint32_t commits = 0;
+  for (;;) {
+    const double committed = eval.makespan();
+    std::vector<char> onPath(q.numSlots(), 0);
+    for (const BlockId b : eval.criticalPath()) onPath[b] = 1;
+    double best = committed;
+    BlockId bestA = quotient::kNoBlock;
+    BlockId bestB = quotient::kNoBlock;
+    for (std::size_t x = 0; x < nodes.size(); ++x) {
+      for (std::size_t y = x + 1; y < nodes.size(); ++y) {
+        const BlockId a = nodes[x];
+        const BlockId b = nodes[y];
+        const platform::ProcessorId pa = q.node(a).proc;
+        const platform::ProcessorId pb = q.node(b).proc;
+        const double sa = fc.cluster.speed(pa);
+        const double sb = fc.cluster.speed(pb);
+        if (pa == pb || sa == sb) continue;
+        const quotient::ProcOverride swap[2] = {{a, pb}, {b, pa}};
+        const double probe = eval.probeAssign(scratch, swap);
+        if (!scheduler::swapCanShortenPath(onPath, a, b, sa, sb)) {
+          ++prunedProbes;
+          ASSERT_GE(probe, committed)
+              << "seed " << GetParam() << " blocks " << a << "," << b;
+        }
+        if (probe < best - 1e-12) {
+          best = probe;
+          bestA = a;
+          bestB = b;
+        }
+      }
+    }
+    if (bestA == quotient::kNoBlock) break;
+    const platform::ProcessorId pa = q.node(bestA).proc;
+    q.setProcessor(bestA, q.node(bestB).proc);
+    q.setProcessor(bestB, pa);
+    const BlockId dirty[2] = {bestA, bestB};
+    eval.commitAssign(dirty);
+    ++commits;
+  }
+  // The cases are wide enough that the rule has work to do.
+  EXPECT_GT(prunedProbes, 0u) << "seed " << GetParam();
+  EXPECT_GT(commits, 0u) << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SwapPrune, testing::ValuesIn(fuzzSeeds(12)));
 
 // ---- optimality anchors ----------------------------------------------------
 

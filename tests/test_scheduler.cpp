@@ -680,7 +680,9 @@ TEST(DagHetPart, StolenSwapChunksChargeTheSolvingThread) {
       platform::Heterogeneity::kDefault, platform::ClusterSize::kLarge);
   cluster.scaleMemoriesToFit(g.maxTaskMemoryRequirement());
   const DagHetPartConfig cfg;
-  constexpr std::uint32_t kPrime = 60;
+  // At k' = 120 the critical-path prune still leaves rounds of over four
+  // 64-pair chunks (k' = 60 leaves about two).
+  constexpr std::uint32_t kPrime = 120;
 
   obs::enableCounters(true);
   obs::resetForTest();

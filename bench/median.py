@@ -14,11 +14,15 @@ odd, so a drift of the host does not always favour one side.
 
 For every end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the median of the per-pair ratios change/base (which cancels
-most of the host's drift), the pairs the change won, whether the change's
+most of the host's drift), the pairs the change won and one verdict:
+``GAIN`` when the change won at least ceil(0.9 x pairs) pairs *and* its
 median is better than the base's by more than the base's interquartile
-range, and any metric whose median ratio is worse than its BENCHMARK.json
-bound. The header records nproc, the CPU model, OMP_NUM_THREADS, the
-compiler and both commits. ``--trajectory FILE`` appends the whole result as
+range, ``PAST-BOUND`` when the median ratio is worse than the metric's
+BENCHMARK.json bound, ``-`` otherwise. Either half alone is no gain: over a
+few runs the base's IQR can be narrower than the host's drift, and a
+no-op then clears it (``gain>IQR`` is still printed, as detail). The
+header records nproc, the CPU model, OMP_NUM_THREADS, the compiler and both
+commits. ``--trajectory FILE`` appends the whole result as
 one JSON line (e.g. bench/trajectory/perfbench.jsonl).
 
 Exit status: 0 when every run reported ``correct: true``, 1 otherwise, 2 on
@@ -66,6 +70,11 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def wins_needed(pairs):
+    """Pairs the change must win for a GAIN: ceil(0.9 x pairs)."""
+    return -(-9 * pairs // 10)
+
+
 def ratio(change, base):
     if base == 0.0:
         return 1.0 if change == 0.0 else float("inf")
@@ -95,6 +104,12 @@ def summarize(base, change, better, bound=None):
         past_bound = med_ratio > 1.0 + bound
     else:
         past_bound = med_ratio < 1.0 - bound
+    if past_bound:
+        verdict = "PAST-BOUND"
+    elif clear and wins >= wins_needed(len(base)):
+        verdict = "GAIN"
+    else:
+        verdict = "-"
     return {
         "better": better,
         "base": {"q1": b_q1, "median": b_med, "q3": b_q3},
@@ -105,6 +120,7 @@ def summarize(base, change, better, bound=None):
         "gain_beyond_base_iqr": clear,
         "bound": bound,
         "past_bound": past_bound,
+        "verdict": verdict,
     }
 
 
@@ -130,16 +146,18 @@ def format_table(workload, seed, summary):
 
     lines = [f"== {workload} (seed {seed}) ==",
              f"{'metric':<26}{'base median [q1, q3]':>32}"
-             f"{'change median [q1, q3]':>32}{'ratio':>9}{'wins':>8}  flags"]
+             f"{'change median [q1, q3]':>32}{'ratio':>9}{'wins':>8}"
+             f"  {'verdict':<11}detail"]
     for name, s in summary.items():
-        flags = []
+        detail = []
         if s["gain_beyond_base_iqr"]:
-            flags.append("gain>IQR")
+            detail.append("gain>IQR")
         if s["past_bound"]:
-            flags.append(f"PAST-BOUND({s['bound']:g})")
+            detail.append(f"bound {s['bound']:g}")
         wins = f"{s['wins']}/{s['pairs']}"
         lines.append(f"{name:<26}{side(s['base']):>32}{side(s['change']):>32}"
-                     f"{s['median_ratio']:>9.3f}{wins:>8}  {' '.join(flags)}")
+                     f"{s['median_ratio']:>9.3f}{wins:>8}  {s['verdict']:<11}"
+                     f"{' '.join(detail)}".rstrip())
     return "\n".join(lines)
 
 

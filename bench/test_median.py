@@ -3,7 +3,7 @@
 
 Feeds canned perfbench/run.py output lines through the parser and checks
 the medians, quartiles, median pairwise ratio, win counts, the gain-beyond-
-IQR flag and the BENCHMARK.json bound flag.
+IQR flag, the BENCHMARK.json bound flag and the one verdict built on them.
 """
 
 import json
@@ -86,6 +86,9 @@ class SummaryTest(unittest.TestCase):
         self.assertEqual((s["wins"], s["pairs"]), (4, 5))
         self.assertTrue(s["gain_beyond_base_iqr"])
         self.assertFalse(s["past_bound"])
+        # 4 of 5 pairs is short of ceil(0.9 x 5) = 5: beyond the IQR alone
+        # is no gain.
+        self.assertEqual(s["verdict"], "-")
 
     def test_unchanged_metric_has_no_wins_and_no_gain(self):
         s = self.summary["makespan"]
@@ -93,11 +96,13 @@ class SummaryTest(unittest.TestCase):
         self.assertEqual(s["wins"], 0)
         self.assertFalse(s["gain_beyond_base_iqr"])
         self.assertFalse(s["past_bound"])
+        self.assertEqual(s["verdict"], "-")
 
     def test_regression_past_bound_is_flagged(self):
         s = median.summarize([1.0, 1.0, 1.0], [1.3, 1.2, 1.3], "lower", 0.25)
         self.assertAlmostEqual(s["median_ratio"], 1.3)
         self.assertTrue(s["past_bound"])
+        self.assertEqual(s["verdict"], "PAST-BOUND")
         inside = median.summarize([1.0, 1.0, 1.0], [1.2, 1.2, 1.2], "lower",
                                   0.25)
         self.assertFalse(inside["past_bound"])
@@ -115,6 +120,10 @@ class SummaryTest(unittest.TestCase):
         self.assertFalse(s["gain_beyond_base_iqr"])
         self.assertFalse(s["past_bound"])  # no bound: never flagged
 
+    def test_wins_needed_is_ceil_of_nine_tenths(self):
+        self.assertEqual([median.wins_needed(p) for p in (1, 5, 9, 10, 11, 20)],
+                         [1, 5, 9, 9, 10, 18])
+
     def test_mismatched_pairs_are_refused(self):
         with self.assertRaises(ValueError):
             median.summarize([1.0], [1.0, 2.0], "lower")
@@ -126,6 +135,63 @@ class SummaryTest(unittest.TestCase):
         self.assertIn("== merge-genome (seed 1) ==", table)
         solve = next(l for l in table.splitlines() if l.startswith("solve_s"))
         self.assertIn("4/5", solve)
+        self.assertIn("gain>IQR", solve)
+        self.assertNotIn("GAIN", solve)
+
+
+
+class VerdictTest(unittest.TestCase):
+    """GAIN needs both halves: enough wins and a gain beyond the base's IQR."""
+
+    BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+    def test_both_halves_give_gain(self):
+        change = [b * 0.8 for b in self.BASE]
+        change[3] = 1.05  # one stalled pair: 9 of 10 still wins
+        s = median.summarize(self.BASE, change, "lower", 0.25)
+        self.assertEqual((s["wins"], s["pairs"]), (9, 10))
+        self.assertTrue(s["gain_beyond_base_iqr"])
+        self.assertEqual(s["verdict"], "GAIN")
+
+    def test_enough_wins_within_the_iqr_is_no_gain(self):
+        change = [b - 0.005 for b in self.BASE]  # wins every pair, by little
+        s = median.summarize(self.BASE, change, "lower", 0.25)
+        self.assertEqual(s["wins"], 10)
+        self.assertFalse(s["gain_beyond_base_iqr"])
+        self.assertEqual(s["verdict"], "-")
+
+    def test_beyond_the_iqr_with_too_few_wins_is_no_gain(self):
+        change = [b * 0.8 for b in self.BASE]
+        change[3] = change[6] = 1.05  # two stalled pairs: 8 of 10
+        s = median.summarize(self.BASE, change, "lower", 0.25)
+        self.assertEqual(s["wins"], 8)
+        self.assertTrue(s["gain_beyond_base_iqr"])
+        self.assertEqual(s["verdict"], "-")
+
+    def test_no_op_is_no_gain(self):
+        # The same program twice: the host's drift decides each pair, and
+        # over five runs the base's IQR can be narrower than that drift.
+        base = [1.000, 1.001, 0.999, 1.000, 1.001]
+        change = [0.968, 1.010, 0.970, 0.971, 0.969]
+        s = median.summarize(base, change, "lower", 0.25)
+        self.assertEqual(s["wins"], 4)
+        self.assertTrue(s["gain_beyond_base_iqr"])
+        self.assertEqual(s["verdict"], "-")
+        same = median.summarize(base, list(base), "lower", 0.25)
+        self.assertEqual((same["wins"], same["verdict"]), (0, "-"))
+
+    def test_higher_is_better_gain(self):
+        s = median.summarize([4.0] * 10, [5.0] * 10, "higher", 0.15)
+        self.assertEqual(s["verdict"], "GAIN")
+
+    def test_table_prints_the_verdict(self):
+        change = [b * 0.8 for b in self.BASE]
+        table = median.format_table(
+            "swap-wide", 2,
+            {"solve_s": median.summarize(self.BASE, change, "lower", 0.25)})
+        solve = next(l for l in table.splitlines() if l.startswith("solve_s"))
+        self.assertIn("10/10", solve)
+        self.assertIn("GAIN", solve)
         self.assertIn("gain>IQR", solve)
 
 

@@ -24,7 +24,9 @@
 // step loop). Summation order keeps peaks bit-stable: the simulator sums a
 // step left to right as resident + m + out + extOut + extIn (resident +
 // footprint rounds differently) and adds `delta`; the exact DP prices a
-// step as resident + footprint.
+// step as resident + footprint, its resident the sum of the executed
+// tasks' deltas in ascending vertex order, built by the recurrence
+// resident(S) = resident(S minus its highest vertex) + delta of that vertex.
 
 #include <span>
 #include <vector>

@@ -42,18 +42,7 @@ using graph::EdgeId;
 using graph::VertexId;
 using quotient::BlockId;
 
-/// Seeds 1..n, overridable via DAGPM_FUZZ_ITERS (same contract as
-/// test_fuzz.cpp's helper).
-std::vector<std::uint64_t> fuzzSeeds(int defaultCount) {
-  int count = defaultCount;
-  if (const char* iters = std::getenv("DAGPM_FUZZ_ITERS");
-      iters != nullptr && *iters != '\0') {
-    if (const int parsed = std::atoi(iters); parsed > 0) count = parsed;
-  }
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(count));
-  std::iota(seeds.begin(), seeds.end(), std::uint64_t{1});
-  return seeds;
-}
+using test::fuzzSeeds;
 
 // ---------------------------------------------------------------------------
 // Part 1: CSR quotient vs. legacy map-based reference

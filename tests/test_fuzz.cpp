@@ -39,20 +39,7 @@ using graph::Dag;
 using graph::VertexId;
 using quotient::BlockId;
 
-/// Seeds 1..n, where n defaults to `defaultCount` and can be raised (or
-/// lowered) via DAGPM_FUZZ_ITERS so nightly CI can crank up the coverage.
-std::vector<std::uint64_t> fuzzSeeds(int defaultCount) {
-  int count = defaultCount;
-  if (const char* iters = std::getenv("DAGPM_FUZZ_ITERS");
-      iters != nullptr && *iters != '\0') {
-    // A malformed value keeps the default rather than silently collapsing
-    // coverage to one seed (atoi returns 0 on garbage).
-    if (const int parsed = std::atoi(iters); parsed > 0) count = parsed;
-  }
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(count));
-  std::iota(seeds.begin(), seeds.end(), std::uint64_t{1});
-  return seeds;
-}
+using test::fuzzSeeds;
 
 /// Deep-compares the mutable state of two quotient graphs.
 void expectQuotientsEqual(const quotient::QuotientGraph& a,

@@ -7,8 +7,11 @@
 #include <array>
 #include <cstdio>
 #include <functional>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "graph/topology.hpp"
 #include "memory/exact_dp.hpp"
@@ -353,7 +356,8 @@ class ExactDpOptimality : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ExactDpOptimality, MatchesBruteForce) {
   const Dag g = test::randomLayeredDag(4, 3, 2, GetParam());
-  if (g.numVertices() > 9) GTEST_SKIP() << "too large for brute force";
+  // At most 4 layers of 3: up to the oracle's exact threshold of 12 tasks.
+  ASSERT_LE(g.numVertices(), 12u) << "too large for brute force";
   const graph::SubDag sub = test::wholeDagAsSub(g);
   const auto exact = exactMinPeakOrder(BlockCosts(sub));
   ASSERT_TRUE(exact.has_value());
@@ -371,6 +375,196 @@ TEST(ExactDp, RefusesOversizedBlocks) {
   if (g.numVertices() <= kExactDpMaxVertices) GTEST_SKIP();
   const SubDag sub = test::wholeDagAsSub(g);
   EXPECT_FALSE(exactMinPeakOrder(BlockCosts(sub)).has_value());
+}
+
+/// The plain subset DP: a hash-map memo, an O(n) resident rescan per state
+/// and every ready task tried. The reference exactMinPeakOrder must
+/// reproduce bit for bit.
+class HashMapDpReference {
+ public:
+  explicit HashMapDpReference(const BlockCosts& costs)
+      : costs_(costs), n_(costs.size()), predMask_(n_, 0) {
+    for (VertexId v = 0; v < n_; ++v) {
+      for (const graph::EdgeId e : costs.dag.inEdges(v)) {
+        predMask_[v] |= (1u << costs.dag.edge(e).src);
+      }
+    }
+  }
+
+  ExactResult solve() {
+    ExactResult result;
+    result.peak = best(0);
+    std::uint32_t state = 0;
+    const std::uint32_t full = (1u << n_) - 1;
+    while (state != full) {
+      for (VertexId v = 0; v < n_; ++v) {
+        const std::uint32_t bit = 1u << v;
+        if ((state & bit) != 0) continue;
+        if ((predMask_[v] & state) != predMask_[v]) continue;
+        const double step = resident(state) + costs_.task[v].footprint;
+        const double future = best(state | bit);
+        if (std::max(step, future) <= best(state) + 1e-9) {
+          result.order.push_back(v);
+          state |= bit;
+          break;
+        }
+      }
+    }
+    return result;
+  }
+
+ private:
+  double resident(std::uint32_t state) const {
+    double r = 0.0;
+    for (VertexId v = 0; v < n_; ++v) {
+      if ((state & (1u << v)) != 0) r += costs_.task[v].delta;
+    }
+    return r;
+  }
+
+  double best(std::uint32_t state) {
+    if (state == (1u << n_) - 1) return 0.0;
+    const auto it = memo_.find(state);
+    if (it != memo_.end()) return it->second;
+    double bestPeak = std::numeric_limits<double>::infinity();
+    const double r = resident(state);
+    for (VertexId v = 0; v < n_; ++v) {
+      const std::uint32_t bit = 1u << v;
+      if ((state & bit) != 0) continue;
+      if ((predMask_[v] & state) != predMask_[v]) continue;
+      const double step = r + costs_.task[v].footprint;
+      const double future = best(state | bit);
+      bestPeak = std::min(bestPeak, std::max(step, future));
+    }
+    memo_.emplace(state, bestPeak);
+    return bestPeak;
+  }
+
+  const BlockCosts& costs_;
+  std::size_t n_;
+  std::vector<std::uint32_t> predMask_;
+  std::unordered_map<std::uint32_t, double> memo_;
+};
+
+enum class DpWeights { kReal, kZero, kSmallInt };
+
+/// `shape`'s edges with weights drawn afresh: reals, all zeros, or integers
+/// in [0, 3] (many exact ties). Half of the time the vertices are renumbered
+/// at random, so ids need not follow a topological order.
+Dag reweighted(const Dag& shape, DpWeights weights, support::Rng& rng) {
+  const auto draw = [&](double hi) {
+    switch (weights) {
+      case DpWeights::kZero:
+        return 0.0;
+      case DpWeights::kSmallInt:
+        return static_cast<double>(rng.uniformInt(0, 3));
+      case DpWeights::kReal:
+        break;
+    }
+    return rng.uniformReal(0.0, hi);
+  };
+  std::vector<VertexId> id(shape.numVertices());
+  std::iota(id.begin(), id.end(), VertexId{0});
+  if (rng.bernoulli(0.5)) rng.shuffle(id);
+  Dag g;
+  for (VertexId v = 0; v < shape.numVertices(); ++v) {
+    g.addVertex(draw(100.0), draw(50.0));
+  }
+  for (graph::EdgeId e = 0; e < shape.numEdges(); ++e) {
+    g.addEdge(id[shape.edge(e).src], id[shape.edge(e).dst], draw(50.0));
+  }
+  return g;
+}
+
+/// Unweighted block shapes of 1-16 tasks: a chain, a fan or fork-join of
+/// short chains (SoyKB's wide fans), and a small random layered DAG.
+Dag dpBlockShape(int kind, support::Rng& rng) {
+  Dag g;
+  const auto task = [&] { return g.addVertex(0.0, 0.0); };
+  switch (kind) {
+    case 0: {  // chain
+      const auto n = rng.uniformInt(1, 16);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const VertexId v = task();
+        if (v > 0) g.addEdge(v - 1, v, 0.0);
+      }
+      return g;
+    }
+    case 1: {  // fan-out, fan-in or fork-join of chains of 1-2 tasks
+      const bool withSource = rng.bernoulli(0.7);
+      const bool withSink = rng.bernoulli(0.7);
+      const auto chain = rng.uniformInt(1, 2);
+      const auto room = 16 - (withSource ? 1 : 0) - (withSink ? 1 : 0);
+      const auto branches = rng.uniformInt(1, room / chain);
+      const VertexId src = withSource ? task() : graph::kInvalidVertex;
+      std::vector<VertexId> tails;
+      for (std::int64_t b = 0; b < branches; ++b) {
+        VertexId prev = src;
+        for (std::int64_t i = 0; i < chain; ++i) {
+          const VertexId v = task();
+          if (prev != graph::kInvalidVertex) g.addEdge(prev, v, 0.0);
+          prev = v;
+        }
+        tails.push_back(prev);
+      }
+      if (withSink) {
+        const VertexId sink = task();
+        for (const VertexId t : tails) g.addEdge(t, sink, 0.0);
+      }
+      return g;
+    }
+    default: {  // random layered DAG, at most 16 tasks
+      const auto layers = static_cast<int>(rng.uniformInt(1, 4));
+      const int width = std::min(16 / layers, 5);
+      return test::randomLayeredDag(layers, width,
+                                    static_cast<int>(rng.uniformInt(1, 3)),
+                                    rng.next());
+    }
+  }
+}
+
+/// The flat-memo DP with its incumbent cut returns the reference's peak and
+/// order bit for bit: whole blocks of every shape and weight kind, and
+/// induced sub-blocks of a larger DAG (external inputs and outputs). Seed
+/// count follows DAGPM_FUZZ_ITERS.
+TEST(ExactDp, MatchesHashMapReferenceBitForBit) {
+  for (const std::uint64_t seed : test::fuzzSeeds(32)) {
+    support::Rng rng(seed);
+    for (const DpWeights weights :
+         {DpWeights::kReal, DpWeights::kZero, DpWeights::kSmallInt}) {
+      const auto check = [&](const graph::SubDag& sub, const char* what) {
+        ASSERT_LE(sub.dag.numVertices(), 16u);
+        const BlockCosts costs(sub);
+        const auto exact = exactMinPeakOrder(costs);
+        ASSERT_TRUE(exact.has_value());
+        const ExactResult ref = HashMapDpReference(costs).solve();
+        EXPECT_EQ(test::bitsOf(exact->peak), test::bitsOf(ref.peak))
+            << what << ", seed " << seed << ", weights "
+            << static_cast<int>(weights) << ": " << exact->peak << " vs "
+            << ref.peak;
+        EXPECT_EQ(exact->order, ref.order)
+            << what << ", seed " << seed << ", weights "
+            << static_cast<int>(weights);
+      };
+      for (int kind = 0; kind < 3; ++kind) {
+        const Dag g = reweighted(dpBlockShape(kind, rng), weights, rng);
+        check(test::wholeDagAsSub(g), kind == 0   ? "chain"
+                                      : kind == 1 ? "fan"
+                                                  : "layered");
+      }
+      // An induced sub-block: a random vertex subset of a larger DAG.
+      const Dag big = reweighted(test::randomLayeredDag(6, 5, 3, rng.next()),
+                                 weights, rng);
+      std::vector<VertexId> all(big.numVertices());
+      std::iota(all.begin(), all.end(), VertexId{0});
+      rng.shuffle(all);
+      const auto size = static_cast<std::size_t>(rng.uniformInt(
+          1, static_cast<std::int64_t>(std::min<std::size_t>(16, all.size()))));
+      std::vector<VertexId> block(all.begin(), all.begin() + size);
+      std::sort(block.begin(), block.end());
+      check(graph::inducedSubgraph(big, block), "sub-block");
+    }
+  }
 }
 
 TEST(Greedy, OrdersAreTopological) {
@@ -410,7 +604,7 @@ TEST(Oracle, NeverWorseThanAPlainTopologicalOrder) {
 TEST(Oracle, OptimalOnTinyBlocks) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Dag g = test::randomLayeredDag(4, 3, 2, seed);
-    if (g.numVertices() > 9) continue;
+    ASSERT_LE(g.numVertices(), 12u) << "too large for brute force";
     std::vector<VertexId> all(g.numVertices());
     for (VertexId v = 0; v < g.numVertices(); ++v) all[v] = v;
     const MemDagOracle oracle(g);

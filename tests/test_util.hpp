@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include <omp.h>
@@ -32,6 +34,23 @@ inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// Seeds 1..n, where n defaults to `defaultCount` and can be raised (or
+/// lowered) via DAGPM_FUZZ_ITERS so nightly CI can crank up the coverage.
+/// Parameterized suites read it at registration, so the variable must be
+/// set both when gtest lists the tests and when it runs them.
+inline std::vector<std::uint64_t> fuzzSeeds(int defaultCount) {
+  int count = defaultCount;
+  if (const char* iters = std::getenv("DAGPM_FUZZ_ITERS");
+      iters != nullptr && *iters != '\0') {
+    // A malformed value keeps the default rather than silently collapsing
+    // coverage to one seed (atoi returns 0 on garbage).
+    if (const int parsed = std::atoi(iters); parsed > 0) count = parsed;
+  }
+  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(count));
+  std::iota(seeds.begin(), seeds.end(), std::uint64_t{1});
+  return seeds;
 }
 
 /// The bit pattern of `x`, for hashing doubles exactly.

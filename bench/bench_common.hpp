@@ -67,11 +67,14 @@ class BenchContext {
     return env_.sweep.empty() ? "doubling" : env_.sweep;
   }
 
-  /// The run parameters every exported document records as its "meta".
-  [[nodiscard]] std::map<std::string, std::string> meta() const {
-    return {{"scale", scaleName()},
-            {"sweep", sweepName()},
-            {"seeds", std::to_string(env_.seeds)}};
+  /// The run parameters every exported document records as its "meta",
+  /// plus a document's own `extra` ones.
+  [[nodiscard]] std::map<std::string, std::string> meta(
+      std::map<std::string, std::string> extra = {}) const {
+    extra.insert({{"scale", scaleName()},
+                  {"sweep", sweepName()},
+                  {"seeds", std::to_string(env_.seeds)}});
+    return extra;
   }
 
   [[nodiscard]] std::string scaleName() const {

@@ -854,6 +854,23 @@ int table02Clusters(const BenchContext&, Comparisons&) {
   return 0;
 }
 
+/// Console text of `key` in a study's exported JSON row: a string as is,
+/// a number as a count ('#'), a ratio ('x'), a percentage ('%') or to two
+/// decimals ('2'). A key the row lacks, or of the other kind, throws.
+std::string cell(const support::JsonValue& row, const std::string& key,
+                 char format = 's') {
+  const support::JsonValue* value = row.find(key);
+  if (value == nullptr || value->isString() != (format == 's')) {
+    throw std::logic_error("study row has no cell " + key);
+  }
+  const double v = value->asNumber();
+  if (format == '#') return std::to_string(static_cast<long>(v));
+  if (format == 'x') return support::Table::num(v, 3) + "x";
+  if (format == '%') return support::Table::percent(v);
+  if (format == '2') return support::Table::num(v, 2);
+  return value->asString();
+}
+
 // Extension (ours): how optimistic is the paper's uncontended Eq. (1)-(2)
 // makespan under fair-share link contention, and how much of the gap does
 // contention-aware scheduling (SchedulerOptions::contentionAware) win back?
@@ -878,34 +895,30 @@ int contentionGap(const BenchContext& ctx, Comparisons& runs) {
       experiments::runContention(runs.realAndSmallPart().instances, ccrLadder,
                                  oblivious, ctx.options().part);
 
+  const experiments::BenchExport exported = experiments::contentionExport(
+      "contention_gap", outcomes,
+      ctx.meta({{"comm", "block-synchronous"}, {"contention", "1"}}));
   support::Table table({"ccr", "band", "workflows", "optimism gap",
                         "aware gain", "recovered", "wins/losses"});
-  for (const auto& [key, agg] : experiments::aggregateContention(outcomes)) {
-    table.addRow({key.first, key.second, std::to_string(agg.comparable),
-                  support::Table::num(agg.geomeanOptimismGap, 3) + "x",
-                  support::Table::num(agg.geomeanAwareGain, 3) + "x",
-                  support::Table::percent(agg.meanRecoveredFraction),
-                  std::to_string(agg.awareWins) + "/" +
-                      std::to_string(agg.awareLosses)});
+  for (const support::JsonValue& row : exported.rows) {
+    table.addRow({cell(row, "config"), cell(row, "band"),
+                  cell(row, "comparable", '#'),
+                  cell(row, "geomean_optimism_gap", 'x'),
+                  cell(row, "geomean_aware_gain", 'x'),
+                  cell(row, "recovered_fraction", '%'),
+                  cell(row, "aware_wins", '#') + "/" +
+                      cell(row, "aware_losses", '#')});
   }
   table.print(std::cout);
   std::cout << "\noptimism gap = fair-share simulated / static Eq.(1)-(2) "
                "makespan of the oblivious schedule;\naware gain = oblivious "
                "/ contention-aware simulated makespan; recovered = share of "
                "the gap\nthe aware search closes\n";
-
-  std::map<std::string, std::string> meta = ctx.meta();
-  meta["comm"] = "block-synchronous";
-  meta["contention"] = "1";
-  const experiments::BenchExport exported =
-      experiments::contentionExport("contention_gap", outcomes, meta);
   if (!experiments::exportBench(exported)) return 1;
-  bool anyComparable = false;
-  for (const experiments::ContentionOutcome& out : outcomes) {
-    anyComparable =
-        anyComparable || (out.obliviousFeasible && out.awareFeasible);
-  }
-  if (!anyComparable) {
+  const auto comparable = [](const support::JsonValue& row) {
+    return row.numberOr("comparable", 0.0) > 0.0;
+  };
+  if (std::ranges::none_of(exported.rows, comparable)) {
     std::cerr << "error: no instance was schedulable in both modes\n";
     return 1;
   }
@@ -987,27 +1000,25 @@ int reschedRecovery(const BenchContext& ctx, Comparisons& runs) {
       experiments::runRescheduling(pass.instances, pass.scheduled, levels,
                                    options);
 
+  const experiments::BenchExport exported = experiments::reschedulingExport(
+      "resched_recovery", outcomes,
+      ctx.meta({{"replications", std::to_string(options.replications)},
+                {"comm", "block-synchronous"}}));
   support::Table table({"noise", "policy", "scheduler", "instances",
                         "mean slowdown", "p95 slowdown", "recovered",
                         "resched/run"});
-  for (const auto& [key, agg] : experiments::aggregateRescheduling(outcomes)) {
-    table.addRow({std::get<0>(key), std::get<1>(key), std::get<2>(key),
-                  std::to_string(agg.instances),
-                  support::Table::num(agg.geomeanMeanSlowdown, 3) + "x",
-                  support::Table::num(agg.geomeanP95Slowdown, 3) + "x",
-                  support::Table::percent(agg.recoveredFraction),
-                  support::Table::num(agg.meanReschedules, 2)});
+  for (const support::JsonValue& row : exported.rows) {
+    table.addRow({cell(row, "config"), cell(row, "policy"),
+                  cell(row, "scheduler"), cell(row, "instances", '#'),
+                  cell(row, "geomean_mean_slowdown", 'x'),
+                  cell(row, "geomean_p95_slowdown", 'x'),
+                  cell(row, "recovered_fraction", '%'),
+                  cell(row, "mean_reschedules", '2')});
   }
   table.print(std::cout);
   std::cout << "\nslowdown = simulated / static Eq.(1)-(2) makespan; "
                "recovered = share of the no-resched\ndegradation won back "
                "(1 = repaired all the way to the static prediction)\n";
-
-  std::map<std::string, std::string> meta = ctx.meta();
-  meta["replications"] = std::to_string(options.replications);
-  meta["comm"] = "block-synchronous";
-  const experiments::BenchExport exported =
-      experiments::reschedulingExport("resched_recovery", outcomes, meta);
   if (!experiments::exportBench(exported)) return 1;
   return replayStatus(outcomes);
 }
@@ -1038,20 +1049,25 @@ int faultRecovery(const BenchContext& ctx, Comparisons& runs) {
   const std::vector<experiments::FaultOutcome> outcomes =
       experiments::runFaultRecovery(pass.instances, pass.scheduled, levels,
                                     options);
-  const auto aggregates = experiments::aggregateFaultRecovery(outcomes);
 
+  const experiments::BenchExport exported = experiments::faultRecoveryExport(
+      "fault_recovery", outcomes,
+      ctx.meta({{"replications", std::to_string(options.replications)},
+                {"spares", std::to_string(experiments::kSpareProcessors)},
+                {"comm", "block-synchronous"}}));
   support::Table table({"faults", "scheduler", "instances", "fail-stops",
                         "killed", "evac", "aware slowdown", "greedy slowdown",
                         "recovered", "improvement"});
-  for (const auto& [key, agg] : aggregates) {
-    table.addRow({key.first, key.second, std::to_string(agg.instances),
-                  std::to_string(agg.totalFailStops),
-                  std::to_string(agg.totalTasksKilled),
-                  std::to_string(agg.totalEvacuations),
-                  support::Table::num(agg.geomeanAwareSlowdown, 3) + "x",
-                  support::Table::num(agg.geomeanGreedySlowdown, 3) + "x",
-                  support::Table::percent(agg.meanRecoveredFraction),
-                  support::Table::num(agg.improvement, 3) + "x"});
+  for (const support::JsonValue& row : exported.rows) {
+    table.addRow({cell(row, "level"), cell(row, "scheduler"),
+                  cell(row, "instances", '#'),
+                  cell(row, "total_fail_stops", '#'),
+                  cell(row, "total_tasks_killed", '#'),
+                  cell(row, "evacuations", '#'),
+                  cell(row, "geomean_aware_slowdown", 'x'),
+                  cell(row, "geomean_greedy_slowdown", 'x'),
+                  cell(row, "recovered_fraction", '%'),
+                  cell(row, "improvement", 'x')});
   }
   table.print(std::cout);
   std::cout << "\nslowdown = simulated / static Eq.(1)-(2) makespan; "
@@ -1059,28 +1075,21 @@ int faultRecovery(const BenchContext& ctx, Comparisons& runs) {
                "the repair search won back; improvement = greedy / aware\n"
                "slowdown (> 1 = recovery-aware rescheduling strictly beats "
                "greedy re-execution)\n";
-
-  std::map<std::string, std::string> meta = ctx.meta();
-  meta["replications"] = std::to_string(options.replications);
-  meta["spares"] = std::to_string(experiments::kSpareProcessors);
-  meta["comm"] = "block-synchronous";
-  const experiments::BenchExport exported =
-      experiments::faultRecoveryExport("fault_recovery", outcomes, meta);
   if (!experiments::exportBench(exported)) return 1;
   if (replayStatus(outcomes) != 0) return 1;
   // The acceptance bar of this extension: at every nonzero fault rung the
   // recovery-aware repair must strictly beat greedy re-execution in
   // aggregate (improvement > 1). min(aware, greedy) per run makes >= 1
   // structural; strictness requires the repair search to actually win runs.
-  for (const auto& [key, agg] : aggregates) {
-    if (key.first == "nofault") continue;
-    if (!(agg.improvement > 1.0)) {
-      std::cerr << "error: recovery-aware rescheduling did not strictly beat "
-                   "greedy re-execution at "
-                << key.first << "/" << key.second
-                << " (improvement = " << agg.improvement << ")\n";
-      return 1;
-    }
+  for (const support::JsonValue& row : exported.rows) {
+    const std::string level = cell(row, "level");
+    const double improvement = row.numberOr("improvement", 0.0);
+    if (level == "nofault" || improvement > 1.0) continue;
+    std::cerr << "error: recovery-aware rescheduling did not strictly beat "
+                 "greedy re-execution at "
+              << level << "/" << cell(row, "scheduler")
+              << " (improvement = " << improvement << ")\n";
+    return 1;
   }
   return 0;
 }
@@ -1111,27 +1120,26 @@ int robustnessNoise(const BenchContext& ctx, Comparisons& runs) {
       experiments::runRobustness(pass.instances, pass.scheduled, levels,
                                  options);
 
+  const experiments::BenchExport exported = experiments::robustnessExport(
+      "robustness_noise", outcomes,
+      ctx.meta({{"replications", std::to_string(options.replications)},
+                {"comm", "task-eager"},
+                {"contention", "1"}}));
   support::Table table({"noise", "scheduler", "instances", "mean slowdown",
                         "p95 slowdown", "worst", "overflow runs"});
-  for (const auto& [key, agg] : experiments::aggregateRobustness(outcomes)) {
-    table.addRow({key.first, key.second, std::to_string(agg.instances),
-                  support::Table::num(agg.geomeanMeanSlowdown, 3) + "x",
-                  support::Table::num(agg.geomeanP95Slowdown, 3) + "x",
-                  support::Table::num(agg.maxSlowdown, 3) + "x",
-                  std::to_string(agg.overflowRuns) + " (" +
-                      support::Table::percent(agg.overflowFraction) + ")"});
+  for (const support::JsonValue& row : exported.rows) {
+    table.addRow({cell(row, "config"), cell(row, "scheduler"),
+                  cell(row, "instances", '#'),
+                  cell(row, "geomean_mean_slowdown", 'x'),
+                  cell(row, "geomean_p95_slowdown", 'x'),
+                  cell(row, "max_slowdown", 'x'),
+                  cell(row, "overflow_runs", '#') + " (" +
+                      cell(row, "overflow_fraction", '%') + ")"});
   }
   table.print(std::cout);
   std::cout << "\nslowdown = simulated / static Eq.(1)-(2) makespan; values "
                "< 1x mean the task-eager\nexecution beats the conservative "
                "block-synchronous prediction\n";
-
-  std::map<std::string, std::string> meta = ctx.meta();
-  meta["replications"] = std::to_string(options.replications);
-  meta["comm"] = "task-eager";
-  meta["contention"] = "1";
-  const experiments::BenchExport exported =
-      experiments::robustnessExport("robustness_noise", outcomes, meta);
   if (!experiments::exportBench(exported)) return 1;
   return replayStatus(outcomes);
 }

@@ -10,7 +10,6 @@
 #include "memory/oracle.hpp"
 #include "scheduler/solution.hpp"
 #include "sim/engine.hpp"
-#include "support/stats.hpp"
 
 namespace dagpm::experiments {
 
@@ -104,110 +103,75 @@ std::vector<ContentionOutcome> runContention(
   return slots;
 }
 
-std::map<std::pair<std::string, std::string>, ContentionAggregate>
-aggregateContention(const std::vector<ContentionOutcome>& outcomes) {
-  std::map<std::pair<std::string, std::string>,
-           std::vector<const ContentionOutcome*>>
-      groups;
-  for (const ContentionOutcome& out : outcomes) {
-    groups[{out.config, workflows::sizeBandName(out.band)}].push_back(&out);
-    groups[{out.config, "all"}].push_back(&out);
-  }
-  std::map<std::pair<std::string, std::string>, ContentionAggregate> result;
-  for (const auto& [key, group] : groups) {
-    ContentionAggregate agg;
-    std::vector<double> statics, oblSims, awareSims, gaps, gains, recovered;
-    for (const ContentionOutcome* out : group) {
-      ++agg.total;
-      if (!out->obliviousFeasible || !out->awareFeasible) continue;
-      ++agg.comparable;
-      // Degenerate zero-makespan schedules cannot enter a geometric mean.
-      if (out->obliviousStatic <= 0.0 || out->obliviousSimulated <= 0.0 ||
-          out->awareSimulated <= 0.0) {
-        continue;
-      }
-      statics.push_back(out->obliviousStatic);
-      oblSims.push_back(out->obliviousSimulated);
-      awareSims.push_back(out->awareSimulated);
-      gaps.push_back(out->obliviousSimulated / out->obliviousStatic);
-      gains.push_back(out->obliviousSimulated / out->awareSimulated);
-      const double tol = 1e-9 * out->obliviousSimulated;
-      if (out->awareSimulated < out->obliviousSimulated - tol) {
-        ++agg.awareWins;
-      } else if (out->awareSimulated > out->obliviousSimulated + tol) {
-        ++agg.awareLosses;
-      }
-      const double gap = out->obliviousSimulated - out->obliviousStatic;
-      if (gap > tol) {
-        const double share =
-            (out->obliviousSimulated - out->awareSimulated) / gap;
-        recovered.push_back(std::clamp(share, 0.0, 1.0));
-      }
-    }
-    agg.geomeanObliviousStatic = support::geometricMean(statics);
-    agg.geomeanObliviousSimulated = support::geometricMean(oblSims);
-    agg.geomeanAwareSimulated = support::geometricMean(awareSims);
-    agg.geomeanOptimismGap = support::geometricMean(gaps);
-    agg.geomeanAwareGain = support::geometricMean(gains);
-    agg.meanRecoveredFraction = support::mean(recovered);
-    result[key] = agg;
-  }
-  return result;
-}
-
 BenchExport contentionExport(
     const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
     const std::map<std::string, std::string>& meta) {
-  BenchExport result;
-  result.bench = bench;
-  result.meta = metaJson(meta);
-  result.csvHeader = {"config", "instance", "band", "family", "tasks", "ccr",
-                      "oblivious_feasible", "aware_feasible",
-                      "oblivious_static", "oblivious_predicted",
-                      "oblivious_simulated", "aware_static", "aware_predicted",
-                      "aware_simulated"};
-  const auto& fmt = formatG6;
-  for (const ContentionOutcome& out : outcomes) {
-    result.csvRows.push_back({
-        out.config,
-        out.instance,
-        workflows::sizeBandName(out.band),
-        out.family,
-        std::to_string(out.numTasks),
-        fmt(out.ccr),
-        out.obliviousFeasible ? "1" : "0",
-        out.awareFeasible ? "1" : "0",
-        fmt(out.obliviousStatic),
-        fmt(out.obliviousPredicted),
-        fmt(out.obliviousSimulated),
-        fmt(out.awareStatic),
-        fmt(out.awarePredicted),
-        fmt(out.awareSimulated),
-    });
-  }
-  for (const auto& [key, agg] : aggregateContention(outcomes)) {
-    support::JsonObject row;
-    row["config"] = support::JsonValue(key.first);
-    row["band"] = support::JsonValue(key.second);
-    row["workflows"] = support::JsonValue(static_cast<double>(agg.total));
-    row["comparable"] =
-        support::JsonValue(static_cast<double>(agg.comparable));
-    row["aware_wins"] = support::JsonValue(static_cast<double>(agg.awareWins));
-    row["aware_losses"] =
-        support::JsonValue(static_cast<double>(agg.awareLosses));
-    row["geomean_oblivious_static"] =
-        support::JsonValue(agg.geomeanObliviousStatic);
-    row["geomean_oblivious_simulated"] =
-        support::JsonValue(agg.geomeanObliviousSimulated);
-    row["geomean_aware_simulated"] =
-        support::JsonValue(agg.geomeanAwareSimulated);
-    row["geomean_optimism_gap"] = support::JsonValue(agg.geomeanOptimismGap);
-    row["geomean_aware_gain"] = support::JsonValue(agg.geomeanAwareGain);
-    row["recovered_fraction"] =
-        support::JsonValue(agg.meanRecoveredFraction);
-    result.rows.push_back(support::JsonValue(std::move(row)));
-  }
-  return result;
+  using Out = ContentionOutcome;
+  StudyTable<Out> table({"config", "band"}, [](const Out& out) {
+    const std::string band = workflows::sizeBandName(out.band);
+    return std::vector<GroupKey>{{out.config, band}, {out.config, "all"}};
+  });
+  table.csv("config", &Out::config);
+  table.instanceColumns();
+  table.csv("ccr", &Out::ccr);
+  table.csv("oblivious_feasible", &Out::obliviousFeasible);
+  table.csv("aware_feasible", &Out::awareFeasible);
+  table.csv("oblivious_static", &Out::obliviousStatic);
+  table.csv("oblivious_predicted", &Out::obliviousPredicted);
+  table.csv("oblivious_simulated", &Out::obliviousSimulated);
+  table.csv("aware_static", &Out::awareStatic);
+  table.csv("aware_predicted", &Out::awarePredicted);
+  table.csv("aware_simulated", &Out::awareSimulated);
+
+  const auto comparable = [](const Out& out) {
+    return out.obliviousFeasible && out.awareFeasible;
+  };
+  // Degenerate zero-makespan schedules cannot enter a geometric mean; they
+  // count as neither a win nor a loss either.
+  const auto priced = [=](const Out& out) {
+    return comparable(out) && out.obliviousStatic > 0.0 &&
+           out.obliviousSimulated > 0.0 && out.awareSimulated > 0.0;
+  };
+  const auto tol = [](const Out& out) { return 1e-9 * out.obliviousSimulated; };
+  const auto wins = [=](const Out& out) {
+    return priced(out) &&
+           out.awareSimulated < out.obliviousSimulated - tol(out);
+  };
+  const auto losses = [=](const Out& out) {
+    return priced(out) &&
+           out.awareSimulated > out.obliviousSimulated + tol(out);
+  };
+  const auto optimismGap = [](const Out& out) {
+    return out.obliviousSimulated / out.obliviousStatic;
+  };
+  const auto awareGain = [](const Out& out) {
+    return out.obliviousSimulated / out.awareSimulated;
+  };
+  const auto gap = [](const Out& out) {
+    return out.obliviousSimulated - out.obliviousStatic;
+  };
+  const auto hasGap = [=](const Out& out) {
+    return priced(out) && gap(out) > tol(out);
+  };
+  const auto recovered = [=](const Out& out) {
+    const double share =
+        (out.obliviousSimulated - out.awareSimulated) / gap(out);
+    return std::clamp(share, 0.0, 1.0);
+  };
+  table.json("workflows", countOf(kAll));
+  table.json("comparable", countOf(comparable));
+  table.json("aware_wins", countOf(wins));
+  table.json("aware_losses", countOf(losses));
+  table.json("geomean_oblivious_static",
+             geomeanOf(&Out::obliviousStatic, priced));
+  table.json("geomean_oblivious_simulated",
+             geomeanOf(&Out::obliviousSimulated, priced));
+  table.json("geomean_aware_simulated",
+             geomeanOf(&Out::awareSimulated, priced));
+  table.json("geomean_optimism_gap", geomeanOf(optimismGap, priced));
+  table.json("geomean_aware_gain", geomeanOf(awareGain, priced));
+  table.json("recovered_fraction", meanOf(recovered, hasGap));
+  return table.exportRows(bench, outcomes, meta);
 }
 
 }  // namespace dagpm::experiments

@@ -66,28 +66,8 @@ std::vector<ContentionOutcome> runContention(
     const std::vector<std::span<const ScheduledInstance>>& obliviousPasses,
     const scheduler::DagHetPartConfig& part);
 
-/// Per-group aggregate: the bench table / JSON rows.
-struct ContentionAggregate {
-  int total = 0;
-  int comparable = 0;  // both modes feasible (only those aggregate below)
-  int awareWins = 0;   // awareSimulated < obliviousSimulated - 1e-9
-  int awareLosses = 0;
-  double geomeanObliviousStatic = 0.0;
-  double geomeanObliviousSimulated = 0.0;
-  double geomeanAwareSimulated = 0.0;
-  double geomeanOptimismGap = 0.0;  // of obliviousSim / obliviousStatic
-  double geomeanAwareGain = 0.0;    // of obliviousSim / awareSim (>1 = win)
-  /// Mean over instances with a positive optimism gap of the recovered
-  /// fraction, clamped to [0, 1].
-  double meanRecoveredFraction = 0.0;
-};
-
-/// Groups outcomes by (config, band name) plus an "all" band per config.
-std::map<std::pair<std::string, std::string>, ContentionAggregate>
-aggregateContention(const std::vector<ContentionOutcome>& outcomes);
-
 /// The contention_gap export: one CSV row per outcome and one JSON row per
-/// (config, band) aggregate.
+/// (config, band) group, plus an "all" band per config.
 BenchExport contentionExport(
     const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
     const std::map<std::string, std::string>& meta = {});

@@ -66,20 +66,6 @@ bool writeJsonDocument(const std::string& path,
 
 }  // namespace
 
-std::vector<std::string> keyRow(const OutcomeKey& key,
-                                const std::vector<std::string>& cells) {
-  std::vector<std::string> row = {
-      key.config,
-      key.scheduler,
-      key.instance,
-      workflows::sizeBandName(key.band),
-      key.family,
-      std::to_string(key.numTasks),
-  };
-  row.insert(row.end(), cells.begin(), cells.end());
-  return row;
-}
-
 support::JsonObject metaJson(const std::map<std::string, std::string>& meta) {
   support::JsonObject obj;
   for (const auto& [key, value] : meta) obj[key] = support::JsonValue(value);

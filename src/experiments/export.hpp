@@ -11,18 +11,28 @@
 //                         machine-readable record the perf trajectory
 //                         (BENCH_*.json) regresses against.
 //
-// Every bench fills one BenchExport (its row builders live next to its
-// outcomes: outcomesExport below, robustnessExport, contentionExport, ...)
-// and hands it to exportBench, which writes both files. Every document has
-// the same top-level shape: {schema_version, bench, meta, rows, stats} plus
-// the bench's extra keys.
+// Every bench fills one BenchExport and hands it to exportBench, which
+// writes both files. Every document has the same top-level shape:
+// {schema_version, bench, meta, rows, stats} plus the bench's extra keys.
+// The harness benches fill theirs with outcomesExport. Each contention and
+// Monte-Carlo study declares one StudyTable instead: a name and a getter per
+// CSV column, its group key fields, and a name and a reducer (countOf,
+// sumOf, meanOf, largestOf, geomeanOf, ratioOf) per number of its JSON rows.
+// The CSV header, CSV rows and JSON rows all come from that one
+// declaration; console tables read the JSON rows by key.
 
+#include <functional>
 #include <map>
+#include <numeric>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/harness.hpp"
 #include "support/json.hpp"
+#include "support/stats.hpp"
+#include "workflows/families.hpp"
 
 namespace dagpm::experiments {
 
@@ -42,11 +52,6 @@ struct BenchExport {
   /// Further top-level keys of the JSON document (e.g. "overall").
   support::JsonObject extra;
 };
-
-/// A Monte-Carlo CSV row: the OutcomeKey's cells (config, scheduler,
-/// instance, band, family, tasks), then `cells`.
-std::vector<std::string> keyRow(const OutcomeKey& key,
-                                const std::vector<std::string>& cells);
 
 /// String-valued run parameters (scale, sweep, seeds, ...) as the "meta"
 /// object of a bench document.
@@ -95,5 +100,144 @@ support::JsonValue aggregateToJson(const Aggregate& agg);
 BenchExport outcomesExport(const std::string& bench,
                            const OutcomeGroups& groups,
                            const std::map<std::string, std::string>& meta = {});
+
+/// The CSV text of a study cell: "%.6g" for reals, std::to_string for
+/// integers and bools, strings as is.
+inline std::string cellText(double v) { return formatG6(v); }
+inline std::string cellText(int v) { return std::to_string(v); }
+inline std::string cellText(std::string v) { return v; }
+
+/// A group key of a study: one string per key field.
+using GroupKey = std::vector<std::string>;
+
+/// One study's column declaration and export.
+template <class Outcome>
+class StudyTable {
+ public:
+  /// The outcomes of one group, in input order.
+  using Group = std::span<const Outcome* const>;
+  /// The group keys of an outcome: one per group it belongs to.
+  using Keys = std::function<std::vector<GroupKey>(const Outcome&)>;
+  using Cell = std::function<std::string(const Outcome&)>;
+  using Reducer = std::function<double(Group)>;
+
+  StudyTable(std::vector<std::string> keyFields, Keys keys)
+      : keyFields_(std::move(keyFields)), keys_(std::move(keys)) {}
+
+  /// Appends a CSV column; `get` (a member pointer or a callable) reads the
+  /// cell's value (see cellText) from an outcome.
+  template <class Get>
+  void csv(std::string name, Get get) {
+    csv_.emplace_back(std::move(name), [get](const Outcome& out) {
+      return cellText(std::invoke(get, out));
+    });
+  }
+
+  /// Appends the instance columns: instance, band, family, tasks.
+  void instanceColumns() {
+    csv("instance", &Outcome::instance);
+    csv("band", [](const Outcome& out) {
+      return workflows::sizeBandName(out.band);
+    });
+    csv("family", &Outcome::family);
+    csv("tasks", &Outcome::numTasks);
+  }
+
+  /// Appends a number of the JSON rows: `reduce` of each group (see
+  /// countOf, sumOf, ...).
+  void json(std::string name, Reducer reduce) {
+    json_.emplace_back(std::move(name), std::move(reduce));
+  }
+
+  /// One CSV row per outcome, and one JSON row per group key (in sorted key
+  /// order) holding the key fields and every JSON number.
+  BenchExport exportRows(const std::string& bench,
+                         const std::vector<Outcome>& outcomes,
+                         const std::map<std::string, std::string>& meta) const {
+    BenchExport result;
+    result.bench = bench;
+    result.meta = metaJson(meta);
+    for (const auto& [name, cell] : csv_) result.csvHeader.push_back(name);
+    std::map<GroupKey, std::vector<const Outcome*>> groups;
+    for (const Outcome& out : outcomes) {
+      std::vector<std::string>& row = result.csvRows.emplace_back();
+      for (const auto& [name, cell] : csv_) row.push_back(cell(out));
+      for (GroupKey& key : keys_(out)) groups[std::move(key)].push_back(&out);
+    }
+    for (const auto& [key, group] : groups) {
+      support::JsonObject row;
+      for (std::size_t k = 0; k < key.size(); ++k) {
+        row[keyFields_[k]] = support::JsonValue(key[k]);
+      }
+      for (const auto& [name, reduce] : json_) {
+        row[name] = support::JsonValue(reduce(group));
+      }
+      result.rows.push_back(support::JsonValue(std::move(row)));
+    }
+    return result;
+  }
+
+ private:
+  std::vector<std::string> keyFields_;
+  Keys keys_;
+  std::vector<std::pair<std::string, Cell>> csv_;
+  std::vector<std::pair<std::string, Reducer>> json_;
+};
+
+// The study reducers. Each folds the `value` (a member pointer or a
+// callable) of every outcome of a group that its `keep` filter passes, in
+// group order; a group with no kept outcome reduces to 0.
+
+/// The reducer folding the kept values with `fold`.
+template <class Fold, class Value, class Keep>
+auto foldOf(Fold fold, Value value, Keep keep) {
+  return [=](const auto& group) {
+    std::vector<double> values;
+    for (const auto* out : group) {
+      if (keep(*out)) values.push_back(std::invoke(value, *out));
+    }
+    return values.empty() ? 0.0 : fold(std::span<const double>(values));
+  };
+}
+
+/// The filter every outcome passes.
+inline constexpr auto kAll = [](const auto&) { return true; };
+
+template <class Value, class Keep>
+auto sumOf(Value value, Keep keep) {
+  const auto sum = [](std::span<const double> values) {
+    return std::accumulate(values.begin(), values.end(), 0.0);
+  };
+  return foldOf(sum, value, keep);
+}
+template <class Keep>
+auto countOf(Keep keep) {
+  return sumOf([](const auto&) { return 1.0; }, keep);
+}
+template <class Value, class Keep>
+auto meanOf(Value value, Keep keep) {
+  return foldOf(support::mean, value, keep);
+}
+template <class Value, class Keep>
+auto largestOf(Value value, Keep keep) {
+  return foldOf(support::maxOf, value, keep);
+}
+/// Skips non-positive values too: a degenerate zero makespan cannot enter a
+/// geometric mean.
+template <class Value, class Keep>
+auto geomeanOf(Value value, Keep keep) {
+  return foldOf(support::geometricMean, value, [=](const auto& out) {
+    return keep(out) && std::invoke(value, out) > 0.0;
+  });
+}
+
+/// numerator / denominator of a group; 0 unless the denominator is positive.
+template <class Numerator, class Denominator>
+auto ratioOf(Numerator numerator, Denominator denominator) {
+  return [=](const auto& group) {
+    const double d = denominator(group);
+    return d > 0.0 ? numerator(group) / d : 0.0;
+  };
+}
 
 }  // namespace dagpm::experiments

@@ -67,6 +67,16 @@ platform::Cluster addSpareProcessors(const platform::Cluster& cluster,
   return platform::Cluster(std::move(processors), cluster.bandwidth());
 }
 
+std::optional<double> recoveredShare(double aware, double greedy,
+                                     double staticMakespan) {
+  if (greedy == std::numeric_limits<double>::infinity()) return 1.0;
+  const double degradation = greedy - staticMakespan;
+  if (degradation > 1e-9 * std::max(1.0, staticMakespan)) {
+    return (greedy - aware) / degradation;
+  }
+  return std::nullopt;
+}
+
 std::vector<FaultOutcome> runFaultRecovery(
     std::span<const Instance> instances,
     std::span<const ScheduledInstance> scheduled,
@@ -127,20 +137,20 @@ std::vector<FaultOutcome> runFaultRecovery(
           const double aware = run.finalMakespan;
           const double greedy =
               spec.active() ? run.greedyMakespan : run.unrepairedMakespan;
+          if (run.faultsInjected > 0) {
+            if (const std::optional<double> share =
+                    recoveredShare(aware, greedy, out.staticMakespan)) {
+              recoveries.push_back(*share);
+            }
+          }
           if (greedy == kInf) {
             // Greedy re-execution failed outright; the search recovered.
             ++out.searchWins;
-            if (run.faultsInjected > 0) recoveries.push_back(1.0);
             continue;
           }
           out.awareMakespans.push_back(aware);
           out.greedyMakespans.push_back(greedy);
           if (aware < greedy * (1.0 - 1e-12)) ++out.searchWins;
-          const double degradation = greedy - out.staticMakespan;
-          if (run.faultsInjected > 0 &&
-              degradation > 1e-9 * std::max(1.0, out.staticMakespan)) {
-            recoveries.push_back((greedy - aware) / degradation);
-          }
         }
         if (!out.awareMakespans.empty()) {
           out.meanAware = support::mean(out.awareMakespans);
@@ -154,119 +164,64 @@ std::vector<FaultOutcome> runFaultRecovery(
       });
 }
 
-std::map<FaultKey, FaultAggregate> aggregateFaultRecovery(
-    const std::vector<FaultOutcome>& outcomes) {
-  std::map<FaultKey, std::vector<const FaultOutcome*>> groups;
-  for (const FaultOutcome& out : outcomes) {
-    groups[{out.config, out.scheduler}].push_back(&out);
-  }
-  std::map<FaultKey, FaultAggregate> result;
-  for (const auto& [key, group] : groups) {
-    FaultAggregate agg;
-    std::vector<double> aware, greedy, recovered;
-    for (const FaultOutcome* out : group) {
-      if (!out->ok) continue;
-      ++agg.instances;
-      agg.replications = out->replications;
-      agg.faultyRuns += out->faultyRuns;
-      agg.totalFailStops += out->failStops;
-      agg.totalCrashes += out->crashes;
-      agg.totalTasksKilled += out->tasksKilled;
-      agg.totalEvacuations += out->evacuations;
-      agg.totalRetries += out->retries;
-      agg.greedyWins += out->greedyWins;
-      agg.searchWins += out->searchWins;
-      agg.unrecovered += out->unrecovered;
-      if (out->meanAwareSlowdown > 0.0) {
-        aware.push_back(out->meanAwareSlowdown);
-        greedy.push_back(out->meanGreedySlowdown);
-      }
-      if (out->faultyRuns > 0) recovered.push_back(out->meanRecoveredFraction);
-    }
-    agg.geomeanAwareSlowdown = support::geometricMean(aware);
-    agg.geomeanGreedySlowdown = support::geometricMean(greedy);
-    if (agg.geomeanAwareSlowdown > 0.0) {
-      agg.improvement = agg.geomeanGreedySlowdown / agg.geomeanAwareSlowdown;
-    }
-    agg.meanRecoveredFraction = support::mean(recovered);
-    result[key] = agg;
-  }
-  return result;
-}
-
 BenchExport faultRecoveryExport(
     const std::string& bench, const std::vector<FaultOutcome>& outcomes,
     const std::map<std::string, std::string>& meta) {
-  BenchExport result;
-  result.bench = bench;
-  result.meta = metaJson(meta);
-  result.csvHeader = {"level", "scheduler", "instance", "band", "family",
-                      "tasks", "ok", "static_makespan", "mean_aware_makespan",
-                      "mean_greedy_makespan", "mean_aware_slowdown",
-                      "mean_greedy_slowdown", "recovered_fraction",
-                      "faulty_runs", "fail_stops", "crashes", "tasks_killed",
-                      "evacuations", "retries", "greedy_wins", "search_wins",
-                      "unrecovered", "replications"};
-  const auto& fmt = formatG6;
-  for (const FaultOutcome& out : outcomes) {
-    const std::vector<std::string> cells = {
-        out.ok ? "1" : "0",
-        fmt(out.staticMakespan),
-        fmt(out.meanAware),
-        fmt(out.meanGreedy),
-        fmt(out.meanAwareSlowdown),
-        fmt(out.meanGreedySlowdown),
-        fmt(out.meanRecoveredFraction),
-        std::to_string(out.faultyRuns),
-        std::to_string(out.failStops),
-        std::to_string(out.crashes),
-        std::to_string(out.tasksKilled),
-        std::to_string(out.evacuations),
-        std::to_string(out.retries),
-        std::to_string(out.greedyWins),
-        std::to_string(out.searchWins),
-        std::to_string(out.unrecovered),
-        std::to_string(out.replications),
-    };
-    result.csvRows.push_back(keyRow(out, cells));
-  }
-  for (const auto& [key, agg] : aggregateFaultRecovery(outcomes)) {
-    support::JsonObject row;
-    row["level"] = support::JsonValue(key.first);
-    row["scheduler"] = support::JsonValue(key.second);
-    row["instances"] = support::JsonValue(static_cast<double>(agg.instances));
-    row["replications"] =
-        support::JsonValue(static_cast<double>(agg.replications));
-    row["faulty_runs"] =
-        support::JsonValue(static_cast<double>(agg.faultyRuns));
-    // Exact-integer fault tallies: the CI checker matches these suffixes at
-    // zero tolerance (a drifted fault count is a determinism bug, not noise).
-    row["total_fail_stops"] =
-        support::JsonValue(static_cast<double>(agg.totalFailStops));
-    row["total_crashes"] =
-        support::JsonValue(static_cast<double>(agg.totalCrashes));
-    row["total_tasks_killed"] =
-        support::JsonValue(static_cast<double>(agg.totalTasksKilled));
-    row["total_retries"] =
-        support::JsonValue(static_cast<double>(agg.totalRetries));
-    row["evacuations"] =
-        support::JsonValue(static_cast<double>(agg.totalEvacuations));
-    row["greedy_wins"] =
-        support::JsonValue(static_cast<double>(agg.greedyWins));
-    row["search_wins"] =
-        support::JsonValue(static_cast<double>(agg.searchWins));
-    row["unrecovered"] =
-        support::JsonValue(static_cast<double>(agg.unrecovered));
-    row["geomean_aware_slowdown"] =
-        support::JsonValue(agg.geomeanAwareSlowdown);
-    row["geomean_greedy_slowdown"] =
-        support::JsonValue(agg.geomeanGreedySlowdown);
-    row["improvement"] = support::JsonValue(agg.improvement);
-    row["recovered_fraction"] =
-        support::JsonValue(agg.meanRecoveredFraction);
-    result.rows.push_back(support::JsonValue(std::move(row)));
-  }
-  return result;
+  using Out = FaultOutcome;
+  StudyTable<Out> table({"level", "scheduler"}, [](const Out& out) {
+    return std::vector<GroupKey>{{out.config, out.scheduler}};
+  });
+  table.csv("level", &Out::config);
+  table.csv("scheduler", &Out::scheduler);
+  table.instanceColumns();
+  table.csv("ok", &Out::ok);
+  table.csv("static_makespan", &Out::staticMakespan);
+  table.csv("mean_aware_makespan", &Out::meanAware);
+  table.csv("mean_greedy_makespan", &Out::meanGreedy);
+  table.csv("mean_aware_slowdown", &Out::meanAwareSlowdown);
+  table.csv("mean_greedy_slowdown", &Out::meanGreedySlowdown);
+  table.csv("recovered_fraction", &Out::meanRecoveredFraction);
+  table.csv("faulty_runs", &Out::faultyRuns);
+  table.csv("fail_stops", &Out::failStops);
+  table.csv("crashes", &Out::crashes);
+  table.csv("tasks_killed", &Out::tasksKilled);
+  table.csv("evacuations", &Out::evacuations);
+  table.csv("retries", &Out::retries);
+  table.csv("greedy_wins", &Out::greedyWins);
+  table.csv("search_wins", &Out::searchWins);
+  table.csv("unrecovered", &Out::unrecovered);
+  table.csv("replications", &Out::replications);
+
+  const auto ok = [](const Out& out) { return out.ok; };
+  // Both slowdown geomeans read the cells with a positive aware slowdown.
+  const auto slowed = [](const Out& out) {
+    return out.ok && out.meanAwareSlowdown > 0.0;
+  };
+  const auto faulty = [](const Out& out) {
+    return out.ok && out.faultyRuns > 0;
+  };
+  const auto aware = geomeanOf(&Out::meanAwareSlowdown, slowed);
+  const auto greedy = geomeanOf(&Out::meanGreedySlowdown, slowed);
+  table.json("instances", countOf(ok));
+  // Every outcome of the study runs the same replication count.
+  table.json("replications", largestOf(&Out::replications, ok));
+  // Exact-integer fault tallies: the CI checker matches these at zero
+  // tolerance (a drifted fault count is a determinism bug, not noise).
+  table.json("faulty_runs", sumOf(&Out::faultyRuns, ok));
+  table.json("total_fail_stops", sumOf(&Out::failStops, ok));
+  table.json("total_crashes", sumOf(&Out::crashes, ok));
+  table.json("total_tasks_killed", sumOf(&Out::tasksKilled, ok));
+  table.json("total_retries", sumOf(&Out::retries, ok));
+  table.json("evacuations", sumOf(&Out::evacuations, ok));
+  table.json("greedy_wins", sumOf(&Out::greedyWins, ok));
+  table.json("search_wins", sumOf(&Out::searchWins, ok));
+  table.json("unrecovered", sumOf(&Out::unrecovered, ok));
+  table.json("geomean_aware_slowdown", aware);
+  table.json("geomean_greedy_slowdown", greedy);
+  // > 1: the recovery-aware repair strictly beats naive re-execution.
+  table.json("improvement", ratioOf(greedy, aware));
+  table.json("recovered_fraction", meanOf(&Out::meanRecoveredFraction, faulty));
+  return table.exportRows(bench, outcomes, meta);
 }
 
 }  // namespace dagpm::experiments

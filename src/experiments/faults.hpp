@@ -14,8 +14,8 @@
 // thread counts and can be regression-gated like resched_recovery.
 
 #include <map>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "experiments/export.hpp"
@@ -74,13 +74,18 @@ struct FaultOutcome : OutcomeKey {  // config = FaultLevel::name
   double meanGreedy = 0.0;
   double meanAwareSlowdown = 0.0;   // meanAware / static
   double meanGreedySlowdown = 0.0;  // meanGreedy / static
-  /// Mean over faulty replications of (greedy - aware) / (greedy - static):
-  /// 1 = the repair recovered all of the greedy re-execution's degradation,
-  /// 0 = it added nothing. Replications where greedy failed outright but the
-  /// aware repair recovered count as 1.
+  /// Mean recoveredShare (below) over the faulty replications that have one.
   double meanRecoveredFraction = 0.0;
   friend bool operator==(const FaultOutcome&, const FaultOutcome&) = default;
 };
+
+/// The share of the greedy re-execution's degradation that the repair won
+/// back in one faulty replication, (greedy - aware) / (greedy - static): 1
+/// = all of it, 0 = nothing; 1 when greedy re-execution failed outright
+/// (infinite makespan) but the repair recovered, nullopt when greedy did not
+/// degrade measurably.
+std::optional<double> recoveredShare(double aware, double greedy,
+                                     double staticMakespan);
 
 struct FaultRunnerOptions {
   /// Policy of the search repair (fail-stops always trigger a repair). The
@@ -101,35 +106,8 @@ std::vector<FaultOutcome> runFaultRecovery(
     std::span<const ScheduledInstance> scheduled,
     const std::vector<FaultLevel>& levels, const FaultRunnerOptions& options);
 
-/// Per-(level, scheduler) aggregate: the bench table / JSON rows. The fault
-/// tallies are exact-integer columns the CI checker gates at zero tolerance.
-struct FaultAggregate {
-  int instances = 0;
-  int replications = 0;  // per instance
-  long faultyRuns = 0;
-  long totalFailStops = 0;
-  long totalCrashes = 0;
-  long totalTasksKilled = 0;
-  long totalEvacuations = 0;
-  long totalRetries = 0;
-  long greedyWins = 0;
-  long searchWins = 0;
-  long unrecovered = 0;
-  double geomeanAwareSlowdown = 0.0;
-  double geomeanGreedySlowdown = 0.0;
-  /// geomeanGreedySlowdown / geomeanAwareSlowdown: > 1 means the
-  /// recovery-aware repair strictly beats naive re-execution in aggregate.
-  double improvement = 0.0;
-  double meanRecoveredFraction = 0.0;
-};
-
-using FaultKey = std::pair<std::string, std::string>;  // (level, scheduler)
-
-std::map<FaultKey, FaultAggregate> aggregateFaultRecovery(
-    const std::vector<FaultOutcome>& outcomes);
-
 /// The fault_recovery export: one CSV row per outcome and one JSON row per
-/// (level, scheduler) aggregate.
+/// (level, scheduler) group.
 BenchExport faultRecoveryExport(
     const std::string& bench, const std::vector<FaultOutcome>& outcomes,
     const std::map<std::string, std::string>& meta = {});

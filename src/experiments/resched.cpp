@@ -111,122 +111,61 @@ std::vector<ReschedOutcome> runRescheduling(
       });
 }
 
-std::map<ReschedKey, ReschedAggregate> aggregateRescheduling(
-    const std::vector<ReschedOutcome>& outcomes) {
-  std::map<ReschedKey, std::vector<const ReschedOutcome*>> groups;
-  for (const ReschedOutcome& out : outcomes) {
-    groups[{out.config, out.policy, out.scheduler}].push_back(&out);
-  }
-  std::map<ReschedKey, ReschedAggregate> result;
-  for (const auto& [key, group] : groups) {
-    ReschedAggregate agg;
-    std::vector<double> statics, finals, p95s, slow, p95Slow, unrepSlow;
-    std::vector<double> recoveries;
-    double rescheds = 0.0;
-    double triggers = 0.0;
-    long totalReplications = 0;
-    long totalGuardTrips = 0;
-    for (const ReschedOutcome* out : group) {
-      if (!out->ok || out->finalMakespans.empty()) continue;
-      ++agg.instances;
-      agg.replications = out->replications;
-      totalReplications += out->replications;
-      totalGuardTrips += out->guardTrips;
-      rescheds += out->meanReschedules;
-      triggers += out->meanTriggers;
-      if (out->staticMakespan > 0.0) {
-        statics.push_back(out->staticMakespan);
-        slow.push_back(out->meanSlowdown);
-        p95Slow.push_back(out->p95Slowdown);
-        unrepSlow.push_back(out->meanUnrepairedSlowdown);
-      }
-      if (out->meanFinal > 0.0) finals.push_back(out->meanFinal);
-      if (out->p95Final > 0.0) p95s.push_back(out->p95Final);
-      const double degradation = out->meanUnrepaired - out->staticMakespan;
-      if (degradation > 1e-9 * std::max(1.0, out->staticMakespan)) {
-        recoveries.push_back((out->meanUnrepaired - out->meanFinal) /
-                             degradation);
-      }
-    }
-    agg.geomeanStaticMakespan = support::geometricMean(statics);
-    agg.geomeanMeanMakespan = support::geometricMean(finals);
-    agg.geomeanP95Makespan = support::geometricMean(p95s);
-    agg.geomeanMeanSlowdown = support::geometricMean(slow);
-    agg.geomeanP95Slowdown = support::geometricMean(p95Slow);
-    agg.geomeanUnrepairedSlowdown = support::geometricMean(unrepSlow);
-    if (agg.instances > 0) {
-      agg.meanReschedules = rescheds / agg.instances;
-      agg.meanTriggers = triggers / agg.instances;
-    }
-    agg.recoveredFraction = support::mean(recoveries);
-    agg.guardTripFraction =
-        totalReplications > 0
-            ? static_cast<double>(totalGuardTrips) /
-                  static_cast<double>(totalReplications)
-            : 0.0;
-    result[key] = agg;
-  }
-  return result;
-}
-
 BenchExport reschedulingExport(
     const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
     const std::map<std::string, std::string>& meta) {
-  BenchExport result;
-  result.bench = bench;
-  result.meta = metaJson(meta);
-  result.csvHeader = {"config", "policy", "scheduler", "instance", "band",
-                      "family", "tasks", "ok", "static_makespan",
-                      "mean_final_makespan", "p95_final_makespan",
-                      "mean_unrepaired_makespan", "mean_slowdown",
-                      "p95_slowdown", "mean_unrepaired_slowdown",
-                      "mean_reschedules", "mean_triggers", "guard_trips",
-                      "replications"};
-  const auto& fmt = formatG6;
-  for (const ReschedOutcome& out : outcomes) {
-    const std::vector<std::string> cells = {
-        out.ok ? "1" : "0",
-        fmt(out.staticMakespan),
-        fmt(out.meanFinal),
-        fmt(out.p95Final),
-        fmt(out.meanUnrepaired),
-        fmt(out.meanSlowdown),
-        fmt(out.p95Slowdown),
-        fmt(out.meanUnrepairedSlowdown),
-        fmt(out.meanReschedules),
-        fmt(out.meanTriggers),
-        std::to_string(out.guardTrips),
-        std::to_string(out.replications),
-    };
-    std::vector<std::string> row = keyRow(out, cells);
-    row.insert(row.begin() + 1, out.policy);  // after the config column
-    result.csvRows.push_back(std::move(row));
-  }
-  for (const auto& [key, agg] : aggregateRescheduling(outcomes)) {
-    support::JsonObject row;
-    row["config"] = support::JsonValue(std::get<0>(key));
-    row["policy"] = support::JsonValue(std::get<1>(key));
-    row["scheduler"] = support::JsonValue(std::get<2>(key));
-    row["instances"] = support::JsonValue(static_cast<double>(agg.instances));
-    row["replications"] =
-        support::JsonValue(static_cast<double>(agg.replications));
-    row["geomean_static_makespan"] =
-        support::JsonValue(agg.geomeanStaticMakespan);
-    row["geomean_mean_makespan"] =
-        support::JsonValue(agg.geomeanMeanMakespan);
-    row["geomean_p95_makespan"] = support::JsonValue(agg.geomeanP95Makespan);
-    row["geomean_mean_slowdown"] =
-        support::JsonValue(agg.geomeanMeanSlowdown);
-    row["geomean_p95_slowdown"] = support::JsonValue(agg.geomeanP95Slowdown);
-    row["geomean_unrepaired_slowdown"] =
-        support::JsonValue(agg.geomeanUnrepairedSlowdown);
-    row["mean_reschedules"] = support::JsonValue(agg.meanReschedules);
-    row["mean_triggers"] = support::JsonValue(agg.meanTriggers);
-    row["recovered_fraction"] = support::JsonValue(agg.recoveredFraction);
-    row["guard_trip_fraction"] = support::JsonValue(agg.guardTripFraction);
-    result.rows.push_back(support::JsonValue(std::move(row)));
-  }
-  return result;
+  using Out = ReschedOutcome;
+  StudyTable<Out> table({"config", "policy", "scheduler"}, [](const Out& out) {
+    return std::vector<GroupKey>{{out.config, out.policy, out.scheduler}};
+  });
+  table.csv("config", &Out::config);
+  table.csv("policy", &Out::policy);
+  table.csv("scheduler", &Out::scheduler);
+  table.instanceColumns();
+  table.csv("ok", &Out::ok);
+  table.csv("static_makespan", &Out::staticMakespan);
+  table.csv("mean_final_makespan", &Out::meanFinal);
+  table.csv("p95_final_makespan", &Out::p95Final);
+  table.csv("mean_unrepaired_makespan", &Out::meanUnrepaired);
+  table.csv("mean_slowdown", &Out::meanSlowdown);
+  table.csv("p95_slowdown", &Out::p95Slowdown);
+  table.csv("mean_unrepaired_slowdown", &Out::meanUnrepairedSlowdown);
+  table.csv("mean_reschedules", &Out::meanReschedules);
+  table.csv("mean_triggers", &Out::meanTriggers);
+  table.csv("guard_trips", &Out::guardTrips);
+  table.csv("replications", &Out::replications);
+
+  const auto ok = [](const Out& out) {
+    return out.ok && !out.finalMakespans.empty();
+  };
+  const auto degradation = [](const Out& out) {
+    return out.meanUnrepaired - out.staticMakespan;
+  };
+  const auto degraded = [=](const Out& out) {
+    return ok(out) &&
+           degradation(out) > 1e-9 * std::max(1.0, out.staticMakespan);
+  };
+  // 1 = repaired back to the static prediction, 0 = no recovery.
+  const auto recovered = [=](const Out& out) {
+    return (out.meanUnrepaired - out.meanFinal) / degradation(out);
+  };
+  table.json("instances", countOf(ok));
+  // Every outcome of the study runs the same replication count.
+  table.json("replications", largestOf(&Out::replications, ok));
+  table.json("geomean_static_makespan", geomeanOf(&Out::staticMakespan, ok));
+  table.json("geomean_mean_makespan", geomeanOf(&Out::meanFinal, ok));
+  table.json("geomean_p95_makespan", geomeanOf(&Out::p95Final, ok));
+  // The slowdowns are 0 (so skipped) without a positive static makespan.
+  table.json("geomean_mean_slowdown", geomeanOf(&Out::meanSlowdown, ok));
+  table.json("geomean_p95_slowdown", geomeanOf(&Out::p95Slowdown, ok));
+  table.json("geomean_unrepaired_slowdown",
+             geomeanOf(&Out::meanUnrepairedSlowdown, ok));
+  table.json("mean_reschedules", meanOf(&Out::meanReschedules, ok));
+  table.json("mean_triggers", meanOf(&Out::meanTriggers, ok));
+  table.json("recovered_fraction", meanOf(recovered, degraded));
+  table.json("guard_trip_fraction", ratioOf(sumOf(&Out::guardTrips, ok),
+                                            sumOf(&Out::replications, ok)));
+  return table.exportRows(bench, outcomes, meta);
 }
 
 }  // namespace dagpm::experiments

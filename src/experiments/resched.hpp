@@ -10,7 +10,6 @@
 
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "experiments/export.hpp"
@@ -78,32 +77,8 @@ std::vector<ReschedOutcome> runRescheduling(
     const std::vector<NoiseLevel>& levels,
     const ReschedulingRunnerOptions& options);
 
-/// Per-(config, policy, scheduler) aggregate: the bench table / JSON rows.
-struct ReschedAggregate {
-  int instances = 0;
-  int replications = 0;
-  double geomeanStaticMakespan = 0.0;
-  double geomeanMeanMakespan = 0.0;   // over instances, of meanFinal
-  double geomeanP95Makespan = 0.0;
-  double geomeanMeanSlowdown = 0.0;   // of meanFinal / static
-  double geomeanP95Slowdown = 0.0;
-  double geomeanUnrepairedSlowdown = 0.0;
-  double meanReschedules = 0.0;       // arithmetic mean over instances
-  double meanTriggers = 0.0;
-  /// Mean over degraded instances of (unrepaired - final) /
-  /// (unrepaired - static): 1 = repaired back to the static prediction,
-  /// 0 = no recovery. Instances without degradation are skipped.
-  double recoveredFraction = 0.0;
-  double guardTripFraction = 0.0;
-};
-
-using ReschedKey = std::tuple<std::string, std::string, std::string>;
-
-std::map<ReschedKey, ReschedAggregate> aggregateRescheduling(
-    const std::vector<ReschedOutcome>& outcomes);
-
 /// The resched_recovery export: one CSV row per outcome and one JSON row
-/// per (config, policy, scheduler) aggregate.
+/// per (config, policy, scheduler) group.
 BenchExport reschedulingExport(
     const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
     const std::map<std::string, std::string>& meta = {});

@@ -1,10 +1,8 @@
 #include "experiments/robustness.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "experiments/export.hpp"
-#include "support/stats.hpp"
 
 namespace dagpm::experiments {
 
@@ -43,104 +41,62 @@ std::vector<RobustnessOutcome> runRobustness(
       });
 }
 
-std::map<std::pair<std::string, std::string>, RobustnessAggregate>
-aggregateRobustness(const std::vector<RobustnessOutcome>& outcomes) {
-  std::map<std::pair<std::string, std::string>,
-           std::vector<const RobustnessOutcome*>>
-      groups;
-  for (const RobustnessOutcome& out : outcomes) {
-    groups[{out.config, out.scheduler}].push_back(&out);
-  }
-  std::map<std::pair<std::string, std::string>, RobustnessAggregate> result;
-  for (const auto& [key, group] : groups) {
-    RobustnessAggregate agg;
-    std::vector<double> statics, means, p95s, meanSlow, p95Slow;
-    long totalReplications = 0;
-    for (const RobustnessOutcome* out : group) {
-      const sim::RobustnessSummary& s = out->summary;
-      if (!s.ok || s.makespans.empty()) continue;
-      ++agg.instances;
-      agg.replications = s.replications;
-      totalReplications += s.replications;
-      // Degenerate all-zero-work schedules yield zero makespans, which the
-      // geometric mean cannot absorb; skip them like the ratios below.
-      if (s.staticMakespan > 0.0) statics.push_back(s.staticMakespan);
-      if (s.meanMakespan > 0.0) means.push_back(s.meanMakespan);
-      if (s.p95Makespan > 0.0) p95s.push_back(s.p95Makespan);
-      if (s.staticMakespan > 0.0) {
-        meanSlow.push_back(s.meanMakespan / s.staticMakespan);
-        p95Slow.push_back(s.p95Makespan / s.staticMakespan);
-        agg.maxSlowdown =
-            std::max(agg.maxSlowdown, s.maxMakespan / s.staticMakespan);
-      }
-      agg.overflowRuns += s.overflowRuns;
-    }
-    agg.geomeanStaticMakespan = support::geometricMean(statics);
-    agg.geomeanMeanMakespan = support::geometricMean(means);
-    agg.geomeanP95Makespan = support::geometricMean(p95s);
-    agg.geomeanMeanSlowdown = support::geometricMean(meanSlow);
-    agg.geomeanP95Slowdown = support::geometricMean(p95Slow);
-    agg.overflowFraction =
-        totalReplications > 0
-            ? static_cast<double>(agg.overflowRuns) /
-                  static_cast<double>(totalReplications)
-            : 0.0;
-    result[key] = agg;
-  }
-  return result;
-}
-
 BenchExport robustnessExport(
     const std::string& bench, const std::vector<RobustnessOutcome>& outcomes,
     const std::map<std::string, std::string>& meta) {
-  BenchExport result;
-  result.bench = bench;
-  result.meta = metaJson(meta);
-  result.csvHeader = {"config", "scheduler", "instance", "band", "family",
-                      "tasks", "ok", "static_makespan", "mean_makespan",
-                      "p50_makespan", "p95_makespan", "min_makespan",
-                      "max_makespan", "mean_slowdown", "p95_slowdown",
-                      "overflow_runs", "replications"};
-  const auto& fmt = formatG6;
-  for (const RobustnessOutcome& out : outcomes) {
-    const sim::RobustnessSummary& s = out.summary;
-    const std::vector<std::string> cells = {
-        s.ok ? "1" : "0",
-        fmt(s.staticMakespan),
-        fmt(s.meanMakespan),
-        fmt(s.p50Makespan),
-        fmt(s.p95Makespan),
-        fmt(s.minMakespan),
-        fmt(s.maxMakespan),
-        fmt(s.meanSlowdown),
-        fmt(s.p95Slowdown),
-        std::to_string(s.overflowRuns),
-        std::to_string(s.replications),
-    };
-    result.csvRows.push_back(keyRow(out, cells));
-  }
-  for (const auto& [key, agg] : aggregateRobustness(outcomes)) {
-    support::JsonObject row;
-    row["config"] = support::JsonValue(key.first);
-    row["scheduler"] = support::JsonValue(key.second);
-    row["instances"] = support::JsonValue(static_cast<double>(agg.instances));
-    row["replications"] =
-        support::JsonValue(static_cast<double>(agg.replications));
-    row["geomean_static_makespan"] =
-        support::JsonValue(agg.geomeanStaticMakespan);
-    row["geomean_mean_makespan"] =
-        support::JsonValue(agg.geomeanMeanMakespan);
-    row["geomean_p95_makespan"] = support::JsonValue(agg.geomeanP95Makespan);
-    row["geomean_mean_slowdown"] =
-        support::JsonValue(agg.geomeanMeanSlowdown);
-    row["geomean_p95_slowdown"] = support::JsonValue(agg.geomeanP95Slowdown);
-    row["max_slowdown"] = support::JsonValue(agg.maxSlowdown);
-    row["overflow_runs"] =
-        support::JsonValue(static_cast<double>(agg.overflowRuns));
-    row["overflow_fraction"] = support::JsonValue(agg.overflowFraction);
-    result.rows.push_back(support::JsonValue(std::move(row)));
-  }
-  return result;
+  using Out = RobustnessOutcome;
+  using Summary = sim::RobustnessSummary;
+  StudyTable<Out> table({"config", "scheduler"}, [](const Out& out) {
+    return std::vector<GroupKey>{{out.config, out.scheduler}};
+  });
+  // A summary field as an outcome value.
+  const auto field = [](auto Summary::*member) {
+    return [=](const Out& out) { return out.summary.*member; };
+  };
+  table.csv("config", &Out::config);
+  table.csv("scheduler", &Out::scheduler);
+  table.instanceColumns();
+  table.csv("ok", field(&Summary::ok));
+  table.csv("static_makespan", field(&Summary::staticMakespan));
+  table.csv("mean_makespan", field(&Summary::meanMakespan));
+  table.csv("p50_makespan", field(&Summary::p50Makespan));
+  table.csv("p95_makespan", field(&Summary::p95Makespan));
+  table.csv("min_makespan", field(&Summary::minMakespan));
+  table.csv("max_makespan", field(&Summary::maxMakespan));
+  table.csv("mean_slowdown", field(&Summary::meanSlowdown));
+  table.csv("p95_slowdown", field(&Summary::p95Slowdown));
+  table.csv("overflow_runs", field(&Summary::overflowRuns));
+  table.csv("replications", field(&Summary::replications));
+
+  const auto ok = [](const Out& out) {
+    return out.summary.ok && !out.summary.makespans.empty();
+  };
+  // The worst replication's slowdown; 0 without a positive static makespan,
+  // like the summary's mean and p95 slowdowns.
+  const auto worst = [](const Out& out) {
+    const Summary& s = out.summary;
+    return s.staticMakespan > 0.0 ? s.maxMakespan / s.staticMakespan : 0.0;
+  };
+  const auto runs = field(&Summary::replications);
+  const auto overflows = field(&Summary::overflowRuns);
+  table.json("instances", countOf(ok));
+  // Every outcome of the study runs the same replication count.
+  table.json("replications", largestOf(runs, ok));
+  table.json("geomean_static_makespan",
+             geomeanOf(field(&Summary::staticMakespan), ok));
+  table.json("geomean_mean_makespan",
+             geomeanOf(field(&Summary::meanMakespan), ok));
+  table.json("geomean_p95_makespan",
+             geomeanOf(field(&Summary::p95Makespan), ok));
+  table.json("geomean_mean_slowdown",
+             geomeanOf(field(&Summary::meanSlowdown), ok));
+  table.json("geomean_p95_slowdown",
+             geomeanOf(field(&Summary::p95Slowdown), ok));
+  table.json("max_slowdown", largestOf(worst, ok));
+  table.json("overflow_runs", sumOf(overflows, ok));
+  table.json("overflow_fraction",
+             ratioOf(sumOf(overflows, ok), sumOf(runs, ok)));
+  return table.exportRows(bench, outcomes, meta);
 }
 
 }  // namespace dagpm::experiments

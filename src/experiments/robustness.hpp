@@ -46,28 +46,9 @@ std::vector<RobustnessOutcome> runRobustness(
     const std::vector<NoiseLevel>& levels,
     const sim::RobustnessOptions& options);
 
-/// Per-(noise level, scheduler) aggregate: the columns of the bench table
-/// and of the exported JSON rows.
-struct RobustnessAggregate {
-  int instances = 0;       // simulated (feasible) instances in the group
-  int replications = 0;    // per instance
-  double geomeanStaticMakespan = 0.0;
-  double geomeanMeanMakespan = 0.0;
-  double geomeanP95Makespan = 0.0;
-  double geomeanMeanSlowdown = 0.0;  // geomean over instances of mean/static
-  double geomeanP95Slowdown = 0.0;
-  double maxSlowdown = 0.0;          // worst replication across the group
-  int overflowRuns = 0;              // replications with memory overflows
-  double overflowFraction = 0.0;     // overflowRuns / total replications
-};
-
-/// Groups outcomes by (config, scheduler), sorted lexicographically.
-std::map<std::pair<std::string, std::string>, RobustnessAggregate>
-aggregateRobustness(const std::vector<RobustnessOutcome>& outcomes);
-
 /// The robustness_noise export: one CSV row per outcome (config, scheduler,
 /// instance, distribution columns) and one JSON row per (config, scheduler)
-/// aggregate.
+/// group.
 BenchExport robustnessExport(
     const std::string& bench, const std::vector<RobustnessOutcome>& outcomes,
     const std::map<std::string, std::string>& meta = {});

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <utility>
 
 namespace dagpm::partition::detail {
 
@@ -92,25 +92,28 @@ Level coarsenOnce(const graph::Dag& dag,
   for (std::uint32_t c = 0; c < numCoarse; ++c) {
     level.dag.addVertex(0.0, 0.0);
   }
-  // Sum parallel edges between cluster pairs.
-  std::unordered_map<std::uint64_t, double> edgeWeight;
-  edgeWeight.reserve(dag.numEdges());
+  // Sum parallel edges between cluster pairs: sort the crossing fine edges
+  // by (cluster pair, edge id), add each pair's costs in ascending edge id,
+  // and emit one coarse edge per pair in sorted (src, dst) order. Coarse
+  // edge ids and costs feed every RNG-coupled decision downstream in
+  // bisect/FM, so both orders must be identical across standard library
+  // implementations for partitions to reproduce.
+  std::vector<std::pair<std::uint64_t, EdgeId>> crossing;
+  crossing.reserve(dag.numEdges());
   for (EdgeId e = 0; e < dag.numEdges(); ++e) {
     const graph::Edge& edge = dag.edge(e);
     const std::uint32_t cu = level.fineToCoarse[edge.src];
     const std::uint32_t cv = level.fineToCoarse[edge.dst];
     if (cu == cv) continue;
-    edgeWeight[(static_cast<std::uint64_t>(cu) << 32) | cv] += edge.cost;
+    crossing.emplace_back((static_cast<std::uint64_t>(cu) << 32) | cv, e);
   }
-  // Emit in sorted (src, dst) key order, NOT unordered_map iteration
-  // order: coarse edge ids feed every RNG-coupled decision downstream in
-  // bisect/FM, so the emission order must be identical across standard
-  // library implementations for partitions to reproduce.
-  std::vector<std::pair<std::uint64_t, double>> sortedEdges(
-      edgeWeight.begin(), edgeWeight.end());
-  std::sort(sortedEdges.begin(), sortedEdges.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [key, cost] : sortedEdges) {
+  std::sort(crossing.begin(), crossing.end());
+  for (std::size_t i = 0; i < crossing.size();) {
+    const std::uint64_t key = crossing[i].first;
+    double cost = 0.0;
+    for (; i < crossing.size() && crossing[i].first == key; ++i) {
+      cost += dag.edge(crossing[i].second).cost;
+    }
     level.dag.addEdge(static_cast<VertexId>(key >> 32),
                       static_cast<VertexId>(key & 0xffffffffu), cost);
   }

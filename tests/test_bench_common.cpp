@@ -1,7 +1,8 @@
 // Coverage for the bench plumbing: environment-driven scale selection
 // (DAGPM_QUICK / DAGPM_FULL / DAGPM_SEEDS / DAGPM_SWEEP), and the one
 // DAGPM_CSV / DAGPM_JSON_OUT export epilogue (round-trip through
-// support/json.cpp), and its per-document stats windows.
+// support/json.cpp), its per-document stats windows, and the study table
+// the extension studies export through, with its reducers.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,11 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "experiments/contention.hpp"
 #include "experiments/export.hpp"
 #include "experiments/faults.hpp"
+#include "experiments/resched.hpp"
+#include "experiments/robustness.hpp"
 #include "obs/obs.hpp"
 #include "support/json.hpp"
 
@@ -329,22 +333,134 @@ TEST(JsonExport, ModuleExportsShareTheHarnessDocumentShape) {
     for (const auto& [key, value] : doc.asObject()) keys.push_back(key);
     return keys;
   };
+  std::vector<std::string> harnessKeys = keysOf(singleOutcomeExport());
+  harnessKeys.erase(
+      std::find(harnessKeys.begin(), harnessKeys.end(), "overall"));
+  EXPECT_EQ(harnessKeys, (std::vector<std::string>{"bench", "meta", "rows",
+                                                   "schema_version", "stats"}));
+
+  experiments::ContentionOutcome contention;
+  contention.config = "ccr1";
   experiments::FaultOutcome fault;
   fault.config = "nofault";
   fault.scheduler = "part";
   fault.ok = true;
-  const experiments::BenchExport faults =
-      experiments::faultRecoveryExport("fault_test", {fault});
-  EXPECT_EQ(faults.rows.size(), 1u);
-  EXPECT_EQ(faults.csvRows.size(), 1u);
-  EXPECT_EQ(faults.csvRows[0].size(), faults.csvHeader.size());
+  experiments::ReschedOutcome resched;
+  resched.config = "deterministic";
+  resched.policy = "none";
+  resched.scheduler = "part";
+  resched.ok = true;
+  experiments::RobustnessOutcome robustness;
+  robustness.config = "sigma0";
+  robustness.scheduler = "mem";
+  // Each study export and its JSON row count for one outcome: contention
+  // adds an "all" band to the outcome's own.
+  const std::vector<std::pair<experiments::BenchExport, std::size_t>> studies =
+      {
+          {experiments::contentionExport("contention_test", {contention}), 2},
+          {experiments::faultRecoveryExport("fault_test", {fault}), 1},
+          {experiments::reschedulingExport("resched_test", {resched}), 1},
+          {experiments::robustnessExport("robustness_test", {robustness}), 1},
+      };
+  for (const auto& [exported, rows] : studies) {
+    SCOPED_TRACE(exported.bench);
+    EXPECT_EQ(exported.rows.size(), rows);
+    ASSERT_EQ(exported.csvRows.size(), 1u);
+    EXPECT_EQ(exported.csvRows[0].size(), exported.csvHeader.size());
+    EXPECT_EQ(keysOf(exported), harnessKeys);
+  }
+}
 
-  std::vector<std::string> harnessKeys = keysOf(singleOutcomeExport());
-  harnessKeys.erase(
-      std::find(harnessKeys.begin(), harnessKeys.end(), "overall"));
-  EXPECT_EQ(keysOf(faults), harnessKeys);
-  EXPECT_EQ(harnessKeys, (std::vector<std::string>{"bench", "meta", "rows",
-                                                   "schema_version", "stats"}));
+/// A toy study outcome for the reducer tests.
+struct Sample {
+  bool ok = true;
+  double value = 0.0;
+  int part = 0;
+  int whole = 0;
+};
+
+const auto kOk = [](const Sample& s) { return s.ok; };
+
+std::vector<const Sample*> groupOf(const std::vector<Sample>& samples) {
+  std::vector<const Sample*> group;
+  for (const Sample& s : samples) group.push_back(&s);
+  return group;
+}
+
+TEST(StudyReducers, EmptyGroupReducesToZero) {
+  using namespace experiments;
+  const std::vector<const Sample*> empty;
+  EXPECT_EQ(countOf(kOk)(empty), 0.0);
+  EXPECT_EQ(sumOf(&Sample::value, kOk)(empty), 0.0);
+  EXPECT_EQ(geomeanOf(&Sample::value, kOk)(empty), 0.0);
+  EXPECT_EQ(meanOf(&Sample::value, kOk)(empty), 0.0);
+  EXPECT_EQ(largestOf(&Sample::value, kOk)(empty), 0.0);
+  const auto fraction =
+      ratioOf(sumOf(&Sample::part, kOk), sumOf(&Sample::whole, kOk));
+  EXPECT_EQ(fraction(empty), 0.0);
+}
+
+TEST(StudyReducers, GeomeanSkipsValuesFailingItsFilter) {
+  using namespace experiments;
+  // The skipped zeros would zero (or, with asserts on, abort) a geomean.
+  const std::vector<Sample> samples = {{.value = 2.0},
+                                       {.ok = false, .value = 0.0},
+                                       {.value = 8.0},
+                                       {.ok = false, .value = 1000.0},
+                                       {.value = 0.0}};
+  const std::vector<const Sample*> group = groupOf(samples);
+  EXPECT_DOUBLE_EQ(geomeanOf(&Sample::value, kOk)(group), 4.0);
+  EXPECT_EQ(countOf(kOk)(group), 3.0);
+  EXPECT_EQ(countOf(kAll)(group), 5.0);
+  EXPECT_EQ(sumOf(&Sample::value, kOk)(group), 10.0);
+  EXPECT_EQ(meanOf(&Sample::value, kOk)(group), 10.0 / 3.0);
+  EXPECT_EQ(largestOf(&Sample::value, kOk)(group), 8.0);
+}
+
+TEST(StudyReducers, RatioIsZeroUnlessItsDenominatorIsPositive) {
+  using namespace experiments;
+  const auto fraction = [](std::vector<Sample> samples) {
+    return ratioOf(sumOf(&Sample::part, kOk),
+                   sumOf(&Sample::whole, kOk))(groupOf(samples));
+  };
+  EXPECT_EQ(fraction({{.part = 1, .whole = 2}, {.part = 0, .whole = 2}}), 0.25);
+  EXPECT_EQ(fraction({{.part = 1, .whole = 0}}), 0.0);
+  // Filtered outcomes count in neither the numerator nor the denominator.
+  EXPECT_EQ(fraction({{.part = 1, .whole = 4}, {.ok = false, .part = 4}}),
+            0.25);
+}
+
+TEST(StudyExport, OneDeclarationFeedsTheCsvAndTheJsonRows) {
+  using namespace experiments;
+  const std::vector<Sample> samples = {{.value = 1.5, .part = 1},
+                                       {.ok = false, .value = 2.0}};
+  // Every outcome sits in its own group and in the "all" group.
+  experiments::StudyTable<Sample> table({"band"}, [](const Sample& s) {
+    return std::vector<experiments::GroupKey>{{s.ok ? "ok" : "failed"},
+                                              {"all"}};
+  });
+  table.csv("ok", &Sample::ok);
+  table.csv("value", &Sample::value);
+  table.csv("part", &Sample::part);
+  table.csv("label", [](const Sample&) { return std::string("x"); });
+  table.json("n", countOf(kAll));
+  table.json("total", sumOf(&Sample::value, kAll));
+  const experiments::BenchExport exported =
+      table.exportRows("study_test", samples, {});
+  EXPECT_EQ(exported.csvHeader,
+            (std::vector<std::string>{"ok", "value", "part", "label"}));
+  EXPECT_EQ(exported.csvRows,
+            (std::vector<std::vector<std::string>>{{"1", "1.5", "1", "x"},
+                                                   {"0", "2", "0", "x"}}));
+  // One JSON row per group key, in sorted key order.
+  ASSERT_EQ(exported.rows.size(), 3u);
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"all", 3.5}, {"failed", 2.0}, {"ok", 1.5}};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(exported.rows[i].stringOr("band", ""), expected[i].first);
+    EXPECT_EQ(exported.rows[i].numberOr("total", -1.0), expected[i].second);
+  }
+  EXPECT_EQ(exported.rows[0].numberOr("n", -1.0), 2.0);
 }
 
 }  // namespace

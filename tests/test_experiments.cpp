@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <set>
 #include <span>
 #include <sstream>
@@ -21,6 +24,31 @@ namespace dagpm::experiments {
 namespace {
 
 using workflows::SizeBand;
+
+/// The exported JSON row whose key fields equal `key`; nullptr when absent.
+const support::JsonValue* findRow(
+    const BenchExport& exported,
+    const std::map<std::string, std::string>& key) {
+  for (const support::JsonValue& row : exported.rows) {
+    if (std::ranges::all_of(key, [&](const auto& field) {
+          return row.stringOr(field.first, "") == field.second;
+        })) {
+      return &row;
+    }
+  }
+  return nullptr;
+}
+
+/// The number `key` of an exported JSON row; a test failure and NaN (which
+/// fails every comparison) when the row has no such number.
+double number(const support::JsonValue& row, const std::string& key) {
+  const support::JsonValue* value = row.find(key);
+  if (value == nullptr || !value->isNumber()) {
+    ADD_FAILURE() << "exported row has no number " << key;
+    return std::nan("");
+  }
+  return value->asNumber();
+}
 
 TEST(Instances, SyntheticCountsAndNames) {
   const auto instances =
@@ -155,7 +183,7 @@ TEST(Rescheduling, EventTriggeredPolicyBeatsNoReschedAtLognormalNoise) {
     }
   }
 
-  const auto aggregates = aggregateRescheduling(outcomes);
+  const BenchExport exported = reschedulingExport("resched_test", outcomes);
   int noisyGroups = 0;
   int strictWins = 0;
   double acceptedSplices = 0.0;
@@ -163,18 +191,22 @@ TEST(Rescheduling, EventTriggeredPolicyBeatsNoReschedAtLognormalNoise) {
                                    std::string("sigma0.5")}) {
     for (const std::string& scheduler : {std::string("part"),
                                          std::string("mem")}) {
-      const auto none = aggregates.find({sigma, "none", scheduler});
-      const auto lateness = aggregates.find({sigma, "lateness", scheduler});
-      if (none == aggregates.end() || lateness == aggregates.end()) continue;
+      const support::JsonValue* none = findRow(
+          exported,
+          {{"config", sigma}, {"policy", "none"}, {"scheduler", scheduler}});
+      const support::JsonValue* lateness =
+          findRow(exported, {{"config", sigma},
+                             {"policy", "lateness"},
+                             {"scheduler", scheduler}});
+      if (none == nullptr || lateness == nullptr) continue;
       ++noisyGroups;
+      const double noneSlowdown = number(*none, "geomean_mean_slowdown");
+      const double latenessSlowdown =
+          number(*lateness, "geomean_mean_slowdown");
       // Paired noise draws + hindsight guard: never worse in aggregate ...
-      EXPECT_LE(lateness->second.geomeanMeanSlowdown,
-                none->second.geomeanMeanSlowdown * (1.0 + 1e-12));
-      if (lateness->second.geomeanMeanSlowdown <
-          none->second.geomeanMeanSlowdown * (1.0 - 1e-9)) {
-        ++strictWins;
-      }
-      acceptedSplices += lateness->second.meanReschedules;
+      EXPECT_LE(latenessSlowdown, noneSlowdown * (1.0 + 1e-12));
+      if (latenessSlowdown < noneSlowdown * (1.0 - 1e-9)) ++strictWins;
+      acceptedSplices += number(*lateness, "mean_reschedules");
     }
   }
   ASSERT_GT(noisyGroups, 0);
@@ -348,27 +380,75 @@ TEST(Contention, AwareSchedulingImprovesSimulatedMakespanAtHighCcr) {
   const std::vector<ContentionOutcome> outcomes = runContention(
       instances, ladder, {passes.begin(), passes.end()}, part);
 
-  const auto aggregates = aggregateContention(outcomes);
+  const BenchExport exported = contentionExport("contention_test", outcomes);
   int strictWins = 0;
   for (const double ccr : ladder) {
     std::ostringstream config;
     config << "ccr" << ccr;
-    const auto it = aggregates.find({config.str(), "all"});
-    ASSERT_NE(it, aggregates.end());
-    const ContentionAggregate& agg = it->second;
-    ASSERT_GT(agg.comparable, 0);
+    const support::JsonValue* row =
+        findRow(exported, {{"config", config.str()}, {"band", "all"}});
+    ASSERT_NE(row, nullptr);
+    ASSERT_GT(number(*row, "comparable"), 0);
     // The gap is real: contention delays the oblivious schedule ...
-    EXPECT_GE(agg.geomeanOptimismGap, 1.0 - 1e-9);
+    EXPECT_GE(number(*row, "geomean_optimism_gap"), 1.0 - 1e-9);
     // ... and aware scheduling never loses in geomean ...
-    EXPECT_LE(agg.geomeanAwareSimulated,
-              agg.geomeanObliviousSimulated * (1.0 + 1e-9));
-    if (agg.geomeanAwareSimulated <
-        agg.geomeanObliviousSimulated * (1.0 - 1e-9)) {
-      ++strictWins;
-    }
+    const double aware = number(*row, "geomean_aware_simulated");
+    const double oblivious = number(*row, "geomean_oblivious_simulated");
+    EXPECT_LE(aware, oblivious * (1.0 + 1e-9));
+    if (aware < oblivious * (1.0 - 1e-9)) ++strictWins;
   }
   // ... and strictly wins on at least one rung of the ladder.
   EXPECT_GT(strictWins, 0);
+}
+
+// The aware arm wins (loses) only beyond 1e-9 x the oblivious simulated
+// makespan: exactly at the tolerance it ties.
+TEST(Contention, WinToleranceIsOneBillionthOfTheObliviousMakespan) {
+  std::vector<ContentionOutcome> outcomes;
+  for (const double aware : {1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 2e-9, 1.0 + 2e-9}) {
+    ContentionOutcome& out = outcomes.emplace_back();
+    out.config = "ccr1";
+    out.obliviousFeasible = out.awareFeasible = true;
+    out.obliviousStatic = 0.5;
+    out.obliviousSimulated = 1.0;
+    out.awareSimulated = aware;
+  }
+  const BenchExport exported = contentionExport("contention_test", outcomes);
+  const support::JsonValue* row = findRow(exported, {{"band", "all"}});
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(number(*row, "comparable"), 4.0);
+  EXPECT_EQ(number(*row, "aware_wins"), 1.0);
+  EXPECT_EQ(number(*row, "aware_losses"), 1.0);
+}
+
+// The recovered share of each outcome is clamped to [0, 1]: an aware arm
+// below the static prediction recovers all of the gap, one slower than the
+// oblivious arm none of it.
+TEST(Contention, RecoveredShareIsClampedToTheUnitInterval) {
+  const auto recovered = [](double aware) {
+    ContentionOutcome out;
+    out.config = "ccr1";
+    out.obliviousFeasible = out.awareFeasible = true;
+    out.obliviousStatic = 1.0;
+    out.obliviousSimulated = 2.0;
+    out.awareSimulated = aware;
+    const BenchExport exported = contentionExport("contention_test", {out});
+    const support::JsonValue* row = findRow(exported, {{"band", "all"}});
+    return row == nullptr ? std::nan("") : number(*row, "recovered_fraction");
+  };
+  EXPECT_EQ(recovered(1.5), 0.5);
+  EXPECT_EQ(recovered(0.5), 1.0);
+  EXPECT_EQ(recovered(3.0), 0.0);
+}
+
+// A replication whose greedy re-execution failed outright but whose repair
+// recovered counts as a full recovery; one where greedy did not degrade
+// does not count at all.
+TEST(FaultRecovery, GreedyFailureCountsAsFullRecovery) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(recoveredShare(5.0, kInf, 4.0), 1.0);
+  EXPECT_EQ(recoveredShare(5.0, 6.0, 4.0), 0.5);
+  EXPECT_EQ(recoveredShare(4.0, 4.0, 4.0), std::nullopt);
 }
 
 }  // namespace

@@ -92,6 +92,28 @@ TEST(Coarsen, FullLoopShrinksChains) {
   EXPECT_TRUE(graph::isAcyclic(levels.back().dag));
 }
 
+TEST(Coarsen, SumsParallelEdgesInFineEdgeIdOrder) {
+  // a has three parallel out-edges to b, and c (in-degree 1) joins b's
+  // cluster whichever of b and c is visited first. The one coarse edge sums
+  // 1e16 + 1 + 1 in edge-id order, where each +1 rounds away; descending
+  // id order would add the two 1s first and reach 1e16 + 2.
+  Dag g;
+  const VertexId a = g.addVertex(1, 1);
+  const VertexId b = g.addVertex(1, 1);
+  const VertexId c = g.addVertex(1, 1);
+  g.addEdge(a, b, 1e16);
+  g.addEdge(a, b, 1);
+  g.addEdge(a, b, 1);
+  g.addEdge(b, c, 1);
+  std::vector<double> weights(g.numVertices(), 1.0);
+  support::Rng rng(3);
+  const detail::Level level =
+      detail::coarsenOnce(g, weights, /*maxClusterWeight=*/10.0, rng);
+  ASSERT_EQ(level.dag.numVertices(), 2u);
+  ASSERT_EQ(level.dag.numEdges(), 1u);
+  EXPECT_EQ(level.dag.edge(0).cost, 1e16);
+}
+
 TEST(Bisect, InitialBisectionIsDownSet) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Dag g = test::randomLayeredDag(6, 5, 3, seed);

@@ -7,9 +7,9 @@
 // Sec. 5 figures and the extension studies from one process; the other
 // benches emit one document each.
 
-#include <cstdio>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,7 +21,6 @@
 
 namespace dagpm::bench {
 
-using experiments::Aggregate;
 using experiments::Instance;
 using experiments::RunOutcome;
 using workflows::SizeBand;
@@ -106,34 +105,52 @@ inline void printPreamble(const BenchContext& ctx, const std::string& title,
             << " lower is better, 100% = baseline\n\n";
 }
 
-/// Standard epilogue of one exported table or figure: writes the optional
-/// <name>.csv / <name>.json exports (DAGPM_CSV / DAGPM_JSON_OUT, via
-/// experiments::exportBench) and converts the harness outcomes into an exit
-/// status so CI smoke runs fail loudly. Returns nonzero when the harness
-/// produced no outcomes, when an export failed, or — unless
-/// `requireFeasible` is false (figures that intentionally probe infeasible
-/// regimes) — when not a single instance was schedulable by both
-/// schedulers. Figures that sweep a parameter pass one named group per
-/// configuration so the exported JSON keeps per-configuration rows;
-/// single-configuration figures pass one group named "".
+/// The number `key` of an exported JSON object; throws when it has none.
+inline double number(const support::JsonValue& row, const std::string& key) {
+  const support::JsonValue* value = row.find(key);
+  if (value == nullptr || !value->isNumber()) {
+    throw std::logic_error("exported row has no number " + key);
+  }
+  return value->asNumber();
+}
+
+/// Console text of `key` in an exported JSON row: a string as is, a number
+/// as a count ('#'), a ratio ('x'), a percentage ('%') or to two decimals
+/// ('2'). A key the row lacks, or of the other kind, throws.
+inline std::string cell(const support::JsonValue& row, const std::string& key,
+                        char format = 's') {
+  const support::JsonValue* value = row.find(key);
+  if (value == nullptr ||
+      (format == 's' ? !value->isString() : !value->isNumber())) {
+    throw std::logic_error("exported row has no cell " + key);
+  }
+  const double v = value->asNumber();
+  if (format == '#') return std::to_string(static_cast<long>(v));
+  if (format == 'x') return support::Table::num(v, 3) + "x";
+  if (format == '%') return support::Table::percent(v);
+  if (format == '2') return support::Table::num(v, 2);
+  return value->asString();
+}
+
+/// Standard epilogue of one harness figure: writes its optional <name>.csv
+/// and <name>.json (DAGPM_CSV / DAGPM_JSON_OUT, via experiments::exportBench)
+/// and returns nonzero, so CI smoke runs fail loudly, when an export failed
+/// or the exported "overall" counts no outcome or — unless `requireFeasible`
+/// is false (figures probing infeasible regimes) — none scheduled by both.
+/// A figure sweeping a parameter passes one named group per configuration;
+/// a single-configuration figure passes one group named "".
 inline int finish(const BenchContext& ctx, const std::string& name,
                   const experiments::OutcomeGroups& groups,
                   bool requireFeasible = true) {
   const experiments::BenchExport exported =
       experiments::outcomesExport(name, groups, ctx.meta());
   if (!experiments::exportBench(exported)) return 1;
-  bool anyOutcome = false, anyFeasible = false;
-  for (const auto& [config, outcomes] : groups) {
-    for (const RunOutcome& out : outcomes) {
-      anyOutcome = true;
-      anyFeasible = anyFeasible || (out.partFeasible && out.memFeasible);
-    }
-  }
-  if (!anyOutcome) {
+  const support::JsonValue& overall = exported.extra.at("overall");
+  if (number(overall, "total") == 0.0) {
     std::cerr << "error: the harness produced no outcomes\n";
     return 1;
   }
-  if (requireFeasible && !anyFeasible) {
+  if (requireFeasible && number(overall, "scheduled_both") == 0.0) {
     std::cerr << "error: no instance was schedulable by both schedulers\n";
     return 1;
   }

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Median protocol for perfbench: alternating base/change pairs.
+"""Median protocol for perfbench and paper_figures: alternating pairs.
 
     python3 bench/median.py --base HEAD~1 --pairs 10 \\
         --workloads merge-genome,swap-wide --seeds 1 --seconds 6
+    python3 bench/median.py --base HEAD~1 --pairs 3 \\
+        --figures fig03_left_default_cluster,table04_runtimes
 
 Extracts the base revision with ``git archive`` into ``.median/<sha>`` under
 the repository root (gitignored, reused by later runs; an archive leaves no
@@ -25,18 +27,28 @@ header records nproc, the CPU model, OMP_NUM_THREADS, the compiler and both
 commits. ``--trajectory FILE`` appends the whole result as
 one JSON line (e.g. bench/trajectory/perfbench.jsonl).
 
+With ``--figures a,b`` the tool times ``paper_figures a b`` of each side
+instead, at default scale (every DAGPM_* variable that selects the
+scale, the seeds, the sweep or an export is dropped from its environment).
+Both sides are built first, each into its own ``.bench_build/paper_figures``
+configured with the same arguments (Release), so the two binaries differ in
+code only; then the same warm-up, alternating pairs and verdict apply to one
+metric, ``wall_s``: the process's wall time, lower is better, with no bound.
+
 Exit status: 0 when every run reported ``correct: true``, 1 otherwise, 2 on
 usage errors.
 """
 
 import argparse
 import datetime
+import itertools
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -141,10 +153,12 @@ def summarize_runs(base_runs, change_runs, specs):
 
 
 def format_table(workload, seed, summary):
+    """The summary as a table; `seed` None leaves the seed out."""
     def side(q):
         return f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]"
 
-    lines = [f"== {workload} (seed {seed}) ==",
+    heading = workload if seed is None else f"{workload} (seed {seed})"
+    lines = [f"== {heading} ==",
              f"{'metric':<26}{'base median [q1, q3]':>32}"
              f"{'change median [q1, q3]':>32}{'ratio':>9}{'wins':>8}"
              f"  {'verdict':<11}detail"]
@@ -165,6 +179,62 @@ def end_to_end_specs(benchmark):
     """{metric: {"better", "bound"}} of BENCHMARK.json's end-to-end list."""
     return {m["name"]: {"better": m["better"], "bound": m.get("bound")}
             for m in benchmark.get("end_to_end", [])}
+
+
+def paired_runs(sides, pairs, run):
+    """One warm-up run(root) of each (side, root) of `sides`, then `pairs`
+    alternating pairs: pair i runs the base (sides[0]) first when i is even
+    and the change first when i is odd. Returns {side: [run(root), ...]} in
+    pair order, warm-ups left out."""
+    for _, root in sides:
+        run(root)
+    runs = {side: [] for side, _ in sides}
+    for i in range(pairs):
+        for side, root in (sides if i % 2 == 0 else sides[::-1]):
+            runs[side].append(run(root))
+    return runs
+
+
+# The --figures mode's one metric.
+FIGURES_SPECS = {"wall_s": {"better": "lower", "bound": None}}
+
+# Variables that select paper_figures' scale, seeds or sweep, or make it
+# export or trace: the timed runs drop them.
+FIGURES_DROPPED_ENV = ("DAGPM_QUICK", "DAGPM_FULL", "DAGPM_SEEDS",
+                       "DAGPM_SWEEP", "DAGPM_JSON_OUT", "DAGPM_CSV",
+                       "DAGPM_STATS", "DAGPM_TRACE")
+
+
+def parse_figures(text):
+    """The figure names of ``--figures a,b``."""
+    figures = [name for name in text.split(",") if name]
+    if not figures:
+        raise ValueError("--figures names no figure")
+    return figures
+
+
+def default_scale_env(environ):
+    """`environ` without FIGURES_DROPPED_ENV: paper_figures at default
+    scale, exporting nothing."""
+    return {k: v for k, v in environ.items() if k not in FIGURES_DROPPED_ENV}
+
+
+def figures_build(root, jobs):
+    """(build directory, configure command, build command) of paper_figures
+    under `root`: the same arguments for every root, so the base and the
+    change are built alike whatever <root>/build holds."""
+    build = os.path.join(root, ".bench_build", "paper_figures")
+    configure = ["cmake", "-S", root, "-B", build,
+                 "-DCMAKE_BUILD_TYPE=Release"]
+    compile_ = ["cmake", "--build", build, "-j", str(jobs), "--target",
+                "paper_figures"]
+    return build, configure, compile_
+
+
+def summarize_walls(base, change):
+    """summarize_runs of paired paper_figures wall times (seconds)."""
+    return summarize_runs([{"wall_s": b} for b in base],
+                          [{"wall_s": c} for c in change], FIGURES_SPECS)
 
 
 # ---- running ---------------------------------------------------------------
@@ -204,6 +274,28 @@ def run_perfbench(root, workload, seed, seconds, log):
     return parse_run_output(result.stdout)
 
 
+def build_paper_figures(root, log):
+    """Configures and builds paper_figures under `root` (figures_build);
+    returns the binary's path."""
+    build, configure, compile_ = figures_build(
+        root, max(1, min(4, os.cpu_count() or 1)))
+    for command in (configure, compile_):
+        subprocess.run(command, stdout=log, stderr=log, check=True)
+    return os.path.join(build, "bench", "paper_figures")
+
+
+def time_figures(binary, figures, log):
+    """Wall seconds of one default-scale run of `binary figures...`."""
+    start = time.perf_counter()
+    result = subprocess.run([binary, *figures], stdout=subprocess.DEVNULL,
+                            stderr=log, env=default_scale_env(os.environ))
+    wall = time.perf_counter() - start
+    if result.returncode != 0:
+        raise RuntimeError(f"{binary} exited {result.returncode}; "
+                           f"see {log.name}")
+    return wall
+
+
 def cpu_model():
     try:
         with open("/proc/cpuinfo") as f:
@@ -215,8 +307,8 @@ def cpu_model():
     return platform.processor() or "unknown"
 
 
-def compiler_of(root):
-    cache = os.path.join(root, ".bench_build", "perfbench", "CMakeCache.txt")
+def compiler_of(build):
+    cache = os.path.join(build, "CMakeCache.txt")
     try:
         with open(cache) as f:
             for line in f:
@@ -240,6 +332,9 @@ def main():
     parser.add_argument("--seeds", default="1", help="comma-separated")
     parser.add_argument("--seconds", type=float, default=6.0,
                         help="perfbench --seconds per run")
+    parser.add_argument("--figures",
+                        help="comma-separated paper_figures figures: time "
+                             "them at default scale instead of perfbench")
     parser.add_argument("--trajectory",
                         help="append the result as one JSON line to FILE")
     parser.add_argument("--note", default="",
@@ -247,6 +342,10 @@ def main():
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    try:
+        figures = parse_figures(args.figures) if args.figures else None
+    except ValueError as e:
+        parser.error(str(e))
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
@@ -279,27 +378,39 @@ def main():
     correct = True
     with open(log_path, "a") as log:
         sides = (("base", base_root), ("change", ROOT))
-        for workload in workloads:
-            for seed in seeds:
-                for _, root in sides:  # warm-up (and build) of both sides
-                    run_perfbench(root, workload, seed, args.seconds, log)
-                runs = {"base": [], "change": []}
-                for i in range(args.pairs):
-                    for side, root in (sides if i % 2 == 0 else sides[::-1]):
-                        doc = run_perfbench(root, workload, seed,
-                                            args.seconds, log)
-                        correct = correct and bool(doc["correct"])
-                        runs[side].append(metric_values(doc))
-                summary = summarize_runs(runs["base"], runs["change"], specs)
+        if figures:
+            binaries = {root: build_paper_figures(root, log)
+                        for _, root in sides}
+            walls = paired_runs(sides, args.pairs, lambda root: time_figures(
+                binaries[root], figures, log))
+            summary = summarize_walls(walls["base"], walls["change"])
+            title = "paper_figures " + ",".join(figures)
+            record["figures"] = figures
+            record["results"].append({"figures": figures, "metrics": summary})
+            print(format_table(title, None, summary), flush=True)
+        else:
+            for workload, seed in itertools.product(workloads, seeds):
+                # The warm-up runs also build both sides.
+                docs = paired_runs(sides, args.pairs, lambda root: (
+                    run_perfbench(root, workload, seed, args.seconds, log)))
+                correct = correct and all(
+                    bool(doc["correct"]) for side in docs.values()
+                    for doc in side)
+                summary = summarize_runs(
+                    [metric_values(doc) for doc in docs["base"]],
+                    [metric_values(doc) for doc in docs["change"]], specs)
                 record["results"].append(
                     {"workload": workload, "seed": seed, "metrics": summary})
                 print(format_table(workload, seed, summary), flush=True)
-    record["host"]["compiler"] = compiler_of(ROOT)
+    record["host"]["compiler"] = compiler_of(
+        figures_build(ROOT, 1)[0] if figures else
+        os.path.join(ROOT, ".bench_build", "perfbench"))
+    runs = ("default-scale paper_figures runs" if figures else
+            f"{args.seconds:g} s runs")
     print(f"base {base_sha}, change {change_sha}; "
           f"nproc {record['host']['nproc']}, {record['host']['cpu']}, "
           f"OMP_NUM_THREADS {record['host']['omp_num_threads']}, "
-          f"{record['host']['compiler']}; {args.pairs} pairs of "
-          f"{args.seconds:g} s runs")
+          f"{record['host']['compiler']}; {args.pairs} pairs of {runs}")
     if args.trajectory:
         with open(args.trajectory, "a") as f:
             f.write(json.dumps(record, sort_keys=True) + "\n")

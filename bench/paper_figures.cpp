@@ -44,10 +44,9 @@ namespace {
 
 using Heterogeneity = platform::Heterogeneity;
 using ClusterSize = platform::ClusterSize;
-using experiments::aggregateAll;
 using experiments::ScheduledInstance;
 using Outcomes = std::vector<RunOutcome>;
-using Cell = std::function<std::string(const Aggregate&)>;
+using Cell = std::function<std::string(const support::JsonValue&)>;
 using GroupCell = std::function<std::string(const Outcomes&)>;
 
 /// One comparison: the cluster it runs on and the work scale of its
@@ -171,30 +170,43 @@ class Comparisons {
   std::map<Config, std::pair<std::vector<ScheduledInstance>, Outcomes>> cache_;
 };
 
-/// The relative makespan of an aggregate, "-" when nothing was scheduled
-/// by both schedulers.
-std::string relativeCell(const Aggregate& agg) {
-  return agg.geomeanRatio > 0.0 ? support::Table::percent(agg.geomeanRatio)
-                                : "-";
+/// The harness table's reduction of `outcomes` as one group.
+support::JsonValue reduced(std::span<const RunOutcome> outcomes) {
+  return support::JsonValue(
+      experiments::outcomesTable().reduce(experiments::groupOf(outcomes)));
+}
+
+/// The harness table's reduction of each size band, in band order.
+std::map<SizeBand, support::JsonValue> reducedByBand(const Outcomes& outcomes) {
+  std::map<SizeBand, Outcomes> bands;
+  for (const RunOutcome& out : outcomes) bands[out.band].push_back(out);
+  std::map<SizeBand, support::JsonValue> rows;
+  for (const auto& [band, group] : bands) rows.emplace(band, reduced(group));
+  return rows;
+}
+
+/// The relative makespan of a reduction, "-" when nothing was scheduled by
+/// both schedulers.
+std::string relativeCell(const support::JsonValue& row) {
+  return number(row, "geomean_ratio") > 0.0 ? cell(row, "geomean_ratio", '%')
+                                            : "-";
 }
 
 /// The "band x configuration" table: one row per size band, one column
-/// per configuration group, `cell` formatting the band's aggregate.
+/// per configuration group, `cell` formatting the band's reduction.
 support::Table bandByConfig(std::vector<std::string> header,
                             const experiments::OutcomeGroups& groups,
                             const Cell& cell) {
   std::map<SizeBand, std::vector<std::string>> rows;
   for (const auto& [name, outcomes] : groups) {
-    for (const auto& [band, agg] : experiments::aggregateByBand(outcomes)) {
-      rows[band].push_back(cell(agg));
+    for (const auto& [band, row] : reducedByBand(outcomes)) {
+      std::vector<std::string>& cells = rows[band];
+      if (cells.empty()) cells.push_back(workflows::sizeBandName(band));
+      cells.push_back(cell(row));
     }
   }
   support::Table table(std::move(header));
-  for (const auto& [band, cells] : rows) {
-    std::vector<std::string> row{workflows::sizeBandName(band)};
-    row.insert(row.end(), cells.begin(), cells.end());
-    table.addRow(row);
-  }
+  for (const auto& [band, cells] : rows) table.addRow(cells);
   return table;
 }
 
@@ -253,16 +265,17 @@ int fig03Left(const BenchContext& ctx, Comparisons& runs) {
   const Outcomes& outcomes = runs({});
   support::Table table({"workflow type", "workflows", "scheduled(part/mem)",
                         "rel.makespan", "speedup"});
-  for (const auto& [band, agg] : experiments::aggregateByBand(outcomes)) {
-    table.addRow({workflows::sizeBandName(band), std::to_string(agg.total),
-                  std::to_string(agg.partScheduled) + "/" +
-                      std::to_string(agg.memScheduled),
-                  support::Table::percent(agg.geomeanRatio),
-                  support::Table::num(1.0 / agg.geomeanRatio, 2) + "x"});
+  for (const auto& [band, row] : reducedByBand(outcomes)) {
+    table.addRow({workflows::sizeBandName(band), cell(row, "total", '#'),
+                  cell(row, "part_scheduled", '#') + "/" +
+                      cell(row, "mem_scheduled", '#'),
+                  cell(row, "geomean_ratio", '%'),
+                  support::Table::num(1.0 / number(row, "geomean_ratio"), 2) +
+                      "x"});
   }
   table.print(std::cout);
   std::cout << "\noverall geomean relative makespan: "
-            << support::Table::percent(aggregateAll(outcomes).geomeanRatio)
+            << cell(reduced(outcomes), "geomean_ratio", '%')
             << "  (paper: 41% => 2.44x)\n";
   return finish(ctx, "fig03_left_default_cluster", {{"", outcomes}});
 }
@@ -278,12 +291,12 @@ int table04(const BenchContext& ctx, Comparisons& runs) {
   const Outcomes& outcomes = runs({});
   support::Table table({"Workflow set", "avg. relative runtime",
                         "avg. absolute runtime (sec)"});
-  for (const auto& [band, agg] : experiments::aggregateByBand(outcomes)) {
+  for (const auto& [band, row] : reducedByBand(outcomes)) {
     table.addRow({workflows::sizeBandName(band),
-                  agg.geomeanRuntimeRatio > 0.0
-                      ? support::Table::num(agg.geomeanRuntimeRatio, 2)
+                  number(row, "geomean_runtime_ratio") > 0.0
+                      ? cell(row, "geomean_runtime_ratio", '2')
                       : "-",
-                  support::Table::num(agg.meanPartSeconds, 3)});
+                  support::Table::num(number(row, "mean_part_seconds"), 3)});
   }
   table.print(std::cout);
   std::cout << "\n(paper: real 406/0.5s, small 1.63/2.83s, mid 1.02/166s, "
@@ -301,10 +314,10 @@ int fig05(const BenchContext& ctx, Comparisons& runs) {
                 "lowest, chain-dominated highest, falling with size");
   // Real-world workflows are not part of this figure.
   const Outcomes outcomes = filterReal(runs({}), /*real=*/false);
-  const GroupCell cell = [](const Outcomes& group) {
-    return relativeCell(aggregateAll(group));
+  const GroupCell relative = [](const Outcomes& group) {
+    return relativeCell(reduced(group));
   };
-  familyBySize(outcomes, /*markFanout=*/true, cell).print(std::cout);
+  familyBySize(outcomes, /*markFanout=*/true, relative).print(std::cout);
   std::cout << "\n('-' = size not generated for this family or not "
                "schedulable by both algorithms)\n";
   return finish(ctx, "fig05_relative_by_family", {{"", outcomes}});
@@ -319,18 +332,13 @@ int fig06(const BenchContext& ctx, Comparisons& runs) {
                 "paper Fig. 6; expected shape: roughly linear in "
                 "size, superlinear for SoyKB/Epigenomics");
   const Outcomes outcomes = filterReal(runs({}), /*real=*/false);
-  const GroupCell cell = [](const Outcomes& group) {
-    double makespan = 0.0;
-    int count = 0;
-    for (const RunOutcome& out : group) {
-      if (out.partFeasible) {
-        makespan += out.partMakespan;
-        ++count;
-      }
-    }
-    return count > 0 ? support::Table::num(makespan / count, 0) : "-";
+  const GroupCell absolute = [](const Outcomes& group) {
+    const auto mean = experiments::meanOf(&RunOutcome::partMakespan,
+                                          &RunOutcome::partFeasible);
+    const double makespan = mean(experiments::groupOf(group));
+    return makespan > 0.0 ? support::Table::num(makespan, 0) : "-";
   };
-  familyBySize(outcomes, /*markFanout=*/false, cell).print(std::cout);
+  familyBySize(outcomes, /*markFanout=*/false, absolute).print(std::cout);
   return finish(ctx, "fig06_absolute_by_family", {{"", outcomes}});
 }
 
@@ -347,16 +355,16 @@ int fig08(const BenchContext& ctx, Comparisons& runs) {
                 "paper Fig. 8; expected shape: ratio >> 1 on tiny "
                 "workflows, falling toward/below 1 as size grows");
   const Outcomes& outcomes = runs({});
-  const GroupCell cell = [](const Outcomes& group) {
-    const double ratio = aggregateAll(group).geomeanRuntimeRatio;
-    return ratio > 0.0 ? support::Table::num(ratio, 2) + "x" : "-";
+  const GroupCell runtime = [](const Outcomes& group) {
+    const support::JsonValue row = reduced(group);
+    return number(row, "geomean_runtime_ratio") > 0.0
+               ? cell(row, "geomean_runtime_ratio", '2') + "x"
+               : "-";
   };
-  familyBySize(outcomes, /*markFanout=*/false, cell).print(std::cout);
+  familyBySize(outcomes, /*markFanout=*/false, runtime).print(std::cout);
+  const support::JsonValue real = reduced(filterReal(outcomes, /*real=*/true));
   std::cout << "\nreal-world workflows: "
-            << support::Table::num(
-                   aggregateAll(filterReal(outcomes, /*real=*/true))
-                       .geomeanRuntimeRatio,
-                   1)
+            << support::Table::num(number(real, "geomean_runtime_ratio"), 1)
             << "x (paper: ~406x -- both are fractions of a second)\n";
   return finish(ctx, "fig08_relative_runtime", {{"", outcomes}});
 }
@@ -372,14 +380,11 @@ int fig09(const BenchContext& ctx, Comparisons& runs) {
                 "strongly with workflow size");
   const Outcomes& outcomes = runs({});
   support::Table table({"workflow type", "min (s)", "mean (s)", "max (s)"});
-  for (const auto& [band, agg] : experiments::aggregateByBand(outcomes)) {
-    std::vector<double> seconds;
-    for (const RunOutcome& out : outcomes) {
-      if (out.band == band && out.partFeasible) {
-        seconds.push_back(out.partSeconds);
-      }
-    }
-    if (seconds.empty()) continue;
+  std::map<SizeBand, std::vector<double>> bands;
+  for (const RunOutcome& out : outcomes) {
+    if (out.partFeasible) bands[out.band].push_back(out.partSeconds);
+  }
+  for (const auto& [band, seconds] : bands) {
     table.addRow({workflows::sizeBandName(band),
                   support::Table::num(support::minOf(seconds), 3),
                   support::Table::num(support::mean(seconds), 3),
@@ -400,16 +405,17 @@ int sec524(const BenchContext& ctx, Comparisons& runs) {
                 "identical between 1x and 4x work");
   const Outcomes& base = runs({});
   const Outcomes& heavy = runs({.workScale = 4.0});
-  const auto heavyAgg = experiments::aggregateByBand(heavy);
+  const auto heavyRows = reducedByBand(heavy);
   support::Table table({"workflow type", "rel.makespan (1x work)",
                         "rel.makespan (4x work)", "difference"});
-  for (const auto& [band, agg] : experiments::aggregateByBand(base)) {
-    const auto it = heavyAgg.find(band);
-    if (it == heavyAgg.end()) continue;
-    const double delta = it->second.geomeanRatio - agg.geomeanRatio;
+  for (const auto& [band, row] : reducedByBand(base)) {
+    const auto it = heavyRows.find(band);
+    if (it == heavyRows.end()) continue;
+    const double delta =
+        number(it->second, "geomean_ratio") - number(row, "geomean_ratio");
     table.addRow({workflows::sizeBandName(band),
-                  support::Table::percent(agg.geomeanRatio),
-                  support::Table::percent(it->second.geomeanRatio),
+                  cell(row, "geomean_ratio", '%'),
+                  cell(it->second, "geomean_ratio", '%'),
                   support::Table::num(delta * 100.0, 1) + "pp"});
   }
   table.print(std::cout);
@@ -459,11 +465,10 @@ int schedulability(const BenchContext& ctx, Comparisons& runs) {
   support::Table table({"cluster", "workflow type", "instances",
                         "DagHetPart scheduled", "DagHetMem scheduled"});
   for (const auto& [name, outcomes] : groups) {
-    for (const auto& [band, agg] : experiments::aggregateByBand(outcomes)) {
+    for (const auto& [band, row] : reducedByBand(outcomes)) {
       table.addRow({name, workflows::sizeBandName(band),
-                    std::to_string(agg.total),
-                    std::to_string(agg.partScheduled),
-                    std::to_string(agg.memScheduled)});
+                    cell(row, "total", '#'), cell(row, "part_scheduled", '#'),
+                    cell(row, "mem_scheduled", '#')});
     }
   }
   table.print(std::cout);
@@ -496,10 +501,9 @@ int fig04(const BenchContext& ctx, Comparisons& runs) {
     header.push_back(name);
     groups.emplace_back(name, runs({.het = het}));
   }
-  const Cell absoluteCell = [](const Aggregate& agg) {
-    return agg.geomeanPartMakespan > 0.0
-               ? support::Table::num(agg.geomeanPartMakespan, 0)
-               : "-";
+  const Cell absoluteCell = [](const support::JsonValue& row) {
+    const double makespan = number(row, "geomean_part_makespan");
+    return makespan > 0.0 ? support::Table::num(makespan, 0) : "-";
   };
   std::cout << "Fig. 4 left: relative makespan (DagHetPart/DagHetMem)\n";
   bandByConfig(header, groups, relativeCell).print(std::cout);
@@ -533,8 +537,8 @@ int fig07(const BenchContext& ctx, Comparisons& runs) {
     for (const RunOutcome& out : filterReal(outcomes, /*real=*/false)) {
       (highFanout(out.family) ? fanned : chained).push_back(out);
     }
-    fannedRow.push_back(relativeCell(aggregateAll(fanned)));
-    chainedRow.push_back(relativeCell(aggregateAll(chained)));
+    fannedRow.push_back(relativeCell(reduced(fanned)));
+    chainedRow.push_back(relativeCell(reduced(chained)));
   }
   support::Table table = bandByConfig(header, groups, relativeCell);
   table.addRow(fannedRow);
@@ -567,8 +571,8 @@ Outcomes ablationRun(const BenchContext& ctx, Comparisons& runs,
 }
 
 /// "<DagHetPart scheduled>/<instances>".
-std::string scheduledCell(const Aggregate& agg) {
-  return std::to_string(agg.partScheduled) + "/" + std::to_string(agg.total);
+std::string scheduledCell(const support::JsonValue& row) {
+  return cell(row, "part_scheduled", '#') + "/" + cell(row, "total", '#');
 }
 
 /// One workflow per family for the per-family extension tables: the default
@@ -628,8 +632,8 @@ int ablationSteps(const BenchContext& ctx, Comparisons& runs) {
   groups.emplace_back("paper-merge", ablationRun(ctx, runs, paperMerge));
   support::Table table({"variant", "scheduled", "rel.makespan vs baseline"});
   for (const auto& [name, outcomes] : groups) {
-    const Aggregate agg = aggregateAll(outcomes);
-    table.addRow({name, scheduledCell(agg), relativeCell(agg)});
+    const support::JsonValue row = reduced(outcomes);
+    table.addRow({name, scheduledCell(row), relativeCell(row)});
   }
   table.print(std::cout);
   return finish(ctx, "ablation_steps", groups);
@@ -663,16 +667,14 @@ int ablationSweep(const BenchContext& ctx, Comparisons& runs) {
       part.sweep = sweep;
       outcomes = ablationRun(ctx, runs, part);
     }
-    std::vector<double> seconds;
-    for (const RunOutcome& out : outcomes) {
-      if (out.partFeasible) seconds.push_back(out.partSeconds);
-    }
     const std::size_t candidates =
         scheduler::sweepCandidates(sweep, numProcessors).size();
-    const Aggregate agg = aggregateAll(outcomes);
-    table.addRow({name, std::to_string(candidates), scheduledCell(agg),
-                  relativeCell(agg),
-                  support::Table::num(support::mean(seconds), 3)});
+    const support::JsonValue row = reduced(outcomes);
+    const auto mean = experiments::meanOf(&RunOutcome::partSeconds,
+                                          &RunOutcome::partFeasible);
+    const double seconds = mean(experiments::groupOf(outcomes));
+    table.addRow({name, std::to_string(candidates), scheduledCell(row),
+                  relativeCell(row), support::Table::num(seconds, 3)});
     groups.emplace_back(name, outcomes);
   }
   table.print(std::cout);
@@ -852,23 +854,6 @@ int table02Clusters(const BenchContext&, Comparisons&) {
   }
   sizes.print(std::cout);
   return 0;
-}
-
-/// Console text of `key` in a study's exported JSON row: a string as is,
-/// a number as a count ('#'), a ratio ('x'), a percentage ('%') or to two
-/// decimals ('2'). A key the row lacks, or of the other kind, throws.
-std::string cell(const support::JsonValue& row, const std::string& key,
-                 char format = 's') {
-  const support::JsonValue* value = row.find(key);
-  if (value == nullptr || value->isString() != (format == 's')) {
-    throw std::logic_error("study row has no cell " + key);
-  }
-  const double v = value->asNumber();
-  if (format == '#') return std::to_string(static_cast<long>(v));
-  if (format == 'x') return support::Table::num(v, 3) + "x";
-  if (format == '%') return support::Table::percent(v);
-  if (format == '2') return support::Table::num(v, 2);
-  return value->asString();
 }
 
 // Extension (ours): how optimistic is the paper's uncontended Eq. (1)-(2)

@@ -3,7 +3,9 @@
 
 Feeds canned perfbench/run.py output lines through the parser and checks
 the medians, quartiles, median pairwise ratio, win counts, the gain-beyond-
-IQR flag, the BENCHMARK.json bound flag and the one verdict built on them.
+IQR flag, the BENCHMARK.json bound flag and the one verdict built on them;
+then the pair alternation and the --figures mode's figure list, build
+commands, environment and wall-time summary.
 """
 
 import json
@@ -193,6 +195,77 @@ class VerdictTest(unittest.TestCase):
         self.assertIn("10/10", solve)
         self.assertIn("GAIN", solve)
         self.assertIn("gain>IQR", solve)
+
+
+class PairedRunsTest(unittest.TestCase):
+    def test_warm_up_then_alternating_pairs(self):
+        calls = []
+
+        def run(root):
+            calls.append(root)
+            return f"{root}{len(calls)}"
+
+        runs = median.paired_runs((("base", "b"), ("change", "c")), 3, run)
+        # One warm-up of each side, then base first on even pairs.
+        self.assertEqual(calls, ["b", "c", "b", "c", "c", "b", "b", "c"])
+        self.assertEqual(runs, {"base": ["b3", "b6", "b7"],
+                                "change": ["c4", "c5", "c8"]})
+
+
+class FiguresTest(unittest.TestCase):
+    """The --figures mode: paper_figures wall time at default scale."""
+
+    def test_figure_list(self):
+        self.assertEqual(median.parse_figures("fig03_left_default_cluster,"
+                                              "table04_runtimes"),
+                         ["fig03_left_default_cluster", "table04_runtimes"])
+        self.assertEqual(median.parse_figures(",a,,"), ["a"])
+        for empty in ("", ","):
+            with self.assertRaises(ValueError):
+                median.parse_figures(empty)
+
+    def test_default_scale_environment(self):
+        env = median.default_scale_env({
+            "DAGPM_QUICK": "1", "DAGPM_FULL": "1", "DAGPM_SEEDS": "3",
+            "DAGPM_SWEEP": "full", "DAGPM_JSON_OUT": "out",
+            "DAGPM_CSV": "out", "DAGPM_STATS": "1", "DAGPM_TRACE": "t.json",
+            "OMP_NUM_THREADS": "4", "PATH": "/bin"})
+        self.assertEqual(env, {"OMP_NUM_THREADS": "4", "PATH": "/bin"})
+
+    def test_both_sides_are_built_alike(self):
+        # Same configure and build arguments, each in a build directory of
+        # its own root, so a stale <root>/build cannot make them differ.
+        base = median.figures_build("/base", 4)
+        change = median.figures_build("/change", 4)
+        self.assertEqual(base[0], "/base/.bench_build/paper_figures")
+        self.assertEqual(repr(base).replace("/base", "/change"),
+                         repr(change))
+        self.assertIn("-DCMAKE_BUILD_TYPE=Release", base[1])
+        self.assertEqual(base[2][-2:], ["--target", "paper_figures"])
+
+    def test_wall_time_has_one_metric_and_no_bound(self):
+        slower = median.summarize_walls([10.0, 10.2, 9.9], [20.0, 21.0, 19.5])
+        self.assertEqual(list(slower), ["wall_s"])
+        s = slower["wall_s"]
+        self.assertAlmostEqual(s["median_ratio"], 2.0)
+        self.assertIsNone(s["bound"])
+        self.assertFalse(s["past_bound"])
+        self.assertEqual(s["verdict"], "-")
+
+    def test_wall_time_verdicts(self):
+        base = VerdictTest.BASE
+        faster = median.summarize_walls(base, [b * 0.8 for b in base])
+        self.assertEqual(faster["wall_s"]["verdict"], "GAIN")
+        noop = median.summarize_walls(base, list(reversed(base)))
+        self.assertEqual(noop["wall_s"]["verdict"], "-")
+
+    def test_table_without_a_seed(self):
+        summary = median.summarize_walls([10.0, 10.0], [9.0, 9.5])
+        table = median.format_table("paper_figures a,b", None, summary)
+        self.assertIn("== paper_figures a,b ==", table)
+        self.assertNotIn("seed", table)
+        wall = next(l for l in table.splitlines() if l.startswith("wall_s"))
+        self.assertIn("2/2", wall)
 
 
 if __name__ == "__main__":

@@ -64,6 +64,7 @@ int main() {
   const memory::MemDagOracle oracle(workflow);
   const auto report2 =
       scheduler::validateSchedule(workflow, cluster, oracle, schedule);
-  std::printf("\nvalidation: %s\n", report2.valid ? "ok" : report2.error.c_str());
+  std::printf("\nvalidation: %s\n",
+              report2.valid ? "ok" : report2.error.c_str());
   return report2.valid ? 0 : 1;
 }

@@ -23,7 +23,8 @@ std::tuple<double, double, double> priceSchedule(
     const graph::Dag& g, const platform::Cluster& cluster,
     const scheduler::ScheduleResult& schedule,
     const memory::MemDagOracle& oracle) {
-  const sim::SimPlan plan = sim::prepareSimulation(g, cluster, schedule, oracle);
+  const sim::SimPlan plan =
+      sim::prepareSimulation(g, cluster, schedule, oracle);
   if (!plan.ok()) return {0.0, 0.0, 0.0};
   const quotient::QuotientGraph& q = *plan.data().quotient;
   sim::SimOptions options;

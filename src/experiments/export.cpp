@@ -115,85 +115,66 @@ bool exportBench(const BenchExport& out) {
   return ok;
 }
 
-support::JsonValue aggregateToJson(const Aggregate& agg) {
-  support::JsonObject obj;
-  obj["total"] = support::JsonValue(static_cast<double>(agg.total));
-  obj["scheduled_both"] =
-      support::JsonValue(static_cast<double>(agg.scheduledBoth));
-  obj["part_scheduled"] =
-      support::JsonValue(static_cast<double>(agg.partScheduled));
-  obj["mem_scheduled"] =
-      support::JsonValue(static_cast<double>(agg.memScheduled));
-  obj["geomean_ratio"] = support::JsonValue(agg.geomeanRatio);
-  obj["geomean_part_makespan"] =
-      support::JsonValue(agg.geomeanPartMakespan);
-  obj["geomean_mem_makespan"] = support::JsonValue(agg.geomeanMemMakespan);
-  obj["mean_part_seconds"] = support::JsonValue(agg.meanPartSeconds);
-  obj["mean_mem_seconds"] = support::JsonValue(agg.meanMemSeconds);
-  obj["geomean_runtime_ratio"] =
-      support::JsonValue(agg.geomeanRuntimeRatio);
-  return support::JsonValue(std::move(obj));
+StudyTable<RunOutcome> outcomesTable() {
+  using Out = RunOutcome;
+  StudyTable<Out> table({"config", "band", "family"}, [](const Out& out) {
+    const std::string band = workflows::sizeBandName(out.band);
+    return std::vector<GroupKey>{{out.config, band, out.family},
+                                 {out.config, band, "*"}};
+  });
+  const auto both = [](const Out& out) {
+    return out.partFeasible && out.memFeasible;
+  };
+  const auto hasRatio = [=](const Out& out) {
+    return both(out) && out.memMakespan > 0.0;
+  };
+  const auto ratio = [](const Out& out) {
+    return out.partMakespan / out.memMakespan;
+  };
+  const auto runtimeRatio = [](const Out& out) {
+    return out.partSeconds / out.memSeconds;
+  };
+  const auto timed = [=](const Out& out) {
+    return both(out) && out.memSeconds > 0.0 && out.partSeconds > 0.0;
+  };
+  table.csv("config", &Out::config);
+  table.instanceColumns();
+  table.csv("part_feasible", &Out::partFeasible);
+  table.csv("mem_feasible", &Out::memFeasible);
+  table.csv("part_makespan", &Out::partMakespan);
+  table.csv("mem_makespan", &Out::memMakespan);
+  table.csv("ratio", [=](const Out& out) {
+    return hasRatio(out) ? formatG6(ratio(out)) : std::string();
+  });
+  table.csv("part_seconds", &Out::partSeconds);
+  table.csv("mem_seconds", &Out::memSeconds);
+  table.json("total", countOf(kAll));
+  table.json("scheduled_both", countOf(both));
+  table.json("part_scheduled", countOf(&Out::partFeasible));
+  table.json("mem_scheduled", countOf(&Out::memFeasible));
+  table.json("geomean_ratio", geomeanOf(ratio, hasRatio));
+  table.json("geomean_part_makespan", geomeanOf(&Out::partMakespan, both));
+  table.json("geomean_mem_makespan", geomeanOf(&Out::memMakespan, both));
+  table.json("geomean_runtime_ratio", geomeanOf(runtimeRatio, timed));
+  table.json("mean_part_seconds", meanOf(&Out::partSeconds, both));
+  table.json("mean_mem_seconds", meanOf(&Out::memSeconds, both));
+  return table;
 }
-
-namespace {
-
-support::JsonValue rowJson(const std::string& config, const std::string& band,
-                           const std::string& family, const Aggregate& agg) {
-  support::JsonObject obj = aggregateToJson(agg).asObject();
-  obj["config"] = support::JsonValue(config);
-  obj["band"] = support::JsonValue(band);
-  obj["family"] = support::JsonValue(family);
-  return support::JsonValue(std::move(obj));
-}
-
-}  // namespace
 
 BenchExport outcomesExport(const std::string& bench,
                            const OutcomeGroups& groups,
                            const std::map<std::string, std::string>& meta) {
-  BenchExport out;
-  out.bench = bench;
-  out.meta = metaJson(meta);
-  out.csvHeader = {"config", "instance", "band", "family", "tasks",
-                   "part_feasible", "mem_feasible", "part_makespan",
-                   "mem_makespan", "ratio", "part_seconds", "mem_seconds"};
-  const auto& fmt = formatG6;
   std::vector<RunOutcome> all;
   for (const auto& [config, outcomes] : groups) {
-    for (const RunOutcome& o : outcomes) {
-      const bool both = o.partFeasible && o.memFeasible;
-      out.csvRows.push_back({
-          config,
-          o.instance,
-          workflows::sizeBandName(o.band),
-          o.family,
-          std::to_string(o.numTasks),
-          o.partFeasible ? "1" : "0",
-          o.memFeasible ? "1" : "0",
-          fmt(o.partMakespan),
-          fmt(o.memMakespan),
-          both && o.memMakespan > 0.0 ? fmt(o.partMakespan / o.memMakespan)
-                                      : "",
-          fmt(o.partSeconds),
-          fmt(o.memSeconds),
-      });
-    }
-    all.insert(all.end(), outcomes.begin(), outcomes.end());
-    // Per-(band, family) rows: the finest aggregate the paper reports.
-    const auto byGroup = aggregateBy(outcomes, [](const RunOutcome& o) {
-      return std::pair(workflows::sizeBandName(o.band), o.family);
-    });
-    for (const auto& [key, agg] : byGroup) {
-      out.rows.push_back(rowJson(config, key.first, key.second, agg));
-    }
-    // Per-band rollups ("family": "*"), matching the printed band tables.
-    for (const auto& [band, agg] : aggregateByBand(outcomes)) {
-      out.rows.push_back(
-          rowJson(config, workflows::sizeBandName(band), "*", agg));
+    for (RunOutcome out : outcomes) {
+      out.config = config;
+      all.push_back(std::move(out));
     }
   }
-  out.extra["overall"] = aggregateToJson(aggregateAll(all));
-  return out;
+  const StudyTable<RunOutcome> table = outcomesTable();
+  BenchExport exported = table.exportRows(bench, all, meta);
+  exported.extra["overall"] = support::JsonValue(table.reduce(groupOf(all)));
+  return exported;
 }
 
 }  // namespace dagpm::experiments

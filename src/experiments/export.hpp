@@ -14,12 +14,13 @@
 // Every bench fills one BenchExport and hands it to exportBench, which
 // writes both files. Every document has the same top-level shape:
 // {schema_version, bench, meta, rows, stats} plus the bench's extra keys.
-// The harness benches fill theirs with outcomesExport. Each contention and
-// Monte-Carlo study declares one StudyTable instead: a name and a getter per
-// CSV column, its group key fields, and a name and a reducer (countOf,
-// sumOf, meanOf, largestOf, geomeanOf, ratioOf) per number of its JSON rows.
-// The CSV header, CSV rows and JSON rows all come from that one
-// declaration; console tables read the JSON rows by key.
+// Each of the five experiment exporters (the harness comparison, contention
+// and the three Monte-Carlo studies) is one StudyTable declaration: a name
+// and a getter per CSV column, its group key fields, and a name and a
+// reducer (countOf, sumOf, meanOf, largestOf, geomeanOf, ratioOf) per number
+// of its JSON rows. The CSV header, CSV rows and JSON rows all come from
+// that one declaration; console tables read the JSON rows, or the table's
+// reduce of a group of their own, by key.
 
 #include <functional>
 #include <map>
@@ -82,25 +83,6 @@ void beginStatsWindow();
 /// failure.
 bool exportBench(const BenchExport& out);
 
-/// Benches that sweep a parameter (cluster size, heterogeneity, bandwidth,
-/// ablation variant, ...) export one named group per configuration so the
-/// perf trajectory can regress each configuration separately instead of a
-/// pooled geomean. Single-configuration benches use one group named "".
-using OutcomeGroups =
-    std::vector<std::pair<std::string, std::vector<RunOutcome>>>;
-
-/// One Aggregate as a JSON object (all fields, snake_case keys).
-support::JsonValue aggregateToJson(const Aggregate& agg);
-
-/// The harness benches' export: one CSV row per outcome (config, instance,
-/// band, family, tasks, feasibility, makespans, ratio, runtimes; the config
-/// column is empty for single-configuration benches), one JSON row per
-/// (config, band, family) group and per (config, band), and an "overall"
-/// key aggregating every outcome.
-BenchExport outcomesExport(const std::string& bench,
-                           const OutcomeGroups& groups,
-                           const std::map<std::string, std::string>& meta = {});
-
 /// The CSV text of a study cell: "%.6g" for reals, std::to_string for
 /// integers and bools, strings as is.
 inline std::string cellText(double v) { return formatG6(v); }
@@ -143,14 +125,23 @@ class StudyTable {
     csv("tasks", &Outcome::numTasks);
   }
 
-  /// Appends a number of the JSON rows: `reduce` of each group (see
+  /// Appends a number of the JSON rows: `reducer` of each group (see
   /// countOf, sumOf, ...).
-  void json(std::string name, Reducer reduce) {
-    json_.emplace_back(std::move(name), std::move(reduce));
+  void json(std::string name, Reducer reducer) {
+    json_.emplace_back(std::move(name), std::move(reducer));
+  }
+
+  /// Every JSON number of one group, by name.
+  support::JsonObject reduce(Group group) const {
+    support::JsonObject numbers;
+    for (const auto& [name, reducer] : json_) {
+      numbers[name] = support::JsonValue(reducer(group));
+    }
+    return numbers;
   }
 
   /// One CSV row per outcome, and one JSON row per group key (in sorted key
-  /// order) holding the key fields and every JSON number.
+  /// order) holding the key fields and the group's reduce.
   BenchExport exportRows(const std::string& bench,
                          const std::vector<Outcome>& outcomes,
                          const std::map<std::string, std::string>& meta) const {
@@ -165,12 +156,9 @@ class StudyTable {
       for (GroupKey& key : keys_(out)) groups[std::move(key)].push_back(&out);
     }
     for (const auto& [key, group] : groups) {
-      support::JsonObject row;
+      support::JsonObject row = reduce(group);
       for (std::size_t k = 0; k < key.size(); ++k) {
         row[keyFields_[k]] = support::JsonValue(key[k]);
-      }
-      for (const auto& [name, reduce] : json_) {
-        row[name] = support::JsonValue(reduce(group));
       }
       result.rows.push_back(support::JsonValue(std::move(row)));
     }
@@ -184,8 +172,8 @@ class StudyTable {
   std::vector<std::pair<std::string, Reducer>> json_;
 };
 
-// The study reducers. Each folds the `value` (a member pointer or a
-// callable) of every outcome of a group that its `keep` filter passes, in
+// The study reducers. Each folds the `value` of every outcome of a group
+// that its `keep` filter passes (each a member pointer or a callable), in
 // group order; a group with no kept outcome reduces to 0.
 
 /// The reducer folding the kept values with `fold`.
@@ -194,7 +182,7 @@ auto foldOf(Fold fold, Value value, Keep keep) {
   return [=](const auto& group) {
     std::vector<double> values;
     for (const auto* out : group) {
-      if (keep(*out)) values.push_back(std::invoke(value, *out));
+      if (std::invoke(keep, *out)) values.push_back(std::invoke(value, *out));
     }
     return values.empty() ? 0.0 : fold(std::span<const double>(values));
   };
@@ -227,7 +215,7 @@ auto largestOf(Value value, Keep keep) {
 template <class Value, class Keep>
 auto geomeanOf(Value value, Keep keep) {
   return foldOf(support::geometricMean, value, [=](const auto& out) {
-    return keep(out) && std::invoke(value, out) > 0.0;
+    return std::invoke(keep, out) && std::invoke(value, out) > 0.0;
   });
 }
 
@@ -239,5 +227,36 @@ auto ratioOf(Numerator numerator, Denominator denominator) {
     return d > 0.0 ? numerator(group) / d : 0.0;
   };
 }
+
+/// The outcomes of a range as one group, in order.
+template <class Outcomes>
+auto groupOf(const Outcomes& outcomes) {
+  std::vector<const typename Outcomes::value_type*> group;
+  for (const auto& out : outcomes) group.push_back(&out);
+  return group;
+}
+
+/// The harness comparison's table: one CSV row per outcome (config,
+/// instance, band, family, tasks, feasibility, makespans, the part/mem
+/// makespan ratio when both are feasible, runtimes) and one JSON row per
+/// (config, band, family) and per (config, band) with family "*". Its
+/// numbers: the outcome counts, the geometric means of the makespan ratio,
+/// both makespans and the runtime ratio, and both mean runtimes, each over
+/// the outcomes both schedulers scheduled.
+StudyTable<RunOutcome> outcomesTable();
+
+/// Benches that sweep a parameter (cluster size, heterogeneity, bandwidth,
+/// ablation variant, ...) export one named group per configuration so the
+/// perf trajectory can regress each configuration separately instead of a
+/// pooled geomean. Single-configuration benches use one group named "".
+using OutcomeGroups =
+    std::vector<std::pair<std::string, std::vector<RunOutcome>>>;
+
+/// The harness benches' export: outcomesTable() over every group's
+/// outcomes, each with its group's name as config, plus an "overall" key
+/// reducing all of them.
+BenchExport outcomesExport(const std::string& bench,
+                           const OutcomeGroups& groups,
+                           const std::map<std::string, std::string>& meta = {});
 
 }  // namespace dagpm::experiments

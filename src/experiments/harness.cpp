@@ -1,13 +1,11 @@
 #include "experiments/harness.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
 #include "scheduler/solution.hpp"
-#include "support/stats.hpp"
 
 namespace dagpm::experiments {
 
@@ -152,45 +150,6 @@ std::vector<RunOutcome> runComparison(std::span<const Instance> instances,
       instances,
       scheduleInstances(instances, cluster, options.part, options.mem),
       options);
-}
-
-Aggregate aggregateGroup(const std::vector<const RunOutcome*>& group) {
-  Aggregate agg;
-  std::vector<double> ratios, partMs, memMs, partSec, memSec, runtimeRatios;
-  for (const RunOutcome* out : group) {
-    ++agg.total;
-    if (out->partFeasible) ++agg.partScheduled;
-    if (out->memFeasible) ++agg.memScheduled;
-    if (out->partFeasible && out->memFeasible) {
-      ++agg.scheduledBoth;
-      if (out->memMakespan > 0.0) {
-        ratios.push_back(out->partMakespan / out->memMakespan);
-      }
-      partMs.push_back(out->partMakespan);
-      memMs.push_back(out->memMakespan);
-      partSec.push_back(out->partSeconds);
-      memSec.push_back(out->memSeconds);
-      if (out->memSeconds > 0.0 && out->partSeconds > 0.0) {
-        runtimeRatios.push_back(out->partSeconds / out->memSeconds);
-      }
-    }
-  }
-  agg.geomeanRatio = support::geometricMean(ratios);
-  agg.geomeanPartMakespan = support::geometricMean(partMs);
-  agg.geomeanMemMakespan = support::geometricMean(memMs);
-  agg.meanPartSeconds = support::mean(partSec);
-  agg.meanMemSeconds = support::mean(memSec);
-  agg.geomeanRuntimeRatio = support::geometricMean(runtimeRatios);
-  return agg;
-}
-
-Aggregate aggregateAll(const std::vector<RunOutcome>& outcomes) {
-  return aggregateBy(outcomes, [](const RunOutcome&) { return 0; })[0];
-}
-
-std::map<SizeBand, Aggregate> aggregateByBand(
-    const std::vector<RunOutcome>& outcomes) {
-  return aggregateBy(outcomes, [](const RunOutcome& out) { return out.band; });
 }
 
 }  // namespace dagpm::experiments

@@ -1,18 +1,18 @@
 #pragma once
-// Experiment harness: builds the paper's instance sets, runs both schedulers
-// over them (OpenMP-parallel across instances), and aggregates relative
-// makespans the way the paper reports them (geometric mean of per-workflow
-// ratios). Instances are scheduled independently, so every entry point takes
-// spans: a caller hands it a prefix of a longer pass without copying.
+// Experiment harness: builds the paper's instance sets and runs both
+// schedulers over them (OpenMP-parallel across instances), one RunOutcome
+// per instance. It aggregates nothing: the paper's geometric means of
+// per-workflow ratios are reductions of the harness's study table
+// (outcomesTable, export.hpp). Instances are scheduled independently, so
+// every entry point takes spans: a caller hands it a prefix of a longer pass
+// without copying.
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "graph/dag.hpp"
@@ -42,6 +42,7 @@ std::vector<Instance> makeRealInstances(int seeds, double workScale = 1.0);
 
 /// One scheduling comparison on one instance.
 struct RunOutcome {
+  std::string config;  // its configuration group, set by outcomesExport
   std::string instance;
   workflows::SizeBand band = workflows::SizeBand::kSmall;
   std::string family;
@@ -186,41 +187,5 @@ std::vector<Outcome> replayScheduled(
   }
   return outcomes;
 }
-
-/// Per-group aggregation (the paper reports geometric means of ratios).
-struct Aggregate {
-  int total = 0;
-  int scheduledBoth = 0;   // both schedulers found a valid mapping
-  int partScheduled = 0;
-  int memScheduled = 0;
-  double geomeanRatio = 0.0;      // geomean(part/mem makespan), both feasible
-  double geomeanPartMakespan = 0.0;
-  double geomeanMemMakespan = 0.0;
-  double meanPartSeconds = 0.0;
-  double meanMemSeconds = 0.0;
-  double geomeanRuntimeRatio = 0.0;  // geomean(part/mem runtime)
-};
-
-/// Aggregates one group of outcomes.
-Aggregate aggregateGroup(const std::vector<const RunOutcome*>& group);
-
-/// Groups outcomes by an arbitrary key (family, (band, family), ...), in
-/// key order.
-template <class KeyOf>
-auto aggregateBy(const std::vector<RunOutcome>& outcomes, const KeyOf& keyOf) {
-  using Key = std::decay_t<std::invoke_result_t<KeyOf, const RunOutcome&>>;
-  std::map<Key, std::vector<const RunOutcome*>> groups;
-  for (const RunOutcome& out : outcomes) groups[keyOf(out)].push_back(&out);
-  std::map<Key, Aggregate> result;
-  for (const auto& [key, group] : groups) result[key] = aggregateGroup(group);
-  return result;
-}
-
-/// Aggregates all outcomes as one group.
-Aggregate aggregateAll(const std::vector<RunOutcome>& outcomes);
-
-/// Groups outcomes by size band.
-std::map<workflows::SizeBand, Aggregate> aggregateByBand(
-    const std::vector<RunOutcome>& outcomes);
 
 }  // namespace dagpm::experiments

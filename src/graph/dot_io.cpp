@@ -164,9 +164,10 @@ std::optional<Dag> dagFromDot(const std::string& text) {
     return v;
   };
 
+  using Attrs = std::map<std::string, std::string>;
   // Parses `[k=v, k=v, ...]`; returns attr map. Caller saw '['.
-  auto parseAttrs = [&lexer]() -> std::optional<std::map<std::string, std::string>> {
-    std::map<std::string, std::string> attrs;
+  auto parseAttrs = [&lexer]() -> std::optional<Attrs> {
+    Attrs attrs;
     while (true) {
       Token t = lexer.next();
       if (t.kind == Token::Kind::kRBracket) return attrs;

@@ -93,8 +93,8 @@ std::vector<VertexId> dfsTopologicalOrder(const Dag& g, bool reverseChildren) {
 
 bool isTopologicalOrder(const Dag& g, const std::vector<VertexId>& order) {
   if (order.size() != g.numVertices()) return false;
-  std::vector<std::uint32_t> position(g.numVertices(),
-                                      std::numeric_limits<std::uint32_t>::max());
+  std::vector<std::uint32_t> position(
+      g.numVertices(), std::numeric_limits<std::uint32_t>::max());
   for (std::uint32_t i = 0; i < order.size(); ++i) {
     if (order[i] >= g.numVertices()) return false;
     if (position[order[i]] != std::numeric_limits<std::uint32_t>::max()) {

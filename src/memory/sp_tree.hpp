@@ -48,7 +48,8 @@ struct SpTree {
   graph::VertexId sink = graph::kInvalidVertex;    // real terminal or invalid
 
   /// All tasks in the expression rooted at `node`, in-order.
-  [[nodiscard]] std::vector<graph::VertexId> tasksUnder(std::uint32_t node) const;
+  [[nodiscard]] std::vector<graph::VertexId> tasksUnder(
+      std::uint32_t node) const;
 };
 
 /// Attempts the TTSP reduction of `g` (a block's induced DAG, any weights).

@@ -26,7 +26,8 @@ std::vector<std::uint8_t> initialBisection(
 /// One FM refinement with down-set-preserving moves; mutates `side`.
 /// Returns the cut improvement achieved (>= 0).
 double fmRefine(const graph::Dag& dag, const std::vector<double>& vertexWeight,
-                const BisectionTargets& targets, std::vector<std::uint8_t>& side);
+                const BisectionTargets& targets,
+                std::vector<std::uint8_t>& side);
 
 /// Full multilevel bisection of `dag`: coarsen to at most 64 vertices,
 /// initial bisection, project, and at most 8 FM passes per level.

@@ -85,7 +85,8 @@ AdjRef appendMerged(std::vector<AdjEntry>& pool, AdjSpan sList, AdjSpan aList,
       ++j;
     }
   }
-  ref.size = ref.capacity = static_cast<std::uint32_t>(pool.size() - ref.offset);
+  ref.size = ref.capacity =
+      static_cast<std::uint32_t>(pool.size() - ref.offset);
   return ref;
 }
 

@@ -211,9 +211,9 @@ struct MakespanResult {
 /// DagHetMem reproduce. A non-null model runs its forward pass instead: the
 /// uncontended model is the paper's forward recurrence (equal to the Eq. (1)
 /// value up to rounding), the fair-share model prices concurrent transfers
-/// the way sim::Engine executes them. Under a model bottomWeight stays empty (contention breaks
-/// the Eq. (1) bottom-weight recurrence) and criticalPath follows the
-/// binding-predecessor chain of the forward pass.
+/// the way sim::Engine executes them. Under a model bottomWeight stays empty
+/// (contention breaks the Eq. (1) bottom-weight recurrence) and criticalPath
+/// follows the binding-predecessor chain of the forward pass.
 MakespanResult computeMakespan(const QuotientGraph& q,
                                const platform::Cluster& cluster,
                                const comm::CommCostModel* model = nullptr);

@@ -108,7 +108,9 @@ AssignmentResult biggestAssign(const graph::Dag& g,
     block.memReq = oracle.blockRequirement(block.vertices);
     ++generation[blockIndex];
     queue.push(QueueEntry{block.memReq, blockIndex, generation[blockIndex]});
-    for (std::size_t i = 1; i < parts.size(); ++i) addBlock(std::move(parts[i]));
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+      addBlock(std::move(parts[i]));
+    }
     return false;
   };
 

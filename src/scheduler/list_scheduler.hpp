@@ -58,9 +58,9 @@ struct MemoryDiagnosis {
   bool feasible() const noexcept { return processorsOverCapacity == 0; }
 };
 
-MemoryDiagnosis diagnoseMemory(const graph::Dag& g,
-                               const platform::Cluster& cluster,
-                               const memory::MemDagOracle& oracle,
-                               const std::vector<platform::ProcessorId>& procOfTask);
+MemoryDiagnosis diagnoseMemory(
+    const graph::Dag& g, const platform::Cluster& cluster,
+    const memory::MemDagOracle& oracle,
+    const std::vector<platform::ProcessorId>& procOfTask);
 
 }  // namespace dagpm::scheduler

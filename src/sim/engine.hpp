@@ -257,8 +257,9 @@ struct PlanData {
 
 /// Precomputed execution plan for one (workflow, cluster, schedule) triple:
 /// the schedule's shape check and placed quotient, per-block oracle
-/// traversals and memory profiles. Building the plan is the expensive part of a simulation;
-/// Monte-Carlo loops build it once and replay it under many perturbations.
+/// traversals and memory profiles. Building the plan is the expensive part
+/// of a simulation; Monte-Carlo loops build it once and replay it under many
+/// perturbations.
 /// Holds references to the workflow, cluster and schedule, which must
 /// outlive the plan.
 class SimPlan {

@@ -83,8 +83,8 @@ struct PerturbationSpec {
 };
 
 /// Builds a model from a spec. The returned model still needs beginRun().
-std::unique_ptr<PerturbationModel> makePerturbation(const PerturbationSpec& spec,
-                                                    std::size_t numProcessors);
+std::unique_ptr<PerturbationModel> makePerturbation(
+    const PerturbationSpec& spec, std::size_t numProcessors);
 
 /// Short human-readable name, e.g. "lognormal(0.2)", for printouts and
 /// custom harness labels (the bundled noise ladder uses "sigma<value>"

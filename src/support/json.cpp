@@ -74,7 +74,9 @@ void dumpValue(const JsonValue& value, std::ostringstream& os, int indent,
   const char* nl = indent > 0 ? "\n" : "";
   switch (value.kind()) {
     case JsonValue::Kind::kNull: os << "null"; break;
-    case JsonValue::Kind::kBool: os << (value.asBool() ? "true" : "false"); break;
+    case JsonValue::Kind::kBool:
+      os << (value.asBool() ? "true" : "false");
+      break;
     case JsonValue::Kind::kNumber: {
       const double n = value.asNumber();
       if (n == std::floor(n) && std::abs(n) < 1e15) {
@@ -240,10 +242,15 @@ class Parser {
             for (int i = 0; i < 4; ++i) {
               const char h = text_[pos_++];
               code <<= 4;
-              if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-              else return fail("bad \\u digit");
+              if (h >= '0' && h <= '9') {
+                code += static_cast<unsigned>(h - '0');
+              } else if (h >= 'a' && h <= 'f') {
+                code += static_cast<unsigned>(h - 'a' + 10);
+              } else if (h >= 'A' && h <= 'F') {
+                code += static_cast<unsigned>(h - 'A' + 10);
+              } else {
+                return fail("bad \\u digit");
+              }
             }
             // Basic-multilingual-plane only; encode as UTF-8.
             if (code < 0x80) {

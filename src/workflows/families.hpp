@@ -6,7 +6,8 @@
 //   BLAST       split -> massive parallel blastall -> concat -> report
 //   BWA         index + split -> parallel alignments (2 parents each) -> concat
 //   Epigenomics parallel pipelines (chains) between a split and a merge tail
-//   1000Genome  groups of {parallel individuals -> merge -> sifting -> 2 analyses}
+//   1000Genome  groups of {parallel individuals -> merge -> sifting ->
+//               2 analyses}
 //   Montage     layered: projections -> pairwise diffs -> model -> backgrounds
 //               -> table -> add -> shrink -> jpeg (cross dependencies)
 //   SoyKB       long preprocessing chain, then a fork-join tail

@@ -24,7 +24,6 @@
 namespace dagpm {
 namespace {
 
-using experiments::Aggregate;
 using experiments::RunOutcome;
 using workflows::SizeBand;
 
@@ -105,38 +104,6 @@ TEST(BenchCommon, ContextReadsScaleSeedsAndSweep) {
   EXPECT_EQ(ctx.options().part.sweep, scheduler::KPrimeSweep::kFull);
 }
 
-Aggregate sampleAggregate() {
-  Aggregate agg;
-  agg.total = 7;
-  agg.scheduledBoth = 5;
-  agg.partScheduled = 6;
-  agg.memScheduled = 5;
-  agg.geomeanRatio = 0.41;
-  agg.geomeanPartMakespan = 123.5;
-  agg.geomeanMemMakespan = 301.2;
-  agg.meanPartSeconds = 0.75;
-  agg.meanMemSeconds = 0.5;
-  agg.geomeanRuntimeRatio = 1.5;
-  return agg;
-}
-
-TEST(JsonExport, AggregateRoundTripsThroughTheJsonParser) {
-  const Aggregate agg = sampleAggregate();
-  const std::string text = experiments::aggregateToJson(agg).dump();
-  const auto parsed = support::parseJson(text);
-  ASSERT_TRUE(parsed.has_value()) << text;
-  EXPECT_EQ(parsed->numberOr("total", -1), 7);
-  EXPECT_EQ(parsed->numberOr("scheduled_both", -1), 5);
-  EXPECT_EQ(parsed->numberOr("part_scheduled", -1), 6);
-  EXPECT_EQ(parsed->numberOr("mem_scheduled", -1), 5);
-  EXPECT_DOUBLE_EQ(parsed->numberOr("geomean_ratio", -1), 0.41);
-  EXPECT_DOUBLE_EQ(parsed->numberOr("geomean_part_makespan", -1), 123.5);
-  EXPECT_DOUBLE_EQ(parsed->numberOr("geomean_mem_makespan", -1), 301.2);
-  EXPECT_DOUBLE_EQ(parsed->numberOr("mean_part_seconds", -1), 0.75);
-  EXPECT_DOUBLE_EQ(parsed->numberOr("mean_mem_seconds", -1), 0.5);
-  EXPECT_DOUBLE_EQ(parsed->numberOr("geomean_runtime_ratio", -1), 1.5);
-}
-
 RunOutcome makeOutcome(const std::string& name, SizeBand band,
                        const std::string& family, double part, double mem) {
   RunOutcome out;
@@ -151,6 +118,37 @@ RunOutcome makeOutcome(const std::string& name, SizeBand band,
   out.partSeconds = 0.1;
   out.memSeconds = 0.2;
   return out;
+}
+
+TEST(JsonExport, ReduceRoundTripsThroughTheJsonParser) {
+  // Seven outcomes: five scheduled by both (makespan ratio 0.5 each), one by
+  // DagHetPart alone, one by neither.
+  std::vector<RunOutcome> outcomes;
+  for (const double part : {2.0, 8.0, 4.0, 4.0, 4.0}) {
+    RunOutcome& out = outcomes.emplace_back(
+        makeOutcome("x", SizeBand::kSmall, "BLAST", part, 2.0 * part));
+    out.partSeconds = 0.75;
+    out.memSeconds = 0.5;
+  }
+  outcomes.push_back(makeOutcome("y", SizeBand::kSmall, "BLAST", 1.0, 1.0));
+  outcomes.back().memFeasible = false;
+  outcomes.push_back(makeOutcome("z", SizeBand::kSmall, "BLAST", 1.0, 1.0));
+  outcomes.back().partFeasible = outcomes.back().memFeasible = false;
+  const support::JsonObject numbers =
+      experiments::outcomesTable().reduce(experiments::groupOf(outcomes));
+  const std::string text = support::JsonValue(numbers).dump();
+  const auto parsed = support::parseJson(text);
+  ASSERT_TRUE(parsed.has_value()) << text;
+  EXPECT_EQ(parsed->numberOr("total", -1), 7);
+  EXPECT_EQ(parsed->numberOr("scheduled_both", -1), 5);
+  EXPECT_EQ(parsed->numberOr("part_scheduled", -1), 6);
+  EXPECT_EQ(parsed->numberOr("mem_scheduled", -1), 5);
+  EXPECT_DOUBLE_EQ(parsed->numberOr("geomean_ratio", -1), 0.5);
+  EXPECT_DOUBLE_EQ(parsed->numberOr("geomean_part_makespan", -1), 4.0);
+  EXPECT_DOUBLE_EQ(parsed->numberOr("geomean_mem_makespan", -1), 8.0);
+  EXPECT_DOUBLE_EQ(parsed->numberOr("mean_part_seconds", -1), 0.75);
+  EXPECT_DOUBLE_EQ(parsed->numberOr("mean_mem_seconds", -1), 0.5);
+  EXPECT_DOUBLE_EQ(parsed->numberOr("geomean_runtime_ratio", -1), 1.5);
 }
 
 /// A one-outcome harness export named "fig_test".
@@ -233,6 +231,57 @@ TEST(JsonExport, MultiConfigBenchesKeepPerConfigRows) {
   const support::JsonValue* overall = doc.find("overall");
   ASSERT_NE(overall, nullptr);
   EXPECT_EQ(overall->numberOr("total", -1), 2);
+}
+
+TEST(JsonExport, BandRollupsAndOverallAreReductionsOfTheirOutcomes) {
+  // 2 configurations x 2 bands x 2 families, two outcomes per cell.
+  experiments::OutcomeGroups groups;
+  for (const std::string config : {"beta1", "beta5"}) {
+    std::vector<RunOutcome>& outcomes =
+        groups.emplace_back(config, std::vector<RunOutcome>()).second;
+    for (const SizeBand band : {SizeBand::kSmall, SizeBand::kMid}) {
+      for (const std::string family : {"BLAST", "SoyKB"}) {
+        for (const double part : {30.0, 60.0}) {
+          const double mem = 100.0 + outcomes.size();
+          outcomes.push_back(makeOutcome(family, band, family, part, mem));
+        }
+      }
+    }
+    outcomes.back().memFeasible = false;  // one infeasible run per config
+  }
+  const experiments::BenchExport exported =
+      experiments::outcomesExport("fig_test", groups);
+  // Per config: 4 (band, family) rows and 2 band rollups.
+  ASSERT_EQ(exported.rows.size(), 12u);
+  const experiments::StudyTable<RunOutcome> table =
+      experiments::outcomesTable();
+  int rollups = 0;
+  for (const support::JsonValue& row : exported.rows) {
+    if (row.stringOr("family", "") != "*") continue;
+    ++rollups;
+    std::vector<RunOutcome> band;
+    for (const auto& [config, outcomes] : groups) {
+      if (config != row.stringOr("config", "")) continue;
+      for (const RunOutcome& out : outcomes) {
+        if (workflows::sizeBandName(out.band) == row.stringOr("band", "")) {
+          band.push_back(out);
+        }
+      }
+    }
+    ASSERT_EQ(band.size(), 4u);
+    support::JsonObject expected = table.reduce(experiments::groupOf(band));
+    for (const std::string key : {"config", "band", "family"}) {
+      expected[key] = *row.find(key);
+    }
+    EXPECT_EQ(row.dump(), support::JsonValue(expected).dump());
+  }
+  EXPECT_EQ(rollups, 4);
+  std::vector<RunOutcome> all;
+  for (const auto& [config, outcomes] : groups) {
+    all.insert(all.end(), outcomes.begin(), outcomes.end());
+  }
+  EXPECT_EQ(exported.extra.at("overall").dump(),
+            support::JsonValue(table.reduce(experiments::groupOf(all))).dump());
 }
 
 TEST(CsvExport, ReportsWriteFailuresDistinctFromUnsetEnv) {
@@ -380,12 +429,6 @@ struct Sample {
 };
 
 const auto kOk = [](const Sample& s) { return s.ok; };
-
-std::vector<const Sample*> groupOf(const std::vector<Sample>& samples) {
-  std::vector<const Sample*> group;
-  for (const Sample& s : samples) group.push_back(&s);
-  return group;
-}
 
 TEST(StudyReducers, EmptyGroupReducesToZero) {
   using namespace experiments;

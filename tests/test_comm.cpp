@@ -190,8 +190,8 @@ TEST(CommCostModel, UncontendedCriticalPathIsAChainWithTheMakespan) {
     EXPECT_EQ(legacy.makespan, modeled.makespan);
     ASSERT_FALSE(modeled.criticalPath.empty());
     for (std::size_t i = 0; i + 1 < modeled.criticalPath.size(); ++i) {
-      EXPECT_EQ(q.out(modeled.criticalPath[i]).count(modeled.criticalPath[i + 1]),
-                1u);
+      const BlockId from = modeled.criticalPath[i];
+      EXPECT_EQ(q.out(from).count(modeled.criticalPath[i + 1]), 1u);
     }
   }
 }

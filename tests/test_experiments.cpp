@@ -1,6 +1,6 @@
 // Tests for the experiment harness: instance construction, the comparison
-// runner (with validation on), aggregation, and the Monte-Carlo runners'
-// shared schedule pass.
+// runner (with validation on), the harness table's reductions, and the
+// Monte-Carlo runners' shared schedule pass.
 
 #include <gtest/gtest.h>
 
@@ -23,32 +23,9 @@
 namespace dagpm::experiments {
 namespace {
 
+using test::findRow;
+using test::number;
 using workflows::SizeBand;
-
-/// The exported JSON row whose key fields equal `key`; nullptr when absent.
-const support::JsonValue* findRow(
-    const BenchExport& exported,
-    const std::map<std::string, std::string>& key) {
-  for (const support::JsonValue& row : exported.rows) {
-    if (std::ranges::all_of(key, [&](const auto& field) {
-          return row.stringOr(field.first, "") == field.second;
-        })) {
-      return &row;
-    }
-  }
-  return nullptr;
-}
-
-/// The number `key` of an exported JSON row; a test failure and NaN (which
-/// fails every comparison) when the row has no such number.
-double number(const support::JsonValue& row, const std::string& key) {
-  const support::JsonValue* value = row.find(key);
-  if (value == nullptr || !value->isNumber()) {
-    ADD_FAILURE() << "exported row has no number " << key;
-    return std::nan("");
-  }
-  return value->asNumber();
-}
 
 TEST(Instances, SyntheticCountsAndNames) {
   const auto instances =
@@ -97,16 +74,21 @@ TEST(Runner, ComparisonValidatesAndAggregates) {
     EXPECT_GT(out.partMakespan, 0.0);
     EXPECT_GT(out.memMakespan, 0.0);
   }
-  const auto byBand = aggregateByBand(outcomes);
-  ASSERT_EQ(byBand.count(SizeBand::kSmall), 1u);
-  const Aggregate& agg = byBand.at(SizeBand::kSmall);
-  EXPECT_EQ(agg.total, 3);
-  EXPECT_EQ(agg.scheduledBoth, 3);
-  EXPECT_GT(agg.geomeanRatio, 0.0);
-  EXPECT_LT(agg.geomeanRatio, 1.0);  // the heuristic wins on average
+  const BenchExport exported = outcomesExport("x", {{"", outcomes}});
+  const auto rollup = [](const support::JsonValue& row) {
+    return row.stringOr("family", "") == "*";
+  };
+  ASSERT_EQ(std::ranges::count_if(exported.rows, rollup), 1);
+  const support::JsonValue* small =
+      findRow(exported, {{"band", "small"}, {"family", "*"}});
+  ASSERT_NE(small, nullptr);
+  EXPECT_EQ(number(*small, "total"), 3);
+  EXPECT_EQ(number(*small, "scheduled_both"), 3);
+  EXPECT_GT(number(*small, "geomean_ratio"), 0.0);
+  EXPECT_LT(number(*small, "geomean_ratio"), 1.0);  // the heuristic wins
 }
 
-TEST(Aggregate, GroupsByCustomKey) {
+TEST(HarnessTable, GroupsByFamily) {
   std::vector<RunOutcome> outcomes(4);
   outcomes[0].family = "BLAST";
   outcomes[1].family = "BLAST";
@@ -119,27 +101,33 @@ TEST(Aggregate, GroupsByCustomKey) {
     out.partSeconds = out.memSeconds = 1.0;
   }
   outcomes[2].partMakespan = 1.0;  // BWA ratio 0.25 and 0.5
-  const auto groups =
-      aggregateBy(outcomes, [](const RunOutcome& o) { return o.family; });
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_DOUBLE_EQ(groups.at("BLAST").geomeanRatio, 0.5);
-  EXPECT_NEAR(groups.at("BWA").geomeanRatio, std::sqrt(0.25 * 0.5), 1e-12);
+  const BenchExport exported = outcomesExport("x", {{"", outcomes}});
+  // One row per family, and the band rollup.
+  ASSERT_EQ(exported.rows.size(), 3u);
+  const support::JsonValue* blast = findRow(exported, {{"family", "BLAST"}});
+  const support::JsonValue* bwa = findRow(exported, {{"family", "BWA"}});
+  ASSERT_NE(blast, nullptr);
+  ASSERT_NE(bwa, nullptr);
+  EXPECT_DOUBLE_EQ(number(*blast, "geomean_ratio"), 0.5);
+  EXPECT_NEAR(number(*bwa, "geomean_ratio"), std::sqrt(0.25 * 0.5), 1e-12);
 }
 
-TEST(Aggregate, InfeasibleRunsCountedButNotAveraged) {
+TEST(HarnessTable, InfeasibleRunsCountedButNotAveraged) {
   std::vector<RunOutcome> outcomes(2);
   outcomes[0].partFeasible = outcomes[0].memFeasible = true;
   outcomes[0].partMakespan = 1.0;
   outcomes[0].memMakespan = 2.0;
   outcomes[1].partFeasible = false;
   outcomes[1].memFeasible = true;
-  const auto byBand = aggregateByBand(outcomes);
-  const Aggregate& agg = byBand.at(SizeBand::kSmall);
-  EXPECT_EQ(agg.total, 2);
-  EXPECT_EQ(agg.scheduledBoth, 1);
-  EXPECT_EQ(agg.partScheduled, 1);
-  EXPECT_EQ(agg.memScheduled, 2);
-  EXPECT_DOUBLE_EQ(agg.geomeanRatio, 0.5);
+  const BenchExport exported = outcomesExport("x", {{"", outcomes}});
+  const support::JsonValue* small =
+      findRow(exported, {{"band", "small"}, {"family", "*"}});
+  ASSERT_NE(small, nullptr);
+  EXPECT_EQ(number(*small, "total"), 2);
+  EXPECT_EQ(number(*small, "scheduled_both"), 1);
+  EXPECT_EQ(number(*small, "part_scheduled"), 1);
+  EXPECT_EQ(number(*small, "mem_scheduled"), 2);
+  EXPECT_DOUBLE_EQ(number(*small, "geomean_ratio"), 0.5);
 }
 
 // The ISSUE's acceptance shape for online rescheduling: on the robustness

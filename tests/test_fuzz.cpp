@@ -203,7 +203,8 @@ TEST_P(PipelineFuzz, TracingNeverChangesSchedules) {
   const bool tracingWas = obs::tracingEnabled();
   obs::enableCounters(false);
   obs::enableTracing(false);
-  const scheduler::ScheduleResult plain = scheduler::dagHetPart(g, cluster, cfg);
+  const scheduler::ScheduleResult plain =
+      scheduler::dagHetPart(g, cluster, cfg);
   obs::enableCounters(true);
   obs::enableTracing(true);
   const scheduler::ScheduleResult traced =

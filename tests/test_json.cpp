@@ -66,7 +66,8 @@ TEST(Json, RejectsMalformedDocuments) {
 
 TEST(Json, DumpRoundTrips) {
   const std::string doc =
-      R"({"num": 1.5, "int": 7, "str": "x,\"y\"", "arr": [1, 2], "obj": {"k": false}})";
+      R"({"num": 1.5, "int": 7, "str": "x,\"y\"", "arr": [1, 2], )"
+      R"("obj": {"k": false}})";
   const auto v = parseJson(doc);
   ASSERT_TRUE(v.has_value());
   const auto again = parseJson(v->dump(2));

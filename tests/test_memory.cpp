@@ -42,7 +42,8 @@ TEST(Simulate, SingleTaskEqualsPaperRequirement) {
   g.addEdge(b, c, 6.0);
   // Block = {b} alone: r_b = 4 + 6 + 20.
   const SubDag sub = graph::inducedSubgraph(g, std::vector<VertexId>{b});
-  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0});
+  const SimResult sim =
+      simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0});
   EXPECT_DOUBLE_EQ(sim.peak, 30.0);
   EXPECT_DOUBLE_EQ(g.taskMemoryRequirement(b), 30.0);
 }
@@ -55,7 +56,8 @@ TEST(Simulate, ChainFreesConsumedFiles) {
   g.addEdge(a, b, 10.0);
   g.addEdge(b, c, 1.0);
   const SubDag sub = test::wholeDagAsSub(g);
-  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1, 2});
+  const SimResult sim =
+      simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1, 2});
   // Step a: 5 + 10 = 15. Step b: 10 (input) + 5 + 1 = 16. Step c: 1 + 5 = 6.
   ASSERT_EQ(sim.stepMemory.size(), 3u);
   EXPECT_DOUBLE_EQ(sim.stepMemory[0], 15.0);
@@ -74,7 +76,8 @@ TEST(Simulate, ParallelBranchesAccumulateLiveFiles) {
   g.addEdge(a, b, 7.0);
   g.addEdge(a, c, 9.0);
   const SubDag sub = test::wholeDagAsSub(g);
-  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1, 2});
+  const SimResult sim =
+      simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1, 2});
   // Step a: 1 + 16. Step b: resident 16 + 1. Step c: resident 9 + 1.
   EXPECT_DOUBLE_EQ(sim.stepMemory[0], 17.0);
   EXPECT_DOUBLE_EQ(sim.stepMemory[1], 17.0);
@@ -89,7 +92,8 @@ TEST(Simulate, ExternalOutputsStayResidentUntilBlockEnd) {
   g.addEdge(a, x, 5.0);  // external output of the block {a,b}
   g.addEdge(a, b, 2.0);
   const SubDag sub = graph::inducedSubgraph(g, std::vector<VertexId>{a, b});
-  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1});
+  const SimResult sim =
+      simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1});
   // Step a: 1 + 2 + 5. Step b: resident (2 internal + 5 sticky) + 1.
   EXPECT_DOUBLE_EQ(sim.stepMemory[0], 8.0);
   EXPECT_DOUBLE_EQ(sim.stepMemory[1], 8.0);
@@ -104,7 +108,8 @@ TEST(Simulate, ExternalInputsAreLazy) {
   g.addEdge(x, b, 50.0);  // external input, needed only at b's step
   g.addEdge(a, b, 1.0);
   const SubDag sub = graph::inducedSubgraph(g, std::vector<VertexId>{a, b});
-  const SimResult sim = simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1});
+  const SimResult sim =
+      simulateBlockOrder(BlockCosts(sub), std::vector<VertexId>{0, 1});
   EXPECT_DOUBLE_EQ(sim.stepMemory[0], 2.0);         // a: mem 1 + out 1
   EXPECT_DOUBLE_EQ(sim.stepMemory[1], 1 + 1 + 50);  // b: in 1 + mem + ext 50
 }
@@ -349,7 +354,8 @@ TEST_P(SpOptimality, CloseToBruteForceOnSpGraphs) {
   EXPECT_LE(spPeak, optimal * 1.10 + 1e-9) << "seed " << GetParam();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SpOptimality, testing::Range<std::uint64_t>(1, 41));
+INSTANTIATE_TEST_SUITE_P(Seeds, SpOptimality,
+                         testing::Range<std::uint64_t>(1, 41));
 
 /// The exact DP must equal brute force on arbitrary (non-SP) tiny DAGs.
 class ExactDpOptimality : public testing::TestWithParam<std::uint64_t> {};
@@ -364,7 +370,8 @@ TEST_P(ExactDpOptimality, MatchesBruteForce) {
   EXPECT_NEAR(exact->peak, test::bruteForceMinPeak(sub), 1e-9);
   // The reconstructed order must achieve the reported peak.
   EXPECT_TRUE(graph::isTopologicalOrder(sub.dag, exact->order));
-  EXPECT_NEAR(simulateBlockOrder(BlockCosts(sub), exact->order).peak, exact->peak, 1e-9);
+  EXPECT_NEAR(simulateBlockOrder(BlockCosts(sub), exact->order).peak,
+              exact->peak, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactDpOptimality,
@@ -596,7 +603,8 @@ TEST(Oracle, NeverWorseThanAPlainTopologicalOrder) {
     const MemDagOracle oracle(g);
     const graph::SubDag sub = test::wholeDagAsSub(g);
     const double naive =
-        simulateBlockOrder(BlockCosts(sub), *graph::topologicalOrder(sub.dag)).peak;
+        simulateBlockOrder(BlockCosts(sub), *graph::topologicalOrder(sub.dag))
+            .peak;
     EXPECT_LE(oracle.blockRequirement(all), naive + 1e-9);
   }
 }
@@ -620,7 +628,8 @@ TEST(Oracle, BestTraversalOrderAchievesReportedPeak) {
   const MemDagOracle oracle(g);
   const TraversalResult best = oracle.bestTraversal(all);
   const graph::SubDag sub = test::wholeDagAsSub(g);
-  EXPECT_NEAR(simulateBlockOrder(BlockCosts(sub), best.order).peak, best.peak, 1e-9);
+  EXPECT_NEAR(simulateBlockOrder(BlockCosts(sub), best.order).peak, best.peak,
+              1e-9);
 }
 
 TEST(Oracle, MemoizesRepeatedBlocks) {

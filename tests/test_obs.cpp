@@ -177,7 +177,8 @@ TEST_F(ObsTest, ScheduleTimelineLandsInTrace) {
   platform::Cluster cluster = platform::makeCluster(
       platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
   cluster.scaleMemoriesToFit(g.maxTaskMemoryRequirement());
-  const scheduler::ScheduleResult schedule = scheduler::scheduleBest(g, cluster);
+  const scheduler::ScheduleResult schedule =
+      scheduler::scheduleBest(g, cluster);
   ASSERT_TRUE(schedule.feasible);
 
   const memory::MemDagOracle oracle(g);

@@ -217,7 +217,8 @@ TEST(SimEngine, RejectsInfeasibleAndMalformedSchedules) {
   clash.blockOf.assign(g.numVertices(), 0);
   clash.blockOf[0] = 1;
   clash.procOfBlock = {0, 0};
-  const sim::SimResult run = sim::simulateSchedule(g, cluster, clash, oracle, {});
+  const sim::SimResult run =
+      sim::simulateSchedule(g, cluster, clash, oracle, {});
   EXPECT_FALSE(run.ok);
   EXPECT_NE(run.error.find("processor"), std::string::npos);
 }

@@ -1,18 +1,25 @@
 #pragma once
 // Shared helpers for the test suite: thin wrappers over the library's
-// random DAG generators plus brute-force peak-memory search used as the
-// ground truth for the SP scheduler and the exact DP.
+// random DAG generators, brute-force peak-memory search used as the
+// ground truth for the SP scheduler and the exact DP, and strict lookups
+// into exported bench documents.
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <omp.h>
 
+#include "experiments/export.hpp"
 #include "graph/dag.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
@@ -51,6 +58,31 @@ inline std::vector<std::uint64_t> fuzzSeeds(int defaultCount) {
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(count));
   std::iota(seeds.begin(), seeds.end(), std::uint64_t{1});
   return seeds;
+}
+
+/// The exported JSON row whose key fields equal `key`; nullptr when absent.
+inline const support::JsonValue* findRow(
+    const experiments::BenchExport& exported,
+    const std::map<std::string, std::string>& key) {
+  for (const support::JsonValue& row : exported.rows) {
+    if (std::ranges::all_of(key, [&](const auto& field) {
+          return row.stringOr(field.first, "") == field.second;
+        })) {
+      return &row;
+    }
+  }
+  return nullptr;
+}
+
+/// The number `key` of an exported JSON row; a test failure and NaN (which
+/// fails every comparison) when the row has no such number.
+inline double number(const support::JsonValue& row, const std::string& key) {
+  const support::JsonValue* value = row.find(key);
+  if (value == nullptr || !value->isNumber()) {
+    ADD_FAILURE() << "exported row has no number " << key;
+    return std::nan("");
+  }
+  return value->asNumber();
 }
 
 /// The bit pattern of `x`, for hashing doubles exactly.

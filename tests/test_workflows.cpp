@@ -188,7 +188,9 @@ TEST(RealWorld, SuiteHasFiveWorkflowsInPaperSizeRange) {
   EXPECT_EQ(names.size(), 5u);
   // The paper's smallest workflow has 11 tasks; ours too.
   std::size_t smallest = 1000;
-  for (const auto& wf : suite) smallest = std::min(smallest, wf.dag.numVertices());
+  for (const auto& wf : suite) {
+    smallest = std::min(smallest, wf.dag.numVertices());
+  }
   EXPECT_EQ(smallest, 11u);
 }
 

@@ -16,6 +16,7 @@
 #include "platform/cluster.hpp"
 #include "resched/resched.hpp"
 #include "scheduler/daghetpart.hpp"
+#include "sim/engine.hpp"
 #include "workflows/families.hpp"
 
 int main(int argc, char** argv) {
@@ -38,7 +39,11 @@ int main(int argc, char** argv) {
     std::puts("no valid mapping found");
     return 1;
   }
+  // The plan (shape check, quotient, block orders) is read-only: every
+  // online run of this schedule can share it.
   const memory::MemDagOracle oracle(workflow);
+  const sim::SimPlan plan =
+      sim::prepareSimulation(workflow, cluster, schedule, oracle);
   std::printf("scheduled %d tasks into %u blocks, static makespan %.3f\n\n",
               numTasks, schedule.numBlocks(), schedule.makespan);
 
@@ -55,7 +60,7 @@ int main(int argc, char** argv) {
   options.policy.minGain = 0.005;
 
   const resched::RescheduleResult run =
-      resched::runOnline(workflow, cluster, schedule, oracle, options);
+      resched::runOnline(plan, oracle, options);
   if (!run.ok) {
     std::printf("rescheduling failed: %s\n", run.error.c_str());
     return 1;

@@ -3,7 +3,9 @@
 //
 //   ./build/examples/simulate_schedule [num_tasks]
 //
-// Shows the simulator modes side by side:
+// Prepares the schedule's simulation plan once (shape check, quotient,
+// per-block traversals and memory profiles) and replays it in the simulator
+// modes side by side:
 //   1. deterministic block-synchronous replay == the static Eq. (1)-(2)
 //      makespan (the cross-validation the tests assert);
 //   2. block-synchronous replay under fair-share link contention, next to
@@ -49,11 +51,16 @@ int main(int argc, char** argv) {
               numTasks, schedule.numBlocks(), schedule.makespan);
 
   const memory::MemDagOracle oracle(workflow);
+  const sim::SimPlan plan =
+      sim::prepareSimulation(workflow, cluster, schedule, oracle);
+  if (!plan.ok()) {
+    std::printf("plan rejected: %s\n", plan.error().c_str());
+    return 1;
+  }
 
   // 1. Exact replay of the static model.
   sim::SimOptions replay;  // block-synchronous, no contention, deterministic
-  const sim::SimResult exact =
-      sim::simulateSchedule(workflow, cluster, schedule, oracle, replay);
+  const sim::SimResult exact = sim::simulateSchedule(plan, replay);
   if (!exact.ok) {
     std::printf("simulation failed: %s\n", exact.error.c_str());
     return 1;
@@ -65,8 +72,7 @@ int main(int argc, char** argv) {
   // cost model predicting it without replaying any events.
   sim::SimOptions contended;
   contended.contention = true;
-  const sim::SimResult shared =
-      sim::simulateSchedule(workflow, cluster, schedule, oracle, contended);
+  const sim::SimResult shared = sim::simulateSchedule(plan, contended);
   const auto predicted = scheduler::modelMakespan(
       workflow, cluster, schedule, comm::fairShareCommModel());
   if (!shared.ok || !predicted.has_value()) {
@@ -82,8 +88,7 @@ int main(int argc, char** argv) {
   sim::SimOptions eager;
   eager.comm = sim::CommModel::kTaskEager;
   eager.contention = true;
-  const sim::SimResult realistic =
-      sim::simulateSchedule(workflow, cluster, schedule, oracle, eager);
+  const sim::SimResult realistic = sim::simulateSchedule(plan, eager);
   if (!realistic.ok) {
     std::printf("simulation failed: %s\n", realistic.error.c_str());
     return 1;
@@ -101,8 +106,7 @@ int main(int argc, char** argv) {
   mc.sim = eager;
   mc.perturbation.kind = sim::PerturbationKind::kLognormal;
   mc.perturbation.sigma = 0.3;
-  const sim::RobustnessSummary noisy = sim::evaluateRobustness(
-      workflow, cluster, schedule, oracle, mc);
+  const sim::RobustnessSummary noisy = sim::evaluateRobustness(plan, mc);
   if (!noisy.ok) {
     std::printf("robustness evaluation failed: %s\n", noisy.error.c_str());
     return 1;

@@ -67,6 +67,13 @@ platform::Cluster addSpareProcessors(const platform::Cluster& cluster,
   return platform::Cluster(std::move(processors), cluster.bandwidth());
 }
 
+std::vector<ScheduledInstance> addSpareProcessors(
+    std::span<const ScheduledInstance> pass, int spares) {
+  std::vector<ScheduledInstance> spared(pass.begin(), pass.end());
+  for (auto& e : spared) e.scaled = addSpareProcessors(e.scaled, spares);
+  return spared;
+}
+
 std::optional<double> recoveredShare(double aware, double greedy,
                                      double staticMakespan) {
   if (greedy == std::numeric_limits<double>::infinity()) return 1.0;
@@ -85,13 +92,15 @@ std::vector<FaultOutcome> runFaultRecovery(
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t numLevels = levels.size();
   const int replications = std::max(options.replications, 0);
+  requireCovered(instances.size(), scheduled);
+  const std::vector<ScheduledInstance> spared = addSpareProcessors(
+      scheduled.first(instances.size()), kSpareProcessors);
   return replayScheduled<FaultOutcome>(
-      instances, scheduled, levels, &FaultLevel::name, 1,
+      instances, spared, levels, &FaultLevel::name, 1,
       [&](FaultOutcome& out, const ReplayCell& cell) {
         const FaultLevel& level = levels[cell.level];
-        const double makespan = cell.schedule.makespan;
-        const platform::Cluster augmented =
-            addSpareProcessors(cell.scaled, kSpareProcessors);
+        const double makespan = cell.plan.data().schedule->makespan;
+        const std::size_t numProcs = cell.plan.data().cluster->numProcessors();
         out.replications = replications;
         out.staticMakespan = makespan;
         out.ok = true;
@@ -109,13 +118,13 @@ std::vector<FaultOutcome> runFaultRecovery(
             (cell.instance * numLevels + cell.level) * 1000003ULL;
         std::vector<double> recoveries;
         for (int r = 0; r < replications; ++r) {
-          sim::FaultModel faults(spec, augmented.numProcessors());
+          sim::FaultModel faults(spec, numProcs);
           resched::RescheduleOptions ro;
           ro.policy = options.policy;
           ro.seed = sim::mixSeed(options.seed, draw + r);
           ro.faults = &faults;
-          const resched::RescheduleResult run = resched::runOnline(
-              cell.dag, augmented, cell.schedule, cell.oracle, ro);
+          const resched::RescheduleResult run =
+              resched::runOnline(cell.plan, cell.oracle, ro);
           if (!run.ok) {
             // Neither the repair nor greedy re-execution could recover this
             // draw (e.g. every capable processor died): data, not an error.

@@ -49,6 +49,10 @@ inline constexpr int kSpareProcessors = 2;
 /// processor ids are unchanged, so schedules built for `cluster` stay valid.
 platform::Cluster addSpareProcessors(const platform::Cluster& cluster,
                                      int spares);
+/// `pass` with `spares` spares added to every cluster: runFaultRecovery
+/// prepares its plans on it, i.e. on the cluster the faults strike.
+std::vector<ScheduledInstance> addSpareProcessors(
+    std::span<const ScheduledInstance> pass, int spares);
 
 /// Outcome of one (fault level, scheduler, instance) cell, aggregated over
 /// the Monte-Carlo replications. Aware = the driver's finalMakespan (never

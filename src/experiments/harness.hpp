@@ -7,6 +7,7 @@
 // every entry point takes spans: a caller hands it a prefix of a longer pass
 // without copying.
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <optional>
@@ -19,6 +20,7 @@
 #include "platform/cluster.hpp"
 #include "scheduler/daghetmem.hpp"
 #include "scheduler/daghetpart.hpp"
+#include "sim/engine.hpp"
 #include "workflows/families.hpp"
 #include "workflows/real_world.hpp"
 
@@ -117,15 +119,14 @@ struct OutcomeKey {
 
 /// One replay of a Monte-Carlo runner: a feasible schedule of instance
 /// `instance` at level `level` and policy `policy`; `slot` is the cell's
-/// index in the fixed instance-major layout.
+/// index in the fixed instance-major layout; `plan` was prepared with
+/// `oracle` from the pass's own workflow, cluster and schedule.
 struct ReplayCell {
   std::size_t instance = 0;
   std::size_t level = 0;
   std::size_t policy = 0;
   std::size_t slot = 0;
-  const graph::Dag& dag;
-  const platform::Cluster& scaled;
-  const scheduler::ScheduleResult& schedule;
+  const sim::SimPlan& plan;
   const memory::MemDagOracle& oracle;
 };
 
@@ -133,7 +134,8 @@ struct ReplayCell {
 /// every (instance, level, policy, scheduler) cell whose schedule is
 /// feasible, after filling the outcome's key (`levelName` projects a level
 /// to its name). Every replay of an instance shares one default-option
-/// oracle. OpenMP-parallel across instances; the fixed slot layout
+/// oracle, and every replay of one (instance, scheduler) one plan prepared
+/// with it. OpenMP-parallel across instances; the fixed slot layout
 /// (instance-major, then level, policy, scheduler) makes the result order
 /// and every seed derived from a cell independent of thread scheduling.
 /// Returns the filled slots in layout order. Throws std::invalid_argument
@@ -156,14 +158,19 @@ std::vector<Outcome> replayScheduled(
   for (std::size_t i = 0; i < instances.size(); ++i) {
     (void)replayed.load(std::memory_order_acquire);
     const Instance& inst = instances[i];
-    const platform::Cluster& scaled = scheduled[i].scaled;
     const memory::MemDagOracle oracle(inst.dag);
+    std::array<std::optional<sim::SimPlan>, 2> plans;
+    for (std::size_t s = 0; s < 2; ++s) {
+      const scheduler::ScheduleResult& schedule =
+          s == 0 ? scheduled[i].part : scheduled[i].mem;
+      if (!schedule.feasible) continue;
+      plans[s] = sim::prepareSimulation(inst.dag, scheduled[i].scaled,
+                                        schedule, oracle);
+    }
     for (std::size_t l = 0; l < numLevels; ++l) {
       for (std::size_t p = 0; p < numPolicies; ++p) {
         for (std::size_t s = 0; s < 2; ++s) {
-          const scheduler::ScheduleResult& schedule =
-              s == 0 ? scheduled[i].part : scheduled[i].mem;
-          if (!schedule.feasible) continue;
+          if (!plans[s]) continue;
           const std::size_t slot =
               ((i * numLevels + l) * numPolicies + p) * 2 + s;
           Outcome& out = slots[slot];
@@ -173,7 +180,7 @@ std::vector<Outcome> replayScheduled(
           out.band = inst.band;
           out.family = inst.family;
           out.numTasks = inst.numTasks;
-          replay(out, {i, l, p, slot, inst.dag, scaled, schedule, oracle});
+          replay(out, {i, l, p, slot, *plans[s], oracle});
           filled[slot] = 1;
         }
       }

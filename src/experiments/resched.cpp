@@ -80,8 +80,8 @@ std::vector<ReschedOutcome> runRescheduling(
           ro.perturbation = levels[cell.level].spec;
           ro.seed = sim::mixSeed(options.seed, draw + r);
           ro.contention = options.contention;
-          const resched::RescheduleResult run = resched::runOnline(
-              cell.dag, cell.scaled, cell.schedule, cell.oracle, ro);
+          const resched::RescheduleResult run =
+              resched::runOnline(cell.plan, cell.oracle, ro);
           if (!run.ok) {
             out.ok = false;
             out.error = run.error;

@@ -36,8 +36,7 @@ std::vector<RobustnessOutcome> runRobustness(
         sim::RobustnessOptions ro = options;
         ro.perturbation = levels[cell.level].spec;
         ro.seed = sim::mixSeed(options.seed, cell.slot);
-        out.summary = sim::evaluateRobustness(cell.dag, cell.scaled,
-                                              cell.schedule, cell.oracle, ro);
+        out.summary = sim::evaluateRobustness(cell.plan, ro);
       });
 }
 

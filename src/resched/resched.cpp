@@ -166,24 +166,21 @@ struct LoopOutcome {
 
 }  // namespace
 
-RescheduleResult runOnline(const graph::Dag& g,
-                           const platform::Cluster& cluster,
-                           const scheduler::ScheduleResult& schedule,
+RescheduleResult runOnline(const sim::SimPlan& plan,
                            const memory::MemDagOracle& oracle,
                            const RescheduleOptions& options) {
   RescheduleResult result;
   const ReschedulePolicy& policy = options.policy;
   const bool faulty =
       options.faults != nullptr && options.faults->spec().active();
-
-  const sim::SimPlan initialPlan =
-      sim::prepareSimulation(g, cluster, schedule, oracle);
-  if (!initialPlan.ok()) {
-    result.error = initialPlan.error();
+  if (!plan.ok()) {
+    result.error = plan.error();
     return result;
   }
+  const graph::Dag& g = *plan.data().g;
+  const platform::Cluster& cluster = *plan.data().cluster;
   result.staticMakespan =
-      scheduler::staticMakespan(*initialPlan.data().quotient, cluster);
+      scheduler::staticMakespan(*plan.data().quotient, cluster);
   const double scale = std::max(result.staticMakespan, 1e-12);
 
   const std::unique_ptr<sim::PerturbationModel> model =
@@ -225,11 +222,10 @@ RescheduleResult runOnline(const graph::Dag& g,
     TriggerObserver observer(lp, scale, &predictedStart, &predictedFinish);
 
     // Spliced schedules and their plans must outlive the runs below (plans
-    // hold pointers to their schedule).
+    // hold pointers to their schedule); `current` starts at the caller's.
     std::deque<scheduler::ScheduleResult> schedules;
     std::deque<sim::SimPlan> plans;
-    plans.push_back(initialPlan);
-    const scheduler::ScheduleResult* currentSchedule = &schedule;
+    const sim::SimPlan* current = &plan;
     sim::SimCheckpoint checkpoint;
     bool resuming = false;
     double backoff = kFaultBackoffFraction * scale;
@@ -239,7 +235,7 @@ RescheduleResult runOnline(const graph::Dag& g,
       sim::SimOptions opts = base;
       opts.observer = &observer;
       opts.resume = resuming ? &checkpoint : nullptr;
-      out.run = sim::simulateSchedule(plans.back(), opts);
+      out.run = sim::simulateSchedule(*current, opts);
       if (!out.run.ok) {
         out.error = out.run.error;
         return out;
@@ -278,8 +274,7 @@ RescheduleResult runOnline(const graph::Dag& g,
         if (drift <= lp.driftTolerance * scale) continue;
       }
 
-      ResidualState residual =
-          buildResidual(plans.back(), checkpoint, oracle);
+      ResidualState residual = buildResidual(*current, checkpoint, oracle);
       residual.procSlowdown = estimateProcSlowdown(g, cluster, checkpoint);
       RepairConfig repairCfg;
       repairCfg.minGain = lp.minGain;
@@ -314,7 +309,7 @@ RescheduleResult runOnline(const graph::Dag& g,
             out.error =
                 "fault recovery exhausted its retries: no surviving "
                 "processor can host the work lost to a fail-stop";
-            out.finalSchedule = *currentSchedule;
+            out.finalSchedule = *current->data().schedule;
             return out;
           }
           ++failedRetries;
@@ -349,15 +344,13 @@ RescheduleResult runOnline(const graph::Dag& g,
 
       // Splice the repaired schedule back and resume from it.
       model->beginRun(options.seed);  // re-send factors draw like dispatches
-      Splice splice =
-          buildSplice(plans.back(), checkpoint, residual, *model);
+      Splice splice = buildSplice(*current, checkpoint, residual, *model);
       schedules.push_back(std::move(splice.schedule));
-      currentSchedule = &schedules.back();
-      plans.push_back(sim::prepareSimulation(g, cluster, schedules.back(),
-                                             oracle, &splice.hints));
-      if (!plans.back().ok()) {
-        out.error = "spliced schedule rejected by the engine: " +
-                    plans.back().error();
+      current = &plans.emplace_back(sim::prepareSimulation(
+          g, cluster, schedules.back(), oracle, &splice.hints));
+      if (!current->ok()) {
+        out.error =
+            "spliced schedule rejected by the engine: " + current->error();
         return out;
       }
       checkpoint = std::move(splice.checkpoint);
@@ -368,7 +361,7 @@ RescheduleResult runOnline(const graph::Dag& g,
       sim::SimOptions projOpts = deterministic;
       projOpts.resume = &checkpoint;
       const sim::SimResult projection =
-          sim::simulateSchedule(plans.back(), projOpts);
+          sim::simulateSchedule(*current, projOpts);
       if (!projection.ok) {
         out.error = "projection of the spliced schedule failed: " +
                     projection.error;
@@ -392,7 +385,7 @@ RescheduleResult runOnline(const graph::Dag& g,
       out.repairs.push_back(std::move(record));
     }
 
-    out.finalSchedule = *currentSchedule;
+    out.finalSchedule = *current->data().schedule;
     out.ok = true;
     return out;
   };
@@ -414,7 +407,7 @@ RescheduleResult runOnline(const graph::Dag& g,
     search = baseline;  // the search loop would replay the baseline verbatim
   } else {
     const sim::SimResult reference =
-        sim::simulateSchedule(initialPlan, deterministic);
+        sim::simulateSchedule(plan, deterministic);
     if (!reference.ok) {
       result.error = reference.error;
       return result;

@@ -152,11 +152,11 @@ struct RescheduleOptions {
   sim::FaultModel* faults = nullptr;
 };
 
-/// Runs `schedule` online under the policy. The execution model is the
-/// block-synchronous one (the static model rescheduling repairs).
-RescheduleResult runOnline(const graph::Dag& g,
-                           const platform::Cluster& cluster,
-                           const scheduler::ScheduleResult& schedule,
+/// Runs the prepared `plan` online, block-synchronously (the model the
+/// repairs price), on its workflow and cluster; `oracle` (over that
+/// workflow) prices repairs and orders spliced blocks. The plan is only
+/// read, so every run of a schedule can share one.
+RescheduleResult runOnline(const sim::SimPlan& plan,
                            const memory::MemDagOracle& oracle,
                            const RescheduleOptions& options);
 

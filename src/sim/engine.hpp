@@ -256,12 +256,12 @@ struct PlanData {
 }  // namespace detail
 
 /// Precomputed execution plan for one (workflow, cluster, schedule) triple:
-/// the schedule's shape check and placed quotient, per-block oracle
-/// traversals and memory profiles. Building the plan is the expensive part
-/// of a simulation; Monte-Carlo loops build it once and replay it under many
-/// perturbations.
-/// Holds references to the workflow, cluster and schedule, which must
-/// outlive the plan.
+/// the schedule's shape check and placed quotient, per-block traversal
+/// orders and memory profiles. Building it is the expensive part of a
+/// simulation, and replays only read it: resched::runOnline,
+/// evaluateRobustness and experiments::replayScheduled take a prepared plan,
+/// so every replay of a schedule shares one. Holds references to the
+/// workflow, cluster and schedule, which must outlive the plan.
 class SimPlan {
  public:
   [[nodiscard]] bool ok() const noexcept { return data_.error.empty(); }
@@ -277,17 +277,17 @@ class SimPlan {
   detail::PlanData data_;
 };
 
-/// Optional construction hints for plans of *resumed* (mid-execution)
-/// schedules, produced by the rescheduler's splice step (src/resched):
-///   * completedBlock — blocks already fully executed at resume time are
-///     exempt from the pairwise-distinct-processor rule, so a repaired
-///     schedule may reuse the processor a finished block ran on (the static
-///     model forbids this, which is one reason online repair can win);
-///   * forcedOrder — exact traversal order (a permutation of the block's
-///     members) to use instead of asking the oracle; a partially executed
-///     block must keep the order its checkpoint's step indices refer to.
-/// Both vectors are indexed by block id and may be shorter than the block
-/// count (missing entries = no hint).
+/// Construction hints for the plans of spliced (mid-execution) schedules,
+/// which the rescheduler's splice builds (src/resched); an initial plan
+/// takes none. Both vectors are indexed by block id and may be shorter than
+/// the block count (missing entries = no hint):
+///   * completedBlock — blocks fully executed at resume time are exempt
+///     from the pairwise-distinct-processor rule, so a repaired schedule
+///     may reuse the processor a finished block ran on (the static model
+///     forbids this, which is one reason online repair can win);
+///   * forcedOrder — the traversal order (a permutation of the block's
+///     members) to use instead of the oracle's; a partially executed block
+///     keeps the order its checkpoint's step indices refer to.
 struct PlanHints {
   std::vector<char> completedBlock;
   std::vector<std::vector<graph::VertexId>> forcedOrder;

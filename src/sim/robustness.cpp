@@ -7,24 +7,15 @@
 
 namespace dagpm::sim {
 
-RobustnessSummary evaluateRobustness(const graph::Dag& g,
-                                     const platform::Cluster& cluster,
-                                     const scheduler::ScheduleResult& schedule,
-                                     const memory::MemDagOracle& oracle,
+RobustnessSummary evaluateRobustness(const SimPlan& plan,
                                      const RobustnessOptions& options) {
   RobustnessSummary summary;
   summary.replications = std::max(options.replications, 0);
-
-  // The plan (shape check, quotient, traversals, memory profiles) is
-  // perturbation-independent: build it once instead of once per replication
-  // — it dominates the cost of a single replay.
-  const SimPlan plan = prepareSimulation(g, cluster, schedule, oracle);
   if (!plan.ok()) {
     summary.error = plan.error();
     return summary;
   }
-
-  // Static Eq. (1)-(2) prediction, priced on the plan's quotient.
+  const platform::Cluster& cluster = *plan.data().cluster;
   summary.staticMakespan =
       scheduler::staticMakespan(*plan.data().quotient, cluster);
 

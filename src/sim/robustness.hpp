@@ -51,14 +51,11 @@ struct RobustnessSummary {
                          const RobustnessSummary&) = default;
 };
 
-/// Runs `options.replications` perturbed simulations of `schedule` and
-/// summarizes them. The static prediction is recomputed from the schedule's
-/// quotient (not taken from schedule.makespan) so partial schedules from
-/// custom pipelines evaluate consistently.
-RobustnessSummary evaluateRobustness(const graph::Dag& g,
-                                     const platform::Cluster& cluster,
-                                     const scheduler::ScheduleResult& schedule,
-                                     const memory::MemDagOracle& oracle,
+/// Runs `options.replications` perturbed replays of the prepared `plan` and
+/// summarizes them; a failed plan yields its error. The static prediction
+/// is priced on the plan's quotient (not taken from schedule.makespan) so
+/// partial schedules from custom pipelines evaluate consistently.
+RobustnessSummary evaluateRobustness(const SimPlan& plan,
                                      const RobustnessOptions& options);
 
 }  // namespace dagpm::sim

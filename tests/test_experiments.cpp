@@ -301,6 +301,116 @@ TEST(Runner, PassSkipsAnAlgorithmPassedAsNullopt) {
   }
 }
 
+/// What a replay cell saw of its plan, recorded by probeReplays (the plans
+/// live only as long as the replay loop, so only addresses are kept).
+struct ReplayProbe : OutcomeKey {
+  std::size_t index = 0;  // the cell's instance index
+  std::size_t oracleEvaluations = 0;  // of the cell's oracle, at the replay
+  const sim::SimPlan* plan = nullptr;
+  bool ok = false;
+  const graph::Dag* dag = nullptr;
+  const platform::Cluster* cluster = nullptr;
+  const scheduler::ScheduleResult* schedule = nullptr;
+};
+
+/// Every cell of `pass` at three levels and two policies.
+std::vector<ReplayProbe> probeReplays(std::span<const Instance> instances,
+                                      std::span<const ScheduledInstance> pass) {
+  return replayScheduled<ReplayProbe>(
+      instances, pass, lognormalLadder({0.0, 0.1, 0.2}), &NoiseLevel::config,
+      2, [](ReplayProbe& out, const ReplayCell& cell) {
+        const sim::detail::PlanData& d = cell.plan.data();
+        out.index = cell.instance;
+        out.oracleEvaluations = cell.oracle.evaluations();
+        out.plan = &cell.plan;
+        out.ok = cell.plan.ok();
+        out.dag = d.g;
+        out.cluster = d.cluster;
+        out.schedule = d.schedule;
+      });
+}
+
+std::vector<Instance> twoRealOneSynthetic() {
+  std::vector<Instance> instances = makeRealInstances(1);
+  instances.resize(2);
+  instances.push_back(
+      std::move(makeSyntheticInstances({60}, SizeBand::kSmall, 1).front()));
+  return instances;
+}
+
+// Every replay of one (instance, scheduler) reads one plan, prepared once on
+// the pass's own workflow, cluster and schedule. Preparing a plan asks the
+// instance's oracle for every block's order, so an oracle that evaluates
+// nothing between an instance's replays shows that no replay prepared one
+// (a plan address alone could be a reused stack slot).
+TEST(MonteCarlo, ReplayCellsOfOneScheduleShareOnePlan) {
+  const std::vector<Instance> instances = twoRealOneSynthetic();
+  const platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
+  const std::vector<ScheduledInstance> pass =
+      scheduleInstances(instances, cluster);
+  std::size_t feasible = 0;
+  for (const ScheduledInstance& entry : pass) {
+    feasible += (entry.part.feasible ? 1 : 0) + (entry.mem.feasible ? 1 : 0);
+  }
+  ASSERT_GT(feasible, 0u);
+  const std::vector<ReplayProbe> probes = probeReplays(instances, pass);
+  EXPECT_EQ(probes.size(), feasible * 3 * 2);
+  std::map<std::pair<std::size_t, std::string>, const sim::SimPlan*> planOf;
+  std::map<std::size_t, std::size_t> evaluationsOf;
+  for (const ReplayProbe& probe : probes) {
+    const ScheduledInstance& entry = pass[probe.index];
+    const bool part = probe.scheduler == "part";
+    planOf.try_emplace({probe.index, probe.scheduler}, probe.plan);
+    EXPECT_EQ(planOf.at({probe.index, probe.scheduler}), probe.plan)
+        << probe.index << " " << probe.scheduler;
+    evaluationsOf.try_emplace(probe.index, probe.oracleEvaluations);
+    EXPECT_GT(probe.oracleEvaluations, 0u);
+    EXPECT_EQ(evaluationsOf.at(probe.index), probe.oracleEvaluations)
+        << probe.index << " " << probe.config << " " << probe.scheduler;
+    EXPECT_TRUE(probe.ok);
+    EXPECT_EQ(probe.dag, &instances[probe.index].dag);
+    EXPECT_EQ(probe.cluster, &entry.scaled);
+    EXPECT_EQ(probe.schedule, part ? &entry.part : &entry.mem);
+  }
+  EXPECT_EQ(planOf.size(), feasible);
+}
+
+// runFaultRecovery prepares its plans on a copy of the pass whose clusters
+// carry the spare processors, so its runs and their evacuations use the
+// cluster the faults strike; the schedules are the pass's.
+TEST(MonteCarlo, FaultRecoveryPlansHaveTheSpareProcessors) {
+  const std::vector<Instance> instances = twoRealOneSynthetic();
+  const platform::Cluster cluster = platform::makeCluster(
+      platform::Heterogeneity::kDefault, platform::ClusterSize::kDefault);
+  const std::vector<ScheduledInstance> pass =
+      scheduleInstances(instances, cluster);
+  const std::vector<ScheduledInstance> spared =
+      addSpareProcessors(pass, kSpareProcessors);
+  ASSERT_EQ(spared.size(), pass.size());
+  for (std::size_t i = 0; i < pass.size(); ++i) {
+    const platform::Cluster& scaled = pass[i].scaled;
+    ASSERT_EQ(spared[i].scaled.numProcessors(),
+              scaled.numProcessors() + kSpareProcessors);
+    for (platform::ProcessorId p = 0; p < scaled.numProcessors(); ++p) {
+      EXPECT_EQ(spared[i].scaled.speed(p), scaled.speed(p));
+      EXPECT_EQ(spared[i].scaled.memory(p), scaled.memory(p));
+    }
+    for (const auto half :
+         {&ScheduledInstance::part, &ScheduledInstance::mem}) {
+      EXPECT_EQ((spared[i].*half).feasible, (pass[i].*half).feasible);
+      EXPECT_EQ((spared[i].*half).blockOf, (pass[i].*half).blockOf);
+      EXPECT_EQ((spared[i].*half).procOfBlock, (pass[i].*half).procOfBlock);
+    }
+  }
+  const std::vector<ReplayProbe> probes = probeReplays(instances, spared);
+  ASSERT_FALSE(probes.empty());
+  for (const ReplayProbe& probe : probes) {
+    EXPECT_TRUE(probe.ok);
+    EXPECT_EQ(probe.cluster, &spared[probe.index].scaled);
+  }
+}
+
 // A pass shorter than its instance list is rejected before a replay can
 // read past its end; callers hand the runners prefixes of longer passes.
 TEST(MonteCarlo, ShortSchedulePassIsRejected) {

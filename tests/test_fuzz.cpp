@@ -285,8 +285,9 @@ TEST_P(SpliceFuzz, ForcedSplicesStayConsistentWithTheStaticModel) {
     options.policy.driftTolerance = -1.0;
     options.policy.minGain = 1e-6;
     options.policy.hindsightGuard = false;
-    const resched::RescheduleResult run =
-        resched::runOnline(sc.dag, sc.cluster, *schedule, oracle, options);
+    const resched::RescheduleResult run = resched::runOnline(
+        sim::prepareSimulation(sc.dag, sc.cluster, *schedule, oracle), oracle,
+        options);
     ASSERT_TRUE(run.ok) << run.error;
     const double tol = 1e-9 * std::max(1.0, expected);
     EXPECT_NEAR(run.unrepairedMakespan, expected, tol);
@@ -334,8 +335,9 @@ TEST_P(FaultFuzz, RecoveryYieldsValidSchedulesOrFailsHonestly) {
     resched::RescheduleOptions options;
     options.seed = seed * 977 + 5;
     options.faults = &faults;
-    const resched::RescheduleResult run =
-        resched::runOnline(sc.dag, augmented, *schedule, oracle, options);
+    const resched::RescheduleResult run = resched::runOnline(
+        sim::prepareSimulation(sc.dag, augmented, *schedule, oracle), oracle,
+        options);
     if (!run.ok) continue;  // unrecoverable draw: an honest error, not a bug
     ++recovered;
     const scheduler::ScheduleResult& fin = run.finalSchedule;
@@ -398,13 +400,15 @@ TEST_P(FaultFuzz, ZeroRateFaultModelIsBitExactNoop) {
     base.perturbation.kind = sim::PerturbationKind::kStraggler;
     base.perturbation.stragglerProbability = 0.25;
     base.perturbation.stragglerFactor = 3.0;
+    const sim::SimPlan plan =
+        sim::prepareSimulation(sc.dag, sc.cluster, *schedule, oracle);
     const resched::RescheduleResult plain =
-        resched::runOnline(sc.dag, sc.cluster, *schedule, oracle, base);
+        resched::runOnline(plan, oracle, base);
     sim::FaultModel inactive(sim::FaultSpec{}, sc.cluster.numProcessors());
     resched::RescheduleOptions withModel = base;
     withModel.faults = &inactive;
     const resched::RescheduleResult faulted =
-        resched::runOnline(sc.dag, sc.cluster, *schedule, oracle, withModel);
+        resched::runOnline(plan, oracle, withModel);
     ASSERT_EQ(plain.ok, faulted.ok);
     if (!plain.ok) continue;
     EXPECT_EQ(plain.finalMakespan, faulted.finalMakespan);

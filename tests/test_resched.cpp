@@ -42,6 +42,20 @@ FuzzCase makeFuzzCase(std::uint64_t seed) {
   return test::makeTightFuzzCase(seed, seed);
 }
 
+/// Expects two executions to record the same task events, bit for bit.
+void expectSameEvents(const sim::SimResult& a, const sim::SimResult& b) {
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t v = 0; v < a.events.size(); ++v) {
+    const sim::TaskEvent& x = a.events[v];
+    const sim::TaskEvent& y = b.events[v];
+    EXPECT_EQ(x.block, y.block) << "task " << v;
+    EXPECT_EQ(x.proc, y.proc) << "task " << v;
+    EXPECT_EQ(x.ready, y.ready) << "task " << v;
+    EXPECT_EQ(x.start, y.start) << "task " << v;
+    EXPECT_EQ(x.finish, y.finish) << "task " << v;
+  }
+}
+
 /// Runs `opts` on `plan` once whole and once chopped into pieces by a pause
 /// at every `period`-th task finish, each piece resuming from the previous
 /// one's checkpoint, and expects the two runs to be bit-identical.
@@ -68,17 +82,7 @@ sim::SimResult expectSeamlessResume(const sim::SimPlan& plan,
   EXPECT_EQ(pieces.makespan, whole.makespan);
   EXPECT_EQ(pieces.numTransfers, whole.numTransfers);
   EXPECT_EQ(pieces.memoryOverflows, whole.memoryOverflows);
-  EXPECT_EQ(pieces.events.size(), whole.events.size());
-  for (std::size_t v = 0;
-       v < std::min(pieces.events.size(), whole.events.size()); ++v) {
-    const sim::TaskEvent& a = pieces.events[v];
-    const sim::TaskEvent& b = whole.events[v];
-    EXPECT_EQ(a.block, b.block) << "task " << v;
-    EXPECT_EQ(a.proc, b.proc) << "task " << v;
-    EXPECT_EQ(a.ready, b.ready) << "task " << v;
-    EXPECT_EQ(a.start, b.start) << "task " << v;
-    EXPECT_EQ(a.finish, b.finish) << "task " << v;
-  }
+  expectSameEvents(pieces, whole);
   EXPECT_EQ(pieces.faultLog.size(), whole.faultLog.size());
   for (std::size_t i = 0;
        i < std::min(pieces.faultLog.size(), whole.faultLog.size()); ++i) {
@@ -156,14 +160,16 @@ TEST_P(ReschedFuzz, ZeroNoiseIsAnExactNoOpForEveryPolicy) {
   for (const ScheduleResult* schedule : {&fc.part, &fc.mem}) {
     if (!schedule->feasible) continue;
     const double expected = staticMakespan(fc.dag, fc.cluster, *schedule);
+    const sim::SimPlan plan =
+        sim::prepareSimulation(fc.dag, fc.cluster, *schedule, oracle);
     for (const resched::TriggerPolicy trigger :
          {resched::TriggerPolicy::kNone, resched::TriggerPolicy::kInterval,
           resched::TriggerPolicy::kLateness,
           resched::TriggerPolicy::kStraggler}) {
       resched::RescheduleOptions options;
       options.policy.trigger = trigger;
-      const resched::RescheduleResult run = resched::runOnline(
-          fc.dag, fc.cluster, *schedule, oracle, options);
+      const resched::RescheduleResult run =
+          resched::runOnline(plan, oracle, options);
       ASSERT_TRUE(run.ok) << run.error;
       EXPECT_EQ(run.reschedulesAccepted, 0)
           << resched::triggerPolicyName(trigger);
@@ -191,8 +197,9 @@ TEST_P(ReschedFuzz, ForcedRepairsAtZeroNoiseNeverWorsen) {
   options.policy.driftTolerance = -1.0;
   options.policy.minGain = 1e-6;
   options.policy.hindsightGuard = false;
-  const resched::RescheduleResult run =
-      resched::runOnline(fc.dag, fc.cluster, fc.part, oracle, options);
+  const resched::RescheduleResult run = resched::runOnline(
+      sim::prepareSimulation(fc.dag, fc.cluster, fc.part, oracle), oracle,
+      options);
   ASSERT_TRUE(run.ok) << run.error;
   EXPECT_LE(run.finalMakespan, expected * (1.0 + 1e-9));
   for (const resched::RepairRecord& repair : run.repairs) {
@@ -222,7 +229,8 @@ TEST_P(ReschedFuzz, GuardedMakespanIsMonotoneUnderLognormalNoise) {
     options.perturbation.sigma = 0.4;
     options.seed = GetParam() * 1009 + 7;
     const resched::RescheduleResult run = resched::runOnline(
-        fc.dag, fc.cluster, *schedule, oracle, options);
+        sim::prepareSimulation(fc.dag, fc.cluster, *schedule, oracle), oracle,
+        options);
     ASSERT_TRUE(run.ok) << run.error;
     // The hindsight guard reports min(repaired, unrepaired): monotone on
     // every seed by construction, and the bookkeeping must agree.
@@ -249,8 +257,9 @@ TEST_P(ReschedFuzz, SplicedSchedulesAreValidResiduals) {
   options.perturbation.kind = sim::PerturbationKind::kLognormal;
   options.perturbation.sigma = 0.5;
   options.seed = GetParam() ^ 0x5bd1e995u;
-  const resched::RescheduleResult run =
-      resched::runOnline(fc.dag, fc.cluster, fc.part, oracle, options);
+  const resched::RescheduleResult run = resched::runOnline(
+      sim::prepareSimulation(fc.dag, fc.cluster, fc.part, oracle), oracle,
+      options);
   ASSERT_TRUE(run.ok) << run.error;
 
   const ScheduleResult* previous = &fc.part;
@@ -322,6 +331,9 @@ TEST_P(ReschedFuzz, RepairOutcomesMatchPinnedHashes) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const ScheduleResult* schedule : {&fc.part, &fc.mem}) {
     if (!schedule->feasible) continue;
+    // One plan serves all four runs, as in the resched_recovery study.
+    const sim::SimPlan plan =
+        sim::prepareSimulation(fc.dag, fc.cluster, *schedule, oracle);
     for (const bool forced : {false, true}) {
       for (const bool contention : {false, true}) {
         resched::RescheduleOptions options;
@@ -338,8 +350,7 @@ TEST_P(ReschedFuzz, RepairOutcomesMatchPinnedHashes) {
           options.policy.hindsightGuard = false;
         }
         h = test::hashRepairOutcome(
-            h, resched::runOnline(fc.dag, fc.cluster, *schedule, oracle,
-                                  options));
+            h, resched::runOnline(plan, oracle, options));
       }
     }
   }
@@ -380,15 +391,16 @@ TEST_P(FaultRepairPinned, RepairOutcomesMatchPinnedHashes) {
     spec.horizon = std::max(schedule->makespan * 0.8, 1e-9);
     spec.downtime = schedule->makespan * 0.05;
     spec.maxCrashesPerProcessor = 2;
+    const sim::SimPlan plan =
+        sim::prepareSimulation(fc.dag, augmented, *schedule, oracle);
     for (const bool contention : {false, true}) {
       sim::FaultModel faults(spec, augmented.numProcessors());
       resched::RescheduleOptions options;
       options.seed = seed * 977 + 5;
       options.contention = contention;
       options.faults = &faults;
-      h = test::hashRepairOutcome(
-          h, resched::runOnline(fc.dag, augmented, *schedule, oracle,
-                                options));
+      h = test::hashRepairOutcome(h,
+                                  resched::runOnline(plan, oracle, options));
     }
   }
   EXPECT_EQ(h, kPinned[seed - 1]) << "seed " << seed << " hash 0x"
@@ -718,8 +730,9 @@ TEST(Resched, SingleTriggerBudgetStillAttemptsARepair) {
   options.policy.trigger = resched::TriggerPolicy::kInterval;
   options.policy.driftTolerance = -1.0;  // force the attempt through
   options.policy.maxTriggers = 1;
-  const resched::RescheduleResult run =
-      resched::runOnline(fc.dag, fc.cluster, fc.part, oracle, options);
+  const resched::RescheduleResult run = resched::runOnline(
+      sim::prepareSimulation(fc.dag, fc.cluster, fc.part, oracle), oracle,
+      options);
   ASSERT_TRUE(run.ok) << run.error;
   EXPECT_EQ(run.triggersFired, 1);
   // maxTriggers = 1 means one repair attempt, not zero: the pause that
@@ -775,15 +788,115 @@ TEST(ReschedEngine, ForcedOrderMustMatchBlockMembers) {
   const FuzzCase fc = makeFuzzCase(6);
   ASSERT_TRUE(fc.part.feasible || fc.mem.feasible);
   const ScheduleResult& schedule = fc.part.feasible ? fc.part : fc.mem;
+  ASSERT_GE(schedule.numBlocks(), 2u);
   const memory::MemDagOracle oracle(fc.dag);
+  std::vector<std::vector<VertexId>> members(schedule.numBlocks());
+  for (VertexId v = 0; v < fc.dag.numVertices(); ++v) {
+    members[schedule.blockOf[v]].push_back(v);
+  }
   sim::PlanHints hints;
   hints.forcedOrder.resize(1);
-  hints.forcedOrder[0] = {0};  // almost surely not block 0's member set
-  const sim::SimPlan plan =
+  // Block 1's members are no permutation of block 0's: rejected.
+  hints.forcedOrder[0] = members[1];
+  const sim::SimPlan foreign =
       sim::prepareSimulation(fc.dag, fc.cluster, schedule, oracle, &hints);
-  if (!plan.ok()) {
-    EXPECT_NE(plan.error().find("forced traversal"), std::string::npos);
+  EXPECT_FALSE(foreign.ok());
+  EXPECT_NE(foreign.error().find("forced traversal"), std::string::npos);
+  // Block 0's own oracle order is accepted and is the order the plan runs.
+  hints.forcedOrder[0] = oracle.bestTraversal(members[0]).order;
+  const sim::SimPlan own =
+      sim::prepareSimulation(fc.dag, fc.cluster, schedule, oracle, &hints);
+  ASSERT_TRUE(own.ok()) << own.error();
+  EXPECT_EQ(own.data().blocks[0].order, hints.forcedOrder[0]);
+}
+
+/// Expects two online runs to agree bit for bit: final makespan, every
+/// repair record (spliced schedules included), final schedule and the
+/// reported execution's task events.
+void expectSameOnlineRun(const resched::RescheduleResult& a,
+                         const resched::RescheduleResult& b) {
+  ASSERT_EQ(a.ok, b.ok) << a.error << " / " << b.error;
+  EXPECT_EQ(a.finalMakespan, b.finalMakespan);
+  ASSERT_EQ(a.repairs.size(), b.repairs.size());
+  for (std::size_t i = 0; i < a.repairs.size(); ++i) {
+    const resched::RepairRecord& x = a.repairs[i];
+    const resched::RepairRecord& y = b.repairs[i];
+    EXPECT_EQ(x.time, y.time) << "repair " << i;
+    EXPECT_EQ(x.accepted, y.accepted) << "repair " << i;
+    EXPECT_EQ(x.faultRepair, y.faultRepair) << "repair " << i;
+    EXPECT_EQ(x.projectedBefore, y.projectedBefore) << "repair " << i;
+    EXPECT_EQ(x.projectedAfter, y.projectedAfter) << "repair " << i;
+    EXPECT_EQ(x.resumedProjection, y.resumedProjection) << "repair " << i;
+    EXPECT_EQ(x.moves, y.moves) << "repair " << i;
+    EXPECT_EQ(x.swaps, y.swaps) << "repair " << i;
+    EXPECT_EQ(x.merges, y.merges) << "repair " << i;
+    EXPECT_EQ(x.evacuations, y.evacuations) << "repair " << i;
+    EXPECT_EQ(x.schedule.blockOf, y.schedule.blockOf) << "repair " << i;
+    EXPECT_EQ(x.schedule.procOfBlock, y.schedule.procOfBlock)
+        << "repair " << i;
   }
+  EXPECT_EQ(a.finalSchedule.blockOf, b.finalSchedule.blockOf);
+  EXPECT_EQ(a.finalSchedule.procOfBlock, b.finalSchedule.procOfBlock);
+  expectSameEvents(a.execution, b.execution);
+}
+
+/// runOnline only reads its plan, so the studies prepare one plan per
+/// schedule: R runs on one plan (and its oracle) must equal R runs on fresh
+/// plans with fresh oracles, under noise with forced repairs and under
+/// fail-stops with transient crashes on a spare-augmented cluster.
+TEST_P(ReschedFuzz, RunsOnOneSharedPlanEqualRunsOnFreshPlans) {
+  constexpr int kRuns = 3;
+  const FuzzCase fc = makeFuzzCase(GetParam());
+  const platform::Cluster augmented =
+      experiments::addSpareProcessors(fc.cluster, 2);
+  const memory::MemDagOracle oracle(fc.dag);
+  int accepted = 0;
+  for (const ScheduleResult* schedule : {&fc.part, &fc.mem}) {
+    if (!schedule->feasible) continue;
+    sim::FaultSpec spec;
+    spec.failStopProbability = 0.4;
+    spec.crashProbability = 0.3;
+    spec.horizon = std::max(schedule->makespan * 0.75, 1e-9);
+    spec.downtime = schedule->makespan * 0.05;
+    spec.maxCrashesPerProcessor = 2;
+    for (const bool faulty : {false, true}) {
+      const platform::Cluster& cluster = faulty ? augmented : fc.cluster;
+      const sim::SimPlan shared =
+          sim::prepareSimulation(fc.dag, cluster, *schedule, oracle);
+      ASSERT_TRUE(shared.ok()) << shared.error();
+      const auto run = [&](const sim::SimPlan& plan,
+                           const memory::MemDagOracle& planOracle, int r) {
+        sim::FaultModel faults(spec, cluster.numProcessors());
+        resched::RescheduleOptions options;
+        options.seed = GetParam() * 101 + static_cast<std::uint64_t>(r);
+        if (faulty) {
+          options.faults = &faults;
+        } else {
+          options.policy.trigger = resched::TriggerPolicy::kInterval;
+          options.policy.intervalFraction = 0.15;
+          options.policy.driftTolerance = -1.0;
+          options.policy.minGain = 1e-6;
+          options.perturbation.kind = sim::PerturbationKind::kLognormal;
+          options.perturbation.sigma = 0.4;
+        }
+        return resched::runOnline(plan, planOracle, options);
+      };
+      for (int r = 0; r < kRuns; ++r) {
+        const resched::RescheduleResult reused = run(shared, oracle, r);
+        const memory::MemDagOracle freshOracle(fc.dag);
+        const resched::RescheduleResult fresh =
+            run(sim::prepareSimulation(fc.dag, cluster, *schedule,
+                                       freshOracle),
+                freshOracle, r);
+        expectSameOnlineRun(reused, fresh);
+        for (const resched::RepairRecord& repair : reused.repairs) {
+          accepted += repair.accepted ? 1 : 0;
+        }
+      }
+    }
+  }
+  // The runs must splice, or sharing the plan would go untested.
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(Resched, RepairsEngageSomewhereAcrossSeeds) {
@@ -802,8 +915,9 @@ TEST(Resched, RepairsEngageSomewhereAcrossSeeds) {
     options.perturbation.kind = sim::PerturbationKind::kLognormal;
     options.perturbation.sigma = 0.5;
     options.seed = seed * 31 + 5;
-    const resched::RescheduleResult run =
-        resched::runOnline(fc.dag, fc.cluster, fc.part, oracle, options);
+    const resched::RescheduleResult run = resched::runOnline(
+        sim::prepareSimulation(fc.dag, fc.cluster, fc.part, oracle), oracle,
+        options);
     ASSERT_TRUE(run.ok) << run.error;
     accepted += run.reschedulesAccepted;
   }

@@ -377,16 +377,16 @@ TEST(Robustness, RejectsMalformedSchedulesWithoutCrashing) {
   // Default-constructed (infeasible, empty blockOf) and out-of-range block
   // labels must come back as clean errors, not out-of-bounds reads.
   ScheduleResult empty;
-  const sim::RobustnessSummary s1 =
-      sim::evaluateRobustness(g, cluster, empty, oracle, {});
+  const sim::RobustnessSummary s1 = sim::evaluateRobustness(
+      sim::prepareSimulation(g, cluster, empty, oracle), {});
   EXPECT_FALSE(s1.ok);
   EXPECT_FALSE(s1.error.empty());
   ScheduleResult outOfRange;
   outOfRange.feasible = true;
   outOfRange.blockOf.assign(g.numVertices(), quotient::kNoBlock);
   outOfRange.procOfBlock = {0};
-  const sim::RobustnessSummary s2 =
-      sim::evaluateRobustness(g, cluster, outOfRange, oracle, {});
+  const sim::RobustnessSummary s2 = sim::evaluateRobustness(
+      sim::prepareSimulation(g, cluster, outOfRange, oracle), {});
   EXPECT_FALSE(s2.ok);
   EXPECT_FALSE(s2.error.empty());
 }
@@ -399,7 +399,7 @@ TEST(Robustness, DeterministicReplicationsAllEqualStaticPrediction) {
   sim::RobustnessOptions options;
   options.replications = 8;
   const sim::RobustnessSummary summary = sim::evaluateRobustness(
-      fc.dag, fc.cluster, schedule, oracle, options);
+      sim::prepareSimulation(fc.dag, fc.cluster, schedule, oracle), options);
   ASSERT_TRUE(summary.ok) << summary.error;
   ASSERT_EQ(summary.makespans.size(), 8u);
   for (const double m : summary.makespans) {
@@ -419,7 +419,7 @@ TEST(Robustness, NoisySummaryStatisticsAreOrdered) {
   options.perturbation.kind = sim::PerturbationKind::kLognormal;
   options.perturbation.sigma = 0.3;
   const sim::RobustnessSummary summary = sim::evaluateRobustness(
-      fc.dag, fc.cluster, schedule, oracle, options);
+      sim::prepareSimulation(fc.dag, fc.cluster, schedule, oracle), options);
   ASSERT_TRUE(summary.ok) << summary.error;
   ASSERT_EQ(summary.makespans.size(), 50u);
   EXPECT_GT(summary.minMakespan, 0.0);
@@ -444,10 +444,9 @@ TEST(Robustness, FixedSeedIsBitReproducibleAcrossThreadCounts) {
   options.sim.comm = sim::CommModel::kTaskEager;
   options.sim.contention = true;
 
-  const auto run = [&] {
-    return sim::evaluateRobustness(fc.dag, fc.cluster, schedule, oracle,
-                                   options);
-  };
+  const sim::SimPlan plan =
+      sim::prepareSimulation(fc.dag, fc.cluster, schedule, oracle);
+  const auto run = [&] { return sim::evaluateRobustness(plan, options); };
 
   const sim::RobustnessSummary one = test::withOmpThreads(1, run);
   const sim::RobustnessSummary four = test::withOmpThreads(4, run);

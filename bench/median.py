@@ -25,7 +25,10 @@ few runs the base's IQR can be narrower than the host's drift, and a
 no-op then clears it (``gain>IQR`` is still printed, as detail). The
 header records nproc, the CPU model, OMP_NUM_THREADS, the compiler and both
 commits. ``--trajectory FILE`` appends the whole result as
-one JSON line (e.g. bench/trajectory/perfbench.jsonl).
+one JSON line (e.g. bench/trajectory/perfbench.jsonl). A record names the
+change by the commit it ran, so ``--trajectory`` is refused while ``git
+status --porcelain`` shows anything: commit the change first and pass
+``--base <parent>``.
 
 With ``--figures a,b`` the tool times ``paper_figures a b`` of each side
 instead, at default scale (every DAGPM_* variable that selects the
@@ -237,6 +240,19 @@ def summarize_walls(base, change):
                           [{"wall_s": c} for c in change], FIGURES_SPECS)
 
 
+def trajectory_refusal(porcelain):
+    """Why ``--trajectory`` must not record from the tree whose ``git status
+    --porcelain`` is `porcelain`, or None when it is clean. A record names
+    the change by HEAD's sha, so uncommitted work would be recorded under
+    the parent's name."""
+    if not porcelain.strip():
+        return None
+    return ("--trajectory needs a clean working tree: the record names the "
+            "change by its commit, and uncommitted work would be recorded "
+            "under the parent's sha. Commit the change first and pass "
+            "--base <parent>.")
+
+
 # ---- running ---------------------------------------------------------------
 
 def git(*args, cwd=ROOT):
@@ -346,6 +362,11 @@ def main():
         figures = parse_figures(args.figures) if args.figures else None
     except ValueError as e:
         parser.error(str(e))
+
+    if args.trajectory:
+        refusal = trajectory_refusal(git("status", "--porcelain"))
+        if refusal:
+            parser.error(refusal)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         benchmark = json.load(f)

@@ -4,14 +4,17 @@
 Feeds canned perfbench/run.py output lines through the parser and checks
 the medians, quartiles, median pairwise ratio, win counts, the gain-beyond-
 IQR flag, the BENCHMARK.json bound flag and the one verdict built on them;
-then the pair alternation and the --figures mode's figure list, build
-commands, environment and wall-time summary.
+then the pair alternation, the --figures mode's figure list, build
+commands, environment and wall-time summary, and the --trajectory refusal
+on a tree with uncommitted changes.
 """
 
+import io
 import json
 import os
 import sys
 import unittest
+from unittest import mock
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import median  # noqa: E402
@@ -267,6 +270,37 @@ class FiguresTest(unittest.TestCase):
         wall = next(l for l in table.splitlines() if l.startswith("wall_s"))
         self.assertIn("2/2", wall)
 
+
+
+class TrajectoryTest(unittest.TestCase):
+    def test_clean_tree_may_record(self):
+        self.assertIsNone(median.trajectory_refusal(""))
+        self.assertIsNone(median.trajectory_refusal("\n"))
+
+    def test_dirty_tree_is_refused(self):
+        for porcelain in (" M src/service/service.cpp\n",
+                          "?? src/service/new.cpp\n"):
+            refusal = median.trajectory_refusal(porcelain)
+            self.assertIn("commit", refusal.lower())
+            self.assertIn("--base <parent>", refusal)
+
+    def test_main_refuses_before_running_anything(self):
+        def git(*args, **kwargs):
+            self.assertEqual(args, ("status", "--porcelain"))
+            return " M src/service/service.cpp"
+
+        def checkout_base(rev):
+            raise AssertionError("checkout_base ran on a dirty tree")
+
+        argv = ["median.py", "--base", "HEAD", "--trajectory", "t.jsonl"]
+        with mock.patch.object(median, "git", git), \
+                mock.patch.object(median, "checkout_base", checkout_base), \
+                mock.patch.object(sys, "argv", argv), \
+                mock.patch("sys.stderr", new_callable=io.StringIO) as err:
+            with self.assertRaises(SystemExit) as exit_:
+                median.main()
+        self.assertEqual(exit_.exception.code, 2)
+        self.assertIn("--base <parent>", err.getvalue())
 
 if __name__ == "__main__":
     unittest.main()

@@ -1,17 +1,21 @@
 #pragma once
-// Thread-safe LRU cache of finished schedules, keyed by request fingerprint.
+// Thread-safe LRU cache of finished schedules, keyed by the request's exact
+// content key (service/request_key.hpp).
 //
-// Cache semantics (see README "Scheduling as a service"): an entry is valid
-// exactly as long as its key is — the fingerprint covers the workflow
-// content, the cluster, and every schedule-relevant configuration field, so
-// a hit returns a schedule bit-identical to what a cold solve would produce
-// (the concurrent differential test pins this). Entries never expire by
-// time; capacity evicts the least-recently-used fingerprint.
+// Cache semantics (see README "Scheduling as a service"): a hit compares the
+// whole key, which holds the workflow content, the cluster, and every
+// schedule-relevant configuration field, so a hit returns a schedule
+// bit-identical to what a cold solve of the same request would produce (the
+// concurrent differential test pins this). Entries never expire by time;
+// capacity evicts the least-recently-used key. Each entry stores its key
+// once: the index views the key its list entry owns.
 
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "scheduler/solution.hpp"
@@ -32,12 +36,11 @@ class ScheduleCache {
 
   /// Returns a copy of the cached schedule and refreshes its recency.
   [[nodiscard]] std::optional<scheduler::ScheduleResult> lookup(
-      std::uint64_t fingerprint);
+      std::string_view key);
 
-  /// Inserts (or refreshes) the schedule for `fingerprint`, evicting the
+  /// Inserts (or refreshes) the schedule for `key`, evicting the
   /// least-recently-used entry when over capacity.
-  void insert(std::uint64_t fingerprint,
-              const scheduler::ScheduleResult& schedule);
+  void insert(std::string key, const scheduler::ScheduleResult& schedule);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -45,14 +48,14 @@ class ScheduleCache {
 
  private:
   struct Entry {
-    std::uint64_t fingerprint = 0;
+    std::string key;
     scheduler::ScheduleResult schedule;
   };
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
   CacheStats stats_;
 };
 

@@ -9,6 +9,7 @@
 #include <omp.h>
 
 #include "memory/oracle.hpp"
+#include "scheduler/daghetmem.hpp"
 #include "scheduler/list_scheduler.hpp"
 
 namespace dagpm::service {
@@ -27,6 +28,15 @@ double secondsSince(Clock::time_point from) {
 // and reproduce bit-identically under any worker-thread count.
 constexpr double kSolveCostPerTask = 1.0;
 constexpr double kHeftCostPerTask = 0.05;
+
+// Per-worker circuit breaker: this many consecutive request failures on one
+// worker trip it, and a tripped worker fails this many jobs fast before the
+// half-open re-admission probe (the window doubles after every failed
+// probe). Count-based, not time-based: a breaker's whole life cycle is a
+// deterministic function of the worker's job subsequence, so tests can
+// replay it exactly.
+constexpr int kBreakerThreshold = 3;
+constexpr int kBreakerCooldownJobs = 2;
 
 }  // namespace
 
@@ -55,12 +65,6 @@ bool SchedulerService::enqueue(Request&& request, std::future<Response>* out,
   // the worker through the regular exception-isolation path: the error
   // surfaces through the future like any solve failure instead of crashing
   // the submitter or taking a worker thread down.
-  const bool poisoned = request.dag == nullptr || request.cluster == nullptr;
-  const std::uint64_t fp =
-      poisoned ? 0
-               : fingerprintRequest(*request.dag, *request.cluster,
-                                    request.config, request.algorithm);
-
   std::unique_lock<std::mutex> lock(mu_);
   if (blocking) {
     queueNotFull_.wait(lock, [this] {
@@ -76,7 +80,6 @@ bool SchedulerService::enqueue(Request&& request, std::future<Response>* out,
   }
   Job job;
   job.id = nextRequestId_++;
-  job.fingerprint = fp;
   job.request = std::move(request);
   job.submitted = Clock::now();
   if (out != nullptr) *out = job.promise.get_future();
@@ -108,7 +111,7 @@ void SchedulerService::workerLoop() {
   // ThreadCounterScope delta sees every count.
   omp_set_num_threads(1);
   BreakerState breaker;
-  breaker.cooldownJobs = std::max(1, cfg_.breakerCooldownJobs);
+  breaker.cooldownJobs = kBreakerCooldownJobs;
   for (;;) {
     Job job;
     {
@@ -145,7 +148,6 @@ void SchedulerService::workerLoop() {
 void SchedulerService::process(Job job, BreakerState& breaker) {
   Response resp;
   resp.requestId = job.id;
-  resp.fingerprint = job.fingerprint;
   resp.queueSeconds = secondsSince(job.submitted);
   // Per-request latency attribution: the whole request (cache probe, wait,
   // or solve) lands as one span tagged with the request id on this worker's
@@ -156,7 +158,7 @@ void SchedulerService::process(Job job, BreakerState& breaker) {
   // and fails its jobs fast. The window is a job count, so the drain of a
   // tripped breaker is deterministic; when it closes, the next attempted
   // solve becomes the half-open re-admission probe.
-  if (cfg_.breakerThreshold > 0 && breaker.openJobsRemaining > 0) {
+  if (breaker.openJobsRemaining > 0) {
     --breaker.openJobsRemaining;
     if (breaker.openJobsRemaining == 0) breaker.halfOpen = true;
     {
@@ -168,41 +170,70 @@ void SchedulerService::process(Job job, BreakerState& breaker) {
     return;
   }
 
+  // A poisoned request (null workflow or cluster) gets no key: it skips the
+  // cache, the deadline ladder and the in-flight table, and fails inside
+  // solve() through the same isolation as any solver throw. The key is built
+  // here on the worker, so a queued job holds none.
+  const Request& r = job.request;
+  const bool poisoned = r.dag == nullptr || r.cluster == nullptr;
+  std::string key;
+  if (!poisoned) key = requestKey(*r.dag, *r.cluster, r.config, r.algorithm);
+
   // Deadline ladder, rung 0: is the full solve estimated to fit the budget?
   // The estimate is cost-model based (cost per task x tasks), never a wall
   // clock, so the ladder's decisions reproduce bit-identically under any
-  // worker-thread count. Poisoned requests (null workflow) skip the ladder
-  // and fail inside solve(), through the same isolation as any solver throw.
-  const bool poisoned =
-      job.request.dag == nullptr || job.request.cluster == nullptr;
-  if (!poisoned && job.request.deadlineBudget > 0.0 &&
-      kSolveCostPerTask * static_cast<double>(job.request.dag->numVertices()) >
-          job.request.deadlineBudget) {
+  // worker-thread count.
+  const bool overBudget =
+      !poisoned && r.deadlineBudget > 0.0 &&
+      kSolveCostPerTask * static_cast<double>(r.dag->numVertices()) >
+          r.deadlineBudget;
+  if (overBudget) {
     obs::add(obs::Counter::kServiceDeadlineMisses);
     resp.deadlineMissed = true;
-    // Rung 1: a cached schedule is full fidelity and free.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++deadlineMisses_;
-      if (std::optional<scheduler::ScheduleResult> hit =
-              cache_.lookup(job.fingerprint)) {
+  }
+
+  // Serve-or-register, atomically with respect to other workers: either the
+  // request is cached (for an over-budget request, rung 1: full fidelity and
+  // free), or an identical solve is in flight, or this request becomes the
+  // leader. Publishing (cache insert + in-flight erase) holds the same
+  // mutex, so no interleaving lets a duplicate solve slip through — the set
+  // of actual solves is deterministic.
+  std::shared_ptr<InFlight> leader;  // set: wait on another worker's solve
+  std::shared_ptr<InFlight> mine;    // set: this request solves
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (overBudget) ++deadlineMisses_;
+    if (!poisoned) {
+      if (std::optional<scheduler::ScheduleResult> hit = cache_.lookup(key)) {
         ++cacheHits_;
-        obs::add(obs::Counter::kServiceFallbackCache);
+        if (overBudget) obs::add(obs::Counter::kServiceFallbackCache);
         resp.cacheHit = true;
         resp.schedule = *std::move(hit);
         resp.totalSeconds = secondsSince(job.submitted);
         job.promise.set_value(std::move(resp));
         return;
       }
+      if (!overBudget) {
+        const auto it = inFlight_.find(key);
+        if (it != inFlight_.end()) {
+          leader = it->second;
+          ++coalesced_;
+        } else {
+          mine = std::make_shared<InFlight>();
+          inFlight_.emplace(key, mine);
+        }
+      }
     }
+  }
+
+  if (overBudget) {
     // Rung 2: the HEFT fast path, when its (much smaller) estimate fits.
     // Degraded schedules are never cached or coalesced: they must not
-    // masquerade as the full solve of the same fingerprint, and skipping
-    // the in-flight table keeps the rung decision independent of worker
+    // masquerade as the full solve of the same request, and skipping the
+    // in-flight table keeps the rung decision independent of worker
     // interleaving.
-    if (kHeftCostPerTask *
-            static_cast<double>(job.request.dag->numVertices()) <=
-        job.request.deadlineBudget) {
+    if (kHeftCostPerTask * static_cast<double>(r.dag->numVertices()) <=
+        r.deadlineBudget) {
       obs::add(obs::Counter::kServiceFallbackHeft);
       resp.degraded = true;
       scheduler::ScheduleResult schedule;
@@ -237,34 +268,6 @@ void SchedulerService::process(Job job, BreakerState& breaker) {
     return;
   }
 
-  // Serve-or-register, atomically with respect to other workers: either the
-  // fingerprint is cached, or an identical solve is in flight, or this
-  // request becomes the leader. Publishing (cache insert + in-flight erase)
-  // holds the same mutex, so no interleaving lets a duplicate solve slip
-  // through — the set of actual solves is deterministic.
-  std::shared_ptr<InFlight> leader;  // set: wait on another worker's solve
-  std::shared_ptr<InFlight> mine;    // set: this request solves
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (std::optional<scheduler::ScheduleResult> hit =
-            cache_.lookup(job.fingerprint)) {
-      ++cacheHits_;
-      resp.cacheHit = true;
-      resp.schedule = *std::move(hit);
-      resp.totalSeconds = secondsSince(job.submitted);
-      job.promise.set_value(std::move(resp));
-      return;
-    }
-    const auto it = inFlight_.find(job.fingerprint);
-    if (it != inFlight_.end()) {
-      leader = it->second;
-      ++coalesced_;
-    } else {
-      mine = std::make_shared<InFlight>();
-      inFlight_.emplace(job.fingerprint, mine);
-    }
-  }
-
   if (leader != nullptr) {
     // Wait for the leader's solve; it is running on another worker right
     // now (in-flight entries only exist while their job is active), so the
@@ -285,21 +288,25 @@ void SchedulerService::process(Job job, BreakerState& breaker) {
     schedule = solve(job, &resp.solveSeconds, &resp.counters);
   } catch (...) {
     noteSolveFailure(breaker);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      inFlight_.erase(job.fingerprint);
+    if (mine != nullptr) {  // null for a poisoned request
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        inFlight_.erase(key);
+      }
+      mine->promise.set_exception(std::current_exception());
     }
-    mine->promise.set_exception(std::current_exception());
     job.promise.set_exception(std::current_exception());
     return;
   }
+  // Only a keyed request gets here (solve() throws for a poisoned one), so
+  // `mine` is set.
   noteSolveSuccess(breaker);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++solves_;
     if (!schedule.feasible) ++infeasible_;
-    cache_.insert(job.fingerprint, schedule);
-    inFlight_.erase(job.fingerprint);
+    inFlight_.erase(key);
+    cache_.insert(std::move(key), schedule);
   }
   mine->promise.set_value(schedule);
   resp.schedule = std::move(schedule);
@@ -312,14 +319,13 @@ void SchedulerService::noteSolveFailure(BreakerState& breaker) {
   // test asserts is exactly "exceptions become failed futures, not dead
   // workers".
   obs::add(obs::Counter::kServiceWorkerExceptions);
-  if (cfg_.breakerThreshold <= 0) return;
   if (breaker.halfOpen) {
     // Failed re-admission probe: reopen with a doubled cooldown window.
     obs::add(obs::Counter::kServiceBreakerProbes);
     breaker.halfOpen = false;
     breaker.cooldownJobs *= 2;
     breaker.openJobsRemaining = breaker.cooldownJobs;
-  } else if (++breaker.consecutiveFailures < cfg_.breakerThreshold) {
+  } else if (++breaker.consecutiveFailures < kBreakerThreshold) {
     return;
   } else {
     breaker.consecutiveFailures = 0;
@@ -336,7 +342,7 @@ void SchedulerService::noteSolveSuccess(BreakerState& breaker) {
     // Healthy probe: close fully and reset the cooldown window.
     obs::add(obs::Counter::kServiceBreakerProbes);
     breaker.halfOpen = false;
-    breaker.cooldownJobs = std::max(1, cfg_.breakerCooldownJobs);
+    breaker.cooldownJobs = kBreakerCooldownJobs;
   }
 }
 

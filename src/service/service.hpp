@@ -1,16 +1,19 @@
 #pragma once
-// SchedulerService: scheduling as a service (ROADMAP item 2).
+// SchedulerService: scheduling as a service.
 //
 // Millions of users means many workflows in flight at once, not one big
 // solve. The service accepts (workflow, cluster, config) requests through a
 // bounded queue, runs them on a pool of worker threads (each request solves
 // single-threaded; the pool is the parallelism), and serves repeated or
-// isomorphic requests from an LRU schedule cache keyed by the canonical
-// fingerprint (service/fingerprint.hpp) — bit-identical to a cold solve.
+// isomorphic requests from an LRU schedule cache keyed by the request's
+// exact content key (service/request_key.hpp) — bit-identical to a cold
+// solve.
 //
-// Concurrency-correctness notes (the re-entrancy bugfixes of ISSUE 8):
+// Concurrency-correctness notes:
 //  * Identical in-flight requests are always coalesced (single-flight):
 //    the first dequeued request solves, duplicates wait on its result.
+//    The cache and the in-flight table both compare whole content keys, so
+//    a request is only ever served the schedule solved for its own content.
 //    Together with the cache this makes the set of actual solves — and
 //    therefore the process-global obs counter totals — deterministic under
 //    any thread interleaving (as long as the cache does not evict mid-run).
@@ -31,13 +34,14 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "service/cache.hpp"
-#include "service/fingerprint.hpp"
+#include "service/request_key.hpp"
 
 namespace dagpm::service {
 
@@ -48,21 +52,11 @@ struct ServiceConfig {
   std::size_t queueCapacity = 256;
   /// LRU schedule cache entries; 0 disables caching.
   std::size_t cacheCapacity = 512;
-
-  // -- Per-worker circuit breaker -------------------------------------------
-  /// Consecutive request failures on one worker that trip its breaker;
-  /// 0 disables the breaker entirely.
-  int breakerThreshold = 3;
-  /// Jobs a tripped worker fails fast before the half-open re-admission
-  /// probe; doubles after every failed probe. Count-based, not time-based:
-  /// a breaker's whole life cycle is a deterministic function of the
-  /// worker's job subsequence, so tests can replay it exactly.
-  int breakerCooldownJobs = 2;
 };
 
 /// One scheduling request. The dag and cluster must stay alive until the
-/// response future resolves (the service borrows, never copies, the
-/// workflow; at a million tasks a copy per request would dominate).
+/// response future resolves (the service borrows the workflow; only its
+/// request key, built on the worker, copies the content).
 struct Request {
   const graph::Dag* dag = nullptr;
   const platform::Cluster* cluster = nullptr;
@@ -79,7 +73,6 @@ struct Request {
 
 struct Response {
   std::uint64_t requestId = 0;
-  std::uint64_t fingerprint = 0;
   scheduler::ScheduleResult schedule;
   bool cacheHit = false;    // served from the LRU, no solve
   bool coalesced = false;   // joined an identical in-flight solve
@@ -143,13 +136,12 @@ class SchedulerService {
  private:
   struct Job {
     std::uint64_t id = 0;
-    std::uint64_t fingerprint = 0;
     Request request;
     std::promise<Response> promise;
     std::chrono::steady_clock::time_point submitted;
   };
-  /// Single-flight rendezvous: duplicates of an in-flight fingerprint wait
-  /// on the leader's shared future instead of re-solving.
+  /// Single-flight rendezvous: duplicates of an in-flight request wait on
+  /// the leader's shared future instead of re-solving.
   struct InFlight {
     std::promise<scheduler::ScheduleResult> promise;
     std::shared_future<scheduler::ScheduleResult> result =
@@ -189,7 +181,8 @@ class SchedulerService {
   std::condition_variable queueNotEmpty_;
   std::condition_variable idle_;
   std::deque<Job> queue_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inFlight_;
+  // In-flight solves by requestKey.
+  std::unordered_map<std::string, std::shared_ptr<InFlight>> inFlight_;
   bool stopping_ = false;
   std::size_t activeWorkers_ = 0;
   std::uint64_t nextRequestId_ = 1;

@@ -1,11 +1,11 @@
-// Tests for the scheduling service (ISSUE 8): request fingerprints, the LRU
-// schedule cache, the concurrent executor, per-request counter attribution,
-// and multi-tenant co-scheduling.
+// Tests for the scheduling service: exact request keys, the LRU schedule
+// cache, the concurrent executor, per-request counter attribution, graceful
+// degradation, and multi-tenant co-scheduling.
 //
 // The load-bearing test is ConcurrentDifferential: N worker threads churning
 // through a shuffled, duplicated request stream must produce schedules
 // bit-identical to a sequential cold solve of each distinct request — and
-// the service must solve each distinct fingerprint exactly once (cache +
+// the service must solve each distinct request exactly once (cache +
 // single-flight coalescing), so its counter totals are deterministic under
 // any interleaving.
 
@@ -23,7 +23,7 @@
 #include "scheduler/daghetpart.hpp"
 #include "scheduler/options.hpp"
 #include "service/cache.hpp"
-#include "service/fingerprint.hpp"
+#include "service/request_key.hpp"
 #include "service/multitenant.hpp"
 #include "service/service.hpp"
 #include "test_util.hpp"
@@ -74,45 +74,58 @@ workflows::GenConfig genConfig(int tasks, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Fingerprints
+// Request keys
 // ---------------------------------------------------------------------------
 
-TEST(ServiceFingerprint, IsomorphicRepeatsCollapse) {
+std::string defaultKey(const graph::Dag& g, const platform::Cluster& cluster) {
+  return service::requestKey(g, cluster, {}, Algorithm::kDagHetPart);
+}
+
+TEST(ServiceRequestKey, IsomorphicRepeatsCollapse) {
   // Two independent generations with identical family/shape/params/seed are
-  // the same workflow content, so they must hash equal: repeated requests
+  // the same workflow content, so their keys are equal: repeated requests
   // for "a Montage of 80 tasks, seed 7" share one cache entry.
+  const platform::Cluster cluster = testCluster();
   const graph::Dag a =
       workflows::generate(workflows::Family::kMontage, genConfig(80, 7));
   const graph::Dag b =
       workflows::generate(workflows::Family::kMontage, genConfig(80, 7));
-  EXPECT_EQ(service::fingerprintDag(a), service::fingerprintDag(b));
+  EXPECT_EQ(defaultKey(a, cluster), defaultKey(b, cluster));
+  // 8 bytes per field: V and E counts, 2 per vertex, 3 per edge, the
+  // processor count, 2 per processor, the bandwidth and 12 config words.
+  EXPECT_EQ(defaultKey(a, cluster).size(),
+            8 * (2 + 2 * a.numVertices() + 3 * a.numEdges() + 2 +
+                 2 * cluster.numProcessors() + 12));
 
   const graph::Dag other =
       workflows::generate(workflows::Family::kMontage, genConfig(80, 8));
-  EXPECT_NE(service::fingerprintDag(a), service::fingerprintDag(other));
+  EXPECT_NE(defaultKey(a, cluster), defaultKey(other, cluster));
+  EXPECT_NE(defaultKey(a, cluster), defaultKey(a, testCluster(3.0e4)));
 }
 
-TEST(ServiceFingerprint, ScheduleRelevantFieldsHash) {
+TEST(ServiceRequestKey, ScheduleRelevantFieldsEnterTheKey) {
   const graph::Dag g =
       workflows::generate(workflows::Family::kSeismology, genConfig(60, 1));
   const platform::Cluster cluster = testCluster();
   const scheduler::DagHetPartConfig cfg;
-  const std::uint64_t base = service::fingerprintRequest(
-      g, cluster, cfg, Algorithm::kDagHetPart);
+  const std::string base =
+      service::requestKey(g, cluster, cfg, Algorithm::kDagHetPart);
 
-  // One row per schedule-relevant field the fingerprint hashes, moved off
-  // its default: every row must move the fingerprint to a value that
-  // neither the default nor an earlier row hashes to.
-  std::vector<std::uint64_t> seen = {base};
+  // One row per schedule-relevant config field, moved off its default, plus
+  // the algorithm selector: every row gives a key that neither the default
+  // nor any other row gives.
+  std::vector<std::string> seen = {base};
+  const auto expectNewKey = [&](std::string key) {
+    for (const std::string& other : seen) {
+      EXPECT_NE(key, other) << "row " << seen.size();
+    }
+    seen.push_back(std::move(key));
+  };
   const auto expectMoves = [&](auto change) {
     scheduler::DagHetPartConfig changed = cfg;
     change(changed);
-    const std::uint64_t fp = service::fingerprintRequest(
-        g, cluster, changed, Algorithm::kDagHetPart);
-    for (const std::uint64_t other : seen) {
-      EXPECT_NE(fp, other) << "row " << seen.size();
-    }
-    seen.push_back(fp);
+    expectNewKey(
+        service::requestKey(g, cluster, changed, Algorithm::kDagHetPart));
   };
   using C = scheduler::DagHetPartConfig;
   using Balance = partition::PartitionConfig::BalanceWeight;
@@ -127,25 +140,25 @@ TEST(ServiceFingerprint, ScheduleRelevantFieldsHash) {
   expectMoves([](C& c) { c.enableIdleMoves = false; });
   expectMoves([](C& c) { c.memoryBalanceFallback = false; });
   expectMoves([](C& c) { c.options.contentionAware = true; });
-  EXPECT_NE(base, service::fingerprintRequest(g, cluster, cfg,
-                                              Algorithm::kDagHetMem));
+  expectNewKey(service::requestKey(g, cluster, cfg, Algorithm::kDagHetMem));
+  expectNewKey(service::requestKey(g, cluster, cfg, Algorithm::kBest));
 }
 
-TEST(ServiceFingerprint, ProvenNoOpSwitchesExcluded) {
+TEST(ServiceRequestKey, ProvenNoOpSwitchesExcluded) {
   // fullReevaluation provably does not change the schedule (a pinned
-  // invariant), so it must NOT move the fingerprint: a cache entry stays
-  // valid across evaluation modes.
+  // invariant), so it must NOT change the key: a cache entry stays valid
+  // across evaluation modes.
   const graph::Dag g =
       workflows::generate(workflows::Family::kBlast, genConfig(60, 3));
   const platform::Cluster cluster = testCluster();
   scheduler::DagHetPartConfig cfg;
-  const std::uint64_t base = service::fingerprintRequest(
-      g, cluster, cfg, Algorithm::kDagHetPart);
+  const std::string base =
+      service::requestKey(g, cluster, cfg, Algorithm::kDagHetPart);
 
   scheduler::DagHetPartConfig changed = cfg;
   changed.options.fullReevaluation = true;
-  EXPECT_EQ(base, service::fingerprintRequest(g, cluster, changed,
-                                              Algorithm::kDagHetPart));
+  EXPECT_EQ(base,
+            service::requestKey(g, cluster, changed, Algorithm::kDagHetPart));
 }
 
 // ---------------------------------------------------------------------------
@@ -161,15 +174,15 @@ scheduler::ScheduleResult dummySchedule(double makespan) {
 
 TEST(ServiceCache, LruEvictionAndStats) {
   service::ScheduleCache cache(2);
-  EXPECT_FALSE(cache.lookup(1).has_value());
-  cache.insert(1, dummySchedule(1.0));
-  cache.insert(2, dummySchedule(2.0));
-  ASSERT_TRUE(cache.lookup(1).has_value());  // 1 now most recent
-  cache.insert(3, dummySchedule(3.0));       // evicts 2
-  EXPECT_FALSE(cache.lookup(2).has_value());
-  ASSERT_TRUE(cache.lookup(1).has_value());
-  EXPECT_EQ(cache.lookup(1)->makespan, 1.0);
-  ASSERT_TRUE(cache.lookup(3).has_value());
+  EXPECT_FALSE(cache.lookup("a").has_value());
+  cache.insert("a", dummySchedule(1.0));
+  cache.insert("b", dummySchedule(2.0));
+  ASSERT_TRUE(cache.lookup("a").has_value());  // "a" now most recent
+  cache.insert("c", dummySchedule(3.0));       // evicts "b"
+  EXPECT_FALSE(cache.lookup("b").has_value());
+  ASSERT_TRUE(cache.lookup("a").has_value());
+  EXPECT_EQ(cache.lookup("a")->makespan, 1.0);
+  ASSERT_TRUE(cache.lookup("c").has_value());
   EXPECT_EQ(cache.size(), 2u);
 
   const service::CacheStats stats = cache.stats();
@@ -179,10 +192,47 @@ TEST(ServiceCache, LruEvictionAndStats) {
   EXPECT_EQ(stats.hits, 4u);
 }
 
+TEST(ServiceCache, KeysCompareInFull) {
+  // Keys sharing a long prefix, differing only in their last byte, or being
+  // prefixes of each other are distinct requests: each keeps its own entry.
+  const std::string prefix(100000, 'k');
+  std::string lastByte = prefix + "xy";
+  lastByte.back() = 'z';
+  const std::vector<std::string> keys = {prefix, prefix + "xy", lastByte,
+                                         prefix + "x", prefix.substr(1)};
+  service::ScheduleCache cache(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    cache.insert(keys[i], dummySchedule(static_cast<double>(i)));
+  }
+  EXPECT_EQ(cache.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::optional<scheduler::ScheduleResult> hit = cache.lookup(keys[i]);
+    ASSERT_TRUE(hit.has_value()) << "key " << i;
+    EXPECT_EQ(hit->makespan, static_cast<double>(i)) << "key " << i;
+  }
+  EXPECT_FALSE(cache.lookup(prefix + "xyz").has_value());
+  EXPECT_FALSE(cache.lookup(prefix.substr(2)).has_value());
+
+  // LRU still holds: refresh keys[0], then one more entry evicts keys[1],
+  // the least recently used, and nothing else.
+  ASSERT_TRUE(cache.lookup(keys[0]).has_value());
+  cache.insert(prefix + "xyz", dummySchedule(9.0));
+  EXPECT_EQ(cache.size(), keys.size());
+  EXPECT_FALSE(cache.lookup(keys[1]).has_value());
+  for (const std::size_t i : {0u, 2u, 3u, 4u}) {
+    const std::optional<scheduler::ScheduleResult> hit = cache.lookup(keys[i]);
+    ASSERT_TRUE(hit.has_value()) << "key " << i;
+    EXPECT_EQ(hit->makespan, static_cast<double>(i)) << "key " << i;
+  }
+  ASSERT_TRUE(cache.lookup(prefix + "xyz").has_value());
+  EXPECT_EQ(cache.lookup(prefix + "xyz")->makespan, 9.0);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
 TEST(ServiceCache, ZeroCapacityDisables) {
   service::ScheduleCache cache(0);
-  cache.insert(1, dummySchedule(1.0));
-  EXPECT_FALSE(cache.lookup(1).has_value());
+  cache.insert("a", dummySchedule(1.0));
+  EXPECT_FALSE(cache.lookup("a").has_value());
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -193,7 +243,7 @@ TEST(ServiceCache, ZeroCapacityDisables) {
 TEST(ServiceEngine, ConcurrentDifferential) {
   // Distinct workflows across families/seeds, each requested several times,
   // interleaved. Whatever the interleaving: every response is bit-identical
-  // to the sequential cold solve, and each distinct fingerprint is solved
+  // to the sequential cold solve, and each distinct request is solved
   // exactly once.
   const platform::Cluster cluster = testCluster();
   std::vector<graph::Dag> dags;
@@ -263,7 +313,6 @@ TEST(ServiceEngine, CacheHitIsBitIdenticalToColdSolve) {
 
   const service::Response warm = svc.submit(req).get();
   EXPECT_TRUE(warm.cacheHit);
-  EXPECT_EQ(warm.fingerprint, cold.fingerprint);
   expectIdentical(warm.schedule, cold.schedule);
   EXPECT_EQ(warm.solveSeconds, 0.0);
 }
@@ -404,7 +453,7 @@ TEST(ServiceEngine, WorkersKeepInnerParallelRegionsOnTheWorkerThread) {
 
 // ---------------------------------------------------------------------------
 // Graceful degradation: exception isolation, the deadline ladder, and the
-// per-worker circuit breaker (ISSUE 10)
+// per-worker circuit breaker
 // ---------------------------------------------------------------------------
 
 TEST(ServiceDegradation, PoolSurvivesPoisonedRequest) {
@@ -562,17 +611,15 @@ TEST(ServiceDegradation, LadderIsDeterministicAcrossWorkerCounts) {
 
 TEST(ServiceDegradation, TrippedBreakerDrainsDeterministically) {
   // One worker, so the breaker's whole life cycle is a function of the job
-  // sequence alone: threshold consecutive failures trip it, exactly
-  // cooldownJobs jobs fail fast, the next job is the half-open probe. A
-  // failed probe reopens with a doubled window; a healthy probe closes it.
+  // sequence alone: 3 consecutive failures trip it, exactly 2 jobs fail
+  // fast, the next job is the half-open probe. A failed probe reopens with
+  // a doubled window; a healthy probe closes it.
   const platform::Cluster cluster = testCluster();
   const graph::Dag g =
       workflows::generate(workflows::Family::kBwa, genConfig(60, 51));
 
   ServiceConfig sc;
   sc.numThreads = 1;
-  sc.breakerThreshold = 2;
-  sc.breakerCooldownJobs = 2;
   SchedulerService svc(sc);
   const auto poison = [&svc] {
     return svc.submit(service::Request{});  // fails inside solve()
@@ -581,13 +628,14 @@ TEST(ServiceDegradation, TrippedBreakerDrainsDeterministically) {
     service::Request r;
     r.dag = &g;
     r.cluster = &cluster;
-    r.config.seed = seed;  // distinct fingerprints: no cache interference
+    r.config.seed = seed;  // distinct requests: no cache interference
     return svc.submit(std::move(r));
   };
 
   EXPECT_THROW(poison().get(), std::invalid_argument);
-  EXPECT_THROW(poison().get(), std::invalid_argument);  // second failure trips
-  // Exactly cooldownJobs = 2 jobs fail fast, healthy or not.
+  EXPECT_THROW(poison().get(), std::invalid_argument);
+  EXPECT_THROW(poison().get(), std::invalid_argument);  // third failure trips
+  // Exactly 2 jobs fail fast, healthy or not.
   EXPECT_THROW(healthy(1).get(), std::runtime_error);
   EXPECT_THROW(healthy(2).get(), std::runtime_error);
   // Window drained: this job is the half-open probe; healthy, so it closes
@@ -598,10 +646,11 @@ TEST(ServiceDegradation, TrippedBreakerDrainsDeterministically) {
   service::ServiceMetrics m = svc.metrics();
   EXPECT_EQ(m.breakerTrips, 1u);
   EXPECT_EQ(m.breakerFastFails, 2u);
-  EXPECT_EQ(m.completed, 6u);
+  EXPECT_EQ(m.completed, 7u);
 
   // Trip again; this time the probe itself fails, reopening the breaker
   // with a doubled window (4 fast-fails) before a healthy probe closes it.
+  EXPECT_THROW(poison().get(), std::invalid_argument);
   EXPECT_THROW(poison().get(), std::invalid_argument);
   EXPECT_THROW(poison().get(), std::invalid_argument);  // trip #2
   EXPECT_THROW(healthy(5).get(), std::runtime_error);
@@ -615,6 +664,41 @@ TEST(ServiceDegradation, TrippedBreakerDrainsDeterministically) {
   m = svc.metrics();
   EXPECT_EQ(m.breakerTrips, 3u);
   EXPECT_EQ(m.breakerFastFails, 2u + 2u + 4u);
+}
+
+TEST(ServiceDegradation, ConcurrentPoisonedRequestsEachFailAlone) {
+  // A poisoned request has no key, so it never meets another one in the
+  // cache or the in-flight table: each of these concurrent poisoned
+  // requests fails on its own (inside solve(), or fast once its worker's
+  // breaker has tripped), none coalesces onto another's failure, and
+  // nothing is solved.
+  const graph::Dag g =
+      workflows::generate(workflows::Family::kBwa, genConfig(60, 52));
+  const platform::Cluster cluster = testCluster();
+  ServiceConfig sc;
+  sc.numThreads = 4;
+  SchedulerService svc(sc);
+  std::vector<std::future<service::Response>> futures;
+  for (int i = 0; i < 8; ++i) {
+    service::Request poison;
+    // Half null workflows, half null clusters: both are poisoned.
+    if (i % 2 == 0) {
+      poison.cluster = &cluster;
+    } else {
+      poison.dag = &g;
+    }
+    futures.push_back(svc.submit(std::move(poison)));
+  }
+  for (std::future<service::Response>& f : futures) {
+    EXPECT_ANY_THROW(f.get());
+  }
+  svc.drain();
+  const service::ServiceMetrics m = svc.metrics();
+  EXPECT_EQ(m.coalesced, 0u);
+  EXPECT_EQ(m.solves, 0u);
+  EXPECT_EQ(m.cacheHits, 0u);
+  EXPECT_EQ(m.cache.hits + m.cache.misses, 0u);  // no probe without a key
+  EXPECT_EQ(m.completed, futures.size());
 }
 
 TEST(ServiceDegradation, HeftRungReturnsValidOrInfeasible) {

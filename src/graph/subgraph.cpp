@@ -13,7 +13,7 @@ SubDag inducedSubgraph(const Dag& g, std::span<const VertexId> vertices) {
   }
   sub.dag.reserve(vertices.size(), vertices.size());
   for (const VertexId v : vertices) {
-    sub.dag.addVertex(g.work(v), g.memory(v), g.label(v));
+    sub.dag.addVertex(g.work(v), g.memory(v));
   }
   for (VertexId local = 0; local < vertices.size(); ++local) {
     const VertexId v = vertices[local];

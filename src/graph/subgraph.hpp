@@ -24,8 +24,9 @@ struct SubDag {
 };
 
 /// Extracts the subgraph induced by `vertices` (original ids, no duplicates).
-/// Vertex work/memory and internal edge costs are copied; boundary edges are
-/// summarized in externalInputs/externalOutputs.
+/// Vertex work/memory and internal edge costs are copied, labels are not (the
+/// sub-DAG's are empty); boundary edges are summarized in
+/// externalInputs/externalOutputs.
 SubDag inducedSubgraph(const Dag& g, std::span<const VertexId> vertices);
 
 }  // namespace dagpm::graph

@@ -16,13 +16,19 @@
 // them around it (virtual terminals are dropped).
 //
 // Cost: O(n + m) expected for n tasks and m edges, whether or not the graph
-// is TTSP. No reduction copies an expression:
+// is TTSP. The reduction runs once on flat arrays and builds no expression:
+//   * each vertex keeps its live in- and out-degree and the XOR of its live
+//     in- and out-edge ids, which names the single live edge at degree 1;
+//   * the one live edge of a vertex pair is found through an open-addressing
+//     pair index (slot function in sp_pair_slot.hpp);
+//   * the reductions are recorded, and a graph that is not TTSP is rejected
+//     right after the pass.
+// A TTSP graph replays the recorded reductions to build its expression, and
+// no replayed reduction copies one:
 //   * a live edge's expression is referenced by that edge alone (asserted in
 //     debug builds), so a parallel reduction appends to it in place;
 //   * a series reduction nests Series(a, Task, b) in O(1), and the nested
-//     series are flattened once, iteratively, when the tree is returned;
-//   * the one live edge of a vertex pair is found through a pair index, and
-//     the input's multi-edges are merged with an epoch array.
+//     series are flattened once, iteratively, when the tree is returned.
 // The returned arena holds only the final tree (no garbage from the
 // reduction): at most 4n + 3m nodes, one more than Σ children.size().
 

@@ -1,7 +1,9 @@
 #include "quotient/incremental.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -78,7 +80,6 @@ void IncrementalEvaluator::rebuild() {
   bottom_.assign(q_->numSlots(), 0.0);
   bestTerm_.assign(q_->numSlots(), 0.0);
   pathWork_.assign(q_->numSlots(), 0.0);
-  values_.clear();
   makespan_ = 0.0;
   heaviestPathWork_ = 0.0;
   const double beta = cluster_->bandwidth();
@@ -98,9 +99,25 @@ void IncrementalEvaluator::rebuild() {
     pathWork_[b] = node.work + heaviest;
     makespan_ = std::max(makespan_, bottom_[b]);
     heaviestPathWork_ = std::max(heaviestPathWork_, pathWork_[b]);
-    values_.emplace_back(bottom_[b], b);
   }
-  std::sort(values_.begin(), values_.end());
+  // Keep the entries of alive blocks whose bottom weight is bit-equal to
+  // the stored one, append the other alive blocks sorted, and merge the two
+  // runs: the same pairs in the same order as a fresh sort.
+  listed_.assign(q_->numSlots(), 0);
+  std::erase_if(values_, [&](const std::pair<double, BlockId>& v) {
+    const BlockId b = v.second;
+    const bool keep = b < listed_.size() && q_->node(b).alive &&
+                      std::bit_cast<std::uint64_t>(v.first) ==
+                          std::bit_cast<std::uint64_t>(bottom_[b]);
+    if (keep) listed_[b] = 1;
+    return !keep;
+  });
+  const auto kept = static_cast<std::ptrdiff_t>(values_.size());
+  for (const BlockId b : order_) {
+    if (listed_[b] == 0) values_.emplace_back(bottom_[b], b);
+  }
+  std::sort(values_.begin() + kept, values_.end());
+  std::inplace_merge(values_.begin(), values_.begin() + kept, values_.end());
 }
 
 double IncrementalEvaluator::speedOf(

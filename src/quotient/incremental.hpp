@@ -196,6 +196,8 @@ class IncrementalEvaluator {
   std::vector<BlockId> order_;
   // (bottom weight, block) of every alive block, ascending.
   std::vector<std::pair<double, BlockId>> values_;
+  // Scratch of rebuild(): 1 for a block whose values_ entry it kept.
+  std::vector<std::uint8_t> listed_;
   mutable double makespan_ = 0.0;
   // Heaviest path work ending at each block (both paths) and its maximum.
   std::vector<double> pathWork_;

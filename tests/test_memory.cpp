@@ -19,6 +19,7 @@
 #include "memory/oracle.hpp"
 #include "memory/profile.hpp"
 #include "memory/simulate.hpp"
+#include "memory/sp_pair_slot.hpp"
 #include "memory/sp_schedule.hpp"
 #include "memory/sp_tree.hpp"
 #include "memory/spization.hpp"
@@ -824,6 +825,348 @@ TEST(SpTree, SizeIsLinearInChainAndFanLength) {
   ASSERT_TRUE(fanTree.has_value());
   EXPECT_EQ(fanTree->tasksUnder(fanTree->root).size(), fan.numVertices());
   EXPECT_LE(totalChildren(*fanTree), 4 * (fan.numVertices() + fan.numEdges()));
+}
+
+// ---------------------------------------------------------------------------
+// The flat TTSP reduction against the expression-carrying reducer it
+// replaced: per-vertex edge lists, a hash-map pair index, an expression on
+// every live edge from the start. Both must agree on the verdict and on the
+// whole compacted tree: node kinds, tasks and child order.
+
+class ReferenceReducer {
+ public:
+  explicit ReferenceReducer(const Dag& g) : g_(g) {}
+
+  std::optional<SpTree> run() {
+    const auto n = static_cast<std::uint32_t>(g_.numVertices());
+    if (n == 0) return std::nullopt;
+    if (n == 1) {
+      SpTree tree;
+      tree.nodes.push_back(SpNode{SpNode::Kind::kTask, 0, {}});
+      return tree;
+    }
+    source_ = n;
+    sink_ = n + 1;
+    inDeg_.assign(n + 2, 0);
+    outDeg_.assign(n + 2, 0);
+    inEdges_.assign(n + 2, {});
+    outEdges_.assign(n + 2, {});
+    for (VertexId v = 0; v < n; ++v) {
+      for (const graph::EdgeId e : g_.outEdges(v)) {
+        addEdge(v, g_.edge(e).dst, emptySeries());
+      }
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      if (inDeg_[v] == 0) addEdge(source_, v, emptySeries());
+      if (outDeg_[v] == 0) addEdge(v, sink_, emptySeries());
+    }
+    reduce();
+    std::uint32_t last = kNone;
+    std::size_t alive = 0;
+    for (std::uint32_t id = 0; id < edges_.size(); ++id) {
+      if (edges_[id].alive) {
+        ++alive;
+        last = id;
+      }
+    }
+    if (alive != 1 || edges_[last].src != source_ ||
+        edges_[last].dst != sink_) {
+      return std::nullopt;
+    }
+    return compact(edges_[last].expr);
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  struct Edge {
+    std::uint32_t src, dst, expr;
+    bool alive;
+  };
+
+  std::uint32_t makeExpr(SpNode node) {
+    nodes_.push_back(std::move(node));
+    return static_cast<std::uint32_t>(nodes_.size() - 1);
+  }
+
+  std::uint32_t emptySeries() {
+    return makeExpr(SpNode{SpNode::Kind::kSeries, graph::kInvalidVertex, {}});
+  }
+
+  std::uint32_t addEdge(std::uint32_t u, std::uint32_t v, std::uint32_t expr) {
+    const auto id = static_cast<std::uint32_t>(edges_.size());
+    edges_.push_back(Edge{u, v, expr, true});
+    outEdges_[u].push_back(id);
+    inEdges_[v].push_back(id);
+    ++outDeg_[u];
+    ++inDeg_[v];
+    return id;
+  }
+
+  void removeEdge(std::uint32_t id) {
+    edges_[id].alive = false;
+    --outDeg_[edges_[id].src];
+    --inDeg_[edges_[id].dst];
+  }
+
+  std::uint32_t firstAlive(const std::vector<std::uint32_t>& list) const {
+    for (auto it = list.rbegin(); it != list.rend(); ++it) {
+      if (edges_[*it].alive) return *it;
+    }
+    return kNone;
+  }
+
+  void parallelInto(std::uint32_t id, std::uint32_t expr) {
+    std::uint32_t survivor = edges_[id].expr;
+    if (nodes_[survivor].kind != SpNode::Kind::kParallel) {
+      survivor = makeExpr(
+          SpNode{SpNode::Kind::kParallel, graph::kInvalidVertex, {survivor}});
+      edges_[id].expr = survivor;
+    }
+    if (nodes_[expr].kind == SpNode::Kind::kParallel) {
+      const std::vector<std::uint32_t> absorbed = nodes_[expr].children;
+      nodes_[expr].children.clear();
+      std::vector<std::uint32_t>& children = nodes_[survivor].children;
+      children.insert(children.end(), absorbed.begin(), absorbed.end());
+    } else {
+      nodes_[survivor].children.push_back(expr);
+    }
+  }
+
+  void reduce() {
+    const auto key = [](std::uint32_t u, std::uint32_t v) {
+      return (static_cast<std::uint64_t>(u) << 32) | v;
+    };
+    // Multi-edges fold into the first edge of their pair, u's out-list order.
+    std::unordered_map<std::uint64_t, std::uint32_t> pairEdge;
+    for (std::uint32_t u = 0; u < outEdges_.size(); ++u) {
+      for (const std::uint32_t id : outEdges_[u]) {
+        const auto [it, fresh] =
+            pairEdge.try_emplace(key(u, edges_[id].dst), id);
+        if (!fresh) {
+          parallelInto(it->second, edges_[id].expr);
+          removeEdge(id);
+        }
+      }
+    }
+    std::vector<std::uint32_t> queue;
+    const auto isSeries = [&](std::uint32_t v) {
+      return v != source_ && v != sink_ && inDeg_[v] == 1 && outDeg_[v] == 1;
+    };
+    for (std::uint32_t v = 0; v < inDeg_.size(); ++v) {
+      if (isSeries(v)) queue.push_back(v);
+    }
+    while (!queue.empty()) {
+      const std::uint32_t v = queue.back();
+      queue.pop_back();
+      if (!isSeries(v)) continue;
+      const std::uint32_t eIn = firstAlive(inEdges_[v]);
+      const std::uint32_t eOut = firstAlive(outEdges_[v]);
+      const std::uint32_t u = edges_[eIn].src;
+      const std::uint32_t w = edges_[eOut].dst;
+      const std::uint32_t task = makeExpr(SpNode{SpNode::Kind::kTask, v, {}});
+      const std::uint32_t expr =
+          makeExpr(SpNode{SpNode::Kind::kSeries, graph::kInvalidVertex,
+                          {edges_[eIn].expr, task, edges_[eOut].expr}});
+      removeEdge(eIn);
+      removeEdge(eOut);
+      const auto [it, fresh] = pairEdge.try_emplace(key(u, w), kNone);
+      if (!fresh && edges_[it->second].alive) {
+        parallelInto(it->second, expr);
+      } else {
+        it->second = addEdge(u, w, expr);
+      }
+      if (isSeries(u)) queue.push_back(u);
+      if (isSeries(w)) queue.push_back(w);
+    }
+  }
+
+  /// The expression under `root`, each series flattened into one child list,
+  /// numbered in the order buildSpTree numbers its arena.
+  SpTree compact(std::uint32_t root) const {
+    SpTree tree;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;
+    const auto copyOf = [&](std::uint32_t old) {
+      const auto id = static_cast<std::uint32_t>(tree.nodes.size());
+      tree.nodes.push_back(SpNode{nodes_[old].kind, nodes_[old].task, {}});
+      pending.emplace_back(old, id);
+      return id;
+    };
+    tree.root = copyOf(root);
+    while (!pending.empty()) {
+      const auto [old, id] = pending.back();
+      pending.pop_back();
+      std::vector<std::uint32_t> children;
+      if (nodes_[old].kind == SpNode::Kind::kParallel) {
+        for (const std::uint32_t c : nodes_[old].children) {
+          children.push_back(copyOf(c));
+        }
+      } else if (nodes_[old].kind == SpNode::Kind::kSeries) {
+        std::vector<std::uint32_t> nested(nodes_[old].children.rbegin(),
+                                          nodes_[old].children.rend());
+        while (!nested.empty()) {
+          const std::uint32_t c = nested.back();
+          nested.pop_back();
+          if (nodes_[c].kind == SpNode::Kind::kSeries) {
+            nested.insert(nested.end(), nodes_[c].children.rbegin(),
+                          nodes_[c].children.rend());
+          } else {
+            children.push_back(copyOf(c));
+          }
+        }
+      }
+      tree.nodes[id].children = std::move(children);
+    }
+    return tree;
+  }
+
+  const Dag& g_;
+  std::uint32_t source_ = 0;
+  std::uint32_t sink_ = 0;
+  std::vector<std::uint32_t> inDeg_, outDeg_;
+  std::vector<std::vector<std::uint32_t>> inEdges_, outEdges_;
+  std::vector<Edge> edges_;
+  std::vector<SpNode> nodes_;
+};
+
+/// `base` with extra structure, renumbered and with its edges re-added in a
+/// random order: duplicated edges (multi-edges), isolated tasks, Wheatstone
+/// bridges (a separate s->{a,b}->t with a->b, or a chord a->b between two
+/// tasks of `base` in topological order), and with no source or sink fixed.
+Dag spReductionCase(const Dag& base, support::Rng& rng) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (graph::EdgeId e = 0; e < base.numEdges(); ++e) {
+    edges.emplace_back(base.edge(e).src, base.edge(e).dst);
+  }
+  auto n = static_cast<VertexId>(base.numVertices());
+  const auto duplicates = edges.empty() ? 0 : rng.uniformInt(0, 3);
+  for (std::int64_t i = 0; i < duplicates; ++i) {
+    edges.push_back(edges[static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(edges.size()) - 1))]);
+  }
+  n += static_cast<VertexId>(rng.uniformInt(0, 2));  // isolated tasks
+  if (rng.bernoulli(0.25)) {  // a separate bridge
+    const VertexId s = n, a = n + 1, b = n + 2, t = n + 3;
+    n += 4;
+    edges.insert(edges.end(), {{s, a}, {s, b}, {a, t}, {b, t}, {a, b}});
+  }
+  if (rng.bernoulli(0.25) && base.numVertices() >= 2) {  // a chord
+    const auto order = graph::topologicalOrder(base);
+    const auto hi = static_cast<std::int64_t>(order->size()) - 1;
+    const auto i = rng.uniformInt(0, hi - 1);
+    const auto j = rng.uniformInt(i + 1, hi);
+    edges.emplace_back((*order)[static_cast<std::size_t>(i)],
+                       (*order)[static_cast<std::size_t>(j)]);
+  }
+  std::vector<VertexId> id(n);
+  std::iota(id.begin(), id.end(), VertexId{0});
+  rng.shuffle(id);
+  rng.shuffle(edges);
+  Dag g;
+  for (VertexId v = 0; v < n; ++v) g.addVertex(1, 1);
+  for (const auto& [u, v] : edges) g.addEdge(id[u], id[v], 1);
+  return g;
+}
+
+/// Seed count follows DAGPM_FUZZ_ITERS: 8 DAGs per seed, 256 by default.
+TEST(FlatSp, MatchesReferenceReducer) {
+  std::size_t sp = 0;
+  std::size_t notSp = 0;
+  for (const std::uint64_t seed : test::fuzzSeeds(32)) {
+    support::Rng rng(seed);
+    for (int i = 0; i < 8; ++i) {
+      const auto size = static_cast<int>(rng.uniformInt(1, 24));
+      const Dag base =
+          i % 2 == 0 ? test::randomSpDag(size, rng.next())
+                     : test::randomLayeredDag(
+                           static_cast<int>(rng.uniformInt(1, 5)),
+                           static_cast<int>(rng.uniformInt(1, 5)),
+                           static_cast<int>(rng.uniformInt(1, 3)), rng.next());
+      const Dag g = spReductionCase(base, rng);
+      const auto flat = buildSpTree(g);
+      const auto ref = ReferenceReducer(g).run();
+      ASSERT_EQ(flat.has_value(), ref.has_value())
+          << "seed " << seed << ", DAG " << i;
+      if (!ref.has_value()) {
+        ++notSp;
+        continue;
+      }
+      ++sp;
+      EXPECT_EQ(flat->root, ref->root) << "seed " << seed << ", DAG " << i;
+      ASSERT_EQ(flat->nodes.size(), ref->nodes.size())
+          << "seed " << seed << ", DAG " << i;
+      for (std::size_t k = 0; k < ref->nodes.size(); ++k) {
+        const SpNode& a = flat->nodes[k];
+        const SpNode& b = ref->nodes[k];
+        EXPECT_TRUE(a.kind == b.kind && a.task == b.task &&
+                    a.children == b.children)
+            << "seed " << seed << ", DAG " << i << ", node " << k;
+      }
+    }
+  }
+  // Both verdicts, and so the replay, are exercised.
+  EXPECT_GE(sp, test::fuzzSeeds(32).size() * 2) << notSp << " not SP";
+  EXPECT_GE(notSp, test::fuzzSeeds(32).size()) << sp << " SP";
+}
+
+/// The pair index's home slots spread the key sets of wide fans: (u, sink)
+/// for a fan-in and (source, v) for a fan-out, with the virtual terminals
+/// numbered after the tasks as buildSpTree numbers them.
+TEST(FlatSp, PairSlotsSpreadFanKeys) {
+  constexpr unsigned kBits = 15;
+  constexpr std::uint32_t kTasks = 1u << 14;
+  constexpr std::uint32_t kSource = kTasks;
+  constexpr std::uint32_t kSink = kTasks + 1;
+  const auto distinctSlots = [](auto keyOf) {
+    std::vector<std::uint32_t> slots;
+    for (std::uint32_t v = 0; v < kTasks; ++v) {
+      slots.push_back(detail::pairSlot(keyOf(v), kBits));
+      EXPECT_LT(slots.back(), 1u << kBits);
+    }
+    std::sort(slots.begin(), slots.end());
+    return static_cast<std::size_t>(
+        std::unique(slots.begin(), slots.end()) - slots.begin());
+  };
+  const std::size_t intoSink = distinctSlots(
+      [](std::uint32_t u) { return detail::pairKey(u, kSink); });
+  const std::size_t fromSource = distinctSlots(
+      [](std::uint32_t v) { return detail::pairKey(kSource, v); });
+  EXPECT_GE(intoSink * 10, std::size_t{kTasks} * 9) << intoSink;
+  EXPECT_GE(fromSource * 10, std::size_t{kTasks} * 9) << fromSource;
+}
+
+/// A fan-in of 20,000 tasks and 20,000 isolated tasks: every task pairs with
+/// a virtual terminal, the pair index's worst key sets.
+TEST(FlatSp, WideFanInAndIsolatedTasksReduceToParallel) {
+  constexpr VertexId kTasks = 20000;
+  Dag fanIn;
+  Dag isolated;
+  for (VertexId v = 0; v < kTasks; ++v) {
+    fanIn.addVertex(1, 1);
+    isolated.addVertex(1, 1);
+  }
+  for (VertexId v = 0; v + 1 < kTasks; ++v) fanIn.addEdge(v, kTasks - 1, 1);
+
+  const auto parallelOf = [](const SpTree& tree, std::uint32_t node,
+                             std::size_t count) {
+    const SpNode& p = tree.nodes[node];
+    EXPECT_EQ(p.kind, SpNode::Kind::kParallel);
+    ASSERT_EQ(p.children.size(), count);
+    for (const std::uint32_t c : p.children) {
+      EXPECT_EQ(tree.tasksUnder(c).size(), 1u);
+    }
+  };
+  const auto fanTree = buildSpTree(fanIn);
+  ASSERT_TRUE(fanTree.has_value());
+  const SpNode& root = fanTree->nodes[fanTree->root];
+  ASSERT_EQ(root.kind, SpNode::Kind::kSeries);
+  ASSERT_EQ(root.children.size(), 2u);
+  parallelOf(*fanTree, root.children[0], kTasks - 1);
+  EXPECT_EQ(fanTree->nodes[root.children[1]].task, kTasks - 1);
+
+  const auto isolatedTree = buildSpTree(isolated);
+  ASSERT_TRUE(isolatedTree.has_value());
+  parallelOf(*isolatedTree, isolatedTree->root, kTasks);
 }
 
 // ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ class FlatReduction {
     initialEdges_ = static_cast<std::uint32_t>(edges_.size());
     // Each pair gains at most one edge per series reduction after this.
     pairs_.reset(edges_.size() + n);
-    mergeInitialMultiEdges();
-    reduce();
+    foldInputMultiEdges();
+    reduceSeries();
   }
 
   /// The surviving source->sink edge, or kNoEdge if `g` is not TTSP.
@@ -141,7 +141,7 @@ class FlatReduction {
   /// Folds each input multi-edge into the first edge of its pair, in edge
   /// id order: u's out-edges in u's out-list order. The connectors index
   /// their pairs and never merge.
-  void mergeInitialMultiEdges() {
+  void foldInputMultiEdges() {
     for (std::uint32_t id = 0; id < initialEdges_; ++id) {
       std::uint32_t& first =
           pairs_[detail::pairKey(edges_[id].src, edges_[id].dst)];
@@ -161,7 +161,7 @@ class FlatReduction {
 
   /// Series reductions from a LIFO queue seeded with the vertices in id
   /// order; a new u->w edge joins that pair's live edge in parallel.
-  void reduce() {
+  void reduceSeries() {
     std::vector<std::uint32_t> queue;
     for (std::uint32_t v = 0; v < vertices_.size(); ++v) {
       if (isSeries(v)) queue.push_back(v);

@@ -18,8 +18,8 @@
 //     sound here because Eq. (1) folds exact max/add expressions;
 //   * the makespan is re-derived from a sorted vector of (bottom weight,
 //     block) pairs by walking down from the committed maximum and skipping
-//     blocks the probe touched. rebuild() sorts it once; commitAssign
-//     re-sorts only the entries it changed and merges them back in.
+//     blocks the probe touched. rebuild() and commitAssign re-sort only
+//     the entries whose bottom weight changed and merge them back in.
 //
 // Probes never write the committed cache: all tentative state lives in a
 // caller-provided Scratch, so a const evaluator can serve any number of
